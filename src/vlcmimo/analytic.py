@@ -15,8 +15,9 @@ import numpy as np
 from scipy.special import erfc
 
 from .noise import NoiseParams, shot_variance, thermal_variance, total_sigma
-from .precoding import (Precoder, adaptive_mask, as_gains, ci_precoder,
-                        oap_precoder, scaling_beta)
+from .precoding import (MAX_ENUMERATED_LINKS, CombinationMatrix, Precoder,
+                        WordTable, as_gains, ci_precoder, combination_matrix,
+                        word_table)
 
 __all__ = [
     "CombinationMatrix",
@@ -31,40 +32,13 @@ __all__ = [
     "throughput",
     "word_throughput",
     "PhysicalNoise",
+    "sigma_table",
 ]
-
-MAX_ENUMERATED_LINKS = 16
 
 
 def q_function(x):
     """Gaussian tail probability Q(x) = erfc(x / sqrt 2) / 2."""
     return 0.5 * erfc(np.asarray(x, dtype=float) / np.sqrt(2.0))
-
-
-@dataclass(frozen=True)
-class CombinationMatrix:
-    """All binary words of a given width in counting order (row s = bits of s)."""
-
-    a: np.ndarray
-
-    def __post_init__(self):
-        arr = np.array(self.a, dtype=np.uint8)
-        arr.setflags(write=False)
-        object.__setattr__(self, "a", arr)
-
-    @property
-    def n_words(self) -> int:
-        return self.a.shape[0]
-
-
-def combination_matrix(n_t: int) -> CombinationMatrix:
-    """Enumerate the 2^n_t binary transmit words, all-zeros first."""
-    if not 1 <= n_t <= MAX_ENUMERATED_LINKS:
-        raise ValueError(
-            f"word enumeration supports 1..{MAX_ENUMERATED_LINKS} transmitters, got {n_t}")
-    s = np.arange(2**n_t, dtype=np.uint32)
-    bits = (s[:, None] >> np.arange(n_t - 1, -1, -1)) & 1
-    return CombinationMatrix(a=bits)
 
 
 @dataclass(frozen=True)
@@ -101,18 +75,22 @@ class PhysicalNoise:
         self.responsivity = responsivity
         self.thermal = thermal_variance(detector_area, self.params)
 
-    def __call__(self, word, transmit_optical) -> np.ndarray:
+    def __call__(self, words, transmit_optical) -> np.ndarray:
+        """Deviation per detector; one row per word when given a word table."""
         radiated = np.clip(np.asarray(transmit_optical, dtype=float), 0.0, None)
-        return np.array([
-            total_sigma(shot_variance(row, radiated, self.responsivity, self.params),
-                        self.thermal)
-            for row in self.gains])
+        return total_sigma(shot_variance(self.gains, radiated, self.responsivity,
+                                         self.params), self.thermal)
 
 
-def _sigma_table(sigma, words, transmit_fn, n_r):
-    """Resolve sigma (scalar, per-detector array, or callable) per word."""
+def sigma_table(sigma, table: WordTable, power: float) -> np.ndarray:
+    """Resolve sigma (scalar, per-detector array, or callable) per word.
+
+    A callable receives every word and its transmitted optical powers at
+    once and returns one row of deviations per word.
+    """
     if callable(sigma):
-        return np.array([sigma(w, transmit_fn(s)) for s, w in enumerate(words)])
+        return np.asarray(sigma(table.words, power * table.transmit), dtype=float)
+    n_r = table.words.shape[1]
     arr = np.asarray(sigma, dtype=float)
     if arr.ndim == 0:
         arr = np.full(n_r, float(arr))
@@ -120,7 +98,14 @@ def _sigma_table(sigma, words, transmit_fn, n_r):
         raise ValueError(f"sigma must be scalar or length-{n_r}, got shape {arr.shape}")
     if np.any(arr <= 0.0):
         raise ValueError("noise standard deviations must be positive")
-    return np.tile(arr, (len(words), 1))
+    return arr
+
+
+def _exact_ber(table: WordTable, sigma, responsivity: float, power: float) -> BerResult:
+    """Mean over words of the slicer's tail probability at half the amplitude."""
+    sig = sigma_table(sigma, table, power)
+    per_pd = q_function(responsivity * power * table.slicer / (2.0 * sig)).mean(axis=0)
+    return BerResult(per_pd=per_pd, scheme=table.scheme, csi="perfect")
 
 
 def ber_ci_perfect(h, noise_sigma_per_pd, responsivity: float, power: float,
@@ -131,22 +116,8 @@ def ber_ci_perfect(h, noise_sigma_per_pd, responsivity: float, power: float,
     ``responsivity * power * beta_s * h_i^T w_i`` and the slicer sits at half
     of it, so each word contributes one Gaussian tail term per detector.
     """
-    gains = as_gains(h)
-    n_r, n_t = gains.shape
-    pre = ci_precoder(gains, tolerance)
-    words = combination_matrix(n_t).a
-    diag_hw = np.diag(gains @ pre.w)
-    betas = np.array([scaling_beta(gains, w) for w in words])
-
-    def transmit(s):
-        return power * betas[s] * (pre.w @ words[s])
-
-    sig = _sigma_table(noise_sigma_per_pd, words, transmit, n_r)
-    acc = np.zeros(n_r)
-    for s in range(len(words)):
-        amp = responsivity * power * betas[s] * diag_hw
-        acc += q_function(amp / (2.0 * sig[s]))
-    return BerResult(per_pd=acc / len(words), scheme="ci", csi="perfect")
+    table = word_table(h, ci_precoder(h, tolerance), "ci")
+    return _exact_ber(table, noise_sigma_per_pd, responsivity, power)
 
 
 def ber_oap_perfect(h, noise_sigma_per_pd, responsivity: float, power: float,
@@ -157,43 +128,28 @@ def ber_oap_perfect(h, noise_sigma_per_pd, responsivity: float, power: float,
     contributions of its whole equal-symbol group; the slicer sits at half of
     that group amplitude, so both symbol hypotheses face the same margin.
     """
-    gains = as_gains(h)
-    n_r, n_t = gains.shape
-    if n_r != n_t:
-        raise ValueError("the adaptive mask requires a square channel")
-    pre = ci_precoder(gains, tolerance)
-    words = combination_matrix(n_t).a
-    acc = np.zeros(n_r)
-    row_amp = np.empty((len(words), n_r))
-    betas = np.empty(len(words))
-    masked = []
-    for s, w in enumerate(words):
-        mask = adaptive_mask(w)
-        betas[s] = scaling_beta(gains, w, mask=mask if renormalize else None)
-        wd = oap_precoder(pre, mask)
-        hwd = gains @ wd.w
-        # group amplitude: sum of the detector row over its equal-symbol set
-        row_amp[s] = betas[s] * np.einsum("ij,ij->i", hwd, mask.t.astype(float))
-        masked.append(wd)
-
-    def transmit(s):
-        return power * betas[s] * (masked[s].w @ words[s])
-
-    sig = _sigma_table(noise_sigma_per_pd, words, transmit, n_r)
-    for s in range(len(words)):
-        acc += q_function(responsivity * power * row_amp[s] / (2.0 * sig[s]))
-    return BerResult(per_pd=acc / len(words), scheme="oap", csi="perfect")
+    table = word_table(h, ci_precoder(h, tolerance), "oap", renormalize=renormalize)
+    return _exact_ber(table, noise_sigma_per_pd, responsivity, power)
 
 
-def _outdated_tables(gains, h_hat, tolerance):
-    gains = as_gains(gains)
-    hat = as_gains(h_hat)
+def _outdated_bound(scheme, h, h_hat, sigma, responsivity, power, tolerance) -> BerResult:
+    """Two tail terms per word and bit hypothesis under a stale precoder.
+
+    From the word residuals ``ups = beta_hat H W_hat_d``: ``own = diag(ups)``
+    and ``interf = ups x - own x``; the adaptive scheme adds its group sum."""
+    gains, hat = as_gains(h), as_gains(h_hat)
     if gains.shape != hat.shape:
         raise ValueError("true and estimated channels must share a shape")
-    pre_hat = ci_precoder(hat, tolerance)
-    words = combination_matrix(gains.shape[1]).a
-    betas = np.array([scaling_beta(hat, w) for w in words])
-    return gains, hat, pre_hat, words, betas
+    table = word_table(gains, ci_precoder(hat, tolerance), scheme, tx_gains=hat)
+    sig = sigma_table(sigma, table, power)
+    gp = responsivity * power
+    own = table.own
+    interf = table.receive - own * table.words
+    group = table.slicer if scheme == "oap" else 0.0
+    t1 = q_function(gp * (0.5 * own - interf) / sig)
+    t2 = q_function(gp * (1.5 * own + group + interf) / sig)
+    per_pd = np.clip(2.0 * (t1 + t2).mean(axis=0), 0.0, 1.0)
+    return BerResult(per_pd=per_pd, scheme=scheme, csi="outdated", is_bound=True)
 
 
 def ber_ci_outdated(h, h_hat, noise_sigma_per_pd, responsivity: float, power: float,
@@ -204,53 +160,15 @@ def ber_ci_outdated(h, h_hat, noise_sigma_per_pd, responsivity: float, power: fl
     residuals ``ups = beta_hat * H @ w_hat``; values are clamped to [0, 1]
     and can exceed the exact rate substantially (it is a bound).
     """
-    gains, _, pre_hat, words, betas = _outdated_tables(h, h_hat, tolerance)
-    n_r = gains.shape[0]
-    hw = gains @ pre_hat.w
-
-    def transmit(s):
-        return power * betas[s] * (pre_hat.w @ words[s])
-
-    sig = _sigma_table(noise_sigma_per_pd, words, transmit, n_r)
-    acc = np.zeros(n_r)
-    gp = responsivity * power
-    for s, w in enumerate(words):
-        ups = betas[s] * hw
-        diag = np.diag(ups)
-        interf = ups @ w - diag * w
-        t1 = q_function(gp * (0.5 * diag - interf) / sig[s])
-        t2 = q_function(gp * (1.5 * diag + interf) / sig[s])
-        acc += 2.0 * (t1 + t2)
-    per_pd = np.clip(acc / len(words), 0.0, 1.0)
-    return BerResult(per_pd=per_pd, scheme="ci", csi="outdated", is_bound=True)
+    return _outdated_bound("ci", h, h_hat, noise_sigma_per_pd, responsivity, power,
+                           tolerance)
 
 
 def ber_oap_outdated(h, h_hat, noise_sigma_per_pd, responsivity: float, power: float,
                      tolerance: float = 1e-12) -> BerResult:
     """Upper bound on the adaptive-scheme error rate under a stale precoder."""
-    gains, _, pre_hat, words, betas = _outdated_tables(h, h_hat, tolerance)
-    n_r, n_t = gains.shape
-    if n_r != n_t:
-        raise ValueError("the adaptive mask requires a square channel")
-    masks = [adaptive_mask(w) for w in words]
-    masked = [oap_precoder(pre_hat, m) for m in masks]
-
-    def transmit(s):
-        return power * betas[s] * (masked[s].w @ words[s])
-
-    sig = _sigma_table(noise_sigma_per_pd, words, transmit, n_r)
-    acc = np.zeros(n_r)
-    gp = responsivity * power
-    for s, w in enumerate(words):
-        ups = betas[s] * (gains @ masked[s].w)
-        diag = np.diag(ups)
-        interf = ups @ w - diag * w
-        group = np.einsum("ij,ij->i", ups, masks[s].t.astype(float))
-        t1 = q_function(gp * (0.5 * diag - interf) / sig[s])
-        t2 = q_function(gp * (0.5 * diag + group + diag + interf) / sig[s])
-        acc += 2.0 * (t1 + t2)
-    per_pd = np.clip(acc / len(words), 0.0, 1.0)
-    return BerResult(per_pd=per_pd, scheme="oap", csi="outdated", is_bound=True)
+    return _outdated_bound("oap", h, h_hat, noise_sigma_per_pd, responsivity, power,
+                           tolerance)
 
 
 def sinr_report(h, responsivity: float, power: float, sigma) -> np.ndarray:
@@ -268,40 +186,34 @@ def sinr_report(h, responsivity: float, power: float, sigma) -> np.ndarray:
     return (responsivity * power * diag) / (responsivity * power * interf + 2.0 * sig)
 
 
-def word_throughput(scheme: str, h, precoder: Precoder, sigma, responsivity: float,
-                    power: float, word) -> float:
-    """Sum-rate of one symbol word in bits/s/Hz.
+def _word_rates(table: WordTable, sigma, responsivity: float, power: float) -> np.ndarray:
+    """Sum-rate of every word in bits/s/Hz.
 
     The all-zero word radiates nothing and carries no rate.  For the adaptive
     scheme only detectors whose symbol is on see their constructive group
     amplitude; the rest contribute zero rate for that word.
     """
+    sig = np.broadcast_to(np.asarray(sigma, dtype=float), (table.words.shape[1],))
+    on = table.words if table.scheme == "oap" else table.words.any(axis=1, keepdims=True)
+    snr = responsivity * power * (table.slicer * on) / (2.0 * sig)
+    return np.log2(1.0 + snr).sum(axis=1)
+
+
+def word_throughput(scheme: str, h, precoder: Precoder, sigma, responsivity: float,
+                    power: float, word) -> float:
+    """Sum-rate of one symbol word in bits/s/Hz (see ``throughput``)."""
     gains = as_gains(h)
-    n_r = gains.shape[0]
-    w = np.asarray(word, dtype=float)
-    if not np.any(w):
-        return 0.0
-    sig = np.broadcast_to(np.asarray(sigma, dtype=float), (n_r,))
-    gp = responsivity * power
-    if scheme == "ci":
-        beta = scaling_beta(gains, w)
-        snr = gp * beta * np.diag(gains @ precoder.w) / (2.0 * sig)
-    elif scheme == "oap":
-        mask = adaptive_mask(w.astype(int))
-        beta = scaling_beta(gains, w)
-        wd = oap_precoder(precoder, mask)
-        hwd = gains @ wd.w
-        snr = gp * beta * ((hwd * mask.t) @ w) / (2.0 * sig)
-    else:
-        raise ValueError(f"unknown scheme {scheme!r}")
-    return float(np.sum(np.log2(1.0 + snr)))
+    bits = np.asarray(word)
+    n = gains.shape[1]
+    if bits.shape != (n,) or not np.isin(bits, (0, 1)).all():
+        raise ValueError(f"word must be a binary vector of length {n}")
+    index = int(bits.astype(np.int64) @ (1 << np.arange(n - 1, -1, -1)))
+    rates = _word_rates(word_table(gains, precoder, scheme), sigma, responsivity, power)
+    return float(rates[index])
 
 
 def throughput(scheme: str, h, precoder: Precoder, sigma, responsivity: float = 1.0,
                power: float = 1.0) -> float:
     """Normalized achievable throughput averaged over all symbol words."""
-    gains = as_gains(h)
-    words = combination_matrix(gains.shape[1]).a
-    total = sum(word_throughput(scheme, gains, precoder, sigma, responsivity, power, w)
-                for w in words)
-    return total / len(words)
+    table = word_table(h, precoder, scheme)
+    return float(np.mean(_word_rates(table, sigma, responsivity, power)))

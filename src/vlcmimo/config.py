@@ -20,6 +20,7 @@ import yaml
 
 from .channel import GeometryError, RoomLayout, square_grid_layout
 from .noise import NoiseParams
+from .precoding import MAX_ENUMERATED_LINKS
 
 __all__ = [
     "ConfigError",
@@ -104,6 +105,8 @@ class SweepConfig:
     snr_step_db: float = 2.0
 
     def __post_init__(self):
+        if not np.all(np.isfinite([self.snr_start_db, self.snr_stop_db, self.snr_step_db])):
+            raise ConfigError("sweep.snr_start_db, snr_stop_db and snr_step_db must be finite")
         if self.snr_step_db <= 0.0:
             raise ConfigError("sweep.snr_step_db must be positive")
         if self.snr_stop_db < self.snr_start_db:
@@ -168,6 +171,9 @@ class MonteCarloConfig:
     block_size: int = 65536
 
     def __post_init__(self):
+        for name in ("n_symbols", "block_size"):
+            if type(getattr(self, name)) is not int:     # bool and float rejected
+                raise ConfigError(f"montecarlo.{name} must be an integer")
         if self.n_symbols < 1:
             raise ConfigError("montecarlo.n_symbols must be >= 1")
         if self.early_stop_errors is not None and self.early_stop_errors < 100:
@@ -194,6 +200,8 @@ class ExperimentConfig:
     renormalize_oap: bool = False
 
     def __post_init__(self):
+        if type(self.seed) is not int or self.seed < 0:
+            raise ConfigError(f"seed must be a nonnegative integer, got {self.seed!r}")
         if not self.schemes:
             raise ConfigError("at least one scheme is required")
         bad = [s for s in self.schemes if s not in ("ci", "oap")]
@@ -236,9 +244,22 @@ class ExperimentConfig:
             raise ConfigError(str(exc)) from exc
 
     def validate(self):
-        """Construct every variant layout so impossible geometry fails early."""
+        """Construct every variant layout and check the cross-field limits.
+
+        Link counts are capped by the word enumeration, and the mobile user
+        must be a link of every array in use.
+        """
         for n, sp, ang in self.variants():
             self.build_layout(n_links=n, spacing=sp, semi_angle=ang)
+        sizes = (self.layout.n_links, *(self.mimo_orders or ()))
+        if max(sizes) > MAX_ENUMERATED_LINKS:
+            raise ConfigError(f"link counts {list(sizes)} exceed the limit of "
+                              f"{MAX_ENUMERATED_LINKS} enumerated links")
+        if self.csi.mode == "outdated" and not self.mobility.elapsed_times_s:
+            raise ConfigError("csi.mode outdated needs at least one mobility.elapsed_times_s")
+        if self.csi.mobile_user >= min(sizes):
+            raise ConfigError(f"csi.mobile_user {self.csi.mobile_user} is not a link of "
+                              f"the smallest array in use ({min(sizes)} links)")
         try:
             self.noise.params()
         except ValueError as exc:

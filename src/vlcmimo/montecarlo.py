@@ -18,7 +18,7 @@ from . import analytic
 from .channel import ChannelMatrix
 from .csi import perturb_channel
 from .noise import NoiseParams, sigma_from_transmit_snr
-from .precoding import adaptive_mask, as_gains, ci_precoder, oap_precoder, scaling_beta
+from .precoding import ci_precoder, word_table
 
 __all__ = [
     "SimConfig",
@@ -133,61 +133,37 @@ def _stale_gains(h: ChannelMatrix, cfg: SimConfig):
 def _word_tables(h: ChannelMatrix, cfg: SimConfig, h_hat=None):
     """Per-word receive means, slicer thresholds and noise deviations.
 
-    Built through the literal transmit pipeline: scale, mask, precode,
+    Read from the word table of the transmit pipeline: scale, mask, precode,
     propagate through the true channel.  The transmitter works from the stale
     gains when channel knowledge is outdated; slicer thresholds use the true
     channel rows against the operative precoder columns.
     """
     gains = h.gains
-    n_r, n_t = gains.shape
     if cfg.csi_mode == "outdated":
         tx_gains = np.asarray(h_hat, dtype=float) if h_hat is not None else _stale_gains(h, cfg)
     else:
         tx_gains = gains
     pre = ci_precoder(tx_gains, cfg.pseudo_inverse_tolerance)
-    words = analytic.combination_matrix(n_t).a
-    n_words = len(words)
+    table = word_table(gains, pre, cfg.scheme, tx_gains=tx_gains,
+                       renormalize=cfg.renormalize_oap)
     gp = h.responsivity * h.power
-
-    means = np.empty((n_words, n_r))
-    taus = np.empty((n_words, n_r))
-    radiated = np.empty((n_words, n_t))
-    for s, w in enumerate(words):
-        x = w.astype(float)
-        if cfg.scheme == "oap":
-            mask = adaptive_mask(w)
-            beta = scaling_beta(tx_gains, x, mask=mask if cfg.renormalize_oap else None)
-            wd = oap_precoder(pre, mask)
-            t_vec = beta * (wd.w @ x)
-            hwd = gains @ wd.w
-            group = mask.t.astype(float)
-            taus[s] = 0.5 * gp * beta * np.einsum("ij,ij->i", hwd, group)
-        else:
-            beta = scaling_beta(tx_gains, x)
-            t_vec = beta * (pre.w @ x)
-            taus[s] = 0.5 * gp * beta * np.diag(gains @ pre.w)
-            if cfg.check_energy and np.any(w):
-                norm = float(np.linalg.norm(t_vec))
-                if abs(norm - 1.0) > 1e-9:
-                    raise AssertionError(
-                        f"transmit normalization broken for word {s}: |t| = {norm!r}")
-        means[s] = gp * (gains @ t_vec)
-        radiated[s] = h.power * np.clip(t_vec, 0.0, None)
-
-    if cfg.noise_mode == "swept":
-        if cfg.snr_db is None:
-            raise ValueError("swept noise mode needs a finite snr_db")
-        sigma = sigma_from_transmit_snr(cfg.snr_db, h.responsivity, h.power)
-        if sigma <= 0.0:
-            raise ValueError("swept noise mode produced a non-positive deviation")
-        sig = np.full((n_words, n_r), sigma)
-    elif cfg.noise_mode == "physical":
-        model = analytic.PhysicalNoise(gains, h.detector_area, h.responsivity,
+    if cfg.check_energy and cfg.scheme == "ci":
+        norms = np.linalg.norm(table.transmit[1:], axis=1)  # row 0: the zero word
+        if np.any(np.abs(norms - 1.0) > 1e-9):
+            raise AssertionError(f"transmit normalization broken: |t| = {norms!r}")
+    means = gp * table.receive
+    taus = 0.5 * gp * table.slicer
+    if cfg.noise_mode == "noiseless":
+        return table.words, means, taus, np.zeros_like(means)
+    if cfg.noise_mode == "physical":
+        sigma = analytic.PhysicalNoise(gains, h.detector_area, h.responsivity,
                                        cfg.noise_params)
-        sig = np.array([model(words[s], radiated[s]) for s in range(n_words)])
+    elif cfg.snr_db is None:
+        raise ValueError("swept noise mode needs a finite snr_db")
     else:
-        sig = np.zeros((n_words, n_r))
-    return words, means, taus, sig
+        sigma = sigma_from_transmit_snr(cfg.snr_db, h.responsivity, h.power)
+    sig = np.broadcast_to(analytic.sigma_table(sigma, table, h.power), means.shape)
+    return table.words, means, taus, sig
 
 
 def simulate(h: ChannelMatrix, cfg: SimConfig, h_hat=None) -> BerEstimate:
@@ -218,11 +194,7 @@ def exhaustive_noiseless_errors(h: ChannelMatrix, cfg: SimConfig, h_hat=None) ->
     """Total detection errors over every symbol word with the noise disabled."""
     cfg = replace(cfg, noise_mode="noiseless")
     words, means, taus, _ = _word_tables(h, cfg, h_hat)
-    total = 0
-    for s, w in enumerate(words):
-        for i in range(means.shape[1]):
-            total += detect(means[s, i], taus[s, i]) != int(w[i])
-    return total
+    return int(np.count_nonzero((means > taus) != words.astype(bool)))
 
 
 def _analytic_for(h: ChannelMatrix, cfg: SimConfig, sigma, h_hat):

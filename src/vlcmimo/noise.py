@@ -52,13 +52,15 @@ def shot_variance(channel_row, transmit_signal, responsivity: float,
     """Shot-noise current variance at one detector.
 
     ``2 q B (responsivity * sum_j h_j x_j + I_bg I_2)`` where ``x`` is the
-    per-luminaire transmitted optical power in watts.
+    per-luminaire transmitted optical power in watts.  A gain matrix (one row
+    per detector) and a matrix of transmit vectors (one row per word) give one
+    variance per word and detector.
     """
     h = np.asarray(channel_row, dtype=float)
     x = np.asarray(transmit_signal, dtype=float)
     if np.any(x < 0.0):
         raise ValueError("transmit signal entries must be nonnegative")
-    received = responsivity * float(h @ x)
+    received = responsivity * (x @ h.T)
     return 2.0 * params.q * params.bandwidth * (received + params.i_bg * params.i2)
 
 
@@ -78,9 +80,9 @@ def thermal_variance(detector_area: float, params: NoiseParams) -> float:
 
 def total_sigma(shot: float, thermal: float) -> float:
     """Standard deviation of the summed independent noise contributions."""
-    if shot < 0.0 or thermal < 0.0:
+    if np.any(np.asarray(shot) < 0.0) or thermal < 0.0:
         raise ValueError("variances must be nonnegative")
-    return float(np.sqrt(shot + thermal))
+    return np.sqrt(shot + thermal)
 
 
 def sigma_from_transmit_snr(snr_db: float, responsivity: float, power: float) -> float:

@@ -3,7 +3,9 @@
 The channel-inversion precoder is the right pseudo-inverse of the gain matrix
 with an explicit singular-value tolerance; the adaptive variant multiplies it
 by a per-symbol binary mask that keeps interference between links carrying
-equal symbols.
+equal symbols.  ``word_table`` runs the whole transmit pipeline (scale, mask,
+precode, propagate, slice) over every binary symbol word at once; the
+per-word helpers are its reference.
 """
 
 from __future__ import annotations
@@ -18,6 +20,8 @@ __all__ = [
     "SingularChannelError",
     "Precoder",
     "AdaptiveMask",
+    "WordTable",
+    "word_table",
     "ci_precoder",
     "scaling_beta",
     "adaptive_mask",
@@ -86,6 +90,31 @@ class AdaptiveMask:
         object.__setattr__(self, "t", arr)
 
 
+MAX_ENUMERATED_LINKS = 16
+
+
+@dataclass(frozen=True)
+class CombinationMatrix:
+    """All binary words of a given width in counting order (row s = bits of s)."""
+
+    a: np.ndarray
+
+    def __post_init__(self):
+        arr = np.array(self.a, dtype=np.uint8)
+        arr.setflags(write=False)
+        object.__setattr__(self, "a", arr)
+
+
+def combination_matrix(n_t: int) -> CombinationMatrix:
+    """Enumerate the 2^n_t binary transmit words, all-zeros first."""
+    if not 1 <= n_t <= MAX_ENUMERATED_LINKS:
+        raise ValueError(
+            f"word enumeration supports 1..{MAX_ENUMERATED_LINKS} transmitters, got {n_t}")
+    s = np.arange(2**n_t, dtype=np.uint32)
+    bits = (s[:, None] >> np.arange(n_t - 1, -1, -1)) & 1
+    return CombinationMatrix(a=bits)
+
+
 def ci_precoder(h, tolerance: float = 1e-12) -> Precoder:
     """Right pseudo-inverse precoder ``H^T (H H^T)^-1`` via SVD.
 
@@ -117,22 +146,29 @@ def scaling_beta(h, x, mask: AdaptiveMask | None = None) -> float:
     degenerates and is fixed at 1.  With ``mask`` given the quadratic form is
     evaluated on the masked word ``T x`` instead (power-fair adaptive variant).
     """
-    gains = as_gains(h)
     vec = np.asarray(x, dtype=float)
     if mask is not None:
         vec = mask.t.astype(float) @ vec
     if not np.any(vec):
         return 1.0
-    r = gains @ gains.T
+    return float(_betas(as_gains(h), vec[None, :])[0])
+
+
+def _betas(tx_gains: np.ndarray, vecs: np.ndarray) -> np.ndarray:
+    """``scaling_beta`` of every row of ``vecs``, from one multi-vector solve."""
+    nonzero = vecs.any(axis=1)
     try:
-        y = np.linalg.solve(r, vec)
+        y = np.linalg.solve(tx_gains @ tx_gains.T, vecs.T)
     except np.linalg.LinAlgError as exc:
         raise SingularChannelError(f"channel cross-correlation is singular: {exc}") from exc
-    quad = float(vec @ y)
-    if quad <= 0.0 or not np.isfinite(quad):
+    quad = np.einsum("sn,ns->s", vecs, y)[nonzero]
+    bad = ~(quad > 0.0) | ~np.isfinite(quad)
+    if bad.any():
         raise SingularChannelError(
-            f"transmit normalization failed: quadratic form {quad:.3e} not positive")
-    return quad ** -0.5
+            f"transmit normalization failed: quadratic form {quad[bad][0]:.3e} not positive")
+    beta = np.ones(len(vecs))
+    beta[nonzero] = quad ** -0.5
+    return beta
 
 
 def adaptive_mask(x) -> AdaptiveMask:
@@ -153,6 +189,65 @@ def oap_precoder(w: Precoder, t: AdaptiveMask) -> Precoder:
     return Precoder(w=w.w @ t.t.astype(float), kind="oap",
                     pseudo_inverse_tolerance=w.pseudo_inverse_tolerance,
                     condition_number=w.condition_number)
+
+
+@dataclass(frozen=True)
+class WordTable:
+    """Every per-word quantity of the transmit pipeline, one row per word.
+
+    Rows follow ``combination_matrix`` order; ``transmit`` is per unit power,
+    the amplitudes per unit ``responsivity * power``.  ``own`` is detector
+    i's amplitude ``beta (H W_d)_ii``; ``slicer`` is the amplitude whose half
+    is the detection threshold: ``own`` for inversion, the equal-symbol group
+    sum ``beta sum_j (H W_d)_ij T_ij`` for the adaptive scheme.
+    """
+
+    scheme: str
+    words: np.ndarray       # (2^n, n) binary words
+    beta: np.ndarray        # (2^n,) transmit scaling
+    transmit: np.ndarray    # (2^n, n) transmit vectors t = beta W_d x
+    receive: np.ndarray     # (2^n, n) noiseless receive means H t
+    own: np.ndarray
+    slicer: np.ndarray
+
+
+def word_table(gains, precoder: Precoder, scheme: str, tx_gains=None,
+               renormalize: bool = False) -> WordTable:
+    """The transmit pipeline evaluated for all 2^n words of a square channel.
+
+    ``precoder`` is the inversion precoder the transmitter derived from
+    ``tx_gains`` (default: ``gains``, i.e. perfect knowledge); signals
+    propagate through the true ``gains``.  The equal-symbol mask is never
+    formed: with k ones in the word x, ``T x = k x``, and with ``M = H W``
+    detector i's masked amplitude ``(M T)_ii`` is ``(M g_i)_i``, where
+    ``g_i`` is x when x_i = 1 and 1 - x otherwise; its group amplitude is
+    ``|G_i|`` times that.  With ``renormalize`` the adaptive scaling is
+    evaluated on ``T x``.  Every intermediate is (2^n, n).
+    """
+    h = as_gains(gains)
+    tx = h if tx_gains is None else as_gains(tx_gains)
+    n = h.shape[1]
+    if h.shape != (n, n):
+        raise ValueError("the word table requires a square channel")
+    if scheme not in ("ci", "oap"):
+        raise ValueError(f"unknown scheme {scheme!r}")
+    words = combination_matrix(n).a
+    x = words.astype(float)
+    k = x.sum(axis=1, keepdims=True)
+    m = h @ precoder.w
+    mx = x @ m.T
+    if scheme == "ci":
+        scale = beta = _betas(tx, x)[:, None]
+        own = slicer = beta * np.diag(m)
+    else:
+        beta = _betas(tx, k * x if renormalize else x)[:, None]
+        scale = beta * k
+        on = words == 1
+        own = beta * np.where(on, mx, (1.0 - x) @ m.T)
+        slicer = np.where(on, k, n - k) * own
+    return WordTable(scheme=scheme, words=words, beta=beta[:, 0],
+                     transmit=scale * (x @ precoder.w.T), receive=scale * mx,
+                     own=own, slicer=slicer)
 
 
 def constructive_group(t: AdaptiveMask, i: int) -> tuple[int, ...]:

@@ -21,8 +21,8 @@ from .analytic import throughput as analytic_throughput
 from .channel import (build_channel_matrix, concentrator_gain,
                       distance_gain_prefactor, gain_map, lambertian_order)
 from .config import ExperimentConfig
-from .csi import MobilityEvent, error_bound, perturb_channel
-from .montecarlo import SimConfig, simulate, sweep
+from .csi import MobilityEvent, error_bound
+from .montecarlo import SimConfig, _analytic_for, _stale_gains, simulate, sweep
 from .noise import sigma_from_transmit_snr
 from .precoding import ci_precoder
 
@@ -141,21 +141,10 @@ def _physical_point(cfg: ExperimentConfig, h, scheme: str, bound: float):
     """One physical-noise run: signal-dependent sigma, no SNR axis."""
     sim = dataclasses.replace(_sim_config(cfg, scheme, bound),
                               noise_mode="physical")
-    est = simulate(h, sim)
+    h_hat = _stale_gains(h, sim) if sim.csi_mode == "outdated" else None
     model = analytic.PhysicalNoise(h.gains, h.detector_area, h.responsivity,
                                    cfg.noise.params())
-    if cfg.csi.mode == "outdated":
-        h_hat = perturb_channel(h, bound, model=sim.csi_model, seed=sim.seed,
-                                rows=sim.csi_rows,
-                                worst_case_sign=sim.csi_sign).h_hat
-        fn = analytic.ber_oap_outdated if scheme == "oap" else analytic.ber_ci_outdated
-        ana = fn(h, h_hat, model, h.responsivity, h.power)
-    elif scheme == "oap":
-        ana = analytic.ber_oap_perfect(h, model, h.responsivity, h.power,
-                                       renormalize=cfg.renormalize_oap)
-    else:
-        ana = analytic.ber_ci_perfect(h, model, h.responsivity, h.power)
-    return est, ana
+    return simulate(h, sim, h_hat=h_hat), _analytic_for(h, sim, model, h_hat)
 
 
 def run_ber_sweep(cfg: ExperimentConfig, out_dir, threads: int | None = None,
@@ -164,7 +153,10 @@ def run_ber_sweep(cfg: ExperimentConfig, out_dir, threads: int | None = None,
 
     With ``noise.mode: physical`` there is no SNR axis; each variant/scheme
     contributes a single row computed at the device noise level (snr_db
-    column carries nan).
+    column carries nan).  With ``csi.mode: outdated`` the stale estimate uses
+    the gain-error bound of the first ``mobility.elapsed_times_s`` entry only,
+    recorded as ``error_bound_elapsed_s`` in the metadata; ``mobility`` sweeps
+    every entry.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -177,7 +169,8 @@ def run_ber_sweep(cfg: ExperimentConfig, out_dir, threads: int | None = None,
     conditions = {}
     bound = 0.0
     if cfg.csi.mode == "outdated":
-        bound, _ = _mobility_bound(cfg, cfg.mobility.elapsed_times_s[0])
+        elapsed = cfg.mobility.elapsed_times_s[0]
+        bound, _ = _mobility_bound(cfg, elapsed)
     for n, sp, ang in cfg.variants():
         layout = cfg.build_layout(n_links=n, spacing=sp, semi_angle=ang)
         h = build_channel_matrix(layout)
@@ -209,6 +202,7 @@ def run_ber_sweep(cfg: ExperimentConfig, out_dir, threads: int | None = None,
     }
     if cfg.csi.mode == "outdated":
         extras["error_bound"] = bound
+        extras["error_bound_elapsed_s"] = elapsed
     _write_metadata(meta_path, cfg, "ber-sweep", extras)
     if progress:
         print(f"wrote {csv_path}", file=sys.stderr)
@@ -217,7 +211,11 @@ def run_ber_sweep(cfg: ExperimentConfig, out_dir, threads: int | None = None,
 
 def run_throughput_sweep(cfg: ExperimentConfig, out_dir, threads: int | None = None,
                          progress: bool = False) -> list[Path]:
-    """Word-averaged normalized throughput over the SNR grid for every variant."""
+    """Word-averaged normalized throughput over the SNR grid for every variant.
+
+    ``threads`` is accepted for the signature the recipes share and is
+    unused: throughput is closed-form only and runs in the calling thread.
+    """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     points = cfg.sweep.points()

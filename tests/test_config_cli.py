@@ -89,9 +89,27 @@ class TestCli:
         assert "config_hash" in out
         assert out["resolved_config"]["name"] == "fig4"
 
-    def test_bad_config_exit_code(self, tmp_path, capsys):
-        path = write_yaml(tmp_path / "bad.yaml", {"layout": {"n_links": -1}})
-        assert main(["validate", "--config", str(path)]) == 2
+    @pytest.mark.parametrize("bad", [
+        {"layout": {"n_links": -1}},
+        {"layout": {"n_links": 20}},
+        {"mimo_orders": [2, 20]},
+        {"csi": {"mode": "outdated", "mobile_user": 2}},
+        {"csi": {"mode": "outdated"}, "mobility": {"elapsed_times_s": []}},
+        {"seed": -1},
+        {"seed": 1.5},
+        {"sweep": {"snr_start_db": 80.0, "snr_stop_db": 84.0, "snr_step_db": float("nan")}},
+        {"sweep": {"snr_start_db": 80.0, "snr_stop_db": float("inf"), "snr_step_db": 2.0}},
+        {"montecarlo": {"n_symbols": 1.5}},
+        {"montecarlo": {"n_symbols": 20_000, "block_size": 100.5}},
+    ], ids=["negative_links", "too_many_links", "too_many_orders", "mobile_user",
+            "no_elapsed_time", "negative_seed", "fractional_seed", "nan_step",
+            "infinite_stop", "fractional_symbols", "fractional_block"])
+    def test_bad_config_exit_code(self, tmp_path, capsys, bad):
+        path = write_yaml(tmp_path / "bad.yaml", {**SMALL, **bad})
+        out = tmp_path / "results"
+        assert main(["ber-sweep", "--config", str(path), "--out", str(out), "--quiet"]) == 2
+        assert "config error" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_ber_sweep_end_to_end(self, tmp_path):
         path = write_yaml(tmp_path / "c.yaml", SMALL)
@@ -178,6 +196,18 @@ class TestCli:
         meta = json.loads((out / "mob_mobility_meta.json").read_text())
         bounds = meta["error_bounds"]
         assert bounds[repr(0.2)] > bounds[repr(0.05)]
+
+    def test_outdated_ber_sweep_records_elapsed_time(self, tmp_path):
+        # only the first mobility interval feeds the stale estimate
+        cfgd = dict(SMALL, name="stale", csi={"mode": "outdated"},
+                    mobility={"speed_mps": 1.0, "elapsed_times_s": [0.05, 0.2]})
+        path = write_yaml(tmp_path / "s.yaml", cfgd)
+        out = tmp_path / "stale"
+        assert main(["ber-sweep", "--config", str(path), "--out", str(out),
+                     "--quiet"]) == 0
+        meta = json.loads((out / "stale_ber_meta.json").read_text())
+        assert meta["error_bound_elapsed_s"] == 0.05
+        assert meta["error_bound"] > 0.0
 
     def test_physical_noise_mode_single_point(self, tmp_path):
         # device-level noise has no SNR axis: one row per scheme
