@@ -17,12 +17,10 @@ from .channel import (ChannelMatrix, GainMap, GeometryError, Luminaire,
                       gain_map, lambertian_order, radiant_intensity,
                       simplified_gain, square_grid_layout)
 from .config import ConfigError, ExperimentConfig, load_config, preset
-from .csi import (ChannelEstimate, MobilityEvent, error_bound, perturb_channel,
-                  residual_matrix)
-from .montecarlo import (BerCurve, BerEstimate, SimConfig, detect,
+from .csi import ChannelEstimate, MobilityEvent, error_bound, perturb_channel
+from .montecarlo import (BerCurve, BerEstimate, SimConfig,
                          exhaustive_noiseless_errors, simulate, sweep)
 from .noise import (NoiseParams, shot_variance, sigma_from_transmit_snr,
                     thermal_variance, total_sigma)
-from .precoding import (AdaptiveMask, Precoder, SingularChannelError,
-                        adaptive_mask, ci_precoder, constructive_group,
-                        oap_precoder, scaling_beta)
+from .precoding import (Precoder, SingularChannelError, ci_precoder,
+                        scaling_beta)

@@ -15,9 +15,8 @@ import numpy as np
 from scipy.special import erfc
 
 from .noise import NoiseParams, shot_variance, thermal_variance, total_sigma
-from .precoding import (MAX_ENUMERATED_LINKS, CombinationMatrix, Precoder,
-                        WordTable, as_gains, ci_precoder, combination_matrix,
-                        word_table)
+from .precoding import (CombinationMatrix, Precoder, WordTable, as_gains,
+                        ci_precoder, combination_matrix, word_table)
 
 __all__ = [
     "CombinationMatrix",
@@ -30,7 +29,6 @@ __all__ = [
     "ber_oap_outdated",
     "sinr_report",
     "throughput",
-    "word_throughput",
     "PhysicalNoise",
     "sigma_table",
 ]
@@ -108,31 +106,30 @@ def _exact_ber(table: WordTable, sigma, responsivity: float, power: float) -> Be
     return BerResult(per_pd=per_pd, scheme=table.scheme, csi="perfect")
 
 
-def ber_ci_perfect(h, noise_sigma_per_pd, responsivity: float, power: float,
-                   tolerance: float = 1e-12) -> BerResult:
+def ber_ci_perfect(h, noise_sigma_per_pd, responsivity: float, power: float) -> BerResult:
     """Exact average error probability of channel inversion with fresh gains.
 
     Per word the desired amplitude at detector i is
     ``responsivity * power * beta_s * h_i^T w_i`` and the slicer sits at half
     of it, so each word contributes one Gaussian tail term per detector.
     """
-    table = word_table(h, ci_precoder(h, tolerance), "ci")
+    table = word_table(h, ci_precoder(h), "ci")
     return _exact_ber(table, noise_sigma_per_pd, responsivity, power)
 
 
 def ber_oap_perfect(h, noise_sigma_per_pd, responsivity: float, power: float,
-                    tolerance: float = 1e-12, renormalize: bool = False) -> BerResult:
+                    renormalize: bool = False) -> BerResult:
     """Exact average error probability of the symbol-adaptive scheme.
 
     The desired amplitude at detector i includes the constructive
     contributions of its whole equal-symbol group; the slicer sits at half of
     that group amplitude, so both symbol hypotheses face the same margin.
     """
-    table = word_table(h, ci_precoder(h, tolerance), "oap", renormalize=renormalize)
+    table = word_table(h, ci_precoder(h), "oap", renormalize=renormalize)
     return _exact_ber(table, noise_sigma_per_pd, responsivity, power)
 
 
-def _outdated_bound(scheme, h, h_hat, sigma, responsivity, power, tolerance) -> BerResult:
+def _outdated_bound(scheme, h, h_hat, sigma, responsivity, power) -> BerResult:
     """Two tail terms per word and bit hypothesis under a stale precoder.
 
     From the word residuals ``ups = beta_hat H W_hat_d``: ``own = diag(ups)``
@@ -140,7 +137,7 @@ def _outdated_bound(scheme, h, h_hat, sigma, responsivity, power, tolerance) -> 
     gains, hat = as_gains(h), as_gains(h_hat)
     if gains.shape != hat.shape:
         raise ValueError("true and estimated channels must share a shape")
-    table = word_table(gains, ci_precoder(hat, tolerance), scheme, tx_gains=hat)
+    table = word_table(gains, ci_precoder(hat), scheme, tx_gains=hat)
     sig = sigma_table(sigma, table, power)
     gp = responsivity * power
     own = table.own
@@ -152,23 +149,21 @@ def _outdated_bound(scheme, h, h_hat, sigma, responsivity, power, tolerance) -> 
     return BerResult(per_pd=per_pd, scheme=scheme, csi="outdated", is_bound=True)
 
 
-def ber_ci_outdated(h, h_hat, noise_sigma_per_pd, responsivity: float, power: float,
-                    tolerance: float = 1e-12) -> BerResult:
+def ber_ci_outdated(h, h_hat, noise_sigma_per_pd, responsivity: float,
+                    power: float) -> BerResult:
     """Upper bound on the inversion error rate under a stale precoder.
 
     Sums two tail terms per word over both bit hypotheses with the word
     residuals ``ups = beta_hat * H @ w_hat``; values are clamped to [0, 1]
     and can exceed the exact rate substantially (it is a bound).
     """
-    return _outdated_bound("ci", h, h_hat, noise_sigma_per_pd, responsivity, power,
-                           tolerance)
+    return _outdated_bound("ci", h, h_hat, noise_sigma_per_pd, responsivity, power)
 
 
-def ber_oap_outdated(h, h_hat, noise_sigma_per_pd, responsivity: float, power: float,
-                     tolerance: float = 1e-12) -> BerResult:
+def ber_oap_outdated(h, h_hat, noise_sigma_per_pd, responsivity: float,
+                     power: float) -> BerResult:
     """Upper bound on the adaptive-scheme error rate under a stale precoder."""
-    return _outdated_bound("oap", h, h_hat, noise_sigma_per_pd, responsivity, power,
-                           tolerance)
+    return _outdated_bound("oap", h, h_hat, noise_sigma_per_pd, responsivity, power)
 
 
 def sinr_report(h, responsivity: float, power: float, sigma) -> np.ndarray:
@@ -197,19 +192,6 @@ def _word_rates(table: WordTable, sigma, responsivity: float, power: float) -> n
     on = table.words if table.scheme == "oap" else table.words.any(axis=1, keepdims=True)
     snr = responsivity * power * (table.slicer * on) / (2.0 * sig)
     return np.log2(1.0 + snr).sum(axis=1)
-
-
-def word_throughput(scheme: str, h, precoder: Precoder, sigma, responsivity: float,
-                    power: float, word) -> float:
-    """Sum-rate of one symbol word in bits/s/Hz (see ``throughput``)."""
-    gains = as_gains(h)
-    bits = np.asarray(word)
-    n = gains.shape[1]
-    if bits.shape != (n,) or not np.isin(bits, (0, 1)).all():
-        raise ValueError(f"word must be a binary vector of length {n}")
-    index = int(bits.astype(np.int64) @ (1 << np.arange(n - 1, -1, -1)))
-    rates = _word_rates(word_table(gains, precoder, scheme), sigma, responsivity, power)
-    return float(rates[index])
 
 
 def throughput(scheme: str, h, precoder: Precoder, sigma, responsivity: float = 1.0,

@@ -43,6 +43,16 @@ class ConfigError(ValueError):
     """Invalid or unparsable experiment configuration."""
 
 
+def _require_int(name: str, value) -> None:
+    if type(value) is not int:      # bool and float rejected
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+
+
+def _require_finite(name: str, values) -> None:
+    if not np.all(np.isfinite(values)):
+        raise ConfigError(f"{name} must be finite, got {values!r}")
+
+
 @dataclass(frozen=True)
 class DetectorConfig:
     area_m2: float = 1e-4
@@ -65,6 +75,9 @@ class LayoutConfig:
     leds_per_luminaire: int = 3600
     power_per_led_w: float = 0.010
     detector: DetectorConfig = field(default_factory=DetectorConfig)
+
+    def __post_init__(self):
+        _require_int("layout.n_links", self.n_links)
 
 
 @dataclass(frozen=True)
@@ -131,6 +144,7 @@ class CsiConfig:
             raise ConfigError(f"csi.model must be uniform or worst_case, got {self.model!r}")
         if self.worst_case_sign not in ("pessimistic", "plus", "minus"):
             raise ConfigError(f"unknown csi.worst_case_sign {self.worst_case_sign!r}")
+        _require_int("csi.mobile_user", self.mobile_user)
         if self.mobile_user < 0:
             raise ConfigError("csi.mobile_user must be >= 0")
 
@@ -145,6 +159,13 @@ class MobilityConfig:
     elapsed_times_s: tuple[float, ...] = (0.02, 0.1, 0.3)
 
     def __post_init__(self):
+        for name in ("start_xy_m", "direction"):
+            if len(getattr(self, name)) != 2:
+                raise ConfigError(f"mobility.{name} must be an (x, y) pair")
+        _require_finite("mobility.start_xy_m", self.start_xy_m)
+        _require_finite("mobility.direction", self.direction)
+        _require_finite("mobility.speed_mps", self.speed_mps)
+        _require_finite("mobility.elapsed_times_s", self.elapsed_times_s)
         if self.speed_mps < 0.0:
             raise ConfigError("mobility.speed_mps must be nonnegative")
         if any(t <= 0.0 for t in self.elapsed_times_s):
@@ -172,8 +193,7 @@ class MonteCarloConfig:
 
     def __post_init__(self):
         for name in ("n_symbols", "block_size"):
-            if type(getattr(self, name)) is not int:     # bool and float rejected
-                raise ConfigError(f"montecarlo.{name} must be an integer")
+            _require_int(f"montecarlo.{name}", getattr(self, name))
         if self.n_symbols < 1:
             raise ConfigError("montecarlo.n_symbols must be >= 1")
         if self.early_stop_errors is not None and self.early_stop_errors < 100:
@@ -207,8 +227,11 @@ class ExperimentConfig:
         bad = [s for s in self.schemes if s not in ("ci", "oap")]
         if bad:
             raise ConfigError(f"unknown schemes {bad}; valid: ci, oap")
+        _require_finite("map_resolution_m", self.map_resolution_m)
         if self.map_resolution_m <= 0.0:
             raise ConfigError("map_resolution_m must be positive")
+        for i, n in enumerate(self.mimo_orders or ()):
+            _require_int(f"mimo_orders[{i}]", n)
         object.__setattr__(self, "schemes", tuple(self.schemes))
 
     def variants(self):

@@ -13,14 +13,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import ChannelMatrix
-from .precoding import Precoder
 
 __all__ = [
     "MobilityEvent",
     "ChannelEstimate",
     "error_bound",
     "perturb_channel",
-    "residual_matrix",
 ]
 
 
@@ -133,17 +131,3 @@ def perturb_channel(h: ChannelMatrix, bound: float, model: str = "uniform",
         raise ValueError(f"unknown perturbation model {model!r}")
     np.clip(gains, 0.0, None, out=gains)
     return ChannelEstimate(h_hat=gains, error_bound=bound, true_h=h)
-
-
-def residual_matrix(h, w_hat: Precoder, beta_hat: float) -> np.ndarray:
-    """Residuals of a stale precoder against the true channel.
-
-    Entry (i, k) is ``h_i^T w_hat_k`` with the scaled precoder.  With a fresh
-    estimate this is ``beta * I`` for plain inversion and ``beta * T`` for the
-    masked variant; off-diagonal leakage grows with the estimate error.
-    """
-    if isinstance(h, ChannelMatrix):
-        gains = h.gains
-    else:
-        gains = np.asarray(h, dtype=float)
-    return beta_hat * (gains @ w_hat.w)

@@ -25,7 +25,6 @@ __all__ = [
     "BerEstimate",
     "BerCurve",
     "simulate",
-    "detect",
     "sweep",
     "exhaustive_noiseless_errors",
 ]
@@ -49,9 +48,7 @@ class SimConfig:
     noise_params: NoiseParams | None = None
     early_stop_errors: int | None = None
     block_size: int = 1 << 16
-    pseudo_inverse_tolerance: float = 1e-12
     renormalize_oap: bool = False
-    check_energy: bool = False
 
     def __post_init__(self):
         if self.n_symbols < 1:
@@ -118,11 +115,6 @@ class BerCurve:
     csi_mode: str
 
 
-def detect(y_i: float, threshold: float) -> int:
-    """Threshold slicer; exact ties resolve to 0."""
-    return int(y_i > threshold)
-
-
 def _stale_gains(h: ChannelMatrix, cfg: SimConfig):
     seed = cfg.csi_seed if cfg.csi_seed is not None else cfg.seed
     est = perturb_channel(h, cfg.csi_bound, model=cfg.csi_model, seed=seed,
@@ -143,14 +135,10 @@ def _word_tables(h: ChannelMatrix, cfg: SimConfig, h_hat=None):
         tx_gains = np.asarray(h_hat, dtype=float) if h_hat is not None else _stale_gains(h, cfg)
     else:
         tx_gains = gains
-    pre = ci_precoder(tx_gains, cfg.pseudo_inverse_tolerance)
+    pre = ci_precoder(tx_gains)
     table = word_table(gains, pre, cfg.scheme, tx_gains=tx_gains,
                        renormalize=cfg.renormalize_oap)
     gp = h.responsivity * h.power
-    if cfg.check_energy and cfg.scheme == "ci":
-        norms = np.linalg.norm(table.transmit[1:], axis=1)  # row 0: the zero word
-        if np.any(np.abs(norms - 1.0) > 1e-9):
-            raise AssertionError(f"transmit normalization broken: |t| = {norms!r}")
     means = gp * table.receive
     taus = 0.5 * gp * table.slicer
     if cfg.noise_mode == "noiseless":
@@ -201,11 +189,10 @@ def _analytic_for(h: ChannelMatrix, cfg: SimConfig, sigma, h_hat):
     gp_args = (sigma, h.responsivity, h.power)
     if cfg.csi_mode == "outdated":
         fn = analytic.ber_oap_outdated if cfg.scheme == "oap" else analytic.ber_ci_outdated
-        return fn(h, h_hat, *gp_args, tolerance=cfg.pseudo_inverse_tolerance)
+        return fn(h, h_hat, *gp_args)
     if cfg.scheme == "oap":
-        return analytic.ber_oap_perfect(h, *gp_args, tolerance=cfg.pseudo_inverse_tolerance,
-                                        renormalize=cfg.renormalize_oap)
-    return analytic.ber_ci_perfect(h, *gp_args, tolerance=cfg.pseudo_inverse_tolerance)
+        return analytic.ber_oap_perfect(h, *gp_args, renormalize=cfg.renormalize_oap)
+    return analytic.ber_ci_perfect(h, *gp_args)
 
 
 def _point_seed(base_seed: int, index: int) -> int:

@@ -3,9 +3,9 @@
 The channel-inversion precoder is the right pseudo-inverse of the gain matrix
 with an explicit singular-value tolerance; the adaptive variant multiplies it
 by a per-symbol binary mask that keeps interference between links carrying
-equal symbols.  ``word_table`` runs the whole transmit pipeline (scale, mask,
-precode, propagate, slice) over every binary symbol word at once; the
-per-word helpers are its reference.
+equal symbols.  ``word_table`` is the only implementation of the transmit
+pipeline (scale, mask, precode, propagate, slice): it evaluates it over every
+binary symbol word at once.
 """
 
 from __future__ import annotations
@@ -19,20 +19,20 @@ from .channel import ChannelMatrix
 __all__ = [
     "SingularChannelError",
     "Precoder",
-    "AdaptiveMask",
     "WordTable",
     "word_table",
     "ci_precoder",
     "scaling_beta",
-    "adaptive_mask",
-    "oap_precoder",
-    "constructive_group",
-    "precoder_to_csv",
 ]
 
 
+# Singular values below this fraction of the largest mark a channel as rank
+# deficient.
+PINV_TOLERANCE = 1e-12
+
+
 class SingularChannelError(RuntimeError):
-    """Channel matrix is rank deficient relative to the configured tolerance."""
+    """Channel matrix is rank deficient relative to ``PINV_TOLERANCE``."""
 
 
 def as_gains(h) -> np.ndarray:
@@ -47,14 +47,12 @@ class Precoder:
     """Unscaled precoding matrix (per-symbol scaling applied separately).
 
     ``w`` is N_T x N_R; for a full-row-rank channel ``H @ w`` is the identity
-    up to the pseudo-inverse tolerance.  ``condition_number`` is the condition
-    of the channel cross-correlation ``H H^T``, kept as a diagnostic for
-    closely spaced luminaires.
+    up to rounding.  ``condition_number`` is the condition of the channel
+    cross-correlation ``H H^T``, kept as a diagnostic for closely spaced
+    luminaires.
     """
 
     w: np.ndarray
-    kind: str = "ci"
-    pseudo_inverse_tolerance: float = 1e-12
     condition_number: float = 1.0
 
     def __post_init__(self):
@@ -63,31 +61,6 @@ class Precoder:
             raise ValueError("precoder matrix must be a finite 2-D matrix")
         arr.setflags(write=False)
         object.__setattr__(self, "w", arr)
-        if self.kind not in ("ci", "oap"):
-            raise ValueError(f"unknown precoder kind {self.kind!r}")
-
-
-@dataclass(frozen=True)
-class AdaptiveMask:
-    """Binary equal-symbol mask: t[k, l] = 1 iff symbols k and l are equal.
-
-    For binary symbols this is a two-block partition matrix with unit
-    diagonal, symmetric by construction.
-    """
-
-    t: np.ndarray
-
-    def __post_init__(self):
-        arr = np.array(self.t)
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-            raise ValueError("mask must be square")
-        if not np.isin(arr, (0, 1)).all():
-            raise ValueError("mask entries must be binary")
-        if not np.array_equal(arr, arr.T) or not np.all(np.diag(arr) == 1):
-            raise ValueError("mask must be symmetric with unit diagonal")
-        arr = arr.astype(np.uint8)
-        arr.setflags(write=False)
-        object.__setattr__(self, "t", arr)
 
 
 MAX_ENUMERATED_LINKS = 16
@@ -115,40 +88,36 @@ def combination_matrix(n_t: int) -> CombinationMatrix:
     return CombinationMatrix(a=bits)
 
 
-def ci_precoder(h, tolerance: float = 1e-12) -> Precoder:
+def ci_precoder(h) -> Precoder:
     """Right pseudo-inverse precoder ``H^T (H H^T)^-1`` via SVD.
 
-    Singular values below ``tolerance`` times the largest mark the channel as
-    rank deficient and raise ``SingularChannelError`` instead of silently
-    amplifying noise.
+    Singular values below ``PINV_TOLERANCE`` times the largest mark the
+    channel as rank deficient and raise ``SingularChannelError`` instead of
+    silently amplifying noise.
     """
     gains = as_gains(h)
     if gains.ndim != 2:
         raise ValueError("channel gains must be a matrix")
     n_r, n_t = gains.shape
     u, s, vt = np.linalg.svd(gains, full_matrices=False)
-    if s[0] == 0.0 or s[-1] <= tolerance * s[0]:
+    if s[0] == 0.0 or s[-1] <= PINV_TOLERANCE * s[0]:
         raise SingularChannelError(
             f"{n_r}x{n_t} channel is rank deficient: singular values span "
-            f"{s[0]:.3e}..{s[-1]:.3e} (tolerance {tolerance:g}); "
+            f"{s[0]:.3e}..{s[-1]:.3e} (tolerance {PINV_TOLERANCE:g}); "
             "luminaires are too closely spaced or a detector sees no light")
     w = (vt.T / s) @ u.T
     cond = float((s[0] / s[-1]) ** 2)
-    return Precoder(w=w, kind="ci", pseudo_inverse_tolerance=tolerance,
-                    condition_number=cond)
+    return Precoder(w=w, condition_number=cond)
 
 
-def scaling_beta(h, x, mask: AdaptiveMask | None = None) -> float:
+def scaling_beta(h, x) -> float:
     """Per-symbol transmit scaling ``(x^T (H H^T)^-1 x)^(-1/2)``.
 
     Makes the precoded transmit vector unit norm: ``||beta W x|| = 1`` for any
     nonzero symbol vector.  The all-zero word transmits nothing; its scaling
-    degenerates and is fixed at 1.  With ``mask`` given the quadratic form is
-    evaluated on the masked word ``T x`` instead (power-fair adaptive variant).
+    degenerates and is fixed at 1.
     """
     vec = np.asarray(x, dtype=float)
-    if mask is not None:
-        vec = mask.t.astype(float) @ vec
     if not np.any(vec):
         return 1.0
     return float(_betas(as_gains(h), vec[None, :])[0])
@@ -169,26 +138,6 @@ def _betas(tx_gains: np.ndarray, vecs: np.ndarray) -> np.ndarray:
     beta = np.ones(len(vecs))
     beta[nonzero] = quad ** -0.5
     return beta
-
-
-def adaptive_mask(x) -> AdaptiveMask:
-    """Equal-symbol mask of a binary word."""
-    vec = np.asarray(x)
-    if vec.ndim != 1:
-        raise ValueError("symbol vector must be 1-D")
-    if not np.isin(vec, (0, 1)).all():
-        raise ValueError("symbol vector must be binary")
-    return AdaptiveMask(t=(vec[:, None] == vec[None, :]).astype(np.uint8))
-
-
-def oap_precoder(w: Precoder, t: AdaptiveMask) -> Precoder:
-    """Symbol-adaptive precoder: mask applied on the right of the inverse."""
-    if w.w.shape[1] != t.t.shape[0]:
-        raise ValueError(
-            f"mask size {t.t.shape[0]} does not match precoder output {w.w.shape[1]}")
-    return Precoder(w=w.w @ t.t.astype(float), kind="oap",
-                    pseudo_inverse_tolerance=w.pseudo_inverse_tolerance,
-                    condition_number=w.condition_number)
 
 
 @dataclass(frozen=True)
@@ -248,21 +197,3 @@ def word_table(gains, precoder: Precoder, scheme: str, tx_gains=None,
     return WordTable(scheme=scheme, words=words, beta=beta[:, 0],
                      transmit=scale * (x @ precoder.w.T), receive=scale * mx,
                      own=own, slicer=slicer)
-
-
-def constructive_group(t: AdaptiveMask, i: int) -> tuple[int, ...]:
-    """Indices whose symbols equal symbol i (always contains i)."""
-    n = t.t.shape[0]
-    if not 0 <= i < n:
-        raise IndexError(f"index {i} out of range for {n} links")
-    return tuple(int(j) for j in np.flatnonzero(t.t[i]))
-
-
-def precoder_to_csv(precoder: Precoder, path) -> None:
-    """Debug dump of the precoder matrix, one CSV row per transmitter."""
-    lines = [f"# kind={precoder.kind}",
-             f"# condition_number={precoder.condition_number!r}"]
-    for row in precoder.w:
-        lines.append(",".join(repr(float(v)) for v in row))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")

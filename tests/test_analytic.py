@@ -10,14 +10,14 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from vlcmimo.analytic import (PhysicalNoise, ber_ci_outdated, ber_ci_perfect,
-                              ber_oap_outdated, ber_oap_perfect,
+from vlcmimo.analytic import (PhysicalNoise, _word_rates, ber_ci_outdated,
+                              ber_ci_perfect, ber_oap_outdated, ber_oap_perfect,
                               combination_matrix, q_function, sinr_report,
-                              throughput, word_throughput)
+                              throughput)
 from vlcmimo.channel import ChannelMatrix, build_channel_matrix, square_grid_layout
 from vlcmimo.csi import perturb_channel
 from vlcmimo.noise import NoiseParams, sigma_from_transmit_snr
-from vlcmimo.precoding import ci_precoder, scaling_beta
+from vlcmimo.precoding import ci_precoder, word_table
 
 
 def channel(n=4, spacing=0.5, fov=60.0):
@@ -213,33 +213,24 @@ class TestThroughput:
         h = channel()
         pre = ci_precoder(h.gains)
         s = sigma_from_transmit_snr(90.0, h.responsivity, h.power)
-        ones = np.ones(4, dtype=int)
-        th_ci = word_throughput("ci", h, pre, s, h.responsivity, h.power, ones)
-        th_oap = word_throughput("oap", h, pre, s, h.responsivity, h.power, ones)
-        assert th_oap >= th_ci
+        ci, oap = (_word_rates(word_table(h, pre, scheme), s, h.responsivity, h.power)
+                   for scheme in ("ci", "oap"))
+        assert combination_matrix(4).a[-1].all()     # the all-ones word
+        assert oap[-1] >= ci[-1]
 
     def test_zero_word_carries_no_rate(self):
         h = channel()
         pre = ci_precoder(h.gains)
         for scheme in ("ci", "oap"):
-            assert word_throughput(scheme, h, pre, 1e-3, h.responsivity,
-                                   h.power, np.zeros(4, dtype=int)) == 0.0
+            rates = _word_rates(word_table(h, pre, scheme), 1e-3, h.responsivity, h.power)
+            assert not combination_matrix(4).a[0].any()  # the all-zero word
+            assert rates[0] == 0.0
 
     def test_zero_power_gives_zero_rate(self):
         h = channel()
         pre = ci_precoder(h.gains)
         assert throughput("ci", h, pre, 1e-3, 1.0, 0.0) == 0.0
         assert throughput("oap", h, pre, 1e-3, 1.0, 0.0) == 0.0
-
-    def test_matches_manual_word_average(self):
-        h = channel(n=2)
-        pre = ci_precoder(h.gains)
-        s = 1e-4
-        words = combination_matrix(2).a
-        manual = np.mean([word_throughput("ci", h, pre, s, h.responsivity,
-                                          h.power, w) for w in words])
-        assert throughput("ci", h, pre, s, h.responsivity, h.power) == \
-            pytest.approx(manual, rel=1e-12)
 
 
 class TestPhysicalNoiseMode:

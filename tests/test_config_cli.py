@@ -101,9 +101,20 @@ class TestCli:
         {"sweep": {"snr_start_db": 80.0, "snr_stop_db": float("inf"), "snr_step_db": 2.0}},
         {"montecarlo": {"n_symbols": 1.5}},
         {"montecarlo": {"n_symbols": 20_000, "block_size": 100.5}},
+        {"map_resolution_m": float("nan")},
+        {"map_resolution_m": float("inf")},
+        {"csi": {"mode": "outdated"}, "mobility": {"speed_mps": float("nan")}},
+        {"csi": {"mode": "outdated"}, "mobility": {"elapsed_times_s": [float("nan")]}},
+        {"csi": {"mode": "outdated"}, "mobility": {"start_xy_m": [1.0]}},
+        {"layout": {"n_links": 2.5, "spacing_m": 0.5, "detector": {"fov_deg": 60.0}}},
+        {"mimo_orders": [2.5]},
+        {"csi": {"mode": "outdated", "mobile_user": 0.5}},
     ], ids=["negative_links", "too_many_links", "too_many_orders", "mobile_user",
             "no_elapsed_time", "negative_seed", "fractional_seed", "nan_step",
-            "infinite_stop", "fractional_symbols", "fractional_block"])
+            "infinite_stop", "fractional_symbols", "fractional_block",
+            "nan_map_resolution", "infinite_map_resolution", "nan_speed",
+            "nan_elapsed_time", "short_start_xy", "fractional_links",
+            "fractional_order", "fractional_mobile_user"])
     def test_bad_config_exit_code(self, tmp_path, capsys, bad):
         path = write_yaml(tmp_path / "bad.yaml", {**SMALL, **bad})
         out = tmp_path / "results"

@@ -7,11 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vlcmimo.channel import (ChannelMatrix, build_channel_matrix,
-                             concentrator_gain, distance_gain_prefactor,
-                             lambertian_order, square_grid_layout)
-from vlcmimo.csi import MobilityEvent, error_bound, perturb_channel, residual_matrix
-from vlcmimo.precoding import adaptive_mask, ci_precoder, oap_precoder, scaling_beta
+from vlcmimo.channel import (build_channel_matrix, concentrator_gain,
+                             distance_gain_prefactor, lambertian_order,
+                             square_grid_layout)
+from vlcmimo.csi import MobilityEvent, error_bound, perturb_channel
+from vlcmimo.precoding import ci_precoder, word_table
 
 Z = 2.25
 M = lambertian_order(15.0)
@@ -21,6 +21,16 @@ VARPI = distance_gain_prefactor(1e-4, 1.0, concentrator_gain(0.0, 60.0, 1.5), M,
 
 def channel_4x4():
     return build_channel_matrix(square_grid_layout(4, 1.0, fov=60.0))
+
+
+def residuals(h, h_hat, scheme="ci"):
+    """Word table of a precoder derived from ``h_hat`` and its leakage.
+
+    The leakage ``receive - own * words`` is what reaches each detector from
+    the other links' symbols.
+    """
+    table = word_table(h.gains, ci_precoder(h_hat), scheme, tx_gains=h_hat)
+    return table, table.receive - table.own * table.words
 
 
 class TestErrorBound:
@@ -122,34 +132,30 @@ class TestPerturbChannel:
 class TestResidualMatrix:
     def test_fresh_estimate_gives_scaled_identity(self):
         h = channel_4x4()
-        pre = ci_precoder(h.gains)
-        word = np.array([1, 0, 1, 1])
-        beta = scaling_beta(h.gains, word)
-        ups = residual_matrix(h, pre, beta)
-        assert np.allclose(ups, beta * np.eye(4), atol=1e-9 * beta)
+        table, leakage = residuals(h, h.gains)
+        beta = table.beta[:, None]
+        assert np.allclose(table.own, beta, rtol=0.0, atol=1e-9 * beta.min())
+        assert np.allclose(leakage, 0.0, atol=1e-9 * beta.min())
 
     def test_fresh_estimate_masked_gives_scaled_mask(self):
         h = channel_4x4()
-        pre = ci_precoder(h.gains)
-        word = np.array([1, 0, 1, 0])
-        mask = adaptive_mask(word)
-        beta = scaling_beta(h.gains, word)
-        ups = residual_matrix(h, oap_precoder(pre, mask), beta)
-        expected = beta * mask.t.astype(float)   # explicit product oracle
-        assert np.allclose(ups, expected, atol=1e-9 * beta)
+        table, leakage = residuals(h, h.gains, scheme="oap")
+        for word, beta, own, slicer, leak in zip(table.words, table.beta, table.own,
+                                                 table.slicer, leakage):
+            mask = (word[:, None] == word[None, :]).astype(float)
+            off = mask - np.eye(4)                  # explicit product oracle
+            assert np.allclose(own, beta, rtol=0.0, atol=1e-9 * beta)
+            assert np.allclose(slicer, beta * mask.sum(axis=1), rtol=0.0, atol=1e-9 * beta)
+            assert np.allclose(leak, beta * (off @ word), rtol=0.0, atol=1e-9 * beta)
 
     def test_leakage_grows_with_bound(self):
         h = channel_4x4()
-        word = np.array([1, 1, 0, 1])
         leakage = []
         for scale in (0.001, 0.01, 0.05, 0.1):
             bound = scale * h.gains[0, 0]
             est = perturb_channel(h, bound, model="worst_case", seed=0)
-            pre_hat = ci_precoder(est.h_hat)
-            beta_hat = scaling_beta(est.h_hat, word)
-            ups = residual_matrix(h, pre_hat, beta_hat)
-            off = np.abs(ups - np.diag(np.diag(ups))).max()
-            leakage.append(off)
+            _, leak = residuals(h, est.h_hat)
+            leakage.append(np.abs(leak).max())
         assert all(a < b for a, b in zip(leakage, leakage[1:]))
 
     def test_worst_case_diagonal_shift_direction(self):
@@ -158,12 +164,11 @@ class TestResidualMatrix:
         bound = 0.05 * h.gains[0, 0]
         est = perturb_channel(h, bound, model="worst_case", seed=0,
                               worst_case_sign="minus")
-        pre_hat = ci_precoder(est.h_hat)
-        word = np.array([1, 0, 0, 0])
-        beta_hat = scaling_beta(est.h_hat, word)
-        ups = residual_matrix(h, pre_hat, beta_hat)
-        fresh = residual_matrix(h, ci_precoder(h.gains), scaling_beta(h.gains, word))
-        assert ups[0, 0] > fresh[0, 0]
+        stale, _ = residuals(h, est.h_hat)
+        fresh, _ = residuals(h, h.gains)
+        s = 0b1000                      # the word [1, 0, 0, 0]
+        assert np.array_equal(stale.words[s], [1, 0, 0, 0])
+        assert stale.own[s, 0] > fresh.own[s, 0]
 
 
 class TestChannelEstimateInvariant:

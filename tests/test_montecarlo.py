@@ -5,24 +5,13 @@ import pytest
 
 from vlcmimo.analytic import ber_ci_perfect, q_function
 from vlcmimo.channel import ChannelMatrix, build_channel_matrix, square_grid_layout
-from vlcmimo.montecarlo import (SimConfig, detect, exhaustive_noiseless_errors,
-                                simulate, sweep)
+from vlcmimo.montecarlo import SimConfig, exhaustive_noiseless_errors, simulate, sweep
 from vlcmimo.noise import sigma_from_transmit_snr
+from vlcmimo.precoding import ci_precoder, word_table
 
 
 def channel(n=4, spacing=0.5, fov=60.0):
     return build_channel_matrix(square_grid_layout(n, spacing, fov=fov))
-
-
-class TestDetect:
-    def test_tie_resolves_to_zero(self):
-        assert detect(1.0, 1.0) == 0
-
-    def test_above_threshold(self):
-        assert detect(2.0, 1.0) == 1
-
-    def test_below_threshold(self):
-        assert detect(0.5, 1.0) == 0
 
 
 class TestDeterminism:
@@ -99,9 +88,11 @@ class TestEstimatorConsistency:
 class TestEnergyAccounting:
     def test_debug_check_passes_for_valid_channel(self):
         h = channel()
-        cfg = SimConfig(n_symbols=1_000, seed=1, scheme="ci", snr_db=85.0,
-                        check_energy=True)
+        cfg = SimConfig(n_symbols=1_000, seed=1, scheme="ci", snr_db=85.0)
         simulate(h, cfg)  # must not raise
+        table = word_table(h, ci_precoder(h), "ci")
+        norms = np.linalg.norm(table.transmit[1:], axis=1)
+        assert np.allclose(norms, 1.0, rtol=0, atol=1e-12)
 
 
 class TestEarlyStopAndValidation:

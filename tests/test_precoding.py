@@ -1,4 +1,4 @@
-"""Channel-inversion precoder, scaling factor and adaptive mask tests."""
+"""Channel-inversion precoder, scaling factor and adaptive word-table tests."""
 
 import numpy as np
 import pytest
@@ -7,9 +7,8 @@ from hypothesis import strategies as st
 
 from vlcmimo.analytic import combination_matrix
 from vlcmimo.channel import build_channel_matrix, square_grid_layout
-from vlcmimo.precoding import (AdaptiveMask, SingularChannelError,
-                               adaptive_mask, ci_precoder, constructive_group,
-                               oap_precoder, precoder_to_csv, scaling_beta)
+from vlcmimo.precoding import (SingularChannelError, ci_precoder, scaling_beta,
+                               word_table)
 
 
 def random_channel(rng, n):
@@ -79,117 +78,21 @@ class TestScalingBeta:
     def test_renormalized_masked_norm(self):
         rng = np.random.default_rng(9)
         h = random_channel(rng, 4)
-        pre = ci_precoder(h)
-        word = np.array([1, 0, 1, 1])
-        mask = adaptive_mask(word)
-        beta = scaling_beta(h, word, mask=mask)
-        wd = oap_precoder(pre, mask)
-        assert np.linalg.norm(beta * (wd.w @ word)) == pytest.approx(1.0, abs=1e-10)
-
-
-class TestAdaptiveMask:
-    def test_alternating_word(self):
-        mask = adaptive_mask([1, 0, 1, 0])
-        expected = np.array([[1, 0, 1, 0], [0, 1, 0, 1], [1, 0, 1, 0], [0, 1, 0, 1]])
-        assert np.array_equal(mask.t, expected)
-
-    def test_uniform_words_give_all_ones(self):
-        assert np.all(adaptive_mask([1, 1, 1]).t == 1)
-        assert np.all(adaptive_mask([0, 0, 0]).t == 1)
-
-    def test_complement_invariance(self):
-        for word in combination_matrix(4).a:
-            assert np.array_equal(adaptive_mask(word).t,
-                                  adaptive_mask(1 - word).t)
-
-    def test_two_block_structure(self):
-        for word in combination_matrix(4).a:
-            t = adaptive_mask(word).t
-            ones = np.flatnonzero(word)
-            zeros = np.flatnonzero(word == 0)
-            for grp in (ones, zeros):
-                if len(grp):
-                    assert np.all(t[np.ix_(grp, grp)] == 1)
-            if len(ones) and len(zeros):
-                assert np.all(t[np.ix_(ones, zeros)] == 0)
-
-    def test_non_binary_rejected(self):
-        with pytest.raises(ValueError):
-            adaptive_mask([0, 2, 1])
-
-    def test_invalid_mask_matrix_rejected(self):
-        with pytest.raises(ValueError):
-            AdaptiveMask(t=np.array([[1, 1], [0, 1]]))  # asymmetric
+        table = word_table(h, ci_precoder(h), "oap", renormalize=True)
+        norms = np.linalg.norm(table.transmit[1:], axis=1)
+        assert np.allclose(norms, 1.0, rtol=0.0, atol=1e-10)
 
 
 class TestOapPrecoder:
-    def test_identity_mask_is_noop(self):
-        h = np.eye(2) + 0.1
-        pre = ci_precoder(h)
-        wd = oap_precoder(pre, adaptive_mask([1, 0]))
-        assert np.allclose(wd.w, pre.w)
-        assert wd.kind == "oap"
-
-    def test_all_ones_mask_sums_columns(self):
-        rng = np.random.default_rng(2)
-        h = random_channel(rng, 3)
-        pre = ci_precoder(h)
-        wd = oap_precoder(pre, adaptive_mask([1, 1, 1]))
-        col_sum = pre.w.sum(axis=1)
-        for j in range(3):
-            assert np.allclose(wd.w[:, j], col_sum)
-
     def test_noiseless_receive_is_masked_word(self):
         # y = beta * (H W T) x = beta * T x when the inversion is exact
         rng = np.random.default_rng(4)
         h = random_channel(rng, 4)
-        pre = ci_precoder(h)
-        for word in combination_matrix(4).a:
-            mask = adaptive_mask(word)
-            beta = scaling_beta(h, word)
-            wd = oap_precoder(pre, mask)
-            y = h @ (beta * (wd.w @ word))
-            expected = beta * (mask.t.astype(float) @ word)  # explicit multiply
+        table = word_table(h, ci_precoder(h), "oap")
+        for word, beta, y in zip(table.words, table.beta, table.receive):
+            mask = (word[:, None] == word[None, :]).astype(float)
+            expected = beta * (mask @ word)  # explicit multiply
             assert np.allclose(y, expected, atol=1e-9)
-
-    def test_dimension_mismatch_rejected(self):
-        pre = ci_precoder(np.eye(3))
-        with pytest.raises(ValueError):
-            oap_precoder(pre, adaptive_mask([1, 0]))
-
-
-class TestCsvDump:
-    def test_round_trip(self, tmp_path):
-        rng = np.random.default_rng(6)
-        pre = ci_precoder(random_channel(rng, 3))
-        path = tmp_path / "w.csv"
-        precoder_to_csv(pre, path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "# kind=ci"
-        data = np.array([[float(v) for v in line.split(",")]
-                         for line in lines[2:]])
-        assert np.array_equal(data, pre.w)
-
-
-class TestConstructiveGroup:
-    def test_alternating(self):
-        mask = adaptive_mask([1, 0, 1, 0])
-        assert constructive_group(mask, 0) == (0, 2)
-        assert constructive_group(mask, 1) == (1, 3)
-
-    def test_uniform_word_groups_everything(self):
-        mask = adaptive_mask([1, 1, 1, 1])
-        assert constructive_group(mask, 2) == (0, 1, 2, 3)
-
-    def test_self_membership(self):
-        for word in combination_matrix(4).a:
-            mask = adaptive_mask(word)
-            for i in range(4):
-                assert i in constructive_group(mask, i)
-
-    def test_index_out_of_range(self):
-        with pytest.raises(IndexError):
-            constructive_group(adaptive_mask([1, 0]), 2)
 
 
 class TestAmplitudeDominance:
@@ -198,12 +101,10 @@ class TestAmplitudeDominance:
         layout = square_grid_layout(n, 0.5, fov=60.0)
         h = build_channel_matrix(layout).gains
         pre = ci_precoder(h)
-        for word in combination_matrix(n).a:
-            beta = scaling_beta(h, word)
-            mask = adaptive_mask(word)
-            wd = oap_precoder(pre, mask)
-            y_oap = h @ (beta * (wd.w @ word))
-            y_ci = h @ (beta * (pre.w @ word))
+        ci = word_table(h, pre, "ci")
+        oap = word_table(h, pre, "oap")
+        assert np.array_equal(ci.beta, oap.beta)
+        for word, beta, y_oap, y_ci in zip(oap.words, oap.beta, oap.receive, ci.receive):
             k = int(word.sum())
             for i in range(n):
                 if word[i] == 1:
