@@ -10,7 +10,7 @@ __version__ = "0.1.0"
 
 from .analytic import (BerResult, CombinationMatrix, ber_ci_outdated,
                        ber_ci_perfect, ber_oap_outdated, ber_oap_perfect,
-                       combination_matrix, q_function, sinr_report, throughput)
+                       combination_matrix, q_function, throughput)
 from .channel import (ChannelMatrix, GainMap, GeometryError, Luminaire,
                       PhotoDetector, RoomLayout, build_channel_matrix,
                       channel_gain, concentrator_gain, distance_gain_prefactor,

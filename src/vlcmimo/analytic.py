@@ -1,4 +1,4 @@
-"""Closed-form link performance: error rates, bounds, SINR and throughput.
+"""Closed-form link performance: error rates, bounds and throughput.
 
 Error probabilities average the Gaussian tail over every binary symbol word.
 Per word the receiver slices at half the constructive amplitude of the
@@ -27,7 +27,6 @@ __all__ = [
     "ber_ci_outdated",
     "ber_oap_perfect",
     "ber_oap_outdated",
-    "sinr_report",
     "throughput",
     "PhysicalNoise",
     "sigma_table",
@@ -137,7 +136,7 @@ def _outdated_bound(scheme, h, h_hat, sigma, responsivity, power) -> BerResult:
     gains, hat = as_gains(h), as_gains(h_hat)
     if gains.shape != hat.shape:
         raise ValueError("true and estimated channels must share a shape")
-    table = word_table(gains, ci_precoder(hat), scheme, tx_gains=hat)
+    table = word_table(gains, ci_precoder(hat), scheme)
     sig = sigma_table(sigma, table, power)
     gp = responsivity * power
     own = table.own
@@ -164,21 +163,6 @@ def ber_oap_outdated(h, h_hat, noise_sigma_per_pd, responsivity: float,
                      power: float) -> BerResult:
     """Upper bound on the adaptive-scheme error rate under a stale precoder."""
     return _outdated_bound("oap", h, h_hat, noise_sigma_per_pd, responsivity, power)
-
-
-def sinr_report(h, responsivity: float, power: float, sigma) -> np.ndarray:
-    """Raw-channel signal to interference-plus-noise ratio per detector.
-
-    Reporting-only diagnostic: the denominator adds twice the noise standard
-    deviation to the interference amplitude (a unit mix inherited from the
-    underlying model), so treat the values as indicative.
-    """
-    gains = as_gains(h)
-    n_r = gains.shape[0]
-    sig = np.broadcast_to(np.asarray(sigma, dtype=float), (n_r,))
-    diag = np.diag(gains)
-    interf = gains.sum(axis=1) - diag
-    return (responsivity * power * diag) / (responsivity * power * interf + 2.0 * sig)
 
 
 def _word_rates(table: WordTable, sigma, responsivity: float, power: float) -> np.ndarray:

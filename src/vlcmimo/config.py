@@ -11,9 +11,12 @@ import copy
 import dataclasses
 import hashlib
 import json
+import sys
+import types
 import typing
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Literal
 
 import numpy as np
 import yaml
@@ -43,17 +46,52 @@ class ConfigError(ValueError):
     """Invalid or unparsable experiment configuration."""
 
 
-def _require_int(name: str, value) -> None:
-    if type(value) is not int:      # bool and float rejected
-        raise ConfigError(f"{name} must be an integer, got {value!r}")
+def _conforms(value, hint) -> bool:
+    """Whether ``value`` is of the type ``hint`` names, numbers finite.
+
+    A float field takes any finite int or float, an int field only an int, a
+    tuple field a tuple or list of the declared length, a ``Literal`` field
+    one of its values.
+    """
+    args = typing.get_args(hint)
+    if typing.get_origin(hint) is types.UnionType:
+        return any(_conforms(value, arg) for arg in args)
+    if typing.get_origin(hint) is Literal:
+        return any(type(value) is type(arg) and value == arg for arg in args)
+    if typing.get_origin(hint) is tuple:
+        if not isinstance(value, (tuple, list)):
+            return False
+        args = args[:1] * len(value) if args[-1] is Ellipsis else args
+        return len(args) == len(value) and all(map(_conforms, value, args))
+    if hint is float:
+        return (isinstance(value, (int, float)) and not isinstance(value, bool)
+                and abs(value) <= sys.float_info.max)
+    return type(value) is hint
 
 
-def _require_finite(name: str, values) -> None:
-    if not np.all(np.isfinite(values)):
-        raise ConfigError(f"{name} must be finite, got {values!r}")
+def _config(cls):
+    """Frozen dataclass whose every field must conform to its type hint.
+
+    Checked on construction and on ``dataclasses.replace`` alike, before the
+    class's own ``__post_init__`` checks ranges.
+    """
+    hints, check_ranges = typing.get_type_hints(cls), getattr(cls, "__post_init__", None)
+
+    def __post_init__(self):
+        for name, hint in hints.items():
+            value = getattr(self, name)
+            if not _conforms(value, hint):
+                kind = hint.__name__ if isinstance(hint, type) else str(hint)
+                raise ConfigError(f"{cls.__name__}.{name}: {value!r} is not of type "
+                                  f"{kind.replace('typing.', '')} (numbers must be finite)")
+        if check_ranges is not None:
+            check_ranges(self)
+
+    cls.__post_init__ = __post_init__
+    return dataclass(frozen=True)(cls)
 
 
-@dataclass(frozen=True)
+@_config
 class DetectorConfig:
     area_m2: float = 1e-4
     fov_deg: float = 60.0
@@ -62,7 +100,7 @@ class DetectorConfig:
     filter_gain: float = 1.0
 
 
-@dataclass(frozen=True)
+@_config
 class LayoutConfig:
     room_x_m: float = 4.0
     room_y_m: float = 4.0
@@ -76,13 +114,10 @@ class LayoutConfig:
     power_per_led_w: float = 0.010
     detector: DetectorConfig = field(default_factory=DetectorConfig)
 
-    def __post_init__(self):
-        _require_int("layout.n_links", self.n_links)
 
-
-@dataclass(frozen=True)
+@_config
 class NoiseConfig:
-    mode: str = "swept"
+    mode: Literal["swept", "physical"] = "swept"
     bandwidth_hz: float = 100e6
     background_current_a: float = 100e-6
     noise_bandwidth_factor_i2: float = 0.562
@@ -92,10 +127,6 @@ class NoiseConfig:
     capacitance_per_area_f_m2: float = 1.12e-6
     fet_noise_factor: float = 1.5
     fet_transconductance_s: float = 30e-3
-
-    def __post_init__(self):
-        if self.mode not in ("swept", "physical"):
-            raise ConfigError(f"noise.mode must be swept or physical, got {self.mode!r}")
 
     def params(self) -> NoiseParams:
         return NoiseParams(
@@ -111,15 +142,13 @@ class NoiseConfig:
         )
 
 
-@dataclass(frozen=True)
+@_config
 class SweepConfig:
     snr_start_db: float = 70.0
     snr_stop_db: float = 130.0
     snr_step_db: float = 2.0
 
     def __post_init__(self):
-        if not np.all(np.isfinite([self.snr_start_db, self.snr_stop_db, self.snr_step_db])):
-            raise ConfigError("sweep.snr_start_db, snr_stop_db and snr_step_db must be finite")
         if self.snr_step_db <= 0.0:
             raise ConfigError("sweep.snr_step_db must be positive")
         if self.snr_stop_db < self.snr_start_db:
@@ -130,26 +159,19 @@ class SweepConfig:
         return tuple(self.snr_start_db + i * self.snr_step_db for i in range(n))
 
 
-@dataclass(frozen=True)
+@_config
 class CsiConfig:
-    mode: str = "perfect"
-    model: str = "uniform"
+    mode: Literal["perfect", "outdated"] = "perfect"
+    model: Literal["uniform", "worst_case"] = "uniform"
     mobile_user: int = 0
-    worst_case_sign: str = "pessimistic"
+    worst_case_sign: Literal["pessimistic", "plus", "minus"] = "pessimistic"
 
     def __post_init__(self):
-        if self.mode not in ("perfect", "outdated"):
-            raise ConfigError(f"csi.mode must be perfect or outdated, got {self.mode!r}")
-        if self.model not in ("uniform", "worst_case"):
-            raise ConfigError(f"csi.model must be uniform or worst_case, got {self.model!r}")
-        if self.worst_case_sign not in ("pessimistic", "plus", "minus"):
-            raise ConfigError(f"unknown csi.worst_case_sign {self.worst_case_sign!r}")
-        _require_int("csi.mobile_user", self.mobile_user)
         if self.mobile_user < 0:
             raise ConfigError("csi.mobile_user must be >= 0")
 
 
-@dataclass(frozen=True)
+@_config
 class MobilityConfig:
     """Horizontal move of the mobile user relative to its luminaire axis."""
 
@@ -159,13 +181,6 @@ class MobilityConfig:
     elapsed_times_s: tuple[float, ...] = (0.02, 0.1, 0.3)
 
     def __post_init__(self):
-        for name in ("start_xy_m", "direction"):
-            if len(getattr(self, name)) != 2:
-                raise ConfigError(f"mobility.{name} must be an (x, y) pair")
-        _require_finite("mobility.start_xy_m", self.start_xy_m)
-        _require_finite("mobility.direction", self.direction)
-        _require_finite("mobility.speed_mps", self.speed_mps)
-        _require_finite("mobility.elapsed_times_s", self.elapsed_times_s)
         if self.speed_mps < 0.0:
             raise ConfigError("mobility.speed_mps must be nonnegative")
         if any(t <= 0.0 for t in self.elapsed_times_s):
@@ -185,15 +200,13 @@ class MobilityConfig:
                 self.start_xy_m[1] + dist * self.direction[1])
 
 
-@dataclass(frozen=True)
+@_config
 class MonteCarloConfig:
     n_symbols: int = 2_000_000
     early_stop_errors: int | None = None
     block_size: int = 65536
 
     def __post_init__(self):
-        for name in ("n_symbols", "block_size"):
-            _require_int(f"montecarlo.{name}", getattr(self, name))
         if self.n_symbols < 1:
             raise ConfigError("montecarlo.n_symbols must be >= 1")
         if self.early_stop_errors is not None and self.early_stop_errors < 100:
@@ -202,11 +215,11 @@ class MonteCarloConfig:
             raise ConfigError("montecarlo.block_size must be >= 1")
 
 
-@dataclass(frozen=True)
+@_config
 class ExperimentConfig:
     name: str = "experiment"
     seed: int = 20260810
-    schemes: tuple[str, ...] = ("ci", "oap")
+    schemes: tuple[Literal["ci", "oap"], ...] = ("ci", "oap")
     layout: LayoutConfig = field(default_factory=LayoutConfig)
     noise: NoiseConfig = field(default_factory=NoiseConfig)
     sweep: SweepConfig = field(default_factory=SweepConfig)
@@ -220,18 +233,12 @@ class ExperimentConfig:
     renormalize_oap: bool = False
 
     def __post_init__(self):
-        if type(self.seed) is not int or self.seed < 0:
-            raise ConfigError(f"seed must be a nonnegative integer, got {self.seed!r}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be nonnegative, got {self.seed!r}")
         if not self.schemes:
             raise ConfigError("at least one scheme is required")
-        bad = [s for s in self.schemes if s not in ("ci", "oap")]
-        if bad:
-            raise ConfigError(f"unknown schemes {bad}; valid: ci, oap")
-        _require_finite("map_resolution_m", self.map_resolution_m)
         if self.map_resolution_m <= 0.0:
             raise ConfigError("map_resolution_m must be positive")
-        for i, n in enumerate(self.mimo_orders or ()):
-            _require_int(f"mimo_orders[{i}]", n)
         object.__setattr__(self, "schemes", tuple(self.schemes))
 
     def variants(self):

@@ -130,13 +130,10 @@ def _word_tables(h: ChannelMatrix, cfg: SimConfig, h_hat=None):
     gains when channel knowledge is outdated; slicer thresholds use the true
     channel rows against the operative precoder columns.
     """
-    gains = h.gains
+    gains = estimate = h.gains
     if cfg.csi_mode == "outdated":
-        tx_gains = np.asarray(h_hat, dtype=float) if h_hat is not None else _stale_gains(h, cfg)
-    else:
-        tx_gains = gains
-    pre = ci_precoder(tx_gains)
-    table = word_table(gains, pre, cfg.scheme, tx_gains=tx_gains,
+        estimate = np.asarray(h_hat, dtype=float) if h_hat is not None else _stale_gains(h, cfg)
+    table = word_table(gains, ci_precoder(estimate), cfg.scheme,
                        renormalize=cfg.renormalize_oap)
     gp = h.responsivity * h.power
     means = gp * table.receive

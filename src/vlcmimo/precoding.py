@@ -111,33 +111,14 @@ def ci_precoder(h) -> Precoder:
 
 
 def scaling_beta(h, x) -> float:
-    """Per-symbol transmit scaling ``(x^T (H H^T)^-1 x)^(-1/2)``.
+    """Per-symbol transmit scaling ``1 / ||W x|| = (x^T (H H^T)^-1 x)^(-1/2)``.
 
     Makes the precoded transmit vector unit norm: ``||beta W x|| = 1`` for any
     nonzero symbol vector.  The all-zero word transmits nothing; its scaling
     degenerates and is fixed at 1.
     """
     vec = np.asarray(x, dtype=float)
-    if not np.any(vec):
-        return 1.0
-    return float(_betas(as_gains(h), vec[None, :])[0])
-
-
-def _betas(tx_gains: np.ndarray, vecs: np.ndarray) -> np.ndarray:
-    """``scaling_beta`` of every row of ``vecs``, from one multi-vector solve."""
-    nonzero = vecs.any(axis=1)
-    try:
-        y = np.linalg.solve(tx_gains @ tx_gains.T, vecs.T)
-    except np.linalg.LinAlgError as exc:
-        raise SingularChannelError(f"channel cross-correlation is singular: {exc}") from exc
-    quad = np.einsum("sn,ns->s", vecs, y)[nonzero]
-    bad = ~(quad > 0.0) | ~np.isfinite(quad)
-    if bad.any():
-        raise SingularChannelError(
-            f"transmit normalization failed: quadratic form {quad[bad][0]:.3e} not positive")
-    beta = np.ones(len(vecs))
-    beta[nonzero] = quad ** -0.5
-    return beta
+    return float(1.0 / np.linalg.norm(ci_precoder(h).w @ vec)) if vec.any() else 1.0
 
 
 @dataclass(frozen=True)
@@ -160,21 +141,22 @@ class WordTable:
     slicer: np.ndarray
 
 
-def word_table(gains, precoder: Precoder, scheme: str, tx_gains=None,
+def word_table(gains, precoder: Precoder, scheme: str,
                renormalize: bool = False) -> WordTable:
     """The transmit pipeline evaluated for all 2^n words of a square channel.
 
-    ``precoder`` is the inversion precoder the transmitter derived from
-    ``tx_gains`` (default: ``gains``, i.e. perfect knowledge); signals
-    propagate through the true ``gains``.  The equal-symbol mask is never
-    formed: with k ones in the word x, ``T x = k x``, and with ``M = H W``
-    detector i's masked amplitude ``(M T)_ii`` is ``(M g_i)_i``, where
-    ``g_i`` is x when x_i = 1 and 1 - x otherwise; its group amplitude is
-    ``|G_i|`` times that.  With ``renormalize`` the adaptive scaling is
-    evaluated on ``T x``.  Every intermediate is (2^n, n).
+    ``precoder`` is the inversion precoder W the transmitter derived from its
+    channel estimate (the true ``gains`` under perfect knowledge); signals
+    propagate through the true ``gains``.  The scaling is read off the
+    precoder: ``beta = 1 / ||W x||``, which is ``(x^T (H H^T)^-1 x)^(-1/2)``
+    for the estimate H, so no second inverse is taken.  The equal-symbol mask
+    is never formed: with k ones in the word x, ``T x = k x``, and with
+    ``M = H W`` detector i's masked amplitude ``(M T)_ii`` is ``(M g_i)_i``,
+    where ``g_i`` is x when x_i = 1 and 1 - x otherwise; its group amplitude
+    is ``|G_i|`` times that.  With ``renormalize`` the adaptive scaling is
+    evaluated on ``T x``, i.e. divided by k.  Every intermediate is (2^n, n).
     """
     h = as_gains(gains)
-    tx = h if tx_gains is None else as_gains(tx_gains)
     n = h.shape[1]
     if h.shape != (n, n):
         raise ValueError("the word table requires a square channel")
@@ -185,15 +167,19 @@ def word_table(gains, precoder: Precoder, scheme: str, tx_gains=None,
     k = x.sum(axis=1, keepdims=True)
     m = h @ precoder.w
     mx = x @ m.T
+    wx = x @ precoder.w.T
+    norm = np.linalg.norm(wx, axis=1, keepdims=True)
+    beta = 1.0 / np.where(k > 0, norm, 1.0)    # fixed at 1 for the all-zero word
     if scheme == "ci":
-        scale = beta = _betas(tx, x)[:, None]
+        scale = beta
         own = slicer = beta * np.diag(m)
     else:
-        beta = _betas(tx, k * x if renormalize else x)[:, None]
+        if renormalize:
+            beta = beta / np.maximum(k, 1.0)
         scale = beta * k
         on = words == 1
         own = beta * np.where(on, mx, (1.0 - x) @ m.T)
         slicer = np.where(on, k, n - k) * own
     return WordTable(scheme=scheme, words=words, beta=beta[:, 0],
-                     transmit=scale * (x @ precoder.w.T), receive=scale * mx,
+                     transmit=scale * wx, receive=scale * mx,
                      own=own, slicer=slicer)

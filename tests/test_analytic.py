@@ -1,4 +1,4 @@
-"""Closed-form error-rate, SINR and throughput tests.
+"""Closed-form error-rate and throughput tests.
 
 Monte Carlo cross-checks of the closed forms live in the acceptance suite;
 here the oracles are independent formula reductions and quadrature.
@@ -12,8 +12,7 @@ from scipy.integrate import quad
 
 from vlcmimo.analytic import (PhysicalNoise, _word_rates, ber_ci_outdated,
                               ber_ci_perfect, ber_oap_outdated, ber_oap_perfect,
-                              combination_matrix, q_function, sinr_report,
-                              throughput)
+                              combination_matrix, q_function, throughput)
 from vlcmimo.channel import ChannelMatrix, build_channel_matrix, square_grid_layout
 from vlcmimo.csi import perturb_channel
 from vlcmimo.noise import NoiseParams, sigma_from_transmit_snr
@@ -181,25 +180,6 @@ class TestBerOutdatedBounds:
         for fn in (ber_ci_outdated, ber_oap_outdated):
             res = fn(self.h, self.h_hat, s, self.h.responsivity, self.h.power)
             assert np.all(res.per_pd >= 0.0) and np.all(res.per_pd <= 1.0)
-
-
-class TestSinrReport:
-    def test_interference_free_row(self):
-        h = ChannelMatrix(gains=np.diag([2e-4, 3e-4]), power=10.0)
-        sig = 1e-3
-        rep = sinr_report(h, 1.0, 10.0, sig)
-        assert rep[0] == pytest.approx(10.0 * 2e-4 / (2 * sig), rel=1e-12)
-
-    def test_interference_dominated_limit(self):
-        gains = np.array([[2e-4, 1e-4, 0.5e-4], [0, 2e-4, 0], [0, 0, 2e-4]])
-        h = ChannelMatrix(gains=gains, power=10.0)
-        rep = sinr_report(h, 1.0, 10.0, 1e-15)
-        assert rep[0] == pytest.approx(2e-4 / 1.5e-4, rel=1e-6)
-
-    def test_finite_positive_for_grid(self):
-        h = channel()
-        rep = sinr_report(h, h.responsivity, h.power, 1e-3)
-        assert np.all(np.isfinite(rep)) and np.all(rep > 0.0)
 
 
 class TestThroughput:

@@ -1,6 +1,9 @@
 """Config loading/validation and command-line interface tests."""
 
+import dataclasses
 import json
+import types
+import typing
 from pathlib import Path
 
 import numpy as np
@@ -8,8 +11,8 @@ import pytest
 import yaml
 
 from vlcmimo.cli import main
-from vlcmimo.config import (PRESET_NAMES, ConfigError, config_from_dict,
-                            load_config, preset)
+from vlcmimo.config import (PRESET_NAMES, ConfigError, ExperimentConfig,
+                            config_from_dict, load_config, preset)
 
 
 def write_yaml(path: Path, data: dict) -> Path:
@@ -24,6 +27,52 @@ SMALL = {
     "montecarlo": {"n_symbols": 20_000},
     "seed": 7,
 }
+
+
+def with_layout(**changes):
+    return {"layout": {**SMALL["layout"], **changes}}
+
+
+def with_detector(**changes):
+    return with_layout(detector={**SMALL["layout"]["detector"], **changes})
+
+
+def leaf_fields(cls, path=()):
+    """(dotted path, type hint) of every field, nested config sections expanded."""
+    hints = typing.get_type_hints(cls)
+    for f in dataclasses.fields(cls):
+        if dataclasses.is_dataclass(hints[f.name]):
+            yield from leaf_fields(hints[f.name], path + (f.name,))
+        else:
+            yield path + (f.name,), hints[f.name]
+
+
+def bad_field_values():
+    """One malformed value per case for every numeric and bool config field.
+
+    Non-finite values for every number, a fraction for every integer, a
+    string for the flag; tuple fields get the bad value in every slot.
+    """
+    for path, hint in leaf_fields(ExperimentConfig):
+        if typing.get_origin(hint) is types.UnionType:         # optional field
+            (hint,) = [a for a in typing.get_args(hint) if a is not type(None)]
+        size = None                                           # a scalar field
+        if typing.get_origin(hint) is tuple:
+            args = typing.get_args(hint)
+            hint, size = args[0], 1 if args[-1] is Ellipsis else len(args)
+        if hint is bool:
+            values = ["yes"]
+        elif hint in (int, float):
+            values = [float("nan"), float("inf"), float("-inf")]
+            if hint is int:      # 2.5 would fail the range check of early_stop_errors
+                values.append(150.5 if path[-1] == "early_stop_errors" else 2.5)
+        else:
+            continue
+        for value in values:
+            data = value if size is None else [value] * size
+            for key in reversed(path):
+                data = {key: data}
+            yield pytest.param(data, id=f"{'.'.join(path)}={value}")
 
 
 class TestConfigLoading:
@@ -109,18 +158,38 @@ class TestCli:
         {"layout": {"n_links": 2.5, "spacing_m": 0.5, "detector": {"fov_deg": 60.0}}},
         {"mimo_orders": [2.5]},
         {"csi": {"mode": "outdated", "mobile_user": 0.5}},
+        with_detector(responsivity_a_per_w=float("nan")),
+        with_detector(responsivity_a_per_w=float("inf")),
+        with_layout(power_per_led_w=float("inf")),
+        {"noise": {"mode": "physical", "bandwidth_hz": float("inf")}},
+        with_layout(leds_per_luminaire=2.5),
+        with_detector(area_m2=float("nan")),
+        with_detector(area_m2=float("inf")),
+        with_detector(refractive_index=float("nan")),
+        with_detector(refractive_index=float("inf")),
+        with_layout(room_x_m=float("inf")),
+        with_layout(power_per_led_w=float("nan")),
     ], ids=["negative_links", "too_many_links", "too_many_orders", "mobile_user",
             "no_elapsed_time", "negative_seed", "fractional_seed", "nan_step",
             "infinite_stop", "fractional_symbols", "fractional_block",
             "nan_map_resolution", "infinite_map_resolution", "nan_speed",
             "nan_elapsed_time", "short_start_xy", "fractional_links",
-            "fractional_order", "fractional_mobile_user"])
+            "fractional_order", "fractional_mobile_user", "nan_responsivity",
+            "infinite_responsivity", "infinite_led_power", "infinite_bandwidth",
+            "fractional_leds", "nan_area", "infinite_area", "nan_refractive_index",
+            "infinite_refractive_index", "infinite_room", "nan_led_power"])
     def test_bad_config_exit_code(self, tmp_path, capsys, bad):
         path = write_yaml(tmp_path / "bad.yaml", {**SMALL, **bad})
         out = tmp_path / "results"
         assert main(["ber-sweep", "--config", str(path), "--out", str(out), "--quiet"]) == 2
         assert "config error" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("bad", bad_field_values())
+    def test_every_field_rejects_bad_value(self, tmp_path, capsys, bad):
+        path = write_yaml(tmp_path / "bad.yaml", bad)
+        assert main(["validate", "--config", str(path)]) == 2
+        assert "config error" in capsys.readouterr().err
 
     def test_ber_sweep_end_to_end(self, tmp_path):
         path = write_yaml(tmp_path / "c.yaml", SMALL)

@@ -29,7 +29,7 @@ def residuals(h, h_hat, scheme="ci"):
     The leakage ``receive - own * words`` is what reaches each detector from
     the other links' symbols.
     """
-    table = word_table(h.gains, ci_precoder(h_hat), scheme, tx_gains=h_hat)
+    table = word_table(h.gains, ci_precoder(h_hat), scheme)
     return table, table.receive - table.own * table.words
 
 

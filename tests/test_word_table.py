@@ -14,6 +14,7 @@ two.  An error-rate term Q(a) turns a relative error d in its argument into
 about a^2 d, with a^2 ~ 2 ln(1/Q).
 """
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -43,18 +44,18 @@ def assert_rates_close(got, want, tol):
     assert np.all(excess <= 0.0), (got, want)
 
 
-def reference_table(gains, tx_gains, scheme, renormalize):
+def reference_table(gains, h_hat, scheme, renormalize):
     """beta, transmit, receive, own and slicer amplitudes, word by word."""
-    pre = ci_precoder(tx_gains)
+    pre = ci_precoder(h_hat)
     rows = []
     for w in combination_matrix(gains.shape[1]).a:
         x = w.astype(float)
         if scheme == "oap":
             group = (w[:, None] == w[None, :]).astype(float)
-            beta = scaling_beta(tx_gains, group @ x if renormalize else x)
+            beta = scaling_beta(h_hat, group @ x if renormalize else x)
             wd = pre.w @ group
         else:
-            beta = scaling_beta(tx_gains, x)
+            beta = scaling_beta(h_hat, x)
             wd = pre.w
             group = np.eye(len(w))
         ups = beta * (gains @ wd)
@@ -121,22 +122,19 @@ def test_table_matches_per_word_pipeline(n, spacing, csi):
     sigmas = [gp * 10.0 ** (-snr / 20.0) for snr in SNRS_DB]
     physical = PhysicalNoise(gains, h.detector_area, h.responsivity, NoiseParams())
     words = combination_matrix(n).a
+    tables = {}
     for scheme, renormalize in VARIANTS:
         ref = reference_table(gains, h_hat, scheme, renormalize)
-        table = word_table(gains, ci_precoder(h_hat), scheme, tx_gains=h_hat,
-                           renormalize=renormalize)
+        table = tables[scheme, renormalize] = word_table(
+            gains, ci_precoder(h_hat), scheme, renormalize=renormalize)
         assert np.array_equal(table.words, words)
         for got, want in zip((table.beta, table.transmit, table.receive, table.own,
                               table.slicer), ref):
             assert_close(got, want, tol)
         if scheme == "ci" or renormalize:
             # Unit transmit power for every word but the silent all-zero one.
-            # beta is solved against H_hat H_hat^T, conditioned as kappa(H_hat)^2;
-            # past 1/eps (8-9 links at 0.05 m) the norms are off by up to 10x
-            # and this bound no longer constrains them.
-            norm_tol = max(tol, np.finfo(float).eps * np.linalg.cond(h_hat) ** 2)
-            assert_close(np.linalg.norm(table.transmit[1:], axis=1),
-                         np.ones(len(words) - 1), norm_tol)
+            norms = np.linalg.norm(table.transmit[1:], axis=1)
+            assert np.abs(norms - 1.0).max() <= RTOL
         ref_sig = reference_sigma(h, ref[1])
         assert_close(physical(table.words, h.power * table.transmit), ref_sig, tol)
 
@@ -165,8 +163,33 @@ def test_table_matches_per_word_pipeline(n, spacing, csi):
             want = reference_ber(ref, words, sig, gp, scheme, csi == "stale")
             assert_rates_close(got.per_pd, want, tol)
 
+    # Renormalized, the adaptive scheme sends W x / ||W x|| like inversion.
+    assert_close(tables["oap", True].transmit, tables["ci", False].transmit, RTOL)
+
     for scheme in ("ci", "oap"):
         for sigma in sigmas:
             got = throughput(scheme, h, ci_precoder(gains), sigma, h.responsivity, h.power)
             assert got == pytest.approx(reference_throughput(scheme, gains, sigma, gp),
                                         rel=tol)
+
+
+@pytest.mark.parametrize("n, spacing", [(4, 0.05), (8, 0.05), (9, 0.05), (9, 0.5)])
+def test_beta_matches_exact_quadratic_form(n, spacing):
+    """beta = (x^T (H H^T)^-1 x)^(-1/2), evaluated to 60 digits from the same gains.
+
+    Forming H H^T squares kappa(H); a scaling read off the SVD precoder keeps
+    the error within eps * kappa(H), also where kappa(H)^2 passes 1/eps.
+    """
+    gains = build_channel_matrix(square_grid_layout(n, spacing, fov=60.0)).gains
+    rows = np.unique(np.r_[1, 2 ** n - 1, np.random.default_rng(n).integers(1, 2 ** n, 30)])
+    words = combination_matrix(n).a[rows]
+    with mpmath.workdps(60):
+        h = mpmath.matrix(gains.tolist())
+        inv = mpmath.inverse(h * h.T)
+        exact = [1 / mpmath.sqrt((x.T * inv * x)[0])
+                 for x in (mpmath.matrix(w.tolist()) for w in words)]
+    exact = np.array(exact, dtype=float)
+    bound = np.finfo(float).eps * np.linalg.cond(gains)
+    for scheme in ("ci", "oap"):
+        beta = word_table(gains, ci_precoder(gains), scheme).beta[rows]
+        np.testing.assert_allclose(beta, exact, rtol=bound, atol=0.0)
