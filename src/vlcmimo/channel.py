@@ -8,7 +8,7 @@ applied by the signal model, not here.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 
 import mpmath
@@ -209,12 +209,31 @@ def radiant_intensity(emergence_angle: float, m: float) -> float:
     """Lambertian radiant intensity (m+1)/(2 pi) * cos^m at the emergence angle."""
     if m <= 0.0:
         raise GeometryError("Lambertian order must be positive")
-    return _radiant_intensity_cos(math.cos(math.radians(emergence_angle)), m)
+    return (m + 1.0) / (2.0 * math.pi) * max(math.cos(math.radians(emergence_angle)), 0.0) ** m
 
 
-def _radiant_intensity_cos(cos_emergence: float, m: float) -> float:
+def _los_gains(x, y, z, detectors, luminaires) -> np.ndarray:
+    """Line-of-sight gains [point, luminaire] at the receive points (x, y, z).
+
+    ``detectors``, one per point or one for all, give optics and orientation.
+    """
+    lx, ly, lz, ox, oy, oz, m = np.array([
+        (*lum.position, *lum.orientation, lambertian_order(lum.semi_angle_half_power))
+        for lum in luminaires]).reshape(-1, 7).T[:, None, :]
+    px, py, pz, cos_fov, area, filter_gain, g = np.array([
+        (*det.orientation, math.cos(math.radians(det.fov)), det.area, det.filter_gain,
+         concentrator_gain(0.0, det.fov, det.refractive_index)) for det in detectors]).T[..., None]
+    vx, vy, vz = (np.asarray(c, dtype=float)[..., None] - lc
+                  for c, lc in zip((x, y, z), (lx, ly, lz)))
+    d = np.sqrt(vx * vx + vy * vy + vz * vz)
+    if np.any(d == 0.0):
+        raise GeometryError("luminaire and detector positions coincide")
+    cos_emergence = (vx * ox + vy * oy + vz * oz) / d
+    cos_incidence = -(vx * px + vy * py + vz * pz) / d
     # No backward emission: clamp at the transmitter plane.
-    return (m + 1.0) / (2.0 * math.pi) * max(cos_emergence, 0.0) ** m
+    intensity = (m + 1.0) / (2.0 * math.pi) * np.maximum(cos_emergence, 0.0) ** m
+    gains = (area / d**2) * intensity * filter_gain * g * cos_incidence
+    return np.where((cos_incidence < cos_fov) | (cos_incidence <= 0.0), 0.0, gains)
 
 
 def channel_gain(led: Luminaire, pd: PhotoDetector) -> float:
@@ -223,20 +242,7 @@ def channel_gain(led: Luminaire, pd: PhotoDetector) -> float:
     Zero whenever the incidence angle exceeds the detector field of view or
     the detector sits behind the luminaire plane.
     """
-    p_led = np.asarray(led.position, dtype=float)
-    p_pd = np.asarray(pd.position, dtype=float)
-    v = p_pd - p_led
-    d = float(np.linalg.norm(v))
-    if d == 0.0:
-        raise GeometryError("luminaire and detector positions coincide")
-    cos_emergence = float(v @ np.asarray(led.orientation)) / d
-    cos_incidence = float(-v @ np.asarray(pd.orientation)) / d
-    if cos_incidence < math.cos(math.radians(pd.fov)) or cos_incidence <= 0.0:
-        return 0.0
-    m = lambertian_order(led.semi_angle_half_power)
-    intensity = _radiant_intensity_cos(cos_emergence, m)
-    g = concentrator_gain(0.0, pd.fov, pd.refractive_index)
-    return (pd.area / d**2) * intensity * pd.filter_gain * g * cos_incidence
+    return float(_los_gains(*pd.position, (pd,), (led,))[0, 0])
 
 
 def build_channel_matrix(layout: RoomLayout) -> ChannelMatrix:
@@ -250,39 +256,33 @@ def build_channel_matrix(layout: RoomLayout) -> ChannelMatrix:
     areas = {det.area for det in layout.detectors}
     if len(responsivities) != 1 or len(areas) != 1:
         raise GeometryError("mixed detector parameters are not supported")
-    gains = np.array([[channel_gain(lum, det) for lum in layout.luminaires]
-                      for det in layout.detectors])
+    x, y, z = zip(*(det.position for det in layout.detectors))
     return ChannelMatrix(
-        gains=gains,
+        gains=_los_gains(x, y, z, layout.detectors, layout.luminaires),
         power=powers.pop(),
         responsivity=responsivities.pop(),
         detector_area=areas.pop(),
     )
 
 
-def gain_map(layout: RoomLayout, grid_resolution: float,
-             probe: PhotoDetector | None = None) -> GainMap:
+def gain_map(layout: RoomLayout, grid_resolution: float) -> GainMap:
     """Raster of total gain from all luminaires over the receiver plane.
 
-    A probe detector (by default a copy of the layout's first detector) is
-    swept over cell centers of a ceil(room/resolution) grid.
+    The layout's first detector (a default one if it has none) is swept over
+    the cell centers of a ceil(room/resolution) grid.
     """
     if grid_resolution <= 0.0:
         raise GeometryError("grid resolution must be positive")
-    if probe is None:
-        if layout.detectors:
-            probe = layout.detectors[0]
-        else:
-            probe = PhotoDetector(position=(0.0, 0.0, layout.receiver_plane_z))
+    probe = layout.detectors[:1] or (PhotoDetector(position=(0.0, 0.0, 0.0)),)
     nx = math.ceil(layout.room_x / grid_resolution)
     ny = math.ceil(layout.room_y / grid_resolution)
     xs = (np.arange(nx) + 0.5) * grid_resolution
     ys = (np.arange(ny) + 0.5) * grid_resolution
     values = np.zeros((ny, nx))
+    # Row by row keeps temporaries small; terms add up in layout order.
     for iy, y in enumerate(ys):
-        for ix, x in enumerate(xs):
-            spot = replace(probe, position=(float(x), float(y), layout.receiver_plane_z))
-            values[iy, ix] = sum(channel_gain(lum, spot) for lum in layout.luminaires)
+        values[iy] = sum(_los_gains(xs, y, layout.receiver_plane_z, probe,
+                                    layout.luminaires).T)
     return GainMap(x_centers=xs, y_centers=ys, values=values)
 
 

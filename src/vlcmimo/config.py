@@ -11,6 +11,7 @@ import copy
 import dataclasses
 import hashlib
 import json
+import math
 import sys
 import types
 import typing
@@ -40,6 +41,11 @@ __all__ = [
     "preset",
     "PRESET_NAMES",
 ]
+
+
+# Gain-map cells a config may ask for: a 2 mm raster of the default 4 m room.
+# The raster, its CSV rows and their text are all held in memory.
+MAX_RASTER_CELLS = 4_000_000
 
 
 class ConfigError(ValueError):
@@ -233,10 +239,15 @@ class ExperimentConfig:
     renormalize_oap: bool = False
 
     def __post_init__(self):
+        # The name prefixes every output file, so it must not leave --out.
+        if self.name in ("", ".", "..") or any(c in self.name for c in "/\\\0"):
+            raise ConfigError(f"name {self.name!r} must be a plain file name, not a path")
         if self.seed < 0:
             raise ConfigError(f"seed must be nonnegative, got {self.seed!r}")
         if not self.schemes:
             raise ConfigError("at least one scheme is required")
+        if len(set(self.schemes)) != len(self.schemes):
+            raise ConfigError(f"schemes {list(self.schemes)} repeat an entry")
         if self.map_resolution_m <= 0.0:
             raise ConfigError("map_resolution_m must be positive")
         object.__setattr__(self, "schemes", tuple(self.schemes))
@@ -276,8 +287,9 @@ class ExperimentConfig:
     def validate(self):
         """Construct every variant layout and check the cross-field limits.
 
-        Link counts are capped by the word enumeration, and the mobile user
-        must be a link of every array in use.
+        Link counts are capped by the word enumeration, gain-map cells by
+        ``MAX_RASTER_CELLS``, and the mobile user must be a link of every
+        array in use.
         """
         for n, sp, ang in self.variants():
             self.build_layout(n_links=n, spacing=sp, semi_angle=ang)
@@ -285,6 +297,11 @@ class ExperimentConfig:
         if max(sizes) > MAX_ENUMERATED_LINKS:
             raise ConfigError(f"link counts {list(sizes)} exceed the limit of "
                               f"{MAX_ENUMERATED_LINKS} enumerated links")
+        cells = math.prod(math.ceil(min(side / self.map_resolution_m, MAX_RASTER_CELLS + 1))
+                          for side in (self.layout.room_x_m, self.layout.room_y_m))
+        if cells > MAX_RASTER_CELLS:
+            raise ConfigError(f"map_resolution_m {self.map_resolution_m} makes more than "
+                              f"{MAX_RASTER_CELLS} gain-map cells")
         if self.csi.mode == "outdated" and not self.mobility.elapsed_times_s:
             raise ConfigError("csi.mode outdated needs at least one mobility.elapsed_times_s")
         if self.csi.mobile_user >= min(sizes):

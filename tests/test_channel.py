@@ -18,6 +18,7 @@ from vlcmimo.channel import (ChannelMatrix, GeometryError, Luminaire,
                              distance_gain_prefactor, gain_map,
                              lambertian_order, radiant_intensity,
                              simplified_gain, square_grid_layout)
+from vlcmimo.config import preset
 
 # 50-digit oracle values
 M15 = 19.993727358517100661
@@ -271,3 +272,69 @@ class TestLayoutValidation:
         lay9 = square_grid_layout(9, 0.5)
         xs = sorted({l.position[0] for l in lay9.luminaires})
         assert len(xs) == 3  # 3x3 grid
+
+
+def reference_gain(lum, det, position):
+    """Literal Lambertian line-of-sight gain in math and Python floats."""
+    v = [p - q for p, q in zip(position, lum.position)]
+    d = math.sqrt(v[0] * v[0] + v[1] * v[1] + v[2] * v[2])
+    cos_e = (v[0] * lum.orientation[0] + v[1] * lum.orientation[1]
+             + v[2] * lum.orientation[2]) / d
+    cos_i = -(v[0] * det.orientation[0] + v[1] * det.orientation[1]
+              + v[2] * det.orientation[2]) / d
+    if cos_i < math.cos(math.radians(det.fov)) or cos_i <= 0.0:
+        return 0.0
+    m = lambertian_order(lum.semi_angle_half_power)
+    intensity = (m + 1.0) / (2.0 * math.pi) * max(cos_e, 0.0) ** m
+    g = det.refractive_index**2 / math.sin(math.radians(det.fov)) ** 2
+    return (det.area / d**2) * intensity * det.filter_gain * g * cos_i
+
+
+def assert_matches_reference(got, ref):
+    # numpy's vectorised pow differs from libm's by an ulp on some inputs, and
+    # numpy squares d where Python calls pow; zeros must agree exactly.
+    got, ref = np.asarray(got), np.asarray(ref)
+    assert np.array_equal(got == 0.0, ref == 0.0)
+    assert np.all(np.abs(got - ref) <= 1e-14 * ref)
+
+
+class TestGainKernel:
+    @pytest.mark.parametrize("name", ["fig3a", "fig3b", "fig3c"])
+    def test_gain_map_matches_per_cell_reference(self, name):
+        cfg = preset(name)
+        layout = cfg.build_layout()
+        field = gain_map(layout, cfg.map_resolution_m)
+        probe, z = layout.detectors[0], layout.receiver_plane_z
+        ref = [[sum(reference_gain(lum, probe, (float(x), float(y), z))
+                    for lum in layout.luminaires)
+                for x in field.x_centers] for y in field.y_centers]
+        assert 0 < np.count_nonzero(field.values) < field.values.size
+        assert_matches_reference(field.values, ref)
+
+    def test_channel_matrix_matches_reference_on_tilted_mixed_layout(self):
+        luminaires = (
+            Luminaire(position=(1.0, 1.0, 3.0), semi_angle_half_power=15.0),
+            Luminaire(position=(2.5, 1.5, 2.9), semi_angle_half_power=30.0,
+                      orientation=(0.3, -0.2, -1.0)),
+            Luminaire(position=(3.2, 3.0, 3.0), semi_angle_half_power=60.0,
+                      orientation=(-0.5, 0.1, -0.8)),
+        )
+        detectors = (
+            PhotoDetector(position=(1.1, 0.9, 0.75), fov=60.0),
+            PhotoDetector(position=(2.7, 1.2, 0.8), fov=30.0, refractive_index=1.2,
+                          filter_gain=0.7, orientation=(0.1, 0.2, 1.0)),
+            PhotoDetector(position=(3.0, 3.3, 0.75), fov=90.0, refractive_index=1.0,
+                          orientation=(-0.4, 0.0, 1.0)),
+            PhotoDetector(position=(1.9, 2.2, 0.7), fov=45.0, filter_gain=0.9,
+                          orientation=(0.2, -0.3, 0.9)),
+        )
+        layout = RoomLayout(room_x=4.0, room_y=4.0, room_z=3.0, receiver_plane_z=0.75,
+                            luminaires=luminaires, detectors=detectors)
+        h = build_channel_matrix(layout).gains
+        ref = [[reference_gain(lum, det, det.position) for lum in luminaires]
+               for det in detectors]
+        assert 0 < np.count_nonzero(h) < h.size
+        assert_matches_reference(h, ref)
+        for i, det in enumerate(detectors):
+            for j, lum in enumerate(luminaires):
+                assert h[i, j] == channel_gain(lum, det)

@@ -114,6 +114,10 @@ class TestConfigLoading:
         with pytest.raises(ConfigError):
             config_from_dict({"layout": {"n_links": 8, "spacing_m": 2.0}})
 
+    def test_raster_cap_admits_two_millimetre_map(self):
+        # 2000 x 2000 cells of the 4 m room: exactly MAX_RASTER_CELLS
+        assert config_from_dict({"map_resolution_m": 0.002}).map_resolution_m == 0.002
+
     def test_hash_changes_with_content(self):
         a = config_from_dict({})
         b = config_from_dict({"seed": 1})
@@ -169,6 +173,12 @@ class TestCli:
         with_detector(refractive_index=float("inf")),
         with_layout(room_x_m=float("inf")),
         with_layout(power_per_led_w=float("nan")),
+        {"name": "../escaped"},
+        {"name": "sub/x"},
+        {"name": ""},
+        {"schemes": ["ci", "ci"]},
+        {"map_resolution_m": 0.00001},
+        {"map_resolution_m": 0.0019},
     ], ids=["negative_links", "too_many_links", "too_many_orders", "mobile_user",
             "no_elapsed_time", "negative_seed", "fractional_seed", "nan_step",
             "infinite_stop", "fractional_symbols", "fractional_block",
@@ -177,7 +187,9 @@ class TestCli:
             "fractional_order", "fractional_mobile_user", "nan_responsivity",
             "infinite_responsivity", "infinite_led_power", "infinite_bandwidth",
             "fractional_leds", "nan_area", "infinite_area", "nan_refractive_index",
-            "infinite_refractive_index", "infinite_room", "nan_led_power"])
+            "infinite_refractive_index", "infinite_room", "nan_led_power",
+            "parent_dir_name", "nested_name", "empty_name", "repeated_scheme",
+            "huge_raster", "raster_over_cap"])
     def test_bad_config_exit_code(self, tmp_path, capsys, bad):
         path = write_yaml(tmp_path / "bad.yaml", {**SMALL, **bad})
         out = tmp_path / "results"
