@@ -128,7 +128,8 @@ def ber_oap_perfect(h, noise_sigma_per_pd, responsivity: float, power: float,
     return _exact_ber(table, noise_sigma_per_pd, responsivity, power)
 
 
-def _outdated_bound(scheme, h, h_hat, sigma, responsivity, power) -> BerResult:
+def _outdated_bound(scheme, h, h_hat, sigma, responsivity, power,
+                    renormalize: bool = False) -> BerResult:
     """Two tail terms per word and bit hypothesis under a stale precoder.
 
     From the word residuals ``ups = beta_hat H W_hat_d``: ``own = diag(ups)``
@@ -136,7 +137,7 @@ def _outdated_bound(scheme, h, h_hat, sigma, responsivity, power) -> BerResult:
     gains, hat = as_gains(h), as_gains(h_hat)
     if gains.shape != hat.shape:
         raise ValueError("true and estimated channels must share a shape")
-    table = word_table(gains, ci_precoder(hat), scheme)
+    table = word_table(gains, ci_precoder(hat), scheme, renormalize=renormalize)
     sig = sigma_table(sigma, table, power)
     gp = responsivity * power
     own = table.own
@@ -160,9 +161,10 @@ def ber_ci_outdated(h, h_hat, noise_sigma_per_pd, responsivity: float,
 
 
 def ber_oap_outdated(h, h_hat, noise_sigma_per_pd, responsivity: float,
-                     power: float) -> BerResult:
+                     power: float, renormalize: bool = False) -> BerResult:
     """Upper bound on the adaptive-scheme error rate under a stale precoder."""
-    return _outdated_bound("oap", h, h_hat, noise_sigma_per_pd, responsivity, power)
+    return _outdated_bound("oap", h, h_hat, noise_sigma_per_pd, responsivity, power,
+                           renormalize)
 
 
 def _word_rates(table: WordTable, sigma, responsivity: float, power: float) -> np.ndarray:

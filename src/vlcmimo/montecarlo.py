@@ -1,8 +1,12 @@
 """Symbol-level Monte Carlo engine with deterministic parallel estimation.
 
 Symbols are processed in fixed-size blocks; each block draws from its own
-counter-based generator keyed by (seed, block index), so error counts are
+SFC64 generator keyed by (seed, block index), so error counts are
 bit-identical for a given seed regardless of worker count or scheduling.
+Words are stratified: within a block every one of the 2^n words gets the same
+share of symbols, and only the remainder goes to words drawn at random.  The
+reported halfwidths stay the binomial ones, which over-state the spread of
+this estimator.
 """
 
 from __future__ import annotations
@@ -151,23 +155,56 @@ def _word_tables(h: ChannelMatrix, cfg: SimConfig, h_hat=None):
     return table.words, means, taus, sig
 
 
-def simulate(h: ChannelMatrix, cfg: SimConfig, h_hat=None) -> BerEstimate:
-    """Run the symbol loop and count detection errors per photodetector."""
-    words, means, taus, sig = _word_tables(h, cfg, h_hat)
-    n_words, n_r = means.shape
+def _thresholds(words, means, taus, sig) -> np.ndarray:
+    """Noise threshold per (word, detector) beyond which the slicer errs.
+
+    The slicer decides 1 when ``mean + noise * sig > tau``.  With the noise
+    taken in the direction away from the bit (down for a 1, up for a 0), a
+    detection error happens exactly when it exceeds ``z = margin / sig``,
+    where the margin is ``mean - tau`` for a 1 and ``tau - mean`` for a 0.
+    Without noise, z is -inf where the decision is wrong and +inf where it
+    is right.
+    """
     bits = words.astype(bool)
-    errors = np.zeros(n_r, dtype=np.int64)
+    wrong = (means > taus) != bits
+    with np.errstate(divide="ignore", invalid="ignore"):
+        z = np.where(bits, means - taus, taus - means) / sig
+    return np.where(sig > 0, z, np.where(wrong, -np.inf, np.inf))
+
+
+def _block_errors(z: np.ndarray, nb: int, rng: np.random.Generator) -> np.ndarray:
+    """Errors per detector over one block of ``nb`` symbols.
+
+    Each word gets ``nb // n_words`` symbols; the remaining ``nb % n_words``
+    go to words drawn uniformly.  The noise is symmetric, so one standard
+    normal draw per symbol and detector, compared with z, decides an error.
+    """
+    n_words, n_r = z.shape
+    per, extra = divmod(nb, n_words)
+    errors = np.count_nonzero(rng.standard_normal((n_words, n_r, per)) > z[:, :, None],
+                              axis=(0, 2))
+    if extra:
+        widx = rng.integers(0, n_words, size=extra)
+        errors += np.count_nonzero(rng.standard_normal((extra, n_r)) > z[widx], axis=0)
+    return errors
+
+
+def simulate(h: ChannelMatrix, cfg: SimConfig, h_hat=None) -> BerEstimate:
+    """Run the symbol loop and count detection errors per photodetector.
+
+    Blocks of ``cfg.block_size`` symbols give every word an equal share (see
+    ``_block_errors``); block k draws from ``SFC64(SeedSequence((seed, k)))``.
+    Exactly ``cfg.n_symbols`` symbols run unless early stopping ends sooner.
+    """
+    z = _thresholds(*_word_tables(h, cfg, h_hat))
+    errors = np.zeros(z.shape[1], dtype=np.int64)
     done = 0
     block_index = 0
     while done < cfg.n_symbols:
         nb = min(cfg.block_size, cfg.n_symbols - done)
-        rng = np.random.Generator(np.random.Philox(
+        rng = np.random.Generator(np.random.SFC64(
             np.random.SeedSequence(entropy=(cfg.seed, block_index))))
-        widx = rng.integers(0, n_words, size=nb)
-        noise = rng.standard_normal((nb, n_r))
-        y = means[widx] + noise * sig[widx]
-        decided = y > taus[widx]
-        errors += np.count_nonzero(decided != bits[widx], axis=0)
+        errors += _block_errors(z, nb, rng)
         done += nb
         block_index += 1
         if cfg.early_stop_errors is not None and errors.min() >= cfg.early_stop_errors:
@@ -178,15 +215,16 @@ def simulate(h: ChannelMatrix, cfg: SimConfig, h_hat=None) -> BerEstimate:
 def exhaustive_noiseless_errors(h: ChannelMatrix, cfg: SimConfig, h_hat=None) -> int:
     """Total detection errors over every symbol word with the noise disabled."""
     cfg = replace(cfg, noise_mode="noiseless")
-    words, means, taus, _ = _word_tables(h, cfg, h_hat)
-    return int(np.count_nonzero((means > taus) != words.astype(bool)))
+    return int(np.count_nonzero(_thresholds(*_word_tables(h, cfg, h_hat)) == -np.inf))
 
 
 def _analytic_for(h: ChannelMatrix, cfg: SimConfig, sigma, h_hat):
     gp_args = (sigma, h.responsivity, h.power)
     if cfg.csi_mode == "outdated":
-        fn = analytic.ber_oap_outdated if cfg.scheme == "oap" else analytic.ber_ci_outdated
-        return fn(h, h_hat, *gp_args)
+        if cfg.scheme == "oap":
+            return analytic.ber_oap_outdated(h, h_hat, *gp_args,
+                                             renormalize=cfg.renormalize_oap)
+        return analytic.ber_ci_outdated(h, h_hat, *gp_args)
     if cfg.scheme == "oap":
         return analytic.ber_oap_perfect(h, *gp_args, renormalize=cfg.renormalize_oap)
     return analytic.ber_ci_perfect(h, *gp_args)

@@ -1,12 +1,17 @@
 """Monte Carlo engine tests: determinism, noiseless exactness, consistency."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from vlcmimo.analytic import ber_ci_perfect, q_function
+from vlcmimo.analytic import (PhysicalNoise, ber_ci_perfect, ber_oap_outdated,
+                              ber_oap_perfect, q_function)
 from vlcmimo.channel import ChannelMatrix, build_channel_matrix, square_grid_layout
-from vlcmimo.montecarlo import SimConfig, exhaustive_noiseless_errors, simulate, sweep
-from vlcmimo.noise import sigma_from_transmit_snr
+from vlcmimo.csi import perturb_channel
+from vlcmimo.montecarlo import (SimConfig, _block_errors, _word_tables,
+                                exhaustive_noiseless_errors, simulate, sweep)
+from vlcmimo.noise import NoiseParams, sigma_from_transmit_snr
 from vlcmimo.precoding import ci_precoder, word_table
 
 
@@ -159,3 +164,137 @@ class TestBerEstimate:
         p = est.per_pd_ber
         expected_hw = 1.96 * np.sqrt(p * (1 - p) / est.symbols_run)
         assert np.allclose(est.halfwidth_95, expected_hw)
+
+
+def block_rng(seed, block):
+    return np.random.Generator(np.random.SFC64(np.random.SeedSequence(entropy=(seed, block))))
+
+
+class TestStratifiedBlocks:
+    """Nine links (512 words): block sizes that 2^n divides, that it does not, and below 2^n."""
+
+    @pytest.mark.parametrize("block_size", [1024, 1000, 100])
+    def test_symbol_count_kept(self, block_size):
+        h = channel(n=9)
+        cfg = SimConfig(n_symbols=2_345, seed=4, scheme="oap", snr_db=80.0,
+                        block_size=block_size)
+        assert simulate(h, cfg).symbols_run == cfg.n_symbols
+
+    @pytest.mark.parametrize("nb", [1024, 1000, 100])
+    def test_every_word_gets_its_share(self, nb):
+        # A threshold of -inf on one word makes every symbol of that word an
+        # error on every detector, so the counts read off that word's share.
+        n_words, n_r = 512, 9
+        counts = []
+        for w in range(n_words):
+            z = np.full((n_words, n_r), np.inf)
+            z[w] = -np.inf
+            errors = _block_errors(z, nb, block_rng(11, 0))
+            assert np.all(errors == errors[0])
+            counts.append(errors[0])
+        assert sum(counts) == nb
+        assert min(counts) >= nb // n_words
+
+    def test_sweep_thread_invariance_with_leftover_words(self):
+        h = channel(n=9)
+        cfg = SimConfig(n_symbols=1_050, seed=8, scheme="ci", snr_db=0.0, block_size=100)
+        points = [70.0, 74.0, 78.0]
+        serial = sweep(h, points, cfg, threads=1)
+        pooled = sweep(h, points, cfg, threads=4)
+        assert sum(e.per_pd_errors.sum() for e in serial.estimates) > 0
+        for a, b in zip(serial.estimates, pooled.estimates):
+            assert np.array_equal(a.per_pd_errors, b.per_pd_errors)
+            assert a.symbols_run == b.symbols_run == cfg.n_symbols
+
+
+def physical_channel():
+    """Four links at 0.1 mW with a cold, dark front end: shot noise sets sigma.
+
+    Thermal and background noise would otherwise swamp the signal-dependent
+    term; here sigma spreads by about 13 % across words.
+    """
+    h = dataclasses.replace(channel(), power=1e-4)
+    return h, NoiseParams(i_bg=1e-12, temperature=0.01)
+
+
+class TestLiteralSlicer:
+    """One block's draws replayed through the slicer as written: y > tau decides 1."""
+
+    @pytest.mark.parametrize("noise_mode", ["swept", "physical"])
+    @pytest.mark.parametrize("scheme", ["ci", "oap"])
+    def test_kernel_counts_match_literal_slicer(self, noise_mode, scheme):
+        if noise_mode == "physical":
+            h, params = physical_channel()
+            cfg = SimConfig(scheme=scheme, noise_mode="physical", noise_params=params)
+        else:
+            h = channel()
+            cfg = SimConfig(scheme=scheme, snr_db=78.0)
+        nb = 50_007                      # 3125 symbols per word, 7 left over
+        cfg = dataclasses.replace(cfg, n_symbols=nb, block_size=nb, seed=21)
+        words, means, taus, sig = _word_tables(h, cfg)
+        sig = np.broadcast_to(sig, means.shape)
+        n_words, n_r = means.shape
+        per, extra = divmod(nb, n_words)
+
+        rng = block_rng(cfg.seed, 0)
+        strat = rng.standard_normal((n_words, n_r, per))
+        widx = rng.integers(0, n_words, size=extra)
+        draws = np.concatenate([strat.transpose(0, 2, 1).reshape(-1, n_r),
+                                rng.standard_normal((extra, n_r))])
+        word = np.concatenate([np.repeat(np.arange(n_words), per), widx])
+        bits = words.astype(bool)[word]
+        # Each draw is the noise in the direction away from the symbol's bit.
+        noise = np.where(bits, -draws, draws)
+        y = means[word] + noise * sig[word]
+        literal = np.count_nonzero((y > taus[word]) != bits, axis=0)
+
+        est = simulate(h, cfg)
+        assert literal.sum() > 100
+        assert np.array_equal(est.per_pd_errors, literal)
+
+
+class TestAgainstClosedForm:
+    """|z| <= 5 of the stratified estimate against the exact closed form."""
+
+    @staticmethod
+    def z_score(est, exact):
+        n = est.symbols_run * len(est.per_pd_errors)
+        assert exact * n >= 100
+        return (est.average_ber - exact) / np.sqrt(exact * (1.0 - exact) / n)
+
+    @pytest.mark.parametrize("scheme", ["ci", "oap"])
+    def test_physical_noise(self, scheme):
+        h, params = physical_channel()
+        noise = PhysicalNoise(h.gains, h.detector_area, h.responsivity, params)
+        table_sig = _word_tables(h, SimConfig(noise_mode="physical", noise_params=params))[3]
+        assert np.ptp(table_sig[1:], axis=0).min() > 0.1 * table_sig.mean()
+        fn = ber_oap_perfect if scheme == "oap" else ber_ci_perfect
+        exact = fn(h, noise, h.responsivity, h.power).average
+        est = simulate(h, SimConfig(n_symbols=200_000, seed=41, scheme=scheme,
+                                    noise_mode="physical", noise_params=params))
+        assert abs(self.z_score(est, exact)) <= 5.0
+
+    @pytest.mark.parametrize("scheme", ["ci", "oap"])
+    def test_nine_link_swept_point(self, scheme):
+        h = channel(n=9)
+        snr = 80.0
+        sigma = sigma_from_transmit_snr(snr, h.responsivity, h.power)
+        fn = ber_oap_perfect if scheme == "oap" else ber_ci_perfect
+        exact = fn(h, sigma, h.responsivity, h.power).average
+        est = simulate(h, SimConfig(n_symbols=100_000, seed=43, scheme=scheme,
+                                    snr_db=snr, block_size=4_000))
+        assert abs(self.z_score(est, exact)) <= 5.0
+
+
+def test_renormalized_outdated_sweep_uses_renormalized_bound():
+    h = channel()
+    bound = 0.02 * h.gains[0, 0]
+    cfg = SimConfig(n_symbols=2_000, seed=12, scheme="oap", snr_db=0.0,
+                    csi_mode="outdated", csi_bound=bound, renormalize_oap=True)
+    row = sweep(h, [100.0], cfg, threads=1).analytic[0]
+    h_hat = perturb_channel(h, bound, model="uniform", seed=cfg.seed).h_hat
+    sigma = sigma_from_transmit_snr(100.0, h.responsivity, h.power)
+    args = (h, h_hat, sigma, h.responsivity, h.power)
+    renormalized = ber_oap_outdated(*args, renormalize=True).per_pd
+    assert np.array_equal(row.per_pd, renormalized)
+    assert not np.array_equal(renormalized, ber_oap_outdated(*args).per_pd)
