@@ -3,6 +3,8 @@
 Usage: python3 scripts/diff_outputs.py A B.  Prints "identical" for each file in
 both with the same bytes; else, per moved column (CSV header or JSON key path),
 the count of moved cells and the largest |a - b| / max(|a|, |b|), inf for text.
+A file in one directory only is reported as "only in A" or "only in B".  Exits
+1 when any file differs or is one-sided, else 0.
 """
 
 import csv
@@ -40,12 +42,18 @@ def change(a: str, b: str) -> float:
         return math.inf
 
 
-def main(a: Path, b: Path) -> None:
+def main(a: Path, b: Path) -> int:
     found = [{p.relative_to(d) for p in d.rglob("*") if p.suffix in (".csv", ".json")}
              for d in (a, b)]
-    for rel in sorted(found[0] & found[1]):
+    status = 0
+    for rel in sorted(found[0] | found[1]):
+        if rel in found[0] ^ found[1]:
+            print(f"{rel}: only in {'A' if rel in found[0] else 'B'}")
+            status = 1
+            continue
         same = (a / rel).read_bytes() == (b / rel).read_bytes()
         print(f"{rel}: {'identical' if same else 'differs'}")
+        status |= not same
         ca, cb = ({}, {}) if same else (columns(a / rel), columns(b / rel))
         for name in dict.fromkeys([*ca, *cb]):
             xs, ys = ca.get(name, []), cb.get(name, [])
@@ -54,7 +62,8 @@ def main(a: Path, b: Path) -> None:
             if moved:
                 print(f"  {name}: {len(moved)} of {max(len(xs), len(ys))} cells moved, "
                       f"max relative change {max(moved):.2g}")
+    return status
 
 
 if __name__ == "__main__":
-    main(Path(sys.argv[1]), Path(sys.argv[2]))
+    sys.exit(main(Path(sys.argv[1]), Path(sys.argv[2])))

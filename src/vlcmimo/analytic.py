@@ -1,10 +1,11 @@
 """Closed-form link performance: error rates, bounds and throughput.
 
-Error probabilities average the Gaussian tail over every binary symbol word.
-Per word the receiver slices at half the constructive amplitude of the
-detector's equal-symbol group, which for plain inversion degenerates to half
-the scaled desired gain.  The outdated-knowledge expressions are upper
-bounds, not exact probabilities, and may saturate toward 1.
+Exact error probabilities average ``Q(z)`` over every binary symbol word, z
+from ``WordTable.thresholds``: the noise threshold Monte Carlo compares its
+draws with.  Per word the receiver slices at half the constructive amplitude
+of the detector's equal-symbol group, which for plain inversion degenerates
+to half the scaled desired gain.  The outdated-knowledge expressions are
+upper bounds, not exact probabilities, and may saturate toward 1.
 """
 
 from __future__ import annotations
@@ -99,9 +100,9 @@ def sigma_table(sigma, table: WordTable, power: float) -> np.ndarray:
 
 
 def _exact_ber(table: WordTable, sigma, responsivity: float, power: float) -> BerResult:
-    """Mean over words of the slicer's tail probability at half the amplitude."""
+    """Mean over words of the Gaussian tail beyond each word's noise threshold."""
     sig = sigma_table(sigma, table, power)
-    per_pd = q_function(responsivity * power * table.slicer / (2.0 * sig)).mean(axis=0)
+    per_pd = q_function(table.thresholds(responsivity * power, sig)).mean(axis=0)
     return BerResult(per_pd=per_pd, scheme=table.scheme, csi="perfect")
 
 
@@ -110,7 +111,8 @@ def ber_ci_perfect(h, noise_sigma_per_pd, responsivity: float, power: float) -> 
 
     Per word the desired amplitude at detector i is
     ``responsivity * power * beta_s * h_i^T w_i`` and the slicer sits at half
-    of it, so each word contributes one Gaussian tail term per detector.
+    of it, so each word contributes one tail ``Q(gp * margin / sigma)`` per
+    detector, with the margin half that amplitude up to rounding in ``H W``.
     """
     table = word_table(h, ci_precoder(h), "ci")
     return _exact_ber(table, noise_sigma_per_pd, responsivity, power)
@@ -122,7 +124,7 @@ def ber_oap_perfect(h, noise_sigma_per_pd, responsivity: float, power: float,
 
     The desired amplitude at detector i includes the constructive
     contributions of its whole equal-symbol group; the slicer sits at half of
-    that group amplitude, so both symbol hypotheses face the same margin.
+    that group amplitude, so both bits face the same ``Q(gp * margin / sigma)``.
     """
     table = word_table(h, ci_precoder(h), "oap", renormalize=renormalize)
     return _exact_ber(table, noise_sigma_per_pd, responsivity, power)

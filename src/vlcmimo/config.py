@@ -44,7 +44,6 @@ __all__ = [
 
 
 # Gain-map cells a config may ask for: a 2 mm raster of the default 4 m room.
-# The raster, its CSV rows and their text are all held in memory.
 MAX_RASTER_CELLS = 4_000_000
 
 

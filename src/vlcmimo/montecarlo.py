@@ -46,7 +46,6 @@ class SimConfig:
     csi_bound: float = 0.0             # entry-wise gain error bound
     csi_rows: tuple[int, ...] = (0,)   # rows of the mobile user(s)
     csi_sign: str = "pessimistic"      # worst-case sign pattern
-    csi_seed: int | None = None        # defaults to seed
     noise_mode: str = "swept"          # "swept" | "physical" | "noiseless"
     snr_db: float | None = None        # required in swept mode
     noise_params: NoiseParams | None = None
@@ -120,56 +119,37 @@ class BerCurve:
 
 
 def _stale_gains(h: ChannelMatrix, cfg: SimConfig):
-    seed = cfg.csi_seed if cfg.csi_seed is not None else cfg.seed
-    est = perturb_channel(h, cfg.csi_bound, model=cfg.csi_model, seed=seed,
+    est = perturb_channel(h, cfg.csi_bound, model=cfg.csi_model, seed=cfg.seed,
                           rows=cfg.csi_rows, worst_case_sign=cfg.csi_sign)
     return est.h_hat
 
 
-def _word_tables(h: ChannelMatrix, cfg: SimConfig, h_hat=None):
-    """Per-word receive means, slicer thresholds and noise deviations.
+def _noise_sigma(h: ChannelMatrix, cfg: SimConfig):
+    """The noise deviation of a swept or physical run, as ``analytic`` takes it."""
+    if cfg.noise_mode == "physical":
+        return analytic.PhysicalNoise(h.gains, h.detector_area, h.responsivity,
+                                      cfg.noise_params)
+    if cfg.snr_db is None:
+        raise ValueError("swept noise mode needs a finite snr_db")
+    return sigma_from_transmit_snr(cfg.snr_db, h.responsivity, h.power)
+
+
+def _thresholds(h: ChannelMatrix, cfg: SimConfig, h_hat=None) -> np.ndarray:
+    """Noise threshold per (word, detector) beyond which the slicer errs.
 
     Read from the word table of the transmit pipeline: scale, mask, precode,
     propagate through the true channel.  The transmitter works from the stale
-    gains when channel knowledge is outdated; slicer thresholds use the true
-    channel rows against the operative precoder columns.
+    gains when channel knowledge is outdated.  Without noise, z is -inf where
+    the decision is wrong and +inf where it is right.
     """
-    gains = estimate = h.gains
+    estimate = h.gains
     if cfg.csi_mode == "outdated":
         estimate = np.asarray(h_hat, dtype=float) if h_hat is not None else _stale_gains(h, cfg)
-    table = word_table(gains, ci_precoder(estimate), cfg.scheme,
+    table = word_table(h.gains, ci_precoder(estimate), cfg.scheme,
                        renormalize=cfg.renormalize_oap)
-    gp = h.responsivity * h.power
-    means = gp * table.receive
-    taus = 0.5 * gp * table.slicer
-    if cfg.noise_mode == "noiseless":
-        return table.words, means, taus, np.zeros_like(means)
-    if cfg.noise_mode == "physical":
-        sigma = analytic.PhysicalNoise(gains, h.detector_area, h.responsivity,
-                                       cfg.noise_params)
-    elif cfg.snr_db is None:
-        raise ValueError("swept noise mode needs a finite snr_db")
-    else:
-        sigma = sigma_from_transmit_snr(cfg.snr_db, h.responsivity, h.power)
-    sig = np.broadcast_to(analytic.sigma_table(sigma, table, h.power), means.shape)
-    return table.words, means, taus, sig
-
-
-def _thresholds(words, means, taus, sig) -> np.ndarray:
-    """Noise threshold per (word, detector) beyond which the slicer errs.
-
-    The slicer decides 1 when ``mean + noise * sig > tau``.  With the noise
-    taken in the direction away from the bit (down for a 1, up for a 0), a
-    detection error happens exactly when it exceeds ``z = margin / sig``,
-    where the margin is ``mean - tau`` for a 1 and ``tau - mean`` for a 0.
-    Without noise, z is -inf where the decision is wrong and +inf where it
-    is right.
-    """
-    bits = words.astype(bool)
-    wrong = (means > taus) != bits
-    with np.errstate(divide="ignore", invalid="ignore"):
-        z = np.where(bits, means - taus, taus - means) / sig
-    return np.where(sig > 0, z, np.where(wrong, -np.inf, np.inf))
+    sig = (0.0 if cfg.noise_mode == "noiseless"
+           else analytic.sigma_table(_noise_sigma(h, cfg), table, h.power))
+    return table.thresholds(h.responsivity * h.power, sig)
 
 
 def _block_errors(z: np.ndarray, nb: int, rng: np.random.Generator) -> np.ndarray:
@@ -196,7 +176,7 @@ def simulate(h: ChannelMatrix, cfg: SimConfig, h_hat=None) -> BerEstimate:
     ``_block_errors``); block k draws from ``SFC64(SeedSequence((seed, k)))``.
     Exactly ``cfg.n_symbols`` symbols run unless early stopping ends sooner.
     """
-    z = _thresholds(*_word_tables(h, cfg, h_hat))
+    z = _thresholds(h, cfg, h_hat)
     errors = np.zeros(z.shape[1], dtype=np.int64)
     done = 0
     block_index = 0
@@ -215,11 +195,11 @@ def simulate(h: ChannelMatrix, cfg: SimConfig, h_hat=None) -> BerEstimate:
 def exhaustive_noiseless_errors(h: ChannelMatrix, cfg: SimConfig, h_hat=None) -> int:
     """Total detection errors over every symbol word with the noise disabled."""
     cfg = replace(cfg, noise_mode="noiseless")
-    return int(np.count_nonzero(_thresholds(*_word_tables(h, cfg, h_hat)) == -np.inf))
+    return int(np.count_nonzero(_thresholds(h, cfg, h_hat) == -np.inf))
 
 
-def _analytic_for(h: ChannelMatrix, cfg: SimConfig, sigma, h_hat):
-    gp_args = (sigma, h.responsivity, h.power)
+def _analytic_for(h: ChannelMatrix, cfg: SimConfig, h_hat):
+    gp_args = (_noise_sigma(h, cfg), h.responsivity, h.power)
     if cfg.csi_mode == "outdated":
         if cfg.scheme == "oap":
             return analytic.ber_oap_outdated(h, h_hat, *gp_args,
@@ -255,8 +235,7 @@ def sweep(h: ChannelMatrix, snr_points_db, cfg: SimConfig,
     def run(idx: int):
         point_cfg = replace(cfg, snr_db=points[idx], seed=_point_seed(cfg.seed, idx))
         est = simulate(h, point_cfg, h_hat=h_hat)
-        sigma = sigma_from_transmit_snr(points[idx], h.responsivity, h.power)
-        ana = _analytic_for(h, point_cfg, sigma, h_hat)
+        ana = _analytic_for(h, point_cfg, h_hat)
         if progress:
             print(f"  snr {points[idx]:7.2f} dB [{cfg.scheme}/{cfg.csi_mode}]: "
                   f"mc {est.average_ber:.3e}  analytic {ana.average:.3e}",

@@ -129,7 +129,9 @@ class WordTable:
     the amplitudes per unit ``responsivity * power``.  ``own`` is detector
     i's amplitude ``beta (H W_d)_ii``; ``slicer`` is the amplitude whose half
     is the detection threshold: ``own`` for inversion, the equal-symbol group
-    sum ``beta sum_j (H W_d)_ij T_ij`` for the adaptive scheme.
+    sum ``beta sum_j (H W_d)_ij T_ij`` for the adaptive scheme.  ``margin``
+    is ``receive - slicer/2`` where the bit is 1 and ``slicer/2 - receive``
+    where it is 0; closed forms and Monte Carlo read it through ``thresholds``.
     """
 
     scheme: str
@@ -139,6 +141,19 @@ class WordTable:
     receive: np.ndarray     # (2^n, n) noiseless receive means H t
     own: np.ndarray
     slicer: np.ndarray
+    margin: np.ndarray      # (2^n, n) signed slicer margin per unit gp
+
+    def thresholds(self, gp: float, sig) -> np.ndarray:
+        """Noise ``z = gp * margin / sig`` against the bit beyond which the slicer errs.
+
+        The error probability is ``Q(z)``.  Where ``sig`` is 0, z is -inf for
+        a wrong decision and +inf for a right one; a receive value equal to
+        the threshold decides 0, so a 1 errs at margin <= 0 and a 0 at < 0.
+        """
+        with np.errstate(divide="ignore", invalid="ignore"):
+            z = gp * self.margin / sig
+        wrong = np.where(self.words == 1, self.margin <= 0.0, self.margin < 0.0)
+        return np.where(sig > 0, z, np.where(wrong, -np.inf, np.inf))
 
 
 def word_table(gains, precoder: Precoder, scheme: str,
@@ -180,6 +195,7 @@ def word_table(gains, precoder: Precoder, scheme: str,
         on = words == 1
         own = beta * np.where(on, mx, (1.0 - x) @ m.T)
         slicer = np.where(on, k, n - k) * own
+    receive = scale * mx
     return WordTable(scheme=scheme, words=words, beta=beta[:, 0],
-                     transmit=scale * wx, receive=scale * mx,
-                     own=own, slicer=slicer)
+                     transmit=scale * wx, receive=receive, own=own, slicer=slicer,
+                     margin=np.where(words == 1, 1.0, -1.0) * (receive - 0.5 * slicer))

@@ -9,6 +9,7 @@ header row; floats are written in shortest round-trip decimal.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import json
 import os
 import sys
@@ -16,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, analytic
+from . import __version__
 from .analytic import throughput as analytic_throughput
 from .channel import (build_channel_matrix, concentrator_gain,
                       distance_gain_prefactor, gain_map, lambertian_order)
@@ -44,10 +45,12 @@ def _join_per_pd(values) -> str:
     return "|".join(repr(float(v)) for v in values)
 
 
-def _atomic_write(path: Path, text: str):
+def _atomic_write(path: Path, lines):
+    """Write the text ``lines`` to a temporary file, then rename it to ``path``."""
     tmp = path.with_name(path.name + ".tmp")
     try:
-        tmp.write_text(text, encoding="utf-8")
+        with tmp.open("w", encoding="utf-8") as f:
+            f.writelines(lines)
         os.replace(tmp, path)
     except OSError:
         tmp.unlink(missing_ok=True)
@@ -57,13 +60,12 @@ def _atomic_write(path: Path, text: str):
             tmp.unlink(missing_ok=True)
 
 
-def _write_csv(path: Path, cfg: ExperimentConfig, header: list[str], rows: list[list]):
-    lines = [f"# config_hash={cfg.config_hash()}", f"# seed={cfg.seed}",
-             f"# name={cfg.name}"]
-    lines.append(",".join(header))
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
-    _atomic_write(path, "\n".join(lines) + "\n")
+def _write_csv(path: Path, cfg: ExperimentConfig, header: list[str], rows):
+    """Write the comment lines, header and ``rows``, formatting one row at a time."""
+    head = [f"# config_hash={cfg.config_hash()}", f"# seed={cfg.seed}",
+            f"# name={cfg.name}", ",".join(header)]
+    body = (",".join(_fmt(v) for v in row) for row in rows)
+    _atomic_write(path, (line + "\n" for line in itertools.chain(head, body)))
 
 
 def _write_metadata(path: Path, cfg: ExperimentConfig, command: str, extras: dict):
@@ -75,7 +77,7 @@ def _write_metadata(path: Path, cfg: ExperimentConfig, command: str, extras: dic
         "resolved_config": cfg.resolved(),
     }
     meta.update(extras)
-    _atomic_write(path, json.dumps(meta, indent=2, sort_keys=True) + "\n")
+    _atomic_write(path, [json.dumps(meta, indent=2, sort_keys=True) + "\n"])
 
 
 def _sim_config(cfg: ExperimentConfig, scheme: str, csi_bound: float = 0.0) -> SimConfig:
@@ -104,8 +106,7 @@ def run_channel_map(cfg: ExperimentConfig, out_dir, progress: bool = False) -> l
     layout = cfg.build_layout()
     field = gain_map(layout, cfg.map_resolution_m)
     header = ["y_m"] + [repr(float(x)) for x in field.x_centers]
-    rows = [[float(y)] + [float(v) for v in field.values[iy]]
-            for iy, y in enumerate(field.y_centers)]
+    rows = ([float(y), *values.tolist()] for y, values in zip(field.y_centers, field.values))
     csv_path = out / f"{cfg.name}_gain_map.csv"
     _write_csv(csv_path, cfg, header, rows)
     meta_path = out / f"{cfg.name}_gain_map_meta.json"
@@ -142,9 +143,7 @@ def _physical_point(cfg: ExperimentConfig, h, scheme: str, bound: float):
     sim = dataclasses.replace(_sim_config(cfg, scheme, bound),
                               noise_mode="physical")
     h_hat = _stale_gains(h, sim) if sim.csi_mode == "outdated" else None
-    model = analytic.PhysicalNoise(h.gains, h.detector_area, h.responsivity,
-                                   cfg.noise.params())
-    return simulate(h, sim, h_hat=h_hat), _analytic_for(h, sim, model, h_hat)
+    return simulate(h, sim, h_hat=h_hat), _analytic_for(h, sim, h_hat)
 
 
 def run_ber_sweep(cfg: ExperimentConfig, out_dir, threads: int | None = None,

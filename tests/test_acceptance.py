@@ -193,7 +193,7 @@ def test_criterion_7_outdated_bound_validity():
             bound = bound_fn(h, h_hat, sigma, h.responsivity, h.power).average
             est = simulate(h, SimConfig(n_symbols=n_symbols, seed=77, scheme=scheme,
                                         snr_db=snr, csi_mode="outdated",
-                                        csi_bound=bound_e, csi_seed=77),
+                                        csi_bound=bound_e),
                            h_hat=h_hat)
             se = max(est.average_stderr(), 1e-12)
             margins.append((bound + 3 * se) - est.average_ber)

@@ -14,22 +14,30 @@ def report(tmp_path, capsys):
     main = runpy.run_path(str(SCRIPT))["main"]
 
     def run(a_text, b_text):
+        """Exit status and printed lines; a text of None writes no file on that side."""
         for name, text in (("a", a_text), ("b", b_text)):
             (tmp_path / name).mkdir()
-            (tmp_path / name / "fig4.csv").write_text(text, encoding="utf-8")
-        main(tmp_path / "a", tmp_path / "b")
-        return capsys.readouterr().out.splitlines()
+            if text is not None:
+                (tmp_path / name / "fig4.csv").write_text(text, encoding="utf-8")
+        status = main(tmp_path / "a", tmp_path / "b")
+        return status, capsys.readouterr().out.splitlines()
 
     return run
 
 
 def test_identical_directories(report):
-    assert report(CSV, CSV) == ["fig4.csv: identical"]
+    assert report(CSV, CSV) == (0, ["fig4.csv: identical"])
 
 
 def test_one_moved_cell(report):
     moved = CSV.replace("0.125", "0.1")
-    assert report(CSV, moved) == [
+    assert report(CSV, moved) == (1, [
         "fig4.csv: differs",
         "  mc_avg_ber: 1 of 2 cells moved, max relative change 0.2",
-    ]
+    ])
+
+
+@pytest.mark.parametrize("side", ["A", "B"])
+def test_file_in_one_directory_only(report, side):
+    texts = (CSV, None) if side == "A" else (None, CSV)
+    assert report(*texts) == (1, [f"fig4.csv: only in {side}"])

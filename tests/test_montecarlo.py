@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 
 from vlcmimo.analytic import (PhysicalNoise, ber_ci_perfect, ber_oap_outdated,
-                              ber_oap_perfect, q_function)
+                              ber_oap_perfect, q_function, sigma_table)
 from vlcmimo.channel import ChannelMatrix, build_channel_matrix, square_grid_layout
 from vlcmimo.csi import perturb_channel
-from vlcmimo.montecarlo import (SimConfig, _block_errors, _word_tables,
+from vlcmimo.montecarlo import (SimConfig, _block_errors, _thresholds,
                                 exhaustive_noiseless_errors, simulate, sweep)
 from vlcmimo.noise import NoiseParams, sigma_from_transmit_snr
 from vlcmimo.precoding import ci_precoder, word_table
@@ -226,13 +226,17 @@ class TestLiteralSlicer:
         if noise_mode == "physical":
             h, params = physical_channel()
             cfg = SimConfig(scheme=scheme, noise_mode="physical", noise_params=params)
+            noise = PhysicalNoise(h.gains, h.detector_area, h.responsivity, params)
         else:
             h = channel()
             cfg = SimConfig(scheme=scheme, snr_db=78.0)
+            noise = sigma_from_transmit_snr(78.0, h.responsivity, h.power)
         nb = 50_007                      # 3125 symbols per word, 7 left over
         cfg = dataclasses.replace(cfg, n_symbols=nb, block_size=nb, seed=21)
-        words, means, taus, sig = _word_tables(h, cfg)
-        sig = np.broadcast_to(sig, means.shape)
+        table = word_table(h.gains, ci_precoder(h.gains), scheme)
+        gp = h.responsivity * h.power
+        words, means, taus = table.words, gp * table.receive, 0.5 * gp * table.slicer
+        sig = np.broadcast_to(sigma_table(noise, table, h.power), means.shape)
         n_words, n_r = means.shape
         per, extra = divmod(nb, n_words)
 
@@ -266,7 +270,8 @@ class TestAgainstClosedForm:
     def test_physical_noise(self, scheme):
         h, params = physical_channel()
         noise = PhysicalNoise(h.gains, h.detector_area, h.responsivity, params)
-        table_sig = _word_tables(h, SimConfig(noise_mode="physical", noise_params=params))[3]
+        table = word_table(h.gains, ci_precoder(h.gains), "ci")
+        table_sig = sigma_table(noise, table, h.power)
         assert np.ptp(table_sig[1:], axis=0).min() > 0.1 * table_sig.mean()
         fn = ber_oap_perfect if scheme == "oap" else ber_ci_perfect
         exact = fn(h, noise, h.responsivity, h.power).average
@@ -284,6 +289,26 @@ class TestAgainstClosedForm:
         est = simulate(h, SimConfig(n_symbols=100_000, seed=43, scheme=scheme,
                                     snr_db=snr, block_size=4_000))
         assert abs(self.z_score(est, exact)) <= 5.0
+
+
+@pytest.mark.parametrize("noise_mode", ["swept", "physical"])
+@pytest.mark.parametrize("scheme, renormalize", [("ci", False), ("oap", False), ("oap", True)])
+def test_closed_form_is_mean_tail_of_kernel_thresholds(scheme, renormalize, noise_mode):
+    """The exact rate and the kernel read one rule: per_pd is the word mean of Q(z)."""
+    if noise_mode == "physical":
+        h, params = physical_channel()
+        cfg = SimConfig(noise_mode="physical", noise_params=params)
+        noise = PhysicalNoise(h.gains, h.detector_area, h.responsivity, params)
+    else:
+        h = channel(spacing=0.25)
+        cfg = SimConfig(snr_db=90.0)
+        noise = sigma_from_transmit_snr(90.0, h.responsivity, h.power)
+    cfg = dataclasses.replace(cfg, scheme=scheme, renormalize_oap=renormalize)
+    if scheme == "oap":
+        got = ber_oap_perfect(h, noise, h.responsivity, h.power, renormalize=renormalize)
+    else:
+        got = ber_ci_perfect(h, noise, h.responsivity, h.power)
+    assert np.array_equal(got.per_pd, q_function(_thresholds(h, cfg)).mean(axis=0))
 
 
 def test_renormalized_outdated_sweep_uses_renormalized_bound():

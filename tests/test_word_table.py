@@ -14,6 +14,8 @@ two.  An error-rate term Q(a) turns a relative error d in its argument into
 about a^2 d, with a^2 ~ 2 ln(1/Q).
 """
 
+import dataclasses
+
 import mpmath
 import numpy as np
 import pytest
@@ -23,7 +25,7 @@ from vlcmimo.analytic import (PhysicalNoise, ber_ci_outdated, ber_ci_perfect,
                               q_function, throughput)
 from vlcmimo.channel import build_channel_matrix, square_grid_layout
 from vlcmimo.csi import perturb_channel
-from vlcmimo.montecarlo import SimConfig, _word_tables
+from vlcmimo.montecarlo import SimConfig, _thresholds
 from vlcmimo.noise import NoiseParams, shot_variance, total_sigma
 from vlcmimo.precoding import ci_precoder, scaling_beta, word_table
 
@@ -45,7 +47,7 @@ def assert_rates_close(got, want, tol):
 
 
 def reference_table(gains, h_hat, scheme, renormalize):
-    """beta, transmit, receive, own and slicer amplitudes, word by word."""
+    """beta, transmit, receive, own, slicer and signed margin, word by word."""
     pre = ci_precoder(h_hat)
     rows = []
     for w in combination_matrix(gains.shape[1]).a:
@@ -59,8 +61,9 @@ def reference_table(gains, h_hat, scheme, renormalize):
             wd = pre.w
             group = np.eye(len(w))
         ups = beta * (gains @ wd)
-        rows.append((beta, beta * (wd @ x), ups @ x, np.diag(ups),
-                     np.einsum("ij,ij->i", ups, group)))
+        receive, slicer = ups @ x, np.einsum("ij,ij->i", ups, group)
+        margin = [r - s / 2 if bit else s / 2 - r for r, s, bit in zip(receive, slicer, w)]
+        rows.append((beta, beta * (wd @ x), receive, np.diag(ups), slicer, margin))
     return [np.array(col) for col in zip(*rows)]
 
 
@@ -75,11 +78,11 @@ def reference_sigma(h, transmit):
 
 def reference_ber(ref, words, sig, gp, scheme, outdated):
     """Word-by-word exact error rate (fresh) or upper bound (stale)."""
-    _, _, receive, own, slicer = ref
+    _, _, receive, own, slicer, margin = ref
     acc = np.zeros(words.shape[1])
     for s, w in enumerate(words):
         if not outdated:
-            acc += q_function(gp * slicer[s] / (2.0 * sig[s]))
+            acc += q_function(gp * margin[s] / sig[s])
             continue
         interf = receive[s] - own[s] * w
         extra = slicer[s] if scheme == "oap" else 0.0
@@ -129,8 +132,11 @@ def test_table_matches_per_word_pipeline(n, spacing, csi):
             gains, ci_precoder(h_hat), scheme, renormalize=renormalize)
         assert np.array_equal(table.words, words)
         for got, want in zip((table.beta, table.transmit, table.receive, table.own,
-                              table.slicer), ref):
+                              table.slicer, table.margin), ref):
             assert_close(got, want, tol)
+        if csi == "perfect":
+            # Fresh gains: every margin is half the slicer amplitude, the old closed form.
+            assert_close(table.margin, 0.5 * ref[4], tol)
         if scheme == "ci" or renormalize:
             # Unit transmit power for every word but the silent all-zero one.
             norms = np.linalg.norm(table.transmit[1:], axis=1)
@@ -144,10 +150,7 @@ def test_table_matches_per_word_pipeline(n, spacing, csi):
             cfg = SimConfig(scheme=scheme, renormalize_oap=renormalize,
                             csi_mode="perfect" if csi == "perfect" else "outdated",
                             noise_mode=noise_mode, snr_db=snr)
-            _, means, taus, mc_sig = _word_tables(h, cfg, h_hat=h_hat)
-            assert_close(means, gp * ref[2], tol)
-            assert_close(taus, 0.5 * gp * ref[4], tol)
-            assert_close(mc_sig, sig, tol)
+            assert_close(_thresholds(h, cfg, h_hat=h_hat), gp * ref[5] / sig, tol)
 
             if csi == "perfect":
                 if scheme == "ci":
@@ -193,3 +196,12 @@ def test_beta_matches_exact_quadratic_form(n, spacing):
     for scheme in ("ci", "oap"):
         beta = word_table(gains, ci_precoder(gains), scheme).beta[rows]
         np.testing.assert_allclose(beta, exact, rtol=bound, atol=0.0)
+
+
+def test_tie_decides_zero():
+    """A margin of exactly 0: without noise a 1 errs and a 0 does not; with noise Q = 1/2."""
+    table = word_table(np.eye(2), ci_precoder(np.eye(2)), "ci")
+    table = dataclasses.replace(table, margin=np.zeros_like(table.margin))
+    z = table.thresholds(1.0, 0.0)
+    assert np.array_equal(z, np.where(table.words == 1, -np.inf, np.inf))
+    assert np.array_equal(q_function(table.thresholds(1.0, 0.5)), np.full((4, 2), 0.5))
