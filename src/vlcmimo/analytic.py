@@ -6,6 +6,9 @@ draws with.  Per word the receiver slices at half the constructive amplitude
 of the detector's equal-symbol group, which for plain inversion degenerates
 to half the scaled desired gain.  The outdated-knowledge expressions are
 upper bounds, not exact probabilities, and may saturate toward 1.
+
+``q_function`` is numpy only, from Cody's rational Chebyshev approximations
+of the error function; its relative error stays below 1e-15 down to Q = 1e-300.
 """
 
 from __future__ import annotations
@@ -13,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erfc
 
 from .noise import NoiseParams, shot_variance, thermal_variance, total_sigma
 from .precoding import (CombinationMatrix, Precoder, WordTable, as_gains,
@@ -34,9 +36,85 @@ __all__ = [
 ]
 
 
+# W. J. Cody, "Rational Chebyshev approximations for the error function", Math.
+# Comp. 23 (1969) 631-637.  Rows: numerator, then denominator coefficients,
+# highest power first, of erf(y)/y in y^2 for y <= 0.46875, of erfc(y) exp(y^2)
+# in y for 0.46875 < y <= 4, and of (1/sqrt(pi) - y erfc(y) exp(y^2)) y^2 in
+# 1/y^2 beyond.
+_CODY = [np.array(rows) for rows in (
+    ((1.85777706184603153e-1, 3.16112374387056560e0, 1.13864154151050156e2,
+      3.77485237685302021e2, 3.20937758913846947e3),
+     (1.0, 2.36012909523441209e1, 2.44024637934444173e2, 1.28261652607737228e3,
+      2.84423683343917062e3)),
+    ((2.15311535474403846e-8, 5.64188496988670089e-1, 8.88314979438837594e0,
+      6.61191906371416295e1, 2.98635138197400131e2, 8.81952221241769090e2,
+      1.71204761263407058e3, 2.05107837782607147e3, 1.23033935479799725e3),
+     (1.0, 1.57449261107098347e1, 1.17693950891312499e2, 5.37181101862009858e2,
+      1.62138957456669019e3, 3.29079923573345963e3, 4.36261909014324716e3,
+      3.43936767414372164e3, 1.23033935480374942e3)),
+    ((1.63153871373020978e-2, 3.05326634961232344e-1, 3.60344899949804439e-1,
+      1.25781726111229246e-1, 1.60837851487422766e-2, 6.58749161529837803e-4),
+     (1.0, 2.56852019228982242e0, 1.87295284992346725e0, 5.27905102951428412e-1,
+      6.05183413124413191e-2, 2.33520497626869185e-3)))]
+# Branch points in x = sqrt(2) y; Q underflows to 0 past the last.
+_Q_EDGES = (0.46875 * np.sqrt(2.0), 4.0 * np.sqrt(2.0), 38.6)
+
+
+def _rational(t, coeffs) -> np.ndarray:
+    """Numerator over denominator of ``coeffs``, both by Horner's rule in ``t``."""
+    acc = np.empty((2, t.size))
+    acc[...] = coeffs[:, :1]
+    for k in range(1, coeffs.shape[1]):
+        acc *= t
+        acc += coeffs[:, k:k + 1]
+    return acc[0] / acc[1]
+
+
+def _half_gauss(a) -> np.ndarray:
+    """``exp(-a^2/2) / 2``, split at ``h = trunc(16 a)/16`` so ``h^2/2`` is exact."""
+    h = np.trunc(16.0 * a) / 16.0
+    return 0.5 * np.exp(-0.5 * h * h) * np.exp(-0.5 * (a - h) * (a + h))
+
+
+def _q_near(a) -> np.ndarray:
+    """Q(a) as ``(1 - erf(y)) / 2`` for ``y = a / sqrt 2 <= 0.46875``."""
+    y = a / np.sqrt(2.0)
+    return 0.5 - 0.5 * y * _rational(y * y, _CODY[0])
+
+
+def _q_mid(a) -> np.ndarray:
+    """Q(a) as ``erfc(y) exp(y^2)`` times ``exp(-a^2/2) / 2`` for ``0.46875 < y <= 4``."""
+    return _rational(a / np.sqrt(2.0), _CODY[1]) * _half_gauss(a)
+
+
+def _q_tail(a) -> np.ndarray:
+    """Q(a) from the asymptotic form of ``erfc(y) exp(y^2)`` in ``1/y^2`` for ``y > 4``."""
+    y = a / np.sqrt(2.0)
+    t = 1.0 / (y * y)
+    return (1.0 / np.sqrt(np.pi) - t * _rational(t, _CODY[2])) / y * _half_gauss(a)
+
+
 def q_function(x):
-    """Gaussian tail probability Q(x) = erfc(x / sqrt 2) / 2."""
-    return 0.5 * erfc(np.asarray(x, dtype=float) / np.sqrt(2.0))
+    """Gaussian tail probability Q(x) = erfc(x / sqrt 2) / 2.
+
+    Evaluated with Cody's rational approximations in ``y = |x| / sqrt 2``:
+    ``1 - erf`` near zero, and ``erfc(y) exp(y^2)`` times ``exp(-x^2/2)``
+    (taken in x so deep tails keep their relative precision) beyond; negative
+    arguments use ``Q(x) = 1 - Q(-x)``.  Q is 0 past 38.6, where it underflows.
+    """
+    x = np.asarray(x, dtype=float)
+    a = np.abs(x)
+    q = np.where(np.isnan(x), np.nan, 0.0)
+    near = a <= _Q_EDGES[0]
+    mid = ~near & (a <= _Q_EDGES[1])
+    tail = (a > _Q_EDGES[1]) & (a < _Q_EDGES[2])
+    for sel, branch in ((near, _q_near), (mid, _q_mid), (tail, _q_tail)):
+        part = a[sel]
+        if part.size:       # small tables often leave a branch empty
+            q[sel] = branch(part)
+    neg = x < 0.0
+    q[neg] = 1.0 - q[neg]
+    return q[()]
 
 
 @dataclass(frozen=True)

@@ -265,6 +265,10 @@ def build_channel_matrix(layout: RoomLayout) -> ChannelMatrix:
     )
 
 
+# Receive points per kernel call in ``gain_map``.
+_MAP_BLOCK_CELLS = 2**16
+
+
 def gain_map(layout: RoomLayout, grid_resolution: float) -> GainMap:
     """Raster of total gain from all luminaires over the receiver plane.
 
@@ -278,11 +282,13 @@ def gain_map(layout: RoomLayout, grid_resolution: float) -> GainMap:
     ny = math.ceil(layout.room_y / grid_resolution)
     xs = (np.arange(nx) + 0.5) * grid_resolution
     ys = (np.arange(ny) + 0.5) * grid_resolution
-    values = np.zeros((ny, nx))
-    # Row by row keeps temporaries small; terms add up in layout order.
-    for iy, y in enumerate(ys):
-        values[iy] = sum(_los_gains(xs, y, layout.receiver_plane_z, probe,
-                                    layout.luminaires).T)
+    values = np.empty((ny, nx))
+    # Blocks of whole rows keep temporaries small; terms add up in layout order.
+    rows = max(1, _MAP_BLOCK_CELLS // nx)
+    for start in range(0, ny, rows):
+        g = _los_gains(xs, ys[start:start + rows, None], layout.receiver_plane_z, probe,
+                       layout.luminaires)
+        values[start:start + rows] = sum(np.moveaxis(g, -1, 0))
     return GainMap(x_centers=xs, y_centers=ys, values=values)
 
 

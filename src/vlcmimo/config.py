@@ -317,8 +317,13 @@ class ExperimentConfig:
         return dataclasses.asdict(self)
 
     def config_hash(self) -> str:
-        canon = json.dumps(self.resolved(), sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(canon.encode()).hexdigest()[:16]
+        return _resolved_hash(self.resolved())
+
+
+def _resolved_hash(resolved: dict) -> str:
+    """Short digest of a resolved config, stable across key order."""
+    canon = json.dumps(resolved, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(canon.encode()).hexdigest()[:16]
 
 
 def _from_dict(cls, data, path):

@@ -21,7 +21,7 @@ from . import __version__
 from .analytic import throughput as analytic_throughput
 from .channel import (build_channel_matrix, concentrator_gain,
                       distance_gain_prefactor, gain_map, lambertian_order)
-from .config import ExperimentConfig
+from .config import ExperimentConfig, _resolved_hash
 from .csi import MobilityEvent, error_bound
 from .montecarlo import SimConfig, _analytic_for, _stale_gains, simulate, sweep
 from .noise import sigma_from_transmit_snr
@@ -60,23 +60,23 @@ def _atomic_write(path: Path, lines):
             tmp.unlink(missing_ok=True)
 
 
-def _write_csv(path: Path, cfg: ExperimentConfig, header: list[str], rows):
+def _identity(cfg: ExperimentConfig) -> dict:
+    """Config hash, seed and resolved config of a run, resolved once per recipe."""
+    resolved = cfg.resolved()
+    return {"config_hash": _resolved_hash(resolved), "seed": cfg.seed,
+            "resolved_config": resolved}
+
+
+def _write_csv(path: Path, cfg: ExperimentConfig, config_hash: str, header: list[str], rows):
     """Write the comment lines, header and ``rows``, formatting one row at a time."""
-    head = [f"# config_hash={cfg.config_hash()}", f"# seed={cfg.seed}",
+    head = [f"# config_hash={config_hash}", f"# seed={cfg.seed}",
             f"# name={cfg.name}", ",".join(header)]
     body = (",".join(_fmt(v) for v in row) for row in rows)
     _atomic_write(path, (line + "\n" for line in itertools.chain(head, body)))
 
 
-def _write_metadata(path: Path, cfg: ExperimentConfig, command: str, extras: dict):
-    meta = {
-        "command": command,
-        "package_version": __version__,
-        "config_hash": cfg.config_hash(),
-        "seed": cfg.seed,
-        "resolved_config": cfg.resolved(),
-    }
-    meta.update(extras)
+def _write_metadata(path: Path, identity: dict, command: str, extras: dict):
+    meta = {"command": command, "package_version": __version__, **identity, **extras}
     _atomic_write(path, [json.dumps(meta, indent=2, sort_keys=True) + "\n"])
 
 
@@ -108,9 +108,10 @@ def run_channel_map(cfg: ExperimentConfig, out_dir, progress: bool = False) -> l
     header = ["y_m"] + [repr(float(x)) for x in field.x_centers]
     rows = ([float(y), *values.tolist()] for y, values in zip(field.y_centers, field.values))
     csv_path = out / f"{cfg.name}_gain_map.csv"
-    _write_csv(csv_path, cfg, header, rows)
+    identity = _identity(cfg)
+    _write_csv(csv_path, cfg, identity["config_hash"], header, rows)
     meta_path = out / f"{cfg.name}_gain_map_meta.json"
-    _write_metadata(meta_path, cfg, "channel-map", {
+    _write_metadata(meta_path, identity, "channel-map", {
         "grid_shape": list(field.values.shape),
         "peak_gain": float(field.values.max()),
     })
@@ -191,7 +192,8 @@ def run_ber_sweep(cfg: ExperimentConfig, out_dir, threads: int | None = None,
                              _join_per_pd(ana.per_pd), ana.average, int(ana.is_bound),
                              est.average_ber, est.average_halfwidth, est.symbols_run])
     csv_path = out / f"{cfg.name}_ber.csv"
-    _write_csv(csv_path, cfg, header, rows)
+    identity = _identity(cfg)
+    _write_csv(csv_path, cfg, identity["config_hash"], header, rows)
     meta_path = out / f"{cfg.name}_ber_meta.json"
     extras = {
         "noise_mode": cfg.noise.mode,
@@ -202,7 +204,7 @@ def run_ber_sweep(cfg: ExperimentConfig, out_dir, threads: int | None = None,
     if cfg.csi.mode == "outdated":
         extras["error_bound"] = bound
         extras["error_bound_elapsed_s"] = elapsed
-    _write_metadata(meta_path, cfg, "ber-sweep", extras)
+    _write_metadata(meta_path, identity, "ber-sweep", extras)
     if progress:
         print(f"wrote {csv_path}", file=sys.stderr)
     return [csv_path, meta_path]
@@ -235,9 +237,10 @@ def run_throughput_sweep(cfg: ExperimentConfig, out_dir, threads: int | None = N
                                          h.responsivity, h.power)
                 rows.append([snr, scheme, n, sp, ang, th])
     csv_path = out / f"{cfg.name}_throughput.csv"
-    _write_csv(csv_path, cfg, header, rows)
+    identity = _identity(cfg)
+    _write_csv(csv_path, cfg, identity["config_hash"], header, rows)
     meta_path = out / f"{cfg.name}_throughput_meta.json"
-    _write_metadata(meta_path, cfg, "throughput-sweep", {"snr_points_db": list(points)})
+    _write_metadata(meta_path, identity, "throughput-sweep", {"snr_points_db": list(points)})
     if progress:
         print(f"wrote {csv_path}", file=sys.stderr)
     return [csv_path, meta_path]
@@ -273,9 +276,10 @@ def run_mobility(cfg: ExperimentConfig, out_dir, threads: int | None = None,
                              _join_per_pd(ana.per_pd), ana.average, int(ana.is_bound),
                              est.average_ber, est.average_halfwidth, est.symbols_run])
     csv_path = out / f"{cfg.name}_mobility.csv"
-    _write_csv(csv_path, cfg, header, rows)
+    identity = _identity(cfg)
+    _write_csv(csv_path, cfg, identity["config_hash"], header, rows)
     meta_path = out / f"{cfg.name}_mobility_meta.json"
-    _write_metadata(meta_path, cfg, "mobility", {
+    _write_metadata(meta_path, identity, "mobility", {
         "snr_points_db": list(points),
         "error_bounds": bounds,
     })

@@ -6,9 +6,11 @@ here the oracles are independent formula reductions and quadrature.
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.special import erfc
 
 from vlcmimo.analytic import (PhysicalNoise, _word_rates, ber_ci_outdated,
                               ber_ci_perfect, ber_oap_outdated, ber_oap_perfect,
@@ -43,6 +45,52 @@ class TestQFunction:
         xs = np.linspace(-3, 6, 40)
         qs = q_function(xs)
         assert np.all(np.diff(qs) < 0)
+
+    # Branch points of Cody's approximations, x = sqrt(2) * (0.46875, 4).
+    EDGES = (0.46875 * math.sqrt(2.0), 4.0 * math.sqrt(2.0))
+
+    @classmethod
+    def grid(cls):
+        """[-9, 38.4] plus each branch point (either sign) and both its neighbours."""
+        edges = [e for edge in cls.EDGES for s in (-1.0, 1.0)
+                 for e in (np.nextafter(s * edge, -np.inf), s * edge,
+                           np.nextafter(s * edge, np.inf), s * edge * (1 - 1e-9),
+                           s * edge * (1 + 1e-9))]
+        return np.concatenate([np.linspace(-9.0, 38.4, 1201), edges])
+
+    def test_against_50_digit_reference(self):
+        xs = self.grid()
+        with mpmath.workdps(50):
+            want = np.array([float(mpmath.erfc(mpmath.mpf(x) / mpmath.sqrt(2)) / 2)
+                             for x in xs])
+        got = q_function(xs)
+        live = want > 1e-300
+        assert live.sum() > 1100
+        rel = np.abs(got[live] - want[live]) / want[live]
+        assert rel.max() <= 2e-15, (rel.max(), xs[live][rel.argmax()])
+        assert np.all(got[~live] <= 1e-300)
+
+    def test_exact_values_and_shapes(self):
+        assert q_function(0.0) == 0.5
+        assert q_function(np.inf) == 0.0
+        assert q_function(-np.inf) == 1.0
+        assert np.isnan(q_function(np.nan))
+        assert np.ndim(q_function(1.0)) == 0
+        assert q_function(np.zeros((2, 3))).shape == (2, 3)
+        assert q_function(np.array(2.0)).shape == ()
+        assert q_function(np.empty((0, 4))).shape == (0, 4)
+        got = q_function([[-np.inf, np.nan], [0.0, np.inf]])
+        np.testing.assert_array_equal(got, [[1.0, np.nan], [0.5, 0.0]])
+
+    def test_symmetry_to_rounding(self):
+        xs = self.grid()
+        assert np.abs(q_function(xs) + q_function(-xs) - 1.0).max() <= 1e-15
+
+    def test_agrees_with_scipy_erfc(self):
+        xs = self.grid()
+        want = 0.5 * erfc(xs / np.sqrt(2.0))
+        live = want > 1e-300
+        np.testing.assert_allclose(q_function(xs)[live], want[live], rtol=3e-13, atol=0.0)
 
 
 class TestCombinationMatrix:

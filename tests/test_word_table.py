@@ -15,6 +15,9 @@ about a^2 d, with a^2 ~ 2 ln(1/Q).
 """
 
 import dataclasses
+import sys
+import time
+from concurrent.futures import ThreadPoolExecutor
 
 import mpmath
 import numpy as np
@@ -25,7 +28,8 @@ from vlcmimo.analytic import (PhysicalNoise, ber_ci_outdated, ber_ci_perfect,
                               q_function, throughput)
 from vlcmimo.channel import build_channel_matrix, square_grid_layout
 from vlcmimo.csi import perturb_channel
-from vlcmimo.montecarlo import SimConfig, _thresholds
+from vlcmimo import analytic, montecarlo, precoding
+from vlcmimo.montecarlo import SimConfig, _thresholds, sweep
 from vlcmimo.noise import NoiseParams, shot_variance, total_sigma
 from vlcmimo.precoding import ci_precoder, scaling_beta, word_table
 
@@ -205,3 +209,116 @@ def test_tie_decides_zero():
     z = table.thresholds(1.0, 0.0)
     assert np.array_equal(z, np.where(table.words == 1, -np.inf, np.inf))
     assert np.array_equal(q_function(table.thresholds(1.0, 0.5)), np.full((4, 2), 0.5))
+
+
+SWEEP_CONFIGS = [
+    SimConfig(n_symbols=3000, seed=5, scheme="ci"),
+    SimConfig(n_symbols=3000, seed=5, scheme="oap", renormalize_oap=True),
+    SimConfig(n_symbols=3000, seed=5, scheme="ci", csi_mode="outdated", csi_bound=2e-7),
+    SimConfig(n_symbols=3000, seed=5, scheme="oap", csi_mode="outdated", csi_bound=2e-7),
+]
+SWEEP_SNRS = (80.0, 90.0, 100.0, 110.0)
+
+
+def count_builds(monkeypatch) -> list:
+    """Clear the kept table and record every table the builder makes.
+
+    Each build also sleeps, so that concurrent callers ask while it runs.
+    """
+    built = []
+    build = precoding._build_word_table
+
+    def counted(*args):
+        built.append(args[2:])
+        time.sleep(0.005)
+        return build(*args)
+
+    monkeypatch.setattr(precoding, "_last_table", None)
+    monkeypatch.setattr(precoding, "_build_word_table", counted)
+    return built
+
+
+@pytest.mark.parametrize("cfg", SWEEP_CONFIGS)
+def test_sweep_builds_one_table(monkeypatch, cfg):
+    """simulate and the closed form at every SNR point share one word table."""
+    h = build_channel_matrix(square_grid_layout(4, 0.5, fov=60.0))
+    built = count_builds(monkeypatch)
+    sweep(h, SWEEP_SNRS, cfg, threads=2)
+    assert built == [(cfg.scheme, cfg.renormalize_oap)]
+
+
+def test_kept_table_is_read_only():
+    gains = build_channel_matrix(square_grid_layout(2, 0.5, fov=60.0)).gains
+    for scheme in ("ci", "oap"):
+        table = word_table(gains, ci_precoder(gains), scheme)
+        assert word_table(gains, ci_precoder(gains), scheme) is table
+        for field in dataclasses.fields(table):
+            value = getattr(table, field.name)
+            if isinstance(value, np.ndarray):
+                with pytest.raises(ValueError):
+                    value[0] = 1.0
+
+
+def test_table_keyed_on_every_input(monkeypatch):
+    gains = build_channel_matrix(square_grid_layout(2, 0.5, fov=60.0)).gains
+    other = gains * np.array([[1.0, 1.0], [1.0, 1.0 + 1e-12]])
+    built = count_builds(monkeypatch)
+    calls = [(gains, gains, "ci", False), (gains, gains, "oap", False),
+             (gains, gains, "oap", True), (other, gains, "oap", True),
+             (other, other, "oap", True), (other, other, "oap", True)]
+    tables = [word_table(h, ci_precoder(h_hat), scheme, renormalize=renormalize)
+              for h, h_hat, scheme, renormalize in calls]
+    assert len(built) == 5
+    assert tables[-1] is tables[-2]
+    assert not np.array_equal(tables[2].receive, tables[3].receive)
+
+
+@pytest.mark.parametrize("cfg", SWEEP_CONFIGS)
+def test_sweep_identical_with_kept_table_cleared_or_bypassed(monkeypatch, cfg):
+    h = build_channel_matrix(square_grid_layout(4, 0.25, fov=60.0))
+
+    def run():
+        curve = sweep(h, SWEEP_SNRS, cfg, threads=2)
+        return ([e.per_pd_errors.tolist() for e in curve.estimates],
+                [a.per_pd.tolist() for a in curve.analytic])
+
+    monkeypatch.setattr(precoding, "_last_table", None)
+    cold = run()
+    assert run() == cold            # every table comes from the kept one
+
+    def fresh(gains, pre, scheme, renormalize=False):
+        """Every call builds afresh: no table is kept at all."""
+        return precoding._build_word_table(precoding.as_gains(gains), pre, scheme,
+                                           renormalize)
+
+    monkeypatch.setattr(analytic, "word_table", fresh)
+    monkeypatch.setattr(montecarlo, "word_table", fresh)
+    assert run() == cold
+
+
+def test_threads_share_and_never_mix_kept_tables(monkeypatch):
+    """More threads than cores ask for two tables, switching as often as possible."""
+    gains = build_channel_matrix(square_grid_layout(4, 0.5, fov=60.0)).gains
+    pre = ci_precoder(gains)
+    want = {scheme: precoding._build_word_table(gains, pre, scheme, False)
+            for scheme in ("ci", "oap")}
+    built = count_builds(monkeypatch)
+
+    def ask(i):
+        scheme = "ci" if i < 8 or i % 2 else "oap"
+        return scheme, word_table(gains, pre, scheme)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            first = [f.result(timeout=60) for f in [pool.submit(ask, i) for i in range(8)]]
+            mixed = [f.result(timeout=60) for f in [pool.submit(ask, i) for i in range(8, 200)]]
+    finally:
+        sys.setswitchinterval(interval)
+    # Eight concurrent requests for one table build it once and share it.
+    assert built[0] == ("ci", False)
+    assert all(table is first[0][1] for _, table in first)
+    for scheme, table in first + mixed:
+        assert table.scheme == scheme
+        assert np.array_equal(table.margin, want[scheme].margin)
