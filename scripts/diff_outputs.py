@@ -4,9 +4,10 @@ Usage: python3 scripts/diff_outputs.py A B.  Prints "identical" for each file in
 both with the same bytes; else, per moved column (CSV header or JSON key path),
 the count of moved cells and the largest |a - b| / max(|a|, |b|), inf for text.
 A file in one directory only is reported as "only in A" or "only in B".  Exits
-1 when any file differs or is one-sided, else 0.
+1 when any file differs or is one-sided, else 0, and 2 on wrong arguments.
 """
 
+import argparse
 import csv
 import json
 import math
@@ -66,4 +67,11 @@ def main(a: Path, b: Path) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main(Path(sys.argv[1]), Path(sys.argv[2])))
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("a", type=Path, help="first output directory (A)")
+    parser.add_argument("b", type=Path, help="second output directory (B)")
+    args = parser.parse_args()
+    for d in (args.a, args.b):
+        if not d.is_dir():
+            parser.error(f"{d} is not a directory")
+    sys.exit(main(args.a, args.b))

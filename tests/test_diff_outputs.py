@@ -1,6 +1,8 @@
 """scripts/diff_outputs.py: the cell-by-cell report on two output directories."""
 
 import runpy
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -41,3 +43,12 @@ def test_one_moved_cell(report):
 def test_file_in_one_directory_only(report, side):
     texts = (CSV, None) if side == "A" else (None, CSV)
     assert report(*texts) == (1, [f"fig4.csv: only in {side}"])
+
+
+@pytest.mark.parametrize("args", [[], ["only_one"], ["a", "b", "c"], ["missing_a", "missing_b"]])
+def test_wrong_arguments_print_usage_and_exit_2(tmp_path, args):
+    done = subprocess.run([sys.executable, str(SCRIPT), *args], cwd=tmp_path,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 2
+    assert done.stderr.startswith("usage: diff_outputs.py")
+    assert "Traceback" not in done.stderr

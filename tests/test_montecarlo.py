@@ -189,7 +189,7 @@ class TestStratifiedBlocks:
         for w in range(n_words):
             z = np.full((n_words, n_r), np.inf)
             z[w] = -np.inf
-            errors = _block_errors(z, nb, block_rng(11, 0))
+            errors = _block_errors(z[None], nb, block_rng(11, 0))[0]
             assert np.all(errors == errors[0])
             counts.append(errors[0])
         assert sum(counts) == nb
@@ -323,3 +323,68 @@ def test_renormalized_outdated_sweep_uses_renormalized_bound():
     renormalized = ber_oap_outdated(*args, renormalize=True).per_pd
     assert np.array_equal(row.per_pd, renormalized)
     assert not np.array_equal(renormalized, ber_oap_outdated(*args).per_pd)
+
+
+class TestSweepSharesOneStream:
+    """One (seed, block) stream per sweep: every row is its standalone simulate."""
+
+    POINTS = [92.0, 96.0, 100.0, 104.0]
+
+    @staticmethod
+    def config(scheme="ci", **kw):
+        # 15 blocks; at 200 errors per detector the low-SNR points stop early.
+        return SimConfig(n_symbols=60_000, seed=3, scheme=scheme, early_stop_errors=200,
+                         block_size=4096, **kw)
+
+    @pytest.mark.parametrize("kw", [
+        {"scheme": "ci"},
+        {"scheme": "oap", "renormalize_oap": True},
+        {"scheme": "oap", "csi_mode": "outdated", "csi_bound": 2e-7},
+    ], ids=["ci", "oap-renormalized", "oap-outdated"])
+    def test_rows_equal_standalone_simulate(self, kw):
+        h = channel()
+        cfg = self.config(**kw)
+        curve = sweep(h, self.POINTS, cfg, threads=2)
+        for snr, est in zip(curve.snr_db, curve.estimates):
+            alone = simulate(h, dataclasses.replace(cfg, snr_db=snr))
+            assert np.array_equal(est.per_pd_errors, alone.per_pd_errors)
+            assert est.symbols_run == alone.symbols_run
+
+    def test_low_snr_points_stop_in_earlier_blocks(self):
+        curve = sweep(channel(), self.POINTS, self.config(), threads=2)
+        runs = [est.symbols_run for est in curve.estimates]
+        assert runs[0] < runs[1] < runs[2] < runs[3] == 60_000
+        stopped = [est for est in curve.estimates if est.symbols_run < 60_000]
+        assert all(est.per_pd_errors.min() >= 200 for est in stopped)
+
+    @pytest.mark.parametrize("early_stop", [None, 200])
+    def test_counts_identical_across_threads(self, early_stop):
+        h = channel()
+        cfg = dataclasses.replace(self.config(), early_stop_errors=early_stop)
+        curves = [sweep(h, self.POINTS, cfg, threads=t) for t in (1, 2, 4)]
+        for rows in zip(*(c.estimates for c in curves)):
+            assert all(np.array_equal(r.per_pd_errors, rows[0].per_pd_errors)
+                       and r.symbols_run == rows[0].symbols_run for r in rows)
+
+    def test_progress_prints_one_line_per_point(self, capsys):
+        cfg = dataclasses.replace(self.config(), n_symbols=5_000)
+        sweep(channel(), self.POINTS, cfg, threads=2, progress=True)
+        lines = capsys.readouterr().err.splitlines()
+        assert [line.split()[1] for line in lines] == [f"{p:.2f}" for p in self.POINTS]
+
+    @pytest.mark.parametrize("scheme, renormalize",
+                             [("ci", False), ("oap", False), ("oap", True)])
+    def test_closed_forms_equal_per_point_functions(self, scheme, renormalize):
+        h = channel(spacing=0.25)
+        points = np.arange(60.0, 141.0, 4.0)
+        cfg = SimConfig(n_symbols=1, scheme=scheme, renormalize_oap=renormalize)
+        curve = sweep(h, points, cfg, threads=1)
+        for snr, row in zip(curve.snr_db, curve.analytic):
+            sigma = sigma_from_transmit_snr(snr, h.responsivity, h.power)
+            if scheme == "oap":
+                want = ber_oap_perfect(h, sigma, h.responsivity, h.power,
+                                       renormalize=renormalize)
+            else:
+                want = ber_ci_perfect(h, sigma, h.responsivity, h.power)
+            assert np.array_equal(row.per_pd, want.per_pd)
+            assert (row.scheme, row.csi, row.is_bound) == (scheme, "perfect", False)
