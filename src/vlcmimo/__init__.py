@@ -8,9 +8,8 @@ deterministic Monte Carlo engine for cross-validation.
 
 __version__ = "0.1.0"
 
-from .analytic import (BerResult, CombinationMatrix, ber_ci_outdated,
-                       ber_ci_perfect, ber_oap_outdated, ber_oap_perfect,
-                       combination_matrix, q_function, throughput)
+from .analytic import (BerResult, ber_ci_outdated, ber_ci_perfect,
+                       ber_oap_outdated, ber_oap_perfect, q_function, throughput)
 from .channel import (ChannelMatrix, GainMap, GeometryError, Luminaire,
                       PhotoDetector, RoomLayout, build_channel_matrix,
                       channel_gain, concentrator_gain, distance_gain_prefactor,
@@ -23,4 +22,4 @@ from .montecarlo import (BerCurve, BerEstimate, SimConfig,
 from .noise import (NoiseParams, shot_variance, sigma_from_transmit_snr,
                     thermal_variance, total_sigma)
 from .precoding import (Precoder, SingularChannelError, ci_precoder,
-                        scaling_beta)
+                        combination_matrix, scaling_beta)

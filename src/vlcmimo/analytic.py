@@ -18,14 +18,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .noise import NoiseParams, shot_variance, thermal_variance, total_sigma
-from .precoding import (CombinationMatrix, Precoder, WordTable, as_gains,
-                        ci_precoder, combination_matrix, word_table)
+from .precoding import Precoder, WordTable, as_gains, ci_precoder, word_table
 
 __all__ = [
-    "CombinationMatrix",
     "BerResult",
     "q_function",
-    "combination_matrix",
+    "exact_ber",
+    "outdated_bound",
     "ber_ci_perfect",
     "ber_ci_outdated",
     "ber_oap_perfect",
@@ -177,11 +176,45 @@ def sigma_table(sigma, table: WordTable, power: float) -> np.ndarray:
     return arr
 
 
-def _exact_ber(table: WordTable, sigma, responsivity: float, power: float) -> BerResult:
-    """Mean over words of the Gaussian tail beyond each word's noise threshold."""
-    sig = sigma_table(sigma, table, power)
-    per_pd = q_function(table.thresholds(responsivity * power, sig)).mean(axis=0)
-    return BerResult(per_pd=per_pd, scheme=table.scheme, csi="perfect")
+def exact_ber(table: WordTable, gp: float, sig) -> np.ndarray:
+    """Exact error rate per detector: the word mean of ``Q(table.thresholds(gp, sig))``.
+
+    ``sig`` is a resolved deviation (see ``sigma_table``) or a stack of them
+    along leading axes, ``(points, 1 or words, detectors)``, which gives one
+    row per point.  Under a stale precoder the table from the true gains is
+    the model Monte Carlo samples, so the rate is exact there too.
+    """
+    return q_function(table.thresholds(gp, sig)).mean(axis=-2)
+
+
+def outdated_bound(table: WordTable, gp: float, sig) -> np.ndarray:
+    """Two tail terms per word and bit hypothesis under a stale precoder.
+
+    From the word residuals ``ups = beta_hat H W_hat_d``: ``own = diag(ups)``
+    and ``interf = ups x - own x``; the adaptive scheme adds its group sum.
+    Clamped to [0, 1]; ``sig`` stacks as for ``exact_ber``.
+    """
+    own = table.own
+    interf = table.receive - own * table.words
+    group = table.slicer if table.scheme == "oap" else 0.0
+    t1 = q_function(gp * (0.5 * own - interf) / sig)
+    t2 = q_function(gp * (1.5 * own + group + interf) / sig)
+    return np.clip(2.0 * (t1 + t2).mean(axis=-2), 0.0, 1.0)
+
+
+def _one_point(scheme, h, h_hat, sigma, responsivity, power,
+               renormalize: bool = False) -> BerResult:
+    """``exact_ber`` with fresh gains (``h_hat`` None), else ``outdated_bound``, at one sigma."""
+    gains = as_gains(h)
+    hat = gains if h_hat is None else as_gains(h_hat)
+    if gains.shape != hat.shape:
+        raise ValueError("true and estimated channels must share a shape")
+    table = word_table(gains, ci_precoder(hat), scheme, renormalize=renormalize)
+    outdated = h_hat is not None
+    rate = outdated_bound if outdated else exact_ber
+    per_pd = rate(table, responsivity * power, sigma_table(sigma, table, power))
+    return BerResult(per_pd=per_pd, scheme=scheme, csi="outdated" if outdated else "perfect",
+                     is_bound=outdated)
 
 
 def ber_ci_perfect(h, noise_sigma_per_pd, responsivity: float, power: float) -> BerResult:
@@ -192,8 +225,7 @@ def ber_ci_perfect(h, noise_sigma_per_pd, responsivity: float, power: float) -> 
     of it, so each word contributes one tail ``Q(gp * margin / sigma)`` per
     detector, with the margin half that amplitude up to rounding in ``H W``.
     """
-    table = word_table(h, ci_precoder(h), "ci")
-    return _exact_ber(table, noise_sigma_per_pd, responsivity, power)
+    return _one_point("ci", h, None, noise_sigma_per_pd, responsivity, power)
 
 
 def ber_oap_perfect(h, noise_sigma_per_pd, responsivity: float, power: float,
@@ -204,47 +236,19 @@ def ber_oap_perfect(h, noise_sigma_per_pd, responsivity: float, power: float,
     contributions of its whole equal-symbol group; the slicer sits at half of
     that group amplitude, so both bits face the same ``Q(gp * margin / sigma)``.
     """
-    table = word_table(h, ci_precoder(h), "oap", renormalize=renormalize)
-    return _exact_ber(table, noise_sigma_per_pd, responsivity, power)
-
-
-def _outdated_bound(scheme, h, h_hat, sigma, responsivity, power,
-                    renormalize: bool = False) -> BerResult:
-    """Two tail terms per word and bit hypothesis under a stale precoder.
-
-    From the word residuals ``ups = beta_hat H W_hat_d``: ``own = diag(ups)``
-    and ``interf = ups x - own x``; the adaptive scheme adds its group sum."""
-    gains, hat = as_gains(h), as_gains(h_hat)
-    if gains.shape != hat.shape:
-        raise ValueError("true and estimated channels must share a shape")
-    table = word_table(gains, ci_precoder(hat), scheme, renormalize=renormalize)
-    sig = sigma_table(sigma, table, power)
-    gp = responsivity * power
-    own = table.own
-    interf = table.receive - own * table.words
-    group = table.slicer if scheme == "oap" else 0.0
-    t1 = q_function(gp * (0.5 * own - interf) / sig)
-    t2 = q_function(gp * (1.5 * own + group + interf) / sig)
-    per_pd = np.clip(2.0 * (t1 + t2).mean(axis=0), 0.0, 1.0)
-    return BerResult(per_pd=per_pd, scheme=scheme, csi="outdated", is_bound=True)
+    return _one_point("oap", h, None, noise_sigma_per_pd, responsivity, power, renormalize)
 
 
 def ber_ci_outdated(h, h_hat, noise_sigma_per_pd, responsivity: float,
                     power: float) -> BerResult:
-    """Upper bound on the inversion error rate under a stale precoder.
-
-    Sums two tail terms per word over both bit hypotheses with the word
-    residuals ``ups = beta_hat * H @ w_hat``; values are clamped to [0, 1]
-    and can exceed the exact rate substantially (it is a bound).
-    """
-    return _outdated_bound("ci", h, h_hat, noise_sigma_per_pd, responsivity, power)
+    """Upper bound on the inversion error rate under a stale precoder (``outdated_bound``)."""
+    return _one_point("ci", h, h_hat, noise_sigma_per_pd, responsivity, power)
 
 
 def ber_oap_outdated(h, h_hat, noise_sigma_per_pd, responsivity: float,
                      power: float, renormalize: bool = False) -> BerResult:
     """Upper bound on the adaptive-scheme error rate under a stale precoder."""
-    return _outdated_bound("oap", h, h_hat, noise_sigma_per_pd, responsivity, power,
-                           renormalize)
+    return _one_point("oap", h, h_hat, noise_sigma_per_pd, responsivity, power, renormalize)
 
 
 def _word_rates(table: WordTable, sigma, responsivity: float, power: float) -> np.ndarray:

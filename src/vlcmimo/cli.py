@@ -48,6 +48,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _load(args):
+    if args.threads is not None and args.threads < 1:
+        raise ConfigError(f"--threads must be >= 1, got {args.threads}")
     cfg = load_config(args.config) if args.config else preset(args.preset)
     if args.seed is not None:
         cfg = dataclasses.replace(cfg, seed=args.seed)

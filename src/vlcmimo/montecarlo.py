@@ -19,18 +19,21 @@ from __future__ import annotations
 
 import contextlib
 import itertools
+import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
+from typing import Literal
 
 import numpy as np
 
 from . import analytic
 from .channel import ChannelMatrix
-from .csi import perturb_channel
+from .config import ConfigError, _config
+from .csi import perturb_channel  # noqa: F401  (wrapped here by perfbench/tracing.py)
 from .noise import NoiseParams, sigma_from_transmit_snr
-from .precoding import ci_precoder, word_table
+from .precoding import WordTable, ci_precoder, word_table
 
 __all__ = [
     "SimConfig",
@@ -42,19 +45,19 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@_config
 class SimConfig:
-    """Configuration of one Monte Carlo run (one scheme at one noise point)."""
+    """Configuration of one Monte Carlo run (one scheme at one noise point).
+
+    The transmitter's estimate is not part of it: with ``csi_mode``
+    "outdated", ``simulate`` and ``sweep`` take it as ``h_hat``.
+    """
 
     n_symbols: int = 2_000_000
     seed: int = 0
-    scheme: str = "ci"                 # "ci" | "oap"
-    csi_mode: str = "perfect"          # "perfect" | "outdated"
-    csi_model: str = "uniform"         # perturbation model when outdated
-    csi_bound: float = 0.0             # entry-wise gain error bound
-    csi_rows: tuple[int, ...] = (0,)   # rows of the mobile user(s)
-    csi_sign: str = "pessimistic"      # worst-case sign pattern
-    noise_mode: str = "swept"          # "swept" | "physical" | "noiseless"
+    scheme: Literal["ci", "oap"] = "ci"
+    csi_mode: Literal["perfect", "outdated"] = "perfect"
+    noise_mode: Literal["swept", "physical", "noiseless"] = "swept"
     snr_db: float | None = None        # required in swept mode
     noise_params: NoiseParams | None = None
     early_stop_errors: int | None = None
@@ -63,19 +66,11 @@ class SimConfig:
 
     def __post_init__(self):
         if self.n_symbols < 1:
-            raise ValueError("n_symbols must be >= 1")
-        if self.scheme not in ("ci", "oap"):
-            raise ValueError(f"unknown scheme {self.scheme!r}")
-        if self.csi_mode not in ("perfect", "outdated"):
-            raise ValueError(f"unknown csi mode {self.csi_mode!r}")
-        if self.noise_mode not in ("swept", "physical", "noiseless"):
-            raise ValueError(f"unknown noise mode {self.noise_mode!r}")
-        if self.snr_db is not None and not np.isfinite(self.snr_db):
-            raise ValueError("swept noise mode needs a finite snr_db")
+            raise ConfigError("n_symbols must be >= 1")
         if self.early_stop_errors is not None and self.early_stop_errors < 100:
-            raise ValueError("early stopping needs a target of at least 100 errors")
+            raise ConfigError("early stopping needs a target of at least 100 errors")
         if self.block_size < 1:
-            raise ValueError("block size must be >= 1")
+            raise ConfigError("block size must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -105,9 +100,7 @@ class BerEstimate:
 
     @property
     def average_halfwidth(self) -> float:
-        n = self.symbols_run * len(self.per_pd_errors)
-        p = self.average_ber
-        return float(1.96 * np.sqrt(p * (1.0 - p) / n))
+        return 1.96 * self.average_stderr()
 
     def average_stderr(self) -> float:
         n = self.symbols_run * len(self.per_pd_errors)
@@ -126,46 +119,42 @@ class BerCurve:
     csi_mode: str
 
 
-def _stale_gains(h: ChannelMatrix, cfg: SimConfig):
-    est = perturb_channel(h, cfg.csi_bound, model=cfg.csi_model, seed=cfg.seed,
-                          rows=cfg.csi_rows, worst_case_sign=cfg.csi_sign)
-    return est.h_hat
-
-
-def _noise_sigma(h: ChannelMatrix, cfg: SimConfig):
-    """The noise deviation of a swept or physical run, as ``analytic`` takes it."""
-    if cfg.noise_mode == "physical":
-        return analytic.PhysicalNoise(h.gains, h.detector_area, h.responsivity,
-                                      cfg.noise_params)
-    if cfg.snr_db is None:
-        raise ValueError("swept noise mode needs a finite snr_db")
-    return sigma_from_transmit_snr(cfg.snr_db, h.responsivity, h.power)
-
-
-def _thresholds(h: ChannelMatrix, cfg: SimConfig, h_hat=None,
-                snr_points=None) -> np.ndarray:
-    """Noise threshold per (word, detector) beyond which the slicer errs.
-
-    Read from the word table of the transmit pipeline: scale, mask, precode,
-    propagate through the true channel.  The transmitter works from the stale
-    gains when channel knowledge is outdated.  Without noise, z is -inf where
-    the decision is wrong and +inf where it is right.  Given ``snr_points``,
-    the thresholds of every swept point are stacked along a leading axis,
-    ``(points, words, detectors)``, all from one table.
-    """
+def _table(h: ChannelMatrix, cfg: SimConfig, h_hat) -> WordTable:
+    """The run's word table; the precoder comes from ``h_hat`` when knowledge is outdated."""
     estimate = h.gains
     if cfg.csi_mode == "outdated":
-        estimate = np.asarray(h_hat, dtype=float) if h_hat is not None else _stale_gains(h, cfg)
-    table = word_table(h.gains, ci_precoder(estimate), cfg.scheme,
-                       renormalize=cfg.renormalize_oap)
-    if snr_points is not None:
-        sig = np.stack([analytic.sigma_table(
-            sigma_from_transmit_snr(p, h.responsivity, h.power), table, h.power)
-            for p in snr_points])[:, None, :]
-    elif cfg.noise_mode == "noiseless":
-        sig = 0.0
-    else:
-        sig = analytic.sigma_table(_noise_sigma(h, cfg), table, h.power)
+        if h_hat is None:
+            raise ValueError("outdated channel knowledge needs the estimate h_hat")
+        estimate = np.asarray(h_hat, dtype=float)
+    return word_table(h.gains, ci_precoder(estimate), cfg.scheme,
+                      renormalize=cfg.renormalize_oap)
+
+
+def _sigmas(h: ChannelMatrix, cfg: SimConfig, table: WordTable, snr_points) -> np.ndarray:
+    """Noise deviations stacked as ``(points, 1 or words, detectors)``.
+
+    Swept noise gives one point per SNR; physical noise is one point whose
+    signal-dependent deviation differs per word.
+    """
+    if cfg.noise_mode == "physical":
+        noise = analytic.PhysicalNoise(h.gains, h.detector_area, h.responsivity,
+                                       cfg.noise_params)
+        return analytic.sigma_table(noise, table, h.power)[None]
+    if None in snr_points:
+        raise ValueError("swept noise mode needs a finite snr_db")
+    return np.stack([analytic.sigma_table(
+        sigma_from_transmit_snr(p, h.responsivity, h.power), table, h.power)
+        for p in snr_points])[:, None, :]
+
+
+def _thresholds(h: ChannelMatrix, cfg: SimConfig, h_hat=None) -> np.ndarray:
+    """Noise threshold per (word, detector) beyond which the slicer errs, at one point.
+
+    Without noise, z is -inf where the decision is wrong and +inf where it
+    is right.
+    """
+    table = _table(h, cfg, h_hat)
+    sig = 0.0 if cfg.noise_mode == "noiseless" else _sigmas(h, cfg, table, [cfg.snr_db])[0]
     return table.thresholds(h.responsivity * h.power, sig)
 
 
@@ -248,19 +237,7 @@ def exhaustive_noiseless_errors(h: ChannelMatrix, cfg: SimConfig, h_hat=None) ->
     return int(np.count_nonzero(_thresholds(h, cfg, h_hat) == -np.inf))
 
 
-def _analytic_for(h: ChannelMatrix, cfg: SimConfig, h_hat):
-    gp_args = (_noise_sigma(h, cfg), h.responsivity, h.power)
-    if cfg.csi_mode == "outdated":
-        if cfg.scheme == "oap":
-            return analytic.ber_oap_outdated(h, h_hat, *gp_args,
-                                             renormalize=cfg.renormalize_oap)
-        return analytic.ber_ci_outdated(h, h_hat, *gp_args)
-    if cfg.scheme == "oap":
-        return analytic.ber_oap_perfect(h, *gp_args, renormalize=cfg.renormalize_oap)
-    return analytic.ber_ci_perfect(h, *gp_args)
-
-
-def sweep(h: ChannelMatrix, snr_points_db, cfg: SimConfig,
+def sweep(h: ChannelMatrix, snr_points_db, cfg: SimConfig, h_hat=None,
           threads: int | None = None, progress: bool = False) -> BerCurve:
     """Estimate and analyze one scheme over a transmit-SNR grid.
 
@@ -270,25 +247,31 @@ def sweep(h: ChannelMatrix, snr_points_db, cfg: SimConfig,
     SNR with ``cfg.seed``, its marginal distribution unchanged.  Up to
     ``threads`` blocks run at once (None means the machine's available
     parallelism, 1 forces serial); threads split blocks, not points, and the
-    counts do not depend on them.  Output order is sorted by SNR.  Perfect
-    knowledge rows take the exact rate from one Q evaluation over the stacked
-    thresholds; outdated rows take the bound per point.
+    counts do not depend on them.  Output order is sorted by SNR.  The closed
+    form of every point comes from one evaluation over the stacked
+    deviations: ``analytic.exact_ber`` with perfect knowledge, else
+    ``analytic.outdated_bound``.  Physical noise has no SNR axis: it takes no
+    points and gives one row whose ``snr_db`` is nan.
     """
     points = sorted(float(p) for p in snr_points_db)
-    if not points:
+    if cfg.noise_mode == "physical":
+        if points:
+            raise ValueError("physical noise has no SNR axis; pass no points")
+        points = [math.nan]
+    elif cfg.noise_mode != "swept":
+        raise ValueError("sweeps take swept or physical noise")
+    elif not points:
         raise ValueError("need at least one SNR point")
-    if cfg.noise_mode not in ("swept",):
-        raise ValueError("sweeps are defined for the swept noise mode")
     if threads is None:
         threads = os.cpu_count() or 1
-    h_hat = _stale_gains(h, cfg) if cfg.csi_mode == "outdated" else None
-    z = _thresholds(h, cfg, h_hat, snr_points=points)
-    estimates = _count_errors(z, cfg, threads)
-    if cfg.csi_mode == "outdated":
-        closed_forms = [_analytic_for(h, replace(cfg, snr_db=p), h_hat) for p in points]
-    else:
-        closed_forms = [analytic.BerResult(per_pd=per_pd, scheme=cfg.scheme, csi="perfect")
-                        for per_pd in analytic.q_function(z).mean(axis=1)]
+    table = _table(h, cfg, h_hat)
+    gp = h.responsivity * h.power
+    sig = _sigmas(h, cfg, table, points)
+    estimates = _count_errors(table.thresholds(gp, sig), cfg, threads)
+    outdated = cfg.csi_mode == "outdated"
+    rates = (analytic.outdated_bound if outdated else analytic.exact_ber)(table, gp, sig)
+    closed_forms = [analytic.BerResult(per_pd=r, scheme=cfg.scheme, csi=cfg.csi_mode,
+                                       is_bound=outdated) for r in rates]
     if progress:
         for p, est, ana in zip(points, estimates, closed_forms):
             print(f"  snr {p:7.2f} dB [{cfg.scheme}/{cfg.csi_mode}]: "

@@ -21,6 +21,7 @@ __all__ = [
     "SingularChannelError",
     "Precoder",
     "WordTable",
+    "combination_matrix",
     "word_table",
     "ci_precoder",
     "scaling_beta",
@@ -67,26 +68,15 @@ class Precoder:
 MAX_ENUMERATED_LINKS = 16
 
 
-@dataclass(frozen=True)
-class CombinationMatrix:
-    """All binary words of a given width in counting order (row s = bits of s)."""
-
-    a: np.ndarray
-
-    def __post_init__(self):
-        arr = np.array(self.a, dtype=np.uint8)
-        arr.setflags(write=False)
-        object.__setattr__(self, "a", arr)
-
-
-def combination_matrix(n_t: int) -> CombinationMatrix:
-    """Enumerate the 2^n_t binary transmit words, all-zeros first."""
+def combination_matrix(n_t: int) -> np.ndarray:
+    """The 2^n_t binary transmit words in counting order (row s = bits of s), read-only."""
     if not 1 <= n_t <= MAX_ENUMERATED_LINKS:
         raise ValueError(
             f"word enumeration supports 1..{MAX_ENUMERATED_LINKS} transmitters, got {n_t}")
     s = np.arange(2**n_t, dtype=np.uint32)
-    bits = (s[:, None] >> np.arange(n_t - 1, -1, -1)) & 1
-    return CombinationMatrix(a=bits)
+    bits = ((s[:, None] >> np.arange(n_t - 1, -1, -1)) & 1).astype(np.uint8)
+    bits.setflags(write=False)
+    return bits
 
 
 def ci_precoder(h) -> Precoder:
@@ -208,7 +198,7 @@ def _build_word_table(h, precoder: Precoder, scheme: str, renormalize: bool) -> 
         raise ValueError("the word table requires a square channel")
     if scheme not in ("ci", "oap"):
         raise ValueError(f"unknown scheme {scheme!r}")
-    words = combination_matrix(n).a
+    words = combination_matrix(n)
     x = words.astype(float)
     k = x.sum(axis=1, keepdims=True)
     m = h @ precoder.w

@@ -8,7 +8,6 @@ header row; floats are written in shortest round-trip decimal.
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 import json
 import os
@@ -22,8 +21,8 @@ from .analytic import throughput as analytic_throughput
 from .channel import (build_channel_matrix, concentrator_gain,
                       distance_gain_prefactor, gain_map, lambertian_order)
 from .config import ExperimentConfig, _resolved_hash
-from .csi import MobilityEvent, error_bound
-from .montecarlo import SimConfig, _analytic_for, _stale_gains, simulate, sweep
+from .csi import MobilityEvent, error_bound, perturb_channel
+from .montecarlo import SimConfig, sweep
 from .noise import sigma_from_transmit_snr
 from .precoding import ci_precoder
 
@@ -80,23 +79,38 @@ def _write_metadata(path: Path, identity: dict, command: str, extras: dict):
     _atomic_write(path, [json.dumps(meta, indent=2, sort_keys=True) + "\n"])
 
 
-def _sim_config(cfg: ExperimentConfig, scheme: str, csi_bound: float = 0.0) -> SimConfig:
-    outdated = cfg.csi.mode == "outdated"
+def _sim_config(cfg: ExperimentConfig, scheme: str, outdated: bool) -> SimConfig:
     return SimConfig(
         n_symbols=cfg.montecarlo.n_symbols,
         seed=cfg.seed,
         scheme=scheme,
         csi_mode="outdated" if outdated else "perfect",
-        csi_model=cfg.csi.model,
-        csi_bound=csi_bound,
-        csi_rows=(cfg.csi.mobile_user,),
-        csi_sign=cfg.csi.worst_case_sign,
-        noise_mode="swept",
+        noise_mode=cfg.noise.mode,
         noise_params=cfg.noise.params(),
         early_stop_errors=cfg.montecarlo.early_stop_errors,
         block_size=cfg.montecarlo.block_size,
         renormalize_oap=cfg.renormalize_oap,
     )
+
+
+def _stale_estimate(cfg: ExperimentConfig, h, bound: float) -> np.ndarray:
+    """The transmitter's gains after the mobile user moved: one draw, keyed by the seed."""
+    return perturb_channel(h, bound, model=cfg.csi.model, seed=cfg.seed,
+                           rows=(cfg.csi.mobile_user,),
+                           worst_case_sign=cfg.csi.worst_case_sign).h_hat
+
+
+def _snr_points(cfg: ExperimentConfig) -> tuple[float, ...]:
+    """The swept SNR grid; physical noise has no SNR axis."""
+    return () if cfg.noise.mode == "physical" else cfg.sweep.points()
+
+
+def _curve_rows(curve, *columns) -> list[list]:
+    """A row per point: SNR, scheme, knowledge, ``columns``, closed form, Monte Carlo."""
+    return [[snr, curve.scheme, curve.csi_mode, *columns, _join_per_pd(ana.per_pd),
+             ana.average, int(ana.is_bound), est.average_ber, est.average_halfwidth,
+             est.symbols_run]
+            for snr, est, ana in zip(curve.snr_db, curve.estimates, curve.analytic)]
 
 
 def run_channel_map(cfg: ExperimentConfig, out_dir, progress: bool = False) -> list[Path]:
@@ -139,14 +153,6 @@ def _mobility_bound(cfg: ExperimentConfig, elapsed_s: float) -> tuple[float, flo
     return error_bound(event, varpi, m), event.max_velocity
 
 
-def _physical_point(cfg: ExperimentConfig, h, scheme: str, bound: float):
-    """One physical-noise run: signal-dependent sigma, no SNR axis."""
-    sim = dataclasses.replace(_sim_config(cfg, scheme, bound),
-                              noise_mode="physical")
-    h_hat = _stale_gains(h, sim) if sim.csi_mode == "outdated" else None
-    return simulate(h, sim, h_hat=h_hat), _analytic_for(h, sim, h_hat)
-
-
 def run_ber_sweep(cfg: ExperimentConfig, out_dir, threads: int | None = None,
                   progress: bool = False) -> list[Path]:
     """Monte Carlo + analytic error rates over the SNR grid for every variant.
@@ -160,48 +166,39 @@ def run_ber_sweep(cfg: ExperimentConfig, out_dir, threads: int | None = None,
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    physical = cfg.noise.mode == "physical"
-    points = cfg.sweep.points()
+    points = _snr_points(cfg)
+    outdated = cfg.csi.mode == "outdated"
     header = ["snr_db", "scheme", "csi_mode", "n_links", "spacing_m", "semi_angle_deg",
               "analytic_per_pd", "analytic_avg_ber", "is_bound",
               "mc_avg_ber", "mc_halfwidth_95", "symbols"]
     rows = []
     conditions = {}
-    bound = 0.0
-    if cfg.csi.mode == "outdated":
+    if outdated:
         elapsed = cfg.mobility.elapsed_times_s[0]
         bound, _ = _mobility_bound(cfg, elapsed)
     for n, sp, ang in cfg.variants():
         layout = cfg.build_layout(n_links=n, spacing=sp, semi_angle=ang)
         h = build_channel_matrix(layout)
         conditions[f"{n}x{n}@{sp}m/{ang}deg"] = ci_precoder(h.gains).condition_number
+        h_hat = _stale_estimate(cfg, h, bound) if outdated else None
         for scheme in cfg.schemes:
             if progress:
                 print(f"[{cfg.name}] {n}x{n} spacing={sp} angle={ang} scheme={scheme}",
                       file=sys.stderr)
-            if physical:
-                est, ana = _physical_point(cfg, h, scheme, bound)
-                rows.append([float("nan"), scheme, cfg.csi.mode, n, sp, ang,
-                             _join_per_pd(ana.per_pd), ana.average, int(ana.is_bound),
-                             est.average_ber, est.average_halfwidth, est.symbols_run])
-                continue
-            curve = sweep(h, points, _sim_config(cfg, scheme, bound),
+            curve = sweep(h, points, _sim_config(cfg, scheme, outdated), h_hat=h_hat,
                           threads=threads, progress=progress)
-            for snr, est, ana in zip(curve.snr_db, curve.estimates, curve.analytic):
-                rows.append([snr, scheme, curve.csi_mode, n, sp, ang,
-                             _join_per_pd(ana.per_pd), ana.average, int(ana.is_bound),
-                             est.average_ber, est.average_halfwidth, est.symbols_run])
+            rows += _curve_rows(curve, n, sp, ang)
     csv_path = out / f"{cfg.name}_ber.csv"
     identity = _identity(cfg)
     _write_csv(csv_path, cfg, identity["config_hash"], header, rows)
     meta_path = out / f"{cfg.name}_ber_meta.json"
     extras = {
         "noise_mode": cfg.noise.mode,
-        "snr_points_db": [] if physical else list(points),
+        "snr_points_db": list(points),
         "channel_condition_numbers": conditions,
         "threads_note": "results are independent of the worker count",
     }
-    if cfg.csi.mode == "outdated":
+    if outdated:
         extras["error_bound"] = bound
         extras["error_bound_elapsed_s"] = elapsed
     _write_metadata(meta_path, identity, "ber-sweep", extras)
@@ -248,10 +245,15 @@ def run_throughput_sweep(cfg: ExperimentConfig, out_dir, threads: int | None = N
 
 def run_mobility(cfg: ExperimentConfig, out_dir, threads: int | None = None,
                  progress: bool = False) -> list[Path]:
-    """Outdated-knowledge sweeps over the configured mobility intervals."""
+    """Outdated-knowledge sweeps over the configured mobility intervals.
+
+    Each interval draws one stale estimate, shared by every scheme.  With
+    ``noise.mode: physical`` each interval/scheme is one row at the device
+    noise level, as in ``run_ber_sweep``.
+    """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    points = cfg.sweep.points()
+    points = _snr_points(cfg)
     layout = cfg.build_layout()
     h = build_channel_matrix(layout)
     header = ["snr_db", "scheme", "csi_mode", "csi_model", "elapsed_s", "velocity_mps",
@@ -262,19 +264,14 @@ def run_mobility(cfg: ExperimentConfig, out_dir, threads: int | None = None,
     for elapsed in cfg.mobility.elapsed_times_s:
         bound, velocity = _mobility_bound(cfg, elapsed)
         bounds[repr(float(elapsed))] = bound
+        h_hat = _stale_estimate(cfg, h, bound)
         for scheme in cfg.schemes:
             if progress:
                 print(f"[{cfg.name}] mobility t={elapsed}s bound={bound:.3e} "
                       f"scheme={scheme}", file=sys.stderr)
-            sim = _sim_config(cfg, scheme, bound)
-            if sim.csi_mode != "outdated":
-                sim = dataclasses.replace(sim, csi_mode="outdated", csi_bound=bound)
-            curve = sweep(h, points, sim, threads=threads, progress=progress)
-            for snr, est, ana in zip(curve.snr_db, curve.estimates, curve.analytic):
-                rows.append([snr, scheme, curve.csi_mode, cfg.csi.model, elapsed,
-                             velocity, bound,
-                             _join_per_pd(ana.per_pd), ana.average, int(ana.is_bound),
-                             est.average_ber, est.average_halfwidth, est.symbols_run])
+            curve = sweep(h, points, _sim_config(cfg, scheme, True), h_hat=h_hat,
+                          threads=threads, progress=progress)
+            rows += _curve_rows(curve, cfg.csi.model, elapsed, velocity, bound)
     csv_path = out / f"{cfg.name}_mobility.csv"
     identity = _identity(cfg)
     _write_csv(csv_path, cfg, identity["config_hash"], header, rows)

@@ -10,8 +10,7 @@ import numpy as np
 import pytest
 
 from vlcmimo.analytic import (ber_ci_outdated, ber_ci_perfect, ber_oap_outdated,
-                              ber_oap_perfect, combination_matrix, q_function,
-                              throughput)
+                              ber_oap_perfect, q_function, throughput)
 from vlcmimo.channel import (ChannelMatrix, build_channel_matrix,
                              concentrator_gain, distance_gain_prefactor,
                              lambertian_order, square_grid_layout)
@@ -19,7 +18,7 @@ from vlcmimo.config import preset
 from vlcmimo.csi import MobilityEvent, error_bound, perturb_channel
 from vlcmimo.montecarlo import SimConfig, exhaustive_noiseless_errors, simulate
 from vlcmimo.noise import sigma_from_transmit_snr
-from vlcmimo.precoding import ci_precoder, scaling_beta
+from vlcmimo.precoding import ci_precoder, combination_matrix, scaling_beta
 from vlcmimo.runner import run_ber_sweep
 
 
@@ -82,7 +81,7 @@ def test_criterion_2_power_normalization():
     for n in sizes[:20]:
         h = 1e-3 * (np.eye(n) + 0.3 * rng.uniform(0.0, 1.0, size=(n, n)))
         pre = ci_precoder(h)
-        for word in combination_matrix(n).a[1:]:
+        for word in combination_matrix(n)[1:]:
             beta = scaling_beta(h, word)
             norm = float(np.linalg.norm(beta * (pre.w @ word)))
             worst = max(worst, abs(norm - 1.0))
@@ -192,8 +191,7 @@ def test_criterion_7_outdated_bound_validity():
             sigma = sigma_from_transmit_snr(snr, h.responsivity, h.power)
             bound = bound_fn(h, h_hat, sigma, h.responsivity, h.power).average
             est = simulate(h, SimConfig(n_symbols=n_symbols, seed=77, scheme=scheme,
-                                        snr_db=snr, csi_mode="outdated",
-                                        csi_bound=bound_e),
+                                        snr_db=snr, csi_mode="outdated"),
                            h_hat=h_hat)
             se = max(est.average_stderr(), 1e-12)
             margins.append((bound + 3 * se) - est.average_ber)

@@ -14,11 +14,11 @@ from scipy.special import erfc
 
 from vlcmimo.analytic import (PhysicalNoise, _word_rates, ber_ci_outdated,
                               ber_ci_perfect, ber_oap_outdated, ber_oap_perfect,
-                              combination_matrix, q_function, throughput)
+                              q_function, throughput)
 from vlcmimo.channel import ChannelMatrix, build_channel_matrix, square_grid_layout
 from vlcmimo.csi import perturb_channel
 from vlcmimo.noise import NoiseParams, sigma_from_transmit_snr
-from vlcmimo.precoding import ci_precoder, word_table
+from vlcmimo.precoding import ci_precoder, combination_matrix, word_table
 
 
 def channel(n=4, spacing=0.5, fov=60.0):
@@ -95,16 +95,17 @@ class TestQFunction:
 
 class TestCombinationMatrix:
     def test_single_transmitter(self):
-        assert np.array_equal(combination_matrix(1).a, [[0], [1]])
+        assert np.array_equal(combination_matrix(1), [[0], [1]])
 
     def test_two_transmitters_counting_order(self):
-        assert np.array_equal(combination_matrix(2).a,
+        assert np.array_equal(combination_matrix(2),
                               [[0, 0], [0, 1], [1, 0], [1, 1]])
 
     def test_row_count_and_extremes(self):
         for n in (1, 3, 6):
-            a = combination_matrix(n).a
+            a = combination_matrix(n)
             assert a.shape == (2**n, n)
+            assert a.dtype == np.uint8 and not a.flags.writeable
             assert not a[0].any()
             assert a[-1].all()
 
@@ -120,7 +121,7 @@ class TestBerCiPerfect:
         h = ChannelMatrix(gains=np.eye(4), power=1.0, responsivity=1.0)
         u = 200.0
         sigma = 1.0 / u
-        words = combination_matrix(4).a
+        words = combination_matrix(4)
         expected = np.mean([q_function((1.0 if not w.any() else w.sum() ** -0.5)
                                        / (2 * sigma))
                             for w in words])
@@ -158,7 +159,7 @@ class TestBerOapPerfect:
         # per word each detector faces Q(u * |group| * beta / 2)
         h = ChannelMatrix(gains=np.eye(4), power=1.0)
         sigma = 0.02
-        words = combination_matrix(4).a
+        words = combination_matrix(4)
         acc = np.zeros(4)
         for w in words:
             k = w.sum()
@@ -243,7 +244,7 @@ class TestThroughput:
         s = sigma_from_transmit_snr(90.0, h.responsivity, h.power)
         ci, oap = (_word_rates(word_table(h, pre, scheme), s, h.responsivity, h.power)
                    for scheme in ("ci", "oap"))
-        assert combination_matrix(4).a[-1].all()     # the all-ones word
+        assert combination_matrix(4)[-1].all()     # the all-ones word
         assert oap[-1] >= ci[-1]
 
     def test_zero_word_carries_no_rate(self):
@@ -251,7 +252,7 @@ class TestThroughput:
         pre = ci_precoder(h.gains)
         for scheme in ("ci", "oap"):
             rates = _word_rates(word_table(h, pre, scheme), 1e-3, h.responsivity, h.power)
-            assert not combination_matrix(4).a[0].any()  # the all-zero word
+            assert not combination_matrix(4)[0].any()  # the all-zero word
             assert rates[0] == 0.0
 
     def test_zero_power_gives_zero_rate(self):

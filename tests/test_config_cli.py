@@ -197,6 +197,15 @@ class TestCli:
         assert "config error" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("threads", ["0", "-1"])
+    def test_threads_below_one_rejected(self, tmp_path, capsys, threads):
+        path = write_yaml(tmp_path / "c.yaml", SMALL)
+        out = tmp_path / "results"
+        assert main(["ber-sweep", "--config", str(path), "--out", str(out), "--quiet",
+                     "--threads", threads]) == 2
+        assert "config error" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("bad", bad_field_values())
     def test_every_field_rejects_bad_value(self, tmp_path, capsys, bad):
         path = write_yaml(tmp_path / "bad.yaml", bad)
@@ -316,6 +325,24 @@ class TestCli:
         assert lines[4].startswith("nan,")
         meta = json.loads((out / "phys_ber_meta.json").read_text())
         assert meta["noise_mode"] == "physical"
+
+    def test_physical_noise_mode_mobility_single_point(self, tmp_path):
+        # physical noise in mobility: one row per interval and scheme, no SNR grid
+        cfgd = dict(SMALL, name="physmob", noise={"mode": "physical"},
+                    csi={"mode": "outdated"},
+                    mobility={"speed_mps": 1.0, "elapsed_times_s": [0.05, 0.2]},
+                    layout={"n_links": 4, "spacing_m": 0.5,
+                            "power_per_led_w": 1e-7,
+                            "detector": {"fov_deg": 60.0}})
+        path = write_yaml(tmp_path / "p.yaml", cfgd)
+        out = tmp_path / "physmob"
+        assert main(["mobility", "--config", str(path), "--out", str(out),
+                     "--quiet"]) == 0
+        lines = (out / "physmob_mobility.csv").read_text().splitlines()
+        assert len(lines) == 4 + 2 * 2    # 2 intervals x 2 schemes
+        assert all(line.startswith("nan,") for line in lines[4:])
+        meta = json.loads((out / "physmob_mobility_meta.json").read_text())
+        assert meta["snr_points_db"] == []
 
     def test_mobility_zero_speed_matches_perfect(self, tmp_path):
         base = dict(SMALL, name="still",

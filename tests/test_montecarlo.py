@@ -1,18 +1,21 @@
 """Monte Carlo engine tests: determinism, noiseless exactness, consistency."""
 
 import dataclasses
+import json
 
 import numpy as np
 import pytest
 
-from vlcmimo.analytic import (PhysicalNoise, ber_ci_perfect, ber_oap_outdated,
-                              ber_oap_perfect, q_function, sigma_table)
+from vlcmimo.analytic import (PhysicalNoise, ber_ci_outdated, ber_ci_perfect,
+                              ber_oap_outdated, ber_oap_perfect, q_function, sigma_table)
 from vlcmimo.channel import ChannelMatrix, build_channel_matrix, square_grid_layout
+from vlcmimo.config import config_from_dict
 from vlcmimo.csi import perturb_channel
 from vlcmimo.montecarlo import (SimConfig, _block_errors, _thresholds,
                                 exhaustive_noiseless_errors, simulate, sweep)
 from vlcmimo.noise import NoiseParams, sigma_from_transmit_snr
 from vlcmimo.precoding import ci_precoder, word_table
+from vlcmimo.runner import run_ber_sweep
 
 
 def channel(n=4, spacing=0.5, fov=60.0):
@@ -130,9 +133,9 @@ class TestOutdatedSimulation:
         h = channel()
         base = SimConfig(n_symbols=60_000, seed=31, scheme="ci", snr_db=85.0)
         stale = SimConfig(n_symbols=60_000, seed=31, scheme="ci", snr_db=85.0,
-                          csi_mode="outdated", csi_bound=0.0)
+                          csi_mode="outdated")
         a = simulate(h, base)
-        b = simulate(h, stale)
+        b = simulate(h, stale, h_hat=perturb_channel(h, 0.0, seed=stale.seed).h_hat)
         assert np.array_equal(a.per_pd_errors, b.per_pd_errors)
 
     def test_perturbation_degrades_high_snr(self):
@@ -140,17 +143,18 @@ class TestOutdatedSimulation:
         snr = 94.0
         bound = 0.15 * h.gains[0, 0]
         fresh = simulate(h, SimConfig(n_symbols=300_000, seed=13, snr_db=snr))
+        h_hat = perturb_channel(h, bound, model="worst_case", seed=13).h_hat
         stale = simulate(h, SimConfig(n_symbols=300_000, seed=13, snr_db=snr,
-                                      csi_mode="outdated", csi_model="worst_case",
-                                      csi_bound=bound))
+                                      csi_mode="outdated"), h_hat=h_hat)
         assert stale.per_pd_errors.sum() > 5 * fresh.per_pd_errors.sum()
 
     def test_sweep_pairs_bound_with_estimate(self):
         h = channel(spacing=1.0)
         bound = 0.02 * h.gains[0, 0]
         cfg = SimConfig(n_symbols=50_000, seed=3, scheme="oap", snr_db=0.0,
-                        csi_mode="outdated", csi_bound=bound)
-        curve = sweep(h, [80.0, 90.0], cfg)
+                        csi_mode="outdated")
+        h_hat = perturb_channel(h, bound, seed=cfg.seed).h_hat
+        curve = sweep(h, [80.0, 90.0], cfg, h_hat=h_hat)
         for ana in curve.analytic:
             assert ana.is_bound
             assert ana.csi == "outdated"
@@ -315,9 +319,9 @@ def test_renormalized_outdated_sweep_uses_renormalized_bound():
     h = channel()
     bound = 0.02 * h.gains[0, 0]
     cfg = SimConfig(n_symbols=2_000, seed=12, scheme="oap", snr_db=0.0,
-                    csi_mode="outdated", csi_bound=bound, renormalize_oap=True)
-    row = sweep(h, [100.0], cfg, threads=1).analytic[0]
+                    csi_mode="outdated", renormalize_oap=True)
     h_hat = perturb_channel(h, bound, model="uniform", seed=cfg.seed).h_hat
+    row = sweep(h, [100.0], cfg, h_hat=h_hat, threads=1).analytic[0]
     sigma = sigma_from_transmit_snr(100.0, h.responsivity, h.power)
     args = (h, h_hat, sigma, h.responsivity, h.power)
     renormalized = ber_oap_outdated(*args, renormalize=True).per_pd
@@ -339,14 +343,15 @@ class TestSweepSharesOneStream:
     @pytest.mark.parametrize("kw", [
         {"scheme": "ci"},
         {"scheme": "oap", "renormalize_oap": True},
-        {"scheme": "oap", "csi_mode": "outdated", "csi_bound": 2e-7},
+        {"scheme": "oap", "csi_mode": "outdated"},
     ], ids=["ci", "oap-renormalized", "oap-outdated"])
     def test_rows_equal_standalone_simulate(self, kw):
         h = channel()
         cfg = self.config(**kw)
-        curve = sweep(h, self.POINTS, cfg, threads=2)
+        h_hat = perturb_channel(h, 2e-7, seed=cfg.seed).h_hat
+        curve = sweep(h, self.POINTS, cfg, h_hat=h_hat, threads=2)
         for snr, est in zip(curve.snr_db, curve.estimates):
-            alone = simulate(h, dataclasses.replace(cfg, snr_db=snr))
+            alone = simulate(h, dataclasses.replace(cfg, snr_db=snr), h_hat=h_hat)
             assert np.array_equal(est.per_pd_errors, alone.per_pd_errors)
             assert est.symbols_run == alone.symbols_run
 
@@ -388,3 +393,76 @@ class TestSweepSharesOneStream:
                 want = ber_ci_perfect(h, sigma, h.responsivity, h.power)
             assert np.array_equal(row.per_pd, want.per_pd)
             assert (row.scheme, row.csi, row.is_bound) == (scheme, "perfect", False)
+
+
+class TestRunnerRowsAreOneSweep:
+    """Every ber row is ``simulate`` plus the closed form, with the runner's one estimate."""
+
+    BASE = {"name": "rows", "seed": 11, "montecarlo": {"n_symbols": 20_000, "block_size": 4096},
+            "sweep": {"snr_start_db": 84.0, "snr_stop_db": 92.0, "snr_step_db": 4.0},
+            "mobility": {"speed_mps": 1.0, "elapsed_times_s": [0.1, 0.3]}}
+    PHYSICAL = {"noise": {"mode": "physical", "background_current_a": 1e-12,
+                          "temperature_k": 0.01},
+                "layout": {"n_links": 4, "spacing_m": 0.5, "power_per_led_w": 1e-8,
+                           "detector": {"fov_deg": 60.0}}}
+    SWEPT = {"layout": {"n_links": 4, "spacing_m": 1.0, "detector": {"fov_deg": 60.0}}}
+    CLOSED_FORMS = {("ci", False): ber_ci_perfect, ("oap", False): ber_oap_perfect,
+                    ("ci", True): ber_ci_outdated, ("oap", True): ber_oap_outdated}
+
+    @pytest.mark.parametrize("extra", [
+        {**PHYSICAL, "csi": {"mode": "perfect"}},
+        {**PHYSICAL, "csi": {"mode": "outdated"}},
+        {**SWEPT, "csi": {"mode": "outdated", "model": "worst_case", "mobile_user": 1}},
+    ], ids=["physical-perfect", "physical-outdated", "worst-case-user-1"])
+    def test_rows_equal_simulate_and_closed_form(self, tmp_path, extra):
+        cfg = config_from_dict({**self.BASE, **extra})
+        csv_path, meta_path = run_ber_sweep(cfg, tmp_path, threads=2)
+        lines = [line for line in csv_path.read_text().splitlines() if not line.startswith("#")]
+        header, rows = lines[0].split(","), [line.split(",") for line in lines[1:]]
+        meta = json.loads(meta_path.read_text())
+        h = build_channel_matrix(cfg.build_layout())
+        outdated = cfg.csi.mode == "outdated"
+        h_hat = None
+        if outdated:
+            h_hat = perturb_channel(h, meta["error_bound"], model=cfg.csi.model, seed=cfg.seed,
+                                    rows=(cfg.csi.mobile_user,),
+                                    worst_case_sign=cfg.csi.worst_case_sign).h_hat
+            assert meta["error_bound"] > 0.0
+        physical = cfg.noise.mode == "physical"
+        points = [float("nan")] if physical else list(cfg.sweep.points())
+        assert len(rows) == len(cfg.schemes) * len(points)
+        assert meta["snr_points_db"] == ([] if physical else points)
+        errors = 0
+        for row, (scheme, snr) in zip(rows, [(s, p) for s in cfg.schemes for p in points]):
+            sim = SimConfig(n_symbols=20_000, seed=cfg.seed, scheme=scheme,
+                            csi_mode=cfg.csi.mode, noise_mode=cfg.noise.mode,
+                            snr_db=None if physical else snr,
+                            noise_params=cfg.noise.params(), block_size=4096)
+            est = simulate(h, sim, h_hat=h_hat)
+            if physical:
+                noise = PhysicalNoise(h.gains, h.detector_area, h.responsivity,
+                                      cfg.noise.params())
+            else:
+                noise = sigma_from_transmit_snr(snr, h.responsivity, h.power)
+            args = (h, h_hat) if outdated else (h,)
+            ana = self.CLOSED_FORMS[scheme, outdated](*args, noise, h.responsivity, h.power)
+            want = {"snr_db": repr(snr), "scheme": scheme, "csi_mode": cfg.csi.mode,
+                    "analytic_per_pd": "|".join(repr(float(v)) for v in ana.per_pd),
+                    "analytic_avg_ber": repr(ana.average),
+                    "is_bound": str(int(outdated)),
+                    "mc_avg_ber": repr(est.average_ber),
+                    "mc_halfwidth_95": repr(est.average_halfwidth),
+                    "symbols": str(est.symbols_run)}
+            assert {k: row[header.index(k)] for k in want} == want
+            errors += int(est.per_pd_errors.sum())
+        assert errors > 100
+
+    @pytest.mark.parametrize("physical", [False, True])
+    def test_outdated_without_estimate_raises(self, physical):
+        h, params = physical_channel()
+        cfg = SimConfig(n_symbols=100, csi_mode="outdated", snr_db=None if physical else 90.0,
+                        noise_mode="physical" if physical else "swept", noise_params=params)
+        with pytest.raises(ValueError, match="h_hat"):
+            simulate(h, cfg)
+        with pytest.raises(ValueError, match="h_hat"):
+            sweep(h, [] if physical else [90.0], cfg)

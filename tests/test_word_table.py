@@ -24,14 +24,14 @@ import numpy as np
 import pytest
 
 from vlcmimo.analytic import (PhysicalNoise, ber_ci_outdated, ber_ci_perfect,
-                              ber_oap_outdated, ber_oap_perfect, combination_matrix,
-                              q_function, throughput)
+                              ber_oap_outdated, ber_oap_perfect, q_function, throughput)
 from vlcmimo.channel import build_channel_matrix, square_grid_layout
 from vlcmimo.csi import perturb_channel
-from vlcmimo import analytic, montecarlo, precoding
+from vlcmimo import analytic, montecarlo, precoding, runner
+from vlcmimo.config import config_from_dict
 from vlcmimo.montecarlo import SimConfig, _thresholds, sweep
 from vlcmimo.noise import NoiseParams, shot_variance, total_sigma
-from vlcmimo.precoding import ci_precoder, scaling_beta, word_table
+from vlcmimo.precoding import ci_precoder, combination_matrix, scaling_beta, word_table
 
 RTOL = 1e-12
 SNRS_DB = (85.0, 105.0, 125.0)   # the outdated bounds saturate at the low end
@@ -54,7 +54,7 @@ def reference_table(gains, h_hat, scheme, renormalize):
     """beta, transmit, receive, own, slicer and signed margin, word by word."""
     pre = ci_precoder(h_hat)
     rows = []
-    for w in combination_matrix(gains.shape[1]).a:
+    for w in combination_matrix(gains.shape[1]):
         x = w.astype(float)
         if scheme == "oap":
             group = (w[:, None] == w[None, :]).astype(float)
@@ -100,7 +100,7 @@ def reference_throughput(scheme, gains, sigma, gp):
     """Word-averaged sum-rate with the mask formed for every word."""
     pre = ci_precoder(gains)
     total = 0.0
-    for w in combination_matrix(gains.shape[1]).a:
+    for w in combination_matrix(gains.shape[1]):
         if not w.any():
             continue
         x = w.astype(float)
@@ -128,7 +128,7 @@ def test_table_matches_per_word_pipeline(n, spacing, csi):
     gp = h.responsivity * h.power
     sigmas = [gp * 10.0 ** (-snr / 20.0) for snr in SNRS_DB]
     physical = PhysicalNoise(gains, h.detector_area, h.responsivity, NoiseParams())
-    words = combination_matrix(n).a
+    words = combination_matrix(n)
     tables = {}
     for scheme, renormalize in VARIANTS:
         ref = reference_table(gains, h_hat, scheme, renormalize)
@@ -189,7 +189,7 @@ def test_beta_matches_exact_quadratic_form(n, spacing):
     """
     gains = build_channel_matrix(square_grid_layout(n, spacing, fov=60.0)).gains
     rows = np.unique(np.r_[1, 2 ** n - 1, np.random.default_rng(n).integers(1, 2 ** n, 30)])
-    words = combination_matrix(n).a[rows]
+    words = combination_matrix(n)[rows]
     with mpmath.workdps(60):
         h = mpmath.matrix(gains.tolist())
         inv = mpmath.inverse(h * h.T)
@@ -214,10 +214,17 @@ def test_tie_decides_zero():
 SWEEP_CONFIGS = [
     SimConfig(n_symbols=3000, seed=5, scheme="ci"),
     SimConfig(n_symbols=3000, seed=5, scheme="oap", renormalize_oap=True),
-    SimConfig(n_symbols=3000, seed=5, scheme="ci", csi_mode="outdated", csi_bound=2e-7),
-    SimConfig(n_symbols=3000, seed=5, scheme="oap", csi_mode="outdated", csi_bound=2e-7),
+    SimConfig(n_symbols=3000, seed=5, scheme="ci", csi_mode="outdated"),
+    SimConfig(n_symbols=3000, seed=5, scheme="oap", csi_mode="outdated"),
 ]
 SWEEP_SNRS = (80.0, 90.0, 100.0, 110.0)
+
+
+def sweep_estimate(h, cfg):
+    """The stale estimate an outdated sweep config runs with, else None."""
+    if cfg.csi_mode == "outdated":
+        return perturb_channel(h, 2e-7, seed=cfg.seed).h_hat
+    return None
 
 
 def count_builds(monkeypatch) -> list:
@@ -239,12 +246,38 @@ def count_builds(monkeypatch) -> list:
 
 
 @pytest.mark.parametrize("cfg", SWEEP_CONFIGS)
-def test_sweep_builds_one_table(monkeypatch, cfg):
-    """simulate and the closed form at every SNR point share one word table."""
+def test_sweep_builds_one_table(monkeypatch, tmp_path, cfg):
+    """simulate and the closed form at every SNR point share one word table.
+
+    The runner draws the stale estimate once per variant and hands the same
+    one to every scheme, so a two-variant sweep builds one table per
+    (variant, scheme) and makes one draw per variant.
+    """
     h = build_channel_matrix(square_grid_layout(4, 0.5, fov=60.0))
     built = count_builds(monkeypatch)
-    sweep(h, SWEEP_SNRS, cfg, threads=2)
+    sweep(h, SWEEP_SNRS, cfg, h_hat=sweep_estimate(h, cfg), threads=2)
     assert built == [(cfg.scheme, cfg.renormalize_oap)]
+
+    draws = []
+
+    def counted_perturb(*args, **kwargs):
+        draws.append(args[1])
+        return perturb_channel(*args, **kwargs)
+
+    monkeypatch.setattr(runner, "perturb_channel", counted_perturb)
+    monkeypatch.setattr(precoding, "_last_table", None)
+    built.clear()
+    exp = config_from_dict({
+        "name": "tables", "seed": cfg.seed, "schemes": ["ci", "oap"],
+        "renormalize_oap": cfg.renormalize_oap, "csi": {"mode": cfg.csi_mode},
+        "layout": {"n_links": 4, "detector": {"fov_deg": 60.0}},
+        "spacings_m": [0.5, 1.0],
+        "sweep": {"snr_start_db": 80.0, "snr_stop_db": 110.0, "snr_step_db": 10.0},
+        "montecarlo": {"n_symbols": cfg.n_symbols}})
+    runner.run_ber_sweep(exp, tmp_path, threads=2)
+    variants = 2
+    assert built == [(s, cfg.renormalize_oap) for s in ("ci", "oap")] * variants
+    assert len(draws) == (variants if cfg.csi_mode == "outdated" else 0)
 
 
 def test_kept_table_is_read_only():
@@ -278,7 +311,7 @@ def test_sweep_identical_with_kept_table_cleared_or_bypassed(monkeypatch, cfg):
     h = build_channel_matrix(square_grid_layout(4, 0.25, fov=60.0))
 
     def run():
-        curve = sweep(h, SWEEP_SNRS, cfg, threads=2)
+        curve = sweep(h, SWEEP_SNRS, cfg, h_hat=sweep_estimate(h, cfg), threads=2)
         return ([e.per_pd_errors.tolist() for e in curve.estimates],
                 [a.per_pd.tolist() for a in curve.analytic])
 
