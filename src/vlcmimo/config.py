@@ -20,7 +20,6 @@ from pathlib import Path
 from typing import Literal
 
 import numpy as np
-import yaml
 
 from .channel import GeometryError, RoomLayout, square_grid_layout
 from .noise import NoiseParams
@@ -360,6 +359,8 @@ def config_from_dict(data: dict) -> ExperimentConfig:
 
 def load_config(path) -> ExperimentConfig:
     """Load a YAML or JSON experiment config from disk."""
+    import yaml     # here, so that presets, JSON and library callers never load it
+
     p = Path(path)
     text = p.read_text(encoding="utf-8")
     try:

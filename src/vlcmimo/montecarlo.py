@@ -8,11 +8,17 @@ share of symbols, and only the remainder goes to words drawn at random.  The
 reported halfwidths stay the binomial ones, which over-state the spread of
 this estimator.
 
-A sweep uses common random numbers: sigma only scales the thresholds, so one
-(seed, block) stream per sweep is compared with the thresholds of every SNR
-point.  Rows are therefore correlated along SNR, while each row is exactly
-the standalone run at its SNR and keeps its marginal distribution.  Threads
-split a sweep's blocks, not its points.
+Sweeps use common random numbers: sigma only scales the thresholds, and the
+draws depend only on the seed, the symbol and block counts and the word and
+detector counts.  One (seed, block) stream therefore serves every SNR point
+of every case of a ``sweep`` call that has the same word and detector counts
+(every scheme, array spacing or elapsed time of a recipe): each block is
+drawn once and compared with all their thresholds.  Those cases drew
+identical normals before, one case at a time, so rows were already
+correlated across schemes, spacings and elapsed times, not only along SNR,
+and differences between schemes use common random numbers.  Each row is
+exactly the standalone run at its SNR and keeps its marginal distribution.
+Threads split a block loop's blocks, not its points.
 """
 
 from __future__ import annotations
@@ -43,6 +49,11 @@ __all__ = [
     "sweep",
     "exhaustive_noiseless_errors",
 ]
+
+# Threshold cells (points x words x detectors) one block loop compares at
+# most: a sweep stacks cases that share their draws up to this size, and a
+# larger case runs alone.
+_STACK_CELLS = 1 << 22
 
 
 @_config
@@ -237,50 +248,94 @@ def exhaustive_noiseless_errors(h: ChannelMatrix, cfg: SimConfig, h_hat=None) ->
     return int(np.count_nonzero(_thresholds(h, cfg, h_hat) == -np.inf))
 
 
-def sweep(h: ChannelMatrix, snr_points_db, cfg: SimConfig, h_hat=None,
-          threads: int | None = None, progress: bool = False) -> BerCurve:
-    """Estimate and analyze one scheme over a transmit-SNR grid.
+def _cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the system has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
-    One (seed, block) stream serves every SNR point (common random numbers):
-    each block is drawn once and compared with the thresholds of all points,
-    so rows are correlated along SNR, and each row equals ``simulate`` at its
-    SNR with ``cfg.seed``, its marginal distribution unchanged.  Up to
-    ``threads`` blocks run at once (None means the machine's available
-    parallelism, 1 forces serial); threads split blocks, not points, and the
-    counts do not depend on them.  Output order is sorted by SNR.  The closed
-    form of every point comes from one evaluation over the stacked
-    deviations: ``analytic.exact_ber`` with perfect knowledge, else
-    ``analytic.outdated_bound``.  Physical noise has no SNR axis: it takes no
-    points and gives one row whose ``snr_db`` is nan.
-    """
+
+def _points(cfg: SimConfig, snr_points_db) -> list[float]:
+    """A case's sorted SNR points; physical noise is the one point nan."""
     points = sorted(float(p) for p in snr_points_db)
     if cfg.noise_mode == "physical":
         if points:
             raise ValueError("physical noise has no SNR axis; pass no points")
-        points = [math.nan]
-    elif cfg.noise_mode != "swept":
+        return [math.nan]
+    if cfg.noise_mode != "swept":
         raise ValueError("sweeps take swept or physical noise")
-    elif not points:
+    if not points:
         raise ValueError("need at least one SNR point")
+    return points
+
+
+def _report(curve: BerCurve):
+    """One progress line per point of ``curve`` on stderr."""
+    for p, est, ana in zip(curve.snr_db, curve.estimates, curve.analytic):
+        print(f"  snr {p:7.2f} dB [{curve.scheme}/{curve.csi_mode}]: "
+              f"mc {est.average_ber:.3e}  analytic {ana.average:.3e}", file=sys.stderr)
+
+
+def sweep(cases, snr_points_db, threads: int | None = None,
+          progress: bool = False) -> list[BerCurve]:
+    """Estimate and analyze each ``(h, cfg, h_hat)`` case over a transmit-SNR grid.
+
+    One (seed, block) stream serves every SNR point of every case that has
+    the same word and detector counts, seed, symbol count, block size and
+    early-stop target (common random numbers): each block is drawn once and
+    compared with the thresholds of all their points.  Rows are therefore
+    correlated along SNR and across cases, as one-case sweeps' identical
+    draws already made them, and differences between schemes use common
+    random numbers; each row equals ``simulate`` at its SNR with its case's
+    ``cfg``, its marginal distribution unchanged.  Such a group's thresholds
+    are stacked up to ``_STACK_CELLS`` cells per block loop; a larger case
+    runs alone.  Up to ``threads`` blocks run at once (None means the CPUs
+    this process may use, 1 forces serial); threads split blocks, not
+    points, and the counts do not depend on them.  One curve per case, in
+    case order, with points sorted by SNR.  Each case's closed form comes
+    from one evaluation over its stacked deviations: ``analytic.exact_ber``
+    with perfect knowledge, else ``analytic.outdated_bound``.  Physical noise
+    has no SNR axis: it takes no points and gives one row whose ``snr_db``
+    is nan.  ``progress`` prints each curve's points once all are counted.
+    """
     if threads is None:
-        threads = os.cpu_count() or 1
-    table = _table(h, cfg, h_hat)
-    gp = h.responsivity * h.power
-    sig = _sigmas(h, cfg, table, points)
-    estimates = _count_errors(table.thresholds(gp, sig), cfg, threads)
-    outdated = cfg.csi_mode == "outdated"
-    rates = (analytic.outdated_bound if outdated else analytic.exact_ber)(table, gp, sig)
-    closed_forms = [analytic.BerResult(per_pd=r, scheme=cfg.scheme, csi=cfg.csi_mode,
-                                       is_bound=outdated) for r in rates]
+        threads = _cpus()
+    parts, estimates = [], []
+    pending = {}        # draw key -> [(case index, cfg, z)] not yet counted
+
+    def count(stack):
+        counts = iter(_count_errors(np.concatenate([z for _, _, z in stack]), stack[0][1],
+                                    threads))
+        for i, _, z in stack:
+            estimates[i] = tuple(itertools.islice(counts, len(z)))
+        stack.clear()
+
+    for i, (h, cfg, h_hat) in enumerate(cases):
+        points = _points(cfg, snr_points_db)
+        table = _table(h, cfg, h_hat)
+        gp = h.responsivity * h.power
+        sig = _sigmas(h, cfg, table, points)
+        z = table.thresholds(gp, sig)
+        outdated = cfg.csi_mode == "outdated"
+        rates = (analytic.outdated_bound if outdated else analytic.exact_ber)(table, gp, sig)
+        parts.append((points, cfg, tuple(
+            analytic.BerResult(per_pd=r, scheme=cfg.scheme, csi=cfg.csi_mode,
+                               is_bound=outdated) for r in rates)))
+        estimates.append(None)
+        stack = pending.setdefault(
+            (z.shape[1:], cfg.seed, cfg.n_symbols, cfg.block_size, cfg.early_stop_errors), [])
+        if stack and sum(zs.size for *_, zs in stack) + z.size > _STACK_CELLS:
+            count(stack)
+        stack.append((i, cfg, z))
+        if z.size >= _STACK_CELLS:
+            count(stack)
+    for stack in pending.values():
+        if stack:
+            count(stack)
+    curves = [BerCurve(snr_db=tuple(points), estimates=est, analytic=closed_forms,
+                       scheme=cfg.scheme, csi_mode=cfg.csi_mode)
+              for (points, cfg, closed_forms), est in zip(parts, estimates)]
     if progress:
-        for p, est, ana in zip(points, estimates, closed_forms):
-            print(f"  snr {p:7.2f} dB [{cfg.scheme}/{cfg.csi_mode}]: "
-                  f"mc {est.average_ber:.3e}  analytic {ana.average:.3e}",
-                  file=sys.stderr)
-    return BerCurve(
-        snr_db=tuple(points),
-        estimates=tuple(estimates),
-        analytic=tuple(closed_forms),
-        scheme=cfg.scheme,
-        csi_mode=cfg.csi_mode,
-    )
+        for curve in curves:
+            _report(curve)
+    return curves

@@ -22,7 +22,7 @@ from .channel import (build_channel_matrix, concentrator_gain,
                       distance_gain_prefactor, gain_map, lambertian_order)
 from .config import ExperimentConfig, _resolved_hash
 from .csi import MobilityEvent, error_bound, perturb_channel
-from .montecarlo import SimConfig, sweep
+from .montecarlo import SimConfig, _report, sweep
 from .noise import sigma_from_transmit_snr
 from .precoding import ci_precoder
 
@@ -113,6 +113,22 @@ def _curve_rows(curve, *columns) -> list[list]:
             for snr, est, ana in zip(curve.snr_db, curve.estimates, curve.analytic)]
 
 
+def _sweep_rows(cases, points, threads, progress) -> list[list]:
+    """Rows of every ``(heading, columns, (h, SimConfig, h_hat))`` case from one sweep.
+
+    With ``progress``, each case's heading and point lines follow in case
+    order once the sweep is done.
+    """
+    curves = sweep([case for _, _, case in cases], points, threads=threads)
+    rows = []
+    for (heading, columns, _), curve in zip(cases, curves):
+        if progress:
+            print(heading, file=sys.stderr)
+            _report(curve)
+        rows += _curve_rows(curve, *columns)
+    return rows
+
+
 def run_channel_map(cfg: ExperimentConfig, out_dir, progress: bool = False) -> list[Path]:
     """Rasterize the total-gain field and write it as a CSV grid (rows = y)."""
     out = Path(out_dir)
@@ -162,7 +178,12 @@ def run_ber_sweep(cfg: ExperimentConfig, out_dir, threads: int | None = None,
     column carries nan).  With ``csi.mode: outdated`` the stale estimate uses
     the gain-error bound of the first ``mobility.elapsed_times_s`` entry only,
     recorded as ``error_bound_elapsed_s`` in the metadata; ``mobility`` sweeps
-    every entry.
+    every entry.  Every variant and scheme goes to one ``sweep`` call, so one
+    (seed, block) stream serves all of them that have the same word and
+    detector counts.  They drew identical normals before, one sweep at a
+    time: rows are correlated across schemes and variants as well as along
+    SNR, ci-vs-oap differences use common random numbers, and each row's
+    marginal distribution is unchanged.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -171,7 +192,7 @@ def run_ber_sweep(cfg: ExperimentConfig, out_dir, threads: int | None = None,
     header = ["snr_db", "scheme", "csi_mode", "n_links", "spacing_m", "semi_angle_deg",
               "analytic_per_pd", "analytic_avg_ber", "is_bound",
               "mc_avg_ber", "mc_halfwidth_95", "symbols"]
-    rows = []
+    cases = []
     conditions = {}
     if outdated:
         elapsed = cfg.mobility.elapsed_times_s[0]
@@ -181,13 +202,10 @@ def run_ber_sweep(cfg: ExperimentConfig, out_dir, threads: int | None = None,
         h = build_channel_matrix(layout)
         conditions[f"{n}x{n}@{sp}m/{ang}deg"] = ci_precoder(h.gains).condition_number
         h_hat = _stale_estimate(cfg, h, bound) if outdated else None
-        for scheme in cfg.schemes:
-            if progress:
-                print(f"[{cfg.name}] {n}x{n} spacing={sp} angle={ang} scheme={scheme}",
-                      file=sys.stderr)
-            curve = sweep(h, points, _sim_config(cfg, scheme, outdated), h_hat=h_hat,
-                          threads=threads, progress=progress)
-            rows += _curve_rows(curve, n, sp, ang)
+        cases += [(f"[{cfg.name}] {n}x{n} spacing={sp} angle={ang} scheme={scheme}",
+                   (n, sp, ang), (h, _sim_config(cfg, scheme, outdated), h_hat))
+                  for scheme in cfg.schemes]
+    rows = _sweep_rows(cases, points, threads, progress)
     csv_path = out / f"{cfg.name}_ber.csv"
     identity = _identity(cfg)
     _write_csv(csv_path, cfg, identity["config_hash"], header, rows)
@@ -249,7 +267,11 @@ def run_mobility(cfg: ExperimentConfig, out_dir, threads: int | None = None,
 
     Each interval draws one stale estimate, shared by every scheme.  With
     ``noise.mode: physical`` each interval/scheme is one row at the device
-    noise level, as in ``run_ber_sweep``.
+    noise level, as in ``run_ber_sweep``.  Every interval and scheme goes to
+    one ``sweep`` call and shares one (seed, block) stream, as the separate
+    sweeps' identical draws did before: rows are correlated across schemes
+    and intervals as well as along SNR, ci-vs-oap differences use common
+    random numbers, and each row's marginal distribution is unchanged.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -259,19 +281,17 @@ def run_mobility(cfg: ExperimentConfig, out_dir, threads: int | None = None,
     header = ["snr_db", "scheme", "csi_mode", "csi_model", "elapsed_s", "velocity_mps",
               "error_bound", "analytic_per_pd", "analytic_avg_ber", "is_bound",
               "mc_avg_ber", "mc_halfwidth_95", "symbols"]
-    rows = []
+    cases = []
     bounds = {}
     for elapsed in cfg.mobility.elapsed_times_s:
         bound, velocity = _mobility_bound(cfg, elapsed)
         bounds[repr(float(elapsed))] = bound
         h_hat = _stale_estimate(cfg, h, bound)
-        for scheme in cfg.schemes:
-            if progress:
-                print(f"[{cfg.name}] mobility t={elapsed}s bound={bound:.3e} "
-                      f"scheme={scheme}", file=sys.stderr)
-            curve = sweep(h, points, _sim_config(cfg, scheme, True), h_hat=h_hat,
-                          threads=threads, progress=progress)
-            rows += _curve_rows(curve, cfg.csi.model, elapsed, velocity, bound)
+        cases += [(f"[{cfg.name}] mobility t={elapsed}s bound={bound:.3e} scheme={scheme}",
+                   (cfg.csi.model, elapsed, velocity, bound),
+                   (h, _sim_config(cfg, scheme, True), h_hat))
+                  for scheme in cfg.schemes]
+    rows = _sweep_rows(cases, points, threads, progress)
     csv_path = out / f"{cfg.name}_mobility.csv"
     identity = _identity(cfg)
     _write_csv(csv_path, cfg, identity["config_hash"], header, rows)

@@ -206,6 +206,12 @@ class TestCli:
         assert "config error" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_malformed_yaml_exit_code(self, tmp_path, capsys):
+        path = tmp_path / "broken.yaml"
+        path.write_text("a: [1,\n", encoding="utf-8")
+        assert main(["validate", "--config", str(path)]) == 2
+        assert "cannot parse" in capsys.readouterr().err
+
     @pytest.mark.parametrize("bad", bad_field_values())
     def test_every_field_rejects_bad_value(self, tmp_path, capsys, bad):
         path = write_yaml(tmp_path / "bad.yaml", bad)

@@ -6,6 +6,7 @@ import json
 import numpy as np
 import pytest
 
+from vlcmimo import montecarlo, runner
 from vlcmimo.analytic import (PhysicalNoise, ber_ci_outdated, ber_ci_perfect,
                               ber_oap_outdated, ber_oap_perfect, q_function, sigma_table)
 from vlcmimo.channel import ChannelMatrix, build_channel_matrix, square_grid_layout
@@ -15,11 +16,16 @@ from vlcmimo.montecarlo import (SimConfig, _block_errors, _thresholds,
                                 exhaustive_noiseless_errors, simulate, sweep)
 from vlcmimo.noise import NoiseParams, sigma_from_transmit_snr
 from vlcmimo.precoding import ci_precoder, word_table
-from vlcmimo.runner import run_ber_sweep
+from vlcmimo.runner import run_ber_sweep, run_mobility
 
 
 def channel(n=4, spacing=0.5, fov=60.0):
     return build_channel_matrix(square_grid_layout(n, spacing, fov=fov))
+
+
+def one_sweep(h, points, cfg, h_hat=None, **kwargs):
+    """``sweep`` of the one case ``(h, cfg, h_hat)``."""
+    return sweep([(h, cfg, h_hat)], points, **kwargs)[0]
 
 
 class TestDeterminism:
@@ -45,8 +51,8 @@ class TestDeterminism:
         h = channel()
         cfg = SimConfig(n_symbols=30_000, seed=7, scheme="ci", snr_db=0.0)
         points = [80.0, 84.0, 88.0, 92.0]
-        serial = sweep(h, points, cfg, threads=1)
-        pooled = sweep(h, points, cfg, threads=4)
+        serial = one_sweep(h, points, cfg, threads=1)
+        pooled = one_sweep(h, points, cfg, threads=4)
         for a, b in zip(serial.estimates, pooled.estimates):
             assert np.array_equal(a.per_pd_errors, b.per_pd_errors)
 
@@ -154,7 +160,7 @@ class TestOutdatedSimulation:
         cfg = SimConfig(n_symbols=50_000, seed=3, scheme="oap", snr_db=0.0,
                         csi_mode="outdated")
         h_hat = perturb_channel(h, bound, seed=cfg.seed).h_hat
-        curve = sweep(h, [80.0, 90.0], cfg, h_hat=h_hat)
+        curve = one_sweep(h, [80.0, 90.0], cfg, h_hat=h_hat)
         for ana in curve.analytic:
             assert ana.is_bound
             assert ana.csi == "outdated"
@@ -203,8 +209,8 @@ class TestStratifiedBlocks:
         h = channel(n=9)
         cfg = SimConfig(n_symbols=1_050, seed=8, scheme="ci", snr_db=0.0, block_size=100)
         points = [70.0, 74.0, 78.0]
-        serial = sweep(h, points, cfg, threads=1)
-        pooled = sweep(h, points, cfg, threads=4)
+        serial = one_sweep(h, points, cfg, threads=1)
+        pooled = one_sweep(h, points, cfg, threads=4)
         assert sum(e.per_pd_errors.sum() for e in serial.estimates) > 0
         for a, b in zip(serial.estimates, pooled.estimates):
             assert np.array_equal(a.per_pd_errors, b.per_pd_errors)
@@ -321,7 +327,7 @@ def test_renormalized_outdated_sweep_uses_renormalized_bound():
     cfg = SimConfig(n_symbols=2_000, seed=12, scheme="oap", snr_db=0.0,
                     csi_mode="outdated", renormalize_oap=True)
     h_hat = perturb_channel(h, bound, model="uniform", seed=cfg.seed).h_hat
-    row = sweep(h, [100.0], cfg, h_hat=h_hat, threads=1).analytic[0]
+    row = one_sweep(h, [100.0], cfg, h_hat=h_hat, threads=1).analytic[0]
     sigma = sigma_from_transmit_snr(100.0, h.responsivity, h.power)
     args = (h, h_hat, sigma, h.responsivity, h.power)
     renormalized = ber_oap_outdated(*args, renormalize=True).per_pd
@@ -349,14 +355,14 @@ class TestSweepSharesOneStream:
         h = channel()
         cfg = self.config(**kw)
         h_hat = perturb_channel(h, 2e-7, seed=cfg.seed).h_hat
-        curve = sweep(h, self.POINTS, cfg, h_hat=h_hat, threads=2)
+        curve = one_sweep(h, self.POINTS, cfg, h_hat=h_hat, threads=2)
         for snr, est in zip(curve.snr_db, curve.estimates):
             alone = simulate(h, dataclasses.replace(cfg, snr_db=snr), h_hat=h_hat)
             assert np.array_equal(est.per_pd_errors, alone.per_pd_errors)
             assert est.symbols_run == alone.symbols_run
 
     def test_low_snr_points_stop_in_earlier_blocks(self):
-        curve = sweep(channel(), self.POINTS, self.config(), threads=2)
+        curve = one_sweep(channel(), self.POINTS, self.config(), threads=2)
         runs = [est.symbols_run for est in curve.estimates]
         assert runs[0] < runs[1] < runs[2] < runs[3] == 60_000
         stopped = [est for est in curve.estimates if est.symbols_run < 60_000]
@@ -366,14 +372,14 @@ class TestSweepSharesOneStream:
     def test_counts_identical_across_threads(self, early_stop):
         h = channel()
         cfg = dataclasses.replace(self.config(), early_stop_errors=early_stop)
-        curves = [sweep(h, self.POINTS, cfg, threads=t) for t in (1, 2, 4)]
+        curves = [one_sweep(h, self.POINTS, cfg, threads=t) for t in (1, 2, 4)]
         for rows in zip(*(c.estimates for c in curves)):
             assert all(np.array_equal(r.per_pd_errors, rows[0].per_pd_errors)
                        and r.symbols_run == rows[0].symbols_run for r in rows)
 
     def test_progress_prints_one_line_per_point(self, capsys):
         cfg = dataclasses.replace(self.config(), n_symbols=5_000)
-        sweep(channel(), self.POINTS, cfg, threads=2, progress=True)
+        one_sweep(channel(), self.POINTS, cfg, threads=2, progress=True)
         lines = capsys.readouterr().err.splitlines()
         assert [line.split()[1] for line in lines] == [f"{p:.2f}" for p in self.POINTS]
 
@@ -383,7 +389,7 @@ class TestSweepSharesOneStream:
         h = channel(spacing=0.25)
         points = np.arange(60.0, 141.0, 4.0)
         cfg = SimConfig(n_symbols=1, scheme=scheme, renormalize_oap=renormalize)
-        curve = sweep(h, points, cfg, threads=1)
+        curve = one_sweep(h, points, cfg, threads=1)
         for snr, row in zip(curve.snr_db, curve.analytic):
             sigma = sigma_from_transmit_snr(snr, h.responsivity, h.power)
             if scheme == "oap":
@@ -465,4 +471,150 @@ class TestRunnerRowsAreOneSweep:
         with pytest.raises(ValueError, match="h_hat"):
             simulate(h, cfg)
         with pytest.raises(ValueError, match="h_hat"):
-            sweep(h, [] if physical else [90.0], cfg)
+            one_sweep(h, [] if physical else [90.0], cfg)
+
+
+class TestRecipeSharesOneBlockLoop:
+    """One block loop per draw shape serves every case of a recipe, row for row.
+
+    The reference is the runner with ``sweep`` called once per case.  Early
+    stopping is on, so the points stop in different blocks.
+    """
+
+    BASE = {"name": "grp", "seed": 5, "schemes": ["ci", "oap"],
+            "montecarlo": {"n_symbols": 24_000, "block_size": 2048, "early_stop_errors": 150},
+            "layout": {"n_links": 4, "spacing_m": 0.5, "detector": {"fov_deg": 60.0}},
+            "sweep": {"snr_start_db": 80.0, "snr_stop_db": 96.0, "snr_step_db": 4.0},
+            "mobility": {"speed_mps": 1.0, "elapsed_times_s": [0.02, 0.1, 0.3]}}
+    RUNS = {
+        "spacings": (run_ber_sweep, {"spacings_m": [0.25, 0.5, 1.0]}),
+        "orders": (run_ber_sweep, {"mimo_orders": [2, 3], "sweep": {
+            "snr_start_db": 76.0, "snr_stop_db": 92.0, "snr_step_db": 4.0}}),
+        "outdated": (run_ber_sweep, {"spacings_m": [0.5, 1.0], "csi": {"mode": "outdated"}}),
+        "mobility": (run_mobility, {"csi": {"mode": "outdated"}}),
+        "physical": (run_ber_sweep, {
+            "spacings_m": [0.25, 0.5, 1.0],
+            "noise": {"mode": "physical", "background_current_a": 1e-12,
+                      "temperature_k": 0.01},
+            "layout": {"n_links": 4, "spacing_m": 0.5, "power_per_led_w": 1e-8,
+                       "detector": {"fov_deg": 60.0}}}),
+    }
+
+    @classmethod
+    def run(cls, name, tmp_path, threads=2, **extra):
+        recipe, run_extra = cls.RUNS[name]
+        cfg = config_from_dict({**cls.BASE, **run_extra, **extra})
+        return [p.read_text() for p in recipe(cfg, tmp_path, threads=threads)]
+
+    @staticmethod
+    def per_case(monkeypatch):
+        """Make the runner call ``sweep`` once per case, as one-case sweeps."""
+        def one_at_a_time(cases, *args, **kwargs):
+            return [sweep([case], *args, **kwargs)[0] for case in cases]
+        monkeypatch.setattr(runner, "sweep", one_at_a_time)
+
+    @staticmethod
+    def count_calls(monkeypatch, module, name) -> list:
+        calls = []
+        fn = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(module, name, counted)
+        return calls
+
+    @pytest.mark.parametrize("name", list(RUNS))
+    def test_rows_equal_one_sweep_per_case(self, monkeypatch, tmp_path, name):
+        grouped = [self.run(name, tmp_path / f"t{t}", threads=t) for t in (1, 2, 4)]
+        with monkeypatch.context() as m:
+            self.per_case(m)
+            reference = self.run(name, tmp_path / "ref")
+        assert grouped == [reference] * 3
+        body = [line.split(",") for line in reference[0].splitlines()
+                if not line.startswith("#")]
+        symbols = {int(row[body[0].index("symbols")]) for row in body[1:]}
+        assert len(symbols) >= 3 and max(symbols) == 24_000
+
+    @pytest.mark.parametrize("name, groups", [("spacings", 1), ("orders", 2),
+                                              ("outdated", 1), ("mobility", 1),
+                                              ("physical", 1)])
+    def test_one_block_loop_per_draw_shape(self, monkeypatch, tmp_path, name, groups):
+        loops = self.count_calls(monkeypatch, montecarlo, "_count_errors")
+        self.run(name, tmp_path)
+        assert len(loops) == groups
+
+    def test_one_generator_per_block_and_draw_shape(self, monkeypatch, tmp_path):
+        generators = self.count_calls(monkeypatch, np.random, "SFC64")
+        self.run("orders", tmp_path, montecarlo={"n_symbols": 10_000, "block_size": 4096})
+        assert len(generators) == 3 * 2
+
+    @pytest.mark.parametrize("cells, loops", [(100, 6), (700, 3), (1 << 22, 1)])
+    def test_split_group_identical(self, monkeypatch, tmp_path, cells, loops):
+        # Six cases of 5 points x 16 words x 4 detectors: 320 cells each.
+        whole = self.run("spacings", tmp_path / "whole")
+        monkeypatch.setattr(montecarlo, "_STACK_CELLS", cells)
+        calls = self.count_calls(monkeypatch, montecarlo, "_count_errors")
+        assert self.run("spacings", tmp_path / "split") == whole
+        assert len(calls) == loops
+        assert max(z.size for z, *_ in calls) <= max(cells, 320)
+
+    @pytest.mark.parametrize("name", ["spacings", "mobility"])
+    def test_progress_lines_unchanged(self, capsys, tmp_path, name):
+        """Each case's heading, then its point lines, as when it ran alone."""
+        recipe, extra = self.RUNS[name]
+        cfg = config_from_dict({**self.BASE, **extra,
+                                "montecarlo": {"n_symbols": 4096, "block_size": 2048}})
+        want = []
+        if recipe is run_mobility:
+            h = build_channel_matrix(cfg.build_layout())
+            for elapsed in cfg.mobility.elapsed_times_s:
+                bound, _ = runner._mobility_bound(cfg, elapsed)
+                h_hat = runner._stale_estimate(cfg, h, bound)
+                for scheme in cfg.schemes:
+                    want.append(f"[grp] mobility t={elapsed}s bound={bound:.3e} "
+                                f"scheme={scheme}")
+                    one_sweep(h, cfg.sweep.points(), runner._sim_config(cfg, scheme, True),
+                              h_hat=h_hat, progress=True)
+                    want += capsys.readouterr().err.splitlines()
+        else:
+            for n, sp, ang in cfg.variants():
+                h = build_channel_matrix(cfg.build_layout(n_links=n, spacing=sp,
+                                                          semi_angle=ang))
+                for scheme in cfg.schemes:
+                    want.append(f"[grp] {n}x{n} spacing={sp} angle={ang} scheme={scheme}")
+                    one_sweep(h, cfg.sweep.points(), runner._sim_config(cfg, scheme, False),
+                              progress=True)
+                    want += capsys.readouterr().err.splitlines()
+        csv_path, _ = recipe(cfg, tmp_path, threads=2, progress=True)
+        want.append(f"wrote {csv_path}")
+        assert len(want) == 3 * len(cfg.schemes) * 6 + 1
+        assert capsys.readouterr().err.splitlines() == want
+
+
+class TestDefaultThreads:
+    """With no ``threads``, a sweep runs as many blocks at once as it may use CPUs."""
+
+    @staticmethod
+    def pool_sizes(monkeypatch) -> list:
+        sizes = []
+
+        class Pool(montecarlo.ThreadPoolExecutor):
+            def __init__(self, workers):
+                sizes.append(workers)
+                super().__init__(workers)
+        monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", Pool)
+        one_sweep(channel(n=2), [80.0], SimConfig(n_symbols=64, block_size=1))
+        return sizes
+
+    def test_affinity_mask_sets_the_default(self, monkeypatch):
+        monkeypatch.setattr(montecarlo.os, "sched_getaffinity", lambda pid: {0, 1},
+                            raising=False)
+        monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 64)
+        assert self.pool_sizes(monkeypatch) == [2]
+
+    @pytest.mark.parametrize("cpus, pools", [(3, [3]), (None, [])])
+    def test_cpu_count_without_affinity(self, monkeypatch, cpus, pools):
+        monkeypatch.delattr(montecarlo.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: cpus)
+        assert self.pool_sizes(monkeypatch) == pools

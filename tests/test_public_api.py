@@ -27,12 +27,22 @@ def test_every_exported_name_resolves():
     assert reexported <= exported, sorted(reexported - exported)
 
 
-def test_import_leaves_scipy_unloaded():
-    # scipy is a test oracle only; importing it would double the start-up time
+def loaded_after_import(package: str) -> str:
+    """Modules of ``package`` loaded by importing vlcmimo's entry points afresh."""
     src = str(Path(vlcmimo.__file__).resolve().parents[1])
     code = ("import sys, vlcmimo, vlcmimo.runner, vlcmimo.cli; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+            f"print(sorted(m for m in sys.modules if m.split('.')[0] == {package!r}))")
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, timeout=120, check=True)
-    assert out.stdout.strip() == "[]", out.stdout
+    return out.stdout.strip()
+
+
+def test_import_leaves_scipy_unloaded():
+    # scipy is a test oracle only; importing it would double the start-up time
+    assert loaded_after_import("scipy") == "[]"
+
+
+def test_import_leaves_yaml_unloaded():
+    # only load_config reads YAML; presets, JSON configs and library callers never do
+    assert loaded_after_import("yaml") == "[]"

@@ -38,6 +38,11 @@ SNRS_DB = (85.0, 105.0, 125.0)   # the outdated bounds saturate at the low end
 VARIANTS = [("ci", False), ("oap", False), ("oap", True)]
 
 
+def one_sweep(h, points, cfg, h_hat=None, **kwargs):
+    """``sweep`` of the one case ``(h, cfg, h_hat)``."""
+    return sweep([(h, cfg, h_hat)], points, **kwargs)[0]
+
+
 def assert_close(got, want, tol):
     want = np.asarray(want, dtype=float)
     np.testing.assert_allclose(got, want, rtol=tol, atol=tol * np.abs(want).max())
@@ -255,7 +260,7 @@ def test_sweep_builds_one_table(monkeypatch, tmp_path, cfg):
     """
     h = build_channel_matrix(square_grid_layout(4, 0.5, fov=60.0))
     built = count_builds(monkeypatch)
-    sweep(h, SWEEP_SNRS, cfg, h_hat=sweep_estimate(h, cfg), threads=2)
+    one_sweep(h, SWEEP_SNRS, cfg, h_hat=sweep_estimate(h, cfg), threads=2)
     assert built == [(cfg.scheme, cfg.renormalize_oap)]
 
     draws = []
@@ -311,7 +316,7 @@ def test_sweep_identical_with_kept_table_cleared_or_bypassed(monkeypatch, cfg):
     h = build_channel_matrix(square_grid_layout(4, 0.25, fov=60.0))
 
     def run():
-        curve = sweep(h, SWEEP_SNRS, cfg, h_hat=sweep_estimate(h, cfg), threads=2)
+        curve = one_sweep(h, SWEEP_SNRS, cfg, h_hat=sweep_estimate(h, cfg), threads=2)
         return ([e.per_pd_errors.tolist() for e in curve.estimates],
                 [a.per_pd.tolist() for a in curve.analytic])
 
