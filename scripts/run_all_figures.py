@@ -26,12 +26,20 @@ RECIPES = {
 }
 
 
+def _thread_count(text: str) -> int:
+    """An argparse type: a worker count of at least 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--out", default="out", help="output directory")
     parser.add_argument("--quick", action="store_true",
                         help="reduce Monte Carlo symbols to 100k per point")
-    parser.add_argument("--threads", type=int, default=None)
+    parser.add_argument("--threads", type=_thread_count, default=None)
     parser.add_argument("--only", nargs="*", choices=PRESET_NAMES,
                         help="subset of presets to run")
     args = parser.parse_args()

@@ -9,9 +9,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from decimal import Decimal, localcontext
 from functools import lru_cache
 
-import mpmath
 import numpy as np
 
 __all__ = [
@@ -179,19 +179,30 @@ class GainMap:
     values: np.ndarray
 
 
+# pi to 50 decimal places, for the extended-precision cosine of lambertian_order.
+_PI = Decimal("3.14159265358979323846264338327950288419716939937510")
+
+
 @lru_cache(maxsize=256)
 def lambertian_order(semi_angle_half_power: float) -> float:
     """Lambertian lobe order m = -ln 2 / ln cos(half-power semi-angle).
 
-    Evaluated in extended precision and rounded once, so exact half-power
-    geometries stay exact (60 deg -> m == 1.0).
+    Evaluated with 50-digit decimals (a Taylor cosine) and rounded once, so
+    exact half-power geometries stay exact (60 deg -> m == 1.0).
     """
     if not 0.0 < semi_angle_half_power < 90.0:
         raise GeometryError(
             f"half-power semi-angle must be in (0, 90) deg, got {semi_angle_half_power}")
-    with mpmath.workdps(40):
-        c = mpmath.cos(mpmath.radians(semi_angle_half_power))
-        return float(-mpmath.log(2) / mpmath.log(c))
+    with localcontext() as ctx:
+        ctx.prec = 50
+        x = Decimal(semi_angle_half_power) * _PI / 180
+        cos = term = Decimal(1)
+        n = 0
+        while cos + term != cos:
+            n += 2
+            term *= -x * x / (n * (n - 1))
+            cos += term
+        return float(-Decimal(2).ln() / cos.ln())
 
 
 def concentrator_gain(incidence_angle: float, fov: float, refractive_index: float = 1.5) -> float:

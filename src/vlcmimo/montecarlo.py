@@ -19,6 +19,12 @@ correlated across schemes, spacings and elapsed times, not only along SNR,
 and differences between schemes use common random numbers.  Each row is
 exactly the standalone run at its SNR and keeps its marginal distribution.
 Threads split a block loop's blocks, not its points.
+
+A block that serves many points counts them from sorted draws: each (word,
+detector) row is sorted once, and a point's count on it is one bisection, so
+the block's cost barely grows with its points.  A block with few points or
+short rows compares its draws with each point instead.  Both count exactly
+the draws above z, so the path taken never changes a result.
 """
 
 from __future__ import annotations
@@ -54,6 +60,13 @@ __all__ = [
 # most: a sweep stacks cases that share their draws up to this size, and a
 # larger case runs alone.
 _STACK_CELLS = 1 << 22
+# A block counts from sorted draws when it serves at least _SORT_MIN_POINTS
+# points with at least _SORT_MIN_PER symbols per word, and points times
+# symbols per word (the compares each row would take) reach _SORT_MIN_WORK.
+# Set from single-thread timings of both paths on 4-10 link arrays.
+_SORT_MIN_POINTS = 16
+_SORT_MIN_PER = 128
+_SORT_MIN_WORK = 8192
 
 
 @_config
@@ -169,22 +182,60 @@ def _thresholds(h: ChannelMatrix, cfg: SimConfig, h_hat=None) -> np.ndarray:
     return table.thresholds(h.responsivity * h.power, sig)
 
 
+def _sorts(n_points: int, per: int) -> bool:
+    """Whether a block of ``per`` symbols per word serving ``n_points`` points sorts.
+
+    Sorting costs each (word, detector) row a call and about
+    ``per * log(per)`` once, then one bisection per point; comparing costs
+    ``per`` per point.  So sorting pays only with many points, and not on
+    short rows, where the call and the bisections cost more than a compare.
+    """
+    return (n_points >= _SORT_MIN_POINTS and per >= _SORT_MIN_PER
+            and n_points * per >= _SORT_MIN_WORK)
+
+
+def _compared_errors(draws: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """``count(draw > z)`` per (point, detector): each point compares every draw.
+
+    ``draws`` is ``(words, detectors, per)`` and ``z`` ``(points, words, detectors)``.
+    """
+    # A whole-array count per detector is about 3x faster than one count with
+    # an axis, which sums the comparison as integers.
+    return np.array([[np.count_nonzero(draws[:, k] > zp[:, k, None])
+                      for k in range(draws.shape[1])] for zp in z], dtype=np.int64)
+
+
+def _sorted_errors(draws: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """The counts of ``_compared_errors``, from each (word, detector) row sorted in place.
+
+    A point's count on a row is the row length less the draws <= z, which
+    one bisection finds; ``side="right"`` keeps ties, infinite z and signed
+    zeros on the same side as the comparison.  The sort releases the GIL.
+    """
+    n_words, n_r, per = draws.shape
+    draws.sort(axis=-1)
+    zt = np.ascontiguousarray(z.transpose(1, 2, 0))
+    at_most = np.empty(zt.shape, dtype=np.int64)
+    for w, k in np.ndindex(n_words, n_r):
+        at_most[w, k] = np.searchsorted(draws[w, k], zt[w, k], side="right")
+    return n_words * per - at_most.sum(axis=0).T
+
+
 def _block_errors(z: np.ndarray, nb: int, rng: np.random.Generator) -> np.ndarray:
     """Errors per (point, detector) over one block of ``nb`` symbols.
 
     ``z`` is ``(points, words, detectors)``.  Each word gets ``nb // n_words``
     symbols; the remaining ``nb % n_words`` go to words drawn uniformly.  The
-    noise is symmetric, so one standard normal draw per symbol and detector,
-    compared with z, decides an error.  Every point compares the same draws,
-    one point at a time.
+    noise is symmetric, so a standard normal draw per symbol and detector
+    above z is an error, and every point counts the same draws.  A block
+    serving many points with long rows (``_sorts``) counts them from sorted
+    rows, so its cost barely grows with the points; otherwise each point
+    compares the draws.  The counts are the same either way.
     """
-    _, n_words, n_r = z.shape
+    n_points, n_words, n_r = z.shape
     per, extra = divmod(nb, n_words)
     draws = rng.standard_normal((n_words, n_r, per))
-    # A whole-array count per detector is about 3x faster than one count with
-    # an axis, which sums the comparison as integers.
-    errors = np.array([[np.count_nonzero(draws[:, k] > zp[:, k, None]) for k in range(n_r)]
-                       for zp in z])
+    errors = (_sorted_errors if _sorts(n_points, per) else _compared_errors)(draws, z)
     if extra:
         widx = rng.integers(0, n_words, size=extra)
         draws = rng.standard_normal((extra, n_r))
@@ -283,23 +334,25 @@ def sweep(cases, snr_points_db, threads: int | None = None,
     One (seed, block) stream serves every SNR point of every case that has
     the same word and detector counts, seed, symbol count, block size and
     early-stop target (common random numbers): each block is drawn once and
-    compared with the thresholds of all their points.  Rows are therefore
+    counted against the thresholds of all their points.  Rows are therefore
     correlated along SNR and across cases, as one-case sweeps' identical
     draws already made them, and differences between schemes use common
     random numbers; each row equals ``simulate`` at its SNR with its case's
     ``cfg``, its marginal distribution unchanged.  Such a group's thresholds
     are stacked up to ``_STACK_CELLS`` cells per block loop; a larger case
     runs alone.  Up to ``threads`` blocks run at once (None means the CPUs
-    this process may use, 1 forces serial); threads split blocks, not
-    points, and the counts do not depend on them.  One curve per case, in
-    case order, with points sorted by SNR.  Each case's closed form comes
-    from one evaluation over its stacked deviations: ``analytic.exact_ber``
-    with perfect knowledge, else ``analytic.outdated_bound``.  Physical noise
-    has no SNR axis: it takes no points and gives one row whose ``snr_db``
-    is nan.  ``progress`` prints each curve's points once all are counted.
+    this process may use, 1 forces serial, below 1 raises ``ValueError``);
+    threads split blocks, not points, and the counts do not depend on them.
+    One curve per case, in case order, with points sorted by SNR.  Each
+    case's closed form comes from one evaluation over its stacked deviations:
+    ``analytic.exact_ber`` with perfect knowledge, else
+    ``analytic.outdated_bound``.  Physical noise has no SNR axis: it takes
+    no points and gives one row whose ``snr_db`` is nan.  ``progress`` prints each curve's points once all are counted.
     """
     if threads is None:
         threads = _cpus()
+    elif threads < 1:
+        raise ValueError(f"threads must be >= 1, got {threads}")
     parts, estimates = [], []
     pending = {}        # draw key -> [(case index, cfg, z)] not yet counted
 

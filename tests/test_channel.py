@@ -7,6 +7,7 @@ evaluation of the defining formulas (see inline notes).
 import math
 from dataclasses import replace
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -49,6 +50,16 @@ class TestLambertianOrder:
     def test_out_of_range_rejected(self, bad):
         with pytest.raises(GeometryError):
             lambertian_order(bad)
+
+    def test_equals_40_digit_mpmath_on_a_grid(self):
+        # the decimal evaluation rounds to the same double as mpmath at 40 digits
+        angles = [15.0, 30.0, 45.0, 60.0, 0.01, 0.5, 89.5, 89.99,
+                  *np.linspace(0.05, 89.95, 400).tolist()]
+        for angle in angles:
+            with mpmath.workdps(40):
+                cos = mpmath.cos(mpmath.radians(angle))
+                want = float(-mpmath.log(2) / mpmath.log(cos))
+            assert lambertian_order.__wrapped__(angle) == want, angle
 
 
 class TestConcentratorGain:

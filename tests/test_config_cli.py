@@ -2,6 +2,8 @@
 
 import dataclasses
 import json
+import runpy
+import sys
 import types
 import typing
 from pathlib import Path
@@ -204,6 +206,20 @@ class TestCli:
         assert main(["ber-sweep", "--config", str(path), "--out", str(out), "--quiet",
                      "--threads", threads]) == 2
         assert "config error" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    def test_run_all_figures_rejects_threads_below_one(self, tmp_path, capsys, monkeypatch,
+                                                        threads):
+        script = Path(__file__).resolve().parents[1] / "scripts" / "run_all_figures.py"
+        run_all = runpy.run_path(str(script))["main"]
+        out = tmp_path / "results"
+        monkeypatch.setattr(sys, "argv", ["run_all_figures.py", "--out", str(out),
+                                          "--only", "fig4", "--threads", threads])
+        with pytest.raises(SystemExit) as stop:
+            run_all()
+        assert stop.value.code == 2
+        assert "must be >= 1" in capsys.readouterr().err
         assert not out.exists()
 
     def test_malformed_yaml_exit_code(self, tmp_path, capsys):

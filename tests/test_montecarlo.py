@@ -10,10 +10,11 @@ from vlcmimo import montecarlo, runner
 from vlcmimo.analytic import (PhysicalNoise, ber_ci_outdated, ber_ci_perfect,
                               ber_oap_outdated, ber_oap_perfect, q_function, sigma_table)
 from vlcmimo.channel import ChannelMatrix, build_channel_matrix, square_grid_layout
-from vlcmimo.config import config_from_dict
+from vlcmimo.config import config_from_dict, preset
 from vlcmimo.csi import perturb_channel
-from vlcmimo.montecarlo import (SimConfig, _block_errors, _thresholds,
-                                exhaustive_noiseless_errors, simulate, sweep)
+from vlcmimo.montecarlo import (SimConfig, _block_errors, _compared_errors, _sorted_errors,
+                                _sorts, _thresholds, exhaustive_noiseless_errors,
+                                simulate, sweep)
 from vlcmimo.noise import NoiseParams, sigma_from_transmit_snr
 from vlcmimo.precoding import ci_precoder, word_table
 from vlcmimo.runner import run_ber_sweep, run_mobility
@@ -401,6 +402,125 @@ class TestSweepSharesOneStream:
             assert (row.scheme, row.csi, row.is_bound) == (scheme, "perfect", False)
 
 
+def spy_paths(monkeypatch) -> list:
+    """The count path of every block from now on: "sorted" or "compared"."""
+    taken = []
+    for name, fn in (("sorted", _sorted_errors), ("compared", _compared_errors)):
+        def wrapped(draws, z, name=name, fn=fn):
+            taken.append(name)
+            return fn(draws, z)
+        monkeypatch.setattr(montecarlo, f"_{name}_errors", wrapped)
+    return taken
+
+
+class TestSortedCounting:
+    """Counting from sorted draws gives exactly the compared counts."""
+
+    WORDS, DETECTORS = 16, 4
+
+    def z_with_edges(self, draws: np.ndarray, n_points: int) -> np.ndarray:
+        """Random thresholds, then ties with drawn values, infinities and signed zeros."""
+        rng = np.random.default_rng(11)
+        z = rng.normal(1.0, 1.5, (n_points, self.WORDS, self.DETECTORS))
+        z[0] = draws[:, :, 0]
+        z[1] = draws[:, :, -1]
+        z[2], z[3], z[4], z[5] = np.inf, -np.inf, 0.0, -0.0
+        z[6] = np.where(rng.random(z[6].shape) < 0.5, np.inf, -np.inf)
+        z[7] = np.where(rng.random(z[7].shape) < 0.5, 0.0, -0.0)
+        return z
+
+    @pytest.mark.parametrize("per", [1, 5, 300])
+    def test_paths_agree_on_shared_draws(self, per):
+        draws = np.random.default_rng(5).standard_normal((self.WORDS, self.DETECTORS, per))
+        draws[..., :per // 3] = 0.0
+        draws[..., per // 3:2 * per // 3] = -0.0
+        draws[0, 0, -1] = 0.5
+        z = self.z_with_edges(draws, 20)
+        z[8] = 0.5
+        want = _compared_errors(draws, z)
+        assert np.array_equal(_sorted_errors(draws.copy(), z), want)
+        assert want[2].sum() == 0 and want[3].sum() == draws.size
+
+    @pytest.mark.parametrize("per", [montecarlo._SORT_MIN_PER - 1, montecarlo._SORT_MIN_PER,
+                                     4096])
+    @pytest.mark.parametrize("extra", [0, 7])
+    def test_block_counts_equal_forced_compare(self, monkeypatch, per, extra):
+        n_points = 128        # enough points that the row length decides the path
+        nb = self.WORDS * per + extra
+        rng = lambda: np.random.Generator(np.random.SFC64(21))  # noqa: E731
+        z = self.z_with_edges(rng().standard_normal((self.WORDS, self.DETECTORS, per)),
+                              n_points)
+        taken = spy_paths(monkeypatch)
+        chosen = _block_errors(z, nb, rng())
+        assert taken == ["sorted" if per >= montecarlo._SORT_MIN_PER else "compared"]
+        monkeypatch.setattr(montecarlo, "_sorts", lambda n_points, per: False)
+        assert np.array_equal(chosen, _block_errors(z, nb, rng()))
+        assert taken[-1] == "compared"
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("early_stop", [None, 200])
+    def test_dense_sweep_rows_equal_standalone_simulate(self, monkeypatch, threads,
+                                                         early_stop):
+        h = channel()
+        points = np.arange(70.0, 131.0, 4.0)     # 16 points per scheme
+        # a block of 4096 symbols per word, which sorts, then one of 91 per word
+        # and 8 leftover, which compares
+        cfgs = [SimConfig(n_symbols=67_000, seed=4, scheme=scheme,
+                          early_stop_errors=early_stop) for scheme in ("ci", "oap")]
+        taken = spy_paths(monkeypatch)
+        curves = sweep([(h, cfg, None) for cfg in cfgs], points, threads=threads)
+        assert "sorted" in taken and "compared" in taken
+        for cfg, curve in zip(cfgs, curves):
+            for snr, est in zip(curve.snr_db, curve.estimates):
+                alone = simulate(h, dataclasses.replace(cfg, snr_db=snr))
+                assert np.array_equal(est.per_pd_errors, alone.per_pd_errors)
+                assert est.symbols_run == alone.symbols_run
+
+
+def block_shapes(cfg, n_points: int) -> set:
+    """(points, symbols per word) of every block of a recipe's one-stack block loop."""
+    mc = cfg.montecarlo
+    words = 1 << cfg.layout.n_links
+    return {(n_points, min(mc.block_size, mc.n_symbols - start) // words)
+            for start in range(0, mc.n_symbols, mc.block_size)}
+
+
+class TestCountPathSelection:
+    @staticmethod
+    def fig4(**sweep):
+        cfg = preset("fig4")
+        cfg = dataclasses.replace(cfg, sweep=dataclasses.replace(cfg.sweep, **sweep))
+        return cfg, len(cfg.sweep.points()) * len(list(cfg.variants())) * len(cfg.schemes)
+
+    def test_full_fig4_sorts(self):
+        cfg, n_points = self.fig4()
+        assert n_points == 186
+        assert all(_sorts(*shape) for shape in block_shapes(cfg, n_points))
+
+    def test_benchmark_fig4_sorts(self):
+        # 150k symbols and every sixth SNR point: 36 points, 4096 then 1183 per word
+        cfg, n_points = self.fig4(snr_step_db=12.0)
+        cfg = dataclasses.replace(cfg, montecarlo=dataclasses.replace(
+            cfg.montecarlo, n_symbols=150_000))
+        shapes = block_shapes(cfg, n_points)
+        assert shapes == {(36, 4096), (36, 1183)}
+        assert all(_sorts(*shape) for shape in shapes)
+
+    @pytest.mark.parametrize("n_points, per", [
+        (4, 9),         # 10 links, 2 SNR points x 2 schemes at 10k symbols
+        (4, 4096),      # few points, long rows
+        (400, 9),       # many points, short rows
+        (16, 256),      # too little work per row to repay the sort
+    ])
+    def test_small_stacks_and_short_rows_compare(self, n_points, per):
+        assert not _sorts(n_points, per)
+
+    def test_one_point_simulate_compares(self, monkeypatch):
+        taken = spy_paths(monkeypatch)
+        simulate(channel(), SimConfig(n_symbols=140_000, seed=2, snr_db=90.0))
+        assert taken == ["compared"] * 3
+
+
 class TestRunnerRowsAreOneSweep:
     """Every ber row is ``simulate`` plus the closed form, with the runner's one estimate."""
 
@@ -590,6 +710,12 @@ class TestRecipeSharesOneBlockLoop:
         want.append(f"wrote {csv_path}")
         assert len(want) == 3 * len(cfg.schemes) * 6 + 1
         assert capsys.readouterr().err.splitlines() == want
+
+
+@pytest.mark.parametrize("threads", [0, -3])
+def test_sweep_rejects_threads_below_one(threads):
+    with pytest.raises(ValueError, match="threads must be >= 1"):
+        one_sweep(channel(), [80.0], SimConfig(n_symbols=100), threads=threads)
 
 
 class TestDefaultThreads:

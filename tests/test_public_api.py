@@ -43,6 +43,11 @@ def test_import_leaves_scipy_unloaded():
     assert loaded_after_import("scipy") == "[]"
 
 
+def test_import_leaves_mpmath_unloaded():
+    # mpmath is a test oracle only; lambertian_order uses the standard decimal module
+    assert loaded_after_import("mpmath") == "[]"
+
+
 def test_import_leaves_yaml_unloaded():
     # only load_config reads YAML; presets, JSON configs and library callers never do
     assert loaded_after_import("yaml") == "[]"
