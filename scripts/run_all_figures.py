@@ -2,11 +2,13 @@
 """Run every named experiment preset and collect the CSV outputs.
 
 Full fidelity takes a few minutes (Monte Carlo at 2e6 symbols per point);
---quick drops the symbol count for a fast smoke pass.
+--quick drops the symbol count for a fast smoke pass.  Each preset's summary
+line gives its wall time and the process's peak resident memory so far.
 """
 
 import argparse
 import dataclasses
+import resource
 import sys
 import time
 
@@ -56,7 +58,8 @@ def main() -> int:
             paths = recipe(cfg, args.out, progress=True)
         else:
             paths = recipe(cfg, args.out, threads=args.threads, progress=True)
-        print(f"{name}: {time.monotonic() - start:.1f}s -> "
+        peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024   # KiB on Linux
+        print(f"{name}: {time.monotonic() - start:.1f}s, peak {peak_mb:.1f} MB -> "
               + ", ".join(str(p) for p in paths))
     return 0
 

@@ -57,6 +57,13 @@ _CODY = [np.array(rows) for rows in (
       6.05183413124413191e-2, 2.33520497626869185e-3)))]
 # Branch points in x = sqrt(2) y; Q underflows to 0 past the last.
 _Q_EDGES = (0.46875 * np.sqrt(2.0), 4.0 * np.sqrt(2.0), 38.6)
+# The working-set budget, in float64 cells: a closed form evaluates Q over as
+# many points of a stack as fit (at least one), and a Monte Carlo block draws
+# and counts its normals in word chunks of about this size.  Against whole
+# blocks, 2^15 added 11-12 % to the single-thread block loop of 8-10 link
+# sweeps (2^16: 4-6 %, 2^14: 24-31 %) and took 2.8 MB off the peak memory of
+# the 4-link benchmark sweep (2^16: 1.5 MB); 4-link loops did not slow.
+_CHUNK_CELLS = 1 << 15
 
 
 def _rational(t, coeffs) -> np.ndarray:
@@ -176,6 +183,21 @@ def sigma_table(sigma, table: WordTable, power: float) -> np.ndarray:
     return arr
 
 
+def _by_points(rate, table: WordTable, sig) -> np.ndarray:
+    """``rate(sig)``, evaluated over chunks of the points of a stacked ``sig``.
+
+    A chunk holds as many points as keep its (points, words, detectors)
+    arrays within ``_CHUNK_CELLS`` cells, and at least one, so the temporaries
+    of Q stay bounded however many points a sweep has.  Each point's rate
+    depends on its own deviations only, so the rows are those of one call.
+    """
+    sig = np.asarray(sig, dtype=float)
+    if sig.ndim < 3:
+        return rate(sig)
+    step = max(1, _CHUNK_CELLS // table.margin.size)
+    return np.concatenate([rate(sig[i:i + step]) for i in range(0, len(sig), step)])
+
+
 def exact_ber(table: WordTable, gp: float, sig) -> np.ndarray:
     """Exact error rate per detector: the word mean of ``Q(table.thresholds(gp, sig))``.
 
@@ -184,7 +206,7 @@ def exact_ber(table: WordTable, gp: float, sig) -> np.ndarray:
     row per point.  Under a stale precoder the table from the true gains is
     the model Monte Carlo samples, so the rate is exact there too.
     """
-    return q_function(table.thresholds(gp, sig)).mean(axis=-2)
+    return _by_points(lambda s: q_function(table.thresholds(gp, s)).mean(axis=-2), table, sig)
 
 
 def outdated_bound(table: WordTable, gp: float, sig) -> np.ndarray:
@@ -197,9 +219,12 @@ def outdated_bound(table: WordTable, gp: float, sig) -> np.ndarray:
     own = table.own
     interf = table.receive - own * table.words
     group = table.slicer if table.scheme == "oap" else 0.0
-    t1 = q_function(gp * (0.5 * own - interf) / sig)
-    t2 = q_function(gp * (1.5 * own + group + interf) / sig)
-    return np.clip(2.0 * (t1 + t2).mean(axis=-2), 0.0, 1.0)
+
+    def bound(s):
+        t1 = q_function(gp * (0.5 * own - interf) / s)
+        t2 = q_function(gp * (1.5 * own + group + interf) / s)
+        return np.clip(2.0 * (t1 + t2).mean(axis=-2), 0.0, 1.0)
+    return _by_points(bound, table, sig)
 
 
 def _one_point(scheme, h, h_hat, sigma, responsivity, power,

@@ -25,6 +25,13 @@ detector) row is sorted once, and a point's count on it is one bisection, so
 the block's cost barely grows with its points.  A block with few points or
 short rows compares its draws with each point instead.  Both count exactly
 the draws above z, so the path taken never changes a result.
+
+A sweep's arrays grow as 2^n words x detectors x points, so nothing but the
+threshold stack spans them all: a block draws and counts in consecutive word
+chunks of about ``_CHUNK_CELLS`` normals (consecutive draws continue one
+stream, so the values are those of one whole-block draw), the closed forms
+evaluate Q a few points at a time, and the block loop reads the stack in
+place.
 """
 
 from __future__ import annotations
@@ -41,6 +48,7 @@ from typing import Literal
 import numpy as np
 
 from . import analytic
+from .analytic import _CHUNK_CELLS
 from .channel import ChannelMatrix
 from .config import ConfigError, _config
 from .csi import perturb_channel  # noqa: F401  (wrapped here by perfbench/tracing.py)
@@ -211,18 +219,19 @@ def _sorted_errors(draws: np.ndarray, z: np.ndarray) -> np.ndarray:
     A point's count on a row is the row length less the draws <= z, which
     one bisection finds; ``side="right"`` keeps ties, infinite z and signed
     zeros on the same side as the comparison.  The sort releases the GIL.
+    ``z`` is read in place, one strided (word, detector) column at a time.
     """
     n_words, n_r, per = draws.shape
     draws.sort(axis=-1)
-    zt = np.ascontiguousarray(z.transpose(1, 2, 0))
-    at_most = np.empty(zt.shape, dtype=np.int64)
+    at_most = np.empty((n_words, n_r, len(z)), dtype=np.int64)
     for w, k in np.ndindex(n_words, n_r):
-        at_most[w, k] = np.searchsorted(draws[w, k], zt[w, k], side="right")
+        at_most[w, k] = np.searchsorted(draws[w, k], z[:, w, k], side="right")
     return n_words * per - at_most.sum(axis=0).T
 
 
-def _block_errors(z: np.ndarray, nb: int, rng: np.random.Generator) -> np.ndarray:
-    """Errors per (point, detector) over one block of ``nb`` symbols.
+def _block_errors(z: np.ndarray, nb: int, rng: np.random.Generator,
+                  rows: np.ndarray | slice = slice(None)) -> np.ndarray:
+    """Errors per (point of ``z[rows]``, detector) over one block of ``nb`` symbols.
 
     ``z`` is ``(points, words, detectors)``.  Each word gets ``nb // n_words``
     symbols; the remaining ``nb % n_words`` go to words drawn uniformly.  The
@@ -231,15 +240,30 @@ def _block_errors(z: np.ndarray, nb: int, rng: np.random.Generator) -> np.ndarra
     serving many points with long rows (``_sorts``) counts them from sorted
     rows, so its cost barely grows with the points; otherwise each point
     compares the draws.  The counts are the same either way.
+
+    The block is drawn and counted in consecutive chunks of words of about
+    ``_CHUNK_CELLS`` draws, then the leftover words the same way, so its
+    arrays stay bounded however wide the array.  Consecutive draws continue
+    one stream, so the chunks draw exactly the values of one whole-block
+    draw; a block within the budget is one chunk.  z is read in place.
     """
-    n_points, n_words, n_r = z.shape
+    n_words, n_r = z.shape[1:]
+    points = np.arange(len(z))[rows]
     per, extra = divmod(nb, n_words)
-    draws = rng.standard_normal((n_words, n_r, per))
-    errors = (_sorted_errors if _sorts(n_points, per) else _compared_errors)(draws, z)
+    count = _sorted_errors if _sorts(len(points), per) else _compared_errors
+    errors = np.zeros((len(points), n_r), dtype=np.int64)
+    if per:
+        step = max(1, _CHUNK_CELLS // (n_r * per))
+        for lo in range(0, n_words, step):
+            draws = rng.standard_normal((min(step, n_words - lo), n_r, per))
+            errors += count(draws, z[rows, lo:lo + step])
     if extra:
         widx = rng.integers(0, n_words, size=extra)
-        draws = rng.standard_normal((extra, n_r))
-        errors += [np.count_nonzero(draws > zp[widx], axis=0) for zp in z]
+        step = max(1, _CHUNK_CELLS // n_r)
+        for lo in range(0, extra, step):
+            draws = rng.standard_normal((min(step, extra - lo), n_r))
+            errors += [np.count_nonzero(draws > z[p, widx[lo:lo + step]], axis=0)
+                       for p in points]
     return errors
 
 
@@ -263,7 +287,7 @@ def _count_errors(z: np.ndarray, cfg: SimConfig, threads: int = 1) -> list[BerEs
         nb = min(cfg.block_size, cfg.n_symbols - k * cfg.block_size)
         rng = np.random.Generator(np.random.SFC64(
             np.random.SeedSequence(entropy=(cfg.seed, k))))
-        return nb, _block_errors(z[rows], nb, rng)
+        return nb, _block_errors(z, nb, rng, slice(None) if len(rows) == n_points else rows)
 
     # One thread runs in the caller, so its CPU time stays the caller's.
     with (ThreadPoolExecutor(threads) if threads > 1
@@ -327,6 +351,54 @@ def _report(curve: BerCurve):
               f"mc {est.average_ber:.3e}  analytic {ana.average:.3e}", file=sys.stderr)
 
 
+def _threads(threads: int | None) -> int:
+    """Blocks a sweep runs at once: None means the CPUs this process may use.
+
+    Below 1 raises ``ValueError``.
+    """
+    if threads is None:
+        return _cpus()
+    if threads < 1:
+        raise ValueError(f"threads must be >= 1, got {threads}")
+    return threads
+
+
+def _stacks(cases) -> list[list[int]]:
+    """Indices of ``(h, cfg, h_hat, points)`` cases grouped into block loops, in run order.
+
+    Cases with the same word and detector counts, seed, symbol count, block
+    size and early-stop target share a loop, in case order, up to
+    ``_STACK_CELLS`` threshold cells; a larger case runs alone.
+    """
+    stacks, pending = [], {}        # draw key -> ([case index], cells)
+    for i, (h, cfg, _, points) in enumerate(cases):
+        n_r, n_t = h.gains.shape
+        cells = len(points) * n_r * 2**n_t
+        key = ((n_r, n_t), cfg.seed, cfg.n_symbols, cfg.block_size, cfg.early_stop_errors)
+        stack, stacked = pending.get(key, ([], 0))
+        if stack and stacked + cells > _STACK_CELLS:
+            stacks.append(stack)
+            stack, stacked = [], 0
+        stack.append(i)
+        pending[key] = (stack, stacked + cells)
+        if cells >= _STACK_CELLS:
+            stacks.append(stack)
+            pending[key] = ([], 0)
+    return stacks + [stack for stack, _ in pending.values() if stack]
+
+
+def _closed_forms(h: ChannelMatrix, cfg: SimConfig, table: WordTable, points,
+                  z: np.ndarray) -> tuple[analytic.BerResult, ...]:
+    """A case's closed form per point, with its thresholds written to ``z``."""
+    gp = h.responsivity * h.power
+    sig = _sigmas(h, cfg, table, points)
+    outdated = cfg.csi_mode == "outdated"
+    rates = (analytic.outdated_bound if outdated else analytic.exact_ber)(table, gp, sig)
+    table.thresholds(gp, sig, out=z)
+    return tuple(analytic.BerResult(per_pd=r, scheme=cfg.scheme, csi=cfg.csi_mode,
+                                    is_bound=outdated) for r in rates)
+
+
 def sweep(cases, snr_points_db, threads: int | None = None,
           progress: bool = False) -> list[BerCurve]:
     """Estimate and analyze each ``(h, cfg, h_hat)`` case over a transmit-SNR grid.
@@ -339,55 +411,45 @@ def sweep(cases, snr_points_db, threads: int | None = None,
     draws already made them, and differences between schemes use common
     random numbers; each row equals ``simulate`` at its SNR with its case's
     ``cfg``, its marginal distribution unchanged.  Such a group's thresholds
-    are stacked up to ``_STACK_CELLS`` cells per block loop; a larger case
-    runs alone.  Up to ``threads`` blocks run at once (None means the CPUs
-    this process may use, 1 forces serial, below 1 raises ``ValueError``);
-    threads split blocks, not points, and the counts do not depend on them.
-    One curve per case, in case order, with points sorted by SNR.  Each
-    case's closed form comes from one evaluation over its stacked deviations:
-    ``analytic.exact_ber`` with perfect knowledge, else
-    ``analytic.outdated_bound``.  Physical noise has no SNR axis: it takes
-    no points and gives one row whose ``snr_db`` is nan.  ``progress`` prints each curve's points once all are counted.
+    are written straight into one stack of up to ``_STACK_CELLS`` cells per
+    block loop; a larger case runs alone.  Up to ``threads`` blocks run at
+    once (None means the CPUs this process may use, 1 forces serial, below 1
+    raises ``ValueError``); threads split blocks, not points, and the counts
+    do not depend on them.  One curve per case, in case order, with points
+    sorted by SNR.  Each case's closed form comes from one evaluation over
+    its stacked deviations: ``analytic.exact_ber`` with perfect knowledge,
+    else ``analytic.outdated_bound``.  Physical noise has no SNR axis: it
+    takes no points and gives one row whose ``snr_db`` is nan.  ``progress``
+    prints each curve's points once all are counted.
+
+    The working set is the threshold stack of one block loop plus temporaries
+    of about ``_CHUNK_CELLS`` cells, or one point's where a point is larger:
+    the closed forms evaluate Q over chunks of points and the blocks draw in
+    chunks of words, each case's thresholds are written into the stack and
+    the block loop reads them in place, and a stack is dropped once counted.
+    A 31-point sweep of two 16-link cases at 20 000 symbols peaks at about
+    430 MB (1.8 GB when every temporary spanned the whole stack).
     """
-    if threads is None:
-        threads = _cpus()
-    elif threads < 1:
-        raise ValueError(f"threads must be >= 1, got {threads}")
-    parts, estimates = [], []
-    pending = {}        # draw key -> [(case index, cfg, z)] not yet counted
-
-    def count(stack):
-        counts = iter(_count_errors(np.concatenate([z for _, _, z in stack]), stack[0][1],
-                                    threads))
-        for i, _, z in stack:
-            estimates[i] = tuple(itertools.islice(counts, len(z)))
-        stack.clear()
-
-    for i, (h, cfg, h_hat) in enumerate(cases):
-        points = _points(cfg, snr_points_db)
-        table = _table(h, cfg, h_hat)
-        gp = h.responsivity * h.power
-        sig = _sigmas(h, cfg, table, points)
-        z = table.thresholds(gp, sig)
-        outdated = cfg.csi_mode == "outdated"
-        rates = (analytic.outdated_bound if outdated else analytic.exact_ber)(table, gp, sig)
-        parts.append((points, cfg, tuple(
-            analytic.BerResult(per_pd=r, scheme=cfg.scheme, csi=cfg.csi_mode,
-                               is_bound=outdated) for r in rates)))
-        estimates.append(None)
-        stack = pending.setdefault(
-            (z.shape[1:], cfg.seed, cfg.n_symbols, cfg.block_size, cfg.early_stop_errors), [])
-        if stack and sum(zs.size for *_, zs in stack) + z.size > _STACK_CELLS:
-            count(stack)
-        stack.append((i, cfg, z))
-        if z.size >= _STACK_CELLS:
-            count(stack)
-    for stack in pending.values():
-        if stack:
-            count(stack)
-    curves = [BerCurve(snr_db=tuple(points), estimates=est, analytic=closed_forms,
-                       scheme=cfg.scheme, csi_mode=cfg.csi_mode)
-              for (points, cfg, closed_forms), est in zip(parts, estimates)]
+    threads = _threads(threads)
+    cases = [(h, cfg, h_hat, _points(cfg, snr_points_db)) for h, cfg, h_hat in cases]
+    curves = [None] * len(cases)
+    for stack in _stacks(cases):
+        z, closed = None, {}
+        for i in stack:
+            h, cfg, h_hat, points = cases[i]
+            table = _table(h, cfg, h_hat)
+            if z is None:       # sized once the first table has checked the array
+                z, at = np.empty((sum(len(cases[j][3]) for j in stack),
+                                  *table.margin.shape)), 0
+            closed[i] = _closed_forms(h, cfg, table, points, z[at:at + len(points)])
+            at += len(points)
+        counts = iter(_count_errors(z, cfg, threads))     # a stack shares one draw key
+        for i in stack:
+            _, cfg, _, points = cases[i]
+            curves[i] = BerCurve(snr_db=tuple(points),
+                                 estimates=tuple(itertools.islice(counts, len(points))),
+                                 analytic=closed[i], scheme=cfg.scheme,
+                                 csi_mode=cfg.csi_mode)
     if progress:
         for curve in curves:
             _report(curve)

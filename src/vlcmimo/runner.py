@@ -22,7 +22,7 @@ from .channel import (build_channel_matrix, concentrator_gain,
                       distance_gain_prefactor, gain_map, lambertian_order)
 from .config import ExperimentConfig, _resolved_hash
 from .csi import MobilityEvent, error_bound, perturb_channel
-from .montecarlo import SimConfig, _report, sweep
+from .montecarlo import SimConfig, _report, _threads, sweep
 from .noise import sigma_from_transmit_snr
 from .precoding import ci_precoder
 
@@ -34,14 +34,8 @@ __all__ = [
 ]
 
 
-def _fmt(value) -> str:
-    if isinstance(value, (float, np.floating)):
-        return repr(float(value))
-    return str(value)
-
-
 def _join_per_pd(values) -> str:
-    return "|".join(repr(float(v)) for v in values)
+    return "|".join(map(str, values.tolist()))
 
 
 def _atomic_write(path: Path, lines):
@@ -67,10 +61,14 @@ def _identity(cfg: ExperimentConfig) -> dict:
 
 
 def _write_csv(path: Path, cfg: ExperimentConfig, config_hash: str, header: list[str], rows):
-    """Write the comment lines, header and ``rows``, formatting one row at a time."""
+    """Write the comment lines, header and ``rows``, formatting one row at a time.
+
+    Rows hold Python scalars (``tolist()``, ``float()``, ints and strs), so
+    ``str`` gives each cell; for a float that is its shortest round-trip repr.
+    """
     head = [f"# config_hash={config_hash}", f"# seed={cfg.seed}",
             f"# name={cfg.name}", ",".join(header)]
-    body = (",".join(_fmt(v) for v in row) for row in rows)
+    body = (",".join(map(str, row)) for row in rows)
     _atomic_write(path, (line + "\n" for line in itertools.chain(head, body)))
 
 
@@ -183,8 +181,10 @@ def run_ber_sweep(cfg: ExperimentConfig, out_dir, threads: int | None = None,
     detector counts.  They drew identical normals before, one sweep at a
     time: rows are correlated across schemes and variants as well as along
     SNR, ci-vs-oap differences use common random numbers, and each row's
-    marginal distribution is unchanged.
+    marginal distribution is unchanged.  ``threads`` below 1 raises
+    ``ValueError`` before anything is written.
     """
+    _threads(threads)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     points = _snr_points(cfg)
@@ -229,9 +229,11 @@ def run_throughput_sweep(cfg: ExperimentConfig, out_dir, threads: int | None = N
                          progress: bool = False) -> list[Path]:
     """Word-averaged normalized throughput over the SNR grid for every variant.
 
-    ``threads`` is accepted for the signature the recipes share and is
-    unused: throughput is closed-form only and runs in the calling thread.
+    ``threads`` is checked as the other recipes check it, below 1 raising
+    ``ValueError`` before anything is written, and is otherwise unused:
+    throughput is closed-form only and runs in the calling thread.
     """
+    _threads(threads)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     points = cfg.sweep.points()
@@ -272,7 +274,9 @@ def run_mobility(cfg: ExperimentConfig, out_dir, threads: int | None = None,
     sweeps' identical draws did before: rows are correlated across schemes
     and intervals as well as along SNR, ci-vs-oap differences use common
     random numbers, and each row's marginal distribution is unchanged.
+    ``threads`` below 1 raises ``ValueError`` before anything is written.
     """
+    _threads(threads)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     points = _snr_points(cfg)

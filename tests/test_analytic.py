@@ -12,9 +12,11 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import erfc
 
+from vlcmimo import analytic
 from vlcmimo.analytic import (PhysicalNoise, _word_rates, ber_ci_outdated,
                               ber_ci_perfect, ber_oap_outdated, ber_oap_perfect,
-                              q_function, throughput)
+                              exact_ber, outdated_bound, q_function, sigma_table,
+                              throughput)
 from vlcmimo.channel import ChannelMatrix, build_channel_matrix, square_grid_layout
 from vlcmimo.csi import perturb_channel
 from vlcmimo.noise import NoiseParams, sigma_from_transmit_snr
@@ -229,6 +231,32 @@ class TestBerOutdatedBounds:
         for fn in (ber_ci_outdated, ber_oap_outdated):
             res = fn(self.h, self.h_hat, s, self.h.responsivity, self.h.power)
             assert np.all(res.per_pd >= 0.0) and np.all(res.per_pd <= 1.0)
+
+
+class TestPointChunks:
+    """A closed form over a stack of points equals its one-point calls, however chunked.
+
+    Budgets: one point per chunk, 3 points per chunk (which 7 points do not
+    divide), and the whole stack.
+    """
+
+    @pytest.mark.parametrize("budget", [1, 3 * 16 * 4, 1 << 40],
+                             ids=["one-point", "three-points", "whole-stack"])
+    @pytest.mark.parametrize("scheme", ["ci", "oap"])
+    @pytest.mark.parametrize("rate", [exact_ber, outdated_bound])
+    def test_rows_equal_one_point_calls(self, monkeypatch, budget, scheme, rate):
+        monkeypatch.setattr(analytic, "_CHUNK_CELLS", budget)
+        h = channel(spacing=1.0)
+        h_hat = perturb_channel(h, 0.02 * h.gains[0, 0], model="uniform", seed=3).h_hat
+        table = word_table(h.gains, ci_precoder(h_hat), scheme)
+        gp = h.responsivity * h.power
+        sig = np.stack([sigma_table(sigma_from_transmit_snr(snr, h.responsivity, h.power),
+                                    table, h.power)
+                        for snr in np.arange(70.0, 101.0, 5.0)])[:, None, :]
+        rows = rate(table, gp, sig)
+        assert rows.shape == (7, 4)
+        for r, s in zip(rows, sig):
+            assert np.array_equal(r, rate(table, gp, s[0]))
 
 
 class TestThroughput:

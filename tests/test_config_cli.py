@@ -2,6 +2,8 @@
 
 import dataclasses
 import json
+import re
+import resource
 import runpy
 import sys
 import types
@@ -208,19 +210,39 @@ class TestCli:
         assert "config error" in capsys.readouterr().err
         assert not out.exists()
 
+    @staticmethod
+    def run_all_figures(monkeypatch, *argv):
+        """``scripts/run_all_figures.py`` run in this process with ``argv``."""
+        script = Path(__file__).resolve().parents[1] / "scripts" / "run_all_figures.py"
+        run_all = runpy.run_path(str(script))["main"]
+        monkeypatch.setattr(sys, "argv", ["run_all_figures.py", *argv])
+        return run_all()
+
     @pytest.mark.parametrize("threads", ["0", "-3"])
     def test_run_all_figures_rejects_threads_below_one(self, tmp_path, capsys, monkeypatch,
                                                         threads):
-        script = Path(__file__).resolve().parents[1] / "scripts" / "run_all_figures.py"
-        run_all = runpy.run_path(str(script))["main"]
         out = tmp_path / "results"
-        monkeypatch.setattr(sys, "argv", ["run_all_figures.py", "--out", str(out),
-                                          "--only", "fig4", "--threads", threads])
         with pytest.raises(SystemExit) as stop:
-            run_all()
+            self.run_all_figures(monkeypatch, "--out", str(out), "--only", "fig4",
+                                 "--threads", threads)
         assert stop.value.code == 2
         assert "must be >= 1" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_run_all_figures_summary_gives_time_and_peak_memory(self, tmp_path, capsys,
+                                                                 monkeypatch):
+        out = tmp_path / "results"
+        assert self.run_all_figures(monkeypatch, "--out", str(out), "--quick",
+                                    "--only", "fig8", "--threads", "1") == 0
+        (line,) = capsys.readouterr().out.splitlines()
+        summary = re.fullmatch(r"fig8: (\d+\.\d)s, peak (\d+\.\d) MB -> (.*)", line)
+        assert summary is not None, line
+        peak_mb = float(summary[2])
+        # the peak so far, printed to 0.1 MB, never passes the peak now
+        now_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+        assert 10.0 < peak_mb <= round(now_mb, 1)
+        assert summary[3] == ", ".join(str(out / f"fig8_throughput{suffix}")
+                                       for suffix in (".csv", "_meta.json"))
 
     def test_malformed_yaml_exit_code(self, tmp_path, capsys):
         path = tmp_path / "broken.yaml"

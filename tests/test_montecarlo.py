@@ -2,11 +2,13 @@
 
 import dataclasses
 import json
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from vlcmimo import montecarlo, runner
+from vlcmimo import montecarlo, precoding, runner
 from vlcmimo.analytic import (PhysicalNoise, ber_ci_outdated, ber_ci_perfect,
                               ber_oap_outdated, ber_oap_perfect, q_function, sigma_table)
 from vlcmimo.channel import ChannelMatrix, build_channel_matrix, square_grid_layout
@@ -403,13 +405,25 @@ class TestSweepSharesOneStream:
 
 
 def spy_paths(monkeypatch) -> list:
-    """The count path of every block from now on: "sorted" or "compared"."""
-    taken = []
+    """The count path of every block from now on: "sorted" or "compared".
+
+    A block counts its chunks one at a time, so the paths its chunks took are
+    gathered per block (per thread, as blocks may run at once) and recorded
+    once; a block whose chunks took both would record "compared+sorted".
+    """
+    taken, block = [], threading.local()
     for name, fn in (("sorted", _sorted_errors), ("compared", _compared_errors)):
         def wrapped(draws, z, name=name, fn=fn):
-            taken.append(name)
+            block.paths.add(name)
             return fn(draws, z)
         monkeypatch.setattr(montecarlo, f"_{name}_errors", wrapped)
+
+    def block_errors(*args, fn=montecarlo._block_errors):
+        block.paths = set()
+        errors = fn(*args)
+        taken.append("+".join(sorted(block.paths)))
+        return errors
+    monkeypatch.setattr(montecarlo, "_block_errors", block_errors)
     return taken
 
 
@@ -451,10 +465,10 @@ class TestSortedCounting:
         z = self.z_with_edges(rng().standard_normal((self.WORDS, self.DETECTORS, per)),
                               n_points)
         taken = spy_paths(monkeypatch)
-        chosen = _block_errors(z, nb, rng())
+        chosen = montecarlo._block_errors(z, nb, rng())
         assert taken == ["sorted" if per >= montecarlo._SORT_MIN_PER else "compared"]
         monkeypatch.setattr(montecarlo, "_sorts", lambda n_points, per: False)
-        assert np.array_equal(chosen, _block_errors(z, nb, rng()))
+        assert np.array_equal(chosen, montecarlo._block_errors(z, nb, rng()))
         assert taken[-1] == "compared"
 
     @pytest.mark.parametrize("threads", [1, 2])
@@ -475,6 +489,118 @@ class TestSortedCounting:
                 alone = simulate(h, dataclasses.replace(cfg, snr_db=snr))
                 assert np.array_equal(est.per_pd_errors, alone.per_pd_errors)
                 assert est.symbols_run == alone.symbols_run
+
+
+def whole_block_errors(z: np.ndarray, nb: int, rng: np.random.Generator) -> np.ndarray:
+    """Reference block: the whole block drawn at once, every point compared with every draw."""
+    n_words, n_r = z.shape[1:]
+    per, extra = divmod(nb, n_words)
+    draws = rng.standard_normal((n_words, n_r, per))
+    errors = (draws[None] > z[..., None]).sum(axis=(1, 3))
+    if extra:
+        widx = rng.integers(0, n_words, size=extra)
+        draws = rng.standard_normal((extra, n_r))
+        errors += (draws[None] > z[:, widx]).sum(axis=1)
+    return errors
+
+
+def whole_block_loop(z: np.ndarray, cfg: SimConfig) -> list[tuple]:
+    """Reference block loop: (errors, symbols) per point, blocks folded one by one."""
+    errors = np.zeros(z.shape[::2], dtype=np.int64)
+    done = np.zeros(len(z), dtype=np.int64)
+    live = np.ones(len(z), dtype=bool)
+    for k, start in enumerate(range(0, cfg.n_symbols, cfg.block_size)):
+        nb = min(cfg.block_size, cfg.n_symbols - start)
+        counts = whole_block_errors(z, nb, block_rng(cfg.seed, k))
+        errors[live] += counts[live]
+        done[live] += nb
+        if cfg.early_stop_errors is not None:
+            live &= errors.min(axis=1) < cfg.early_stop_errors
+    return [(e.tolist(), int(n)) for e, n in zip(errors, done)]
+
+
+class TestChunkedDraws:
+    """A block drawn and counted in word chunks counts exactly what one whole draw does.
+
+    Four links (16 words, 4 detectors) and blocks of 300 symbols per word
+    plus 7 leftover words.  Budgets: one word (and one leftover word) per
+    chunk, 3 words per chunk (which 16 does not divide), and the whole block.
+    """
+
+    WORDS, DETECTORS, PER, EXTRA = 16, 4, 300, 7
+    BUDGETS = {"one-word": 1, "three-words": 3 * 4 * 300 + 1, "whole-block": 1 << 40}
+
+    def z(self, n_points: int) -> np.ndarray:
+        """Thresholds from 0 to about 3 with noise, some tied with 0.0 and +-inf."""
+        rng = np.random.default_rng(3)
+        z = (np.linspace(0.0, 3.0, n_points)[:, None, None]
+             + rng.normal(0.0, 0.5, (n_points, self.WORDS, self.DETECTORS)))
+        z[0, 0], z[-1, 1], z[1, 2] = 0.0, np.inf, -np.inf
+        return z
+
+    @pytest.mark.parametrize("budget", list(BUDGETS.values()), ids=list(BUDGETS))
+    @pytest.mark.parametrize("n_points, path", [(3, "compared"), (32, "sorted")])
+    @pytest.mark.parametrize("extra", [0, EXTRA])
+    def test_block_equals_whole_draw(self, monkeypatch, budget, n_points, path, extra):
+        monkeypatch.setattr(montecarlo, "_CHUNK_CELLS", budget)
+        taken = spy_paths(monkeypatch)
+        z = self.z(n_points)
+        nb = self.WORDS * self.PER + extra
+        got = montecarlo._block_errors(z, nb, block_rng(6, 2))
+        assert taken == [path]
+        assert np.array_equal(got, whole_block_errors(z, nb, block_rng(6, 2)))
+
+    @pytest.mark.parametrize("budget", list(BUDGETS.values()), ids=list(BUDGETS))
+    def test_rows_of_live_points(self, budget, monkeypatch):
+        monkeypatch.setattr(montecarlo, "_CHUNK_CELLS", budget)
+        z = self.z(32)
+        nb = self.WORDS * self.PER + self.EXTRA
+        rows = np.array([1, 4, 5, 30])
+        got = montecarlo._block_errors(z, nb, block_rng(6, 2), rows)
+        assert np.array_equal(got, whole_block_errors(z, nb, block_rng(6, 2))[rows])
+
+    @pytest.mark.parametrize("budget", list(BUDGETS.values()), ids=list(BUDGETS))
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("early_stop", [None, 100])
+    def test_block_loop_equals_whole_draws(self, monkeypatch, budget, threads, early_stop):
+        # Three blocks of 300 per word and 7 leftover (sorted), then 131 per word
+        # and 4 leftover (compared); with early stopping, points stop in
+        # different blocks.
+        cfg = SimConfig(n_symbols=3 * 4807 + 2100, seed=9, block_size=4807,
+                        early_stop_errors=early_stop)
+        monkeypatch.setattr(montecarlo, "_CHUNK_CELLS", budget)
+        taken = spy_paths(monkeypatch)
+        z = self.z(32)
+        got = montecarlo._count_errors(z, cfg, threads)
+        assert "sorted" in taken and "compared" in taken
+        want = whole_block_loop(z, cfg)
+        assert [(e.per_pd_errors.tolist(), e.symbols_run) for e in got] == want
+        assert (len({n for _, n in want}) > 1) == (early_stop is not None)
+
+
+def test_sweep_memory_grows_with_its_threshold_stack_only(monkeypatch, tmp_path):
+    """More SNR points add their thresholds to a sweep's peak, and little else.
+
+    A 12-link ber-sweep (two cases of 4096 words x 12 detectors); the closed
+    forms and the block draws are chunked, so their temporaries do not grow.
+    """
+    def peak_bytes(n_points: int) -> int:
+        cfg = config_from_dict({
+            "name": f"mem{n_points}", "seed": 3, "montecarlo": {"n_symbols": 3000},
+            "layout": {"n_links": 12, "spacing_m": 0.5, "detector": {"fov_deg": 60.0}},
+            "sweep": {"snr_start_db": 80.0, "snr_stop_db": 80.0 + 2.0 * (n_points - 1),
+                      "snr_step_db": 2.0}})
+        monkeypatch.setattr(precoding, "_last_table", None)
+        tracemalloc.start()
+        try:
+            run_ber_sweep(cfg, tmp_path, threads=1)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    few, many = peak_bytes(4), peak_bytes(24)
+    added_z = 2 * (24 - 4) * 4096 * 12 * 8
+    assert many - few <= 2 * added_z
 
 
 def block_shapes(cfg, n_points: int) -> set:
@@ -716,6 +842,15 @@ class TestRecipeSharesOneBlockLoop:
 def test_sweep_rejects_threads_below_one(threads):
     with pytest.raises(ValueError, match="threads must be >= 1"):
         one_sweep(channel(), [80.0], SimConfig(n_symbols=100), threads=threads)
+
+
+@pytest.mark.parametrize("recipe", [run_ber_sweep, run_mobility, runner.run_throughput_sweep])
+@pytest.mark.parametrize("threads", [0, -3])
+def test_recipes_reject_threads_below_one_before_writing(tmp_path, recipe, threads):
+    out = tmp_path / "out"
+    with pytest.raises(ValueError, match="threads must be >= 1"):
+        recipe(preset("fig8"), out, threads=threads)
+    assert not out.exists()
 
 
 class TestDefaultThreads:

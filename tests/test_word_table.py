@@ -216,6 +216,22 @@ def test_tie_decides_zero():
     assert np.array_equal(q_function(table.thresholds(1.0, 0.5)), np.full((4, 2), 0.5))
 
 
+@pytest.mark.parametrize("sig", [0.5, 0.0, np.array([[[0.5, 0.0]], [[0.0, 0.25]]])],
+                         ids=["noisy", "noiseless", "stack-with-zeros"])
+def test_thresholds_written_in_place(sig):
+    """``out`` receives the same z, noiseless entries +-inf included."""
+    gains = np.array([[1.0, 0.3], [0.2, 0.9]])
+    table = word_table(gains, ci_precoder(gains), "oap")
+    want = table.thresholds(2.0, sig)
+    out = np.full(want.shape, np.nan)
+    assert table.thresholds(2.0, sig, out=out) is out
+    assert np.array_equal(out, want)
+    wrong = np.where(table.words == 1, table.margin <= 0.0, table.margin < 0.0)
+    assert np.array_equal(np.isinf(want), np.broadcast_to(~(np.asarray(sig) > 0), want.shape))
+    assert np.array_equal(want[np.isinf(want)] < 0,
+                          np.broadcast_to(wrong, want.shape)[np.isinf(want)])
+
+
 SWEEP_CONFIGS = [
     SimConfig(n_symbols=3000, seed=5, scheme="ci"),
     SimConfig(n_symbols=3000, seed=5, scheme="oap", renormalize_oap=True),
