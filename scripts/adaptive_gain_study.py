@@ -3,7 +3,8 @@
 
 Tabulates, for each luminaire spacing and array order, the SNR each scheme
 needs to reach a target error rate (analytic curves, fine grid) and the
-resulting gap.  No Monte Carlo involved, runs in seconds.
+resulting gap.  No Monte Carlo involved, runs in seconds.  A layout that
+does not fit the room is printed as a skipped row.
 """
 
 import argparse
@@ -11,18 +12,23 @@ import sys
 
 import numpy as np
 
-from vlcmimo.analytic import ber_ci_perfect, ber_oap_perfect
-from vlcmimo.channel import build_channel_matrix, square_grid_layout
+from vlcmimo.analytic import exact_ber, sigma_table
+from vlcmimo.channel import GeometryError, build_channel_matrix, square_grid_layout
 from vlcmimo.noise import sigma_from_transmit_snr
-from vlcmimo.precoding import ci_precoder
+from vlcmimo.precoding import ci_precoder, word_table
+
+
+def error_rates(h, scheme, snrs) -> list[float]:
+    """Average exact error rate of ``scheme`` at each SNR, from one ``exact_ber`` call."""
+    table = word_table(h.gains, ci_precoder(h.gains), scheme)
+    sig = np.stack([sigma_table(sigma_from_transmit_snr(snr, h.responsivity, h.power),
+                                table, h.power) for snr in snrs])[:, None, :]
+    return [float(np.mean(r)) for r in exact_ber(table, h.responsivity * h.power, sig)]
 
 
 def crossing(h, scheme, level, snrs):
-    fn = ber_oap_perfect if scheme == "oap" else ber_ci_perfect
     prev = None
-    for snr in snrs:
-        sigma = sigma_from_transmit_snr(snr, h.responsivity, h.power)
-        ber = fn(h, sigma, h.responsivity, h.power).average
+    for snr, ber in zip(snrs, error_rates(h, scheme, snrs)):
         if prev is not None and prev[1] >= level >= ber > 0:
             x0, y0 = prev
             return x0 + (np.log10(level) - np.log10(y0)) \
@@ -47,7 +53,11 @@ def main() -> int:
           f"{'inversion':>10} {'adaptive':>9} {'gap dB':>7}")
     for n in args.orders:
         for sp in args.spacings:
-            h = build_channel_matrix(square_grid_layout(n, sp, fov=args.fov))
+            try:
+                h = build_channel_matrix(square_grid_layout(n, sp, fov=args.fov))
+            except GeometryError as err:
+                print(f"{n:>6} {sp:>8.2f} skipped: {err}")
+                continue
             cond = ci_precoder(h.gains).condition_number
             ci = crossing(h, "ci", args.level, snrs)
             oap = crossing(h, "oap", args.level, snrs)

@@ -57,10 +57,9 @@ _CODY = [np.array(rows) for rows in (
       6.05183413124413191e-2, 2.33520497626869185e-3)))]
 # Branch points in x = sqrt(2) y; Q underflows to 0 past the last.
 _Q_EDGES = (0.46875 * np.sqrt(2.0), 4.0 * np.sqrt(2.0), 38.6)
-# The working-set budget, in float64 cells: a closed form evaluates Q over as
-# many points of a stack as fit (at least one), and a Monte Carlo block draws
-# and counts its normals in word chunks of about this size.  Against whole
-# blocks, 2^15 added 11-12 % to the single-thread block loop of 8-10 link
+# The working-set budget, in float64 cells: closed forms sum Q, and Monte Carlo
+# blocks draw, divide z and count, in word chunks of about this size.  Against
+# whole blocks, 2^15 added 11-12 % to the single-thread block loop of 8-10 link
 # sweeps (2^16: 4-6 %, 2^14: 24-31 %) and took 2.8 MB off the peak memory of
 # the 4-link benchmark sweep (2^16: 1.5 MB); 4-link loops did not slow.
 _CHUNK_CELLS = 1 << 15
@@ -183,30 +182,37 @@ def sigma_table(sigma, table: WordTable, power: float) -> np.ndarray:
     return arr
 
 
-def _by_points(rate, table: WordTable, sig) -> np.ndarray:
-    """``rate(sig)``, evaluated over chunks of the points of a stacked ``sig``.
+def _word_mean(terms, table: WordTable, sig) -> np.ndarray:
+    """The word mean of ``terms(w, s)``, (points, words, detectors) terms of words ``w``.
 
-    A chunk holds as many points as keep its (points, words, detectors)
-    arrays within ``_CHUNK_CELLS`` cells, and at least one, so the temporaries
-    of Q stay bounded however many points a sweep has.  Each point's rate
-    depends on its own deviations only, so the rows are those of one call.
+    A chunk holds ``min(2^n, _CHUNK_CELLS // n)`` words, whatever the points,
+    and as many points of the ``sig`` stack as fit, so a stacked row equals
+    its one-point call bit for bit; up to 11 links the table is one chunk.
     """
     sig = np.asarray(sig, dtype=float)
-    if sig.ndim < 3:
-        return rate(sig)
-    step = max(1, _CHUNK_CELLS // table.margin.size)
-    return np.concatenate([rate(sig[i:i + step]) for i in range(0, len(sig), step)])
+    n_words, n_r = table.margin.shape
+    stack = np.broadcast_to(sig, (len(sig) if sig.ndim == 3 else 1, n_words, n_r))
+    step = min(n_words, max(1, _CHUNK_CELLS // n_r))
+    at_once = max(1, _CHUNK_CELLS // (step * n_r))
+    total = np.zeros((len(stack), n_r))
+    for lo in range(0, n_words, step):
+        w = slice(lo, lo + step)
+        for p in range(0, len(stack), at_once):
+            total[p:p + at_once] += terms(w, stack[p:p + at_once, w]).sum(axis=-2)
+    total /= n_words
+    return total if sig.ndim == 3 else total[0]
 
 
 def exact_ber(table: WordTable, gp: float, sig) -> np.ndarray:
     """Exact error rate per detector: the word mean of ``Q(table.thresholds(gp, sig))``.
 
-    ``sig`` is a resolved deviation (see ``sigma_table``) or a stack of them
-    along leading axes, ``(points, 1 or words, detectors)``, which gives one
-    row per point.  Under a stale precoder the table from the true gains is
-    the model Monte Carlo samples, so the rate is exact there too.
+    ``sig`` is a resolved deviation (see ``sigma_table``; every entry
+    positive) or a stack of them along a leading axis, ``(points, 1 or
+    words, detectors)``, which gives one row per point.  Under a stale
+    precoder the table from the true gains is the model Monte Carlo samples,
+    so the rate is exact there too.
     """
-    return _by_points(lambda s: q_function(table.thresholds(gp, s)).mean(axis=-2), table, sig)
+    return _word_mean(lambda w, s: q_function(gp * table.margin[w] / s), table, sig)
 
 
 def outdated_bound(table: WordTable, gp: float, sig) -> np.ndarray:
@@ -216,15 +222,13 @@ def outdated_bound(table: WordTable, gp: float, sig) -> np.ndarray:
     and ``interf = ups x - own x``; the adaptive scheme adds its group sum.
     Clamped to [0, 1]; ``sig`` stacks as for ``exact_ber``.
     """
-    own = table.own
-    interf = table.receive - own * table.words
-    group = table.slicer if table.scheme == "oap" else 0.0
-
-    def bound(s):
-        t1 = q_function(gp * (0.5 * own - interf) / s)
-        t2 = q_function(gp * (1.5 * own + group + interf) / s)
-        return np.clip(2.0 * (t1 + t2).mean(axis=-2), 0.0, 1.0)
-    return _by_points(bound, table, sig)
+    def terms(w, s):
+        own = table.own[w]
+        interf = table.receive[w] - own * table.words[w]
+        group = table.slicer[w] if table.scheme == "oap" else 0.0
+        return (q_function(gp * (0.5 * own - interf) / s)
+                + q_function(gp * (1.5 * own + group + interf) / s))
+    return np.clip(2.0 * _word_mean(terms, table, sig), 0.0, 1.0)
 
 
 def _one_point(scheme, h, h_hat, sigma, responsivity, power,

@@ -12,11 +12,7 @@ Sweeps use common random numbers: sigma only scales the thresholds, and the
 draws depend only on the seed, the symbol and block counts and the word and
 detector counts.  One (seed, block) stream therefore serves every SNR point
 of every case of a ``sweep`` call that has the same word and detector counts
-(every scheme, array spacing or elapsed time of a recipe): each block is
-drawn once and compared with all their thresholds.  Those cases drew
-identical normals before, one case at a time, so rows were already
-correlated across schemes, spacings and elapsed times, not only along SNR,
-and differences between schemes use common random numbers.  Each row is
+(every scheme, array spacing or elapsed time of a recipe).  Each row is
 exactly the standalone run at its SNR and keeps its marginal distribution.
 Threads split a block loop's blocks, not its points.
 
@@ -26,12 +22,10 @@ the block's cost barely grows with its points.  A block with few points or
 short rows compares its draws with each point instead.  Both count exactly
 the draws above z, so the path taken never changes a result.
 
-A sweep's arrays grow as 2^n words x detectors x points, so nothing but the
-threshold stack spans them all: a block draws and counts in consecutive word
-chunks of about ``_CHUNK_CELLS`` normals (consecutive draws continue one
-stream, so the values are those of one whole-block draw), the closed forms
-evaluate Q a few points at a time, and the block loop reads the stack in
-place.
+No array of a sweep spans 2^n words x detectors x points: a block draws,
+divides z and counts in consecutive word chunks of about ``_CHUNK_CELLS``
+normals (consecutive draws continue one stream, so the values are those of
+one whole-block draw), and the closed forms sum Q over chunks of words.
 """
 
 from __future__ import annotations
@@ -64,10 +58,6 @@ __all__ = [
     "exhaustive_noiseless_errors",
 ]
 
-# Threshold cells (points x words x detectors) one block loop compares at
-# most: a sweep stacks cases that share their draws up to this size, and a
-# larger case runs alone.
-_STACK_CELLS = 1 << 22
 # A block counts from sorted draws when it serves at least _SORT_MIN_POINTS
 # points with at least _SORT_MIN_PER symbols per word, and points times
 # symbols per word (the compares each row would take) reach _SORT_MIN_WORK.
@@ -190,6 +180,30 @@ def _thresholds(h: ChannelMatrix, cfg: SimConfig, h_hat=None) -> np.ndarray:
     return table.thresholds(h.responsivity * h.power, sig)
 
 
+class _Thresholds:
+    """A sweep's z, divided a chunk at a time where the block loop compares it.
+
+    From each case's (words, detectors) ``gp * margin`` and (points, 1 or
+    words, detectors) deviations, all positive; ``z[rows, lo:hi]`` and
+    ``z[p, widx]`` divide as ``WordTable.thresholds`` does, so counts are unchanged.
+    """
+
+    def __init__(self, gpm: list[np.ndarray], sig: list[np.ndarray]):
+        self.gpm = np.stack(gpm)
+        self.case = np.repeat(np.arange(len(sig)), [len(s) for s in sig])
+        self.shape = (len(self.case), *self.gpm.shape[1:])
+        width = max(s.shape[1] for s in sig)      # per-word deviations of physical noise
+        self.sig = np.broadcast_to(np.concatenate(
+            [np.broadcast_to(s, (len(s), width, s.shape[2])) for s in sig]), self.shape)
+
+    def __len__(self) -> int:
+        return self.shape[0]
+
+    def __getitem__(self, key) -> np.ndarray:
+        rows, words = key
+        return np.divide(self.gpm[self.case[rows], words], self.sig[rows, words])
+
+
 def _sorts(n_points: int, per: int) -> bool:
     """Whether a block of ``per`` symbols per word serving ``n_points`` points sorts.
 
@@ -219,7 +233,6 @@ def _sorted_errors(draws: np.ndarray, z: np.ndarray) -> np.ndarray:
     A point's count on a row is the row length less the draws <= z, which
     one bisection finds; ``side="right"`` keeps ties, infinite z and signed
     zeros on the same side as the comparison.  The sort releases the GIL.
-    ``z`` is read in place, one strided (word, detector) column at a time.
     """
     n_words, n_r, per = draws.shape
     draws.sort(axis=-1)
@@ -233,7 +246,8 @@ def _block_errors(z: np.ndarray, nb: int, rng: np.random.Generator,
                   rows: np.ndarray | slice = slice(None)) -> np.ndarray:
     """Errors per (point of ``z[rows]``, detector) over one block of ``nb`` symbols.
 
-    ``z`` is ``(points, words, detectors)``.  Each word gets ``nb // n_words``
+    ``z`` is ``(points, words, detectors)``, an array or a sweep's
+    ``_Thresholds``, read a chunk at a time.  Each word gets ``nb // n_words``
     symbols; the remaining ``nb % n_words`` go to words drawn uniformly.  The
     noise is symmetric, so a standard normal draw per symbol and detector
     above z is an error, and every point counts the same draws.  A block
@@ -245,7 +259,7 @@ def _block_errors(z: np.ndarray, nb: int, rng: np.random.Generator,
     ``_CHUNK_CELLS`` draws, then the leftover words the same way, so its
     arrays stay bounded however wide the array.  Consecutive draws continue
     one stream, so the chunks draw exactly the values of one whole-block
-    draw; a block within the budget is one chunk.  z is read in place.
+    draw; a block within the budget is one chunk.
     """
     n_words, n_r = z.shape[1:]
     points = np.arange(len(z))[rows]
@@ -367,36 +381,13 @@ def _stacks(cases) -> list[list[int]]:
     """Indices of ``(h, cfg, h_hat, points)`` cases grouped into block loops, in run order.
 
     Cases with the same word and detector counts, seed, symbol count, block
-    size and early-stop target share a loop, in case order, up to
-    ``_STACK_CELLS`` threshold cells; a larger case runs alone.
+    size and early-stop target share a loop, in case order.
     """
-    stacks, pending = [], {}        # draw key -> ([case index], cells)
-    for i, (h, cfg, _, points) in enumerate(cases):
-        n_r, n_t = h.gains.shape
-        cells = len(points) * n_r * 2**n_t
-        key = ((n_r, n_t), cfg.seed, cfg.n_symbols, cfg.block_size, cfg.early_stop_errors)
-        stack, stacked = pending.get(key, ([], 0))
-        if stack and stacked + cells > _STACK_CELLS:
-            stacks.append(stack)
-            stack, stacked = [], 0
-        stack.append(i)
-        pending[key] = (stack, stacked + cells)
-        if cells >= _STACK_CELLS:
-            stacks.append(stack)
-            pending[key] = ([], 0)
-    return stacks + [stack for stack, _ in pending.values() if stack]
-
-
-def _closed_forms(h: ChannelMatrix, cfg: SimConfig, table: WordTable, points,
-                  z: np.ndarray) -> tuple[analytic.BerResult, ...]:
-    """A case's closed form per point, with its thresholds written to ``z``."""
-    gp = h.responsivity * h.power
-    sig = _sigmas(h, cfg, table, points)
-    outdated = cfg.csi_mode == "outdated"
-    rates = (analytic.outdated_bound if outdated else analytic.exact_ber)(table, gp, sig)
-    table.thresholds(gp, sig, out=z)
-    return tuple(analytic.BerResult(per_pd=r, scheme=cfg.scheme, csi=cfg.csi_mode,
-                                    is_bound=outdated) for r in rates)
+    stacks = {}
+    for i, (h, cfg, _, _) in enumerate(cases):
+        key = (h.gains.shape, cfg.seed, cfg.n_symbols, cfg.block_size, cfg.early_stop_errors)
+        stacks.setdefault(key, []).append(i)
+    return list(stacks.values())
 
 
 def sweep(cases, snr_points_db, threads: int | None = None,
@@ -406,13 +397,10 @@ def sweep(cases, snr_points_db, threads: int | None = None,
     One (seed, block) stream serves every SNR point of every case that has
     the same word and detector counts, seed, symbol count, block size and
     early-stop target (common random numbers): each block is drawn once and
-    counted against the thresholds of all their points.  Rows are therefore
-    correlated along SNR and across cases, as one-case sweeps' identical
-    draws already made them, and differences between schemes use common
-    random numbers; each row equals ``simulate`` at its SNR with its case's
-    ``cfg``, its marginal distribution unchanged.  Such a group's thresholds
-    are written straight into one stack of up to ``_STACK_CELLS`` cells per
-    block loop; a larger case runs alone.  Up to ``threads`` blocks run at
+    counted against the thresholds of all their points, in one block loop
+    however wide the arrays.  Rows are therefore correlated along SNR and
+    across cases; each row equals ``simulate`` at its SNR with its case's
+    ``cfg``, its marginal distribution unchanged.  Up to ``threads`` blocks run at
     once (None means the CPUs this process may use, 1 forces serial, below 1
     raises ``ValueError``); threads split blocks, not points, and the counts
     do not depend on them.  One curve per case, in case order, with points
@@ -422,34 +410,34 @@ def sweep(cases, snr_points_db, threads: int | None = None,
     takes no points and gives one row whose ``snr_db`` is nan.  ``progress``
     prints each curve's points once all are counted.
 
-    The working set is the threshold stack of one block loop plus temporaries
-    of about ``_CHUNK_CELLS`` cells, or one point's where a point is larger:
-    the closed forms evaluate Q over chunks of points and the blocks draw in
-    chunks of words, each case's thresholds are written into the stack and
-    the block loop reads them in place, and a stack is dropped once counted.
-    A 31-point sweep of two 16-link cases at 20 000 symbols peaks at about
-    430 MB (1.8 GB when every temporary spanned the whole stack).
+    The working set does not grow with the points: the block loop gets each
+    case's ``gp * margin`` and deviations and divides z one word chunk at a
+    time, and the closed forms sum Q over chunks of words.  A 31-point sweep of two 16-link cases at 20 000
+    symbols peaks at about 170 MB (430 MB with a stored threshold stack).
     """
     threads = _threads(threads)
     cases = [(h, cfg, h_hat, _points(cfg, snr_points_db)) for h, cfg, h_hat in cases]
     curves = [None] * len(cases)
     for stack in _stacks(cases):
-        z, closed = None, {}
+        rates, gpm, sigs = {}, [], []
         for i in stack:
             h, cfg, h_hat, points = cases[i]
             table = _table(h, cfg, h_hat)
-            if z is None:       # sized once the first table has checked the array
-                z, at = np.empty((sum(len(cases[j][3]) for j in stack),
-                                  *table.margin.shape)), 0
-            closed[i] = _closed_forms(h, cfg, table, points, z[at:at + len(points)])
-            at += len(points)
-        counts = iter(_count_errors(z, cfg, threads))     # a stack shares one draw key
+            gp = h.responsivity * h.power
+            sigs.append(_sigmas(h, cfg, table, points))
+            gpm.append(gp * table.margin)
+            rate = analytic.outdated_bound if cfg.csi_mode == "outdated" else analytic.exact_ber
+            rates[i] = rate(table, gp, sigs[-1])
+        # a stack shares one draw key
+        counts = iter(_count_errors(_Thresholds(gpm, sigs), cfg, threads))
         for i in stack:
             _, cfg, _, points = cases[i]
+            closed = tuple(analytic.BerResult(per_pd=r, scheme=cfg.scheme, csi=cfg.csi_mode,
+                                              is_bound=cfg.csi_mode == "outdated")
+                           for r in rates[i])
             curves[i] = BerCurve(snr_db=tuple(points),
                                  estimates=tuple(itertools.islice(counts, len(points))),
-                                 analytic=closed[i], scheme=cfg.scheme,
-                                 csi_mode=cfg.csi_mode)
+                                 analytic=closed, scheme=cfg.scheme, csi_mode=cfg.csi_mode)
     if progress:
         for curve in curves:
             _report(curve)

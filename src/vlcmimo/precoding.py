@@ -141,17 +141,15 @@ class WordTable:
             if isinstance(value, np.ndarray):
                 value.setflags(write=False)
 
-    def thresholds(self, gp: float, sig, out: np.ndarray | None = None) -> np.ndarray:
+    def thresholds(self, gp: float, sig) -> np.ndarray:
         """Noise ``z = gp * margin / sig`` against the bit beyond which the slicer errs.
 
         The error probability is ``Q(z)``.  Where ``sig`` is 0, z is -inf for
         a wrong decision and +inf for a right one; a receive value equal to
         the threshold decides 0, so a 1 errs at margin <= 0 and a 0 at < 0.
-        z is written to ``out`` when given, so a caller can build a stack of
-        thresholds in place.
         """
         with np.errstate(divide="ignore", invalid="ignore"):
-            z = np.divide(gp * self.margin, sig, out=out)
+            z = np.divide(gp * self.margin, sig)
         noiseless = ~(np.asarray(sig) > 0)
         if noiseless.any():     # only noiseless runs have sigma 0
             wrong = np.where(self.words == 1, self.margin <= 0.0, self.margin < 0.0)

@@ -233,11 +233,23 @@ class TestBerOutdatedBounds:
             assert np.all(res.per_pd >= 0.0) and np.all(res.per_pd <= 1.0)
 
 
+def stale_stack(n: int, scheme: str, snrs) -> tuple:
+    """A stale-precoder table of ``n`` links, its gp and a swept sigma stack at ``snrs``."""
+    h = channel(n, spacing=1.0 if n <= 4 else 0.5)
+    h_hat = perturb_channel(h, 0.02 * h.gains[0, 0], model="uniform", seed=3).h_hat
+    table = word_table(h.gains, ci_precoder(h_hat), scheme)
+    sig = np.stack([sigma_table(sigma_from_transmit_snr(snr, h.responsivity, h.power),
+                                table, h.power) for snr in snrs])[:, None, :]
+    return table, h.responsivity * h.power, sig
+
+
 class TestPointChunks:
     """A closed form over a stack of points equals its one-point calls, however chunked.
 
-    Budgets: one point per chunk, 3 points per chunk (which 7 points do not
-    divide), and the whole stack.
+    Four links: 16 words x 4 detectors and 7 points.  Point budgets: one word
+    and one point per chunk, the whole table and 3 points per chunk (which 7
+    points do not divide), and the whole stack.  Word budgets: one word, 3
+    words (which 16 words do not divide) and the whole table per chunk.
     """
 
     @pytest.mark.parametrize("budget", [1, 3 * 16 * 4, 1 << 40],
@@ -246,17 +258,35 @@ class TestPointChunks:
     @pytest.mark.parametrize("rate", [exact_ber, outdated_bound])
     def test_rows_equal_one_point_calls(self, monkeypatch, budget, scheme, rate):
         monkeypatch.setattr(analytic, "_CHUNK_CELLS", budget)
-        h = channel(spacing=1.0)
-        h_hat = perturb_channel(h, 0.02 * h.gains[0, 0], model="uniform", seed=3).h_hat
-        table = word_table(h.gains, ci_precoder(h_hat), scheme)
-        gp = h.responsivity * h.power
-        sig = np.stack([sigma_table(sigma_from_transmit_snr(snr, h.responsivity, h.power),
-                                    table, h.power)
-                        for snr in np.arange(70.0, 101.0, 5.0)])[:, None, :]
+        table, gp, sig = stale_stack(4, scheme, np.arange(70.0, 101.0, 5.0))
         rows = rate(table, gp, sig)
         assert rows.shape == (7, 4)
         for r, s in zip(rows, sig):
             assert np.array_equal(r, rate(table, gp, s[0]))
+
+    @pytest.mark.parametrize("words", [1, 3, 16], ids=["one-word", "three-words", "whole-table"])
+    @pytest.mark.parametrize("scheme", ["ci", "oap"])
+    @pytest.mark.parametrize("rate", [exact_ber, outdated_bound])
+    def test_word_chunks_equal_one_point_calls(self, monkeypatch, words, scheme, rate):
+        monkeypatch.setattr(analytic, "_CHUNK_CELLS", words * 4)
+        table, gp, sig = stale_stack(4, scheme, np.arange(70.0, 101.0, 5.0))
+        rows = rate(table, gp, sig)
+        for r, s in zip(rows, sig):
+            assert np.array_equal(r, rate(table, gp, s[0]))
+        monkeypatch.setattr(analytic, "_CHUNK_CELLS", 1 << 40)
+        assert np.allclose(rows, rate(table, gp, sig), rtol=1e-14, atol=0.0)
+
+    @pytest.mark.parametrize("scheme", ["ci", "oap"])
+    def test_twelve_links_span_several_chunks(self, scheme):
+        """4096 words x 12 detectors take two word chunks; the mean is the whole table's."""
+        table, gp, sig = stale_stack(12, scheme, [80.0, 95.0, 110.0])
+        assert table.margin.size > analytic._CHUNK_CELLS
+        rows = exact_ber(table, gp, sig)
+        whole = np.stack([q_function(table.thresholds(gp, s)).mean(axis=-2) for s in sig])
+        assert rows.min() > 0.0
+        assert np.allclose(rows, whole, rtol=1e-13, atol=0.0)
+        for r, s in zip(rows, sig):
+            assert np.array_equal(r, exact_ber(table, gp, s[0]))
 
 
 class TestThroughput:

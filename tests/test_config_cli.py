@@ -2,9 +2,11 @@
 
 import dataclasses
 import json
+import os
 import re
 import resource
 import runpy
+import subprocess
 import sys
 import types
 import typing
@@ -243,6 +245,19 @@ class TestCli:
         assert 10.0 < peak_mb <= round(now_mb, 1)
         assert summary[3] == ", ".join(str(out / f"fig8_throughput{suffix}")
                                        for suffix in (".csv", "_meta.json"))
+
+    def test_adaptive_gain_study_skips_a_layout_outside_the_room(self):
+        """An 8-link array at 1.5 m does not fit the 4 m room: one skipped row, exit 0."""
+        root = Path(__file__).resolve().parents[1]
+        done = subprocess.run(
+            [sys.executable, str(root / "scripts" / "adaptive_gain_study.py"),
+             "--orders", "8", "--spacings", "1.5"], capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": str(root / "src")}, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert "Traceback" not in done.stdout + done.stderr
+        *_, row = done.stdout.splitlines()
+        assert re.fullmatch(r" +8 +1\.50 skipped: luminaire position .* outside room bounds .*",
+                            row), row
 
     def test_malformed_yaml_exit_code(self, tmp_path, capsys):
         path = tmp_path / "broken.yaml"

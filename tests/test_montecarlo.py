@@ -578,11 +578,67 @@ class TestChunkedDraws:
         assert (len({n for _, n in want}) > 1) == (early_stop is not None)
 
 
-def test_sweep_memory_grows_with_its_threshold_stack_only(monkeypatch, tmp_path):
-    """More SNR points add their thresholds to a sweep's peak, and little else.
+class TestThresholdsFromMargins:
+    """The block loop counts the same from margins and deviations as from the dense z.
 
-    A 12-link ber-sweep (two cases of 4096 words x 12 detectors); the closed
-    forms and the block draws are chunked, so their temporaries do not grow.
+    Four links; blocks of 256 symbols per word and 5 leftover words (which
+    sort when 40 points are live), then 62 per word and 8 leftover (which
+    compare).  With early stopping, live rows are a subset of the points.
+    """
+
+    CFG = SimConfig(n_symbols=4101 + 1000, seed=13, block_size=4101)
+
+    @staticmethod
+    def cases(noise: str) -> list[tuple]:
+        """(gp * margin, deviations, dense z) per case: 20 swept points, one physical point."""
+        out = []
+        for scheme, mode in zip(("ci", "oap"), noise.split("+")):
+            h, params = physical_channel() if mode == "physical" else (channel(), None)
+            table = word_table(h.gains, ci_precoder(h.gains), scheme)
+            gp = h.responsivity * h.power
+            if mode == "swept":
+                sig = np.stack([sigma_table(sigma_from_transmit_snr(snr, h.responsivity,
+                                                                    h.power), table, h.power)
+                                for snr in np.linspace(70.0, 98.5, 20)])[:, None, :]
+            else:
+                sig = sigma_table(PhysicalNoise(h.gains, h.detector_area, h.responsivity,
+                                                params), table, h.power)[None]
+            out.append((gp * table.margin, sig, table.thresholds(gp, sig)))
+        return out
+
+    @pytest.mark.parametrize("noise", ["swept+swept", "physical+physical", "swept+physical"])
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("early_stop", [None, 100])
+    def test_counts_equal_dense_thresholds(self, monkeypatch, noise, threads, early_stop):
+        cfg = dataclasses.replace(self.CFG, early_stop_errors=early_stop)
+        gpm, sig, dense = zip(*self.cases(noise))
+        z = montecarlo._Thresholds(list(gpm), list(sig))
+        assert z.shape == (sum(map(len, dense)), 16, 4)
+        taken = spy_paths(monkeypatch)
+        got = montecarlo._count_errors(z, cfg, threads)
+        want = montecarlo._count_errors(np.concatenate(dense), cfg, threads)
+        assert [(e.per_pd_errors.tolist(), e.symbols_run) for e in got] == \
+            [(e.per_pd_errors.tolist(), e.symbols_run) for e in want]
+        assert sum(e.per_pd_errors.sum() for e in got) > 0
+        assert ("sorted" in taken) == (noise == "swept+swept")
+
+    def test_chunks_equal_dense_thresholds(self):
+        gpm, sig, dense = zip(*self.cases("swept+physical"))
+        z, dense = montecarlo._Thresholds(list(gpm), list(sig)), np.concatenate(dense)
+        rows, widx = np.array([0, 7, 19, 20]), np.array([3, 3, 15, 0, 9])
+        assert np.array_equal(z[slice(None), 5:11], dense[:, 5:11])
+        assert np.array_equal(z[rows, 0:3], dense[rows, 0:3])
+        for p in (0, 19, 20):
+            assert np.array_equal(z[p, widx], dense[p, widx])
+
+
+def test_sweep_memory_does_not_grow_with_its_points(monkeypatch, tmp_path):
+    """More SNR points leave a sweep's peak memory where it was.
+
+    A 12-link ber-sweep (two cases of 4096 words x 12 detectors): thresholds
+    are formed a word chunk at a time and the closed forms sum over word
+    chunks, so 20 more points add only their deviations and rows, against
+    7.9 MB of thresholds a stored stack would add.
     """
     def peak_bytes(n_points: int) -> int:
         cfg = config_from_dict({
@@ -599,8 +655,7 @@ def test_sweep_memory_grows_with_its_threshold_stack_only(monkeypatch, tmp_path)
             tracemalloc.stop()
 
     few, many = peak_bytes(4), peak_bytes(24)
-    added_z = 2 * (24 - 4) * 4096 * 12 * 8
-    assert many - few <= 2 * added_z
+    assert many - few <= 64 * 1024
 
 
 def block_shapes(cfg, n_points: int) -> set:
@@ -795,15 +850,21 @@ class TestRecipeSharesOneBlockLoop:
         self.run("orders", tmp_path, montecarlo={"n_symbols": 10_000, "block_size": 4096})
         assert len(generators) == 3 * 2
 
-    @pytest.mark.parametrize("cells, loops", [(100, 6), (700, 3), (1 << 22, 1)])
-    def test_split_group_identical(self, monkeypatch, tmp_path, cells, loops):
-        # Six cases of 5 points x 16 words x 4 detectors: 320 cells each.
-        whole = self.run("spacings", tmp_path / "whole")
-        monkeypatch.setattr(montecarlo, "_STACK_CELLS", cells)
-        calls = self.count_calls(monkeypatch, montecarlo, "_count_errors")
-        assert self.run("spacings", tmp_path / "split") == whole
-        assert len(calls) == loops
-        assert max(z.size for z, *_ in calls) <= max(cells, 320)
+    def test_wide_cases_share_one_block_loop(self, monkeypatch, tmp_path):
+        """ci and oap on 12 links share one block loop however many thresholds they have.
+
+        90 points (80-258 dB) of 4096 words x 12 detectors: 4.4 million
+        thresholds per case.
+        """
+        wide = {"spacings_m": [0.5], "montecarlo": {"n_symbols": 2000},
+                "layout": {"n_links": 12, "spacing_m": 0.5, "detector": {"fov_deg": 60.0}},
+                "sweep": {"snr_start_db": 80.0, "snr_stop_db": 258.0, "snr_step_db": 2.0}}
+        loops = self.count_calls(monkeypatch, montecarlo, "_count_errors")
+        grouped = self.run("spacings", tmp_path / "grouped", **wide)
+        assert len(loops) == 1 and len(loops[0][0]) == 2 * 90
+        with monkeypatch.context() as m:
+            self.per_case(m)
+            assert self.run("spacings", tmp_path / "ref", **wide) == grouped
 
     @pytest.mark.parametrize("name", ["spacings", "mobility"])
     def test_progress_lines_unchanged(self, capsys, tmp_path, name):
