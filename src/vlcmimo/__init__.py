@@ -12,14 +12,12 @@ from .analytic import (BerResult, ber_ci_outdated, ber_ci_perfect,
                        ber_oap_outdated, ber_oap_perfect, q_function, throughput)
 from .channel import (ChannelMatrix, GainMap, GeometryError, Luminaire,
                       PhotoDetector, RoomLayout, build_channel_matrix,
-                      channel_gain, concentrator_gain, distance_gain_prefactor,
-                      gain_map, lambertian_order, radiant_intensity,
-                      simplified_gain, square_grid_layout)
+                      concentrator_gain, distance_gain_prefactor, gain_map,
+                      lambertian_order, square_grid_layout)
 from .config import ConfigError, ExperimentConfig, load_config, preset
 from .csi import ChannelEstimate, MobilityEvent, error_bound, perturb_channel
-from .montecarlo import (BerCurve, BerEstimate, SimConfig,
-                         exhaustive_noiseless_errors, simulate, sweep)
+from .montecarlo import BerCurve, BerEstimate, SimConfig, simulate, sweep
 from .noise import (NoiseParams, shot_variance, sigma_from_transmit_snr,
                     thermal_variance, total_sigma)
 from .precoding import (Precoder, SingularChannelError, ci_precoder,
-                        combination_matrix, scaling_beta)
+                        combination_matrix)

@@ -1,10 +1,10 @@
 """Closed-form link performance: error rates, bounds and throughput.
 
-Exact error probabilities average ``Q(z)`` over every binary symbol word, z
-from ``WordTable.thresholds``: the noise threshold Monte Carlo compares its
-draws with.  Per word the receiver slices at half the constructive amplitude
-of the detector's equal-symbol group, which for plain inversion degenerates
-to half the scaled desired gain.  The outdated-knowledge expressions are
+Exact error probabilities average ``Q(z)`` over every binary symbol word, with
+``z = gp * margin / sigma`` the noise threshold Monte Carlo compares its draws
+with.  Per word the receiver slices at half the constructive amplitude of the
+detector's equal-symbol group, which for plain inversion degenerates to half
+the scaled desired gain.  The outdated-knowledge expressions are
 upper bounds, not exact probabilities, and may saturate toward 1.
 
 ``q_function`` is numpy only, from Cody's rational Chebyshev approximations
@@ -67,36 +67,50 @@ _CHUNK_CELLS = 1 << 15
 
 def _rational(t, coeffs) -> np.ndarray:
     """Numerator over denominator of ``coeffs``, both by Horner's rule in ``t``."""
-    acc = np.empty((2, t.size))
-    acc[...] = coeffs[:, :1]
+    num, den = (np.full(t.shape, c) for c in coeffs[:, 0])
     for k in range(1, coeffs.shape[1]):
-        acc *= t
-        acc += coeffs[:, k:k + 1]
-    return acc[0] / acc[1]
+        num *= t
+        num += coeffs[0, k]
+        den *= t
+        den += coeffs[1, k]
+    num /= den
+    return num
 
 
 def _half_gauss(a) -> np.ndarray:
     """``exp(-a^2/2) / 2``, split at ``h = trunc(16 a)/16`` so ``h^2/2`` is exact."""
     h = np.trunc(16.0 * a) / 16.0
-    return 0.5 * np.exp(-0.5 * h * h) * np.exp(-0.5 * (a - h) * (a + h))
+    g = 0.5 * np.exp(-0.5 * h * h)
+    s = a + h       # then -(a - h)(a + h)/2 in h's place, holding three arrays
+    np.subtract(a, h, out=h)
+    h *= -0.5
+    h *= s
+    g *= np.exp(h, out=h)
+    return g
 
 
 def _q_near(a) -> np.ndarray:
     """Q(a) as ``(1 - erf(y)) / 2`` for ``y = a / sqrt 2 <= 0.46875``."""
     y = a / np.sqrt(2.0)
-    return 0.5 - 0.5 * y * _rational(y * y, _CODY[0])
+    q = _rational(y * y, _CODY[0])
+    return np.subtract(0.5, np.multiply(0.5 * y, q, out=q), out=q)
 
 
 def _q_mid(a) -> np.ndarray:
     """Q(a) as ``erfc(y) exp(y^2)`` times ``exp(-a^2/2) / 2`` for ``0.46875 < y <= 4``."""
-    return _rational(a / np.sqrt(2.0), _CODY[1]) * _half_gauss(a)
+    q = _rational(a / np.sqrt(2.0), _CODY[1])
+    q *= _half_gauss(a)
+    return q
 
 
 def _q_tail(a) -> np.ndarray:
     """Q(a) from the asymptotic form of ``erfc(y) exp(y^2)`` in ``1/y^2`` for ``y > 4``."""
     y = a / np.sqrt(2.0)
     t = 1.0 / (y * y)
-    return (1.0 / np.sqrt(np.pi) - t * _rational(t, _CODY[2])) / y * _half_gauss(a)
+    q = (1.0 / np.sqrt(np.pi) - t * _rational(t, _CODY[2])) / y
+    del y, t        # before the Gaussian factor's arrays
+    q *= _half_gauss(a)
+    return q
 
 
 def q_function(x):
@@ -117,8 +131,7 @@ def q_function(x):
         part = a[sel]
         if part.size:       # small tables often leave a branch empty
             q[sel] = branch(part)
-    neg = x < 0.0
-    q[neg] = 1.0 - q[neg]
+    np.subtract(1.0, q, out=q, where=x < 0.0)
     return q[()]
 
 
@@ -204,7 +217,7 @@ def _word_mean(terms, table: WordTable, sig) -> np.ndarray:
 
 
 def exact_ber(table: WordTable, gp: float, sig) -> np.ndarray:
-    """Exact error rate per detector: the word mean of ``Q(table.thresholds(gp, sig))``.
+    """Exact error rate per detector: the word mean of ``Q(gp * table.margin / sig)``.
 
     ``sig`` is a resolved deviation (see ``sigma_table``; every entry
     positive) or a stack of them along a leading axis, ``(points, 1 or

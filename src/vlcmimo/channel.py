@@ -23,11 +23,8 @@ __all__ = [
     "GainMap",
     "lambertian_order",
     "concentrator_gain",
-    "radiant_intensity",
-    "channel_gain",
     "build_channel_matrix",
     "gain_map",
-    "simplified_gain",
     "distance_gain_prefactor",
     "square_grid_layout",
 ]
@@ -216,13 +213,6 @@ def concentrator_gain(incidence_angle: float, fov: float, refractive_index: floa
     return refractive_index**2 / math.sin(math.radians(fov)) ** 2
 
 
-def radiant_intensity(emergence_angle: float, m: float) -> float:
-    """Lambertian radiant intensity (m+1)/(2 pi) * cos^m at the emergence angle."""
-    if m <= 0.0:
-        raise GeometryError("Lambertian order must be positive")
-    return (m + 1.0) / (2.0 * math.pi) * max(math.cos(math.radians(emergence_angle)), 0.0) ** m
-
-
 def _los_gains(x, y, z, detectors, luminaires) -> np.ndarray:
     """Line-of-sight gains [point, luminaire] at the receive points (x, y, z).
 
@@ -247,17 +237,8 @@ def _los_gains(x, y, z, detectors, luminaires) -> np.ndarray:
     return np.where((cos_incidence < cos_fov) | (cos_incidence <= 0.0), 0.0, gains)
 
 
-def channel_gain(led: Luminaire, pd: PhotoDetector) -> float:
-    """Line-of-sight gain between one luminaire and one detector.
-
-    Zero whenever the incidence angle exceeds the detector field of view or
-    the detector sits behind the luminaire plane.
-    """
-    return float(_los_gains(*pd.position, (pd,), (led,))[0, 0])
-
-
 def build_channel_matrix(layout: RoomLayout) -> ChannelMatrix:
-    """Assemble gains[i][j] = channel_gain(luminaire j, detector i)."""
+    """Assemble gains[i][j], the line-of-sight gain from luminaire j to detector i."""
     if not layout.luminaires or not layout.detectors:
         raise GeometryError("layout needs at least one luminaire and one detector")
     powers = {lum.total_power for lum in layout.luminaires}
@@ -303,19 +284,12 @@ def gain_map(layout: RoomLayout, grid_resolution: float) -> GainMap:
     return GainMap(x_centers=xs, y_centers=ys, values=values)
 
 
-def simplified_gain(distance: float, varpi: float, m: float) -> float:
-    """Distance-only gain varpi / d^(m+3) for vertically aligned link axes."""
-    if distance <= 0.0:
-        raise GeometryError("distance must be positive")
-    return varpi / distance ** (m + 3.0)
-
-
 def distance_gain_prefactor(area: float, filter_gain: float, concentrator: float,
                             m: float, plane_separation: float = 1.0) -> float:
-    """Prefactor for the distance-only gain model.
+    """Prefactor varpi of the distance-only gain model ``varpi / d^(m+3)``.
 
     ``(m+1) A T g / (2 pi)`` times ``plane_separation**(m+1)``; the latter
-    factor makes ``simplified_gain`` agree exactly with ``channel_gain`` for
+    factor makes the model agree exactly with the line-of-sight gain for
     vertically aligned transmitter/receiver axes separated by that height.
     With ``plane_separation=1`` this reduces to the bare lobe prefactor.
     """

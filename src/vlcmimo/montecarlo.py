@@ -34,10 +34,9 @@ import contextlib
 import itertools
 import math
 import os
-import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
-from typing import Literal
+from dataclasses import dataclass
+from typing import Literal, Sequence
 
 import numpy as np
 
@@ -55,7 +54,6 @@ __all__ = [
     "BerCurve",
     "simulate",
     "sweep",
-    "exhaustive_noiseless_errors",
 ]
 
 # A block counts from sorted draws when it serves at least _SORT_MIN_POINTS
@@ -79,7 +77,7 @@ class SimConfig:
     seed: int = 0
     scheme: Literal["ci", "oap"] = "ci"
     csi_mode: Literal["perfect", "outdated"] = "perfect"
-    noise_mode: Literal["swept", "physical", "noiseless"] = "swept"
+    noise_mode: Literal["swept", "physical"] = "swept"
     snr_db: float | None = None        # required in swept mode
     noise_params: NoiseParams | None = None
     early_stop_errors: int | None = None
@@ -169,26 +167,15 @@ def _sigmas(h: ChannelMatrix, cfg: SimConfig, table: WordTable, snr_points) -> n
         for p in snr_points])[:, None, :]
 
 
-def _thresholds(h: ChannelMatrix, cfg: SimConfig, h_hat=None) -> np.ndarray:
-    """Noise threshold per (word, detector) beyond which the slicer errs, at one point.
-
-    Without noise, z is -inf where the decision is wrong and +inf where it
-    is right.
-    """
-    table = _table(h, cfg, h_hat)
-    sig = 0.0 if cfg.noise_mode == "noiseless" else _sigmas(h, cfg, table, [cfg.snr_db])[0]
-    return table.thresholds(h.responsivity * h.power, sig)
-
-
 class _Thresholds:
-    """A sweep's z, divided a chunk at a time where the block loop compares it.
+    """The block loop's z, divided a chunk at a time where it is compared.
 
     From each case's (words, detectors) ``gp * margin`` and (points, 1 or
     words, detectors) deviations, all positive; ``z[rows, lo:hi]`` and
-    ``z[p, widx]`` divide as ``WordTable.thresholds`` does, so counts are unchanged.
+    ``z[p, widx]`` return ``gp * margin / sig`` for just those rows and words.
     """
 
-    def __init__(self, gpm: list[np.ndarray], sig: list[np.ndarray]):
+    def __init__(self, gpm: Sequence[np.ndarray], sig: Sequence[np.ndarray]):
         self.gpm = np.stack(gpm)
         self.case = np.repeat(np.arange(len(sig)), [len(s) for s in sig])
         self.shape = (len(self.case), *self.gpm.shape[1:])
@@ -324,17 +311,15 @@ def _count_errors(z: np.ndarray, cfg: SimConfig, threads: int = 1) -> list[BerEs
 def simulate(h: ChannelMatrix, cfg: SimConfig, h_hat=None) -> BerEstimate:
     """Run the symbol loop and count detection errors per photodetector.
 
-    Blocks of ``cfg.block_size`` symbols give every word an equal share (see
-    ``_block_errors``); block k draws from ``SFC64(SeedSequence((seed, k)))``.
+    The one-point case of ``sweep``'s block loop: blocks of ``cfg.block_size``
+    symbols give every word an equal share (see ``_block_errors``); block k
+    draws from ``SFC64(SeedSequence((seed, k)))``.
     Exactly ``cfg.n_symbols`` symbols run unless early stopping ends sooner.
     """
-    return _count_errors(_thresholds(h, cfg, h_hat)[None], cfg)[0]
-
-
-def exhaustive_noiseless_errors(h: ChannelMatrix, cfg: SimConfig, h_hat=None) -> int:
-    """Total detection errors over every symbol word with the noise disabled."""
-    cfg = replace(cfg, noise_mode="noiseless")
-    return int(np.count_nonzero(_thresholds(h, cfg, h_hat) == -np.inf))
+    table = _table(h, cfg, h_hat)
+    z = _Thresholds([h.responsivity * h.power * table.margin],
+                    [_sigmas(h, cfg, table, [cfg.snr_db])])
+    return _count_errors(z, cfg)[0]
 
 
 def _cpus() -> int:
@@ -351,18 +336,9 @@ def _points(cfg: SimConfig, snr_points_db) -> list[float]:
         if points:
             raise ValueError("physical noise has no SNR axis; pass no points")
         return [math.nan]
-    if cfg.noise_mode != "swept":
-        raise ValueError("sweeps take swept or physical noise")
     if not points:
         raise ValueError("need at least one SNR point")
     return points
-
-
-def _report(curve: BerCurve):
-    """One progress line per point of ``curve`` on stderr."""
-    for p, est, ana in zip(curve.snr_db, curve.estimates, curve.analytic):
-        print(f"  snr {p:7.2f} dB [{curve.scheme}/{curve.csi_mode}]: "
-              f"mc {est.average_ber:.3e}  analytic {ana.average:.3e}", file=sys.stderr)
 
 
 def _threads(threads: int | None) -> int:
@@ -390,8 +366,17 @@ def _stacks(cases) -> list[list[int]]:
     return list(stacks.values())
 
 
-def sweep(cases, snr_points_db, threads: int | None = None,
-          progress: bool = False) -> list[BerCurve]:
+def _case(h: ChannelMatrix, cfg: SimConfig, h_hat, points) -> tuple:
+    """A case's ``gp * margin``, deviations and closed form; its table is dropped on return."""
+    table = _table(h, cfg, h_hat)
+    gp = h.responsivity * h.power
+    sig = _sigmas(h, cfg, table, points)
+    rate = analytic.outdated_bound if cfg.csi_mode == "outdated" else analytic.exact_ber
+    closed = rate(table, gp, sig)     # first, so Q's arrays do not meet gp * margin
+    return gp * table.margin, sig, closed
+
+
+def sweep(cases, snr_points_db, threads: int | None = None) -> list[BerCurve]:
     """Estimate and analyze each ``(h, cfg, h_hat)`` case over a transmit-SNR grid.
 
     One (seed, block) stream serves every SNR point of every case that has
@@ -407,38 +392,24 @@ def sweep(cases, snr_points_db, threads: int | None = None,
     sorted by SNR.  Each case's closed form comes from one evaluation over
     its stacked deviations: ``analytic.exact_ber`` with perfect knowledge,
     else ``analytic.outdated_bound``.  Physical noise has no SNR axis: it
-    takes no points and gives one row whose ``snr_db`` is nan.  ``progress``
-    prints each curve's points once all are counted.
+    takes no points and gives one row whose ``snr_db`` is nan.
 
-    The working set does not grow with the points: the block loop gets each
-    case's ``gp * margin`` and deviations and divides z one word chunk at a
-    time, and the closed forms sum Q over chunks of words.  A 31-point sweep of two 16-link cases at 20 000
-    symbols peaks at about 170 MB (430 MB with a stored threshold stack).
+    The working set does not grow with the points (see the module notes): a
+    31-point sweep of two 16-link cases at 20 000 symbols peaks at about 170 MB.
     """
     threads = _threads(threads)
     cases = [(h, cfg, h_hat, _points(cfg, snr_points_db)) for h, cfg, h_hat in cases]
     curves = [None] * len(cases)
     for stack in _stacks(cases):
-        rates, gpm, sigs = {}, [], []
-        for i in stack:
-            h, cfg, h_hat, points = cases[i]
-            table = _table(h, cfg, h_hat)
-            gp = h.responsivity * h.power
-            sigs.append(_sigmas(h, cfg, table, points))
-            gpm.append(gp * table.margin)
-            rate = analytic.outdated_bound if cfg.csi_mode == "outdated" else analytic.exact_ber
-            rates[i] = rate(table, gp, sigs[-1])
-        # a stack shares one draw key
-        counts = iter(_count_errors(_Thresholds(gpm, sigs), cfg, threads))
-        for i in stack:
+        gpm, sigs, rates = zip(*(_case(*cases[i]) for i in stack))
+        # a stack shares one draw key, so its first case's cfg serves them all
+        counts = iter(_count_errors(_Thresholds(gpm, sigs), cases[stack[0]][1], threads))
+        for i, rate in zip(stack, rates):
             _, cfg, _, points = cases[i]
             closed = tuple(analytic.BerResult(per_pd=r, scheme=cfg.scheme, csi=cfg.csi_mode,
                                               is_bound=cfg.csi_mode == "outdated")
-                           for r in rates[i])
+                           for r in rate)
             curves[i] = BerCurve(snr_db=tuple(points),
                                  estimates=tuple(itertools.islice(counts, len(points))),
                                  analytic=closed, scheme=cfg.scheme, csi_mode=cfg.csi_mode)
-    if progress:
-        for curve in curves:
-            _report(curve)
     return curves

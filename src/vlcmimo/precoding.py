@@ -24,7 +24,6 @@ __all__ = [
     "combination_matrix",
     "word_table",
     "ci_precoder",
-    "scaling_beta",
 ]
 
 
@@ -101,17 +100,6 @@ def ci_precoder(h) -> Precoder:
     return Precoder(w=w, condition_number=cond)
 
 
-def scaling_beta(h, x) -> float:
-    """Per-symbol transmit scaling ``1 / ||W x|| = (x^T (H H^T)^-1 x)^(-1/2)``.
-
-    Makes the precoded transmit vector unit norm: ``||beta W x|| = 1`` for any
-    nonzero symbol vector.  The all-zero word transmits nothing; its scaling
-    degenerates and is fixed at 1.
-    """
-    vec = np.asarray(x, dtype=float)
-    return float(1.0 / np.linalg.norm(ci_precoder(h).w @ vec)) if vec.any() else 1.0
-
-
 @dataclass(frozen=True)
 class WordTable:
     """Every per-word quantity of the transmit pipeline, one row per word.
@@ -122,7 +110,7 @@ class WordTable:
     is the detection threshold: ``own`` for inversion, the equal-symbol group
     sum ``beta sum_j (H W_d)_ij T_ij`` for the adaptive scheme.  ``margin``
     is ``receive - slicer/2`` where the bit is 1 and ``slicer/2 - receive``
-    where it is 0; closed forms and Monte Carlo read it through ``thresholds``.
+    where it is 0; closed forms and Monte Carlo both read ``gp * margin / sigma``.
     """
 
     scheme: str
@@ -140,21 +128,6 @@ class WordTable:
             value = getattr(self, f.name)
             if isinstance(value, np.ndarray):
                 value.setflags(write=False)
-
-    def thresholds(self, gp: float, sig) -> np.ndarray:
-        """Noise ``z = gp * margin / sig`` against the bit beyond which the slicer errs.
-
-        The error probability is ``Q(z)``.  Where ``sig`` is 0, z is -inf for
-        a wrong decision and +inf for a right one; a receive value equal to
-        the threshold decides 0, so a 1 errs at margin <= 0 and a 0 at < 0.
-        """
-        with np.errstate(divide="ignore", invalid="ignore"):
-            z = np.divide(gp * self.margin, sig)
-        noiseless = ~(np.asarray(sig) > 0)
-        if noiseless.any():     # only noiseless runs have sigma 0
-            wrong = np.where(self.words == 1, self.margin <= 0.0, self.margin < 0.0)
-            np.copyto(z, np.where(wrong, -np.inf, np.inf), where=noiseless)
-        return z
 
 
 # The last word table built, as (key, table), and the lock that makes a

@@ -22,7 +22,7 @@ from .channel import (build_channel_matrix, concentrator_gain,
                       distance_gain_prefactor, gain_map, lambertian_order)
 from .config import ExperimentConfig, _resolved_hash
 from .csi import MobilityEvent, error_bound, perturb_channel
-from .montecarlo import SimConfig, _report, _threads, sweep
+from .montecarlo import SimConfig, _threads, sweep
 from .noise import sigma_from_transmit_snr
 from .precoding import ci_precoder
 
@@ -111,6 +111,13 @@ def _curve_rows(curve, *columns) -> list[list]:
             for snr, est, ana in zip(curve.snr_db, curve.estimates, curve.analytic)]
 
 
+def _report(curve):
+    """One progress line per point of ``curve`` on stderr."""
+    for p, est, ana in zip(curve.snr_db, curve.estimates, curve.analytic):
+        print(f"  snr {p:7.2f} dB [{curve.scheme}/{curve.csi_mode}]: "
+              f"mc {est.average_ber:.3e}  analytic {ana.average:.3e}", file=sys.stderr)
+
+
 def _sweep_rows(cases, points, threads, progress) -> list[list]:
     """Rows of every ``(heading, columns, (h, SimConfig, h_hat))`` case from one sweep.
 
@@ -176,13 +183,9 @@ def run_ber_sweep(cfg: ExperimentConfig, out_dir, threads: int | None = None,
     column carries nan).  With ``csi.mode: outdated`` the stale estimate uses
     the gain-error bound of the first ``mobility.elapsed_times_s`` entry only,
     recorded as ``error_bound_elapsed_s`` in the metadata; ``mobility`` sweeps
-    every entry.  Every variant and scheme goes to one ``sweep`` call, so one
-    (seed, block) stream serves all of them that have the same word and
-    detector counts.  They drew identical normals before, one sweep at a
-    time: rows are correlated across schemes and variants as well as along
-    SNR, ci-vs-oap differences use common random numbers, and each row's
-    marginal distribution is unchanged.  ``threads`` below 1 raises
-    ``ValueError`` before anything is written.
+    every entry.  Every variant and scheme goes to one ``sweep`` call (see
+    there), so rows share draws across schemes and variants as well as along
+    SNR.  ``threads`` below 1 raises ``ValueError`` before anything is written.
     """
     _threads(threads)
     out = Path(out_dir)
@@ -270,11 +273,9 @@ def run_mobility(cfg: ExperimentConfig, out_dir, threads: int | None = None,
     Each interval draws one stale estimate, shared by every scheme.  With
     ``noise.mode: physical`` each interval/scheme is one row at the device
     noise level, as in ``run_ber_sweep``.  Every interval and scheme goes to
-    one ``sweep`` call and shares one (seed, block) stream, as the separate
-    sweeps' identical draws did before: rows are correlated across schemes
-    and intervals as well as along SNR, ci-vs-oap differences use common
-    random numbers, and each row's marginal distribution is unchanged.
-    ``threads`` below 1 raises ``ValueError`` before anything is written.
+    one ``sweep`` call, so rows share draws across schemes and intervals as
+    well as along SNR.  ``threads`` below 1 raises ``ValueError`` before
+    anything is written.
     """
     _threads(threads)
     out = Path(out_dir)

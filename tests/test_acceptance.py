@@ -16,10 +16,12 @@ from vlcmimo.channel import (ChannelMatrix, build_channel_matrix,
                              lambertian_order, square_grid_layout)
 from vlcmimo.config import preset
 from vlcmimo.csi import MobilityEvent, error_bound, perturb_channel
-from vlcmimo.montecarlo import SimConfig, exhaustive_noiseless_errors, simulate
+from vlcmimo.montecarlo import SimConfig, simulate
 from vlcmimo.noise import sigma_from_transmit_snr
-from vlcmimo.precoding import ci_precoder, combination_matrix, scaling_beta
+from vlcmimo.precoding import ci_precoder, combination_matrix, word_table
 from vlcmimo.runner import run_ber_sweep
+
+import oracle
 
 
 def report(num: int, ok: bool, detail: str) -> str:
@@ -81,10 +83,9 @@ def test_criterion_2_power_normalization():
     for n in sizes[:20]:
         h = 1e-3 * (np.eye(n) + 0.3 * rng.uniform(0.0, 1.0, size=(n, n)))
         pre = ci_precoder(h)
-        for word in combination_matrix(n)[1:]:
-            beta = scaling_beta(h, word)
-            norm = float(np.linalg.norm(beta * (pre.w @ word)))
-            worst = max(worst, abs(norm - 1.0))
+        beta = word_table(h, pre, "ci").beta[1:, None]
+        norms = np.linalg.norm(beta * (combination_matrix(n)[1:] @ pre.w.T), axis=1)
+        worst = max(worst, float(np.abs(norms - 1.0).max()))
     elapsed = time.monotonic() - start
     ok = worst < 1e-10 and elapsed < 5.0
     line = report(2, ok, f"max |norm-1| {worst:.2e} (<1e-10), {elapsed:.2f}s (<5s)")
@@ -210,8 +211,7 @@ def test_criterion_8_noiseless_exactness():
     for n in (2, 4, 8):
         h = build_channel_matrix(square_grid_layout(n, 0.5, fov=60.0))
         for scheme in ("ci", "oap"):
-            total += exhaustive_noiseless_errors(
-                h, SimConfig(scheme=scheme, noise_mode="noiseless"))
+            total += oracle.noiseless_errors(word_table(h.gains, ci_precoder(h.gains), scheme))
     elapsed = time.monotonic() - start
     ok = total == 0 and elapsed < 1.0
     line = report(8, ok, f"{total} errors over all words for n in (2,4,8), "

@@ -282,7 +282,7 @@ class TestPointChunks:
         table, gp, sig = stale_stack(12, scheme, [80.0, 95.0, 110.0])
         assert table.margin.size > analytic._CHUNK_CELLS
         rows = exact_ber(table, gp, sig)
-        whole = np.stack([q_function(table.thresholds(gp, s)).mean(axis=-2) for s in sig])
+        whole = np.stack([q_function(gp * table.margin / s).mean(axis=-2) for s in sig])
         assert rows.min() > 0.0
         assert np.allclose(rows, whole, rtol=1e-13, atol=0.0)
         for r, s in zip(rows, sig):

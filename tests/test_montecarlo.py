@@ -15,11 +15,12 @@ from vlcmimo.channel import ChannelMatrix, build_channel_matrix, square_grid_lay
 from vlcmimo.config import config_from_dict, preset
 from vlcmimo.csi import perturb_channel
 from vlcmimo.montecarlo import (SimConfig, _block_errors, _compared_errors, _sorted_errors,
-                                _sorts, _thresholds, exhaustive_noiseless_errors,
-                                simulate, sweep)
+                                _sorts, simulate, sweep)
 from vlcmimo.noise import NoiseParams, sigma_from_transmit_snr
 from vlcmimo.precoding import ci_precoder, word_table
 from vlcmimo.runner import run_ber_sweep, run_mobility
+
+import oracle
 
 
 def channel(n=4, spacing=0.5, fov=60.0):
@@ -71,13 +72,7 @@ class TestNoiselessExactness:
     @pytest.mark.parametrize("scheme", ["ci", "oap"])
     def test_zero_errors_over_all_words(self, n, scheme):
         h = channel(n=n)
-        cfg = SimConfig(scheme=scheme, noise_mode="noiseless")
-        assert exhaustive_noiseless_errors(h, cfg) == 0
-
-    def test_noiseless_simulation_runs_clean(self):
-        h = channel()
-        cfg = SimConfig(n_symbols=20_000, seed=3, scheme="oap", noise_mode="noiseless")
-        assert simulate(h, cfg).per_pd_errors.sum() == 0
+        assert oracle.noiseless_errors(word_table(h.gains, ci_precoder(h.gains), scheme)) == 0
 
 
 class TestEstimatorConsistency:
@@ -321,7 +316,7 @@ def test_closed_form_is_mean_tail_of_kernel_thresholds(scheme, renormalize, nois
         got = ber_oap_perfect(h, noise, h.responsivity, h.power, renormalize=renormalize)
     else:
         got = ber_ci_perfect(h, noise, h.responsivity, h.power)
-    assert np.array_equal(got.per_pd, q_function(_thresholds(h, cfg)).mean(axis=0))
+    assert np.array_equal(got.per_pd, q_function(oracle.simulated_z(h, cfg)).mean(axis=0))
 
 
 def test_renormalized_outdated_sweep_uses_renormalized_bound():
@@ -382,7 +377,7 @@ class TestSweepSharesOneStream:
 
     def test_progress_prints_one_line_per_point(self, capsys):
         cfg = dataclasses.replace(self.config(), n_symbols=5_000)
-        one_sweep(channel(), self.POINTS, cfg, threads=2, progress=True)
+        runner._report(one_sweep(channel(), self.POINTS, cfg, threads=2))
         lines = capsys.readouterr().err.splitlines()
         assert [line.split()[1] for line in lines] == [f"{p:.2f}" for p in self.POINTS]
 
@@ -603,7 +598,7 @@ class TestThresholdsFromMargins:
             else:
                 sig = sigma_table(PhysicalNoise(h.gains, h.detector_area, h.responsivity,
                                                 params), table, h.power)[None]
-            out.append((gp * table.margin, sig, table.thresholds(gp, sig)))
+            out.append((gp * table.margin, sig, oracle.thresholds(table, gp, sig)))
         return out
 
     @pytest.mark.parametrize("noise", ["swept+swept", "physical+physical", "swept+physical"])
@@ -656,6 +651,32 @@ def test_sweep_memory_does_not_grow_with_its_points(monkeypatch, tmp_path):
 
     few, many = peak_bytes(4), peak_bytes(24)
     assert many - few <= 64 * 1024
+
+
+def test_sweep_drops_each_table_before_building_the_next(monkeypatch):
+    """A sweep builds its second case's word table without holding the first.
+
+    Two 12-link cases: a table holds about 2 MB, so the second build starts
+    within 0.5 MB of the first only if no more than the first case's
+    ``gp * margin`` (0.4 MB), deviations and closed form are left.
+    """
+    starts = []
+    build = precoding._build_word_table
+
+    def traced(*args):
+        starts.append(tracemalloc.get_traced_memory()[0])
+        return build(*args)
+    monkeypatch.setattr(precoding, "_last_table", None)
+    monkeypatch.setattr(precoding, "_build_word_table", traced)
+    h = channel(n=12)
+    cases = [(h, SimConfig(n_symbols=3000, seed=3, scheme=s), None) for s in ("ci", "oap")]
+    tracemalloc.start()
+    try:
+        sweep(cases, [80.0, 84.0, 88.0, 92.0], threads=1)
+    finally:
+        tracemalloc.stop()
+    assert len(starts) == 2
+    assert starts[1] - starts[0] <= 500_000
 
 
 def block_shapes(cfg, n_points: int) -> set:
@@ -881,8 +902,8 @@ class TestRecipeSharesOneBlockLoop:
                 for scheme in cfg.schemes:
                     want.append(f"[grp] mobility t={elapsed}s bound={bound:.3e} "
                                 f"scheme={scheme}")
-                    one_sweep(h, cfg.sweep.points(), runner._sim_config(cfg, scheme, True),
-                              h_hat=h_hat, progress=True)
+                    runner._report(one_sweep(h, cfg.sweep.points(),
+                                             runner._sim_config(cfg, scheme, True), h_hat=h_hat))
                     want += capsys.readouterr().err.splitlines()
         else:
             for n, sp, ang in cfg.variants():
@@ -890,8 +911,8 @@ class TestRecipeSharesOneBlockLoop:
                                                           semi_angle=ang))
                 for scheme in cfg.schemes:
                     want.append(f"[grp] {n}x{n} spacing={sp} angle={ang} scheme={scheme}")
-                    one_sweep(h, cfg.sweep.points(), runner._sim_config(cfg, scheme, False),
-                              progress=True)
+                    runner._report(one_sweep(h, cfg.sweep.points(),
+                                             runner._sim_config(cfg, scheme, False)))
                     want += capsys.readouterr().err.splitlines()
         csv_path, _ = recipe(cfg, tmp_path, threads=2, progress=True)
         want.append(f"wrote {csv_path}")

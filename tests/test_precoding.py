@@ -6,8 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vlcmimo.channel import build_channel_matrix, square_grid_layout
-from vlcmimo.precoding import (SingularChannelError, ci_precoder, combination_matrix,
-                               scaling_beta, word_table)
+from vlcmimo.precoding import SingularChannelError, ci_precoder, combination_matrix, word_table
 
 
 def random_channel(rng, n):
@@ -54,25 +53,27 @@ class TestCiPrecoder:
         assert np.allclose(h @ pre.w, np.eye(3), atol=1e-10)
 
 
+def betas(h) -> np.ndarray:
+    """The transmit scaling of every word, in ``combination_matrix`` order."""
+    return word_table(h, ci_precoder(h), "ci").beta
+
+
 class TestScalingBeta:
     def test_identity_channel_counts_ones(self):
-        h = np.eye(4)
-        for word in combination_matrix(4)[1:]:
-            k = word.sum()
-            assert scaling_beta(h, word) == pytest.approx(1.0 / np.sqrt(k), rel=1e-12)
+        k = combination_matrix(4)[1:].sum(axis=1)
+        np.testing.assert_allclose(betas(np.eye(4))[1:], 1.0 / np.sqrt(k), rtol=1e-12)
 
     def test_unit_transmit_norm_identity(self):
         rng = np.random.default_rng(3)
         for _ in range(10):
             h = random_channel(rng, 4)
             pre = ci_precoder(h)
-            for word in combination_matrix(4)[1:]:
-                beta = scaling_beta(h, word)
+            for word, beta in zip(combination_matrix(4)[1:], betas(h)[1:]):
                 assert np.linalg.norm(beta * (pre.w @ word)) == pytest.approx(
                     1.0, abs=1e-10)
 
     def test_all_zero_word_degenerates_to_one(self):
-        assert scaling_beta(np.eye(4), np.zeros(4)) == 1.0
+        assert betas(np.eye(4))[0] == 1.0
 
     def test_renormalized_masked_norm(self):
         rng = np.random.default_rng(9)
@@ -120,7 +121,9 @@ class TestAmplitudeDominance:
                       [0.3, 1.0, 0.3, 0.1],
                       [0.1, 0.3, 1.0, 0.3],
                       [0.3, 0.1, 0.3, 1.0]])
-        word = np.array([(widx >> j) & 1 for j in range(4)], dtype=float)
+        word = np.array([(widx >> j) & 1 for j in range(4)])
         rolled = np.roll(word, 1)
-        assert scaling_beta(h, word) == pytest.approx(
-            scaling_beta(h, rolled), rel=1e-10)
+        # row s of the table is the word whose bits, most significant first, spell s
+        index = [int("".join(map(str, w)), 2) for w in (word, rolled)]
+        beta = betas(h)
+        assert beta[index[0]] == pytest.approx(beta[index[1]], rel=1e-10)

@@ -29,9 +29,11 @@ from vlcmimo.channel import build_channel_matrix, square_grid_layout
 from vlcmimo.csi import perturb_channel
 from vlcmimo import analytic, montecarlo, precoding, runner
 from vlcmimo.config import config_from_dict
-from vlcmimo.montecarlo import SimConfig, _thresholds, sweep
+from vlcmimo.montecarlo import SimConfig, sweep
 from vlcmimo.noise import NoiseParams, shot_variance, total_sigma
-from vlcmimo.precoding import ci_precoder, combination_matrix, scaling_beta, word_table
+from vlcmimo.precoding import ci_precoder, combination_matrix, word_table
+
+import oracle
 
 RTOL = 1e-12
 SNRS_DB = (85.0, 105.0, 125.0)   # the outdated bounds saturate at the low end
@@ -63,10 +65,10 @@ def reference_table(gains, h_hat, scheme, renormalize):
         x = w.astype(float)
         if scheme == "oap":
             group = (w[:, None] == w[None, :]).astype(float)
-            beta = scaling_beta(h_hat, group @ x if renormalize else x)
+            beta = oracle.beta(h_hat, group @ x if renormalize else x)
             wd = pre.w @ group
         else:
-            beta = scaling_beta(h_hat, x)
+            beta = oracle.beta(h_hat, x)
             wd = pre.w
             group = np.eye(len(w))
         ups = beta * (gains @ wd)
@@ -109,7 +111,7 @@ def reference_throughput(scheme, gains, sigma, gp):
         if not w.any():
             continue
         x = w.astype(float)
-        beta = scaling_beta(gains, x)
+        beta = oracle.beta(gains, x)
         if scheme == "ci":
             amp = beta * np.diag(gains @ pre.w)
         else:
@@ -159,7 +161,7 @@ def test_table_matches_per_word_pipeline(n, spacing, csi):
             cfg = SimConfig(scheme=scheme, renormalize_oap=renormalize,
                             csi_mode="perfect" if csi == "perfect" else "outdated",
                             noise_mode=noise_mode, snr_db=snr)
-            assert_close(_thresholds(h, cfg, h_hat=h_hat), gp * ref[5] / sig, tol)
+            assert_close(oracle.simulated_z(h, cfg, h_hat), gp * ref[5] / sig, tol)
 
             if csi == "perfect":
                 if scheme == "ci":
@@ -211,9 +213,10 @@ def test_tie_decides_zero():
     """A margin of exactly 0: without noise a 1 errs and a 0 does not; with noise Q = 1/2."""
     table = word_table(np.eye(2), ci_precoder(np.eye(2)), "ci")
     table = dataclasses.replace(table, margin=np.zeros_like(table.margin))
-    z = table.thresholds(1.0, 0.0)
+    z = oracle.thresholds(table, 1.0, 0.0)
     assert np.array_equal(z, np.where(table.words == 1, -np.inf, np.inf))
-    assert np.array_equal(q_function(table.thresholds(1.0, 0.5)), np.full((4, 2), 0.5))
+    assert oracle.noiseless_errors(table) == 4
+    assert np.array_equal(q_function(oracle.thresholds(table, 1.0, 0.5)), np.full((4, 2), 0.5))
 
 
 @pytest.mark.parametrize("sig", [0.5, 0.0, np.array([[[0.5, 0.0]], [[0.0, 0.25]]])],
@@ -222,7 +225,7 @@ def test_thresholds_written_in_place(sig):
     """z is gp * margin / sig, and +-inf wherever sig is 0, in a stack as well."""
     gains = np.array([[1.0, 0.3], [0.2, 0.9]])
     table = word_table(gains, ci_precoder(gains), "oap")
-    want = table.thresholds(2.0, sig)
+    want = oracle.thresholds(table, 2.0, sig)
     assert want.shape == np.broadcast_shapes(np.shape(sig), table.margin.shape)
     noisy = np.broadcast_to(np.asarray(sig) > 0, want.shape)
     with np.errstate(divide="ignore", invalid="ignore"):
