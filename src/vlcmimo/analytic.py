@@ -4,8 +4,9 @@ Exact error probabilities average ``Q(z)`` over every binary symbol word, with
 ``z = gp * margin / sigma`` the noise threshold Monte Carlo compares its draws
 with.  Per word the receiver slices at half the constructive amplitude of the
 detector's equal-symbol group, which for plain inversion degenerates to half
-the scaled desired gain.  The outdated-knowledge expressions are
-upper bounds, not exact probabilities, and may saturate toward 1.
+the scaled desired gain.  The outdated-knowledge expressions are meant as
+upper bounds but are not: Monte Carlo under the same stale precoder can
+exceed them (ROADMAP item 1), and the adaptive one saturates toward 1.
 
 ``q_function`` is numpy only, from Cody's rational Chebyshev approximations
 of the error function; its relative error stays below 1e-15 down to Q = 1e-300.
@@ -169,8 +170,8 @@ class PhysicalNoise:
         self.responsivity = responsivity
         self.thermal = thermal_variance(detector_area, self.params)
 
-    def __call__(self, words, transmit_optical) -> np.ndarray:
-        """Deviation per detector; one row per word when given a word table."""
+    def __call__(self, transmit_optical) -> np.ndarray:
+        """Deviation per detector; one row per word when given a word table's powers."""
         radiated = np.clip(np.asarray(transmit_optical, dtype=float), 0.0, None)
         return total_sigma(shot_variance(self.gains, radiated, self.responsivity,
                                          self.params), self.thermal)
@@ -179,11 +180,11 @@ class PhysicalNoise:
 def sigma_table(sigma, table: WordTable, power: float) -> np.ndarray:
     """Resolve sigma (scalar, per-detector array, or callable) per word.
 
-    A callable receives every word and its transmitted optical powers at
-    once and returns one row of deviations per word.
+    A callable receives every word's transmitted optical powers at once
+    and returns one row of deviations per word.
     """
     if callable(sigma):
-        return np.asarray(sigma(table.words, power * table.transmit), dtype=float)
+        return np.asarray(sigma(power * table.transmit), dtype=float)
     n_r = table.words.shape[1]
     arr = np.asarray(sigma, dtype=float)
     if arr.ndim == 0:
@@ -233,7 +234,12 @@ def outdated_bound(table: WordTable, gp: float, sig) -> np.ndarray:
 
     From the word residuals ``ups = beta_hat H W_hat_d``: ``own = diag(ups)``
     and ``interf = ups x - own x``; the adaptive scheme adds its group sum.
-    Clamped to [0, 1]; ``sig`` stacks as for ``exact_ber``.
+    Clamped to [0, 1]; ``sig`` stacks as for ``exact_ber``.  Despite its
+    name this does not bound the error rate: inversion's bit-1 term uses the
+    margin ``1.5 own + interf`` where the slicer sees ``own/2 + interf``, so
+    Monte Carlo and ``exact_ber`` on the same table can exceed it, and the
+    adaptive one counts the group amplitude as interference and stays near 1
+    (ROADMAP item 1).
     """
     def terms(w, s):
         own = table.own[w]
@@ -283,13 +289,13 @@ def ber_oap_perfect(h, noise_sigma_per_pd, responsivity: float, power: float,
 
 def ber_ci_outdated(h, h_hat, noise_sigma_per_pd, responsivity: float,
                     power: float) -> BerResult:
-    """Upper bound on the inversion error rate under a stale precoder (``outdated_bound``)."""
+    """Inversion under a stale precoder: ``outdated_bound``, not a true bound (see there)."""
     return _one_point("ci", h, h_hat, noise_sigma_per_pd, responsivity, power)
 
 
 def ber_oap_outdated(h, h_hat, noise_sigma_per_pd, responsivity: float,
                      power: float, renormalize: bool = False) -> BerResult:
-    """Upper bound on the adaptive-scheme error rate under a stale precoder."""
+    """The adaptive scheme under a stale precoder: ``outdated_bound``, not a true bound."""
     return _one_point("oap", h, h_hat, noise_sigma_per_pd, responsivity, power, renormalize)
 
 
@@ -307,7 +313,12 @@ def _word_rates(table: WordTable, sigma, responsivity: float, power: float) -> n
 
 
 def throughput(scheme: str, h, precoder: Precoder, sigma, responsivity: float = 1.0,
-               power: float = 1.0) -> float:
-    """Normalized achievable throughput averaged over all symbol words."""
+               power: float = 1.0) -> np.ndarray:
+    """Normalized achievable throughput averaged over all symbol words, per sigma.
+
+    ``sigma`` is a sequence of deviations (each a scalar or one per
+    detector), as ``exact_ber`` takes a stack; the word table is built once
+    and each entry gives one value, equal to its one-entry call bit for bit.
+    """
     table = word_table(h, precoder, scheme)
-    return float(np.mean(_word_rates(table, sigma, responsivity, power)))
+    return np.array([np.mean(_word_rates(table, s, responsivity, power)) for s in sigma])

@@ -402,8 +402,10 @@ def sweep(cases, snr_points_db, threads: int | None = None) -> list[BerCurve]:
     curves = [None] * len(cases)
     for stack in _stacks(cases):
         gpm, sigs, rates = zip(*(_case(*cases[i]) for i in stack))
+        z = _Thresholds(gpm, sigs)
+        del gpm         # the block loop holds only z's stacked copy
         # a stack shares one draw key, so its first case's cfg serves them all
-        counts = iter(_count_errors(_Thresholds(gpm, sigs), cases[stack[0]][1], threads))
+        counts = iter(_count_errors(z, cases[stack[0]][1], threads))
         for i, rate in zip(stack, rates):
             _, cfg, _, points = cases[i]
             closed = tuple(analytic.BerResult(per_pd=r, scheme=cfg.scheme, csi=cfg.csi_mode,

@@ -10,7 +10,6 @@ binary symbol word at once.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -123,17 +122,11 @@ class WordTable:
     margin: np.ndarray      # (2^n, n) signed slicer margin per unit gp
 
     def __post_init__(self):
-        # Read-only, since ``word_table`` hands one table to every caller.
+        # Read-only: the closed forms and Monte Carlo of a case all read one table.
         for f in fields(self):
             value = getattr(self, f.name)
             if isinstance(value, np.ndarray):
                 value.setflags(write=False)
-
-
-# The last word table built, as (key, table), and the lock that makes a
-# sweep's worker threads build it once.
-_last_table = None
-_table_lock = threading.Lock()
 
 
 def word_table(gains, precoder: Precoder, scheme: str,
@@ -151,24 +144,10 @@ def word_table(gains, precoder: Precoder, scheme: str,
     is ``|G_i|`` times that.  With ``renormalize`` the adaptive scaling is
     evaluated on ``T x``, i.e. divided by k.  Every intermediate is (2^n, n).
 
-    The table does not depend on the noise, so a sweep asks for the same one at
-    every point: the last table built is kept, keyed on the gains, the
-    precoder, the scheme and ``renormalize``, and returned read-only.
+    The table does not depend on the noise, so each caller builds it once and
+    evaluates every noise point on it.
     """
-    global _last_table
     h = as_gains(gains)
-    key = (h.shape, h.tobytes(), precoder.w.shape, precoder.w.tobytes(), scheme,
-           bool(renormalize))
-    with _table_lock:
-        if _last_table is not None and _last_table[0] == key:
-            return _last_table[1]
-        _last_table = None      # one table at a time: 16 links hold up to 44 MB
-        table = _build_word_table(h, precoder, scheme, renormalize)
-        _last_table = (key, table)
-    return table
-
-
-def _build_word_table(h, precoder: Precoder, scheme: str, renormalize: bool) -> WordTable:
     n = h.shape[1]
     if h.shape != (n, n):
         raise ValueError("the word table requires a square channel")

@@ -232,6 +232,7 @@ def run_throughput_sweep(cfg: ExperimentConfig, out_dir, threads: int | None = N
                          progress: bool = False) -> list[Path]:
     """Word-averaged normalized throughput over the SNR grid for every variant.
 
+    Each variant and scheme builds one word table for the whole grid.
     ``threads`` is checked as the other recipes check it, below 1 raising
     ``ValueError`` before anything is written, and is otherwise unused:
     throughput is closed-form only and runs in the calling thread.
@@ -247,15 +248,13 @@ def run_throughput_sweep(cfg: ExperimentConfig, out_dir, threads: int | None = N
         layout = cfg.build_layout(n_links=n, spacing=sp, semi_angle=ang)
         h = build_channel_matrix(layout)
         pre = ci_precoder(h.gains)
+        sigmas = [sigma_from_transmit_snr(snr, h.responsivity, h.power) for snr in points]
         for scheme in cfg.schemes:
             if progress:
                 print(f"[{cfg.name}] throughput {n}x{n} spacing={sp} scheme={scheme}",
                       file=sys.stderr)
-            for snr in points:
-                sigma = sigma_from_transmit_snr(snr, h.responsivity, h.power)
-                th = analytic_throughput(scheme, h, pre, sigma,
-                                         h.responsivity, h.power)
-                rows.append([snr, scheme, n, sp, ang, th])
+            th = analytic_throughput(scheme, h, pre, sigmas, h.responsivity, h.power)
+            rows += [[snr, scheme, n, sp, ang, t] for snr, t in zip(points, th.tolist())]
     csv_path = out / f"{cfg.name}_throughput.csv"
     identity = _identity(cfg)
     _write_csv(csv_path, cfg, identity["config_hash"], header, rows)

@@ -293,7 +293,7 @@ class TestThroughput:
     def test_vanishes_with_noise(self):
         h = channel()
         pre = ci_precoder(h.gains)
-        th = throughput("ci", h, pre, 1e15, h.responsivity, h.power)
+        (th,) = throughput("ci", h, pre, [1e15], h.responsivity, h.power)
         assert th == pytest.approx(0.0, abs=1e-9)
 
     def test_all_ones_word_constructive_dominance(self):
@@ -316,16 +316,31 @@ class TestThroughput:
     def test_zero_power_gives_zero_rate(self):
         h = channel()
         pre = ci_precoder(h.gains)
-        assert throughput("ci", h, pre, 1e-3, 1.0, 0.0) == 0.0
-        assert throughput("oap", h, pre, 1e-3, 1.0, 0.0) == 0.0
+        assert throughput("ci", h, pre, [1e-3], 1.0, 0.0).tolist() == [0.0]
+        assert throughput("oap", h, pre, [1e-3], 1.0, 0.0).tolist() == [0.0]
+
+    @pytest.mark.parametrize("n", [8, 9])
+    @pytest.mark.parametrize("scheme", ["ci", "oap"])
+    def test_sigma_grid_equals_one_sigma_calls(self, n, scheme):
+        """One call over a sigma grid gives each one-sigma call bit for bit."""
+        h = channel(n=n)
+        pre = ci_precoder(h.gains)
+        sigmas = [sigma_from_transmit_snr(snr, h.responsivity, h.power)
+                  for snr in (70.0, 85.0, 100.0, 115.0, 130.0)]
+        sigmas.append(np.linspace(0.5, 1.5, n) * sigmas[2])     # one per detector
+        grid = throughput(scheme, h, pre, sigmas, h.responsivity, h.power)
+        singles = [throughput(scheme, h, pre, [s], h.responsivity, h.power)[0]
+                   for s in sigmas]
+        assert grid.tolist() == singles
+        assert len(set(singles)) == len(singles)
 
 
 class TestPhysicalNoiseMode:
     def test_sigma_table_word_dependence(self):
         h = channel()
         model = PhysicalNoise(h.gains, h.detector_area, h.responsivity, NoiseParams())
-        quiet = model(np.zeros(4), np.zeros(4))
-        loud = model(np.ones(4), np.full(4, 9.0))
+        quiet = model(np.zeros(4))
+        loud = model(np.full(4, 9.0))
         assert np.all(loud > quiet)
 
     def test_ber_accepts_callable_sigma(self):

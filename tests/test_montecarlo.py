@@ -8,7 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from vlcmimo import montecarlo, precoding, runner
+from vlcmimo import montecarlo, runner
 from vlcmimo.analytic import (PhysicalNoise, ber_ci_outdated, ber_ci_perfect,
                               ber_oap_outdated, ber_oap_perfect, q_function, sigma_table)
 from vlcmimo.channel import ChannelMatrix, build_channel_matrix, square_grid_layout
@@ -627,7 +627,7 @@ class TestThresholdsFromMargins:
             assert np.array_equal(z[p, widx], dense[p, widx])
 
 
-def test_sweep_memory_does_not_grow_with_its_points(monkeypatch, tmp_path):
+def test_sweep_memory_does_not_grow_with_its_points(tmp_path):
     """More SNR points leave a sweep's peak memory where it was.
 
     A 12-link ber-sweep (two cases of 4096 words x 12 detectors): thresholds
@@ -641,7 +641,6 @@ def test_sweep_memory_does_not_grow_with_its_points(monkeypatch, tmp_path):
             "layout": {"n_links": 12, "spacing_m": 0.5, "detector": {"fov_deg": 60.0}},
             "sweep": {"snr_start_db": 80.0, "snr_stop_db": 80.0 + 2.0 * (n_points - 1),
                       "snr_step_db": 2.0}})
-        monkeypatch.setattr(precoding, "_last_table", None)
         tracemalloc.start()
         try:
             run_ber_sweep(cfg, tmp_path, threads=1)
@@ -657,17 +656,16 @@ def test_sweep_drops_each_table_before_building_the_next(monkeypatch):
     """A sweep builds its second case's word table without holding the first.
 
     Two 12-link cases: a table holds about 2 MB, so the second build starts
-    within 0.5 MB of the first only if no more than the first case's
-    ``gp * margin`` (0.4 MB), deviations and closed form are left.
+    within 0.5 MB of the first only if neither the sweep nor ``word_table``
+    keeps it, and no more than the first case's ``gp * margin`` (0.4 MB),
+    deviations and closed form are left.
     """
     starts = []
-    build = precoding._build_word_table
 
-    def traced(*args):
+    def traced(*args, **kwargs):
         starts.append(tracemalloc.get_traced_memory()[0])
-        return build(*args)
-    monkeypatch.setattr(precoding, "_last_table", None)
-    monkeypatch.setattr(precoding, "_build_word_table", traced)
+        return word_table(*args, **kwargs)
+    monkeypatch.setattr(montecarlo, "word_table", traced)
     h = channel(n=12)
     cases = [(h, SimConfig(n_symbols=3000, seed=3, scheme=s), None) for s in ("ci", "oap")]
     tracemalloc.start()
@@ -677,6 +675,33 @@ def test_sweep_drops_each_table_before_building_the_next(monkeypatch):
         tracemalloc.stop()
     assert len(starts) == 2
     assert starts[1] - starts[0] <= 500_000
+
+
+def test_block_loop_holds_one_copy_of_the_margins(monkeypatch):
+    """When the first block starts, a sweep holds its cases' ``gp * margin`` once.
+
+    Two 12-link cases: each ``gp * margin`` is 0.39 MB and the block loop's
+    stacked copy holds both, so a second copy of either, or a kept word table
+    (2.4 MB), would lift what the sweep holds then by at least 0.39 MB.
+    """
+    held = []
+    block = montecarlo._block_errors
+
+    def traced(*args, **kwargs):
+        if not held:
+            held.append(tracemalloc.get_traced_memory()[0])
+        return block(*args, **kwargs)
+    h = channel(n=12)
+    cases = [(h, SimConfig(n_symbols=3000, seed=3, scheme=s), None) for s in ("ci", "oap")]
+    sweep(cases, [80.0], threads=1)     # so the modules a sweep imports lazily are loaded
+    monkeypatch.setattr(montecarlo, "_block_errors", traced)
+    tracemalloc.start()
+    try:
+        sweep(cases, [80.0, 84.0, 88.0, 92.0], threads=1)
+    finally:
+        tracemalloc.stop()
+    stacked = 2 * (1 << 12) * 12 * 8
+    assert stacked <= held[0] < 1.5 * stacked
 
 
 def block_shapes(cfg, n_points: int) -> set:

@@ -15,9 +15,6 @@ about a^2 d, with a^2 ~ 2 ln(1/Q).
 """
 
 import dataclasses
-import sys
-import time
-from concurrent.futures import ThreadPoolExecutor
 
 import mpmath
 import numpy as np
@@ -27,7 +24,7 @@ from vlcmimo.analytic import (PhysicalNoise, ber_ci_outdated, ber_ci_perfect,
                               ber_oap_outdated, ber_oap_perfect, q_function, throughput)
 from vlcmimo.channel import build_channel_matrix, square_grid_layout
 from vlcmimo.csi import perturb_channel
-from vlcmimo import analytic, montecarlo, precoding, runner
+from vlcmimo import analytic, montecarlo, runner
 from vlcmimo.config import config_from_dict
 from vlcmimo.montecarlo import SimConfig, sweep
 from vlcmimo.noise import NoiseParams, shot_variance, total_sigma
@@ -153,7 +150,7 @@ def test_table_matches_per_word_pipeline(n, spacing, csi):
             norms = np.linalg.norm(table.transmit[1:], axis=1)
             assert np.abs(norms - 1.0).max() <= RTOL
         ref_sig = reference_sigma(h, ref[1])
-        assert_close(physical(table.words, h.power * table.transmit), ref_sig, tol)
+        assert_close(physical(h.power * table.transmit), ref_sig, tol)
 
         noises = [("swept", snr, sigma, np.full((len(words), n), sigma))
                   for snr, sigma in zip(SNRS_DB, sigmas)]
@@ -182,7 +179,8 @@ def test_table_matches_per_word_pipeline(n, spacing, csi):
 
     for scheme in ("ci", "oap"):
         for sigma in sigmas:
-            got = throughput(scheme, h, ci_precoder(gains), sigma, h.responsivity, h.power)
+            (got,) = throughput(scheme, h, ci_precoder(gains), [sigma], h.responsivity,
+                                h.power)
             assert got == pytest.approx(reference_throughput(scheme, gains, sigma, gp),
                                         rel=tol)
 
@@ -254,30 +252,30 @@ def sweep_estimate(h, cfg):
 
 
 def count_builds(monkeypatch) -> list:
-    """Clear the kept table and record every table the builder makes.
+    """Record the scheme and renormalization of every table the program builds.
 
-    Each build also sleeps, so that concurrent callers ask while it runs.
+    ``word_table`` builds afresh on every call, so each call its callers in
+    ``analytic`` and ``montecarlo`` make is one build.
     """
     built = []
-    build = precoding._build_word_table
 
-    def counted(*args):
-        built.append(args[2:])
-        time.sleep(0.005)
-        return build(*args)
+    def counted(gains, precoder, scheme, renormalize=False):
+        built.append((scheme, renormalize))
+        return word_table(gains, precoder, scheme, renormalize=renormalize)
 
-    monkeypatch.setattr(precoding, "_last_table", None)
-    monkeypatch.setattr(precoding, "_build_word_table", counted)
+    monkeypatch.setattr(analytic, "word_table", counted)
+    monkeypatch.setattr(montecarlo, "word_table", counted)
     return built
 
 
 @pytest.mark.parametrize("cfg", SWEEP_CONFIGS)
 def test_sweep_builds_one_table(monkeypatch, tmp_path, cfg):
-    """simulate and the closed form at every SNR point share one word table.
+    """Monte Carlo and the closed form at every SNR point share one word table.
 
     The runner draws the stale estimate once per variant and hands the same
     one to every scheme, so a two-variant sweep builds one table per
-    (variant, scheme) and makes one draw per variant.
+    (variant, scheme) and makes one draw per variant.  The throughput sweep
+    also builds one table per (variant, scheme) for its whole SNR grid.
     """
     h = build_channel_matrix(square_grid_layout(4, 0.5, fov=60.0))
     built = count_builds(monkeypatch)
@@ -291,7 +289,6 @@ def test_sweep_builds_one_table(monkeypatch, tmp_path, cfg):
         return perturb_channel(*args, **kwargs)
 
     monkeypatch.setattr(runner, "perturb_channel", counted_perturb)
-    monkeypatch.setattr(precoding, "_last_table", None)
     built.clear()
     exp = config_from_dict({
         "name": "tables", "seed": cfg.seed, "schemes": ["ci", "oap"],
@@ -305,79 +302,18 @@ def test_sweep_builds_one_table(monkeypatch, tmp_path, cfg):
     assert built == [(s, cfg.renormalize_oap) for s in ("ci", "oap")] * variants
     assert len(draws) == (variants if cfg.csi_mode == "outdated" else 0)
 
+    built.clear()
+    runner.run_throughput_sweep(exp, tmp_path, threads=2)
+    assert built == [(s, False) for s in ("ci", "oap")] * variants
+
 
 def test_kept_table_is_read_only():
+    """Every array a caller keeps from a table is read-only."""
     gains = build_channel_matrix(square_grid_layout(2, 0.5, fov=60.0)).gains
     for scheme in ("ci", "oap"):
         table = word_table(gains, ci_precoder(gains), scheme)
-        assert word_table(gains, ci_precoder(gains), scheme) is table
         for field in dataclasses.fields(table):
             value = getattr(table, field.name)
             if isinstance(value, np.ndarray):
                 with pytest.raises(ValueError):
                     value[0] = 1.0
-
-
-def test_table_keyed_on_every_input(monkeypatch):
-    gains = build_channel_matrix(square_grid_layout(2, 0.5, fov=60.0)).gains
-    other = gains * np.array([[1.0, 1.0], [1.0, 1.0 + 1e-12]])
-    built = count_builds(monkeypatch)
-    calls = [(gains, gains, "ci", False), (gains, gains, "oap", False),
-             (gains, gains, "oap", True), (other, gains, "oap", True),
-             (other, other, "oap", True), (other, other, "oap", True)]
-    tables = [word_table(h, ci_precoder(h_hat), scheme, renormalize=renormalize)
-              for h, h_hat, scheme, renormalize in calls]
-    assert len(built) == 5
-    assert tables[-1] is tables[-2]
-    assert not np.array_equal(tables[2].receive, tables[3].receive)
-
-
-@pytest.mark.parametrize("cfg", SWEEP_CONFIGS)
-def test_sweep_identical_with_kept_table_cleared_or_bypassed(monkeypatch, cfg):
-    h = build_channel_matrix(square_grid_layout(4, 0.25, fov=60.0))
-
-    def run():
-        curve = one_sweep(h, SWEEP_SNRS, cfg, h_hat=sweep_estimate(h, cfg), threads=2)
-        return ([e.per_pd_errors.tolist() for e in curve.estimates],
-                [a.per_pd.tolist() for a in curve.analytic])
-
-    monkeypatch.setattr(precoding, "_last_table", None)
-    cold = run()
-    assert run() == cold            # every table comes from the kept one
-
-    def fresh(gains, pre, scheme, renormalize=False):
-        """Every call builds afresh: no table is kept at all."""
-        return precoding._build_word_table(precoding.as_gains(gains), pre, scheme,
-                                           renormalize)
-
-    monkeypatch.setattr(analytic, "word_table", fresh)
-    monkeypatch.setattr(montecarlo, "word_table", fresh)
-    assert run() == cold
-
-
-def test_threads_share_and_never_mix_kept_tables(monkeypatch):
-    """More threads than cores ask for two tables, switching as often as possible."""
-    gains = build_channel_matrix(square_grid_layout(4, 0.5, fov=60.0)).gains
-    pre = ci_precoder(gains)
-    want = {scheme: precoding._build_word_table(gains, pre, scheme, False)
-            for scheme in ("ci", "oap")}
-    built = count_builds(monkeypatch)
-
-    def ask(i):
-        scheme = "ci" if i < 8 or i % 2 else "oap"
-        return scheme, word_table(gains, pre, scheme)
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        with ThreadPoolExecutor(max_workers=8) as pool:
-            first = [f.result(timeout=60) for f in [pool.submit(ask, i) for i in range(8)]]
-            mixed = [f.result(timeout=60) for f in [pool.submit(ask, i) for i in range(8, 200)]]
-    finally:
-        sys.setswitchinterval(interval)
-    # Eight concurrent requests for one table build it once and share it.
-    assert built[0] == ("ci", False)
-    assert all(table is first[0][1] for _, table in first)
-    for scheme, table in first + mixed:
-        assert table.scheme == scheme
-        assert np.array_equal(table.margin, want[scheme].margin)
