@@ -21,8 +21,8 @@ from vlcmimo.precoding import ci_precoder, word_table
 def error_rates(h, scheme, snrs) -> list[float]:
     """Average exact error rate of ``scheme`` at each SNR, from one ``exact_ber`` call."""
     table = word_table(h.gains, ci_precoder(h.gains), scheme)
-    sig = np.stack([sigma_table(sigma_from_transmit_snr(snr, h.responsivity, h.power),
-                                table, h.power) for snr in snrs])[:, None, :]
+    sig = np.stack([sigma_table(sigma_from_transmit_snr(snr, h.responsivity, h.power), table)
+                    for snr in snrs])[:, None, :]
     return [float(np.mean(r)) for r in exact_ber(table, h.responsivity * h.power, sig)]
 
 

@@ -17,7 +17,7 @@ from .channel import (ChannelMatrix, GainMap, GeometryError, Luminaire,
 from .config import ConfigError, ExperimentConfig, load_config, preset
 from .csi import ChannelEstimate, MobilityEvent, error_bound, perturb_channel
 from .montecarlo import BerCurve, BerEstimate, SimConfig, simulate, sweep
-from .noise import (NoiseParams, shot_variance, sigma_from_transmit_snr,
+from .noise import (physical_sigma, shot_variance, sigma_from_transmit_snr,
                     thermal_variance, total_sigma)
 from .precoding import (Precoder, SingularChannelError, ci_precoder,
                         combination_matrix)

@@ -18,7 +18,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .noise import NoiseParams, shot_variance, thermal_variance, total_sigma
 from .precoding import Precoder, WordTable, as_gains, ci_precoder, word_table
 
 __all__ = [
@@ -31,7 +30,6 @@ __all__ = [
     "ber_oap_perfect",
     "ber_oap_outdated",
     "throughput",
-    "PhysicalNoise",
     "sigma_table",
 ]
 
@@ -155,36 +153,8 @@ class BerResult:
         return float(np.mean(self.per_pd))
 
 
-class PhysicalNoise:
-    """Per-word noise standard deviations from the shot/thermal model.
-
-    The shot term is signal dependent: it is evaluated with the actual
-    precoded per-luminaire optical powers of each word (negative precoder
-    outputs are clamped at zero radiated power).
-    """
-
-    def __init__(self, gains, detector_area: float, responsivity: float,
-                 params: NoiseParams | None = None):
-        self.gains = np.asarray(gains, dtype=float)
-        self.params = params if params is not None else NoiseParams()
-        self.responsivity = responsivity
-        self.thermal = thermal_variance(detector_area, self.params)
-
-    def __call__(self, transmit_optical) -> np.ndarray:
-        """Deviation per detector; one row per word when given a word table's powers."""
-        radiated = np.clip(np.asarray(transmit_optical, dtype=float), 0.0, None)
-        return total_sigma(shot_variance(self.gains, radiated, self.responsivity,
-                                         self.params), self.thermal)
-
-
-def sigma_table(sigma, table: WordTable, power: float) -> np.ndarray:
-    """Resolve sigma (scalar, per-detector array, or callable) per word.
-
-    A callable receives every word's transmitted optical powers at once
-    and returns one row of deviations per word.
-    """
-    if callable(sigma):
-        return np.asarray(sigma(power * table.transmit), dtype=float)
+def sigma_table(sigma, table: WordTable) -> np.ndarray:
+    """Resolve a scalar or per-detector deviation to one positive entry per detector."""
     n_r = table.words.shape[1]
     arr = np.asarray(sigma, dtype=float)
     if arr.ndim == 0:
@@ -260,7 +230,7 @@ def _one_point(scheme, h, h_hat, sigma, responsivity, power,
     table = word_table(gains, ci_precoder(hat), scheme, renormalize=renormalize)
     outdated = h_hat is not None
     rate = outdated_bound if outdated else exact_ber
-    per_pd = rate(table, responsivity * power, sigma_table(sigma, table, power))
+    per_pd = rate(table, responsivity * power, sigma_table(sigma, table))
     return BerResult(per_pd=per_pd, scheme=scheme, csi="outdated" if outdated else "perfect",
                      is_bound=outdated)
 
@@ -313,12 +283,13 @@ def _word_rates(table: WordTable, sigma, responsivity: float, power: float) -> n
 
 
 def throughput(scheme: str, h, precoder: Precoder, sigma, responsivity: float = 1.0,
-               power: float = 1.0) -> np.ndarray:
+               power: float = 1.0, renormalize: bool = False) -> np.ndarray:
     """Normalized achievable throughput averaged over all symbol words, per sigma.
 
     ``sigma`` is a sequence of deviations (each a scalar or one per
     detector), as ``exact_ber`` takes a stack; the word table is built once
     and each entry gives one value, equal to its one-entry call bit for bit.
+    ``renormalize`` scales the adaptive scheme as ``word_table`` does.
     """
-    table = word_table(h, precoder, scheme)
+    table = word_table(h, precoder, scheme, renormalize=renormalize)
     return np.array([np.mean(_word_rates(table, s, responsivity, power)) for s in sigma])

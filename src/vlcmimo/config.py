@@ -22,7 +22,6 @@ from typing import Literal
 import numpy as np
 
 from .channel import GeometryError, RoomLayout, square_grid_layout
-from .noise import NoiseParams
 from .precoding import MAX_ENUMERATED_LINKS
 
 __all__ = [
@@ -121,6 +120,8 @@ class LayoutConfig:
 
 @_config
 class NoiseConfig:
+    """Receiver noise: a transmit-SNR axis, or these device values (``noise.physical_sigma``)."""
+
     mode: Literal["swept", "physical"] = "swept"
     bandwidth_hz: float = 100e6
     background_current_a: float = 100e-6
@@ -132,18 +133,10 @@ class NoiseConfig:
     fet_noise_factor: float = 1.5
     fet_transconductance_s: float = 30e-3
 
-    def params(self) -> NoiseParams:
-        return NoiseParams(
-            bandwidth=self.bandwidth_hz,
-            i_bg=self.background_current_a,
-            i2=self.noise_bandwidth_factor_i2,
-            i3=self.noise_bandwidth_factor_i3,
-            temperature=self.temperature_k,
-            open_loop_gain=self.open_loop_gain,
-            capacitance_per_area=self.capacitance_per_area_f_m2,
-            fet_noise_factor=self.fet_noise_factor,
-            fet_transconductance=self.fet_transconductance_s,
-        )
+    def __post_init__(self):
+        for name, value in vars(self).items():
+            if name != "mode" and not value > 0.0:
+                raise ConfigError(f"noise.{name} must be positive, got {value!r}")
 
 
 @_config
@@ -305,10 +298,6 @@ class ExperimentConfig:
         if self.csi.mobile_user >= min(sizes):
             raise ConfigError(f"csi.mobile_user {self.csi.mobile_user} is not a link of "
                               f"the smallest array in use ({min(sizes)} links)")
-        try:
-            self.noise.params()
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
         return self
 
     def resolved(self) -> dict:

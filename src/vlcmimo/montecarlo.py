@@ -35,7 +35,7 @@ import itertools
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Literal, Sequence
 
 import numpy as np
@@ -43,9 +43,9 @@ import numpy as np
 from . import analytic
 from .analytic import _CHUNK_CELLS
 from .channel import ChannelMatrix
-from .config import ConfigError, _config
+from .config import ConfigError, NoiseConfig, _config
 from .csi import perturb_channel  # noqa: F401  (wrapped here by perfbench/tracing.py)
-from .noise import NoiseParams, sigma_from_transmit_snr
+from .noise import physical_sigma, sigma_from_transmit_snr
 from .precoding import WordTable, ci_precoder, word_table
 
 __all__ = [
@@ -69,17 +69,18 @@ _SORT_MIN_WORK = 8192
 class SimConfig:
     """Configuration of one Monte Carlo run (one scheme at one noise point).
 
-    The transmitter's estimate is not part of it: with ``csi_mode``
-    "outdated", ``simulate`` and ``sweep`` take it as ``h_hat``.
+    ``noise.mode`` picks the noise: "swept" reads ``snr_db``, "physical"
+    the device values of ``noise``.  The transmitter's estimate is not part
+    of it: with ``csi_mode`` "outdated", ``simulate`` and ``sweep`` take it
+    as ``h_hat``, and with "perfect" they take none.
     """
 
     n_symbols: int = 2_000_000
     seed: int = 0
     scheme: Literal["ci", "oap"] = "ci"
     csi_mode: Literal["perfect", "outdated"] = "perfect"
-    noise_mode: Literal["swept", "physical"] = "swept"
+    noise: NoiseConfig = field(default_factory=NoiseConfig)
     snr_db: float | None = None        # required in swept mode
-    noise_params: NoiseParams | None = None
     early_stop_errors: int | None = None
     block_size: int = 1 << 16
     renormalize_oap: bool = False
@@ -146,6 +147,8 @@ def _table(h: ChannelMatrix, cfg: SimConfig, h_hat) -> WordTable:
         if h_hat is None:
             raise ValueError("outdated channel knowledge needs the estimate h_hat")
         estimate = np.asarray(h_hat, dtype=float)
+    elif h_hat is not None:
+        raise ValueError("perfect channel knowledge takes no estimate h_hat")
     return word_table(h.gains, ci_precoder(estimate), cfg.scheme,
                       renormalize=cfg.renormalize_oap)
 
@@ -156,14 +159,13 @@ def _sigmas(h: ChannelMatrix, cfg: SimConfig, table: WordTable, snr_points) -> n
     Swept noise gives one point per SNR; physical noise is one point whose
     signal-dependent deviation differs per word.
     """
-    if cfg.noise_mode == "physical":
-        noise = analytic.PhysicalNoise(h.gains, h.detector_area, h.responsivity,
-                                       cfg.noise_params)
-        return analytic.sigma_table(noise, table, h.power)[None]
+    if cfg.noise.mode == "physical":
+        return physical_sigma(h.gains, h.power * table.transmit, h.detector_area,
+                              h.responsivity, cfg.noise)[None]
     if None in snr_points:
         raise ValueError("swept noise mode needs a finite snr_db")
     return np.stack([analytic.sigma_table(
-        sigma_from_transmit_snr(p, h.responsivity, h.power), table, h.power)
+        sigma_from_transmit_snr(p, h.responsivity, h.power), table)
         for p in snr_points])[:, None, :]
 
 
@@ -332,7 +334,7 @@ def _cpus() -> int:
 def _points(cfg: SimConfig, snr_points_db) -> list[float]:
     """A case's sorted SNR points; physical noise is the one point nan."""
     points = sorted(float(p) for p in snr_points_db)
-    if cfg.noise_mode == "physical":
+    if cfg.noise.mode == "physical":
         if points:
             raise ValueError("physical noise has no SNR axis; pass no points")
         return [math.nan]

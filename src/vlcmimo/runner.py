@@ -18,7 +18,7 @@ import numpy as np
 
 from . import __version__
 from .analytic import throughput as analytic_throughput
-from .channel import (build_channel_matrix, concentrator_gain,
+from .channel import (RoomLayout, build_channel_matrix, concentrator_gain,
                       distance_gain_prefactor, gain_map, lambertian_order)
 from .config import ExperimentConfig, _resolved_hash
 from .csi import MobilityEvent, error_bound, perturb_channel
@@ -83,8 +83,7 @@ def _sim_config(cfg: ExperimentConfig, scheme: str, outdated: bool) -> SimConfig
         seed=cfg.seed,
         scheme=scheme,
         csi_mode="outdated" if outdated else "perfect",
-        noise_mode=cfg.noise.mode,
-        noise_params=cfg.noise.params(),
+        noise=cfg.noise,
         early_stop_errors=cfg.montecarlo.early_stop_errors,
         block_size=cfg.montecarlo.block_size,
         renormalize_oap=cfg.renormalize_oap,
@@ -155,15 +154,15 @@ def run_channel_map(cfg: ExperimentConfig, out_dir, progress: bool = False) -> l
     return [csv_path, meta_path]
 
 
-def _mobility_bound(cfg: ExperimentConfig, elapsed_s: float) -> tuple[float, float]:
-    """Worst-case gain error and realized speed for one mobility interval."""
-    lay = cfg.layout
-    det = lay.detector
-    lum_z = lay.luminaire_z_m if lay.luminaire_z_m is not None else lay.room_z_m
-    z = lum_z - lay.receiver_plane_z_m
-    m = lambertian_order(lay.semi_angle_deg)
-    g = concentrator_gain(0.0, det.fov_deg, det.refractive_index)
-    varpi = distance_gain_prefactor(det.area_m2, det.filter_gain, g, m,
+def _mobility_bound(cfg: ExperimentConfig, layout: RoomLayout,
+                    elapsed_s: float) -> tuple[float, float]:
+    """Worst-case gain error and realized speed of the mobile user's link in ``layout``."""
+    lum = layout.luminaires[cfg.csi.mobile_user]
+    det = layout.detectors[cfg.csi.mobile_user]
+    z = lum.position[2] - layout.receiver_plane_z
+    m = lambertian_order(lum.semi_angle_half_power)
+    g = concentrator_gain(0.0, det.fov, det.refractive_index)
+    varpi = distance_gain_prefactor(det.area, det.filter_gain, g, m,
                                     plane_separation=z)
     event = MobilityEvent(
         start_xy=cfg.mobility.start_xy_m,
@@ -180,12 +179,14 @@ def run_ber_sweep(cfg: ExperimentConfig, out_dir, threads: int | None = None,
 
     With ``noise.mode: physical`` there is no SNR axis; each variant/scheme
     contributes a single row computed at the device noise level (snr_db
-    column carries nan).  With ``csi.mode: outdated`` the stale estimate uses
-    the gain-error bound of the first ``mobility.elapsed_times_s`` entry only,
-    recorded as ``error_bound_elapsed_s`` in the metadata; ``mobility`` sweeps
-    every entry.  Every variant and scheme goes to one ``sweep`` call (see
-    there), so rows share draws across schemes and variants as well as along
-    SNR.  ``threads`` below 1 raises ``ValueError`` before anything is written.
+    column carries nan).  With ``csi.mode: outdated`` each variant's stale
+    estimate uses the gain-error bound of its own layout at the first
+    ``mobility.elapsed_times_s`` entry only, recorded per variant as
+    ``error_bounds`` and the entry as ``error_bound_elapsed_s`` in the
+    metadata; ``mobility`` sweeps every entry.  Every variant and scheme goes
+    to one ``sweep`` call (see there), so rows share draws across schemes and
+    variants as well as along SNR.  ``threads`` below 1 raises ``ValueError``
+    before anything is written.
     """
     _threads(threads)
     out = Path(out_dir)
@@ -197,14 +198,16 @@ def run_ber_sweep(cfg: ExperimentConfig, out_dir, threads: int | None = None,
               "mc_avg_ber", "mc_halfwidth_95", "symbols"]
     cases = []
     conditions = {}
-    if outdated:
-        elapsed = cfg.mobility.elapsed_times_s[0]
-        bound, _ = _mobility_bound(cfg, elapsed)
+    bounds = {}
     for n, sp, ang in cfg.variants():
         layout = cfg.build_layout(n_links=n, spacing=sp, semi_angle=ang)
         h = build_channel_matrix(layout)
-        conditions[f"{n}x{n}@{sp}m/{ang}deg"] = ci_precoder(h.gains).condition_number
-        h_hat = _stale_estimate(cfg, h, bound) if outdated else None
+        key = f"{n}x{n}@{sp}m/{ang}deg"
+        conditions[key] = ci_precoder(h.gains).condition_number
+        h_hat = None
+        if outdated:
+            bounds[key], _ = _mobility_bound(cfg, layout, cfg.mobility.elapsed_times_s[0])
+            h_hat = _stale_estimate(cfg, h, bounds[key])
         cases += [(f"[{cfg.name}] {n}x{n} spacing={sp} angle={ang} scheme={scheme}",
                    (n, sp, ang), (h, _sim_config(cfg, scheme, outdated), h_hat))
                   for scheme in cfg.schemes]
@@ -220,8 +223,8 @@ def run_ber_sweep(cfg: ExperimentConfig, out_dir, threads: int | None = None,
         "threads_note": "results are independent of the worker count",
     }
     if outdated:
-        extras["error_bound"] = bound
-        extras["error_bound_elapsed_s"] = elapsed
+        extras["error_bounds"] = bounds
+        extras["error_bound_elapsed_s"] = cfg.mobility.elapsed_times_s[0]
     _write_metadata(meta_path, identity, "ber-sweep", extras)
     if progress:
         print(f"wrote {csv_path}", file=sys.stderr)
@@ -253,7 +256,8 @@ def run_throughput_sweep(cfg: ExperimentConfig, out_dir, threads: int | None = N
             if progress:
                 print(f"[{cfg.name}] throughput {n}x{n} spacing={sp} scheme={scheme}",
                       file=sys.stderr)
-            th = analytic_throughput(scheme, h, pre, sigmas, h.responsivity, h.power)
+            th = analytic_throughput(scheme, h, pre, sigmas, h.responsivity, h.power,
+                                     cfg.renormalize_oap)
             rows += [[snr, scheme, n, sp, ang, t] for snr, t in zip(points, th.tolist())]
     csv_path = out / f"{cfg.name}_throughput.csv"
     identity = _identity(cfg)
@@ -288,7 +292,7 @@ def run_mobility(cfg: ExperimentConfig, out_dir, threads: int | None = None,
     cases = []
     bounds = {}
     for elapsed in cfg.mobility.elapsed_times_s:
-        bound, velocity = _mobility_bound(cfg, elapsed)
+        bound, velocity = _mobility_bound(cfg, layout, elapsed)
         bounds[repr(float(elapsed))] = bound
         h_hat = _stale_estimate(cfg, h, bound)
         cases += [(f"[{cfg.name}] mobility t={elapsed}s bound={bound:.3e} scheme={scheme}",

@@ -13,14 +13,15 @@ from scipy.integrate import quad
 from scipy.special import erfc
 
 from vlcmimo import analytic
-from vlcmimo.analytic import (PhysicalNoise, _word_rates, ber_ci_outdated,
-                              ber_ci_perfect, ber_oap_outdated, ber_oap_perfect,
-                              exact_ber, outdated_bound, q_function, sigma_table,
-                              throughput)
+from vlcmimo.analytic import (_word_rates, ber_ci_outdated, ber_ci_perfect,
+                              ber_oap_outdated, ber_oap_perfect, exact_ber,
+                              outdated_bound, q_function, sigma_table, throughput)
 from vlcmimo.channel import ChannelMatrix, build_channel_matrix, square_grid_layout
 from vlcmimo.csi import perturb_channel
-from vlcmimo.noise import NoiseParams, sigma_from_transmit_snr
+from vlcmimo.config import NoiseConfig, config_from_dict
+from vlcmimo.noise import physical_sigma, sigma_from_transmit_snr
 from vlcmimo.precoding import ci_precoder, combination_matrix, word_table
+from vlcmimo.runner import run_throughput_sweep
 
 
 def channel(n=4, spacing=0.5, fov=60.0):
@@ -238,8 +239,8 @@ def stale_stack(n: int, scheme: str, snrs) -> tuple:
     h = channel(n, spacing=1.0 if n <= 4 else 0.5)
     h_hat = perturb_channel(h, 0.02 * h.gains[0, 0], model="uniform", seed=3).h_hat
     table = word_table(h.gains, ci_precoder(h_hat), scheme)
-    sig = np.stack([sigma_table(sigma_from_transmit_snr(snr, h.responsivity, h.power),
-                                table, h.power) for snr in snrs])[:, None, :]
+    sig = np.stack([sigma_table(sigma_from_transmit_snr(snr, h.responsivity, h.power), table)
+                    for snr in snrs])[:, None, :]
     return table, h.responsivity * h.power, sig
 
 
@@ -334,17 +335,47 @@ class TestThroughput:
         assert grid.tolist() == singles
         assert len(set(singles)) == len(singles)
 
+    def test_sweep_follows_renormalize_oap(self, tmp_path):
+        """Renormalized, oap rows are the renormalized table's word mean; ci rows stay."""
+        base = {"name": "tput", "schemes": ["ci", "oap"],
+                "layout": {"n_links": 4, "spacing_m": 1.0, "detector": {"fov_deg": 60.0}},
+                "sweep": {"snr_start_db": 80.0, "snr_stop_db": 100.0, "snr_step_db": 10.0}}
+        rows = {}
+        for renormalize in (False, True):
+            cfg = config_from_dict({**base, "renormalize_oap": renormalize})
+            csv_path, _ = run_throughput_sweep(cfg, tmp_path / str(renormalize), threads=1)
+            lines = csv_path.read_text().splitlines()[4:]
+            rows[renormalize] = [(float(snr), scheme, float(value)) for snr, scheme, *_, value
+                                 in (line.split(",") for line in lines)]
+        h = build_channel_matrix(cfg.build_layout())
+        table = word_table(h.gains, ci_precoder(h.gains), "oap", renormalize=True)
+        oap = [(snr, value) for snr, scheme, value in rows[True] if scheme == "oap"]
+        assert [value for _, value in oap] == [
+            float(np.mean(_word_rates(table, sigma_from_transmit_snr(snr, h.responsivity,
+                                                                     h.power),
+                                      h.responsivity, h.power)))
+            for snr, _ in oap]
+        assert len(oap) == 3
+        assert [r for r in rows[True] if r[1] == "ci"] == [r for r in rows[False] if r[1] == "ci"]
+        assert [r for r in rows[True] if r[1] == "oap"] != [r for r in rows[False]
+                                                            if r[1] == "oap"]
+
 
 class TestPhysicalNoiseMode:
     def test_sigma_table_word_dependence(self):
         h = channel()
-        model = PhysicalNoise(h.gains, h.detector_area, h.responsivity, NoiseParams())
+
+        def model(transmit):
+            return physical_sigma(h.gains, transmit, h.detector_area, h.responsivity,
+                                  NoiseConfig())
         quiet = model(np.zeros(4))
         loud = model(np.full(4, 9.0))
         assert np.all(loud > quiet)
 
-    def test_ber_accepts_callable_sigma(self):
+    def test_exact_ber_accepts_per_word_sigma(self):
         h = channel()
-        model = PhysicalNoise(h.gains, h.detector_area, h.responsivity, NoiseParams())
-        res = ber_ci_perfect(h, model, h.responsivity, h.power)
-        assert np.all(res.per_pd >= 0.0) and np.all(res.per_pd <= 0.5)
+        table = word_table(h.gains, ci_precoder(h.gains), "ci")
+        sig = physical_sigma(h.gains, h.power * table.transmit, h.detector_area,
+                             h.responsivity, NoiseConfig())
+        per_pd = exact_ber(table, h.responsivity * h.power, sig)
+        assert np.all(per_pd >= 0.0) and np.all(per_pd <= 0.5)

@@ -16,9 +16,11 @@ import numpy as np
 import pytest
 import yaml
 
+from vlcmimo.channel import concentrator_gain, distance_gain_prefactor, lambertian_order
 from vlcmimo.cli import main
-from vlcmimo.config import (PRESET_NAMES, ConfigError, ExperimentConfig,
+from vlcmimo.config import (PRESET_NAMES, ConfigError, ExperimentConfig, NoiseConfig,
                             config_from_dict, load_config, preset)
+from vlcmimo.csi import MobilityEvent, error_bound
 
 
 def write_yaml(path: Path, data: dict) -> Path:
@@ -246,6 +248,20 @@ class TestCli:
         assert summary[3] == ", ".join(str(out / f"fig8_throughput{suffix}")
                                        for suffix in (".csv", "_meta.json"))
 
+    def test_adaptive_gain_study_prints_a_gap_row(self):
+        """A 4-link array at 1 m: the SNR of each scheme at the target rate and their gap."""
+        root = Path(__file__).resolve().parents[1]
+        done = subprocess.run(
+            [sys.executable, str(root / "scripts" / "adaptive_gain_study.py"),
+             "--orders", "4", "--spacings", "1.0"], capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": str(root / "src")}, timeout=120)
+        assert done.returncode == 0, done.stderr
+        *_, row = done.stdout.splitlines()
+        found = re.fullmatch(r" +4 +1\.00 +\S+ +(\d+\.\d\d) +(\d+\.\d\d) +(-?\d+\.\d\d)", row)
+        assert found is not None, row
+        ci, oap, gap = map(float, found.groups())
+        assert 0.0 < gap == pytest.approx(ci - oap, abs=0.011)
+
     def test_adaptive_gain_study_skips_a_layout_outside_the_room(self):
         """An 8-link array at 1.5 m does not fit the 4 m room: one skipped row, exit 0."""
         root = Path(__file__).resolve().parents[1]
@@ -270,6 +286,19 @@ class TestCli:
         path = write_yaml(tmp_path / "bad.yaml", bad)
         assert main(["validate", "--config", str(path)]) == 2
         assert "config error" in capsys.readouterr().err
+
+    NOISE_VALUES = [f.name for f in dataclasses.fields(NoiseConfig) if f.name != "mode"]
+
+    @pytest.mark.parametrize("value", [0, -1])
+    @pytest.mark.parametrize("key", NOISE_VALUES)
+    def test_nonpositive_noise_value_rejected(self, tmp_path, capsys, key, value):
+        """Each device value of the noise model must be positive, in either noise mode."""
+        assert len(self.NOISE_VALUES) == 9
+        path = write_yaml(tmp_path / "bad.yaml", {"noise": {key: value}})
+        with pytest.raises(ConfigError, match=rf"^noise\.{key} must be positive"):
+            load_config(path)
+        assert main(["validate", "--config", str(path)]) == 2
+        assert f"config error: noise.{key} must be positive" in capsys.readouterr().err
 
     def test_ber_sweep_end_to_end(self, tmp_path):
         path = write_yaml(tmp_path / "c.yaml", SMALL)
@@ -367,7 +396,43 @@ class TestCli:
                      "--quiet"]) == 0
         meta = json.loads((out / "stale_ber_meta.json").read_text())
         assert meta["error_bound_elapsed_s"] == 0.05
-        assert meta["error_bound"] > 0.0
+        assert meta["error_bounds"].keys() == meta["channel_condition_numbers"].keys()
+        assert all(bound > 0.0 for bound in meta["error_bounds"].values())
+
+    def test_outdated_ber_sweep_bounds_each_variant_by_its_own_layout(self, tmp_path):
+        """A semi-angle variant's stale estimate uses its own Lambertian order.
+
+        Its bound is the distance-model error of that angle's lobe, and its
+        rows are those of a run with that angle as the only layout.
+        """
+        cfgd = dict(SMALL, name="angles", csi={"mode": "outdated"}, semi_angles_deg=[15.0, 45.0],
+                    mobility={"speed_mps": 1.0, "elapsed_times_s": [0.1]})
+        out = tmp_path / "angles"
+        assert main(["ber-sweep", "--config", str(write_yaml(tmp_path / "a.yaml", cfgd)),
+                     "--out", str(out), "--quiet"]) == 0
+        meta = json.loads((out / "angles_ber_meta.json").read_text())
+        cfg = config_from_dict(cfgd)
+        lay, det = cfg.layout, cfg.layout.detector
+        z = lay.room_z_m - lay.receiver_plane_z_m
+        event = MobilityEvent(start_xy=(0.0, 0.0), end_xy=(0.1, 0.0), plane_separation=z,
+                              elapsed_time=0.1)
+        for angle in (15.0, 45.0):
+            m = lambertian_order(angle)
+            varpi = distance_gain_prefactor(
+                det.area_m2, det.filter_gain,
+                concentrator_gain(0.0, det.fov_deg, det.refractive_index), m,
+                plane_separation=z)
+            assert meta["error_bounds"][f"2x2@0.5m/{angle}deg"] == error_bound(event, varpi, m)
+
+        alone = dict(cfgd, name="alone", semi_angles_deg=None,
+                     layout=dict(SMALL["layout"], semi_angle_deg=45.0))
+        out_alone = tmp_path / "alone"
+        assert main(["ber-sweep", "--config", str(write_yaml(tmp_path / "b.yaml", alone)),
+                     "--out", str(out_alone), "--quiet"]) == 0
+        rows = [line for line in (out / "angles_ber.csv").read_text().splitlines()
+                if ",45.0," in line]
+        want = (out_alone / "alone_ber.csv").read_text().splitlines()[4:]
+        assert rows == want and len(rows) == 6
 
     def test_physical_noise_mode_single_point(self, tmp_path):
         # device-level noise has no SNR axis: one row per scheme

@@ -8,15 +8,16 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from vlcmimo import montecarlo, runner
-from vlcmimo.analytic import (PhysicalNoise, ber_ci_outdated, ber_ci_perfect,
-                              ber_oap_outdated, ber_oap_perfect, q_function, sigma_table)
+from vlcmimo import analytic, montecarlo, runner
+from vlcmimo.analytic import (ber_ci_outdated, ber_ci_perfect, ber_oap_outdated,
+                              ber_oap_perfect, exact_ber, outdated_bound, q_function,
+                              sigma_table)
 from vlcmimo.channel import ChannelMatrix, build_channel_matrix, square_grid_layout
-from vlcmimo.config import config_from_dict, preset
+from vlcmimo.config import NoiseConfig, config_from_dict, preset
 from vlcmimo.csi import perturb_channel
 from vlcmimo.montecarlo import (SimConfig, _block_errors, _compared_errors, _sorted_errors,
                                 _sorts, simulate, sweep)
-from vlcmimo.noise import NoiseParams, sigma_from_transmit_snr
+from vlcmimo.noise import physical_sigma, sigma_from_transmit_snr
 from vlcmimo.precoding import ci_precoder, word_table
 from vlcmimo.runner import run_ber_sweep, run_mobility
 
@@ -122,10 +123,10 @@ class TestEarlyStopAndValidation:
 
     def test_swept_mode_needs_snr(self):
         with pytest.raises(ValueError):
-            SimConfig(noise_mode="swept", snr_db=float("-inf"))
+            SimConfig(noise=NoiseConfig(mode="swept"), snr_db=float("-inf"))
         h = channel()
         with pytest.raises(ValueError):
-            simulate(h, SimConfig(noise_mode="swept", snr_db=None, n_symbols=10))
+            simulate(h, SimConfig(noise=NoiseConfig(mode="swept"), snr_db=None, n_symbols=10))
 
     def test_bad_scheme_rejected(self):
         with pytest.raises(ValueError):
@@ -222,7 +223,13 @@ def physical_channel():
     term; here sigma spreads by about 13 % across words.
     """
     h = dataclasses.replace(channel(), power=1e-4)
-    return h, NoiseParams(i_bg=1e-12, temperature=0.01)
+    return h, NoiseConfig(mode="physical", background_current_a=1e-12, temperature_k=0.01)
+
+
+def table_sigma(h, table, params) -> np.ndarray:
+    """Physical-noise deviations of every word of ``table`` and detector."""
+    return physical_sigma(h.gains, h.power * table.transmit, h.detector_area, h.responsivity,
+                          params)
 
 
 class TestLiteralSlicer:
@@ -233,18 +240,20 @@ class TestLiteralSlicer:
     def test_kernel_counts_match_literal_slicer(self, noise_mode, scheme):
         if noise_mode == "physical":
             h, params = physical_channel()
-            cfg = SimConfig(scheme=scheme, noise_mode="physical", noise_params=params)
-            noise = PhysicalNoise(h.gains, h.detector_area, h.responsivity, params)
+            cfg = SimConfig(scheme=scheme, noise=params)
         else:
             h = channel()
             cfg = SimConfig(scheme=scheme, snr_db=78.0)
-            noise = sigma_from_transmit_snr(78.0, h.responsivity, h.power)
         nb = 50_007                      # 3125 symbols per word, 7 left over
         cfg = dataclasses.replace(cfg, n_symbols=nb, block_size=nb, seed=21)
         table = word_table(h.gains, ci_precoder(h.gains), scheme)
         gp = h.responsivity * h.power
         words, means, taus = table.words, gp * table.receive, 0.5 * gp * table.slicer
-        sig = np.broadcast_to(sigma_table(noise, table, h.power), means.shape)
+        if noise_mode == "physical":
+            noise = table_sigma(h, table, params)
+        else:
+            noise = sigma_table(sigma_from_transmit_snr(78.0, h.responsivity, h.power), table)
+        sig = np.broadcast_to(noise, means.shape)
         n_words, n_r = means.shape
         per, extra = divmod(nb, n_words)
 
@@ -277,14 +286,13 @@ class TestAgainstClosedForm:
     @pytest.mark.parametrize("scheme", ["ci", "oap"])
     def test_physical_noise(self, scheme):
         h, params = physical_channel()
-        noise = PhysicalNoise(h.gains, h.detector_area, h.responsivity, params)
         table = word_table(h.gains, ci_precoder(h.gains), "ci")
-        table_sig = sigma_table(noise, table, h.power)
+        table_sig = table_sigma(h, table, params)
         assert np.ptp(table_sig[1:], axis=0).min() > 0.1 * table_sig.mean()
-        fn = ber_oap_perfect if scheme == "oap" else ber_ci_perfect
-        exact = fn(h, noise, h.responsivity, h.power).average
-        est = simulate(h, SimConfig(n_symbols=200_000, seed=41, scheme=scheme,
-                                    noise_mode="physical", noise_params=params))
+        table = word_table(h.gains, ci_precoder(h.gains), scheme)
+        exact = float(np.mean(exact_ber(table, h.responsivity * h.power,
+                                        table_sigma(h, table, params))))
+        est = simulate(h, SimConfig(n_symbols=200_000, seed=41, scheme=scheme, noise=params))
         assert abs(self.z_score(est, exact)) <= 5.0
 
     @pytest.mark.parametrize("scheme", ["ci", "oap"])
@@ -305,18 +313,20 @@ def test_closed_form_is_mean_tail_of_kernel_thresholds(scheme, renormalize, nois
     """The exact rate and the kernel read one rule: per_pd is the word mean of Q(z)."""
     if noise_mode == "physical":
         h, params = physical_channel()
-        cfg = SimConfig(noise_mode="physical", noise_params=params)
-        noise = PhysicalNoise(h.gains, h.detector_area, h.responsivity, params)
+        cfg = SimConfig(noise=params)
     else:
         h = channel(spacing=0.25)
         cfg = SimConfig(snr_db=90.0)
         noise = sigma_from_transmit_snr(90.0, h.responsivity, h.power)
     cfg = dataclasses.replace(cfg, scheme=scheme, renormalize_oap=renormalize)
-    if scheme == "oap":
-        got = ber_oap_perfect(h, noise, h.responsivity, h.power, renormalize=renormalize)
+    if noise_mode == "physical":
+        table = word_table(h.gains, ci_precoder(h.gains), scheme, renormalize=renormalize)
+        got = exact_ber(table, h.responsivity * h.power, table_sigma(h, table, params))
+    elif scheme == "oap":
+        got = ber_oap_perfect(h, noise, h.responsivity, h.power, renormalize=renormalize).per_pd
     else:
-        got = ber_ci_perfect(h, noise, h.responsivity, h.power)
-    assert np.array_equal(got.per_pd, q_function(oracle.simulated_z(h, cfg)).mean(axis=0))
+        got = ber_ci_perfect(h, noise, h.responsivity, h.power).per_pd
+    assert np.array_equal(got, q_function(oracle.simulated_z(h, cfg)).mean(axis=0))
 
 
 def test_renormalized_outdated_sweep_uses_renormalized_bound():
@@ -352,7 +362,9 @@ class TestSweepSharesOneStream:
     def test_rows_equal_standalone_simulate(self, kw):
         h = channel()
         cfg = self.config(**kw)
-        h_hat = perturb_channel(h, 2e-7, seed=cfg.seed).h_hat
+        h_hat = None
+        if cfg.csi_mode == "outdated":
+            h_hat = perturb_channel(h, 2e-7, seed=cfg.seed).h_hat
         curve = one_sweep(h, self.POINTS, cfg, h_hat=h_hat, threads=2)
         for snr, est in zip(curve.snr_db, curve.estimates):
             alone = simulate(h, dataclasses.replace(cfg, snr_db=snr), h_hat=h_hat)
@@ -593,11 +605,10 @@ class TestThresholdsFromMargins:
             gp = h.responsivity * h.power
             if mode == "swept":
                 sig = np.stack([sigma_table(sigma_from_transmit_snr(snr, h.responsivity,
-                                                                    h.power), table, h.power)
+                                                                    h.power), table)
                                 for snr in np.linspace(70.0, 98.5, 20)])[:, None, :]
             else:
-                sig = sigma_table(PhysicalNoise(h.gains, h.detector_area, h.responsivity,
-                                                params), table, h.power)[None]
+                sig = table_sigma(h, table, params)[None]
             out.append((gp * table.margin, sig, oracle.thresholds(table, gp, sig)))
         return out
 
@@ -777,10 +788,11 @@ class TestRunnerRowsAreOneSweep:
         outdated = cfg.csi.mode == "outdated"
         h_hat = None
         if outdated:
-            h_hat = perturb_channel(h, meta["error_bound"], model=cfg.csi.model, seed=cfg.seed,
+            (bound,) = meta["error_bounds"].values()
+            h_hat = perturb_channel(h, bound, model=cfg.csi.model, seed=cfg.seed,
                                     rows=(cfg.csi.mobile_user,),
                                     worst_case_sign=cfg.csi.worst_case_sign).h_hat
-            assert meta["error_bound"] > 0.0
+            assert bound > 0.0
         physical = cfg.noise.mode == "physical"
         points = [float("nan")] if physical else list(cfg.sweep.points())
         assert len(rows) == len(cfg.schemes) * len(points)
@@ -788,17 +800,21 @@ class TestRunnerRowsAreOneSweep:
         errors = 0
         for row, (scheme, snr) in zip(rows, [(s, p) for s in cfg.schemes for p in points]):
             sim = SimConfig(n_symbols=20_000, seed=cfg.seed, scheme=scheme,
-                            csi_mode=cfg.csi.mode, noise_mode=cfg.noise.mode,
-                            snr_db=None if physical else snr,
-                            noise_params=cfg.noise.params(), block_size=4096)
+                            csi_mode=cfg.csi.mode, noise=cfg.noise,
+                            snr_db=None if physical else snr, block_size=4096)
             est = simulate(h, sim, h_hat=h_hat)
             if physical:
-                noise = PhysicalNoise(h.gains, h.detector_area, h.responsivity,
-                                      cfg.noise.params())
+                table = word_table(h.gains, ci_precoder(h.gains if h_hat is None else h_hat),
+                                   scheme)
+                rate = outdated_bound if outdated else exact_ber
+                ana = analytic.BerResult(per_pd=rate(table, h.responsivity * h.power,
+                                                     table_sigma(h, table, cfg.noise)),
+                                         scheme=scheme, csi=cfg.csi.mode)
             else:
                 noise = sigma_from_transmit_snr(snr, h.responsivity, h.power)
-            args = (h, h_hat) if outdated else (h,)
-            ana = self.CLOSED_FORMS[scheme, outdated](*args, noise, h.responsivity, h.power)
+                args = (h, h_hat) if outdated else (h,)
+                ana = self.CLOSED_FORMS[scheme, outdated](*args, noise, h.responsivity,
+                                                          h.power)
             want = {"snr_db": repr(snr), "scheme": scheme, "csi_mode": cfg.csi.mode,
                     "analytic_per_pd": "|".join(repr(float(v)) for v in ana.per_pd),
                     "analytic_avg_ber": repr(ana.average),
@@ -814,11 +830,23 @@ class TestRunnerRowsAreOneSweep:
     def test_outdated_without_estimate_raises(self, physical):
         h, params = physical_channel()
         cfg = SimConfig(n_symbols=100, csi_mode="outdated", snr_db=None if physical else 90.0,
-                        noise_mode="physical" if physical else "swept", noise_params=params)
+                        noise=params if physical else NoiseConfig())
         with pytest.raises(ValueError, match="h_hat"):
             simulate(h, cfg)
         with pytest.raises(ValueError, match="h_hat"):
             one_sweep(h, [] if physical else [90.0], cfg)
+
+    @pytest.mark.parametrize("physical", [False, True])
+    def test_perfect_with_estimate_raises(self, physical):
+        """A stale estimate is never silently dropped: perfect knowledge takes none."""
+        h, params = physical_channel()
+        cfg = SimConfig(n_symbols=100, snr_db=None if physical else 90.0,
+                        noise=params if physical else NoiseConfig())
+        h_hat = perturb_channel(h, 2e-7, seed=1).h_hat
+        with pytest.raises(ValueError, match="h_hat"):
+            simulate(h, cfg, h_hat=h_hat)
+        with pytest.raises(ValueError, match="h_hat"):
+            one_sweep(h, [] if physical else [90.0], cfg, h_hat=h_hat)
 
 
 class TestRecipeSharesOneBlockLoop:
@@ -920,9 +948,10 @@ class TestRecipeSharesOneBlockLoop:
                                 "montecarlo": {"n_symbols": 4096, "block_size": 2048}})
         want = []
         if recipe is run_mobility:
-            h = build_channel_matrix(cfg.build_layout())
+            layout = cfg.build_layout()
+            h = build_channel_matrix(layout)
             for elapsed in cfg.mobility.elapsed_times_s:
-                bound, _ = runner._mobility_bound(cfg, elapsed)
+                bound, _ = runner._mobility_bound(cfg, layout, elapsed)
                 h_hat = runner._stale_estimate(cfg, h, bound)
                 for scheme in cfg.schemes:
                     want.append(f"[grp] mobility t={elapsed}s bound={bound:.3e} "

@@ -7,16 +7,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vlcmimo.noise import (NoiseParams, shot_variance, sigma_from_transmit_snr,
-                           thermal_variance, total_sigma)
+from vlcmimo.config import NoiseConfig
+from vlcmimo.noise import (BOLTZMANN, ELECTRON_CHARGE, shot_variance,
+                           sigma_from_transmit_snr, thermal_variance, total_sigma)
 
-P = NoiseParams()
+P = NoiseConfig()
 
 
 class TestShotVariance:
     def test_dark_term_only(self):
         got = shot_variance(np.zeros(4), np.zeros(4), 1.0, P)
-        expected = 2.0 * P.q * P.bandwidth * P.i_bg * P.i2  # hand computation
+        expected = (2.0 * ELECTRON_CHARGE * P.bandwidth_hz * P.background_current_a
+                    * P.noise_bandwidth_factor_i2)  # hand computation
         assert got == pytest.approx(expected, rel=1e-15)
         assert got == pytest.approx(1.80e-15, rel=1e-2)
 
@@ -46,11 +48,12 @@ class TestShotVariance:
 class TestThermalVariance:
     def test_matches_two_term_hand_computation(self):
         area = 1e-4
-        kt = P.k_boltzmann * P.temperature
-        term1 = 8 * math.pi * kt / P.open_loop_gain * P.capacitance_per_area \
-            * area * P.i2 * P.bandwidth**2
-        term2 = 16 * math.pi**2 * kt * P.fet_noise_factor / P.fet_transconductance \
-            * P.capacitance_per_area**2 * area**2 * P.i3 * P.bandwidth**3
+        kt = BOLTZMANN * P.temperature_k
+        term1 = 8 * math.pi * kt / P.open_loop_gain * P.capacitance_per_area_f_m2 \
+            * area * P.noise_bandwidth_factor_i2 * P.bandwidth_hz**2
+        term2 = 16 * math.pi**2 * kt * P.fet_noise_factor / P.fet_transconductance_s \
+            * P.capacitance_per_area_f_m2**2 * area**2 * P.noise_bandwidth_factor_i3 \
+            * P.bandwidth_hz**3
         got = thermal_variance(area, P)
         assert got == pytest.approx(term1 + term2, rel=1e-13)
         assert got > 0.0
@@ -58,12 +61,13 @@ class TestThermalVariance:
     def test_bandwidth_scaling_of_terms(self):
         area = 1e-4
         f1 = thermal_variance(area, P)
-        f2 = thermal_variance(area, NoiseParams(bandwidth=2 * P.bandwidth))
+        b = P.bandwidth_hz
+        f2 = thermal_variance(area, NoiseConfig(bandwidth_hz=2 * b))
         # f(B) = c2 B^2 + c3 B^3 -> solve the two coefficients
-        c2 = (8 * f1 - f2) / (4 * P.bandwidth**2)
-        c3 = (f2 - 4 * f1) / (4 * P.bandwidth**3)
+        c2 = (8 * f1 - f2) / (4 * b**2)
+        c3 = (f2 - 4 * f1) / (4 * b**3)
         assert c2 > 0 and c3 > 0
-        assert c2 * P.bandwidth**2 + c3 * P.bandwidth**3 == pytest.approx(f1, rel=1e-12)
+        assert c2 * b**2 + c3 * b**3 == pytest.approx(f1, rel=1e-12)
 
     def test_vanishes_with_area(self):
         assert thermal_variance(1e-12, P) < thermal_variance(1e-4, P) * 1e-7
@@ -115,6 +119,6 @@ class TestSweptSnr:
 class TestParams:
     def test_nonpositive_parameter_rejected(self):
         with pytest.raises(ValueError):
-            NoiseParams(bandwidth=0.0)
+            NoiseConfig(bandwidth_hz=0.0)
         with pytest.raises(ValueError):
-            NoiseParams(temperature=-1.0)
+            NoiseConfig(temperature_k=-1.0)

@@ -20,14 +20,15 @@ import mpmath
 import numpy as np
 import pytest
 
-from vlcmimo.analytic import (PhysicalNoise, ber_ci_outdated, ber_ci_perfect,
-                              ber_oap_outdated, ber_oap_perfect, q_function, throughput)
+from vlcmimo.analytic import (ber_ci_outdated, ber_ci_perfect, ber_oap_outdated,
+                              ber_oap_perfect, exact_ber, outdated_bound, q_function,
+                              throughput)
 from vlcmimo.channel import build_channel_matrix, square_grid_layout
 from vlcmimo.csi import perturb_channel
 from vlcmimo import analytic, montecarlo, runner
-from vlcmimo.config import config_from_dict
+from vlcmimo.config import NoiseConfig, config_from_dict
 from vlcmimo.montecarlo import SimConfig, sweep
-from vlcmimo.noise import NoiseParams, shot_variance, total_sigma
+from vlcmimo.noise import physical_sigma, shot_variance, thermal_variance, total_sigma
 from vlcmimo.precoding import ci_precoder, combination_matrix, word_table
 
 import oracle
@@ -77,10 +78,10 @@ def reference_table(gains, h_hat, scheme, renormalize):
 
 def reference_sigma(h, transmit):
     """Physical-noise deviations, one shot variance per word and detector."""
-    params = NoiseParams()
-    model = PhysicalNoise(h.gains, h.detector_area, h.responsivity, params)
+    params = NoiseConfig()
+    thermal = thermal_variance(h.detector_area, params)
     return np.array([[total_sigma(shot_variance(row, np.clip(h.power * t, 0.0, None),
-                                                h.responsivity, params), model.thermal)
+                                                h.responsivity, params), thermal)
                       for row in h.gains] for t in transmit])
 
 
@@ -131,7 +132,6 @@ def test_table_matches_per_word_pipeline(n, spacing, csi):
               np.finfo(float).eps * np.linalg.cond(h_hat))
     gp = h.responsivity * h.power
     sigmas = [gp * 10.0 ** (-snr / 20.0) for snr in SNRS_DB]
-    physical = PhysicalNoise(gains, h.detector_area, h.responsivity, NoiseParams())
     words = combination_matrix(n)
     tables = {}
     for scheme, renormalize in VARIANTS:
@@ -150,29 +150,35 @@ def test_table_matches_per_word_pipeline(n, spacing, csi):
             norms = np.linalg.norm(table.transmit[1:], axis=1)
             assert np.abs(norms - 1.0).max() <= RTOL
         ref_sig = reference_sigma(h, ref[1])
-        assert_close(physical(h.power * table.transmit), ref_sig, tol)
+        physical = physical_sigma(gains, h.power * table.transmit, h.detector_area,
+                                  h.responsivity, NoiseConfig())
+        assert_close(physical, ref_sig, tol)
 
         noises = [("swept", snr, sigma, np.full((len(words), n), sigma))
                   for snr, sigma in zip(SNRS_DB, sigmas)]
         for noise_mode, snr, noise, sig in noises + [("physical", None, physical, ref_sig)]:
             cfg = SimConfig(scheme=scheme, renormalize_oap=renormalize,
                             csi_mode="perfect" if csi == "perfect" else "outdated",
-                            noise_mode=noise_mode, snr_db=snr)
-            assert_close(oracle.simulated_z(h, cfg, h_hat), gp * ref[5] / sig, tol)
+                            noise=NoiseConfig(mode=noise_mode), snr_db=snr)
+            assert_close(oracle.simulated_z(h, cfg, None if csi == "perfect" else h_hat),
+                         gp * ref[5] / sig, tol)
 
-            if csi == "perfect":
+            if csi == "stale" and renormalize:
+                continue
+            if noise_mode == "physical":
+                # per-word deviations: the closed form on the table, as sweep runs it
+                got = (exact_ber if csi == "perfect" else outdated_bound)(table, gp, noise)
+            elif csi == "perfect":
                 if scheme == "ci":
-                    got = ber_ci_perfect(h, noise, h.responsivity, h.power)
+                    got = ber_ci_perfect(h, noise, h.responsivity, h.power).per_pd
                 else:
                     got = ber_oap_perfect(h, noise, h.responsivity, h.power,
-                                          renormalize=renormalize)
-            elif renormalize:
-                continue
+                                          renormalize=renormalize).per_pd
             else:
                 fn = ber_ci_outdated if scheme == "ci" else ber_oap_outdated
-                got = fn(h, h_hat, noise, h.responsivity, h.power)
+                got = fn(h, h_hat, noise, h.responsivity, h.power).per_pd
             want = reference_ber(ref, words, sig, gp, scheme, csi == "stale")
-            assert_rates_close(got.per_pd, want, tol)
+            assert_rates_close(got, want, tol)
 
     # Renormalized, the adaptive scheme sends W x / ||W x|| like inversion.
     assert_close(tables["oap", True].transmit, tables["ci", False].transmit, RTOL)
@@ -275,7 +281,8 @@ def test_sweep_builds_one_table(monkeypatch, tmp_path, cfg):
     The runner draws the stale estimate once per variant and hands the same
     one to every scheme, so a two-variant sweep builds one table per
     (variant, scheme) and makes one draw per variant.  The throughput sweep
-    also builds one table per (variant, scheme) for its whole SNR grid.
+    also builds one table per (variant, scheme) for its whole SNR grid, with
+    the config's renormalization.
     """
     h = build_channel_matrix(square_grid_layout(4, 0.5, fov=60.0))
     built = count_builds(monkeypatch)
@@ -304,7 +311,7 @@ def test_sweep_builds_one_table(monkeypatch, tmp_path, cfg):
 
     built.clear()
     runner.run_throughput_sweep(exp, tmp_path, threads=2)
-    assert built == [(s, False) for s in ("ci", "oap")] * variants
+    assert built == [(s, cfg.renormalize_oap) for s in ("ci", "oap")] * variants
 
 
 def test_kept_table_is_read_only():
