@@ -3,8 +3,12 @@
 Usage: python3 scripts/diff_outputs.py A B.  Prints "identical" for each file in
 both with the same bytes; else, per moved column (CSV header or JSON key path),
 the count of moved cells and the largest |a - b| / max(|a|, |b|), inf for text.
-A file in one directory only is reported as "only in A" or "only in B".  Exits
-1 when any file differs or is one-sided, else 0, and 2 on wrong arguments.
+A differing CSV with Monte Carlo columns gets one more line: its zero-error
+rows on each side, and the largest move of mc_avg_ber in standard errors of
+the difference, sqrt(seA^2 + seB^2) with se = mc_halfwidth_95 / 1.96, over
+rows where either side has a halfwidth.  A file in one directory only is
+reported as "only in A" or "only in B".  Exits 1 when any file differs or is
+one-sided, else 0, and 2 on wrong arguments.
 """
 
 import argparse
@@ -43,6 +47,20 @@ def change(a: str, b: str) -> float:
         return math.inf
 
 
+def monte_carlo(ca: dict, cb: dict) -> str | None:
+    """Zero-error rows of A and B and the largest mc_avg_ber move in standard errors."""
+    if not all(c in cols for c in ("mc_avg_ber", "mc_halfwidth_95") for cols in (ca, cb)):
+        return None
+    zeros = [sum(float(v) == 0.0 for v in cols["mc_avg_ber"]) for cols in (ca, cb)]
+    moves = [abs(float(x) - float(y)) * 1.96 / math.hypot(float(hx), float(hy))
+             for x, y, hx, hy in zip(ca["mc_avg_ber"], cb["mc_avg_ber"],
+                                     ca["mc_halfwidth_95"], cb["mc_halfwidth_95"])
+             if float(hx) or float(hy)]
+    largest = f"{max(moves):.2f}" if moves else "n/a"
+    return (f"  monte carlo: zero-error rows {zeros[0]} in A, {zeros[1]} in B; "
+            f"largest mc_avg_ber move {largest} SE")
+
+
 def main(a: Path, b: Path) -> int:
     found = [{p.relative_to(d) for p in d.rglob("*") if p.suffix in (".csv", ".json")}
              for d in (a, b)]
@@ -63,6 +81,8 @@ def main(a: Path, b: Path) -> int:
             if moved:
                 print(f"  {name}: {len(moved)} of {max(len(xs), len(ys))} cells moved, "
                       f"max relative change {max(moved):.2g}")
+        if not same and (line := monte_carlo(ca, cb)):
+            print(line)
     return status
 
 

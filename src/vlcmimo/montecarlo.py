@@ -4,9 +4,12 @@ Symbols are processed in fixed-size blocks; each block draws from its own
 SFC64 generator keyed by (seed, block index), so error counts are
 bit-identical for a given seed regardless of worker count or scheduling.
 Words are stratified: within a block every one of the 2^n words gets the same
-share of symbols, and only the remainder goes to words drawn at random.  The
-reported halfwidths stay the binomial ones, which over-state the spread of
-this estimator.
+share of symbols, and only the remainder goes to words drawn at random.  A
+word's share is drawn as antithetic pairs (Hammersley and Morton, 1956): one
+normal draw d is the noise of two symbols, d and -d, whose error indicators
+are negatively correlated, so a pair is never noisier than two independent
+symbols and a block draws about half the normals.  The reported halfwidths stay
+the binomial ones, which over-state the spread of this estimator.
 
 Sweeps use common random numbers: sigma only scales the thresholds, and the
 draws depend only on the seed, the symbol and block counts and the word and
@@ -16,11 +19,12 @@ of every case of a ``sweep`` call that has the same word and detector counts
 exactly the standalone run at its SNR and keeps its marginal distribution.
 Threads split a block loop's blocks, not its points.
 
-A block that serves many points counts them from sorted draws: each (word,
-detector) row is sorted once, and a point's count on it is one bisection, so
-the block's cost barely grows with its points.  A block with few points or
-short rows compares its draws with each point instead.  Both count exactly
-the draws above z, so the path taken never changes a result.
+A pair's errors depend only on |d| (``_pair_keys``).  A block that serves
+many points counts them from sorted |d|: each (word, detector) row is sorted
+once, and a point's count on it is one bisection, so the block's cost barely
+grows with its points.  A block with few points or short rows compares |d|
+with each point instead.  Both count exactly ``count(d > z) + count(-d > z)``,
+so the path taken never changes a result.
 
 No array of a sweep spans 2^n words x detectors x points: a block draws,
 divides z and counts in consecutive word chunks of about ``_CHUNK_CELLS``
@@ -58,11 +62,17 @@ __all__ = [
 
 # A block counts from sorted draws when it serves at least _SORT_MIN_POINTS
 # points with at least _SORT_MIN_PER symbols per word, and points times
-# symbols per word (the compares each row would take) reach _SORT_MIN_WORK.
-# Set from single-thread timings of both paths on 4-10 link arrays.
-_SORT_MIN_POINTS = 16
+# symbols per word (twice the compares each row of pairs would take) reach
+# _SORT_MIN_WORK.  Set from single-thread timings of whole blocks on both
+# paths: 4, 6, 8 and 10 links, 16 to 4096 symbols per word and 4 to 128
+# points, best of 5 blocks each.  Over that grid this rule is 7 % slower
+# than the faster path (geometric mean), against 8 % for (16, 128, 8192),
+# the rule for single-draw rows.  It gives up more than 20 % where rows are
+# short and points many (below 128 symbols per word at 64 or more points),
+# and at 4 links from 24 points, where sorting pays on any row length.
+_SORT_MIN_POINTS = 12
 _SORT_MIN_PER = 128
-_SORT_MIN_WORK = 8192
+_SORT_MIN_WORK = 6144
 
 
 @_config
@@ -196,39 +206,69 @@ class _Thresholds:
 def _sorts(n_points: int, per: int) -> bool:
     """Whether a block of ``per`` symbols per word serving ``n_points`` points sorts.
 
-    Sorting costs each (word, detector) row a call and about
-    ``per * log(per)`` once, then one bisection per point; comparing costs
-    ``per`` per point.  So sorting pays only with many points, and not on
-    short rows, where the call and the bisections cost more than a compare.
+    A row holds ``per // 2`` pairs.  Sorting costs each (word, detector) row
+    a call and about ``pairs * log(pairs)`` once, then one bisection per
+    point; comparing costs ``pairs`` per point.  So sorting pays only with
+    many points, and not on short rows, where the call and the bisections
+    cost more than a compare.
     """
     return (n_points >= _SORT_MIN_POINTS and per >= _SORT_MIN_PER
             and n_points * per >= _SORT_MIN_WORK)
 
 
-def _compared_errors(draws: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """``count(draw > z)`` per (point, detector): each point compares every draw.
+def _pair_keys(z: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+    """Each z's key on ``|d|`` and where z < 0 (None when nowhere).
 
-    ``draws`` is ``(words, detectors, per)`` and ``z`` ``(points, words, detectors)``.
+    A pair (d, -d) errs ``count(d > z) + count(-d > z)`` times.  For z >= 0
+    that is ``count(|d| > z)``.  For z < 0 it is 1 plus ``count(|d| < -z)``,
+    and ``|d| < -z`` exactly when |d| is at most ``nextafter(-z, -inf)``.  So
+    the key is z for z >= 0 and ``nextafter(-z, -inf)`` for z < 0; counted
+    against it, ties, infinities and signed zeros fall as in the literal
+    compares.
     """
+    neg = z < 0
+    if not neg.any():
+        return z, None
+    return np.where(neg, np.nextafter(-z, -np.inf), z), neg
+
+
+def _compared_errors(draws: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """``count(d > z) + count(-d > z)`` per (point, detector): each point compares every pair.
+
+    ``draws`` is ``(words, detectors, pairs)`` and is overwritten with ``|d|``;
+    ``z`` is ``(points, words, detectors)``.
+    """
+    n_r, pairs = draws.shape[1:]
+    np.abs(draws, out=draws)
+    key, neg = _pair_keys(z)
     # A whole-array count per detector is about 3x faster than one count with
     # an axis, which sums the comparison as integers.
-    return np.array([[np.count_nonzero(draws[:, k] > zp[:, k, None])
-                      for k in range(draws.shape[1])] for zp in z], dtype=np.int64)
+    if neg is None:
+        return np.array([[np.count_nonzero(draws[:, k] > zp[:, k, None])
+                          for k in range(n_r)] for zp in z], dtype=np.int64)
+    # Where z < 0 a pair errs once, plus once where |d| is not above its key.
+    return pairs * neg.sum(axis=1) + np.array(
+        [[np.count_nonzero((draws[:, k] > kp[:, k, None]) != negp[:, k, None])
+          for k in range(n_r)] for kp, negp in zip(key, neg)], dtype=np.int64)
 
 
 def _sorted_errors(draws: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """The counts of ``_compared_errors``, from each (word, detector) row sorted in place.
+    """The counts of ``_compared_errors``, from each (word, detector) row of |d| sorted in place.
 
-    A point's count on a row is the row length less the draws <= z, which
-    one bisection finds; ``side="right"`` keeps ties, infinite z and signed
-    zeros on the same side as the comparison.  The sort releases the GIL.
+    A point's count on a row is ``pairs - s`` for z >= 0 and ``pairs + s``
+    for z < 0, where ``s`` counts the |d| at most its key (``_pair_keys``):
+    one bisection with ``side="right"``.  The sort releases the GIL.
     """
-    n_words, n_r, per = draws.shape
+    n_words, n_r, pairs = draws.shape
+    np.abs(draws, out=draws)
     draws.sort(axis=-1)
+    key, neg = _pair_keys(z)
     at_most = np.empty((n_words, n_r, len(z)), dtype=np.int64)
     for w, k in np.ndindex(n_words, n_r):
-        at_most[w, k] = np.searchsorted(draws[w, k], z[:, w, k], side="right")
-    return n_words * per - at_most.sum(axis=0).T
+        at_most[w, k] = np.searchsorted(draws[w, k], key[:, w, k], side="right")
+    if neg is not None:
+        np.negative(at_most, out=at_most, where=neg.transpose(1, 2, 0))
+    return n_words * pairs - at_most.sum(axis=0).T
 
 
 def _block_errors(z: np.ndarray, nb: int, rng: np.random.Generator,
@@ -236,37 +276,44 @@ def _block_errors(z: np.ndarray, nb: int, rng: np.random.Generator,
     """Errors per (point of ``z[rows]``, detector) over one block of ``nb`` symbols.
 
     ``z`` is ``(points, words, detectors)``, an array or a sweep's
-    ``_Thresholds``, read a chunk at a time.  Each word gets ``nb // n_words``
-    symbols; the remaining ``nb % n_words`` go to words drawn uniformly.  The
-    noise is symmetric, so a standard normal draw per symbol and detector
-    above z is an error, and every point counts the same draws.  A block
-    serving many points with long rows (``_sorts``) counts them from sorted
-    rows, so its cost barely grows with the points; otherwise each point
-    compares the draws.  The counts are the same either way.
+    ``_Thresholds``, read a chunk at a time.  Each word gets ``per = nb //
+    n_words`` symbols; the remaining ``nb % n_words`` go to words drawn
+    uniformly.  The noise is symmetric, so a standard normal noise value per
+    symbol and detector above z is an error, and every point counts the same
+    draws.  A word's share is ``per // 2`` antithetic pairs: one draw d
+    serves two symbols, d and -d, counted together from |d| (``_pair_keys``).
+    When ``per`` is odd, each word's unpaired symbol is a single draw, taken
+    with the leftover words.  A block serving many points with long rows
+    (``_sorts``) counts the pairs from sorted rows of |d|, so its cost barely
+    grows with the points; otherwise each point compares them.  The counts
+    are the same either way.
 
-    The block is drawn and counted in consecutive chunks of words of about
-    ``_CHUNK_CELLS`` draws, then the leftover words the same way, so its
-    arrays stay bounded however wide the array.  Consecutive draws continue
-    one stream, so the chunks draw exactly the values of one whole-block
-    draw; a block within the budget is one chunk.
+    The pairs are drawn and counted in consecutive chunks of words of about
+    ``_CHUNK_CELLS`` draws, then the single draws (each word's unpaired
+    symbol, then the leftover words) the same way, so the block's arrays stay
+    bounded however wide the array.  Consecutive draws continue one stream,
+    so the chunks draw exactly the values of one whole draw; a block within
+    the budget is one chunk.
     """
     n_words, n_r = z.shape[1:]
     points = np.arange(len(z))[rows]
     per, extra = divmod(nb, n_words)
+    pairs = per // 2
     count = _sorted_errors if _sorts(len(points), per) else _compared_errors
     errors = np.zeros((len(points), n_r), dtype=np.int64)
-    if per:
-        step = max(1, _CHUNK_CELLS // (n_r * per))
+    if pairs:
+        step = max(1, _CHUNK_CELLS // (n_r * pairs))
         for lo in range(0, n_words, step):
-            draws = rng.standard_normal((min(step, n_words - lo), n_r, per))
+            draws = rng.standard_normal((min(step, n_words - lo), n_r, pairs))
             errors += count(draws, z[rows, lo:lo + step])
-    if extra:
-        widx = rng.integers(0, n_words, size=extra)
-        step = max(1, _CHUNK_CELLS // n_r)
-        for lo in range(0, extra, step):
-            draws = rng.standard_normal((min(step, extra - lo), n_r))
-            errors += [np.count_nonzero(draws > z[p, widx[lo:lo + step]], axis=0)
-                       for p in points]
+    widx = rng.integers(0, n_words, size=extra) if extra else np.arange(0)
+    if per % 2:
+        widx = np.concatenate([np.arange(n_words), widx])
+    step = max(1, _CHUNK_CELLS // n_r)
+    for lo in range(0, len(widx), step):
+        draws = rng.standard_normal((min(step, len(widx) - lo), n_r))
+        errors += [np.count_nonzero(draws > z[p, widx[lo:lo + step]], axis=0)
+                   for p in points]
     return errors
 
 

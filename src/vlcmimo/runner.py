@@ -20,7 +20,7 @@ from . import __version__
 from .analytic import throughput as analytic_throughput
 from .channel import (RoomLayout, build_channel_matrix, concentrator_gain,
                       distance_gain_prefactor, gain_map, lambertian_order)
-from .config import ExperimentConfig, _resolved_hash
+from .config import ConfigError, ExperimentConfig, _resolved_hash
 from .csi import MobilityEvent, error_bound, perturb_channel
 from .montecarlo import SimConfig, _threads, sweep
 from .noise import sigma_from_transmit_snr
@@ -238,9 +238,14 @@ def run_throughput_sweep(cfg: ExperimentConfig, out_dir, threads: int | None = N
     Each variant and scheme builds one word table for the whole grid.
     ``threads`` is checked as the other recipes check it, below 1 raising
     ``ValueError`` before anything is written, and is otherwise unused:
-    throughput is closed-form only and runs in the calling thread.
+    throughput is closed-form only and runs in the calling thread.  Rows
+    exist only on the swept SNR grid, so ``noise.mode: physical`` raises
+    ``ConfigError`` before anything is written.
     """
     _threads(threads)
+    if cfg.noise.mode == "physical":
+        raise ConfigError("throughput-sweep has swept-SNR rows only; "
+                          "noise.mode: physical is not supported")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     points = cfg.sweep.points()

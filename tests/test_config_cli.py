@@ -450,6 +450,21 @@ class TestCli:
         meta = json.loads((out / "phys_ber_meta.json").read_text())
         assert meta["noise_mode"] == "physical"
 
+    def test_physical_noise_throughput_sweep_exits_2_before_writing(self, tmp_path):
+        """Throughput has swept-SNR rows only: a physical config is refused, not run swept."""
+        cfgd = dict(SMALL, name="physput", noise={"mode": "physical"})
+        path = write_yaml(tmp_path / "p.yaml", cfgd)
+        out = tmp_path / "physput"
+        root = Path(__file__).resolve().parents[1]
+        done = subprocess.run(
+            [sys.executable, "-m", "vlcmimo.cli", "throughput-sweep", "--config", str(path),
+             "--out", str(out), "--quiet"], capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": str(root / "src")}, timeout=120)
+        assert done.returncode == 2
+        assert "noise.mode" in done.stderr
+        assert "Traceback" not in done.stdout + done.stderr
+        assert not out.exists()
+
     def test_physical_noise_mode_mobility_single_point(self, tmp_path):
         # physical noise in mobility: one row per interval and scheme, no SNR grid
         cfgd = dict(SMALL, name="physmob", noise={"mode": "physical"},

@@ -39,6 +39,20 @@ def test_one_moved_cell(report):
     ])
 
 
+def test_monte_carlo_moves_in_standard_errors(report):
+    # Row 1 moves 0.03 with se 0.01 on each side: 0.03 / sqrt(2) / 0.01 = 2.12 SE.
+    # Row 2 has no errors on either side and no halfwidth, so it is skipped.
+    head = "snr_db,mc_avg_ber,mc_halfwidth_95\n"
+    a = head + "80.0,0.25,0.0196\n84.0,0.0,0.0\n88.0,0.0,0.0\n"
+    b = head + "80.0,0.22,0.0196\n84.0,0.0,0.0\n88.0,0.001,0.00196\n"
+    assert report(a, b) == (1, [
+        "fig4.csv: differs",
+        "  mc_avg_ber: 2 of 3 cells moved, max relative change 1",
+        "  mc_halfwidth_95: 1 of 3 cells moved, max relative change 1",
+        "  monte carlo: zero-error rows 2 in A, 1 in B; largest mc_avg_ber move 2.12 SE",
+    ])
+
+
 @pytest.mark.parametrize("side", ["A", "B"])
 def test_file_in_one_directory_only(report, side):
     texts = (CSV, None) if side == "A" else (None, CSV)

@@ -232,8 +232,38 @@ def table_sigma(h, table, params) -> np.ndarray:
                           params)
 
 
+def literal_slicer_errors(table, gp: float, sig: np.ndarray, nb: int, seed: int) -> np.ndarray:
+    """Errors per detector of block 0 of ``seed``, every symbol through ``y > tau`` as written.
+
+    Each word's ``nb // n_words`` symbols are pairs first: one draw d is the
+    noise of two symbols, d then -d.  The unpaired symbol of an odd share and
+    then the leftover words are single draws.
+    """
+    words, means, taus = table.words, gp * table.receive, 0.5 * gp * table.slicer
+    sig = np.broadcast_to(sig, means.shape)
+    n_words, n_r = means.shape
+    per, extra = divmod(nb, n_words)
+    pairs, odd = divmod(per, 2)
+
+    rng = block_rng(seed, 0)
+    paired = rng.standard_normal((n_words, n_r, pairs))
+    widx = rng.integers(0, n_words, size=extra)
+    paired = np.concatenate([paired, -paired], axis=-1)
+    draws = np.concatenate([paired.transpose(0, 2, 1).reshape(-1, n_r),
+                            rng.standard_normal((odd * n_words + extra, n_r))])
+    word = np.concatenate([np.repeat(np.arange(n_words), 2 * pairs),
+                           np.arange(odd * n_words), widx])
+    bits = words.astype(bool)[word]
+    # Each draw is the noise in the direction away from the symbol's bit.
+    noise = np.where(bits, -draws, draws)
+    y = means[word] + noise * sig[word]
+    return np.count_nonzero((y > taus[word]) != bits, axis=0)
+
+
 class TestLiteralSlicer:
     """One block's draws replayed through the slicer as written: y > tau decides 1."""
+
+    NB = 50_007                      # 3125 symbols per word (1562 pairs and one), 7 left over
 
     @pytest.mark.parametrize("noise_mode", ["swept", "physical"])
     @pytest.mark.parametrize("scheme", ["ci", "oap"])
@@ -244,32 +274,34 @@ class TestLiteralSlicer:
         else:
             h = channel()
             cfg = SimConfig(scheme=scheme, snr_db=78.0)
-        nb = 50_007                      # 3125 symbols per word, 7 left over
+        nb = self.NB
         cfg = dataclasses.replace(cfg, n_symbols=nb, block_size=nb, seed=21)
         table = word_table(h.gains, ci_precoder(h.gains), scheme)
         gp = h.responsivity * h.power
-        words, means, taus = table.words, gp * table.receive, 0.5 * gp * table.slicer
         if noise_mode == "physical":
             noise = table_sigma(h, table, params)
         else:
             noise = sigma_table(sigma_from_transmit_snr(78.0, h.responsivity, h.power), table)
-        sig = np.broadcast_to(noise, means.shape)
-        n_words, n_r = means.shape
-        per, extra = divmod(nb, n_words)
-
-        rng = block_rng(cfg.seed, 0)
-        strat = rng.standard_normal((n_words, n_r, per))
-        widx = rng.integers(0, n_words, size=extra)
-        draws = np.concatenate([strat.transpose(0, 2, 1).reshape(-1, n_r),
-                                rng.standard_normal((extra, n_r))])
-        word = np.concatenate([np.repeat(np.arange(n_words), per), widx])
-        bits = words.astype(bool)[word]
-        # Each draw is the noise in the direction away from the symbol's bit.
-        noise = np.where(bits, -draws, draws)
-        y = means[word] + noise * sig[word]
-        literal = np.count_nonzero((y > taus[word]) != bits, axis=0)
+        literal = literal_slicer_errors(table, gp, noise, nb, cfg.seed)
 
         est = simulate(h, cfg)
+        assert literal.sum() > 100
+        assert np.array_equal(est.per_pd_errors, literal)
+
+    @pytest.mark.parametrize("scheme", ["ci", "oap"])
+    def test_outdated_counts_match_literal_slicer(self, scheme):
+        """A stale precoder with negative margins: those words err without noise (z < 0)."""
+        h = channel()
+        cfg = SimConfig(scheme=scheme, csi_mode="outdated", snr_db=78.0, n_symbols=self.NB,
+                        block_size=self.NB, seed=21)
+        h_hat = perturb_channel(h, 0.3 * h.gains[0, 0], model="uniform", seed=1).h_hat
+        table = word_table(h.gains, ci_precoder(h_hat), scheme)
+        assert (table.margin < 0).any()
+        gp = h.responsivity * h.power
+        noise = sigma_table(sigma_from_transmit_snr(78.0, h.responsivity, h.power), table)
+        literal = literal_slicer_errors(table, gp, noise, self.NB, cfg.seed)
+
+        est = simulate(h, cfg, h_hat=h_hat)
         assert literal.sum() > 100
         assert np.array_equal(est.per_pd_errors, literal)
 
@@ -458,9 +490,39 @@ class TestSortedCounting:
         draws[0, 0, -1] = 0.5
         z = self.z_with_edges(draws, 20)
         z[8] = 0.5
-        want = _compared_errors(draws, z)
+        want = _compared_errors(draws.copy(), z)
         assert np.array_equal(_sorted_errors(draws.copy(), z), want)
-        assert want[2].sum() == 0 and want[3].sum() == draws.size
+        # each draw is a pair of symbols, d and -d
+        assert want[2].sum() == 0 and want[3].sum() == 2 * draws.size
+
+    @pytest.mark.parametrize("pairs", [1, 5, 300])
+    def test_pairs_count_literally(self, pairs):
+        """Hand-made pair draws: both paths count ``d > z`` and ``-d > z`` as written."""
+        draws = np.random.default_rng(7).standard_normal((self.WORDS, self.DETECTORS, pairs))
+        flat = draws.reshape(-1)
+        flat[::7], flat[1::7], flat[2::11], flat[3::11] = 0.0, -0.0, np.inf, -np.inf
+        z = self.z_with_edges(draws, 24)
+        z[8], z[9] = np.abs(draws[..., 0]), -np.abs(draws[..., -1])   # ties with |d|
+        z[10] = -draws[..., 0]
+        z[12:] = -np.abs(z[12:])
+        literal = ((draws[None] > z[..., None]).sum(axis=(1, 3))
+                   + (-draws[None] > z[..., None]).sum(axis=(1, 3)))
+        assert (z < 0).any() and (z >= 0).any()
+        for count in (_compared_errors, _sorted_errors):
+            assert np.array_equal(count(draws.copy(), z), literal)
+
+    @pytest.mark.parametrize("path", ["sorted", "compared"])
+    @pytest.mark.parametrize("per, extra", [(1, 0), (3, 5), (301, 0), (301, 7)])
+    def test_odd_shares_count_literally(self, monkeypatch, path, per, extra):
+        """Each word's unpaired symbol and the leftover words are single draws, on both paths."""
+        nb = self.WORDS * per + extra
+        first = block_rng(2, 0).standard_normal((self.WORDS, self.DETECTORS, max(per // 2, 1)))
+        z = self.z_with_edges(first, 24)
+        z[12:] *= -1.0
+        monkeypatch.setattr(montecarlo, "_sorts", lambda n_points, per: path == "sorted")
+        got = _block_errors(z, nb, block_rng(2, 0))
+        assert got.sum() > 0
+        assert np.array_equal(got, whole_block_errors(z, nb, block_rng(2, 0)))
 
     @pytest.mark.parametrize("per", [montecarlo._SORT_MIN_PER - 1, montecarlo._SORT_MIN_PER,
                                      4096])
@@ -499,15 +561,21 @@ class TestSortedCounting:
 
 
 def whole_block_errors(z: np.ndarray, nb: int, rng: np.random.Generator) -> np.ndarray:
-    """Reference block: the whole block drawn at once, every point compared with every draw."""
+    """Reference block: the whole block drawn at once, every point compared with every draw.
+
+    Each word's ``per // 2`` pair draws d count ``d > z`` and ``-d > z``; the
+    unpaired symbol of an odd share, then the leftover words, are single draws.
+    """
     n_words, n_r = z.shape[1:]
     per, extra = divmod(nb, n_words)
-    draws = rng.standard_normal((n_words, n_r, per))
-    errors = (draws[None] > z[..., None]).sum(axis=(1, 3))
+    draws = rng.standard_normal((n_words, n_r, per // 2))
+    errors = ((draws[None] > z[..., None]).sum(axis=(1, 3))
+              + (-draws[None] > z[..., None]).sum(axis=(1, 3)))
+    widx = np.arange(n_words if per % 2 else 0)
     if extra:
-        widx = rng.integers(0, n_words, size=extra)
-        draws = rng.standard_normal((extra, n_r))
-        errors += (draws[None] > z[:, widx]).sum(axis=1)
+        widx = np.concatenate([widx, rng.integers(0, n_words, size=extra)])
+    draws = rng.standard_normal((len(widx), n_r))
+    errors += (draws[None] > z[:, widx]).sum(axis=1)
     return errors
 
 
