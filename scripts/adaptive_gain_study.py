@@ -12,17 +12,17 @@ import sys
 
 import numpy as np
 
-from vlcmimo.analytic import exact_ber, sigma_table
+from vlcmimo.analytic import exact_ber
 from vlcmimo.channel import GeometryError, build_channel_matrix, square_grid_layout
-from vlcmimo.noise import sigma_from_transmit_snr
+from vlcmimo.config import NoiseConfig
+from vlcmimo.noise import sigma_stack
 from vlcmimo.precoding import ci_precoder, word_table
 
 
 def error_rates(h, scheme, snrs) -> list[float]:
     """Average exact error rate of ``scheme`` at each SNR, from one ``exact_ber`` call."""
     table = word_table(h.gains, ci_precoder(h.gains), scheme)
-    sig = np.stack([sigma_table(sigma_from_transmit_snr(snr, h.responsivity, h.power), table)
-                    for snr in snrs])[:, None, :]
+    sig = sigma_stack(h, NoiseConfig(), table, snrs)
     return [float(np.mean(r)) for r in exact_ber(table, h.responsivity * h.power, sig)]
 
 

@@ -1,10 +1,13 @@
 """Closed-form link performance: error rates, bounds and throughput.
 
-Exact error probabilities average ``Q(z)`` over every binary symbol word, with
-``z = gp * margin / sigma`` the noise threshold Monte Carlo compares its draws
-with.  Per word the receiver slices at half the constructive amplitude of the
-detector's equal-symbol group, which for plain inversion degenerates to half
-the scaled desired gain.  The outdated-knowledge expressions are meant as
+Every closed form is one word-table reduction (``_word_mean``) over a stack
+of noise deviations (``noise.sigma_stack``), so swept and physical noise take
+the same path.  Exact error probabilities average ``Q(z)`` over every binary
+symbol word, with ``z = gp * margin / sigma`` the noise threshold Monte Carlo
+compares its draws with; throughput averages each word's sum-rate.  Per word
+the receiver slices at half the constructive amplitude of the detector's
+equal-symbol group, which for plain inversion degenerates to half the scaled
+desired gain.  The outdated-knowledge expressions are meant as
 upper bounds but are not: Monte Carlo under the same stale precoder can
 exceed them (ROADMAP item 1), and the adaptive one saturates toward 1.
 
@@ -18,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .precoding import Precoder, WordTable, as_gains, ci_precoder, word_table
+from .precoding import WordTable, as_gains, ci_precoder, word_table
 
 __all__ = [
     "BerResult",
@@ -269,27 +272,19 @@ def ber_oap_outdated(h, h_hat, noise_sigma_per_pd, responsivity: float,
     return _one_point("oap", h, h_hat, noise_sigma_per_pd, responsivity, power, renormalize)
 
 
-def _word_rates(table: WordTable, sigma, responsivity: float, power: float) -> np.ndarray:
-    """Sum-rate of every word in bits/s/Hz.
+def throughput(table: WordTable, h, sig) -> np.ndarray:
+    """Normalized achievable throughput in bits/s/Hz: the word mean of the sum-rate.
 
-    The all-zero word radiates nothing and carries no rate.  For the adaptive
+    Each detector of a word carries ``log2(1 + gp * slicer * on / (2 sig))``
+    with ``gp`` read off the channel ``h`` (responsivity times power).  The
+    all-zero word radiates nothing and carries no rate; for the adaptive
     scheme only detectors whose symbol is on see their constructive group
-    amplitude; the rest contribute zero rate for that word.
+    amplitude, for inversion every detector of a word with any symbol on.
+    ``sig`` is resolved and stacks as for ``exact_ber``: a stack gives one
+    value per point, equal to its one-point call bit for bit.
     """
-    sig = np.broadcast_to(np.asarray(sigma, dtype=float), (table.words.shape[1],))
+    # h stays the second argument: perfbench/tracing.py counts words from it.
+    gp = h.responsivity * h.power
     on = table.words if table.scheme == "oap" else table.words.any(axis=1, keepdims=True)
-    snr = responsivity * power * (table.slicer * on) / (2.0 * sig)
-    return np.log2(1.0 + snr).sum(axis=1)
-
-
-def throughput(scheme: str, h, precoder: Precoder, sigma, responsivity: float = 1.0,
-               power: float = 1.0, renormalize: bool = False) -> np.ndarray:
-    """Normalized achievable throughput averaged over all symbol words, per sigma.
-
-    ``sigma`` is a sequence of deviations (each a scalar or one per
-    detector), as ``exact_ber`` takes a stack; the word table is built once
-    and each entry gives one value, equal to its one-entry call bit for bit.
-    ``renormalize`` scales the adaptive scheme as ``word_table`` does.
-    """
-    table = word_table(h, precoder, scheme, renormalize=renormalize)
-    return np.array([np.mean(_word_rates(table, s, responsivity, power)) for s in sigma])
+    return _word_mean(lambda w, s: np.log2(1.0 + gp * (table.slicer[w] * on[w]) / (2.0 * s)),
+                      table, sig).sum(axis=-1)

@@ -280,10 +280,11 @@ class ExperimentConfig:
 
         Link counts are capped by the word enumeration, gain-map cells by
         ``MAX_RASTER_CELLS``, and the mobile user must be a link of every
-        array in use.
+        array in use.  Swept noise must give a positive finite noise
+        deviation at both ends of the SNR grid, so at every point.
         """
-        for n, sp, ang in self.variants():
-            self.build_layout(n_links=n, spacing=sp, semi_angle=ang)
+        layouts = [self.build_layout(n_links=n, spacing=sp, semi_angle=ang)
+                   for n, sp, ang in self.variants()]
         sizes = (self.layout.n_links, *(self.mimo_orders or ()))
         if max(sizes) > MAX_ENUMERATED_LINKS:
             raise ConfigError(f"link counts {list(sizes)} exceed the limit of "
@@ -298,6 +299,19 @@ class ExperimentConfig:
         if self.csi.mobile_user >= min(sizes):
             raise ConfigError(f"csi.mobile_user {self.csi.mobile_user} is not a link of "
                               f"the smallest array in use ({min(sizes)} links)")
+        if self.noise.mode == "swept":
+            from .noise import sigma_from_transmit_snr     # here, as noise imports this module
+            # The variants share the luminaire power and the responsivity.
+            lum, det = layouts[0].luminaires[0], layouts[0].detectors[0]
+            points = self.sweep.points()
+            for snr in (points[0], points[-1]):
+                try:
+                    sigma = sigma_from_transmit_snr(snr, det.responsivity, lum.total_power)
+                except OverflowError:
+                    sigma = math.inf
+                if not 0.0 < sigma < math.inf:
+                    raise ConfigError(f"sweep point {snr!r} dB gives the noise deviation "
+                                      f"{sigma!r}; it must be positive and finite")
         return self
 
     def resolved(self) -> dict:

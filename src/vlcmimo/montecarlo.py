@@ -49,7 +49,7 @@ from .analytic import _CHUNK_CELLS
 from .channel import ChannelMatrix
 from .config import ConfigError, NoiseConfig, _config
 from .csi import perturb_channel  # noqa: F401  (wrapped here by perfbench/tracing.py)
-from .noise import physical_sigma, sigma_from_transmit_snr
+from .noise import sigma_stack
 from .precoding import WordTable, ci_precoder, word_table
 
 __all__ = [
@@ -161,22 +161,6 @@ def _table(h: ChannelMatrix, cfg: SimConfig, h_hat) -> WordTable:
         raise ValueError("perfect channel knowledge takes no estimate h_hat")
     return word_table(h.gains, ci_precoder(estimate), cfg.scheme,
                       renormalize=cfg.renormalize_oap)
-
-
-def _sigmas(h: ChannelMatrix, cfg: SimConfig, table: WordTable, snr_points) -> np.ndarray:
-    """Noise deviations stacked as ``(points, 1 or words, detectors)``.
-
-    Swept noise gives one point per SNR; physical noise is one point whose
-    signal-dependent deviation differs per word.
-    """
-    if cfg.noise.mode == "physical":
-        return physical_sigma(h.gains, h.power * table.transmit, h.detector_area,
-                              h.responsivity, cfg.noise)[None]
-    if None in snr_points:
-        raise ValueError("swept noise mode needs a finite snr_db")
-    return np.stack([analytic.sigma_table(
-        sigma_from_transmit_snr(p, h.responsivity, h.power), table)
-        for p in snr_points])[:, None, :]
 
 
 class _Thresholds:
@@ -367,7 +351,7 @@ def simulate(h: ChannelMatrix, cfg: SimConfig, h_hat=None) -> BerEstimate:
     """
     table = _table(h, cfg, h_hat)
     z = _Thresholds([h.responsivity * h.power * table.margin],
-                    [_sigmas(h, cfg, table, [cfg.snr_db])])
+                    [sigma_stack(h, cfg.noise, table, [cfg.snr_db])])
     return _count_errors(z, cfg)[0]
 
 
@@ -419,7 +403,7 @@ def _case(h: ChannelMatrix, cfg: SimConfig, h_hat, points) -> tuple:
     """A case's ``gp * margin``, deviations and closed form; its table is dropped on return."""
     table = _table(h, cfg, h_hat)
     gp = h.responsivity * h.power
-    sig = _sigmas(h, cfg, table, points)
+    sig = sigma_stack(h, cfg.noise, table, points)
     rate = analytic.outdated_bound if cfg.csi_mode == "outdated" else analytic.exact_ber
     closed = rate(table, gp, sig)     # first, so Q's arrays do not meet gp * margin
     return gp * table.margin, sig, closed

@@ -3,7 +3,9 @@
 The physical model computes per-detector current variances from the device
 values of a ``config.NoiseConfig`` (``physical_sigma`` gives the deviation per
 word and detector); the swept mode bypasses it and fixes the noise standard
-deviation from a transmit-SNR axis shared by all detectors.
+deviation from a transmit-SNR axis shared by all detectors.  ``sigma_stack``
+is the one place a noise config becomes the deviations every closed form and
+the Monte Carlo block loop read.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ __all__ = [
     "total_sigma",
     "physical_sigma",
     "sigma_from_transmit_snr",
+    "sigma_stack",
 ]
 
 ELECTRON_CHARGE = 1.602176634e-19     # C
@@ -86,3 +89,22 @@ def sigma_from_transmit_snr(snr_db: float, responsivity: float, power: float) ->
     if power <= 0.0:
         raise ValueError("power must be positive")
     return responsivity * power * 10.0 ** (-snr_db / 20.0)
+
+
+def sigma_stack(h, params: NoiseConfig, table, snr_points) -> np.ndarray:
+    """Noise deviations of a channel and word table, stacked ``(points, 1 or words, detectors)``.
+
+    Swept noise gives one point per SNR of ``snr_points``, each the same
+    deviation at every detector; physical noise ignores the points and is one
+    point whose signal-dependent deviation differs per word.  Each swept
+    deviation is one ``sigma_from_transmit_snr`` call, and must be positive.
+    """
+    if params.mode == "physical":
+        return physical_sigma(h.gains, h.power * table.transmit, h.detector_area,
+                              h.responsivity, params)[None]
+    if None in snr_points:
+        raise ValueError("swept noise mode needs a finite snr_db")
+    sig = np.array([sigma_from_transmit_snr(p, h.responsivity, h.power) for p in snr_points])
+    if not np.all(sig > 0.0):
+        raise ValueError("noise standard deviations must be positive")
+    return np.repeat(sig[:, None, None], table.margin.shape[1], axis=2)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -20,11 +21,11 @@ from . import __version__
 from .analytic import throughput as analytic_throughput
 from .channel import (RoomLayout, build_channel_matrix, concentrator_gain,
                       distance_gain_prefactor, gain_map, lambertian_order)
-from .config import ConfigError, ExperimentConfig, _resolved_hash
+from .config import ExperimentConfig, _resolved_hash
 from .csi import MobilityEvent, error_bound, perturb_channel
 from .montecarlo import SimConfig, _threads, sweep
-from .noise import sigma_from_transmit_snr
-from .precoding import ci_precoder
+from .noise import sigma_stack
+from .precoding import ci_precoder, word_table
 
 __all__ = [
     "run_channel_map",
@@ -53,28 +54,33 @@ def _atomic_write(path: Path, lines):
             tmp.unlink(missing_ok=True)
 
 
-def _identity(cfg: ExperimentConfig) -> dict:
-    """Config hash, seed and resolved config of a run, resolved once per recipe."""
-    resolved = cfg.resolved()
-    return {"config_hash": _resolved_hash(resolved), "seed": cfg.seed,
-            "resolved_config": resolved}
+def _write(cfg: ExperimentConfig, out_dir, kind: str, command: str, header: list[str], rows,
+           extras: dict, progress: bool) -> list[Path]:
+    """Make ``out_dir`` and write ``<name>_<kind>.csv`` and its metadata there.
 
-
-def _write_csv(path: Path, cfg: ExperimentConfig, config_hash: str, header: list[str], rows):
-    """Write the comment lines, header and ``rows``, formatting one row at a time.
-
-    Rows hold Python scalars (``tolist()``, ``float()``, ints and strs), so
-    ``str`` gives each cell; for a float that is its shortest round-trip repr.
+    The CSV has comment lines with the config hash, seed and name, the header
+    and ``rows``, formatted one row at a time.  Rows hold Python scalars
+    (``tolist()``, ``float()``, ints and strs), so ``str`` gives each cell; for
+    a float that is its shortest round-trip repr.  The metadata holds the
+    command, package version, hash, seed, resolved config and ``extras``.
+    Recipes call this last, so one that raises leaves no directory behind.
     """
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    resolved = cfg.resolved()
+    config_hash = _resolved_hash(resolved)
+    csv_path = out / f"{cfg.name}_{kind}.csv"
     head = [f"# config_hash={config_hash}", f"# seed={cfg.seed}",
             f"# name={cfg.name}", ",".join(header)]
     body = (",".join(map(str, row)) for row in rows)
-    _atomic_write(path, (line + "\n" for line in itertools.chain(head, body)))
-
-
-def _write_metadata(path: Path, identity: dict, command: str, extras: dict):
-    meta = {"command": command, "package_version": __version__, **identity, **extras}
-    _atomic_write(path, [json.dumps(meta, indent=2, sort_keys=True) + "\n"])
+    _atomic_write(csv_path, (line + "\n" for line in itertools.chain(head, body)))
+    meta_path = out / f"{cfg.name}_{kind}_meta.json"
+    meta = {"command": command, "package_version": __version__, "config_hash": config_hash,
+            "seed": cfg.seed, "resolved_config": resolved, **extras}
+    _atomic_write(meta_path, [json.dumps(meta, indent=2, sort_keys=True) + "\n"])
+    if progress:
+        print(f"wrote {csv_path}", file=sys.stderr)
+    return [csv_path, meta_path]
 
 
 def _sim_config(cfg: ExperimentConfig, scheme: str, outdated: bool) -> SimConfig:
@@ -135,23 +141,14 @@ def _sweep_rows(cases, points, threads, progress) -> list[list]:
 
 def run_channel_map(cfg: ExperimentConfig, out_dir, progress: bool = False) -> list[Path]:
     """Rasterize the total-gain field and write it as a CSV grid (rows = y)."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     layout = cfg.build_layout()
     field = gain_map(layout, cfg.map_resolution_m)
     header = ["y_m"] + [repr(float(x)) for x in field.x_centers]
     rows = ([float(y), *values.tolist()] for y, values in zip(field.y_centers, field.values))
-    csv_path = out / f"{cfg.name}_gain_map.csv"
-    identity = _identity(cfg)
-    _write_csv(csv_path, cfg, identity["config_hash"], header, rows)
-    meta_path = out / f"{cfg.name}_gain_map_meta.json"
-    _write_metadata(meta_path, identity, "channel-map", {
+    return _write(cfg, out_dir, "gain_map", "channel-map", header, rows, {
         "grid_shape": list(field.values.shape),
         "peak_gain": float(field.values.max()),
-    })
-    if progress:
-        print(f"wrote {csv_path}", file=sys.stderr)
-    return [csv_path, meta_path]
+    }, progress)
 
 
 def _mobility_bound(cfg: ExperimentConfig, layout: RoomLayout,
@@ -189,8 +186,6 @@ def run_ber_sweep(cfg: ExperimentConfig, out_dir, threads: int | None = None,
     before anything is written.
     """
     _threads(threads)
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     points = _snr_points(cfg)
     outdated = cfg.csi.mode == "outdated"
     header = ["snr_db", "scheme", "csi_mode", "n_links", "spacing_m", "semi_angle_deg",
@@ -212,10 +207,6 @@ def run_ber_sweep(cfg: ExperimentConfig, out_dir, threads: int | None = None,
                    (n, sp, ang), (h, _sim_config(cfg, scheme, outdated), h_hat))
                   for scheme in cfg.schemes]
     rows = _sweep_rows(cases, points, threads, progress)
-    csv_path = out / f"{cfg.name}_ber.csv"
-    identity = _identity(cfg)
-    _write_csv(csv_path, cfg, identity["config_hash"], header, rows)
-    meta_path = out / f"{cfg.name}_ber_meta.json"
     extras = {
         "noise_mode": cfg.noise.mode,
         "snr_points_db": list(points),
@@ -225,30 +216,24 @@ def run_ber_sweep(cfg: ExperimentConfig, out_dir, threads: int | None = None,
     if outdated:
         extras["error_bounds"] = bounds
         extras["error_bound_elapsed_s"] = cfg.mobility.elapsed_times_s[0]
-    _write_metadata(meta_path, identity, "ber-sweep", extras)
-    if progress:
-        print(f"wrote {csv_path}", file=sys.stderr)
-    return [csv_path, meta_path]
+    return _write(cfg, out_dir, "ber", "ber-sweep", header, rows, extras, progress)
 
 
 def run_throughput_sweep(cfg: ExperimentConfig, out_dir, threads: int | None = None,
                          progress: bool = False) -> list[Path]:
     """Word-averaged normalized throughput over the SNR grid for every variant.
 
-    Each variant and scheme builds one word table for the whole grid.
-    ``threads`` is checked as the other recipes check it, below 1 raising
-    ``ValueError`` before anything is written, and is otherwise unused:
-    throughput is closed-form only and runs in the calling thread.  Rows
-    exist only on the swept SNR grid, so ``noise.mode: physical`` raises
-    ``ConfigError`` before anything is written.
+    Each variant and scheme builds one word table, and ``analytic.throughput``
+    reduces it over the noise deviations of ``noise.sigma_stack``, as the
+    error-rate closed forms do.  With ``noise.mode: physical`` there is no
+    SNR axis: each variant/scheme is one row at the device noise level, its
+    snr_db nan, as in ``run_ber_sweep``.  ``threads`` is checked as the
+    other recipes check it, below 1 raising ``ValueError`` before anything is
+    written, and is otherwise unused: throughput is closed-form only and runs
+    in the calling thread.
     """
     _threads(threads)
-    if cfg.noise.mode == "physical":
-        raise ConfigError("throughput-sweep has swept-SNR rows only; "
-                          "noise.mode: physical is not supported")
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    points = cfg.sweep.points()
+    points = _snr_points(cfg)
     header = ["snr_db", "scheme", "n_links", "spacing_m", "semi_angle_deg",
               "throughput_bits_per_hz"]
     rows = []
@@ -256,22 +241,16 @@ def run_throughput_sweep(cfg: ExperimentConfig, out_dir, threads: int | None = N
         layout = cfg.build_layout(n_links=n, spacing=sp, semi_angle=ang)
         h = build_channel_matrix(layout)
         pre = ci_precoder(h.gains)
-        sigmas = [sigma_from_transmit_snr(snr, h.responsivity, h.power) for snr in points]
         for scheme in cfg.schemes:
             if progress:
                 print(f"[{cfg.name}] throughput {n}x{n} spacing={sp} scheme={scheme}",
                       file=sys.stderr)
-            th = analytic_throughput(scheme, h, pre, sigmas, h.responsivity, h.power,
-                                     cfg.renormalize_oap)
-            rows += [[snr, scheme, n, sp, ang, t] for snr, t in zip(points, th.tolist())]
-    csv_path = out / f"{cfg.name}_throughput.csv"
-    identity = _identity(cfg)
-    _write_csv(csv_path, cfg, identity["config_hash"], header, rows)
-    meta_path = out / f"{cfg.name}_throughput_meta.json"
-    _write_metadata(meta_path, identity, "throughput-sweep", {"snr_points_db": list(points)})
-    if progress:
-        print(f"wrote {csv_path}", file=sys.stderr)
-    return [csv_path, meta_path]
+            table = word_table(h.gains, pre, scheme, renormalize=cfg.renormalize_oap)
+            th = analytic_throughput(table, h, sigma_stack(h, cfg.noise, table, points))
+            rows += [[snr, scheme, n, sp, ang, t]
+                     for snr, t in zip(points or (math.nan,), th.tolist())]
+    return _write(cfg, out_dir, "throughput", "throughput-sweep", header, rows,
+                  {"noise_mode": cfg.noise.mode, "snr_points_db": list(points)}, progress)
 
 
 def run_mobility(cfg: ExperimentConfig, out_dir, threads: int | None = None,
@@ -286,8 +265,6 @@ def run_mobility(cfg: ExperimentConfig, out_dir, threads: int | None = None,
     anything is written.
     """
     _threads(threads)
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     points = _snr_points(cfg)
     layout = cfg.build_layout()
     h = build_channel_matrix(layout)
@@ -305,14 +282,7 @@ def run_mobility(cfg: ExperimentConfig, out_dir, threads: int | None = None,
                    (h, _sim_config(cfg, scheme, True), h_hat))
                   for scheme in cfg.schemes]
     rows = _sweep_rows(cases, points, threads, progress)
-    csv_path = out / f"{cfg.name}_mobility.csv"
-    identity = _identity(cfg)
-    _write_csv(csv_path, cfg, identity["config_hash"], header, rows)
-    meta_path = out / f"{cfg.name}_mobility_meta.json"
-    _write_metadata(meta_path, identity, "mobility", {
+    return _write(cfg, out_dir, "mobility", "mobility", header, rows, {
         "snr_points_db": list(points),
         "error_bounds": bounds,
-    })
-    if progress:
-        print(f"wrote {csv_path}", file=sys.stderr)
-    return [csv_path, meta_path]
+    }, progress)

@@ -10,6 +10,7 @@ import numpy as np
 
 from vlcmimo import montecarlo
 from vlcmimo.channel import _los_gains
+from vlcmimo.noise import sigma_stack
 from vlcmimo.precoding import ci_precoder
 
 
@@ -44,7 +45,7 @@ def beta(h, x) -> float:
 def simulated_z(h, cfg, h_hat=None) -> np.ndarray:
     """The (words, detectors) thresholds ``simulate`` counts its draws against."""
     table = montecarlo._table(h, cfg, h_hat)
-    sig = montecarlo._sigmas(h, cfg, table, [cfg.snr_db])
+    sig = sigma_stack(h, cfg.noise, table, [cfg.snr_db])
     return montecarlo._Thresholds([h.responsivity * h.power * table.margin], [sig])[0, :]
 
 

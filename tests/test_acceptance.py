@@ -240,8 +240,7 @@ def test_criterion_10_throughput_ordering():
     pre = ci_precoder(h.gains)
     snr = cfg.sweep.points()[-1]
     sigma = sigma_from_transmit_snr(snr, h.responsivity, h.power)
-    (t_ci,), (t_oap,) = (throughput(scheme, h, pre, [sigma], h.responsivity, h.power)
-                         for scheme in ("ci", "oap"))
+    t_ci, t_oap = (throughput(word_table(h, pre, scheme), h, sigma) for scheme in ("ci", "oap"))
     ok = t_oap > t_ci
     line = report(10, ok, f"8x8 at {snr} dB: adaptive {t_oap:.3f} > "
                           f"inversion {t_ci:.3f} bits/s/Hz")

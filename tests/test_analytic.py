@@ -4,7 +4,9 @@ Monte Carlo cross-checks of the closed forms live in the acceptance suite;
 here the oracles are independent formula reductions and quadrature.
 """
 
+import dataclasses
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -13,14 +15,14 @@ from scipy.integrate import quad
 from scipy.special import erfc
 
 from vlcmimo import analytic
-from vlcmimo.analytic import (_word_rates, ber_ci_outdated, ber_ci_perfect,
+from vlcmimo.analytic import (ber_ci_outdated, ber_ci_perfect,
                               ber_oap_outdated, ber_oap_perfect, exact_ber,
                               outdated_bound, q_function, sigma_table, throughput)
 from vlcmimo.channel import ChannelMatrix, build_channel_matrix, square_grid_layout
 from vlcmimo.csi import perturb_channel
 from vlcmimo.config import NoiseConfig, config_from_dict
-from vlcmimo.noise import physical_sigma, sigma_from_transmit_snr
-from vlcmimo.precoding import ci_precoder, combination_matrix, word_table
+from vlcmimo.noise import physical_sigma, sigma_from_transmit_snr, sigma_stack
+from vlcmimo.precoding import WordTable, ci_precoder, combination_matrix, word_table
 from vlcmimo.runner import run_throughput_sweep
 
 
@@ -290,50 +292,74 @@ class TestPointChunks:
             assert np.array_equal(r, exact_ber(table, gp, s[0]))
 
 
+def one_word(table: WordTable, index: int) -> WordTable:
+    """The table of word ``index`` alone: its throughput is that word's sum-rate."""
+    return WordTable(**{f.name: getattr(table, f.name) if f.name == "scheme"
+                        else getattr(table, f.name)[[index]] for f in dataclasses.fields(table)})
+
+
 class TestThroughput:
     def test_vanishes_with_noise(self):
         h = channel()
-        pre = ci_precoder(h.gains)
-        (th,) = throughput("ci", h, pre, [1e15], h.responsivity, h.power)
+        th = throughput(word_table(h, ci_precoder(h.gains), "ci"), h, 1e15)
         assert th == pytest.approx(0.0, abs=1e-9)
 
     def test_all_ones_word_constructive_dominance(self):
         h = channel()
         pre = ci_precoder(h.gains)
         s = sigma_from_transmit_snr(90.0, h.responsivity, h.power)
-        ci, oap = (_word_rates(word_table(h, pre, scheme), s, h.responsivity, h.power)
+        ci, oap = (throughput(one_word(word_table(h, pre, scheme), -1), h, s)
                    for scheme in ("ci", "oap"))
         assert combination_matrix(4)[-1].all()     # the all-ones word
-        assert oap[-1] >= ci[-1]
+        assert oap >= ci
 
     def test_zero_word_carries_no_rate(self):
         h = channel()
         pre = ci_precoder(h.gains)
         for scheme in ("ci", "oap"):
-            rates = _word_rates(word_table(h, pre, scheme), 1e-3, h.responsivity, h.power)
+            rate = throughput(one_word(word_table(h, pre, scheme), 0), h, 1e-3)
             assert not combination_matrix(4)[0].any()  # the all-zero word
-            assert rates[0] == 0.0
+            assert rate == 0.0
 
     def test_zero_power_gives_zero_rate(self):
         h = channel()
+        dark = ChannelMatrix(h.gains, power=0.0, responsivity=1.0)
         pre = ci_precoder(h.gains)
-        assert throughput("ci", h, pre, [1e-3], 1.0, 0.0).tolist() == [0.0]
-        assert throughput("oap", h, pre, [1e-3], 1.0, 0.0).tolist() == [0.0]
+        sig = np.full((1, 1, 4), 1e-3)
+        assert throughput(word_table(dark, pre, "ci"), dark, sig).tolist() == [0.0]
+        assert throughput(word_table(dark, pre, "oap"), dark, sig).tolist() == [0.0]
 
     @pytest.mark.parametrize("n", [8, 9])
     @pytest.mark.parametrize("scheme", ["ci", "oap"])
     def test_sigma_grid_equals_one_sigma_calls(self, n, scheme):
-        """One call over a sigma grid gives each one-sigma call bit for bit."""
+        """One call over a sigma stack gives each one-sigma call bit for bit."""
         h = channel(n=n)
-        pre = ci_precoder(h.gains)
-        sigmas = [sigma_from_transmit_snr(snr, h.responsivity, h.power)
+        table = word_table(h, ci_precoder(h.gains), scheme)
+        sigmas = [np.full(n, sigma_from_transmit_snr(snr, h.responsivity, h.power))
                   for snr in (70.0, 85.0, 100.0, 115.0, 130.0)]
         sigmas.append(np.linspace(0.5, 1.5, n) * sigmas[2])     # one per detector
-        grid = throughput(scheme, h, pre, sigmas, h.responsivity, h.power)
-        singles = [throughput(scheme, h, pre, [s], h.responsivity, h.power)[0]
-                   for s in sigmas]
+        grid = throughput(table, h, np.stack(sigmas)[:, None, :])
+        singles = [float(throughput(table, h, s)) for s in sigmas]
         assert grid.tolist() == singles
         assert len(set(singles)) == len(singles)
+
+    @pytest.mark.parametrize("scheme", ["ci", "oap"])
+    def test_sixteen_link_peak_does_not_grow_with_points(self, scheme):
+        """The reduction holds word chunks, never a (points or words) x detectors stack."""
+        h = channel(n=16)
+        table = word_table(h, ci_precoder(h.gains), scheme)
+        peaks = []
+        for n_points in (2, 31):
+            sig = sigma_stack(h, NoiseConfig(), table, np.linspace(70.0, 130.0, n_points))
+            tracemalloc.start()
+            try:
+                rates = throughput(table, h, sig)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert rates.shape == (n_points,)
+        assert max(peaks) <= 1.1 * min(peaks)
+        assert max(peaks) < table.margin.nbytes       # one (2^16, 16) float64 array
 
     def test_sweep_follows_renormalize_oap(self, tmp_path):
         """Renormalized, oap rows are the renormalized table's word mean; ci rows stay."""
@@ -351,9 +377,7 @@ class TestThroughput:
         table = word_table(h.gains, ci_precoder(h.gains), "oap", renormalize=True)
         oap = [(snr, value) for snr, scheme, value in rows[True] if scheme == "oap"]
         assert [value for _, value in oap] == [
-            float(np.mean(_word_rates(table, sigma_from_transmit_snr(snr, h.responsivity,
-                                                                     h.power),
-                                      h.responsivity, h.power)))
+            float(throughput(table, h, sigma_from_transmit_snr(snr, h.responsivity, h.power)))
             for snr, _ in oap]
         assert len(oap) == 3
         assert [r for r in rows[True] if r[1] == "ci"] == [r for r in rows[False] if r[1] == "ci"]

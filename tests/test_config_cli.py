@@ -16,11 +16,14 @@ import numpy as np
 import pytest
 import yaml
 
-from vlcmimo.channel import concentrator_gain, distance_gain_prefactor, lambertian_order
+from vlcmimo.channel import (build_channel_matrix, concentrator_gain, distance_gain_prefactor,
+                             lambertian_order)
 from vlcmimo.cli import main
 from vlcmimo.config import (PRESET_NAMES, ConfigError, ExperimentConfig, NoiseConfig,
                             config_from_dict, load_config, preset)
 from vlcmimo.csi import MobilityEvent, error_bound
+from vlcmimo.noise import physical_sigma
+from vlcmimo.precoding import ci_precoder, word_table
 
 
 def write_yaml(path: Path, data: dict) -> Path:
@@ -212,6 +215,18 @@ class TestCli:
         assert main(["ber-sweep", "--config", str(path), "--out", str(out), "--quiet",
                      "--threads", threads]) == 2
         assert "config error" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["validate", "ber-sweep", "throughput-sweep", "mobility"])
+    @pytest.mark.parametrize("grid", [(-7000.0, -6996.0), (7000.0, 7004.0), (80.0, 7000.0)])
+    def test_snr_grid_outside_sigma_range_exits_2(self, tmp_path, capsys, command, grid):
+        """An end of the grid whose noise deviation overflows or underflows to 0 is refused."""
+        sweep = {"snr_start_db": grid[0], "snr_stop_db": grid[1], "snr_step_db": 2.0}
+        path = write_yaml(tmp_path / "c.yaml", dict(SMALL, sweep=sweep))
+        out = tmp_path / "results"
+        assert main([command, "--config", str(path), "--out", str(out), "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert "config error: sweep point" in err and "Traceback" not in err
         assert not out.exists()
 
     @staticmethod
@@ -450,20 +465,33 @@ class TestCli:
         meta = json.loads((out / "phys_ber_meta.json").read_text())
         assert meta["noise_mode"] == "physical"
 
-    def test_physical_noise_throughput_sweep_exits_2_before_writing(self, tmp_path):
-        """Throughput has swept-SNR rows only: a physical config is refused, not run swept."""
-        cfgd = dict(SMALL, name="physput", noise={"mode": "physical"})
-        path = write_yaml(tmp_path / "p.yaml", cfgd)
-        out = tmp_path / "physput"
-        root = Path(__file__).resolve().parents[1]
-        done = subprocess.run(
-            [sys.executable, "-m", "vlcmimo.cli", "throughput-sweep", "--config", str(path),
-             "--out", str(out), "--quiet"], capture_output=True, text=True,
-            env={**os.environ, "PYTHONPATH": str(root / "src")}, timeout=120)
-        assert done.returncode == 2
-        assert "noise.mode" in done.stderr
-        assert "Traceback" not in done.stdout + done.stderr
-        assert not out.exists()
+    def test_physical_noise_throughput_sweep_single_point(self, tmp_path):
+        """Device noise: one row per scheme, each the word mean under each word's deviation."""
+        rows = {}
+        for mode in ("swept", "physical"):
+            path = write_yaml(tmp_path / f"{mode}.yaml", dict(SMALL, name=mode,
+                                                             noise={"mode": mode}))
+            out = tmp_path / mode
+            assert main(["throughput-sweep", "--config", str(path), "--out", str(out),
+                         "--quiet"]) == 0
+            rows[mode] = [line.split(",") for line in
+                          (out / f"{mode}_throughput.csv").read_text().splitlines()[4:]]
+        meta = json.loads((tmp_path / "physical" / "physical_throughput_meta.json").read_text())
+        assert meta["noise_mode"] == "physical" and meta["snr_points_db"] == []
+        assert len(rows["physical"]) == 2       # one row per scheme
+        cfg = config_from_dict(dict(SMALL, noise={"mode": "physical"}))
+        h = build_channel_matrix(cfg.build_layout())
+        gp = h.responsivity * h.power
+        for snr, scheme, *_, value in rows["physical"]:
+            assert snr == "nan"
+            table = word_table(h.gains, ci_precoder(h.gains), scheme)
+            sig = physical_sigma(h.gains, h.power * table.transmit, h.detector_area,
+                                 h.responsivity, cfg.noise)
+            on = table.words if scheme == "oap" else table.words.any(axis=1, keepdims=True)
+            want = np.mean(np.log2(1.0 + gp * table.slicer * on / (2.0 * sig)).sum(axis=1))
+            assert float(value) == pytest.approx(want, rel=1e-14, abs=0.0)
+        assert len(rows["swept"]) == 6
+        assert not {row[-1] for row in rows["swept"]} & {row[-1] for row in rows["physical"]}
 
     def test_physical_noise_mode_mobility_single_point(self, tmp_path):
         # physical noise in mobility: one row per interval and scheme, no SNR grid

@@ -184,9 +184,9 @@ def test_table_matches_per_word_pipeline(n, spacing, csi):
     assert_close(tables["oap", True].transmit, tables["ci", False].transmit, RTOL)
 
     for scheme in ("ci", "oap"):
+        fresh = word_table(gains, ci_precoder(gains), scheme)
         for sigma in sigmas:
-            (got,) = throughput(scheme, h, ci_precoder(gains), [sigma], h.responsivity,
-                                h.power)
+            got = throughput(fresh, h, sigma)
             assert got == pytest.approx(reference_throughput(scheme, gains, sigma, gp),
                                         rel=tol)
 
@@ -261,7 +261,7 @@ def count_builds(monkeypatch) -> list:
     """Record the scheme and renormalization of every table the program builds.
 
     ``word_table`` builds afresh on every call, so each call its callers in
-    ``analytic`` and ``montecarlo`` make is one build.
+    ``analytic``, ``montecarlo`` and ``runner`` make is one build.
     """
     built = []
 
@@ -271,6 +271,7 @@ def count_builds(monkeypatch) -> list:
 
     monkeypatch.setattr(analytic, "word_table", counted)
     monkeypatch.setattr(montecarlo, "word_table", counted)
+    monkeypatch.setattr(runner, "word_table", counted)
     return built
 
 
