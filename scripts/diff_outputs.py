@@ -6,9 +6,11 @@ the count of moved cells and the largest |a - b| / max(|a|, |b|), inf for text.
 A differing CSV with Monte Carlo columns gets one more line: its zero-error
 rows on each side, and the largest move of mc_avg_ber in standard errors of
 the difference, sqrt(seA^2 + seB^2) with se = mc_halfwidth_95 / 1.96, over
-rows where either side has a halfwidth.  A file in one directory only is
-reported as "only in A" or "only in B".  Exits 1 when any file differs or is
-one-sided, else 0, and 2 on wrong arguments.
+rows where either side has a halfwidth.  A differing CSV with an is_bound
+column also gets its bound violations on each side: the rows with is_bound 1
+whose mc_avg_ber exceeds analytic_avg_ber by more than 3 se.  A file in one
+directory only is reported as "only in A" or "only in B".  Exits 1 when any
+file differs or is one-sided, else 0, and 2 on wrong arguments.
 """
 
 import argparse
@@ -61,6 +63,17 @@ def monte_carlo(ca: dict, cb: dict) -> str | None:
             f"largest mc_avg_ber move {largest} SE")
 
 
+def bound_violations(ca: dict, cb: dict) -> str | None:
+    """Rows of A and B where Monte Carlo exceeds its bound by more than 3 SE."""
+    names = ("is_bound", "analytic_avg_ber", "mc_avg_ber", "mc_halfwidth_95")
+    if not all(c in cols for c in names for cols in (ca, cb)):
+        return None
+    counts = [sum(bound == "1" and float(mc) > float(ana) + 3.0 * float(hw) / 1.96
+                  for bound, ana, mc, hw in zip(*(cols[c] for c in names)))
+              for cols in (ca, cb)]
+    return f"  bound violations {counts[0]} in A, {counts[1]} in B"
+
+
 def main(a: Path, b: Path) -> int:
     found = [{p.relative_to(d) for p in d.rglob("*") if p.suffix in (".csv", ".json")}
              for d in (a, b)]
@@ -81,8 +94,9 @@ def main(a: Path, b: Path) -> int:
             if moved:
                 print(f"  {name}: {len(moved)} of {max(len(xs), len(ys))} cells moved, "
                       f"max relative change {max(moved):.2g}")
-        if not same and (line := monte_carlo(ca, cb)):
-            print(line)
+        for summary in (monte_carlo, bound_violations):
+            if not same and (line := summary(ca, cb)):
+                print(line)
     return status
 
 

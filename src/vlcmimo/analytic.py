@@ -7,9 +7,8 @@ symbol word, with ``z = gp * margin / sigma`` the noise threshold Monte Carlo
 compares its draws with; throughput averages each word's sum-rate.  Per word
 the receiver slices at half the constructive amplitude of the detector's
 equal-symbol group, which for plain inversion degenerates to half the scaled
-desired gain.  The outdated-knowledge expressions are meant as
-upper bounds but are not: Monte Carlo under the same stale precoder can
-exceed them (ROADMAP item 1), and the adaptive one saturates toward 1.
+desired gain.  ``outdated_bound`` bounds the exact rate under outdated
+knowledge, each margin replaced by the smaller of its two bit hypotheses.
 
 ``q_function`` is numpy only, from Cody's rational Chebyshev approximations
 of the error function; its relative error stays below 1e-15 down to Q = 1e-300.
@@ -203,24 +202,18 @@ def exact_ber(table: WordTable, gp: float, sig) -> np.ndarray:
 
 
 def outdated_bound(table: WordTable, gp: float, sig) -> np.ndarray:
-    """Two tail terms per word and bit hypothesis under a stale precoder.
+    """Upper bound on ``exact_ber`` per detector under a stale precoder, either scheme.
 
-    From the word residuals ``ups = beta_hat H W_hat_d``: ``own = diag(ups)``
-    and ``interf = ups x - own x``; the adaptive scheme adds its group sum.
-    Clamped to [0, 1]; ``sig`` stacks as for ``exact_ber``.  Despite its
-    name this does not bound the error rate: inversion's bit-1 term uses the
-    margin ``1.5 own + interf`` where the slicer sees ``own/2 + interf``, so
-    Monte Carlo and ``exact_ber`` on the same table can exceed it, and the
-    adaptive one counts the group amplitude as interference and stays near 1
-    (ROADMAP item 1).
+    The word mean of ``Q(gp * (slicer/2 - |interf|) / sig)`` with the leakage
+    ``interf = receive - slicer * words``: a word's margin is ``slicer/2 +
+    interf`` for a 1 and ``slicer/2 - interf`` for a 0, so each term bounds
+    its exact tail, and equals it where no leakage helps the slicer, as with
+    fresh gains.  ``sig`` stacks as for ``exact_ber``.
     """
     def terms(w, s):
-        own = table.own[w]
-        interf = table.receive[w] - own * table.words[w]
-        group = table.slicer[w] if table.scheme == "oap" else 0.0
-        return (q_function(gp * (0.5 * own - interf) / s)
-                + q_function(gp * (1.5 * own + group + interf) / s))
-    return np.clip(2.0 * _word_mean(terms, table, sig), 0.0, 1.0)
+        interf = table.receive[w] - table.slicer[w] * table.words[w]
+        return q_function(gp * (0.5 * table.slicer[w] - np.abs(interf)) / s)
+    return _word_mean(terms, table, sig)
 
 
 def _one_point(scheme, h, h_hat, sigma, responsivity, power,
@@ -262,13 +255,13 @@ def ber_oap_perfect(h, noise_sigma_per_pd, responsivity: float, power: float,
 
 def ber_ci_outdated(h, h_hat, noise_sigma_per_pd, responsivity: float,
                     power: float) -> BerResult:
-    """Inversion under a stale precoder: ``outdated_bound``, not a true bound (see there)."""
+    """Upper bound on inversion's error probability under a stale precoder (``outdated_bound``)."""
     return _one_point("ci", h, h_hat, noise_sigma_per_pd, responsivity, power)
 
 
 def ber_oap_outdated(h, h_hat, noise_sigma_per_pd, responsivity: float,
                      power: float, renormalize: bool = False) -> BerResult:
-    """The adaptive scheme under a stale precoder: ``outdated_bound``, not a true bound."""
+    """Upper bound on the adaptive scheme's error probability under a stale precoder."""
     return _one_point("oap", h, h_hat, noise_sigma_per_pd, responsivity, power, renormalize)
 
 

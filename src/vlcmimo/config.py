@@ -43,6 +43,8 @@ __all__ = [
 
 # Gain-map cells a config may ask for: a 2 mm raster of the default 4 m room.
 MAX_RASTER_CELLS = 4_000_000
+# SNR grid limits; at 6000 dB, 10^(-SNR/20) = 1e-300 keeps every z and rate finite.
+MAX_SNR_DB, MAX_SNR_POINTS = 6000.0, 10_000
 
 
 class ConfigError(ValueError):
@@ -150,10 +152,15 @@ class SweepConfig:
             raise ConfigError("sweep.snr_step_db must be positive")
         if self.snr_stop_db < self.snr_start_db:
             raise ConfigError("sweep.snr_stop_db must be >= snr_start_db")
+        if self.snr_stop_db > MAX_SNR_DB or len(self.points()) > MAX_SNR_POINTS:
+            raise ConfigError(f"sweep points must lie at or below {MAX_SNR_DB} dB and "
+                              f"number at most {MAX_SNR_POINTS}")
 
     def points(self) -> tuple[float, ...]:
-        n = int(round((self.snr_stop_db - self.snr_start_db) / self.snr_step_db)) + 1
-        return tuple(self.snr_start_db + i * self.snr_step_db for i in range(n))
+        """The grid as floats; counted first, so it stops one point past the cap."""
+        start, step = self.snr_start_db, self.snr_step_db
+        n = round(min((self.snr_stop_db - start) / step, MAX_SNR_POINTS)) + 1
+        return tuple(float(start + i * step) for i in range(n))
 
 
 @_config

@@ -104,10 +104,10 @@ class WordTable:
     """Every per-word quantity of the transmit pipeline, one row per word.
 
     Rows follow ``combination_matrix`` order; ``transmit`` is per unit power,
-    the amplitudes per unit ``responsivity * power``.  ``own`` is detector
-    i's amplitude ``beta (H W_d)_ii``; ``slicer`` is the amplitude whose half
-    is the detection threshold: ``own`` for inversion, the equal-symbol group
-    sum ``beta sum_j (H W_d)_ij T_ij`` for the adaptive scheme.  ``margin``
+    the amplitudes per unit ``responsivity * power``.  ``slicer`` is the
+    amplitude whose half is the detection threshold: detector i's own
+    amplitude ``beta (H W_d)_ii`` for inversion, the equal-symbol group sum
+    ``beta sum_j (H W_d)_ij T_ij`` for the adaptive scheme.  ``margin``
     is ``receive - slicer/2`` where the bit is 1 and ``slicer/2 - receive``
     where it is 0; closed forms and Monte Carlo both read ``gp * margin / sigma``.
     """
@@ -117,8 +117,7 @@ class WordTable:
     beta: np.ndarray        # (2^n,) transmit scaling
     transmit: np.ndarray    # (2^n, n) transmit vectors t = beta W_d x
     receive: np.ndarray     # (2^n, n) noiseless receive means H t
-    own: np.ndarray
-    slicer: np.ndarray
+    slicer: np.ndarray      # (2^n, n) slicer amplitude, twice the threshold
     margin: np.ndarray      # (2^n, n) signed slicer margin per unit gp
 
     def __post_init__(self):
@@ -163,7 +162,7 @@ def word_table(gains, precoder: Precoder, scheme: str,
     beta = 1.0 / np.where(k > 0, norm, 1.0)    # fixed at 1 for the all-zero word
     if scheme == "ci":
         scale = beta
-        own = slicer = beta * np.diag(m)
+        slicer = beta * np.diag(m)
     else:
         if renormalize:
             beta = beta / np.maximum(k, 1.0)
@@ -173,5 +172,5 @@ def word_table(gains, precoder: Precoder, scheme: str,
         slicer = np.where(on, k, n - k) * own
     receive = scale * mx
     return WordTable(scheme=scheme, words=words, beta=beta[:, 0],
-                     transmit=scale * wx, receive=receive, own=own, slicer=slicer,
+                     transmit=scale * wx, receive=receive, slicer=slicer,
                      margin=np.where(words == 1, 1.0, -1.0) * (receive - 0.5 * slicer))

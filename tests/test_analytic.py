@@ -236,6 +236,41 @@ class TestBerOutdatedBounds:
             assert np.all(res.per_pd >= 0.0) and np.all(res.per_pd <= 1.0)
 
 
+# Both perturbation models, and every sign of the worst case.
+STALE_MODELS = [("uniform", "pessimistic"), ("worst_case", "pessimistic"),
+                ("worst_case", "plus"), ("worst_case", "minus")]
+
+
+@pytest.mark.parametrize("spacing", [0.25, 0.5, 1.0])
+@pytest.mark.parametrize("n", [2, 4, 8])
+def test_outdated_bound_bounds_exact_rate(n, spacing):
+    """``outdated_bound >= exact_ber`` per detector on stale tables, and equal on fresh ones.
+
+    Over three gain-error sizes, each variant, swept SNRs and physical noise.
+    ``q_function`` is not monotone at the ulp, so the bound may sit a
+    relative 1e-15 below.  With fresh gains the leakage is rounding, of about
+    eps * kappa(H) relative to the slicer amplitude, which Q(a) amplifies by
+    about a^2 ~ 2 ln(1/Q).
+    """
+    h = channel(n, spacing)
+    gp = h.responsivity * h.power
+    points = tuple(np.arange(70.0, 131.0, 2.0))
+    tol = max(1e-12, np.finfo(float).eps * np.linalg.cond(h.gains))
+    stale = [perturb_channel(h, size * h.gains[0, 0], model=model, seed=7,
+                             worst_case_sign=sign).h_hat
+             for size in (0.005, 0.02, 0.1) for model, sign in STALE_MODELS]
+    for scheme, renormalize in (("ci", False), ("oap", False), ("oap", True)):
+        for i, h_hat in enumerate([h.gains, *stale]):
+            table = word_table(h.gains, ci_precoder(h_hat), scheme, renormalize=renormalize)
+            for mode in ("swept", "physical"):
+                sig = sigma_stack(h, NoiseConfig(mode=mode), table, points)
+                bound, exact = outdated_bound(table, gp, sig), exact_ber(table, gp, sig)
+                assert np.all(bound >= exact * (1.0 - 1e-15))
+                if i == 0:
+                    depth = 1.0 + 2.0 * np.log(1.0 / np.maximum(exact, np.finfo(float).tiny))
+                    assert np.all(bound - exact <= tol * depth * exact)
+
+
 def stale_stack(n: int, scheme: str, snrs) -> tuple:
     """A stale-precoder table of ``n`` links, its gp and a swept sigma stack at ``snrs``."""
     h = channel(n, spacing=1.0 if n <= 4 else 0.5)

@@ -10,6 +10,7 @@ import subprocess
 import sys
 import types
 import typing
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -19,8 +20,8 @@ import yaml
 from vlcmimo.channel import (build_channel_matrix, concentrator_gain, distance_gain_prefactor,
                              lambertian_order)
 from vlcmimo.cli import main
-from vlcmimo.config import (PRESET_NAMES, ConfigError, ExperimentConfig, NoiseConfig,
-                            config_from_dict, load_config, preset)
+from vlcmimo.config import (MAX_SNR_POINTS, PRESET_NAMES, ConfigError, ExperimentConfig,
+                            NoiseConfig, config_from_dict, load_config, preset)
 from vlcmimo.csi import MobilityEvent, error_bound
 from vlcmimo.noise import physical_sigma
 from vlcmimo.precoding import ci_precoder, word_table
@@ -218,16 +219,58 @@ class TestCli:
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["validate", "ber-sweep", "throughput-sweep", "mobility"])
-    @pytest.mark.parametrize("grid", [(-7000.0, -6996.0), (7000.0, 7004.0), (80.0, 7000.0)])
+    @pytest.mark.parametrize("grid", [(-7000.0, -6996.0, 2.0), (7000.0, 7004.0, 2.0),
+                                      (80.0, 7000.0, 2.0), (6300.0, 6310.0, 2.0),
+                                      (80.0, 90.0, 1e-300), (80.0, 1080.0, 0.1)])
     def test_snr_grid_outside_sigma_range_exits_2(self, tmp_path, capsys, command, grid):
-        """An end of the grid whose noise deviation overflows or underflows to 0 is refused."""
-        sweep = {"snr_start_db": grid[0], "snr_stop_db": grid[1], "snr_step_db": 2.0}
+        """A grid is refused, with no warning, when it leaves sigma's range or the caps.
+
+        That is when the noise deviation at an end overflows or underflows to
+        0, the grid ends above ``MAX_SNR_DB``, or it has more than
+        ``MAX_SNR_POINTS`` points, which is found before the grid is built.
+        """
+        sweep = dict(zip(("snr_start_db", "snr_stop_db", "snr_step_db"), grid))
         path = write_yaml(tmp_path / "c.yaml", dict(SMALL, sweep=sweep))
         out = tmp_path / "results"
-        assert main([command, "--config", str(path), "--out", str(out), "--quiet"]) == 2
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main([command, "--config", str(path), "--out", str(out), "--quiet"]) == 2
         err = capsys.readouterr().err
         assert "config error: sweep point" in err and "Traceback" not in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["ber-sweep", "throughput-sweep"])
+    def test_snr_grid_at_ceiling_stays_finite(self, tmp_path, command):
+        """At 6000 dB every threshold and rate is finite, with no warning."""
+        sweep = {"snr_start_db": 5996.0, "snr_stop_db": 6000.0, "snr_step_db": 2.0}
+        path = write_yaml(tmp_path / "c.yaml", dict(SMALL, sweep=sweep))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main([command, "--config", str(path), "--out", str(tmp_path),
+                         "--quiet"]) == 0
+        csv_path = next(tmp_path.glob("*.csv"))
+        header, *rows = [line.split(",") for line in csv_path.read_text().splitlines()
+                         if not line.startswith("#")]
+        cells = [float(row[i]) for row in rows for i, name in enumerate(header)
+                 if name in ("analytic_avg_ber", "throughput_bits_per_hz")]
+        assert len(cells) == 6 and np.all(np.isfinite(cells))
+
+    def test_snr_point_cap_admits_its_own_count(self):
+        sweep = config_from_dict({"sweep": {"snr_start_db": 80.0, "snr_stop_db": 1079.9,
+                                            "snr_step_db": 0.1}}).sweep
+        assert len(sweep.points()) == MAX_SNR_POINTS
+
+    def test_integer_grid_writes_one_snr_text(self, tmp_path):
+        """A YAML grid of integers gives the same snr_db cells in the ber and throughput CSVs."""
+        sweep = {"snr_start_db": 80, "snr_stop_db": 84, "snr_step_db": 2}
+        path = write_yaml(tmp_path / "c.yaml", dict(SMALL, sweep=sweep))
+        cells = []
+        for command, kind in (("ber-sweep", "ber"), ("throughput-sweep", "throughput")):
+            assert main([command, "--config", str(path), "--out", str(tmp_path),
+                         "--quiet"]) == 0
+            lines = (tmp_path / f"small_{kind}.csv").read_text().splitlines()[4:]
+            cells.append([line.split(",")[0] for line in lines])
+        assert cells[0] == cells[1] == ["80.0", "82.0", "84.0"] * 2
 
     @staticmethod
     def run_all_figures(monkeypatch, *argv):

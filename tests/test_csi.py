@@ -26,11 +26,12 @@ def channel_4x4():
 def residuals(h, h_hat, scheme="ci"):
     """Word table of a precoder derived from ``h_hat`` and its leakage.
 
-    The leakage ``receive - own * words`` is what reaches each detector from
-    the other links' symbols.
+    The leakage ``receive - slicer * words`` is what reaches each detector
+    beyond its slicer amplitude: the other links' symbols under inversion,
+    the links outside its equal-symbol group under the adaptive scheme.
     """
     table = word_table(h.gains, ci_precoder(h_hat), scheme)
-    return table, table.receive - table.own * table.words
+    return table, table.receive - table.slicer * table.words
 
 
 class TestErrorBound:
@@ -134,19 +135,17 @@ class TestResidualMatrix:
         h = channel_4x4()
         table, leakage = residuals(h, h.gains)
         beta = table.beta[:, None]
-        assert np.allclose(table.own, beta, rtol=0.0, atol=1e-9 * beta.min())
+        assert np.allclose(table.slicer, beta, rtol=0.0, atol=1e-9 * beta.min())
         assert np.allclose(leakage, 0.0, atol=1e-9 * beta.min())
 
     def test_fresh_estimate_masked_gives_scaled_mask(self):
         h = channel_4x4()
         table, leakage = residuals(h, h.gains, scheme="oap")
-        for word, beta, own, slicer, leak in zip(table.words, table.beta, table.own,
-                                                 table.slicer, leakage):
-            mask = (word[:, None] == word[None, :]).astype(float)
-            off = mask - np.eye(4)                  # explicit product oracle
-            assert np.allclose(own, beta, rtol=0.0, atol=1e-9 * beta)
+        for word, beta, slicer, leak in zip(table.words, table.beta, table.slicer, leakage):
+            mask = (word[:, None] == word[None, :]).astype(float)   # explicit product oracle
             assert np.allclose(slicer, beta * mask.sum(axis=1), rtol=0.0, atol=1e-9 * beta)
-            assert np.allclose(leak, beta * (off @ word), rtol=0.0, atol=1e-9 * beta)
+            # Fresh gains: each detector receives its slicer amplitude times its bit.
+            assert np.allclose(leak, 0.0, rtol=0.0, atol=1e-9 * beta)
 
     def test_leakage_grows_with_bound(self):
         h = channel_4x4()
@@ -168,7 +167,7 @@ class TestResidualMatrix:
         fresh, _ = residuals(h, h.gains)
         s = 0b1000                      # the word [1, 0, 0, 0]
         assert np.array_equal(stale.words[s], [1, 0, 0, 0])
-        assert stale.own[s, 0] > fresh.own[s, 0]
+        assert stale.slicer[s, 0] > fresh.slicer[s, 0]
 
 
 class TestChannelEstimateInvariant:

@@ -53,6 +53,20 @@ def test_monte_carlo_moves_in_standard_errors(report):
     ])
 
 
+def test_bound_violations_counted_per_side(report):
+    # se 0.01: row 1 exceeds its bound by 4 SE in A and 2 SE in B; row 2 exceeds
+    # by 4 SE on both sides but is an exact rate (is_bound 0), so it is not counted.
+    head = "analytic_avg_ber,is_bound,mc_avg_ber,mc_halfwidth_95\n"
+    a = head + "0.1,1,0.14,0.0196\n0.1,0,0.14,0.0196\n"
+    b = head + "0.1,1,0.12,0.0196\n0.1,0,0.14,0.0196\n"
+    assert report(a, b) == (1, [
+        "fig4.csv: differs",
+        "  mc_avg_ber: 1 of 2 cells moved, max relative change 0.14",
+        "  monte carlo: zero-error rows 0 in A, 0 in B; largest mc_avg_ber move 1.41 SE",
+        "  bound violations 1 in A, 0 in B",
+    ])
+
+
 @pytest.mark.parametrize("side", ["A", "B"])
 def test_file_in_one_directory_only(report, side):
     texts = (CSV, None) if side == "A" else (None, CSV)

@@ -338,6 +338,39 @@ class TestAgainstClosedForm:
                                     snr_db=snr, block_size=4_000))
         assert abs(self.z_score(est, exact)) <= 5.0
 
+    @pytest.mark.parametrize("scheme", ["ci", "oap"])
+    def test_stale_fig6_point(self, scheme):
+        """fig6's 0.3 s uniform estimate at 90 dB: the exact rate on the stale table."""
+        cfg = preset("fig6")
+        layout = cfg.build_layout()
+        h = build_channel_matrix(layout)
+        bound, _ = runner._mobility_bound(cfg, layout, 0.3)
+        h_hat = runner._stale_estimate(cfg, h, bound)
+        table = word_table(h.gains, ci_precoder(h_hat), scheme)
+        sigma = sigma_from_transmit_snr(90.0, h.responsivity, h.power)
+        exact = float(np.mean(exact_ber(table, h.responsivity * h.power,
+                                        sigma_table(sigma, table))))
+        est = simulate(h, SimConfig(n_symbols=200_000, seed=47, scheme=scheme, snr_db=90.0,
+                                    csi_mode="outdated"), h_hat=h_hat)
+        assert abs(self.z_score(est, exact)) <= 5.0
+
+
+def test_fig6_monte_carlo_within_outdated_bound(tmp_path):
+    """No fig6 row's Monte Carlo rate exceeds its outdated bound by more than 3 SE."""
+    cfg = preset("fig6")
+    cfg = dataclasses.replace(cfg, montecarlo=dataclasses.replace(cfg.montecarlo,
+                                                                  n_symbols=100_000))
+    csv_path, _ = run_mobility(cfg, tmp_path, threads=2)
+    header, *rows = [line.split(",") for line in csv_path.read_text().splitlines()
+                     if not line.startswith("#")]
+    col = {name: i for i, name in enumerate(header)}
+    assert len(rows) == 3 * 2 * 21
+    for row in rows:
+        mc, bound, halfwidth = (float(row[col[c]]) for c in
+                                ("mc_avg_ber", "analytic_avg_ber", "mc_halfwidth_95"))
+        assert row[col["is_bound"]] == "1"
+        assert mc <= bound + 3.0 * halfwidth / 1.96, row
+
 
 @pytest.mark.parametrize("noise_mode", ["swept", "physical"])
 @pytest.mark.parametrize("scheme, renormalize", [("ci", False), ("oap", False), ("oap", True)])
