@@ -49,6 +49,12 @@ def change(a: str, b: str) -> float:
         return math.inf
 
 
+def moved_cells(xs: list, ys: list) -> list[float]:
+    """The ``change`` of each differing cell of two columns, inf per cell on one side only."""
+    return ([change(x, y) for x, y in zip(xs, ys) if x != y]
+            + [math.inf] * abs(len(xs) - len(ys)))
+
+
 def monte_carlo(ca: dict, cb: dict) -> str | None:
     """Zero-error rows of A and B and the largest mc_avg_ber move in standard errors."""
     if not all(c in cols for c in ("mc_avg_ber", "mc_halfwidth_95") for cols in (ca, cb)):
@@ -89,8 +95,7 @@ def main(a: Path, b: Path) -> int:
         ca, cb = ({}, {}) if same else (columns(a / rel), columns(b / rel))
         for name in dict.fromkeys([*ca, *cb]):
             xs, ys = ca.get(name, []), cb.get(name, [])
-            moved = [change(x, y) for x, y in zip(xs, ys) if x != y]
-            moved += [math.inf] * abs(len(xs) - len(ys))
+            moved = moved_cells(xs, ys)
             if moved:
                 print(f"  {name}: {len(moved)} of {max(len(xs), len(ys))} cells moved, "
                       f"max relative change {max(moved):.2g}")

@@ -8,8 +8,8 @@ deterministic Monte Carlo engine for cross-validation.
 
 __version__ = "0.2.0"
 
-from .analytic import (BerResult, ber_ci_outdated, ber_ci_perfect,
-                       ber_oap_outdated, ber_oap_perfect, q_function, throughput)
+from .analytic import (ber_ci_outdated, ber_ci_perfect, ber_oap_outdated,
+                       ber_oap_perfect, q_function, throughput)
 from .channel import (ChannelMatrix, GainMap, GeometryError, Luminaire,
                       PhotoDetector, RoomLayout, build_channel_matrix,
                       concentrator_gain, distance_gain_prefactor, gain_map,

@@ -16,14 +16,11 @@ of the error function; its relative error stays below 1e-15 down to Q = 1e-300.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .precoding import WordTable, as_gains, ci_precoder, word_table
 
 __all__ = [
-    "BerResult",
     "q_function",
     "exact_ber",
     "outdated_bound",
@@ -136,25 +133,6 @@ def q_function(x):
     return q[()]
 
 
-@dataclass(frozen=True)
-class BerResult:
-    """Per-detector and average error probabilities for one scheme/knowledge mode."""
-
-    per_pd: np.ndarray
-    scheme: str
-    csi: str
-    is_bound: bool = False
-
-    def __post_init__(self):
-        arr = np.array(self.per_pd, dtype=float)
-        arr.setflags(write=False)
-        object.__setattr__(self, "per_pd", arr)
-
-    @property
-    def average(self) -> float:
-        return float(np.mean(self.per_pd))
-
-
 def sigma_table(sigma, table: WordTable) -> np.ndarray:
     """Resolve a scalar or per-detector deviation to one positive entry per detector."""
     n_r = table.words.shape[1]
@@ -217,22 +195,19 @@ def outdated_bound(table: WordTable, gp: float, sig) -> np.ndarray:
 
 
 def _one_point(scheme, h, h_hat, sigma, responsivity, power,
-               renormalize: bool = False) -> BerResult:
+               renormalize: bool = False) -> np.ndarray:
     """``exact_ber`` with fresh gains (``h_hat`` None), else ``outdated_bound``, at one sigma."""
     gains = as_gains(h)
     hat = gains if h_hat is None else as_gains(h_hat)
     if gains.shape != hat.shape:
         raise ValueError("true and estimated channels must share a shape")
     table = word_table(gains, ci_precoder(hat), scheme, renormalize=renormalize)
-    outdated = h_hat is not None
-    rate = outdated_bound if outdated else exact_ber
-    per_pd = rate(table, responsivity * power, sigma_table(sigma, table))
-    return BerResult(per_pd=per_pd, scheme=scheme, csi="outdated" if outdated else "perfect",
-                     is_bound=outdated)
+    rate = exact_ber if h_hat is None else outdated_bound
+    return rate(table, responsivity * power, sigma_table(sigma, table))
 
 
-def ber_ci_perfect(h, noise_sigma_per_pd, responsivity: float, power: float) -> BerResult:
-    """Exact average error probability of channel inversion with fresh gains.
+def ber_ci_perfect(h, noise_sigma_per_pd, responsivity: float, power: float) -> np.ndarray:
+    """Exact error probability per detector of channel inversion with fresh gains.
 
     Per word the desired amplitude at detector i is
     ``responsivity * power * beta_s * h_i^T w_i`` and the slicer sits at half
@@ -243,8 +218,8 @@ def ber_ci_perfect(h, noise_sigma_per_pd, responsivity: float, power: float) -> 
 
 
 def ber_oap_perfect(h, noise_sigma_per_pd, responsivity: float, power: float,
-                    renormalize: bool = False) -> BerResult:
-    """Exact average error probability of the symbol-adaptive scheme.
+                    renormalize: bool = False) -> np.ndarray:
+    """Exact error probability per detector of the symbol-adaptive scheme.
 
     The desired amplitude at detector i includes the constructive
     contributions of its whole equal-symbol group; the slicer sits at half of
@@ -254,14 +229,14 @@ def ber_oap_perfect(h, noise_sigma_per_pd, responsivity: float, power: float,
 
 
 def ber_ci_outdated(h, h_hat, noise_sigma_per_pd, responsivity: float,
-                    power: float) -> BerResult:
-    """Upper bound on inversion's error probability under a stale precoder (``outdated_bound``)."""
+                    power: float) -> np.ndarray:
+    """Upper bound per detector on inversion's error probability under a stale precoder."""
     return _one_point("ci", h, h_hat, noise_sigma_per_pd, responsivity, power)
 
 
 def ber_oap_outdated(h, h_hat, noise_sigma_per_pd, responsivity: float,
-                     power: float, renormalize: bool = False) -> BerResult:
-    """Upper bound on the adaptive scheme's error probability under a stale precoder."""
+                     power: float, renormalize: bool = False) -> np.ndarray:
+    """Upper bound per detector on the adaptive error probability under a stale precoder."""
     return _one_point("oap", h, h_hat, noise_sigma_per_pd, responsivity, power, renormalize)
 
 

@@ -34,19 +34,9 @@ class GeometryError(ValueError):
     """Physically impossible geometry or device parameter."""
 
 
-def _unit(v, what):
-    arr = np.asarray(v, dtype=float)
-    if arr.shape != (3,):
-        raise GeometryError(f"{what} must be a 3-vector, got shape {arr.shape}")
-    norm = float(np.linalg.norm(arr))
-    if not math.isfinite(norm) or norm == 0.0:
-        raise GeometryError(f"{what} must be a nonzero finite vector")
-    return tuple(arr / norm)
-
-
 @dataclass(frozen=True)
 class Luminaire:
-    """A ceiling luminaire treated as a single point source.
+    """A ceiling luminaire treated as a single point source facing straight down.
 
     The individual emitters are aggregated: total radiated power is
     ``leds_per_luminaire * power_per_led``.  The radiation lobe is Lambertian
@@ -57,7 +47,6 @@ class Luminaire:
     semi_angle_half_power: float = 15.0   # degrees
     leds_per_luminaire: int = 3600
     power_per_led: float = 0.010          # watts
-    orientation: tuple[float, float, float] = (0.0, 0.0, -1.0)
 
     def __post_init__(self):
         if not 0.0 < self.semi_angle_half_power < 90.0:
@@ -68,7 +57,6 @@ class Luminaire:
         if self.power_per_led <= 0.0:
             raise GeometryError("power_per_led must be positive")
         object.__setattr__(self, "position", tuple(float(c) for c in self.position))
-        object.__setattr__(self, "orientation", _unit(self.orientation, "luminaire orientation"))
 
     @property
     def total_power(self) -> float:
@@ -78,7 +66,7 @@ class Luminaire:
 
 @dataclass(frozen=True)
 class PhotoDetector:
-    """Photodiode with an ideal optical concentrator and band filter."""
+    """Upward-facing photodiode with an ideal optical concentrator and band filter."""
 
     position: tuple[float, float, float]
     area: float = 1e-4                    # m^2
@@ -86,7 +74,6 @@ class PhotoDetector:
     responsivity: float = 1.0             # A/W
     refractive_index: float = 1.5
     filter_gain: float = 1.0
-    orientation: tuple[float, float, float] = (0.0, 0.0, 1.0)
 
     def __post_init__(self):
         if self.area <= 0.0:
@@ -100,7 +87,6 @@ class PhotoDetector:
         if not 0.0 < self.filter_gain <= 1.0:
             raise GeometryError("filter gain must be in (0, 1]")
         object.__setattr__(self, "position", tuple(float(c) for c in self.position))
-        object.__setattr__(self, "orientation", _unit(self.orientation, "detector orientation"))
 
 
 @dataclass(frozen=True)
@@ -158,14 +144,6 @@ class ChannelMatrix:
         arr.setflags(write=False)
         object.__setattr__(self, "gains", arr)
 
-    @property
-    def n_r(self) -> int:
-        return self.gains.shape[0]
-
-    @property
-    def n_t(self) -> int:
-        return self.gains.shape[1]
-
 
 @dataclass(frozen=True)
 class GainMap:
@@ -202,39 +180,41 @@ def lambertian_order(semi_angle_half_power: float) -> float:
         return float(-Decimal(2).ln() / cos.ln())
 
 
-def concentrator_gain(incidence_angle: float, fov: float, refractive_index: float = 1.5) -> float:
-    """Ideal non-imaging concentrator gain: n^2 / sin^2(fov) inside the field of view."""
+def concentrator_gain(fov: float, refractive_index: float = 1.5) -> float:
+    """Ideal non-imaging concentrator gain inside the field of view: n^2 / sin^2(fov).
+
+    Light from beyond the field of view gets no gain; ``_los_gains`` applies that cutoff.
+    """
     if refractive_index < 1.0:
         raise GeometryError("refractive index must be >= 1")
     if not 0.0 < fov <= 90.0:
         raise GeometryError(f"field of view must be in (0, 90] deg, got {fov}")
-    if incidence_angle > fov:
-        return 0.0
     return refractive_index**2 / math.sin(math.radians(fov)) ** 2
 
 
 def _los_gains(x, y, z, detectors, luminaires) -> np.ndarray:
     """Line-of-sight gains [point, luminaire] at the receive points (x, y, z).
 
-    ``detectors``, one per point or one for all, give optics and orientation.
+    ``detectors``, one per point or one for all, give the optics.  Luminaires
+    face down and detectors up, so the emergence and incidence angles share
+    one cosine, the drop over the distance.
     """
-    lx, ly, lz, ox, oy, oz, m = np.array([
-        (*lum.position, *lum.orientation, lambertian_order(lum.semi_angle_half_power))
-        for lum in luminaires]).reshape(-1, 7).T[:, None, :]
-    px, py, pz, cos_fov, area, filter_gain, g = np.array([
-        (*det.orientation, math.cos(math.radians(det.fov)), det.area, det.filter_gain,
-         concentrator_gain(0.0, det.fov, det.refractive_index)) for det in detectors]).T[..., None]
+    lx, ly, lz, m = np.array([
+        (*lum.position, lambertian_order(lum.semi_angle_half_power))
+        for lum in luminaires]).reshape(-1, 4).T[:, None, :]
+    cos_fov, area, filter_gain, g = np.array([
+        (math.cos(math.radians(det.fov)), det.area, det.filter_gain,
+         concentrator_gain(det.fov, det.refractive_index)) for det in detectors]).T[..., None]
     vx, vy, vz = (np.asarray(c, dtype=float)[..., None] - lc
                   for c, lc in zip((x, y, z), (lx, ly, lz)))
     d = np.sqrt(vx * vx + vy * vy + vz * vz)
     if np.any(d == 0.0):
         raise GeometryError("luminaire and detector positions coincide")
-    cos_emergence = (vx * ox + vy * oy + vz * oz) / d
-    cos_incidence = -(vx * px + vy * py + vz * pz) / d
+    cos = -vz / d
     # No backward emission: clamp at the transmitter plane.
-    intensity = (m + 1.0) / (2.0 * math.pi) * np.maximum(cos_emergence, 0.0) ** m
-    gains = (area / d**2) * intensity * filter_gain * g * cos_incidence
-    return np.where((cos_incidence < cos_fov) | (cos_incidence <= 0.0), 0.0, gains)
+    intensity = (m + 1.0) / (2.0 * math.pi) * np.maximum(cos, 0.0) ** m
+    gains = (area / d**2) * intensity * filter_gain * g * cos
+    return np.where((cos < cos_fov) | (cos <= 0.0), 0.0, gains)
 
 
 def build_channel_matrix(layout: RoomLayout) -> ChannelMatrix:

@@ -21,7 +21,7 @@ from . import __version__
 from .analytic import throughput as analytic_throughput
 from .channel import (RoomLayout, build_channel_matrix, concentrator_gain,
                       distance_gain_prefactor, gain_map, lambertian_order)
-from .config import ExperimentConfig, _resolved_hash
+from .config import ConfigError, ExperimentConfig, _resolved_hash
 from .csi import MobilityEvent, error_bound, perturb_channel
 from .montecarlo import SimConfig, _threads, sweep
 from .noise import sigma_stack
@@ -109,18 +109,21 @@ def _snr_points(cfg: ExperimentConfig) -> tuple[float, ...]:
 
 
 def _curve_rows(curve, *columns) -> list[list]:
-    """A row per point: SNR, scheme, knowledge, ``columns``, closed form, Monte Carlo."""
-    return [[snr, curve.scheme, curve.csi_mode, *columns, _join_per_pd(ana.per_pd),
-             ana.average, int(ana.is_bound), est.average_ber, est.average_halfwidth,
-             est.symbols_run]
-            for snr, est, ana in zip(curve.snr_db, curve.estimates, curve.analytic)]
+    """A row per point: SNR, scheme, knowledge, ``columns``, closed form, Monte Carlo.
+
+    An outdated row's closed form is a bound (``is_bound`` 1), a perfect one exact.
+    """
+    return [[snr, curve.scheme, curve.csi_mode, *columns, _join_per_pd(row),
+             float(np.mean(row)), int(curve.csi_mode == "outdated"), est.average_ber,
+             est.average_halfwidth, est.symbols_run]
+            for snr, est, row in zip(curve.snr_db, curve.estimates, curve.analytic)]
 
 
 def _report(curve):
     """One progress line per point of ``curve`` on stderr."""
-    for p, est, ana in zip(curve.snr_db, curve.estimates, curve.analytic):
+    for p, est, row in zip(curve.snr_db, curve.estimates, curve.analytic):
         print(f"  snr {p:7.2f} dB [{curve.scheme}/{curve.csi_mode}]: "
-              f"mc {est.average_ber:.3e}  analytic {ana.average:.3e}", file=sys.stderr)
+              f"mc {est.average_ber:.3e}  analytic {np.mean(row):.3e}", file=sys.stderr)
 
 
 def _sweep_rows(cases, points, threads, progress) -> list[list]:
@@ -158,7 +161,7 @@ def _mobility_bound(cfg: ExperimentConfig, layout: RoomLayout,
     det = layout.detectors[cfg.csi.mobile_user]
     z = lum.position[2] - layout.receiver_plane_z
     m = lambertian_order(lum.semi_angle_half_power)
-    g = concentrator_gain(0.0, det.fov, det.refractive_index)
+    g = concentrator_gain(det.fov, det.refractive_index)
     varpi = distance_gain_prefactor(det.area, det.filter_gain, g, m,
                                     plane_separation=z)
     event = MobilityEvent(
@@ -261,10 +264,12 @@ def run_mobility(cfg: ExperimentConfig, out_dir, threads: int | None = None,
     ``noise.mode: physical`` each interval/scheme is one row at the device
     noise level, as in ``run_ber_sweep``.  Every interval and scheme goes to
     one ``sweep`` call, so rows share draws across schemes and intervals as
-    well as along SNR.  ``threads`` below 1 raises ``ValueError`` before
-    anything is written.
+    well as along SNR.  ``threads`` below 1 raises ``ValueError``, and no
+    elapsed time ``ConfigError``, before anything is written.
     """
     _threads(threads)
+    if not cfg.mobility.elapsed_times_s:
+        raise ConfigError("mobility needs at least one mobility.elapsed_times_s")
     points = _snr_points(cfg)
     layout = cfg.build_layout()
     h = build_channel_matrix(layout)

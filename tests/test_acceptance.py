@@ -35,7 +35,7 @@ def analytic_curve(h, scheme, snrs):
     out = []
     for s in snrs:
         sigma = sigma_from_transmit_snr(s, h.responsivity, h.power)
-        out.append(fn(h, sigma, h.responsivity, h.power).average)
+        out.append(fn(h, sigma, h.responsivity, h.power).mean())
     return np.array(out)
 
 
@@ -108,7 +108,7 @@ def test_criterion_3_analytic_monte_carlo_agreement():
                 continue
             est = simulate(h, SimConfig(n_symbols=n_symbols, seed=33,
                                         scheme=scheme, snr_db=snr))
-            se = np.sqrt(p * (1.0 - p) / (n_symbols * h.n_r))
+            se = np.sqrt(p * (1.0 - p) / (n_symbols * h.gains.shape[0]))
             dev = abs(est.average_ber - p) / se
             worst_dev = max(worst_dev, dev)
             checked += 1
@@ -143,7 +143,7 @@ def test_criterion_5_spacing_ordering():
             h = build_channel_matrix(cfg.build_layout(spacing=sp))
             sigma = sigma_from_transmit_snr(snr, h.responsivity, h.power)
             fn = ber_oap_perfect if scheme == "oap" else ber_ci_perfect
-            vals.append(fn(h, sigma, h.responsivity, h.power).average)
+            vals.append(fn(h, sigma, h.responsivity, h.power).mean())
         strict = vals[0] > vals[1] > vals[2]
         ok = ok and strict
         detail.append(f"{scheme}: " + ">".join(f"{v:.1e}" for v in vals))
@@ -175,7 +175,7 @@ def test_criterion_7_outdated_bound_validity():
     lay = cfg.layout
     z = lay.room_z_m - lay.receiver_plane_z_m
     m = lambertian_order(lay.semi_angle_deg)
-    g = concentrator_gain(0.0, lay.detector.fov_deg, lay.detector.refractive_index)
+    g = concentrator_gain(lay.detector.fov_deg, lay.detector.refractive_index)
     varpi = distance_gain_prefactor(lay.detector.area_m2, lay.detector.filter_gain,
                                     g, m, plane_separation=z)
     event = MobilityEvent(start_xy=(0.0, 0.0), end_xy=(0.1, 0.0),
@@ -190,7 +190,7 @@ def test_criterion_7_outdated_bound_validity():
         bound_fn = ber_oap_outdated if scheme == "oap" else ber_ci_outdated
         for snr in snrs:
             sigma = sigma_from_transmit_snr(snr, h.responsivity, h.power)
-            bound = bound_fn(h, h_hat, sigma, h.responsivity, h.power).average
+            bound = bound_fn(h, h_hat, sigma, h.responsivity, h.power).mean()
             est = simulate(h, SimConfig(n_symbols=n_symbols, seed=77, scheme=scheme,
                                         snr_db=snr, csi_mode="outdated"),
                            h_hat=h_hat)
@@ -222,7 +222,7 @@ def test_criterion_8_noiseless_exactness():
 def test_criterion_9_unit_oracles():
     """Closed-form corner values are exact."""
     m60 = lambertian_order(60.0)
-    g = concentrator_gain(0.0, 15.0, 1.5)
+    g = concentrator_gain(15.0, 1.5)
     g_expected = 2.25 / np.sin(np.radians(15.0)) ** 2
     q0 = float(q_function(0.0))
     ok = (m60 == 1.0

@@ -444,6 +444,17 @@ class TestCli:
         bounds = meta["error_bounds"]
         assert bounds[repr(0.2)] > bounds[repr(0.05)]
 
+    def test_mobility_without_elapsed_times_exits_2(self, tmp_path, capsys):
+        path = write_yaml(tmp_path / "e.yaml", dict(SMALL, mobility={"elapsed_times_s": []}))
+        out = tmp_path / "results"
+        assert main(["mobility", "--config", str(path), "--out", str(out), "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert "config error: mobility needs" in err and "Traceback" not in err
+        assert not out.exists()
+        # the perfect-CSI sweeps of the same config need no elapsed time
+        for command in ("ber-sweep", "throughput-sweep"):
+            assert main([command, "--config", str(path), "--out", str(out), "--quiet"]) == 0
+
     def test_outdated_ber_sweep_records_elapsed_time(self, tmp_path):
         # only the first mobility interval feeds the stale estimate
         cfgd = dict(SMALL, name="stale", csi={"mode": "outdated"},
@@ -478,7 +489,7 @@ class TestCli:
             m = lambertian_order(angle)
             varpi = distance_gain_prefactor(
                 det.area_m2, det.filter_gain,
-                concentrator_gain(0.0, det.fov_deg, det.refractive_index), m,
+                concentrator_gain(det.fov_deg, det.refractive_index), m,
                 plane_separation=z)
             assert meta["error_bounds"][f"2x2@0.5m/{angle}deg"] == error_bound(event, varpi, m)
 

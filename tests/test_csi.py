@@ -15,7 +15,7 @@ from vlcmimo.precoding import ci_precoder, word_table
 
 Z = 2.25
 M = lambertian_order(15.0)
-VARPI = distance_gain_prefactor(1e-4, 1.0, concentrator_gain(0.0, 60.0, 1.5), M,
+VARPI = distance_gain_prefactor(1e-4, 1.0, concentrator_gain(60.0, 1.5), M,
                                 plane_separation=Z)
 
 

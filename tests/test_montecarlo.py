@@ -8,7 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from vlcmimo import analytic, montecarlo, runner
+from vlcmimo import montecarlo, runner
 from vlcmimo.analytic import (ber_ci_outdated, ber_ci_perfect, ber_oap_outdated,
                               ber_oap_perfect, exact_ber, outdated_bound, q_function,
                               sigma_table)
@@ -92,7 +92,7 @@ class TestEstimatorConsistency:
         h = channel()
         snr = 85.0
         sigma = sigma_from_transmit_snr(snr, h.responsivity, h.power)
-        ana = ber_ci_perfect(h, sigma, h.responsivity, h.power).average
+        ana = ber_ci_perfect(h, sigma, h.responsivity, h.power).mean()
         est = simulate(h, SimConfig(n_symbols=400_000, seed=23, snr_db=snr))
         se = est.average_stderr()
         assert abs(est.average_ber - ana) < 3 * se
@@ -160,19 +160,21 @@ class TestOutdatedSimulation:
                         csi_mode="outdated")
         h_hat = perturb_channel(h, bound, seed=cfg.seed).h_hat
         curve = one_sweep(h, [80.0, 90.0], cfg, h_hat=h_hat)
-        for ana in curve.analytic:
-            assert ana.is_bound
-            assert ana.csi == "outdated"
+        assert curve.csi_mode == "outdated"
+        # rows: snr, scheme, csi_mode, analytic_per_pd, analytic_avg_ber, is_bound, ...
+        assert [row[5] for row in runner._curve_rows(curve)] == [1, 1]
 
 
 class TestBerEstimate:
     def test_rates_and_halfwidth(self):
         h = channel()
         est = simulate(h, SimConfig(n_symbols=100_000, seed=2, snr_db=82.0))
-        assert np.allclose(est.per_pd_ber, est.per_pd_errors / est.symbols_run)
-        p = est.per_pd_ber
-        expected_hw = 1.96 * np.sqrt(p * (1 - p) / est.symbols_run)
-        assert np.allclose(est.halfwidth_95, expected_hw)
+        p = est.per_pd_errors / est.symbols_run
+        halfwidth = 1.96 * np.sqrt(p * (1 - p) / est.symbols_run)
+        assert est.average_ber == pytest.approx(p.mean(), rel=1e-12)
+        assert np.all(halfwidth > 0.0)      # every detector erred
+        pooled = 1.96 * np.sqrt(p.mean() * (1 - p.mean()) / (est.symbols_run * len(p)))
+        assert est.average_halfwidth == pytest.approx(pooled, rel=1e-12)
 
 
 def block_rng(seed, block):
@@ -333,7 +335,7 @@ class TestAgainstClosedForm:
         snr = 80.0
         sigma = sigma_from_transmit_snr(snr, h.responsivity, h.power)
         fn = ber_oap_perfect if scheme == "oap" else ber_ci_perfect
-        exact = fn(h, sigma, h.responsivity, h.power).average
+        exact = fn(h, sigma, h.responsivity, h.power).mean()
         est = simulate(h, SimConfig(n_symbols=100_000, seed=43, scheme=scheme,
                                     snr_db=snr, block_size=4_000))
         assert abs(self.z_score(est, exact)) <= 5.0
@@ -388,9 +390,9 @@ def test_closed_form_is_mean_tail_of_kernel_thresholds(scheme, renormalize, nois
         table = word_table(h.gains, ci_precoder(h.gains), scheme, renormalize=renormalize)
         got = exact_ber(table, h.responsivity * h.power, table_sigma(h, table, params))
     elif scheme == "oap":
-        got = ber_oap_perfect(h, noise, h.responsivity, h.power, renormalize=renormalize).per_pd
+        got = ber_oap_perfect(h, noise, h.responsivity, h.power, renormalize=renormalize)
     else:
-        got = ber_ci_perfect(h, noise, h.responsivity, h.power).per_pd
+        got = ber_ci_perfect(h, noise, h.responsivity, h.power)
     assert np.array_equal(got, q_function(oracle.simulated_z(h, cfg)).mean(axis=0))
 
 
@@ -403,9 +405,9 @@ def test_renormalized_outdated_sweep_uses_renormalized_bound():
     row = one_sweep(h, [100.0], cfg, h_hat=h_hat, threads=1).analytic[0]
     sigma = sigma_from_transmit_snr(100.0, h.responsivity, h.power)
     args = (h, h_hat, sigma, h.responsivity, h.power)
-    renormalized = ber_oap_outdated(*args, renormalize=True).per_pd
-    assert np.array_equal(row.per_pd, renormalized)
-    assert not np.array_equal(renormalized, ber_oap_outdated(*args).per_pd)
+    renormalized = ber_oap_outdated(*args, renormalize=True)
+    assert np.array_equal(row, renormalized)
+    assert not np.array_equal(renormalized, ber_oap_outdated(*args))
 
 
 class TestSweepSharesOneStream:
@@ -472,8 +474,9 @@ class TestSweepSharesOneStream:
                                        renormalize=renormalize)
             else:
                 want = ber_ci_perfect(h, sigma, h.responsivity, h.power)
-            assert np.array_equal(row.per_pd, want.per_pd)
-            assert (row.scheme, row.csi, row.is_bound) == (scheme, "perfect", False)
+            assert np.array_equal(row, want)
+        assert (curve.scheme, curve.csi_mode) == (scheme, "perfect")
+        assert [row[5] for row in runner._curve_rows(curve)] == [0] * len(points)
 
 
 def spy_paths(monkeypatch) -> list:
@@ -908,17 +911,15 @@ class TestRunnerRowsAreOneSweep:
                 table = word_table(h.gains, ci_precoder(h.gains if h_hat is None else h_hat),
                                    scheme)
                 rate = outdated_bound if outdated else exact_ber
-                ana = analytic.BerResult(per_pd=rate(table, h.responsivity * h.power,
-                                                     table_sigma(h, table, cfg.noise)),
-                                         scheme=scheme, csi=cfg.csi.mode)
+                ana = rate(table, h.responsivity * h.power, table_sigma(h, table, cfg.noise))
             else:
                 noise = sigma_from_transmit_snr(snr, h.responsivity, h.power)
                 args = (h, h_hat) if outdated else (h,)
                 ana = self.CLOSED_FORMS[scheme, outdated](*args, noise, h.responsivity,
                                                           h.power)
             want = {"snr_db": repr(snr), "scheme": scheme, "csi_mode": cfg.csi.mode,
-                    "analytic_per_pd": "|".join(repr(float(v)) for v in ana.per_pd),
-                    "analytic_avg_ber": repr(ana.average),
+                    "analytic_per_pd": "|".join(repr(float(v)) for v in ana),
+                    "analytic_avg_ber": repr(float(ana.mean())),
                     "is_bound": str(int(outdated)),
                     "mc_avg_ber": repr(est.average_ber),
                     "mc_halfwidth_95": repr(est.average_halfwidth),

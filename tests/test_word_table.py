@@ -171,13 +171,13 @@ def test_table_matches_per_word_pipeline(n, spacing, csi):
                 got = (exact_ber if csi == "perfect" else outdated_bound)(table, gp, noise)
             elif csi == "perfect":
                 if scheme == "ci":
-                    got = ber_ci_perfect(h, noise, h.responsivity, h.power).per_pd
+                    got = ber_ci_perfect(h, noise, h.responsivity, h.power)
                 else:
                     got = ber_oap_perfect(h, noise, h.responsivity, h.power,
-                                          renormalize=renormalize).per_pd
+                                          renormalize=renormalize)
             else:
                 fn = ber_ci_outdated if scheme == "ci" else ber_oap_outdated
-                got = fn(h, h_hat, noise, h.responsivity, h.power).per_pd
+                got = fn(h, h_hat, noise, h.responsivity, h.power)
             want = reference_ber(ref, words, sig, gp, csi == "stale")
             assert_rates_close(got, want, tol)
 
