@@ -3,8 +3,10 @@
 
 Usage: python3 scripts/quick_reference.py.  Runs every preset of
 run_all_figures.py at its --quick symbol count on one thread into a temporary
-directory and reduces each output file to columns of cells (as diff_outputs.py
-reads them): CSV comment lines under "#", and each gain raster row by the sum,
+directory, and every benchmark workload of perfbench/workloads.py at seed 1 on
+one thread into its own subdirectory, whose name prefixes its files' keys.
+Each output file is reduced to columns of cells (as diff_outputs.py reads
+them): CSV comment lines under "#", and each gain raster row by the sum,
 moment and cell count of perfbench/checks.py::seed_free_values.  Then it
 prints, per file and column, the cells that moved against the committed
 reference and the largest relative move, and writes the new reference.
@@ -28,6 +30,7 @@ sys.path[:0] = [str(ROOT / "scripts"), str(ROOT / "perfbench")]
 
 from checks import REL_TOL, seed_free_values  # noqa: E402
 from diff_outputs import columns, moved_cells  # noqa: E402
+from workloads import WORKLOADS  # noqa: E402
 
 from vlcmimo.config import preset  # noqa: E402
 from vlcmimo.runner import run_channel_map  # noqa: E402
@@ -41,19 +44,21 @@ TOLERANT = {"analytic_per_pd", "analytic_avg_ber", "throughput_bits_per_hz", "er
 
 
 def generate(out_dir: Path) -> Path:
-    """Write every quick preset's outputs to ``out_dir``, serially and quietly."""
+    """Write every quick preset's and benchmark workload's outputs, serially and quietly."""
     for name, recipe in RECIPES.items():
         cfg = preset(name)
         cfg = dataclasses.replace(cfg, montecarlo=dataclasses.replace(
             cfg.montecarlo, n_symbols=QUICK_SYMBOLS))
         recipe(cfg, out_dir, **({} if recipe is run_channel_map else {"threads": 1}))
+    for name, workload in WORKLOADS.items():
+        workload.run(workload.configs(1), out_dir / name, threads=1)
     return out_dir
 
 
 def reduce(out_dir: Path) -> dict:
     """The reference form of every output file in ``out_dir``: {file: {column: [cells]}}."""
     ref = {}
-    for path in sorted(out_dir.iterdir()):
+    for path in sorted(p for p in out_dir.rglob("*") if p.is_file()):
         cols = columns(path)
         if path.name.endswith("_gain_map.csv"):
             rows = [seed_free_values("gain_map", dict(zip(cols, row)))
@@ -63,7 +68,7 @@ def reduce(out_dir: Path) -> dict:
         if path.suffix == ".csv":
             lines = path.read_text(encoding="utf-8").splitlines()
             cols = {"#": [s for s in lines if s.startswith("#")], **cols}
-        ref[path.name] = cols
+        ref[path.relative_to(out_dir).as_posix()] = cols
     return ref
 
 

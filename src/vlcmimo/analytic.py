@@ -182,15 +182,15 @@ def exact_ber(table: WordTable, gp: float, sig) -> np.ndarray:
 def outdated_bound(table: WordTable, gp: float, sig) -> np.ndarray:
     """Upper bound on ``exact_ber`` per detector under a stale precoder, either scheme.
 
-    The word mean of ``Q(gp * (slicer/2 - |interf|) / sig)`` with the leakage
-    ``interf = receive - slicer * words``: a word's margin is ``slicer/2 +
-    interf`` for a 1 and ``slicer/2 - interf`` for a 0, so each term bounds
-    its exact tail, and equals it where no leakage helps the slicer, as with
-    fresh gains.  ``sig`` stacks as for ``exact_ber``.
+    The word mean of ``Q(gp * min(margin, slicer - margin) / sig)``: under the
+    same leakage the other bit's margin is ``slicer - margin``, so each term
+    takes the smaller of the two bit hypotheses, bounds its exact tail, and
+    equals it where no leakage helps the slicer, as with fresh gains.  ``sig``
+    stacks as for ``exact_ber``.
     """
     def terms(w, s):
-        interf = table.receive[w] - table.slicer[w] * table.words[w]
-        return q_function(gp * (0.5 * table.slicer[w] - np.abs(interf)) / s)
+        margin = table.margin[w]
+        return q_function(gp * np.minimum(margin, table.slicer[w] - margin) / s)
     return _word_mean(terms, table, sig)
 
 

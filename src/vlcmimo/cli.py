@@ -40,7 +40,8 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--out", default="out", help="output directory (default: out)")
         sp.add_argument("--seed", type=int, default=None, help="override the config seed")
         sp.add_argument("--threads", type=int, default=None,
-                        help="worker cap for parallel sweeps (default: all CPUs; 1 runs serially)")
+                        help="worker cap for parallel sweeps, at most the CPUs this "
+                             "process may use (default: all of them; 1 runs serially)")
         sp.add_argument("--symbols", type=int, default=None,
                         help="override the Monte Carlo symbol count")
         sp.add_argument("--quiet", action="store_true", help="suppress progress output")

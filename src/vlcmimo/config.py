@@ -248,6 +248,9 @@ class ExperimentConfig:
             raise ConfigError(f"schemes {list(self.schemes)} repeat an entry")
         if self.map_resolution_m <= 0.0:
             raise ConfigError("map_resolution_m must be positive")
+        for axis in ("spacings_m", "semi_angles_deg", "mimo_orders"):
+            if getattr(self, axis) is not None and not getattr(self, axis):
+                raise ConfigError(f"{axis} is empty; omit it to run the layout's own value")
         object.__setattr__(self, "schemes", tuple(self.schemes))
 
     def variants(self):

@@ -16,7 +16,6 @@ from .channel import ChannelMatrix
 
 __all__ = [
     "MobilityEvent",
-    "ChannelEstimate",
     "error_bound",
     "perturb_channel",
 ]
@@ -72,62 +71,35 @@ def error_bound(event: MobilityEvent, varpi: float, m: float) -> float:
     return varpi * abs(d2 ** -(m + 3.0) - d1 ** -(m + 3.0))
 
 
-@dataclass(frozen=True)
-class ChannelEstimate:
-    """Transmitter-side gain estimate with its entry-wise error bound."""
-
-    h_hat: np.ndarray
-    error_bound: float
-    true_h: ChannelMatrix
-
-    def __post_init__(self):
-        arr = np.array(self.h_hat, dtype=float)
-        arr.setflags(write=False)
-        object.__setattr__(self, "h_hat", arr)
-        if self.error_bound < 0.0:
-            raise ValueError("error bound must be nonnegative")
-        dev = np.max(np.abs(arr - self.true_h.gains))
-        if dev > self.error_bound * (1.0 + 1e-12) + 1e-300:
-            raise ValueError(
-                f"estimate deviates by {dev:.3e}, beyond the bound {self.error_bound:.3e}")
-
-
 def perturb_channel(h: ChannelMatrix, bound: float, model: str = "uniform",
-                    seed: int | None = None, rows: tuple[int, ...] = (0,),
-                    worst_case_sign: str = "pessimistic") -> ChannelEstimate:
-    """Realize a stale channel estimate for the mobile user's rows.
+                    seed: int | None = None, row: int = 0,
+                    worst_case_sign: str = "pessimistic") -> np.ndarray:
+    """Realize a stale channel estimate, the (n, n) gains with the mobile user's row moved.
 
     ``uniform`` draws i.i.d. entries on [-bound, bound]; ``worst_case`` shifts
-    whole rows by the bound with a configurable sign pattern.  ``pessimistic``
-    degrades the link: it overestimates the desired gain (so the realized
-    desired amplitude drops) and underestimates interference gains (so
-    residual interference survives).  ``plus``/``minus`` shift everything one
-    way.  Gains are clamped at zero, which can only move an entry back toward
-    its true value.
+    the whole row by the bound with a configurable sign pattern.
+    ``pessimistic`` degrades the link: it overestimates the desired gain (so
+    the realized desired amplitude drops) and underestimates interference
+    gains (so residual interference survives).  ``plus``/``minus`` shift
+    everything one way.  Gains are clamped at zero, which can only move an
+    entry back toward its true value, so every entry stays within the bound.
     """
     if bound < 0.0:
         raise ValueError("error bound must be nonnegative")
     gains = np.array(h.gains, dtype=float)
     n_r, n_t = gains.shape
-    for i in rows:
-        if not 0 <= i < n_r:
-            raise IndexError(f"row {i} out of range for {n_r} detectors")
+    if not 0 <= row < n_r:
+        raise IndexError(f"row {row} out of range for {n_r} detectors")
     if model == "uniform":
-        rng = np.random.default_rng(seed)
-        for i in rows:
-            gains[i, :] += rng.uniform(-bound, bound, size=n_t)
-    elif model == "worst_case":
-        for i in rows:
-            if worst_case_sign == "plus":
-                gains[i, :] += bound
-            elif worst_case_sign == "minus":
-                gains[i, :] -= bound
-            elif worst_case_sign == "pessimistic":
-                gains[i, :] -= bound
-                gains[i, min(i, n_t - 1)] += 2.0 * bound
-            else:
-                raise ValueError(f"unknown worst-case sign mode {worst_case_sign!r}")
-    else:
+        gains[row] += np.random.default_rng(seed).uniform(-bound, bound, size=n_t)
+    elif model != "worst_case":
         raise ValueError(f"unknown perturbation model {model!r}")
-    np.clip(gains, 0.0, None, out=gains)
-    return ChannelEstimate(h_hat=gains, error_bound=bound, true_h=h)
+    elif worst_case_sign == "plus":
+        gains[row] += bound
+    elif worst_case_sign in ("minus", "pessimistic"):
+        gains[row] -= bound
+        if worst_case_sign == "pessimistic":
+            gains[row, min(row, n_t - 1)] += 2.0 * bound
+    else:
+        raise ValueError(f"unknown worst-case sign mode {worst_case_sign!r}")
+    return np.clip(gains, 0.0, None, out=gains)

@@ -47,7 +47,7 @@ import numpy as np
 from . import analytic
 from .analytic import _CHUNK_CELLS
 from .channel import ChannelMatrix
-from .config import ConfigError, NoiseConfig, _config
+from .config import MonteCarloConfig, NoiseConfig, _config
 from .csi import perturb_channel  # noqa: F401  (wrapped here by perfbench/tracing.py)
 from .noise import sigma_stack
 from .precoding import WordTable, ci_precoder, word_table
@@ -76,32 +76,23 @@ _SORT_MIN_WORK = 6144
 
 
 @_config
-class SimConfig:
+class SimConfig(MonteCarloConfig):
     """Configuration of one Monte Carlo run (one scheme at one noise point).
 
-    ``noise.mode`` picks the noise: "swept" reads ``snr_db``, "physical"
-    the device values of ``noise``.  The transmitter's estimate is not part
-    of it: with ``csi_mode`` "outdated", ``simulate`` and ``sweep`` take it
-    as ``h_hat``, and with "perfect" they take none.
+    The symbol count, early-stop target and block size, and their checks,
+    are those of ``config.MonteCarloConfig``.  ``noise.mode`` picks the
+    noise: "swept" reads ``snr_db``, "physical" the device values of
+    ``noise``.  The transmitter's estimate is not part of it: with
+    ``csi_mode`` "outdated", ``simulate`` and ``sweep`` take it as
+    ``h_hat``, and with "perfect" they take none.
     """
 
-    n_symbols: int = 2_000_000
     seed: int = 0
     scheme: Literal["ci", "oap"] = "ci"
     csi_mode: Literal["perfect", "outdated"] = "perfect"
     noise: NoiseConfig = field(default_factory=NoiseConfig)
     snr_db: float | None = None        # required in swept mode
-    early_stop_errors: int | None = None
-    block_size: int = 1 << 16
     renormalize_oap: bool = False
-
-    def __post_init__(self):
-        if self.n_symbols < 1:
-            raise ConfigError("n_symbols must be >= 1")
-        if self.early_stop_errors is not None and self.early_stop_errors < 100:
-            raise ConfigError("early stopping needs a target of at least 100 errors")
-        if self.block_size < 1:
-            raise ConfigError("block size must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -296,17 +287,18 @@ def _count_errors(z: np.ndarray, cfg: SimConfig, threads: int = 1) -> list[BerEs
     """The block loop: error counts at each point of ``z`` (points, words, detectors).
 
     Block k draws from ``SFC64(SeedSequence((seed, k)))``, and every point
-    compares the same draws.  Waves of up to ``threads`` blocks run at once;
-    their counts are folded in block order, and a point that has reached
-    ``early_stop_errors`` on every detector takes no later block.  Each point
-    therefore counts exactly what a one-point run would, whatever ``threads``.
+    compares the same draws.  Waves of up to ``threads`` blocks run at once,
+    on no more workers than blocks or CPUs (``_cpus``); their counts are
+    folded in block order, and a point that has reached ``early_stop_errors``
+    on every detector takes no later block.  Each point therefore counts
+    exactly what a one-point run would, whatever ``threads``.
     """
     n_points, _, n_r = z.shape
     errors = np.zeros((n_points, n_r), dtype=np.int64)
     done = np.zeros(n_points, dtype=np.int64)
     live = np.ones(n_points, dtype=bool)
     n_blocks = -(-cfg.n_symbols // cfg.block_size)
-    threads = max(1, min(threads, n_blocks))
+    threads = max(1, min(threads, n_blocks, _cpus()))
 
     def block(k: int, rows: np.ndarray):
         nb = min(cfg.block_size, cfg.n_symbols - k * cfg.block_size)

@@ -109,14 +109,14 @@ class WordTable:
     amplitude ``beta (H W_d)_ii`` for inversion, the equal-symbol group sum
     ``beta sum_j (H W_d)_ij T_ij`` for the adaptive scheme.  ``margin``
     is ``receive - slicer/2`` where the bit is 1 and ``slicer/2 - receive``
-    where it is 0; closed forms and Monte Carlo both read ``gp * margin / sigma``.
+    where it is 0, with ``receive = H t`` the noiseless receive mean; closed
+    forms and Monte Carlo both read ``gp * margin / sigma``.
     """
 
     scheme: str
     words: np.ndarray       # (2^n, n) binary words
     beta: np.ndarray        # (2^n,) transmit scaling
     transmit: np.ndarray    # (2^n, n) transmit vectors t = beta W_d x
-    receive: np.ndarray     # (2^n, n) noiseless receive means H t
     slicer: np.ndarray      # (2^n, n) slicer amplitude, twice the threshold
     margin: np.ndarray      # (2^n, n) signed slicer margin per unit gp
 
@@ -172,5 +172,5 @@ def word_table(gains, precoder: Precoder, scheme: str,
         slicer = np.where(on, k, n - k) * own
     receive = scale * mx
     return WordTable(scheme=scheme, words=words, beta=beta[:, 0],
-                     transmit=scale * wx, receive=receive, slicer=slicer,
+                     transmit=scale * wx, slicer=slicer,
                      margin=np.where(words == 1, 1.0, -1.0) * (receive - 0.5 * slicer))

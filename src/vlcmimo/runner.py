@@ -40,18 +40,17 @@ def _join_per_pd(values) -> str:
 
 
 def _atomic_write(path: Path, lines):
-    """Write the text ``lines`` to a temporary file, then rename it to ``path``."""
+    """Write the text ``lines`` to a temporary file, then rename it to ``path``.
+
+    The temporary file is removed if writing or renaming fails.
+    """
     tmp = path.with_name(path.name + ".tmp")
     try:
         with tmp.open("w", encoding="utf-8") as f:
             f.writelines(lines)
         os.replace(tmp, path)
-    except OSError:
-        tmp.unlink(missing_ok=True)
-        raise
     finally:
-        if tmp.exists():
-            tmp.unlink(missing_ok=True)
+        tmp.unlink(missing_ok=True)
 
 
 def _write(cfg: ExperimentConfig, out_dir, kind: str, command: str, header: list[str], rows,
@@ -84,23 +83,9 @@ def _write(cfg: ExperimentConfig, out_dir, kind: str, command: str, header: list
 
 
 def _sim_config(cfg: ExperimentConfig, scheme: str, outdated: bool) -> SimConfig:
-    return SimConfig(
-        n_symbols=cfg.montecarlo.n_symbols,
-        seed=cfg.seed,
-        scheme=scheme,
-        csi_mode="outdated" if outdated else "perfect",
-        noise=cfg.noise,
-        early_stop_errors=cfg.montecarlo.early_stop_errors,
-        block_size=cfg.montecarlo.block_size,
-        renormalize_oap=cfg.renormalize_oap,
-    )
-
-
-def _stale_estimate(cfg: ExperimentConfig, h, bound: float) -> np.ndarray:
-    """The transmitter's gains after the mobile user moved: one draw, keyed by the seed."""
-    return perturb_channel(h, bound, model=cfg.csi.model, seed=cfg.seed,
-                           rows=(cfg.csi.mobile_user,),
-                           worst_case_sign=cfg.csi.worst_case_sign).h_hat
+    return SimConfig(**vars(cfg.montecarlo), seed=cfg.seed, scheme=scheme,
+                     csi_mode="outdated" if outdated else "perfect", noise=cfg.noise,
+                     renormalize_oap=cfg.renormalize_oap)
 
 
 def _snr_points(cfg: ExperimentConfig) -> tuple[float, ...]:
@@ -142,8 +127,19 @@ def _sweep_rows(cases, points, threads, progress) -> list[list]:
     return rows
 
 
+def _one_layout(cfg: ExperimentConfig, command: str):
+    """Raise ``ConfigError`` if a recipe of ``cfg.layout`` alone is given variant axes."""
+    axes = [k for k in ("spacings_m", "semi_angles_deg", "mimo_orders") if getattr(cfg, k)]
+    if axes:
+        raise ConfigError(f"{command} runs the layout alone; it takes no {', '.join(axes)}")
+
+
 def run_channel_map(cfg: ExperimentConfig, out_dir, progress: bool = False) -> list[Path]:
-    """Rasterize the total-gain field and write it as a CSV grid (rows = y)."""
+    """Rasterize the total-gain field of ``cfg.layout`` as a CSV grid (rows = y).
+
+    Variant axes raise ``ConfigError`` before anything is written.
+    """
+    _one_layout(cfg, "channel-map")
     layout = cfg.build_layout()
     field = gain_map(layout, cfg.map_resolution_m)
     header = ["y_m"] + [repr(float(x)) for x in field.x_centers]
@@ -154,9 +150,10 @@ def run_channel_map(cfg: ExperimentConfig, out_dir, progress: bool = False) -> l
     }, progress)
 
 
-def _mobility_bound(cfg: ExperimentConfig, layout: RoomLayout,
-                    elapsed_s: float) -> tuple[float, float]:
-    """Worst-case gain error and realized speed of the mobile user's link in ``layout``."""
+def _mobility_bound(cfg: ExperimentConfig, layout: RoomLayout, h,
+                    elapsed_s: float) -> tuple[np.ndarray, float, float]:
+    """The mobile user's stale estimate of ``h`` (one draw, keyed by the seed), gain-error
+    bound and speed in ``layout`` after ``elapsed_s``."""
     lum = layout.luminaires[cfg.csi.mobile_user]
     det = layout.detectors[cfg.csi.mobile_user]
     z = lum.position[2] - layout.receiver_plane_z
@@ -170,7 +167,10 @@ def _mobility_bound(cfg: ExperimentConfig, layout: RoomLayout,
         plane_separation=z,
         elapsed_time=elapsed_s,
     )
-    return error_bound(event, varpi, m), event.max_velocity
+    bound = error_bound(event, varpi, m)
+    h_hat = perturb_channel(h, bound, model=cfg.csi.model, seed=cfg.seed,
+                            row=cfg.csi.mobile_user, worst_case_sign=cfg.csi.worst_case_sign)
+    return h_hat, bound, event.max_velocity
 
 
 def run_ber_sweep(cfg: ExperimentConfig, out_dir, threads: int | None = None,
@@ -204,8 +204,8 @@ def run_ber_sweep(cfg: ExperimentConfig, out_dir, threads: int | None = None,
         conditions[key] = ci_precoder(h.gains).condition_number
         h_hat = None
         if outdated:
-            bounds[key], _ = _mobility_bound(cfg, layout, cfg.mobility.elapsed_times_s[0])
-            h_hat = _stale_estimate(cfg, h, bounds[key])
+            h_hat, bounds[key], _ = _mobility_bound(cfg, layout, h,
+                                                    cfg.mobility.elapsed_times_s[0])
         cases += [(f"[{cfg.name}] {n}x{n} spacing={sp} angle={ang} scheme={scheme}",
                    (n, sp, ang), (h, _sim_config(cfg, scheme, outdated), h_hat))
                   for scheme in cfg.schemes]
@@ -265,11 +265,13 @@ def run_mobility(cfg: ExperimentConfig, out_dir, threads: int | None = None,
     noise level, as in ``run_ber_sweep``.  Every interval and scheme goes to
     one ``sweep`` call, so rows share draws across schemes and intervals as
     well as along SNR.  ``threads`` below 1 raises ``ValueError``, and no
-    elapsed time ``ConfigError``, before anything is written.
+    elapsed time or a variant axis ``ConfigError``, before anything is
+    written: the intervals are of ``cfg.layout`` alone.
     """
     _threads(threads)
     if not cfg.mobility.elapsed_times_s:
         raise ConfigError("mobility needs at least one mobility.elapsed_times_s")
+    _one_layout(cfg, "mobility")
     points = _snr_points(cfg)
     layout = cfg.build_layout()
     h = build_channel_matrix(layout)
@@ -279,9 +281,8 @@ def run_mobility(cfg: ExperimentConfig, out_dir, threads: int | None = None,
     cases = []
     bounds = {}
     for elapsed in cfg.mobility.elapsed_times_s:
-        bound, velocity = _mobility_bound(cfg, layout, elapsed)
+        h_hat, bound, velocity = _mobility_bound(cfg, layout, h, elapsed)
         bounds[repr(float(elapsed))] = bound
-        h_hat = _stale_estimate(cfg, h, bound)
         cases += [(f"[{cfg.name}] mobility t={elapsed}s bound={bound:.3e} scheme={scheme}",
                    (cfg.csi.model, elapsed, velocity, bound),
                    (h, _sim_config(cfg, scheme, True), h_hat))

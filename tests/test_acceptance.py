@@ -181,7 +181,7 @@ def test_criterion_7_outdated_bound_validity():
     event = MobilityEvent(start_xy=(0.0, 0.0), end_xy=(0.1, 0.0),
                           plane_separation=z, elapsed_time=0.1)
     bound_e = error_bound(event, varpi, m)
-    h_hat = perturb_channel(h, bound_e, model="uniform", seed=77).h_hat
+    h_hat = perturb_channel(h, bound_e, model="uniform", seed=77)
     snrs = [76.0 + 4.0 * i for i in range(6)]
     n_symbols = 500_000
     ok = True
@@ -247,9 +247,15 @@ def test_criterion_10_throughput_ordering():
     assert ok, line
 
 
-def test_criterion_11_reproducibility(tmp_path):
-    """Identical config and seed give byte-identical CSV across thread counts."""
+def test_criterion_11_reproducibility(tmp_path, monkeypatch):
+    """Identical config and seed give byte-identical CSV across thread counts.
+
+    Workers are capped at the CPUs, so four CPUs are claimed for the 4-thread
+    run to start four workers on any host.
+    """
+    from vlcmimo import montecarlo
     from vlcmimo.config import config_from_dict
+    monkeypatch.setattr(montecarlo, "_cpus", lambda: 4)
     cfg = config_from_dict({
         "name": "repro",
         "layout": {"n_links": 2, "spacing_m": 0.5, "detector": {"fov_deg": 60.0}},

@@ -199,7 +199,7 @@ class TestBerOutdatedBounds:
     def setup_method(self):
         self.h = channel(spacing=1.0)
         self.bound = 0.02 * self.h.gains[0, 0]
-        self.h_hat = perturb_channel(self.h, self.bound, model="uniform", seed=3).h_hat
+        self.h_hat = perturb_channel(self.h, self.bound, model="uniform", seed=3)
 
     def test_fresh_estimate_dominates_perfect(self):
         for snr in (75.0, 85.0, 95.0):
@@ -223,7 +223,7 @@ class TestBerOutdatedBounds:
         for scale in (0.0, 0.01, 0.03, 0.06, 0.1):
             b = scale * self.h.gains[0, 0]
             est = perturb_channel(self.h, b, model="worst_case", seed=0)
-            res = ber_ci_outdated(self.h, est.h_hat, s,
+            res = ber_ci_outdated(self.h, est, s,
                                   self.h.responsivity, self.h.power)
             values.append(res.mean())
         assert all(a <= b + 1e-15 for a, b in zip(values, values[1:]))
@@ -256,7 +256,7 @@ def test_outdated_bound_bounds_exact_rate(n, spacing):
     points = tuple(np.arange(70.0, 131.0, 2.0))
     tol = max(1e-12, np.finfo(float).eps * np.linalg.cond(h.gains))
     stale = [perturb_channel(h, size * h.gains[0, 0], model=model, seed=7,
-                             worst_case_sign=sign).h_hat
+                             worst_case_sign=sign)
              for size in (0.005, 0.02, 0.1) for model, sign in STALE_MODELS]
     for scheme, renormalize in (("ci", False), ("oap", False), ("oap", True)):
         for i, h_hat in enumerate([h.gains, *stale]):
@@ -270,10 +270,44 @@ def test_outdated_bound_bounds_exact_rate(n, spacing):
                     assert np.all(bound - exact <= tol * depth * exact)
 
 
+@pytest.mark.parametrize("n", [2, 4, 8])
+def test_outdated_bound_reads_the_smaller_hypothesis_margin(n):
+    """The bound's ``min(margin, slicer - margin)`` is ``slicer/2 - |H t - slicer x|``.
+
+    The receive means ``H t`` are formed here from the table's transmit
+    vectors and the true gains, apart from the table's margin.  A word's
+    margin is ``slicer/2 + interf`` for a 1 and ``slicer/2 - interf`` for a 0,
+    so the two agree up to rounding: n * eps * kappa of the word's slicer
+    amplitude, kappa the larger condition number of H and its estimate.
+    ``outdated_bound`` then lies between the word means of Q at that
+    independent margin moved by the tolerance either way, as Q decreases.
+    """
+    h = channel(n, 0.5)
+    gp = h.responsivity * h.power
+    stale = [perturb_channel(h, size * h.gains[0, 0], model=model, seed=7,
+                             worst_case_sign=sign)
+             for size in (0.005, 0.02, 0.1) for model, sign in STALE_MODELS]
+    for h_hat in stale:
+        kappa = max(np.linalg.cond(h.gains), np.linalg.cond(h_hat))
+        for scheme, renormalize in (("ci", False), ("oap", False), ("oap", True)):
+            table = word_table(h.gains, ci_precoder(h_hat), scheme, renormalize=renormalize)
+            leakage = table.transmit @ h.gains.T - table.slicer * table.words
+            margin = 0.5 * table.slicer - np.abs(leakage)
+            tol = n * np.finfo(float).eps * kappa * np.abs(table.slicer).max(axis=1, keepdims=True)
+            smaller = np.minimum(table.margin, table.slicer - table.margin)
+            assert np.all(np.abs(smaller - margin) <= tol)
+            for snr in (70.0, 90.0, 110.0, 130.0):
+                sig = sigma_table(sigma_from_transmit_snr(snr, h.responsivity, h.power), table)
+                bound = outdated_bound(table, gp, sig)
+                low = q_function(gp * (margin + tol) / sig).mean(axis=0)
+                high = q_function(gp * (margin - tol) / sig).mean(axis=0)
+                assert np.all((low <= bound) & (bound <= high))
+
+
 def stale_stack(n: int, scheme: str, snrs) -> tuple:
     """A stale-precoder table of ``n`` links, its gp and a swept sigma stack at ``snrs``."""
     h = channel(n, spacing=1.0 if n <= 4 else 0.5)
-    h_hat = perturb_channel(h, 0.02 * h.gains[0, 0], model="uniform", seed=3).h_hat
+    h_hat = perturb_channel(h, 0.02 * h.gains[0, 0], model="uniform", seed=3)
     table = word_table(h.gains, ci_precoder(h_hat), scheme)
     sig = np.stack([sigma_table(sigma_from_transmit_snr(snr, h.responsivity, h.power), table)
                     for snr in snrs])[:, None, :]

@@ -377,7 +377,9 @@ class TestCli:
         assert meta["seed"] == 7
         assert meta["resolved_config"]["montecarlo"]["n_symbols"] == 20_000
 
-    def test_reproducible_across_threads(self, tmp_path):
+    def test_reproducible_across_threads(self, tmp_path, monkeypatch):
+        from vlcmimo import montecarlo
+        monkeypatch.setattr(montecarlo, "_cpus", lambda: 4)    # four workers on any host
         path = write_yaml(tmp_path / "c.yaml", SMALL)
         out1, out2 = tmp_path / "r1", tmp_path / "r2"
         assert main(["ber-sweep", "--config", str(path), "--out", str(out1),
@@ -415,6 +417,17 @@ class TestCli:
         path = write_yaml(tmp_path / "bad.yaml", {"layout": {"n_links": 0}})
         assert main(["channel-map", "--config", str(path), "--out",
                      str(tmp_path / "x")]) == 2
+
+    def test_failed_rename_exits_4_and_leaves_no_temporary(self, tmp_path, capsys, monkeypatch):
+        from vlcmimo import runner
+
+        def refuse(src, dst):
+            raise PermissionError(f"cannot replace {dst}")
+        monkeypatch.setattr(runner.os, "replace", refuse)
+        out = tmp_path / "maps"
+        assert main(["channel-map", "--preset", "fig3a", "--out", str(out), "--quiet"]) == 4
+        assert "i/o error: cannot replace" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
 
     def test_throughput_sweep(self, tmp_path):
         cfgd = dict(SMALL, name="tput")
@@ -454,6 +467,27 @@ class TestCli:
         # the perfect-CSI sweeps of the same config need no elapsed time
         for command in ("ber-sweep", "throughput-sweep"):
             assert main([command, "--config", str(path), "--out", str(out), "--quiet"]) == 0
+
+    @pytest.mark.parametrize("command, name", [("mobility", "fig4"), ("channel-map", "fig7")])
+    def test_single_layout_recipe_refuses_variant_axes(self, tmp_path, capsys, command, name):
+        # fig4 sweeps spacings_m and fig7 mimo_orders; these recipes run one layout
+        out = tmp_path / "results"
+        argv = ["--preset", name, "--out", str(out), "--symbols", "2000", "--quiet"]
+        assert main([command, *argv]) == 2
+        err = capsys.readouterr().err
+        axis = "spacings_m" if name == "fig4" else "mimo_orders"
+        assert "config error:" in err and axis in err and "Traceback" not in err
+        assert not out.exists()
+        for variants in ("ber-sweep", "throughput-sweep"):
+            assert main([variants, *argv]) == 0
+
+    def test_empty_variant_axis_exits_2(self, tmp_path, capsys):
+        path = write_yaml(tmp_path / "e.yaml", dict(SMALL, spacings_m=[], mimo_orders=[]))
+        out = tmp_path / "results"
+        assert main(["ber-sweep", "--config", str(path), "--out", str(out), "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert "config error:" in err and "is empty" in err and "Traceback" not in err
+        assert not out.exists()
 
     def test_outdated_ber_sweep_records_elapsed_time(self, tmp_path):
         # only the first mobility interval feeds the stale estimate

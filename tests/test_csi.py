@@ -26,12 +26,14 @@ def channel_4x4():
 def residuals(h, h_hat, scheme="ci"):
     """Word table of a precoder derived from ``h_hat`` and its leakage.
 
-    The leakage ``receive - slicer * words`` is what reaches each detector
-    beyond its slicer amplitude: the other links' symbols under inversion,
-    the links outside its equal-symbol group under the adaptive scheme.
+    The leakage ``receive - slicer * words``, with the receive means ``H t``
+    formed here from the table's transmit vectors, is what reaches each
+    detector beyond its slicer amplitude: the other links' symbols under
+    inversion, the links outside its equal-symbol group under the adaptive
+    scheme.
     """
     table = word_table(h.gains, ci_precoder(h_hat), scheme)
-    return table, table.receive - table.slicer * table.words
+    return table, table.transmit @ h.gains.T - table.slicer * table.words
 
 
 class TestErrorBound:
@@ -88,7 +90,7 @@ class TestPerturbChannel:
     def test_zero_bound_is_exact(self):
         h = channel_4x4()
         est = perturb_channel(h, 0.0, model="uniform", seed=1)
-        assert np.array_equal(est.h_hat, h.gains)
+        assert np.array_equal(est, h.gains)
 
     def test_uniform_support(self):
         h = channel_4x4()
@@ -96,7 +98,7 @@ class TestPerturbChannel:
         worst = 0.0
         for seed in range(200):
             est = perturb_channel(h, bound, model="uniform", seed=seed)
-            dev = np.abs(est.h_hat - h.gains)
+            dev = np.abs(est - h.gains)
             assert dev[1:].max() == 0.0          # only the mobile row moves
             worst = max(worst, dev[0].max())
         assert worst <= bound
@@ -107,27 +109,47 @@ class TestPerturbChannel:
         bound = 10.0 * h.gains.max()
         for seed in range(50):
             est = perturb_channel(h, bound, model="uniform", seed=seed)
-            assert np.all(est.h_hat >= 0.0)
+            assert np.all(est >= 0.0)
 
     def test_worst_case_pessimistic_signs(self):
         # overestimated desired path, underestimated interference paths
         h = channel_4x4()
         bound = 0.1 * h.gains[0, 0]
         est = perturb_channel(h, bound, model="worst_case", seed=0)
-        assert est.h_hat[0, 0] == pytest.approx(h.gains[0, 0] + bound, rel=1e-12)
+        assert est[0, 0] == pytest.approx(h.gains[0, 0] + bound, rel=1e-12)
         for j in range(1, 4):
-            assert est.h_hat[0, j] == pytest.approx(
+            assert est[0, j] == pytest.approx(
                 max(h.gains[0, j] - bound, 0.0), rel=1e-12)
 
     def test_deterministic_given_seed(self):
         h = channel_4x4()
         a = perturb_channel(h, 1e-5, model="uniform", seed=42)
         b = perturb_channel(h, 1e-5, model="uniform", seed=42)
-        assert np.array_equal(a.h_hat, b.h_hat)
+        assert np.array_equal(a, b)
 
     def test_unknown_model_rejected(self):
         with pytest.raises(ValueError):
             perturb_channel(channel_4x4(), 1e-6, model="gaussian")
+
+    @pytest.mark.parametrize("model", ["uniform", "worst_case"])
+    def test_only_the_given_row_moves(self, model):
+        h = channel_4x4()
+        bound = 0.1 * h.gains[2, 2]
+        est = perturb_channel(h, bound, model=model, seed=5, row=2)
+        dev = np.abs(est - h.gains)
+        assert np.all(np.delete(dev, 2, axis=0) == 0.0)
+        assert 0.0 < dev[2].max() <= bound * (1.0 + 1e-12)     # up to rounding
+        if model == "worst_case":       # pessimistic: the desired gain is overestimated
+            assert est[2, 2] == pytest.approx(h.gains[2, 2] + bound, rel=1e-12)
+
+    def test_invalid_arguments_rejected(self):
+        h = channel_4x4()
+        with pytest.raises(IndexError):
+            perturb_channel(h, 1e-6, row=4)
+        with pytest.raises(ValueError, match="nonnegative"):
+            perturb_channel(h, -1e-6)
+        with pytest.raises(ValueError, match="sign"):
+            perturb_channel(h, 1e-6, model="worst_case", worst_case_sign="up")
 
 
 class TestResidualMatrix:
@@ -153,7 +175,7 @@ class TestResidualMatrix:
         for scale in (0.001, 0.01, 0.05, 0.1):
             bound = scale * h.gains[0, 0]
             est = perturb_channel(h, bound, model="worst_case", seed=0)
-            _, leak = residuals(h, est.h_hat)
+            _, leak = residuals(h, est)
             leakage.append(np.abs(leak).max())
         assert all(a < b for a, b in zip(leakage, leakage[1:]))
 
@@ -163,18 +185,9 @@ class TestResidualMatrix:
         bound = 0.05 * h.gains[0, 0]
         est = perturb_channel(h, bound, model="worst_case", seed=0,
                               worst_case_sign="minus")
-        stale, _ = residuals(h, est.h_hat)
+        stale, _ = residuals(h, est)
         fresh, _ = residuals(h, h.gains)
         s = 0b1000                      # the word [1, 0, 0, 0]
         assert np.array_equal(stale.words[s], [1, 0, 0, 0])
         assert stale.slicer[s, 0] > fresh.slicer[s, 0]
 
-
-class TestChannelEstimateInvariant:
-    def test_deviation_beyond_bound_rejected(self):
-        h = channel_4x4()
-        from vlcmimo.csi import ChannelEstimate
-        bad = np.array(h.gains)
-        bad[0, 0] += 1.0
-        with pytest.raises(ValueError):
-            ChannelEstimate(h_hat=bad, error_bound=1e-6, true_h=h)

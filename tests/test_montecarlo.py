@@ -52,7 +52,8 @@ class TestDeterminism:
         again = simulate(h, cfg).per_pd_errors
         assert np.array_equal(first, again)
 
-    def test_sweep_thread_count_invariance(self):
+    def test_sweep_thread_count_invariance(self, monkeypatch):
+        monkeypatch.setattr(montecarlo, "_cpus", lambda: 4)    # four workers on any host
         h = channel()
         cfg = SimConfig(n_symbols=30_000, seed=7, scheme="ci", snr_db=0.0)
         points = [80.0, 84.0, 88.0, 92.0]
@@ -140,7 +141,7 @@ class TestOutdatedSimulation:
         stale = SimConfig(n_symbols=60_000, seed=31, scheme="ci", snr_db=85.0,
                           csi_mode="outdated")
         a = simulate(h, base)
-        b = simulate(h, stale, h_hat=perturb_channel(h, 0.0, seed=stale.seed).h_hat)
+        b = simulate(h, stale, h_hat=perturb_channel(h, 0.0, seed=stale.seed))
         assert np.array_equal(a.per_pd_errors, b.per_pd_errors)
 
     def test_perturbation_degrades_high_snr(self):
@@ -148,7 +149,7 @@ class TestOutdatedSimulation:
         snr = 94.0
         bound = 0.15 * h.gains[0, 0]
         fresh = simulate(h, SimConfig(n_symbols=300_000, seed=13, snr_db=snr))
-        h_hat = perturb_channel(h, bound, model="worst_case", seed=13).h_hat
+        h_hat = perturb_channel(h, bound, model="worst_case", seed=13)
         stale = simulate(h, SimConfig(n_symbols=300_000, seed=13, snr_db=snr,
                                       csi_mode="outdated"), h_hat=h_hat)
         assert stale.per_pd_errors.sum() > 5 * fresh.per_pd_errors.sum()
@@ -158,7 +159,7 @@ class TestOutdatedSimulation:
         bound = 0.02 * h.gains[0, 0]
         cfg = SimConfig(n_symbols=50_000, seed=3, scheme="oap", snr_db=0.0,
                         csi_mode="outdated")
-        h_hat = perturb_channel(h, bound, seed=cfg.seed).h_hat
+        h_hat = perturb_channel(h, bound, seed=cfg.seed)
         curve = one_sweep(h, [80.0, 90.0], cfg, h_hat=h_hat)
         assert curve.csi_mode == "outdated"
         # rows: snr, scheme, csi_mode, analytic_per_pd, analytic_avg_ber, is_bound, ...
@@ -206,7 +207,8 @@ class TestStratifiedBlocks:
         assert sum(counts) == nb
         assert min(counts) >= nb // n_words
 
-    def test_sweep_thread_invariance_with_leftover_words(self):
+    def test_sweep_thread_invariance_with_leftover_words(self, monkeypatch):
+        monkeypatch.setattr(montecarlo, "_cpus", lambda: 4)    # four workers on any host
         h = channel(n=9)
         cfg = SimConfig(n_symbols=1_050, seed=8, scheme="ci", snr_db=0.0, block_size=100)
         points = [70.0, 74.0, 78.0]
@@ -234,14 +236,17 @@ def table_sigma(h, table, params) -> np.ndarray:
                           params)
 
 
-def literal_slicer_errors(table, gp: float, sig: np.ndarray, nb: int, seed: int) -> np.ndarray:
+def literal_slicer_errors(table, gains, gp: float, sig: np.ndarray, nb: int,
+                          seed: int) -> np.ndarray:
     """Errors per detector of block 0 of ``seed``, every symbol through ``y > tau`` as written.
 
-    Each word's ``nb // n_words`` symbols are pairs first: one draw d is the
-    noise of two symbols, d then -d.  The unpaired symbol of an odd share and
-    then the leftover words are single draws.
+    The receive means are the table's transmit vectors through the true
+    ``gains``, formed here.  Each word's ``nb // n_words`` symbols are pairs
+    first: one draw d is the noise of two symbols, d then -d.  The unpaired
+    symbol of an odd share and then the leftover words are single draws.
     """
-    words, means, taus = table.words, gp * table.receive, 0.5 * gp * table.slicer
+    words, taus = table.words, 0.5 * gp * table.slicer
+    means = gp * (table.transmit @ gains.T)
     sig = np.broadcast_to(sig, means.shape)
     n_words, n_r = means.shape
     per, extra = divmod(nb, n_words)
@@ -284,7 +289,7 @@ class TestLiteralSlicer:
             noise = table_sigma(h, table, params)
         else:
             noise = sigma_table(sigma_from_transmit_snr(78.0, h.responsivity, h.power), table)
-        literal = literal_slicer_errors(table, gp, noise, nb, cfg.seed)
+        literal = literal_slicer_errors(table, h.gains, gp, noise, nb, cfg.seed)
 
         est = simulate(h, cfg)
         assert literal.sum() > 100
@@ -296,12 +301,12 @@ class TestLiteralSlicer:
         h = channel()
         cfg = SimConfig(scheme=scheme, csi_mode="outdated", snr_db=78.0, n_symbols=self.NB,
                         block_size=self.NB, seed=21)
-        h_hat = perturb_channel(h, 0.3 * h.gains[0, 0], model="uniform", seed=1).h_hat
+        h_hat = perturb_channel(h, 0.3 * h.gains[0, 0], model="uniform", seed=1)
         table = word_table(h.gains, ci_precoder(h_hat), scheme)
         assert (table.margin < 0).any()
         gp = h.responsivity * h.power
         noise = sigma_table(sigma_from_transmit_snr(78.0, h.responsivity, h.power), table)
-        literal = literal_slicer_errors(table, gp, noise, self.NB, cfg.seed)
+        literal = literal_slicer_errors(table, h.gains, gp, noise, self.NB, cfg.seed)
 
         est = simulate(h, cfg, h_hat=h_hat)
         assert literal.sum() > 100
@@ -346,8 +351,7 @@ class TestAgainstClosedForm:
         cfg = preset("fig6")
         layout = cfg.build_layout()
         h = build_channel_matrix(layout)
-        bound, _ = runner._mobility_bound(cfg, layout, 0.3)
-        h_hat = runner._stale_estimate(cfg, h, bound)
+        h_hat, _, _ = runner._mobility_bound(cfg, layout, h, 0.3)
         table = word_table(h.gains, ci_precoder(h_hat), scheme)
         sigma = sigma_from_transmit_snr(90.0, h.responsivity, h.power)
         exact = float(np.mean(exact_ber(table, h.responsivity * h.power,
@@ -401,7 +405,7 @@ def test_renormalized_outdated_sweep_uses_renormalized_bound():
     bound = 0.02 * h.gains[0, 0]
     cfg = SimConfig(n_symbols=2_000, seed=12, scheme="oap", snr_db=0.0,
                     csi_mode="outdated", renormalize_oap=True)
-    h_hat = perturb_channel(h, bound, model="uniform", seed=cfg.seed).h_hat
+    h_hat = perturb_channel(h, bound, model="uniform", seed=cfg.seed)
     row = one_sweep(h, [100.0], cfg, h_hat=h_hat, threads=1).analytic[0]
     sigma = sigma_from_transmit_snr(100.0, h.responsivity, h.power)
     args = (h, h_hat, sigma, h.responsivity, h.power)
@@ -431,7 +435,7 @@ class TestSweepSharesOneStream:
         cfg = self.config(**kw)
         h_hat = None
         if cfg.csi_mode == "outdated":
-            h_hat = perturb_channel(h, 2e-7, seed=cfg.seed).h_hat
+            h_hat = perturb_channel(h, 2e-7, seed=cfg.seed)
         curve = one_sweep(h, self.POINTS, cfg, h_hat=h_hat, threads=2)
         for snr, est in zip(curve.snr_db, curve.estimates):
             alone = simulate(h, dataclasses.replace(cfg, snr_db=snr), h_hat=h_hat)
@@ -894,8 +898,8 @@ class TestRunnerRowsAreOneSweep:
         if outdated:
             (bound,) = meta["error_bounds"].values()
             h_hat = perturb_channel(h, bound, model=cfg.csi.model, seed=cfg.seed,
-                                    rows=(cfg.csi.mobile_user,),
-                                    worst_case_sign=cfg.csi.worst_case_sign).h_hat
+                                    row=cfg.csi.mobile_user,
+                                    worst_case_sign=cfg.csi.worst_case_sign)
             assert bound > 0.0
         physical = cfg.noise.mode == "physical"
         points = [float("nan")] if physical else list(cfg.sweep.points())
@@ -944,7 +948,7 @@ class TestRunnerRowsAreOneSweep:
         h, params = physical_channel()
         cfg = SimConfig(n_symbols=100, snr_db=None if physical else 90.0,
                         noise=params if physical else NoiseConfig())
-        h_hat = perturb_channel(h, 2e-7, seed=1).h_hat
+        h_hat = perturb_channel(h, 2e-7, seed=1)
         with pytest.raises(ValueError, match="h_hat"):
             simulate(h, cfg, h_hat=h_hat)
         with pytest.raises(ValueError, match="h_hat"):
@@ -1053,8 +1057,7 @@ class TestRecipeSharesOneBlockLoop:
             layout = cfg.build_layout()
             h = build_channel_matrix(layout)
             for elapsed in cfg.mobility.elapsed_times_s:
-                bound, _ = runner._mobility_bound(cfg, layout, elapsed)
-                h_hat = runner._stale_estimate(cfg, h, bound)
+                h_hat, bound, _ = runner._mobility_bound(cfg, layout, h, elapsed)
                 for scheme in cfg.schemes:
                     want.append(f"[grp] mobility t={elapsed}s bound={bound:.3e} "
                                 f"scheme={scheme}")
@@ -1117,3 +1120,36 @@ class TestDefaultThreads:
         monkeypatch.delattr(montecarlo.os, "sched_getaffinity", raising=False)
         monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: cpus)
         assert self.pool_sizes(monkeypatch) == pools
+
+
+def test_workers_capped_at_cpus(monkeypatch):
+    """Asked for a million threads, 64 one-symbol blocks run on the CPUs' two workers.
+
+    The pool is replaced by a recorder that maps in the calling thread, so no
+    thread starts; the counts equal a serial run's.
+    """
+    workers = []
+
+    class Recorder:
+        def __init__(self, n):
+            workers.append(n)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        map = staticmethod(map)
+
+    monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", Recorder)
+    monkeypatch.setattr(montecarlo, "_cpus", lambda: 2)
+    h, cfg = channel(n=2), SimConfig(n_symbols=64, block_size=1, snr_db=0.0)
+    wide = one_sweep(h, [60.0, 80.0], cfg, threads=10**6)
+    assert workers == [2]
+    serial = one_sweep(h, [60.0, 80.0], cfg, threads=1)
+    assert workers == [2]
+    assert sum(e.per_pd_errors.sum() for e in serial.estimates) > 0
+    for a, b in zip(wide.estimates, serial.estimates):
+        assert np.array_equal(a.per_pd_errors, b.per_pd_errors)
+        assert a.symbols_run == b.symbols_run == 64

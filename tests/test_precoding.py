@@ -89,7 +89,7 @@ class TestOapPrecoder:
         rng = np.random.default_rng(4)
         h = random_channel(rng, 4)
         table = word_table(h, ci_precoder(h), "oap")
-        for word, beta, y in zip(table.words, table.beta, table.receive):
+        for word, beta, y in zip(table.words, table.beta, table.transmit @ h.T):
             mask = (word[:, None] == word[None, :]).astype(float)
             expected = beta * (mask @ word)  # explicit multiply
             assert np.allclose(y, expected, atol=1e-9)
@@ -104,7 +104,8 @@ class TestAmplitudeDominance:
         ci = word_table(h, pre, "ci")
         oap = word_table(h, pre, "oap")
         assert np.array_equal(ci.beta, oap.beta)
-        for word, beta, y_oap, y_ci in zip(oap.words, oap.beta, oap.receive, ci.receive):
+        for word, beta, y_oap, y_ci in zip(oap.words, oap.beta, oap.transmit @ h.T,
+                                           ci.transmit @ h.T):
             k = int(word.sum())
             for i in range(n):
                 if word[i] == 1:

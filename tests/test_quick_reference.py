@@ -1,4 +1,7 @@
-"""The quick presets reproduce tests/quick_reference.json (scripts/quick_reference.py).
+"""The quick presets and the four benchmark workloads reproduce tests/quick_reference.json.
+
+The reference is written by scripts/quick_reference.py; each workload's files
+sit under its name, at seed 1 on one thread.
 
 Monte Carlo counts, keys and metadata must match exactly, and closed forms,
 throughput and gain sums within rel 1e-9.  After a deliberate change, rerun
@@ -23,6 +26,13 @@ def refused(new: dict) -> list[str]:
 
 def test_quick_presets_match_reference(tmp_path):
     assert refused(SCRIPT["reduce"](SCRIPT["generate"](tmp_path))) == []
+
+
+def test_reference_pins_every_benchmark_workload():
+    workloads = {name.split("/")[0] for name in REFERENCE if "/" in name}
+    assert workloads == set(SCRIPT["WORKLOADS"]) == {
+        "mc_fig4", "wide_perfect", "wide_outdated", "gain_raster"}
+    assert "wide_outdated/wide_outdated_mobility.csv" in REFERENCE
 
 
 def moved(name: str, column: str, edit) -> dict:
