@@ -230,8 +230,11 @@ def _sorted_errors(draws: np.ndarray, z: np.ndarray) -> np.ndarray:
     draws.sort(axis=-1)
     key, neg = _pair_keys(z)
     at_most = np.empty((n_words, n_r, len(z)), dtype=np.int64)
-    for w, k in np.ndindex(n_words, n_r):
-        at_most[w, k] = np.searchsorted(draws[w, k], key[:, w, k], side="right")
+    # One contiguous key row per sorted row; the method call skips the
+    # ``np.searchsorted`` dispatch.
+    for row, k, out in zip(draws.reshape(-1, pairs), key.transpose(1, 2, 0).reshape(-1, len(z)),
+                           at_most.reshape(-1, len(z))):
+        out[:] = row.searchsorted(k, side="right")
     if neg is not None:
         np.negative(at_most, out=at_most, where=neg.transpose(1, 2, 0))
     return n_words * pairs - at_most.sum(axis=0).T

@@ -137,13 +137,24 @@ def _one_layout(cfg: ExperimentConfig, command: str):
 def run_channel_map(cfg: ExperimentConfig, out_dir, progress: bool = False) -> list[Path]:
     """Rasterize the total-gain field of ``cfg.layout`` as a CSV grid (rows = y).
 
+    Each distinct cell value is formatted once and its text reused for every
+    cell that holds it: the field of view zeroes most of the room and the
+    centred grid repeats the rest by mirror symmetry, so a paper raster has
+    a few hundred distinct values among thousands of cells.  Values are told
+    apart by bit pattern, so ``-0.0``, each NaN and neighbouring floats keep
+    their own text, and the bytes are those of a ``repr`` per cell.  Each
+    row reaches ``_write`` as its y and its cells already joined.  A raster
+    with no repeats pays one sort of its cells for nothing.
     Variant axes raise ``ConfigError`` before anything is written.
     """
     _one_layout(cfg, "channel-map")
     layout = cfg.build_layout()
     field = gain_map(layout, cfg.map_resolution_m)
     header = ["y_m"] + [repr(float(x)) for x in field.x_centers]
-    rows = ([float(y), *values.tolist()] for y, values in zip(field.y_centers, field.values))
+    bits, inverse = np.unique(field.values.view(np.int64), return_inverse=True)
+    text = np.array(list(map(repr, bits.view(np.float64).tolist())), dtype=object)
+    cells = text[inverse.reshape(field.values.shape)].tolist()
+    rows = ([float(y), ",".join(values)] for y, values in zip(field.y_centers, cells))
     return _write(cfg, out_dir, "gain_map", "channel-map", header, rows, {
         "grid_shape": list(field.values.shape),
         "peak_gain": float(field.values.max()),
@@ -233,9 +244,13 @@ def run_throughput_sweep(cfg: ExperimentConfig, out_dir, threads: int | None = N
     snr_db nan, as in ``run_ber_sweep``.  ``threads`` is checked as the
     other recipes check it, below 1 raising ``ValueError`` before anything is
     written, and is otherwise unused: throughput is closed-form only and runs
-    in the calling thread.
+    in the calling thread.  The table is the perfect-CSI one, so ``csi.mode:
+    outdated`` raises ``ConfigError`` before anything is written.
     """
     _threads(threads)
+    if cfg.csi.mode == "outdated":
+        raise ConfigError("throughput-sweep computes perfect-CSI throughput; "
+                          "it takes no csi.mode: outdated")
     points = _snr_points(cfg)
     header = ["snr_db", "scheme", "n_links", "spacing_m", "semi_angle_deg",
               "throughput_bits_per_hz"]

@@ -17,8 +17,9 @@ import numpy as np
 import pytest
 import yaml
 
-from vlcmimo.channel import (build_channel_matrix, concentrator_gain, distance_gain_prefactor,
-                             lambertian_order)
+from vlcmimo import runner
+from vlcmimo.channel import (GainMap, build_channel_matrix, concentrator_gain,
+                             distance_gain_prefactor, gain_map, lambertian_order)
 from vlcmimo.cli import main
 from vlcmimo.config import (MAX_SNR_POINTS, PRESET_NAMES, ConfigError, ExperimentConfig,
                             NoiseConfig, config_from_dict, load_config, preset)
@@ -413,14 +414,43 @@ class TestCli:
         assert len(header) == 1 + 8      # ceil(4.0 / 0.5) columns
         assert len(lines) == 4 + 8       # 8 rows of y
 
+    @staticmethod
+    def per_cell_lines(field) -> list[str]:
+        """Header and rows of a gain-map CSV with ``repr`` run on every cell."""
+        return [",".join(["y_m", *(repr(float(x)) for x in field.x_centers)])] + [
+            ",".join(repr(float(v)) for v in (y, *values))
+            for y, values in zip(field.y_centers, field.values)]
+
+    @pytest.mark.parametrize("name", ["fig3a", "fig3b", "fig3c"])
+    def test_channel_map_bytes_equal_per_cell_repr(self, tmp_path, name):
+        cfg = preset(name)
+        csv_path, _ = runner.run_channel_map(cfg, tmp_path)
+        field = gain_map(cfg.build_layout(), cfg.map_resolution_m)
+        assert len(np.unique(field.values)) < field.values.size // 10   # texts are shared
+        assert csv_path.read_text().splitlines()[3:] == self.per_cell_lines(field)
+
+    def test_channel_map_keeps_every_bit_pattern_apart(self, tmp_path, monkeypatch):
+        """Signed zeros, NaN payloads, infinities, subnormals and one-ulp neighbours."""
+        nans = np.array([0x7FF8000000000000, 0x7FF8000000000001, -0x0008000000000000],
+                        dtype=np.int64).view(np.float64)
+        a = 0.1 + 0.2
+        cells = [0.0, -0.0, *nans, np.inf, -np.inf, 5e-324, 1e-300, a, np.nextafter(a, 1.0)]
+        values = np.array([cells, cells[::-1]])
+        field = GainMap(x_centers=np.arange(len(cells)) * 0.5 + 0.25,
+                        y_centers=np.array([0.25, 0.75]), values=values)
+        monkeypatch.setattr(runner, "gain_map", lambda layout, resolution: field)
+        csv_path, _ = runner.run_channel_map(preset("fig3a"), tmp_path)
+        lines = csv_path.read_text().splitlines()[3:]
+        assert lines == self.per_cell_lines(field)
+        assert {"0.0", "-0.0", "nan", "inf", "-inf", "5e-324", "1e-300", "0.30000000000000004",
+                "0.3000000000000001"} == {c for line in lines[1:] for c in line.split(",")[1:]}
+
     def test_channel_map_empty_luminaires_rejected(self, tmp_path):
         path = write_yaml(tmp_path / "bad.yaml", {"layout": {"n_links": 0}})
         assert main(["channel-map", "--config", str(path), "--out",
                      str(tmp_path / "x")]) == 2
 
     def test_failed_rename_exits_4_and_leaves_no_temporary(self, tmp_path, capsys, monkeypatch):
-        from vlcmimo import runner
-
         def refuse(src, dst):
             raise PermissionError(f"cannot replace {dst}")
         monkeypatch.setattr(runner.os, "replace", refuse)
@@ -467,6 +497,25 @@ class TestCli:
         # the perfect-CSI sweeps of the same config need no elapsed time
         for command in ("ber-sweep", "throughput-sweep"):
             assert main([command, "--config", str(path), "--out", str(out), "--quiet"]) == 0
+
+    def test_outdated_throughput_sweep_exits_2_before_writing(self, tmp_path):
+        """Throughput is of the perfect-CSI table, so an outdated-CSI config is refused."""
+        root = Path(__file__).resolve().parents[1]
+        cfgd = dict(SMALL, csi={"mode": "outdated"},
+                    mobility={"speed_mps": 5.0, "elapsed_times_s": [0.3]})
+        path = write_yaml(tmp_path / "o.yaml", cfgd)
+        out = tmp_path / "results"
+        done = subprocess.run(
+            [sys.executable, "-m", "vlcmimo.cli", "throughput-sweep", "--config", str(path),
+             "--out", str(out), "--quiet"], capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": str(root / "src")}, timeout=120)
+        assert done.returncode == 2, done.stderr
+        assert "config error:" in done.stderr and "csi.mode" in done.stderr
+        assert "Traceback" not in done.stderr
+        assert not out.exists()
+        perfect = write_yaml(tmp_path / "p.yaml", dict(cfgd, csi={"mode": "perfect"}))
+        assert main(["throughput-sweep", "--config", str(perfect), "--out", str(out),
+                     "--quiet"]) == 0
 
     @pytest.mark.parametrize("command, name", [("mobility", "fig4"), ("channel-map", "fig7")])
     def test_single_layout_recipe_refuses_variant_axes(self, tmp_path, capsys, command, name):

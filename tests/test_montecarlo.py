@@ -118,6 +118,15 @@ class TestEarlyStopAndValidation:
         assert est.symbols_run < cfg.n_symbols
         assert est.per_pd_errors.min() >= 500
 
+    def test_early_stop_at_exactly_the_target(self):
+        """A point that reaches ``early_stop_errors`` exactly takes no second block."""
+        z = np.full((2, 4, 2), -np.inf)    # every symbol errs on every detector
+        z[1] = np.inf                       # no symbol errs: runs every block
+        cfg = SimConfig(n_symbols=256, block_size=128, early_stop_errors=128)
+        stopped, ran = montecarlo._count_errors(z, cfg)
+        assert stopped.per_pd_errors.tolist() == [128, 128] and stopped.symbols_run == 128
+        assert ran.per_pd_errors.tolist() == [0, 0] and ran.symbols_run == 256
+
     def test_early_stop_floor_enforced(self):
         with pytest.raises(ValueError):
             SimConfig(early_stop_errors=50)

@@ -19,8 +19,8 @@ class TestShotVariance:
         got = shot_variance(np.zeros(4), np.zeros(4), 1.0, P)
         expected = (2.0 * ELECTRON_CHARGE * P.bandwidth_hz * P.background_current_a
                     * P.noise_bandwidth_factor_i2)  # hand computation
-        assert got == pytest.approx(expected, rel=1e-15)
-        assert got == pytest.approx(1.80e-15, rel=1e-2)
+        assert got == pytest.approx(expected, rel=1e-15, abs=0.0)
+        assert got == pytest.approx(1.80e-15, rel=1e-2, abs=0.0)
 
     def test_signal_term_linear(self):
         h = np.array([1e-4, 2e-4])
@@ -28,7 +28,7 @@ class TestShotVariance:
         dark = shot_variance(h, np.zeros(2), 1.0, P)
         one = shot_variance(h, x, 1.0, P) - dark
         two = shot_variance(h, 2 * x, 1.0, P) - dark
-        assert two == pytest.approx(2.0 * one, rel=1e-12)
+        assert two == pytest.approx(2.0 * one, rel=1e-12, abs=0.0)
 
     def test_negative_signal_rejected(self):
         with pytest.raises(ValueError):
@@ -55,7 +55,7 @@ class TestThermalVariance:
             * P.capacitance_per_area_f_m2**2 * area**2 * P.noise_bandwidth_factor_i3 \
             * P.bandwidth_hz**3
         got = thermal_variance(area, P)
-        assert got == pytest.approx(term1 + term2, rel=1e-13)
+        assert got == pytest.approx(term1 + term2, rel=1e-13, abs=0.0)
         assert got > 0.0
 
     def test_bandwidth_scaling_of_terms(self):
@@ -67,7 +67,7 @@ class TestThermalVariance:
         c2 = (8 * f1 - f2) / (4 * b**2)
         c3 = (f2 - 4 * f1) / (4 * b**3)
         assert c2 > 0 and c3 > 0
-        assert c2 * b**2 + c3 * b**3 == pytest.approx(f1, rel=1e-12)
+        assert c2 * b**2 + c3 * b**3 == pytest.approx(f1, rel=1e-12, abs=0.0)
 
     def test_vanishes_with_area(self):
         assert thermal_variance(1e-12, P) < thermal_variance(1e-4, P) * 1e-7

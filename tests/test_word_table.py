@@ -312,7 +312,9 @@ def test_sweep_builds_one_table(monkeypatch, tmp_path, cfg):
     assert len(draws) == (variants if cfg.csi_mode == "outdated" else 0)
 
     built.clear()
-    runner.run_throughput_sweep(exp, tmp_path, threads=2)
+    # Throughput is of the perfect-CSI table; an outdated config is refused.
+    perfect = dataclasses.replace(exp, csi=dataclasses.replace(exp.csi, mode="perfect"))
+    runner.run_throughput_sweep(perfect, tmp_path, threads=2)
     assert built == [(s, cfg.renormalize_oap) for s in ("ci", "oap")] * variants
 
 
