@@ -1,8 +1,9 @@
 """Cell-by-cell comparison of the CSV and JSON outputs of two directories.
 
 Usage: python3 scripts/diff_outputs.py A B.  Prints "identical" for each file in
-both with the same bytes; else, per moved column (CSV header or JSON key path),
-the count of moved cells and the largest |a - b| / max(|a|, |b|), inf for text.
+both with the same bytes; else, per moved column (CSV header, "#" for a CSV's
+comment lines, or JSON key path), the count of moved cells and the largest
+|a - b| / max(|a|, |b|), inf for text.
 A differing CSV with Monte Carlo columns gets one more line: its zero-error
 rows on each side, and the largest move of mc_avg_ber in standard errors of
 the difference, sqrt(seA^2 + seB^2) with se = mc_halfwidth_95 / 1.96, over
@@ -22,11 +23,13 @@ from pathlib import Path
 
 
 def columns(path: Path) -> dict:
-    """{column: [cell, ...]} of a CSV ('#' lines skipped) or a JSON file."""
+    """{column: [cell, ...]} of a CSV or a JSON file; a CSV's '#' lines are column '#'."""
     text = path.read_text(encoding="utf-8")
     if path.suffix == ".csv":
-        header, *rows = csv.reader(s for s in text.splitlines() if not s.startswith("#"))
-        return {name: [row[i] for row in rows] for i, name in enumerate(header)}
+        lines = text.splitlines()
+        header, *rows = csv.reader(s for s in lines if not s.startswith("#"))
+        return {"#": [s for s in lines if s.startswith("#")],
+                **{name: [row[i] for row in rows] for i, name in enumerate(header)}}
     cols, queue = {}, [("", json.loads(text))]
     while queue:      # breadth first, so the items of a list stay in order
         key, value = queue.pop(0)

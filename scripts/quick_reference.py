@@ -61,13 +61,11 @@ def reduce(out_dir: Path) -> dict:
     for path in sorted(p for p in out_dir.rglob("*") if p.is_file()):
         cols = columns(path)
         if path.name.endswith("_gain_map.csv"):
+            comments = cols.pop("#")
             rows = [seed_free_values("gain_map", dict(zip(cols, row)))
                     for row in zip(*cols.values())]
-            cols = {"x_m": [k for k in cols if k != "y_m"], "y_m": cols["y_m"],
+            cols = {"#": comments, "x_m": [k for k in cols if k != "y_m"], "y_m": cols["y_m"],
                     **{k: [str(r[k]) for r in rows] for k in ("sum", "moment", "cells")}}
-        if path.suffix == ".csv":
-            lines = path.read_text(encoding="utf-8").splitlines()
-            cols = {"#": [s for s in lines if s.startswith("#")], **cols}
         ref[path.relative_to(out_dir).as_posix()] = cols
     return ref
 

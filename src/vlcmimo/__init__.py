@@ -6,7 +6,7 @@ throughput analysis under fresh and outdated channel knowledge, and a
 deterministic Monte Carlo engine for cross-validation.
 """
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"
 
 from .analytic import (ber_ci_outdated, ber_ci_perfect, ber_oap_outdated,
                        ber_oap_perfect, q_function, throughput)

@@ -189,6 +189,9 @@ class MobilityConfig:
             raise ConfigError("mobility.speed_mps must be nonnegative")
         if any(t <= 0.0 for t in self.elapsed_times_s):
             raise ConfigError("mobility.elapsed_times_s must be positive")
+        if len(set(self.elapsed_times_s)) != len(self.elapsed_times_s):
+            raise ConfigError(f"mobility.elapsed_times_s {list(self.elapsed_times_s)} "
+                              "repeat an entry")
         if not any(self.direction):
             raise ConfigError("mobility.direction must be a nonzero vector")
         object.__setattr__(self, "start_xy_m", tuple(float(c) for c in self.start_xy_m))
@@ -207,14 +210,11 @@ class MobilityConfig:
 @_config
 class MonteCarloConfig:
     n_symbols: int = 2_000_000
-    early_stop_errors: int | None = None
     block_size: int = 65536
 
     def __post_init__(self):
         if self.n_symbols < 1:
             raise ConfigError("montecarlo.n_symbols must be >= 1")
-        if self.early_stop_errors is not None and self.early_stop_errors < 100:
-            raise ConfigError("montecarlo.early_stop_errors must be >= 100 when set")
         if self.block_size < 1:
             raise ConfigError("montecarlo.block_size must be >= 1")
 
@@ -244,13 +244,15 @@ class ExperimentConfig:
             raise ConfigError(f"seed must be nonnegative, got {self.seed!r}")
         if not self.schemes:
             raise ConfigError("at least one scheme is required")
-        if len(set(self.schemes)) != len(self.schemes):
-            raise ConfigError(f"schemes {list(self.schemes)} repeat an entry")
         if self.map_resolution_m <= 0.0:
             raise ConfigError("map_resolution_m must be positive")
         for axis in ("spacings_m", "semi_angles_deg", "mimo_orders"):
             if getattr(self, axis) is not None and not getattr(self, axis):
                 raise ConfigError(f"{axis} is empty; omit it to run the layout's own value")
+        for axis in ("schemes", "spacings_m", "semi_angles_deg", "mimo_orders"):
+            values = getattr(self, axis) or ()
+            if len(set(values)) != len(values):
+                raise ConfigError(f"{axis} {list(values)} repeat an entry")
         object.__setattr__(self, "schemes", tuple(self.schemes))
 
     def variants(self):
@@ -288,17 +290,17 @@ class ExperimentConfig:
     def validate(self):
         """Construct every variant layout and check the cross-field limits.
 
-        Link counts are capped by the word enumeration, gain-map cells by
-        ``MAX_RASTER_CELLS``, and the mobile user must be a link of every
-        array in use.  Swept noise must give a positive finite noise
-        deviation at both ends of the SNR grid, so at every point.
+        The variants' link counts are capped by the word enumeration,
+        gain-map cells by ``MAX_RASTER_CELLS``, and the mobile user must be a
+        link of every variant's array.  Swept noise must give a positive
+        finite noise deviation at both ends of the SNR grid, so at every point.
         """
+        sizes = sorted({n for n, _, _ in self.variants()})
+        if max(sizes) > MAX_ENUMERATED_LINKS:
+            raise ConfigError(f"link counts {sizes} exceed the limit of "
+                              f"{MAX_ENUMERATED_LINKS} enumerated links")
         layouts = [self.build_layout(n_links=n, spacing=sp, semi_angle=ang)
                    for n, sp, ang in self.variants()]
-        sizes = (self.layout.n_links, *(self.mimo_orders or ()))
-        if max(sizes) > MAX_ENUMERATED_LINKS:
-            raise ConfigError(f"link counts {list(sizes)} exceed the limit of "
-                              f"{MAX_ENUMERATED_LINKS} enumerated links")
         cells = math.prod(math.ceil(min(side / self.map_resolution_m, MAX_RASTER_CELLS + 1))
                           for side in (self.layout.room_x_m, self.layout.room_y_m))
         if cells > MAX_RASTER_CELLS:

@@ -17,6 +17,7 @@ detector counts.  One (seed, block) stream therefore serves every SNR point
 of every case of a ``sweep`` call that has the same word and detector counts
 (every scheme, array spacing or elapsed time of a recipe).  Each row is
 exactly the standalone run at its SNR and keeps its marginal distribution.
+Every point counts every block, so every row runs exactly its symbol count.
 Threads split a block loop's blocks, not its points.
 
 A pair's errors depend only on |d| (``_pair_keys``).  A block that serves
@@ -79,12 +80,12 @@ _SORT_MIN_WORK = 6144
 class SimConfig(MonteCarloConfig):
     """Configuration of one Monte Carlo run (one scheme at one noise point).
 
-    The symbol count, early-stop target and block size, and their checks,
-    are those of ``config.MonteCarloConfig``.  ``noise.mode`` picks the
-    noise: "swept" reads ``snr_db``, "physical" the device values of
-    ``noise``.  The transmitter's estimate is not part of it: with
-    ``csi_mode`` "outdated", ``simulate`` and ``sweep`` take it as
-    ``h_hat``, and with "perfect" they take none.
+    The symbol count and block size, and their checks, are those of
+    ``config.MonteCarloConfig``.  ``noise.mode`` picks the noise: "swept"
+    reads ``snr_db``, "physical" the device values of ``noise``.  The
+    transmitter's estimate is not part of it: with ``csi_mode`` "outdated",
+    ``simulate`` and ``sweep`` take it as ``h_hat``, and with "perfect" they
+    take none.
     """
 
     seed: int = 0
@@ -149,8 +150,8 @@ class _Thresholds:
     """The block loop's z, divided a chunk at a time where it is compared.
 
     From each case's (words, detectors) ``gp * margin`` and (points, 1 or
-    words, detectors) deviations, all positive; ``z[rows, lo:hi]`` and
-    ``z[p, widx]`` return ``gp * margin / sig`` for just those rows and words.
+    words, detectors) deviations, all positive; ``z[:, lo:hi]`` and
+    ``z[p, widx]`` return ``gp * margin / sig`` for just those points and words.
     """
 
     def __init__(self, gpm: Sequence[np.ndarray], sig: Sequence[np.ndarray]):
@@ -161,12 +162,9 @@ class _Thresholds:
         self.sig = np.broadcast_to(np.concatenate(
             [np.broadcast_to(s, (len(s), width, s.shape[2])) for s in sig]), self.shape)
 
-    def __len__(self) -> int:
-        return self.shape[0]
-
     def __getitem__(self, key) -> np.ndarray:
-        rows, words = key
-        return np.divide(self.gpm[self.case[rows], words], self.sig[rows, words])
+        points, words = key
+        return np.divide(self.gpm[self.case[points], words], self.sig[points, words])
 
 
 def _sorts(n_points: int, per: int) -> bool:
@@ -240,9 +238,8 @@ def _sorted_errors(draws: np.ndarray, z: np.ndarray) -> np.ndarray:
     return n_words * pairs - at_most.sum(axis=0).T
 
 
-def _block_errors(z: np.ndarray, nb: int, rng: np.random.Generator,
-                  rows: np.ndarray | slice = slice(None)) -> np.ndarray:
-    """Errors per (point of ``z[rows]``, detector) over one block of ``nb`` symbols.
+def _block_errors(z: np.ndarray, nb: int, rng: np.random.Generator) -> np.ndarray:
+    """Errors per (point, detector) over one block of ``nb`` symbols.
 
     ``z`` is ``(points, words, detectors)``, an array or a sweep's
     ``_Thresholds``, read a chunk at a time.  Each word gets ``per = nb //
@@ -264,17 +261,16 @@ def _block_errors(z: np.ndarray, nb: int, rng: np.random.Generator,
     so the chunks draw exactly the values of one whole draw; a block within
     the budget is one chunk.
     """
-    n_words, n_r = z.shape[1:]
-    points = np.arange(len(z))[rows]
+    n_points, n_words, n_r = z.shape
     per, extra = divmod(nb, n_words)
     pairs = per // 2
-    count = _sorted_errors if _sorts(len(points), per) else _compared_errors
-    errors = np.zeros((len(points), n_r), dtype=np.int64)
+    count = _sorted_errors if _sorts(n_points, per) else _compared_errors
+    errors = np.zeros((n_points, n_r), dtype=np.int64)
     if pairs:
         step = max(1, _CHUNK_CELLS // (n_r * pairs))
         for lo in range(0, n_words, step):
             draws = rng.standard_normal((min(step, n_words - lo), n_r, pairs))
-            errors += count(draws, z[rows, lo:lo + step])
+            errors += count(draws, z[:, lo:lo + step])
     widx = rng.integers(0, n_words, size=extra) if extra else np.arange(0)
     if per % 2:
         widx = np.concatenate([np.arange(n_words), widx])
@@ -282,7 +278,7 @@ def _block_errors(z: np.ndarray, nb: int, rng: np.random.Generator,
     for lo in range(0, len(widx), step):
         draws = rng.standard_normal((min(step, len(widx) - lo), n_r))
         errors += [np.count_nonzero(draws > z[p, widx[lo:lo + step]], axis=0)
-                   for p in points]
+                   for p in range(n_points)]
     return errors
 
 
@@ -290,41 +286,25 @@ def _count_errors(z: np.ndarray, cfg: SimConfig, threads: int = 1) -> list[BerEs
     """The block loop: error counts at each point of ``z`` (points, words, detectors).
 
     Block k draws from ``SFC64(SeedSequence((seed, k)))``, and every point
-    compares the same draws.  Waves of up to ``threads`` blocks run at once,
-    on no more workers than blocks or CPUs (``_cpus``); their counts are
-    folded in block order, and a point that has reached ``early_stop_errors``
-    on every detector takes no later block.  Each point therefore counts
+    counts every block, so every point runs exactly ``cfg.n_symbols``.  Up to
+    ``threads`` blocks run at once, on no more workers than blocks or CPUs
+    (``_cpus``); their counts are folded in block order, so each point counts
     exactly what a one-point run would, whatever ``threads``.
     """
-    n_points, _, n_r = z.shape
-    errors = np.zeros((n_points, n_r), dtype=np.int64)
-    done = np.zeros(n_points, dtype=np.int64)
-    live = np.ones(n_points, dtype=bool)
     n_blocks = -(-cfg.n_symbols // cfg.block_size)
     threads = max(1, min(threads, n_blocks, _cpus()))
 
-    def block(k: int, rows: np.ndarray):
+    def block(k: int) -> np.ndarray:
         nb = min(cfg.block_size, cfg.n_symbols - k * cfg.block_size)
         rng = np.random.Generator(np.random.SFC64(
             np.random.SeedSequence(entropy=(cfg.seed, k))))
-        return nb, _block_errors(z, nb, rng, slice(None) if len(rows) == n_points else rows)
+        return _block_errors(z, nb, rng)
 
     # One thread runs in the caller, so its CPU time stays the caller's.
     with (ThreadPoolExecutor(threads) if threads > 1
           else contextlib.nullcontext()) as pool:
-        run = pool.map if pool else map
-        first = 0
-        while first < n_blocks and live.any():
-            rows = np.flatnonzero(live)
-            wave = range(first, min(first + threads, n_blocks))
-            for nb, counts in run(block, wave, itertools.repeat(rows)):
-                take = live[rows]
-                errors[rows[take]] += counts[take]
-                done[rows[take]] += nb
-                if cfg.early_stop_errors is not None:
-                    live[rows] &= errors[rows].min(axis=1) < cfg.early_stop_errors
-            first = wave.stop
-    return [BerEstimate(per_pd_errors=e, symbols_run=int(n)) for e, n in zip(errors, done)]
+        errors = sum((pool.map if pool else map)(block, range(n_blocks)))
+    return [BerEstimate(per_pd_errors=e, symbols_run=cfg.n_symbols) for e in errors]
 
 
 def simulate(h: ChannelMatrix, cfg: SimConfig, h_hat=None) -> BerEstimate:
@@ -332,8 +312,8 @@ def simulate(h: ChannelMatrix, cfg: SimConfig, h_hat=None) -> BerEstimate:
 
     The one-point case of ``sweep``'s block loop: blocks of ``cfg.block_size``
     symbols give every word an equal share (see ``_block_errors``); block k
-    draws from ``SFC64(SeedSequence((seed, k)))``.
-    Exactly ``cfg.n_symbols`` symbols run unless early stopping ends sooner.
+    draws from ``SFC64(SeedSequence((seed, k)))``.  Exactly ``cfg.n_symbols``
+    symbols run.
     """
     table = _table(h, cfg, h_hat)
     z = _Thresholds([h.responsivity * h.power * table.margin],
@@ -375,12 +355,12 @@ def _threads(threads: int | None) -> int:
 def _stacks(cases) -> list[list[int]]:
     """Indices of ``(h, cfg, h_hat, points)`` cases grouped into block loops, in run order.
 
-    Cases with the same word and detector counts, seed, symbol count, block
-    size and early-stop target share a loop, in case order.
+    Cases with the same word and detector counts, seed, symbol count and
+    block size share a loop, in case order.
     """
     stacks = {}
     for i, (h, cfg, _, _) in enumerate(cases):
-        key = (h.gains.shape, cfg.seed, cfg.n_symbols, cfg.block_size, cfg.early_stop_errors)
+        key = (h.gains.shape, cfg.seed, cfg.n_symbols, cfg.block_size)
         stacks.setdefault(key, []).append(i)
     return list(stacks.values())
 
@@ -399,18 +379,19 @@ def sweep(cases, snr_points_db, threads: int | None = None) -> list[BerCurve]:
     """Estimate and analyze each ``(h, cfg, h_hat)`` case over a transmit-SNR grid.
 
     One (seed, block) stream serves every SNR point of every case that has
-    the same word and detector counts, seed, symbol count, block size and
-    early-stop target (common random numbers): each block is drawn once and
-    counted against the thresholds of all their points, in one block loop
-    however wide the arrays.  Rows are therefore correlated along SNR and
-    across cases; each row equals ``simulate`` at its SNR with its case's
-    ``cfg``, its marginal distribution unchanged.  Up to ``threads`` blocks run at
-    once (None means the CPUs this process may use, 1 forces serial, below 1
-    raises ``ValueError``); threads split blocks, not points, and the counts
-    do not depend on them.  One curve per case, in case order, with points
-    sorted by SNR.  Each case's closed form comes from one evaluation over
-    its stacked deviations: ``analytic.exact_ber`` with perfect knowledge,
-    else ``analytic.outdated_bound``.  Physical noise has no SNR axis: it
+    the same word and detector counts, seed, symbol count and block size
+    (common random numbers): each block is drawn once and counted against
+    the thresholds of all their points, in one block loop however wide the
+    arrays, and every point counts every block.  Rows are therefore
+    correlated along SNR and across cases; each row equals ``simulate`` at
+    its SNR with its case's ``cfg``, its marginal distribution unchanged.  Up
+    to ``threads`` blocks run at once (None means the CPUs this process may
+    use, 1 forces serial, below 1 raises ``ValueError``); threads split
+    blocks, not points, and the counts do not depend on them.  One curve
+    per case, in case order, with points sorted by SNR.  Each case's closed
+    form comes from one evaluation over its stacked deviations:
+    ``analytic.exact_ber`` with perfect knowledge, else
+    ``analytic.outdated_bound``.  Physical noise has no SNR axis: it
     takes no points and gives one row whose ``snr_db`` is nan.
 
     The working set does not grow with the points (see the module notes): a

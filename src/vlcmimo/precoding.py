@@ -26,8 +26,8 @@ __all__ = [
 ]
 
 
-# Singular values below this fraction of the largest mark a channel as rank
-# deficient.
+# Singular values at or below this fraction of the largest mark a channel as
+# rank deficient.
 PINV_TOLERANCE = 1e-12
 
 
@@ -80,8 +80,8 @@ def combination_matrix(n_t: int) -> np.ndarray:
 def ci_precoder(h) -> Precoder:
     """Right pseudo-inverse precoder ``H^T (H H^T)^-1`` via SVD.
 
-    Singular values below ``PINV_TOLERANCE`` times the largest mark the
-    channel as rank deficient and raise ``SingularChannelError`` instead of
+    Singular values at or below ``PINV_TOLERANCE`` times the largest mark
+    the channel as rank deficient and raise ``SingularChannelError`` instead of
     silently amplifying noise.
     """
     gains = as_gains(h)

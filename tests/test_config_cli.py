@@ -77,8 +77,8 @@ def bad_field_values():
             values = ["yes"]
         elif hint in (int, float):
             values = [float("nan"), float("inf"), float("-inf")]
-            if hint is int:      # 2.5 would fail the range check of early_stop_errors
-                values.append(150.5 if path[-1] == "early_stop_errors" else 2.5)
+            if hint is int:
+                values.append(2.5)
         else:
             continue
         for value in values:
@@ -119,13 +119,19 @@ class TestConfigLoading:
             config_from_dict({"sweep": {"snr_step_db": -1.0}})
         with pytest.raises(ConfigError):
             config_from_dict({"schemes": ["zf"]})
-        with pytest.raises(ConfigError):
-            config_from_dict({"montecarlo": {"early_stop_errors": 10}})
 
     def test_oversized_grid_rejected(self):
         # 8 links at 2 m spacing do not fit a 4 m room
         with pytest.raises(ConfigError):
             config_from_dict({"layout": {"n_links": 8, "spacing_m": 2.0}})
+
+    @pytest.mark.parametrize("data", [
+        {"layout": {"n_links": 2}, "mimo_orders": [4], "csi": {"mobile_user": 3}},
+        {"layout": {"n_links": 17}, "mimo_orders": [4]},
+    ], ids=["mobile_user_of_the_order", "unused_layout_links"])
+    def test_link_counts_are_the_variants(self, data):
+        """Checks read the link counts that run: ``mimo_orders`` replaces ``layout.n_links``."""
+        assert [n for n, _, _ in config_from_dict(data).variants()] == [4]
 
     def test_raster_cap_admits_two_millimetre_map(self):
         # 2000 x 2000 cells of the 4 m room: exactly MAX_RASTER_CELLS
@@ -192,6 +198,11 @@ class TestCli:
         {"schemes": ["ci", "ci"]},
         {"map_resolution_m": 0.00001},
         {"map_resolution_m": 0.0019},
+        {"spacings_m": [0.5, 0.5]},
+        {"semi_angles_deg": [15.0, 15.0]},
+        {"mimo_orders": [2, 2]},
+        {"csi": {"mode": "outdated"}, "mobility": {"elapsed_times_s": [0.1, 0.1]}},
+        {"montecarlo": {"n_symbols": 20_000, "early_stop_errors": 1000}},
     ], ids=["negative_links", "too_many_links", "too_many_orders", "mobile_user",
             "no_elapsed_time", "negative_seed", "fractional_seed", "nan_step",
             "infinite_stop", "fractional_symbols", "fractional_block",
@@ -202,7 +213,8 @@ class TestCli:
             "fractional_leds", "nan_area", "infinite_area", "nan_refractive_index",
             "infinite_refractive_index", "infinite_room", "nan_led_power",
             "parent_dir_name", "nested_name", "empty_name", "repeated_scheme",
-            "huge_raster", "raster_over_cap"])
+            "huge_raster", "raster_over_cap", "repeated_spacing", "repeated_angle",
+            "repeated_order", "repeated_elapsed_time", "removed_early_stop"])
     def test_bad_config_exit_code(self, tmp_path, capsys, bad):
         path = write_yaml(tmp_path / "bad.yaml", {**SMALL, **bad})
         out = tmp_path / "results"

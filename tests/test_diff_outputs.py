@@ -39,6 +39,14 @@ def test_one_moved_cell(report):
     ])
 
 
+def test_moved_comment_line_is_column_hash(report):
+    """A CSV whose body is the same but whose '#' lines differ reports them as column '#'."""
+    assert report(CSV, CSV.replace("# seed 1", "# seed 2")) == (1, [
+        "fig4.csv: differs",
+        "  #: 1 of 1 cells moved, max relative change inf",
+    ])
+
+
 def test_monte_carlo_moves_in_standard_errors(report):
     # Row 1 moves 0.03 with se 0.01 on each side: 0.03 / sqrt(2) / 0.01 = 2.12 SE.
     # Row 2 has no errors on either side and no halfwidth, so it is skipped.

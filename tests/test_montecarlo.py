@@ -109,28 +109,7 @@ class TestEnergyAccounting:
         assert np.allclose(norms, 1.0, rtol=0, atol=1e-12)
 
 
-class TestEarlyStopAndValidation:
-    def test_early_stop_bounds_symbols(self):
-        h = channel()
-        cfg = SimConfig(n_symbols=2_000_000, seed=9, scheme="ci", snr_db=70.0,
-                        early_stop_errors=500, block_size=8192)
-        est = simulate(h, cfg)
-        assert est.symbols_run < cfg.n_symbols
-        assert est.per_pd_errors.min() >= 500
-
-    def test_early_stop_at_exactly_the_target(self):
-        """A point that reaches ``early_stop_errors`` exactly takes no second block."""
-        z = np.full((2, 4, 2), -np.inf)    # every symbol errs on every detector
-        z[1] = np.inf                       # no symbol errs: runs every block
-        cfg = SimConfig(n_symbols=256, block_size=128, early_stop_errors=128)
-        stopped, ran = montecarlo._count_errors(z, cfg)
-        assert stopped.per_pd_errors.tolist() == [128, 128] and stopped.symbols_run == 128
-        assert ran.per_pd_errors.tolist() == [0, 0] and ran.symbols_run == 256
-
-    def test_early_stop_floor_enforced(self):
-        with pytest.raises(ValueError):
-            SimConfig(early_stop_errors=50)
-
+class TestValidation:
     def test_swept_mode_needs_snr(self):
         with pytest.raises(ValueError):
             SimConfig(noise=NoiseConfig(mode="swept"), snr_db=float("-inf"))
@@ -430,9 +409,7 @@ class TestSweepSharesOneStream:
 
     @staticmethod
     def config(scheme="ci", **kw):
-        # 15 blocks; at 200 errors per detector the low-SNR points stop early.
-        return SimConfig(n_symbols=60_000, seed=3, scheme=scheme, early_stop_errors=200,
-                         block_size=4096, **kw)
+        return SimConfig(n_symbols=60_000, seed=3, scheme=scheme, block_size=4096, **kw)
 
     @pytest.mark.parametrize("kw", [
         {"scheme": "ci"},
@@ -451,17 +428,9 @@ class TestSweepSharesOneStream:
             assert np.array_equal(est.per_pd_errors, alone.per_pd_errors)
             assert est.symbols_run == alone.symbols_run
 
-    def test_low_snr_points_stop_in_earlier_blocks(self):
-        curve = one_sweep(channel(), self.POINTS, self.config(), threads=2)
-        runs = [est.symbols_run for est in curve.estimates]
-        assert runs[0] < runs[1] < runs[2] < runs[3] == 60_000
-        stopped = [est for est in curve.estimates if est.symbols_run < 60_000]
-        assert all(est.per_pd_errors.min() >= 200 for est in stopped)
-
-    @pytest.mark.parametrize("early_stop", [None, 200])
-    def test_counts_identical_across_threads(self, early_stop):
+    def test_counts_identical_across_threads(self):
         h = channel()
-        cfg = dataclasses.replace(self.config(), early_stop_errors=early_stop)
+        cfg = self.config()
         curves = [one_sweep(h, self.POINTS, cfg, threads=t) for t in (1, 2, 4)]
         for rows in zip(*(c.estimates for c in curves)):
             assert all(np.array_equal(r.per_pd_errors, rows[0].per_pd_errors)
@@ -590,15 +559,12 @@ class TestSortedCounting:
         assert taken[-1] == "compared"
 
     @pytest.mark.parametrize("threads", [1, 2])
-    @pytest.mark.parametrize("early_stop", [None, 200])
-    def test_dense_sweep_rows_equal_standalone_simulate(self, monkeypatch, threads,
-                                                         early_stop):
+    def test_dense_sweep_rows_equal_standalone_simulate(self, monkeypatch, threads):
         h = channel()
         points = np.arange(70.0, 131.0, 4.0)     # 16 points per scheme
         # a block of 4096 symbols per word, which sorts, then one of 91 per word
         # and 8 leftover, which compares
-        cfgs = [SimConfig(n_symbols=67_000, seed=4, scheme=scheme,
-                          early_stop_errors=early_stop) for scheme in ("ci", "oap")]
+        cfgs = [SimConfig(n_symbols=67_000, seed=4, scheme=scheme) for scheme in ("ci", "oap")]
         taken = spy_paths(monkeypatch)
         curves = sweep([(h, cfg, None) for cfg in cfgs], points, threads=threads)
         assert "sorted" in taken and "compared" in taken
@@ -631,16 +597,12 @@ def whole_block_errors(z: np.ndarray, nb: int, rng: np.random.Generator) -> np.n
 def whole_block_loop(z: np.ndarray, cfg: SimConfig) -> list[tuple]:
     """Reference block loop: (errors, symbols) per point, blocks folded one by one."""
     errors = np.zeros(z.shape[::2], dtype=np.int64)
-    done = np.zeros(len(z), dtype=np.int64)
-    live = np.ones(len(z), dtype=bool)
+    done = 0
     for k, start in enumerate(range(0, cfg.n_symbols, cfg.block_size)):
         nb = min(cfg.block_size, cfg.n_symbols - start)
-        counts = whole_block_errors(z, nb, block_rng(cfg.seed, k))
-        errors[live] += counts[live]
-        done[live] += nb
-        if cfg.early_stop_errors is not None:
-            live &= errors.min(axis=1) < cfg.early_stop_errors
-    return [(e.tolist(), int(n)) for e, n in zip(errors, done)]
+        errors += whole_block_errors(z, nb, block_rng(cfg.seed, k))
+        done += nb
+    return [(e.tolist(), done) for e in errors]
 
 
 class TestChunkedDraws:
@@ -675,23 +637,11 @@ class TestChunkedDraws:
         assert np.array_equal(got, whole_block_errors(z, nb, block_rng(6, 2)))
 
     @pytest.mark.parametrize("budget", list(BUDGETS.values()), ids=list(BUDGETS))
-    def test_rows_of_live_points(self, budget, monkeypatch):
-        monkeypatch.setattr(montecarlo, "_CHUNK_CELLS", budget)
-        z = self.z(32)
-        nb = self.WORDS * self.PER + self.EXTRA
-        rows = np.array([1, 4, 5, 30])
-        got = montecarlo._block_errors(z, nb, block_rng(6, 2), rows)
-        assert np.array_equal(got, whole_block_errors(z, nb, block_rng(6, 2))[rows])
-
-    @pytest.mark.parametrize("budget", list(BUDGETS.values()), ids=list(BUDGETS))
     @pytest.mark.parametrize("threads", [1, 2])
-    @pytest.mark.parametrize("early_stop", [None, 100])
-    def test_block_loop_equals_whole_draws(self, monkeypatch, budget, threads, early_stop):
+    def test_block_loop_equals_whole_draws(self, monkeypatch, budget, threads):
         # Three blocks of 300 per word and 7 leftover (sorted), then 131 per word
-        # and 4 leftover (compared); with early stopping, points stop in
-        # different blocks.
-        cfg = SimConfig(n_symbols=3 * 4807 + 2100, seed=9, block_size=4807,
-                        early_stop_errors=early_stop)
+        # and 4 leftover (compared).
+        cfg = SimConfig(n_symbols=3 * 4807 + 2100, seed=9, block_size=4807)
         monkeypatch.setattr(montecarlo, "_CHUNK_CELLS", budget)
         taken = spy_paths(monkeypatch)
         z = self.z(32)
@@ -699,15 +649,15 @@ class TestChunkedDraws:
         assert "sorted" in taken and "compared" in taken
         want = whole_block_loop(z, cfg)
         assert [(e.per_pd_errors.tolist(), e.symbols_run) for e in got] == want
-        assert (len({n for _, n in want}) > 1) == (early_stop is not None)
+        assert {n for _, n in want} == {cfg.n_symbols}
 
 
 class TestThresholdsFromMargins:
     """The block loop counts the same from margins and deviations as from the dense z.
 
     Four links; blocks of 256 symbols per word and 5 leftover words (which
-    sort when 40 points are live), then 62 per word and 8 leftover (which
-    compare).  With early stopping, live rows are a subset of the points.
+    sort at the 40 points of two swept cases), then 62 per word and 8 leftover
+    (which compare).
     """
 
     CFG = SimConfig(n_symbols=4101 + 1000, seed=13, block_size=4101)
@@ -729,17 +679,16 @@ class TestThresholdsFromMargins:
             out.append((gp * table.margin, sig, oracle.thresholds(table, gp, sig)))
         return out
 
-    @pytest.mark.parametrize("noise", ["swept+swept", "physical+physical", "swept+physical"])
+    @pytest.mark.parametrize("noise", ["swept+swept", "physical+physical", "swept+physical"],
+                             ids=["swept", "physical", "mixed"])
     @pytest.mark.parametrize("threads", [1, 2])
-    @pytest.mark.parametrize("early_stop", [None, 100])
-    def test_counts_equal_dense_thresholds(self, monkeypatch, noise, threads, early_stop):
-        cfg = dataclasses.replace(self.CFG, early_stop_errors=early_stop)
+    def test_counts_equal_dense_thresholds(self, monkeypatch, noise, threads):
         gpm, sig, dense = zip(*self.cases(noise))
         z = montecarlo._Thresholds(list(gpm), list(sig))
         assert z.shape == (sum(map(len, dense)), 16, 4)
         taken = spy_paths(monkeypatch)
-        got = montecarlo._count_errors(z, cfg, threads)
-        want = montecarlo._count_errors(np.concatenate(dense), cfg, threads)
+        got = montecarlo._count_errors(z, self.CFG, threads)
+        want = montecarlo._count_errors(np.concatenate(dense), self.CFG, threads)
         assert [(e.per_pd_errors.tolist(), e.symbols_run) for e in got] == \
             [(e.per_pd_errors.tolist(), e.symbols_run) for e in want]
         assert sum(e.per_pd_errors.sum() for e in got) > 0
@@ -967,12 +916,11 @@ class TestRunnerRowsAreOneSweep:
 class TestRecipeSharesOneBlockLoop:
     """One block loop per draw shape serves every case of a recipe, row for row.
 
-    The reference is the runner with ``sweep`` called once per case.  Early
-    stopping is on, so the points stop in different blocks.
+    The reference is the runner with ``sweep`` called once per case.
     """
 
     BASE = {"name": "grp", "seed": 5, "schemes": ["ci", "oap"],
-            "montecarlo": {"n_symbols": 24_000, "block_size": 2048, "early_stop_errors": 150},
+            "montecarlo": {"n_symbols": 24_000, "block_size": 2048},
             "layout": {"n_links": 4, "spacing_m": 0.5, "detector": {"fov_deg": 60.0}},
             "sweep": {"snr_start_db": 80.0, "snr_stop_db": 96.0, "snr_step_db": 4.0},
             "mobility": {"speed_mps": 1.0, "elapsed_times_s": [0.02, 0.1, 0.3]}}
@@ -1024,7 +972,7 @@ class TestRecipeSharesOneBlockLoop:
         body = [line.split(",") for line in reference[0].splitlines()
                 if not line.startswith("#")]
         symbols = {int(row[body[0].index("symbols")]) for row in body[1:]}
-        assert len(symbols) >= 3 and max(symbols) == 24_000
+        assert symbols == {24_000}
 
     @pytest.mark.parametrize("name, groups", [("spacings", 1), ("orders", 2),
                                               ("outdated", 1), ("mobility", 1),
@@ -1050,7 +998,7 @@ class TestRecipeSharesOneBlockLoop:
                 "sweep": {"snr_start_db": 80.0, "snr_stop_db": 258.0, "snr_step_db": 2.0}}
         loops = self.count_calls(monkeypatch, montecarlo, "_count_errors")
         grouped = self.run("spacings", tmp_path / "grouped", **wide)
-        assert len(loops) == 1 and len(loops[0][0]) == 2 * 90
+        assert len(loops) == 1 and loops[0][0].shape[0] == 2 * 90
         with monkeypatch.context() as m:
             self.per_case(m)
             assert self.run("spacings", tmp_path / "ref", **wide) == grouped

@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vlcmimo.channel import build_channel_matrix, square_grid_layout
-from vlcmimo.precoding import SingularChannelError, ci_precoder, combination_matrix, word_table
+from vlcmimo.precoding import (PINV_TOLERANCE, SingularChannelError, ci_precoder,
+                               combination_matrix, word_table)
 
 
 def random_channel(rng, n):
@@ -45,6 +46,12 @@ class TestCiPrecoder:
         h = np.array([[1.0, 2.0], [2.0, 4.0]])  # rank one
         with pytest.raises(SingularChannelError, match="2x2"):
             ci_precoder(h)
+
+    def test_tolerance_boundary_raises_at_equality(self):
+        """A singular value at exactly ``PINV_TOLERANCE`` times the largest is rank deficient."""
+        with pytest.raises(SingularChannelError):
+            ci_precoder(np.diag([1.0, PINV_TOLERANCE]))
+        ci_precoder(np.diag([1.0, np.nextafter(PINV_TOLERANCE, 1.0)]))
 
     def test_wide_matrix_right_inverse(self):
         rng = np.random.default_rng(7)
