@@ -22,7 +22,7 @@ from vlcmimo.precoding import ci_precoder, word_table
 def error_rates(h, scheme, snrs) -> list[float]:
     """Average exact error rate of ``scheme`` at each SNR, from one ``exact_ber`` call."""
     table = word_table(h.gains, ci_precoder(h.gains), scheme)
-    sig = sigma_stack(h, NoiseConfig(), table, snrs)
+    sig = sigma_stack(h, NoiseConfig(), table.transmit, snrs)
     return [float(np.mean(r)) for r in exact_ber(table, h.responsivity * h.power, sig)]
 
 

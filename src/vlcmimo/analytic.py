@@ -146,51 +146,84 @@ def sigma_table(sigma, table: WordTable) -> np.ndarray:
     return arr
 
 
-def _word_mean(terms, table: WordTable, sig) -> np.ndarray:
-    """The word mean of ``terms(w, s)``, (points, words, detectors) terms of words ``w``.
+def _elements(gp, *arrays) -> list[np.ndarray]:
+    """``gp`` as (k, 1, 1, 1) and each word-table array as (k, 1, words, detectors).
 
-    A chunk holds ``min(2^n, _CHUNK_CELLS // n)`` words, whatever the points,
-    and as many points of the ``sig`` stack as fit, so a stacked row equals
-    its one-point call bit for bit; up to 11 links the table is one chunk.
+    The leading axis is the table's stack (k = 1 for a 2-D table), the
+    second the points ``_word_mean`` passes; ``gp`` is one value or one per
+    element.
+    """
+    arrays = [a[:, None] if a.ndim == 3 else a[None, None] for a in arrays]
+    gp = np.asarray(gp, dtype=float).reshape(-1, 1, 1, 1)
+    if len(gp) != len(arrays[0]):
+        gp = np.broadcast_to(gp, (len(arrays[0]), 1, 1, 1))
+    return [gp, *arrays]
+
+
+def _word_mean(terms, table: WordTable, sig) -> np.ndarray:
+    """The word mean of ``terms(c, w, s)``: (elements, points, words, detectors) terms.
+
+    ``c`` and ``w`` are slices of the table's stack elements and words, ``s``
+    their deviations.  A 2-D table is the one-element stack: its ``sig`` is
+    a resolved deviation or a (points, 1 or words, detectors) stack, and a
+    stacked table takes a (k, points, 1 or words, detectors) stack.  A chunk
+    holds ``min(2^n, _CHUNK_CELLS // n)`` words, whatever the points, and as
+    many points, then as many elements of all their points, as fit, so a
+    stacked row equals its one-point, one-element call bit for bit; up to 11
+    links the table is one chunk.
     """
     sig = np.asarray(sig, dtype=float)
-    n_words, n_r = table.margin.shape
-    stack = np.broadcast_to(sig, (len(sig) if sig.ndim == 3 else 1, n_words, n_r))
+    n_words, n_r = table.margin.shape[-2:]
+    stacked = table.margin.ndim == 3
+    if stacked and sig.ndim != 4:
+        raise ValueError("a stacked table takes a (k, points, 1 or words, detectors) sigma")
+    rows = sig if stacked else sig[None] if sig.ndim == 3 else sig[None, None]
+    k, n_points = rows.shape[:2]
+    stack = np.broadcast_to(rows, (k, n_points, n_words, n_r))
     step = min(n_words, max(1, _CHUNK_CELLS // n_r))
     at_once = max(1, _CHUNK_CELLS // (step * n_r))
-    total = np.zeros((len(stack), n_r))
+    k_at_once = max(1, at_once // n_points)
+    total = np.zeros((k, n_points, n_r))
     for lo in range(0, n_words, step):
         w = slice(lo, lo + step)
-        for p in range(0, len(stack), at_once):
-            total[p:p + at_once] += terms(w, stack[p:p + at_once, w]).sum(axis=-2)
+        for e in range(0, k, k_at_once):
+            c = slice(e, e + k_at_once)
+            for p in range(0, n_points, at_once):
+                total[c, p:p + at_once] += terms(c, w, stack[c, p:p + at_once, w]).sum(axis=-2)
     total /= n_words
-    return total if sig.ndim == 3 else total[0]
+    return total if stacked else total[0] if sig.ndim == 3 else total[0, 0]
 
 
-def exact_ber(table: WordTable, gp: float, sig) -> np.ndarray:
+def exact_ber(table: WordTable, gp, sig) -> np.ndarray:
     """Exact error rate per detector: the word mean of ``Q(gp * table.margin / sig)``.
 
     ``sig`` is a resolved deviation (see ``sigma_table``; every entry
     positive) or a stack of them along a leading axis, ``(points, 1 or
-    words, detectors)``, which gives one row per point.  Under a stale
+    words, detectors)``, which gives one row per point.  A stacked table
+    (see ``precoding.word_table``) takes ``gp`` per element and a
+    ``(k, points, 1 or words, detectors)`` stack, and gives (k, points,
+    detectors), each element's rows those of its own call.  Under a stale
     precoder the table from the true gains is the model Monte Carlo samples,
     so the rate is exact there too.
     """
-    return _word_mean(lambda w, s: q_function(gp * table.margin[w] / s), table, sig)
+    gp, margin = _elements(gp, table.margin)
+    return _word_mean(lambda c, w, s: q_function(gp[c] * margin[c, :, w] / s), table, sig)
 
 
-def outdated_bound(table: WordTable, gp: float, sig) -> np.ndarray:
+def outdated_bound(table: WordTable, gp, sig) -> np.ndarray:
     """Upper bound on ``exact_ber`` per detector under a stale precoder, either scheme.
 
     The word mean of ``Q(gp * min(margin, slicer - margin) / sig)``: under the
     same leakage the other bit's margin is ``slicer - margin``, so each term
     takes the smaller of the two bit hypotheses, bounds its exact tail, and
-    equals it where no leakage helps the slicer, as with fresh gains.  ``sig``
-    stacks as for ``exact_ber``.
+    equals it where no leakage helps the slicer, as with fresh gains.  ``gp``
+    and ``sig`` stack as for ``exact_ber``.
     """
-    def terms(w, s):
-        margin = table.margin[w]
-        return q_function(gp * np.minimum(margin, table.slicer[w] - margin) / s)
+    gp, margin, slicer = _elements(gp, table.margin, table.slicer)
+
+    def terms(c, w, s):
+        m = margin[c, :, w]
+        return q_function(gp[c] * np.minimum(m, slicer[c, :, w] - m) / s)
     return _word_mean(terms, table, sig)
 
 
@@ -252,7 +285,7 @@ def throughput(table: WordTable, h, sig) -> np.ndarray:
     value per point, equal to its one-point call bit for bit.
     """
     # h stays the second argument: perfbench/tracing.py counts words from it.
-    gp = h.responsivity * h.power
+    gp, slicer = _elements(h.responsivity * h.power, table.slicer)
     on = table.words if table.scheme == "oap" else table.words.any(axis=1, keepdims=True)
-    return _word_mean(lambda w, s: np.log2(1.0 + gp * (table.slicer[w] * on[w]) / (2.0 * s)),
+    return _word_mean(lambda c, w, s: np.log2(1.0 + gp[c] * (slicer[c, :, w] * on[w]) / (2.0 * s)),
                       table, sig).sum(axis=-1)

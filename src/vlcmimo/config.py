@@ -157,10 +157,15 @@ class SweepConfig:
                               f"number at most {MAX_SNR_POINTS}")
 
     def points(self) -> tuple[float, ...]:
-        """The grid as floats; counted first, so it stops one point past the cap."""
-        start, step = self.snr_start_db, self.snr_step_db
-        n = round(min((self.snr_stop_db - start) / step, MAX_SNR_POINTS)) + 1
-        return tuple(float(start + i * step) for i in range(n))
+        """The grid as floats, up to the last point not above the stop.
+
+        Steps within 1e-9 of a whole count reach the stop, so exact grids keep
+        their count and end at it.  Counted first, so it stops one point past
+        the cap.
+        """
+        start, stop, step = self.snr_start_db, self.snr_stop_db, self.snr_step_db
+        n = math.floor(min((stop - start) / step, MAX_SNR_POINTS) + 1e-9) + 1
+        return tuple(float(min(start + i * step, stop)) for i in range(n))
 
 
 @_config

@@ -27,10 +27,18 @@ grows with its points.  A block with few points or short rows compares |d|
 with each point instead.  Both count exactly ``count(d > z) + count(-d > z)``,
 so the path taken never changes a result.
 
+A block loop's cases are built in groups: cases of one scheme,
+renormalization, knowledge and noise mode take one stacked ``ci_precoder``
+and ``word_table`` call and one closed-form reduction, as long as the
+group's cases x points x words x detectors fit ``_CHUNK_CELLS``; a wider
+case is built alone.  Each element equals its own build bit for bit.
+
 No array of a sweep spans 2^n words x detectors x points: a block draws,
 divides z and counts in consecutive word chunks of about ``_CHUNK_CELLS``
 normals (consecutive draws continue one stream, so the values are those of
-one whole-block draw), and the closed forms sum Q over chunks of words.
+one whole-block draw), its single draws are counted against every point at
+once in chunks of as many cells, and the closed forms sum Q over chunks of
+words.
 """
 
 from __future__ import annotations
@@ -133,16 +141,26 @@ class BerCurve:
     csi_mode: str
 
 
-def _table(h: ChannelMatrix, cfg: SimConfig, h_hat) -> WordTable:
-    """The run's word table; the precoder comes from ``h_hat`` when knowledge is outdated."""
-    estimate = h.gains
+def _estimate(h: ChannelMatrix, cfg: SimConfig, h_hat) -> np.ndarray:
+    """The gains a case's precoder comes from: ``h_hat`` when knowledge is outdated."""
     if cfg.csi_mode == "outdated":
         if h_hat is None:
             raise ValueError("outdated channel knowledge needs the estimate h_hat")
-        estimate = np.asarray(h_hat, dtype=float)
-    elif h_hat is not None:
+        return np.asarray(h_hat, dtype=float)
+    if h_hat is not None:
         raise ValueError("perfect channel knowledge takes no estimate h_hat")
-    return word_table(h.gains, ci_precoder(estimate), cfg.scheme,
+    return h.gains
+
+
+def _table(cases) -> WordTable:
+    """The stacked word table of ``(h, cfg, h_hat, ...)`` cases of one scheme and renormalization.
+
+    Each case's precoder comes from ``_estimate``.
+    """
+    gains = np.array([h.gains for h, *_ in cases])
+    estimates = np.array([_estimate(h, cfg, h_hat) for h, cfg, h_hat, *_ in cases])
+    cfg = cases[0][1]
+    return word_table(gains, ci_precoder(estimates), cfg.scheme,
                       renormalize=cfg.renormalize_oap)
 
 
@@ -150,8 +168,10 @@ class _Thresholds:
     """The block loop's z, divided a chunk at a time where it is compared.
 
     From each case's (words, detectors) ``gp * margin`` and (points, 1 or
-    words, detectors) deviations, all positive; ``z[:, lo:hi]`` and
-    ``z[p, widx]`` return ``gp * margin / sig`` for just those points and words.
+    words, detectors) deviations, all positive; ``z[:, lo:hi]``,
+    ``z[:, widx]`` and ``z[p, widx]`` return ``gp * margin / sig`` for just
+    those points and words.  Deviations shared by every word (swept noise)
+    are broadcast in the division, never gathered per word.
     """
 
     def __init__(self, gpm: Sequence[np.ndarray], sig: Sequence[np.ndarray]):
@@ -159,12 +179,16 @@ class _Thresholds:
         self.case = np.repeat(np.arange(len(sig)), [len(s) for s in sig])
         self.shape = (len(self.case), *self.gpm.shape[1:])
         width = max(s.shape[1] for s in sig)      # per-word deviations of physical noise
-        self.sig = np.broadcast_to(np.concatenate(
-            [np.broadcast_to(s, (len(s), width, s.shape[2])) for s in sig]), self.shape)
+        self.sig = np.concatenate([np.broadcast_to(s, (len(s), width, s.shape[2]))
+                                   for s in sig])
 
     def __getitem__(self, key) -> np.ndarray:
         points, words = key
-        return np.divide(self.gpm[self.case[points], words], self.sig[points, words])
+        case = self.case[points]
+        if not isinstance(words, slice):
+            case = case[..., None]      # each row's case against every listed word
+        sig = self.sig[points, words] if self.sig.shape[1] > 1 else self.sig[points]
+        return np.divide(self.gpm[case, words], sig)
 
 
 def _sorts(n_points: int, per: int) -> bool:
@@ -249,17 +273,19 @@ def _block_errors(z: np.ndarray, nb: int, rng: np.random.Generator) -> np.ndarra
     draws.  A word's share is ``per // 2`` antithetic pairs: one draw d
     serves two symbols, d and -d, counted together from |d| (``_pair_keys``).
     When ``per`` is odd, each word's unpaired symbol is a single draw, taken
-    with the leftover words.  A block serving many points with long rows
+    with the leftover words.  A chunk of single draws is counted against
+    every point in one compare.  A block serving many points with long rows
     (``_sorts``) counts the pairs from sorted rows of |d|, so its cost barely
     grows with the points; otherwise each point compares them.  The counts
     are the same either way.
 
     The pairs are drawn and counted in consecutive chunks of words of about
     ``_CHUNK_CELLS`` draws, then the single draws (each word's unpaired
-    symbol, then the leftover words) the same way, so the block's arrays stay
-    bounded however wide the array.  Consecutive draws continue one stream,
-    so the chunks draw exactly the values of one whole draw; a block within
-    the budget is one chunk.
+    symbol, then the leftover words) in chunks of at most ``_CHUNK_CELLS``
+    points x words x detectors, so the block's arrays stay bounded however
+    wide the array.  Consecutive draws continue one stream, so the chunks
+    draw exactly the values of one whole draw; a block within the budget is
+    one chunk.
     """
     n_points, n_words, n_r = z.shape
     per, extra = divmod(nb, n_words)
@@ -274,11 +300,10 @@ def _block_errors(z: np.ndarray, nb: int, rng: np.random.Generator) -> np.ndarra
     widx = rng.integers(0, n_words, size=extra) if extra else np.arange(0)
     if per % 2:
         widx = np.concatenate([np.arange(n_words), widx])
-    step = max(1, _CHUNK_CELLS // n_r)
+    step = max(1, _CHUNK_CELLS // (n_points * n_r))
     for lo in range(0, len(widx), step):
         draws = rng.standard_normal((min(step, len(widx) - lo), n_r))
-        errors += [np.count_nonzero(draws > z[p, widx[lo:lo + step]], axis=0)
-                   for p in range(n_points)]
+        errors += np.count_nonzero(draws > z[:, widx[lo:lo + step]], axis=1)
     return errors
 
 
@@ -315,9 +340,9 @@ def simulate(h: ChannelMatrix, cfg: SimConfig, h_hat=None) -> BerEstimate:
     draws from ``SFC64(SeedSequence((seed, k)))``.  Exactly ``cfg.n_symbols``
     symbols run.
     """
-    table = _table(h, cfg, h_hat)
-    z = _Thresholds([h.responsivity * h.power * table.margin],
-                    [sigma_stack(h, cfg.noise, table, [cfg.snr_db])])
+    table = _table([(h, cfg, h_hat)])
+    z = _Thresholds([h.responsivity * h.power * table.margin[0]],
+                    [sigma_stack(h, cfg.noise, table.transmit[0], [cfg.snr_db])])
     return _count_errors(z, cfg)[0]
 
 
@@ -352,27 +377,43 @@ def _threads(threads: int | None) -> int:
     return threads
 
 
-def _stacks(cases) -> list[list[int]]:
-    """Indices of ``(h, cfg, h_hat, points)`` cases grouped into block loops, in run order.
+def _stacks(cases) -> list[list[list[int]]]:
+    """Indices of ``(h, cfg, h_hat, points)`` cases: block loops of build groups, in run order.
 
     Cases with the same word and detector counts, seed, symbol count and
-    block size share a loop, in case order.
+    block size share a loop.  Within it, cases with the same scheme,
+    renormalization, knowledge and noise mode share a build group, in case
+    order, while the group's cases x points x words x detectors fit
+    ``_CHUNK_CELLS``; a case larger than that is a group alone.
     """
-    stacks = {}
-    for i, (h, cfg, _, _) in enumerate(cases):
-        key = (h.gains.shape, cfg.seed, cfg.n_symbols, cfg.block_size)
-        stacks.setdefault(key, []).append(i)
+    stacks, groups = {}, {}
+    for i, (h, cfg, _, points) in enumerate(cases):
+        loop = (h.gains.shape, cfg.seed, cfg.n_symbols, cfg.block_size)
+        build = (loop, cfg.scheme, cfg.renormalize_oap, cfg.csi_mode, cfg.noise.mode)
+        n = h.gains.shape[1]
+        group = groups.get(build)
+        if group is None or (len(group) + 1) * len(points) * (n << n) > _CHUNK_CELLS:
+            group = groups[build] = []
+            stacks.setdefault(loop, []).append(group)
+        group.append(i)
     return list(stacks.values())
 
 
-def _case(h: ChannelMatrix, cfg: SimConfig, h_hat, points) -> tuple:
-    """A case's ``gp * margin``, deviations and closed form; its table is dropped on return."""
-    table = _table(h, cfg, h_hat)
-    gp = h.responsivity * h.power
-    sig = sigma_stack(h, cfg.noise, table, points)
-    rate = analytic.outdated_bound if cfg.csi_mode == "outdated" else analytic.exact_ber
+def _group(cases) -> tuple:
+    """A build group's stacked ``gp * margin``, deviations and closed form.
+
+    One ``word_table`` and one ``exact_ber`` or ``outdated_bound`` call
+    serve every ``(h, cfg, h_hat, points)`` case of the group; the stacked
+    table is dropped on return.
+    """
+    table = _table(cases)
+    hs, cfgs, _, points = zip(*cases)
+    gp = np.array([h.responsivity * h.power for h in hs])
+    sig = np.array([sigma_stack(h, cfg.noise, transmit, p)
+                    for h, cfg, transmit, p in zip(hs, cfgs, table.transmit, points)])
+    rate = analytic.outdated_bound if cfgs[0].csi_mode == "outdated" else analytic.exact_ber
     closed = rate(table, gp, sig)     # first, so Q's arrays do not meet gp * margin
-    return gp * table.margin, sig, closed
+    return gp[:, None, None] * table.margin, sig, closed
 
 
 def sweep(cases, snr_points_db, threads: int | None = None) -> list[BerCurve]:
@@ -388,11 +429,15 @@ def sweep(cases, snr_points_db, threads: int | None = None) -> list[BerCurve]:
     to ``threads`` blocks run at once (None means the CPUs this process may
     use, 1 forces serial, below 1 raises ``ValueError``); threads split
     blocks, not points, and the counts do not depend on them.  One curve
-    per case, in case order, with points sorted by SNR.  Each case's closed
-    form comes from one evaluation over its stacked deviations:
+    per case, in case order, with points sorted by SNR.  Cases of one
+    scheme, renormalization, knowledge and noise mode are one build group
+    while its cases x points x words x detectors fit ``_CHUNK_CELLS`` (see
+    ``_stacks``), so a group takes one stacked ``ci_precoder`` and
+    ``word_table`` call and one closed form over its stacked deviations:
     ``analytic.exact_ber`` with perfect knowledge, else
-    ``analytic.outdated_bound``.  Physical noise has no SNR axis: it
-    takes no points and gives one row whose ``snr_db`` is nan.
+    ``analytic.outdated_bound``.  Each group's table is dropped before the
+    next is built.  Physical noise has no SNR axis: it takes no points and
+    gives one row whose ``snr_db`` is nan.
 
     The working set does not grow with the points (see the module notes): a
     31-point sweep of two 16-link cases at 20 000 symbols peaks at about 136 MB.
@@ -401,14 +446,15 @@ def sweep(cases, snr_points_db, threads: int | None = None) -> list[BerCurve]:
     cases = [(h, cfg, h_hat, _points(cfg, snr_points_db)) for h, cfg, h_hat in cases]
     curves = [None] * len(cases)
     for stack in _stacks(cases):
-        gpm, sigs, rates = zip(*(_case(*cases[i]) for i in stack))
-        z = _Thresholds(gpm, sigs)
+        gpm, sigs, rates = zip(*(_group([cases[i] for i in group]) for group in stack))
+        z = _Thresholds([m for g in gpm for m in g], [s for g in sigs for s in g])
         del gpm         # the block loop holds only z's stacked copy
         # a stack shares one draw key, so its first case's cfg serves them all
-        counts = iter(_count_errors(z, cases[stack[0]][1], threads))
-        for i, rate in zip(stack, rates):
-            _, cfg, _, points = cases[i]
-            curves[i] = BerCurve(snr_db=tuple(points),
-                                 estimates=tuple(itertools.islice(counts, len(points))),
-                                 analytic=rate, scheme=cfg.scheme, csi_mode=cfg.csi_mode)
+        counts = iter(_count_errors(z, cases[stack[0][0]][1], threads))
+        for group, rate in zip(stack, rates):
+            for i, closed in zip(group, rate):
+                _, cfg, _, points = cases[i]
+                curves[i] = BerCurve(snr_db=tuple(points),
+                                     estimates=tuple(itertools.islice(counts, len(points))),
+                                     analytic=closed, scheme=cfg.scheme, csi_mode=cfg.csi_mode)
     return curves

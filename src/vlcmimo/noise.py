@@ -91,20 +91,22 @@ def sigma_from_transmit_snr(snr_db: float, responsivity: float, power: float) ->
     return responsivity * power * 10.0 ** (-snr_db / 20.0)
 
 
-def sigma_stack(h, params: NoiseConfig, table, snr_points) -> np.ndarray:
-    """Noise deviations of a channel and word table, stacked ``(points, 1 or words, detectors)``.
+def sigma_stack(h, params: NoiseConfig, transmit, snr_points) -> np.ndarray:
+    """Noise deviations of a channel, stacked ``(points, 1 or words, detectors)``.
 
-    Swept noise gives one point per SNR of ``snr_points``, each the same
-    deviation at every detector; physical noise ignores the points and is one
-    point whose signal-dependent deviation differs per word.  Each swept
-    deviation is one ``sigma_from_transmit_snr`` call, and must be positive.
+    ``transmit`` is a word table's per-unit-power transmit vectors, (words,
+    detectors), which set the shot noise.  Swept noise gives one point per
+    SNR of ``snr_points``, each the same deviation at every detector;
+    physical noise ignores the points and is one point whose signal-dependent
+    deviation differs per word.  Each swept deviation is one
+    ``sigma_from_transmit_snr`` call, and must be positive.
     """
     if params.mode == "physical":
-        return physical_sigma(h.gains, h.power * table.transmit, h.detector_area,
+        return physical_sigma(h.gains, h.power * transmit, h.detector_area,
                               h.responsivity, params)[None]
     if None in snr_points:
         raise ValueError("swept noise mode needs a finite snr_db")
     sig = np.array([sigma_from_transmit_snr(p, h.responsivity, h.power) for p in snr_points])
     if not np.all(sig > 0.0):
         raise ValueError("noise standard deviations must be positive")
-    return np.repeat(sig[:, None, None], table.margin.shape[1], axis=2)
+    return np.repeat(sig[:, None, None], np.shape(transmit)[-1], axis=2)

@@ -49,16 +49,17 @@ class Precoder:
     ``w`` is N_T x N_R; for a full-row-rank channel ``H @ w`` is the identity
     up to rounding.  ``condition_number`` is the condition of the channel
     cross-correlation ``H H^T``, kept as a diagnostic for closely spaced
-    luminaires.
+    luminaires.  A stack of channels gives a (k, N_T, N_R) ``w`` and one
+    condition number per element.
     """
 
     w: np.ndarray
-    condition_number: float = 1.0
+    condition_number: float | np.ndarray = 1.0
 
     def __post_init__(self):
         arr = np.array(self.w, dtype=float)
-        if arr.ndim != 2 or not np.all(np.isfinite(arr)):
-            raise ValueError("precoder matrix must be a finite 2-D matrix")
+        if arr.ndim not in (2, 3) or not np.all(np.isfinite(arr)):
+            raise ValueError("precoder matrix must be a finite matrix or stack of matrices")
         arr.setflags(write=False)
         object.__setattr__(self, "w", arr)
 
@@ -82,21 +83,28 @@ def ci_precoder(h) -> Precoder:
 
     Singular values at or below ``PINV_TOLERANCE`` times the largest mark
     the channel as rank deficient and raise ``SingularChannelError`` instead of
-    silently amplifying noise.
+    silently amplifying noise.  A (k, n_r, n_t) stack of channels takes one
+    SVD call and gives the stacked precoder; each element is checked, the
+    first rank-deficient one is named, and each equals its own 2-D call bit
+    for bit.
     """
     gains = as_gains(h)
-    if gains.ndim != 2:
-        raise ValueError("channel gains must be a matrix")
-    n_r, n_t = gains.shape
+    if gains.ndim not in (2, 3):
+        raise ValueError("channel gains must be a matrix or a stack of matrices")
+    n_r, n_t = gains.shape[-2:]
     u, s, vt = np.linalg.svd(gains, full_matrices=False)
-    if s[0] == 0.0 or s[-1] <= PINV_TOLERANCE * s[0]:
+    top, low = s[..., 0], s[..., -1]
+    bad = (top == 0.0) | (low <= PINV_TOLERANCE * top)
+    if bad.any():
+        i = bad.argmax()
+        which = f" {i} of the stack" if gains.ndim == 3 else ""
         raise SingularChannelError(
-            f"{n_r}x{n_t} channel is rank deficient: singular values span "
-            f"{s[0]:.3e}..{s[-1]:.3e} (tolerance {PINV_TOLERANCE:g}); "
+            f"{n_r}x{n_t} channel{which} is rank deficient: singular values span "
+            f"{top.flat[i]:.3e}..{low.flat[i]:.3e} (tolerance {PINV_TOLERANCE:g}); "
             "luminaires are too closely spaced or a detector sees no light")
-    w = (vt.T / s) @ u.T
-    cond = float((s[0] / s[-1]) ** 2)
-    return Precoder(w=w, condition_number=cond)
+    w = (vt.mT / s[..., None, :]) @ u.mT
+    cond = (top / low) ** 2
+    return Precoder(w=w, condition_number=float(cond) if gains.ndim == 2 else cond)
 
 
 @dataclass(frozen=True)
@@ -110,7 +118,9 @@ class WordTable:
     ``beta sum_j (H W_d)_ij T_ij`` for the adaptive scheme.  ``margin``
     is ``receive - slicer/2`` where the bit is 1 and ``slicer/2 - receive``
     where it is 0, with ``receive = H t`` the noiseless receive mean; closed
-    forms and Monte Carlo both read ``gp * margin / sigma``.
+    forms and Monte Carlo both read ``gp * margin / sigma``.  A stacked
+    build (see ``word_table``) puts a leading axis on every field but
+    ``words``.
     """
 
     scheme: str
@@ -143,12 +153,15 @@ def word_table(gains, precoder: Precoder, scheme: str,
     is ``|G_i|`` times that.  With ``renormalize`` the adaptive scaling is
     evaluated on ``T x``, i.e. divided by k.  Every intermediate is (2^n, n).
 
-    The table does not depend on the noise, so each caller builds it once and
-    evaluates every noise point on it.
+    A (k, n, n) stack of gains, of precoders or of both gives a stacked
+    table: every field but ``words`` gains a leading axis of k, and each
+    element equals the table of its own 2-D build bit for bit, as it runs
+    the same arithmetic.  The table does not depend on the noise, so each
+    caller builds it once and evaluates every noise point on it.
     """
     h = as_gains(gains)
-    n = h.shape[1]
-    if h.shape != (n, n):
+    n = h.shape[-1]
+    if h.shape[-2:] != (n, n):
         raise ValueError("the word table requires a square channel")
     if scheme not in ("ci", "oap"):
         raise ValueError(f"unknown scheme {scheme!r}")
@@ -156,21 +169,21 @@ def word_table(gains, precoder: Precoder, scheme: str,
     x = words.astype(float)
     k = x.sum(axis=1, keepdims=True)
     m = h @ precoder.w
-    mx = x @ m.T
-    wx = x @ precoder.w.T
-    norm = np.linalg.norm(wx, axis=1, keepdims=True)
+    mx = x @ m.mT
+    wx = x @ precoder.w.mT
+    norm = np.linalg.norm(wx, axis=-1, keepdims=True)
     beta = 1.0 / np.where(k > 0, norm, 1.0)    # fixed at 1 for the all-zero word
     if scheme == "ci":
         scale = beta
-        slicer = beta * np.diag(m)
+        slicer = beta * m.diagonal(axis1=-2, axis2=-1)[..., None, :]
     else:
         if renormalize:
             beta = beta / np.maximum(k, 1.0)
         scale = beta * k
         on = words == 1
-        own = beta * np.where(on, mx, (1.0 - x) @ m.T)
+        own = beta * np.where(on, mx, (1.0 - x) @ m.mT)
         slicer = np.where(on, k, n - k) * own
     receive = scale * mx
-    return WordTable(scheme=scheme, words=words, beta=beta[:, 0],
+    return WordTable(scheme=scheme, words=words, beta=beta[..., 0],
                      transmit=scale * wx, slicer=slicer,
                      margin=np.where(words == 1, 1.0, -1.0) * (receive - 0.5 * slicer))

@@ -264,7 +264,7 @@ def run_throughput_sweep(cfg: ExperimentConfig, out_dir, threads: int | None = N
                 print(f"[{cfg.name}] throughput {n}x{n} spacing={sp} scheme={scheme}",
                       file=sys.stderr)
             table = word_table(h.gains, pre, scheme, renormalize=cfg.renormalize_oap)
-            th = analytic_throughput(table, h, sigma_stack(h, cfg.noise, table, points))
+            th = analytic_throughput(table, h, sigma_stack(h, cfg.noise, table.transmit, points))
             rows += [[snr, scheme, n, sp, ang, t]
                      for snr, t in zip(points or (math.nan,), th.tolist())]
     return _write(cfg, out_dir, "throughput", "throughput-sweep", header, rows,

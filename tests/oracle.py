@@ -44,9 +44,9 @@ def beta(h, x) -> float:
 
 def simulated_z(h, cfg, h_hat=None) -> np.ndarray:
     """The (words, detectors) thresholds ``simulate`` counts its draws against."""
-    table = montecarlo._table(h, cfg, h_hat)
-    sig = sigma_stack(h, cfg.noise, table, [cfg.snr_db])
-    return montecarlo._Thresholds([h.responsivity * h.power * table.margin], [sig])[0, :]
+    table = montecarlo._table([(h, cfg, h_hat)])
+    sig = sigma_stack(h, cfg.noise, table.transmit[0], [cfg.snr_db])
+    return montecarlo._Thresholds([h.responsivity * h.power * table.margin[0]], [sig])[0, :]
 
 
 def los_gain(led, pd) -> float:

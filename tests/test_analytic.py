@@ -262,7 +262,7 @@ def test_outdated_bound_bounds_exact_rate(n, spacing):
         for i, h_hat in enumerate([h.gains, *stale]):
             table = word_table(h.gains, ci_precoder(h_hat), scheme, renormalize=renormalize)
             for mode in ("swept", "physical"):
-                sig = sigma_stack(h, NoiseConfig(mode=mode), table, points)
+                sig = sigma_stack(h, NoiseConfig(mode=mode), table.transmit, points)
                 bound, exact = outdated_bound(table, gp, sig), exact_ber(table, gp, sig)
                 assert np.all(bound >= exact * (1.0 - 1e-15))
                 if i == 0:
@@ -418,7 +418,7 @@ class TestThroughput:
         table = word_table(h, ci_precoder(h.gains), scheme)
         peaks = []
         for n_points in (2, 31):
-            sig = sigma_stack(h, NoiseConfig(), table, np.linspace(70.0, 130.0, n_points))
+            sig = sigma_stack(h, NoiseConfig(), table.transmit, np.linspace(70.0, 130.0, n_points))
             tracemalloc.start()
             try:
                 rates = throughput(table, h, sig)

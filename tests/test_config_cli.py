@@ -273,6 +273,22 @@ class TestCli:
                                             "snr_step_db": 0.1}}).sweep
         assert len(sweep.points()) == MAX_SNR_POINTS
 
+    @pytest.mark.parametrize("start, stop, step, want", [
+        (70.0, 75.0, 3.0, (70.0, 73.0)),
+        (5999.0, 6000.0, 0.6, (5999.0, 5999.6))])
+    def test_grid_ends_at_its_last_point_not_above_the_stop(self, start, stop, step, want):
+        """A stop between grid points ends the grid below it, so never above 6000 dB."""
+        sweep = config_from_dict({"sweep": {"snr_start_db": start, "snr_stop_db": stop,
+                                            "snr_step_db": step}}).sweep
+        assert sweep.points() == want
+
+    def test_exact_grid_keeps_its_count(self):
+        """Steps that reach the stop up to rounding keep their last point, the stop."""
+        sweep = config_from_dict({"sweep": {"snr_start_db": 70.0, "snr_stop_db": 130.0,
+                                            "snr_step_db": 0.1}}).sweep
+        points = sweep.points()
+        assert len(points) == 601 and points[-1] == 130.0
+
     def test_integer_grid_writes_one_snr_text(self, tmp_path):
         """A YAML grid of integers gives the same snr_db cells in the ber and throughput CSVs."""
         sweep = {"snr_start_db": 80, "snr_stop_db": 84, "snr_step_db": 2}

@@ -754,6 +754,39 @@ def test_sweep_drops_each_table_before_building_the_next(monkeypatch):
     assert starts[1] - starts[0] <= 500_000
 
 
+def test_cases_build_in_stacks_within_the_budget(monkeypatch):
+    """A scheme's cases share one stacked build while they fit ``_CHUNK_CELLS``.
+
+    Three 4-link spacings of ci and oap at 6 points (1152 cells per scheme)
+    are two builds of three elements, in case order; two 12-link cases at 4
+    points (196 608 cells each) are built alone, as is every case of a
+    sweep whose budget holds fewer than two.
+    """
+    built = []
+
+    def traced(gains, *args, **kwargs):
+        built.append(len(gains))
+        return word_table(gains, *args, **kwargs)
+    monkeypatch.setattr(montecarlo, "word_table", traced)
+    points = [70.0, 82.0, 94.0, 106.0, 118.0, 130.0]
+    cases = [(channel(spacing=sp), SimConfig(n_symbols=2000, scheme=s), None)
+             for sp in (0.25, 0.5, 1.0) for s in ("ci", "oap")]
+    stacked = sweep(cases, points, threads=1)
+    assert built == [3, 3]
+    wide = [(channel(n=12, spacing=sp), SimConfig(n_symbols=2000), None) for sp in (0.25, 0.5)]
+    built.clear()
+    sweep(wide, points[:4], threads=1)
+    assert built == [1, 1]
+    built.clear()
+    monkeypatch.setattr(montecarlo, "_CHUNK_CELLS", len(points) * 16 * 4)
+    alone = sweep(cases, points, threads=1)
+    assert built == [1] * 6
+    for a, b in zip(stacked, alone):
+        assert np.array_equal(a.analytic, b.analytic)
+        assert [e.per_pd_errors.tolist() for e in a.estimates] == \
+            [e.per_pd_errors.tolist() for e in b.estimates]
+
+
 def test_block_loop_holds_one_copy_of_the_margins(monkeypatch):
     """When the first block starts, a sweep holds its cases' ``gp * margin`` once.
 

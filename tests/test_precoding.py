@@ -53,6 +53,16 @@ class TestCiPrecoder:
             ci_precoder(np.diag([1.0, PINV_TOLERANCE]))
         ci_precoder(np.diag([1.0, np.nextafter(PINV_TOLERANCE, 1.0)]))
 
+    @pytest.mark.parametrize("bad", [0, 1, 2])
+    def test_stack_names_its_rank_deficient_element(self, bad):
+        """A stack raises when any one element is at or below the tolerance, and names it."""
+        stack = np.stack([np.eye(2)] * 3)
+        stack[bad] = np.diag([1.0, PINV_TOLERANCE])
+        with pytest.raises(SingularChannelError, match=f"2x2 channel {bad} of the stack"):
+            ci_precoder(stack)
+        stack[bad] = np.diag([1.0, np.nextafter(PINV_TOLERANCE, 1.0)])
+        assert ci_precoder(stack).w.shape == (3, 2, 2)
+
     def test_wide_matrix_right_inverse(self):
         rng = np.random.default_rng(7)
         h = rng.uniform(0.5, 1.5, size=(3, 5))

@@ -19,6 +19,8 @@ import dataclasses
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vlcmimo.analytic import (ber_ci_outdated, ber_ci_perfect, ber_oap_outdated,
                               ber_oap_perfect, exact_ber, outdated_bound, q_function,
@@ -28,7 +30,8 @@ from vlcmimo.csi import perturb_channel
 from vlcmimo import analytic, montecarlo, runner
 from vlcmimo.config import NoiseConfig, config_from_dict
 from vlcmimo.montecarlo import SimConfig, sweep
-from vlcmimo.noise import physical_sigma, shot_variance, thermal_variance, total_sigma
+from vlcmimo.noise import (physical_sigma, shot_variance, sigma_stack, thermal_variance,
+                           total_sigma)
 from vlcmimo.precoding import ci_precoder, combination_matrix, word_table
 
 import oracle
@@ -192,6 +195,46 @@ def test_table_matches_per_word_pipeline(n, spacing, csi):
                                         rel=tol)
 
 
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(1, 8),
+       spacings=st.lists(st.sampled_from([0.05, 0.25, 0.5]), min_size=1, max_size=4),
+       stale=st.booleans(), seed=st.integers(0, 1000))
+def test_stack_equals_its_elements(n, spacings, stale, seed):
+    """A stacked build is the 2-D build of each element, bit for bit.
+
+    The precoder and its condition number, every ``WordTable`` field, and the
+    ``exact_ber`` and ``outdated_bound`` rows over a stacked deviation (swept
+    points, then physical per-word noise) of ci, oap and renormalized oap,
+    on fresh or stale estimates of arrays whose spacings may differ.
+    """
+    hs = [build_channel_matrix(square_grid_layout(n, sp, fov=60.0)) for sp in spacings]
+    hats = [perturb_channel(h, 0.02 * h.gains[0, 0], seed=seed + i) if stale else h.gains
+            for i, h in enumerate(hs)]
+    stacked = ci_precoder(np.stack(hats))
+    alone = [ci_precoder(hat) for hat in hats]
+    assert np.array_equal(stacked.w, [p.w for p in alone])
+    assert np.array_equal(stacked.condition_number, [p.condition_number for p in alone])
+    gp = np.array([h.responsivity * h.power for h in hs])
+    for scheme, renormalize in VARIANTS:
+        table = word_table(np.stack([h.gains for h in hs]), stacked, scheme, renormalize)
+        tables = [word_table(h.gains, p, scheme, renormalize) for h, p in zip(hs, alone)]
+        for field in dataclasses.fields(table):
+            got = getattr(table, field.name)
+            if field.name in ("scheme", "words"):
+                assert all(np.array_equal(got, getattr(t, field.name)) for t in tables)
+            else:
+                assert np.array_equal(got, [getattr(t, field.name) for t in tables])
+        for mode, points in (("swept", SNRS_DB), ("physical", [None])):
+            sig = [sigma_stack(h, NoiseConfig(mode=mode), t.transmit, points)
+                   for h, t in zip(hs, tables)]
+            for rate in (exact_ber, outdated_bound):
+                rows = rate(table, gp, np.stack(sig))
+                assert rows.shape == (len(hs), len(points), n)
+                assert np.array_equal(rows, [rate(t, g, s) for t, g, s in zip(tables, gp, sig)])
+            with pytest.raises(ValueError, match="stacked table"):
+                exact_ber(table, gp, sig[0])
+
+
 @pytest.mark.parametrize("n, spacing", [(4, 0.05), (8, 0.05), (9, 0.05), (9, 0.5)])
 def test_beta_matches_exact_quadratic_form(n, spacing):
     """beta = (x^T (H H^T)^-1 x)^(-1/2), evaluated to 60 digits from the same gains.
@@ -259,15 +302,17 @@ def sweep_estimate(h, cfg):
 
 
 def count_builds(monkeypatch) -> list:
-    """Record the scheme and renormalization of every table the program builds.
+    """Record every table the program builds: its gains, scheme and renormalization.
 
-    ``word_table`` builds afresh on every call, so each call its callers in
-    ``analytic``, ``montecarlo`` and ``runner`` make is one build.
+    ``word_table`` builds afresh on every call, one table per element of a
+    stacked call, so each element of each call its callers in ``analytic``,
+    ``montecarlo`` and ``runner`` make is one build.
     """
     built = []
 
     def counted(gains, precoder, scheme, renormalize=False):
-        built.append((scheme, renormalize))
+        for g in np.reshape(gains, (-1, *np.shape(gains)[-2:])):
+            built.append((g.tobytes(), scheme, renormalize))
         return word_table(gains, precoder, scheme, renormalize=renormalize)
 
     monkeypatch.setattr(analytic, "word_table", counted)
@@ -282,14 +327,15 @@ def test_sweep_builds_one_table(monkeypatch, tmp_path, cfg):
 
     The runner draws the stale estimate once per variant and hands the same
     one to every scheme, so a two-variant sweep builds one table per
-    (variant, scheme) and makes one draw per variant.  The throughput sweep
-    also builds one table per (variant, scheme) for its whole SNR grid, with
-    the config's renormalization.
+    (variant, scheme), whether alone or as an element of a stacked build,
+    and makes one draw per variant.  The throughput sweep also builds one
+    table per (variant, scheme) for its whole SNR grid, with the config's
+    renormalization.
     """
     h = build_channel_matrix(square_grid_layout(4, 0.5, fov=60.0))
     built = count_builds(monkeypatch)
     one_sweep(h, SWEEP_SNRS, cfg, h_hat=sweep_estimate(h, cfg), threads=2)
-    assert built == [(cfg.scheme, cfg.renormalize_oap)]
+    assert built == [(h.gains.tobytes(), cfg.scheme, cfg.renormalize_oap)]
 
     draws = []
 
@@ -306,16 +352,20 @@ def test_sweep_builds_one_table(monkeypatch, tmp_path, cfg):
         "spacings_m": [0.5, 1.0],
         "sweep": {"snr_start_db": 80.0, "snr_stop_db": 110.0, "snr_step_db": 10.0},
         "montecarlo": {"n_symbols": cfg.n_symbols}})
+    variants = [build_channel_matrix(exp.build_layout(n_links=n, spacing=sp, semi_angle=a))
+                for n, sp, a in exp.variants()]
+    one_each = sorted((v.gains.tobytes(), s, cfg.renormalize_oap)
+                      for v in variants for s in ("ci", "oap"))
+    assert len(set(one_each)) == 2 * 2
     runner.run_ber_sweep(exp, tmp_path, threads=2)
-    variants = 2
-    assert built == [(s, cfg.renormalize_oap) for s in ("ci", "oap")] * variants
-    assert len(draws) == (variants if cfg.csi_mode == "outdated" else 0)
+    assert sorted(built) == one_each
+    assert len(draws) == (len(variants) if cfg.csi_mode == "outdated" else 0)
 
     built.clear()
     # Throughput is of the perfect-CSI table; an outdated config is refused.
     perfect = dataclasses.replace(exp, csi=dataclasses.replace(exp.csi, mode="perfect"))
     runner.run_throughput_sweep(perfect, tmp_path, threads=2)
-    assert built == [(s, cfg.renormalize_oap) for s in ("ci", "oap")] * variants
+    assert sorted(built) == one_each
 
 
 def test_kept_table_is_read_only():
