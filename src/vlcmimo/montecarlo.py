@@ -13,12 +13,13 @@ the binomial ones, which over-state the spread of this estimator.
 
 Sweeps use common random numbers: sigma only scales the thresholds, and the
 draws depend only on the seed, the symbol and block counts and the word and
-detector counts.  One (seed, block) stream therefore serves every SNR point
-of every case of a ``sweep`` call that has the same word and detector counts
-(every scheme, array spacing or elapsed time of a recipe).  Each row is
-exactly the standalone run at its SNR and keeps its marginal distribution.
-Every point counts every block, so every row runs exactly its symbol count.
-Threads split a block loop's blocks, not its points.
+detector counts.  One block loop therefore serves every SNR point of every
+case of a ``sweep`` call that has the same word and detector counts and
+noise mode (every scheme, array spacing or elapsed time of a recipe), so a
+loop's cases share their points.  Each row is exactly the case's one-case
+sweep at its SNR, which is ``simulate``, and keeps its marginal
+distribution.  Every point counts every block, so every row runs exactly
+its symbol count.  Threads split a block loop's blocks, not its points.
 
 A pair's errors depend only on |d| (``_pair_keys``).  A block that serves
 many points counts them from sorted |d|: each (word, detector) row is sorted
@@ -28,17 +29,19 @@ with each point instead.  Both count exactly ``count(d > z) + count(-d > z)``,
 so the path taken never changes a result.
 
 A block loop's cases are built in groups: cases of one scheme,
-renormalization, knowledge and noise mode take one stacked ``ci_precoder``
-and ``word_table`` call and one closed-form reduction, as long as the
-group's cases x points x words x detectors fit ``_CHUNK_CELLS``; a wider
-case is built alone.  Each element equals its own build bit for bit.
+renormalization and knowledge take one stacked ``ci_precoder`` and
+``word_table`` call and one closed-form reduction, as long as the group's
+cases x points x words x detectors fit ``_CHUNK_CELLS``; a wider case is
+built alone.  Each element equals its own build bit for bit.  The loop's
+z is one broadcast division of its stacked ``gp * margin`` by its stacked
+deviations (``_Thresholds``), formed a word chunk at a time.
 
 No array of a sweep spans 2^n words x detectors x points: a block draws,
-divides z and counts in consecutive word chunks of about ``_CHUNK_CELLS``
-normals (consecutive draws continue one stream, so the values are those of
-one whole-block draw), its single draws are counted against every point at
-once in chunks of as many cells, and the closed forms sum Q over chunks of
-words.
+divides z and counts in consecutive word chunks of at most about
+``_CHUNK_CELLS`` normals and as many thresholds (consecutive draws continue
+one stream, so the values are those of one whole-block draw), its
+single draws are counted against every point at once in chunks of as many
+cells, and the closed forms sum Q over chunks of words.
 """
 
 from __future__ import annotations
@@ -49,7 +52,7 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Literal, Sequence
+from typing import Literal
 
 import numpy as np
 
@@ -59,7 +62,7 @@ from .channel import ChannelMatrix
 from .config import MonteCarloConfig, NoiseConfig, _config
 from .csi import perturb_channel  # noqa: F401  (wrapped here by perfbench/tracing.py)
 from .noise import sigma_stack
-from .precoding import WordTable, ci_precoder, word_table
+from .precoding import ci_precoder, word_table
 
 __all__ = [
     "SimConfig",
@@ -152,43 +155,26 @@ def _estimate(h: ChannelMatrix, cfg: SimConfig, h_hat) -> np.ndarray:
     return h.gains
 
 
-def _table(cases) -> WordTable:
-    """The stacked word table of ``(h, cfg, h_hat, ...)`` cases of one scheme and renormalization.
-
-    Each case's precoder comes from ``_estimate``.
-    """
-    gains = np.array([h.gains for h, *_ in cases])
-    estimates = np.array([_estimate(h, cfg, h_hat) for h, cfg, h_hat, *_ in cases])
-    cfg = cases[0][1]
-    return word_table(gains, ci_precoder(estimates), cfg.scheme,
-                      renormalize=cfg.renormalize_oap)
-
-
 class _Thresholds:
-    """The block loop's z, divided a chunk at a time where it is compared.
+    """A block loop's z, divided a chunk at a time where it is compared.
 
-    From each case's (words, detectors) ``gp * margin`` and (points, 1 or
-    words, detectors) deviations, all positive; ``z[:, lo:hi]``,
-    ``z[:, widx]`` and ``z[p, widx]`` return ``gp * margin / sig`` for just
-    those points and words.  Deviations shared by every word (swept noise)
-    are broadcast in the division, never gathered per word.
+    From the loop's stacked (cases, words, detectors) ``gp * margin`` and
+    (cases, points, 1 or words, detectors) deviations, all positive: every
+    case of a loop has the same points and noise mode.  ``z[:, words]``, for
+    a slice or an index array of words, is ``gp * margin / sig`` at every
+    point and just those words, case-major.  Deviations shared by every word
+    (swept noise) are broadcast in the division, never gathered per word.
     """
 
-    def __init__(self, gpm: Sequence[np.ndarray], sig: Sequence[np.ndarray]):
-        self.gpm = np.stack(gpm)
-        self.case = np.repeat(np.arange(len(sig)), [len(s) for s in sig])
-        self.shape = (len(self.case), *self.gpm.shape[1:])
-        width = max(s.shape[1] for s in sig)      # per-word deviations of physical noise
-        self.sig = np.concatenate([np.broadcast_to(s, (len(s), width, s.shape[2]))
-                                   for s in sig])
+    def __init__(self, gpm: np.ndarray, sig: np.ndarray):
+        self.gpm, self.sig = gpm, sig
+        self.shape = (sig.shape[0] * sig.shape[1], *gpm.shape[1:])
 
     def __getitem__(self, key) -> np.ndarray:
-        points, words = key
-        case = self.case[points]
-        if not isinstance(words, slice):
-            case = case[..., None]      # each row's case against every listed word
-        sig = self.sig[points, words] if self.sig.shape[1] > 1 else self.sig[points]
-        return np.divide(self.gpm[case, words], sig)
+        _, words = key          # every point
+        sig = self.sig[:, :, words] if self.sig.shape[2] > 1 else self.sig
+        z = np.divide(self.gpm[:, None, words], sig)
+        return z.reshape(-1, *z.shape[2:])
 
 
 def _sorts(n_points: int, per: int) -> bool:
@@ -279,13 +265,14 @@ def _block_errors(z: np.ndarray, nb: int, rng: np.random.Generator) -> np.ndarra
     grows with the points; otherwise each point compares them.  The counts
     are the same either way.
 
-    The pairs are drawn and counted in consecutive chunks of words of about
-    ``_CHUNK_CELLS`` draws, then the single draws (each word's unpaired
-    symbol, then the leftover words) in chunks of at most ``_CHUNK_CELLS``
-    points x words x detectors, so the block's arrays stay bounded however
-    wide the array.  Consecutive draws continue one stream, so the chunks
-    draw exactly the values of one whole draw; a block within the budget is
-    one chunk.
+    The pairs are drawn and counted in consecutive chunks of words of at
+    most about ``_CHUNK_CELLS`` draws and as many points x words x detectors
+    thresholds, then the single draws (each word's unpaired symbol, then the
+    leftover words) in chunks of at most ``_CHUNK_CELLS`` points x words x
+    detectors, so the block's arrays stay bounded however wide the array and
+    however many its points.  Consecutive draws continue one stream, so the
+    chunks draw exactly the values of one whole draw; a block within the
+    budget is one chunk.
     """
     n_points, n_words, n_r = z.shape
     per, extra = divmod(nb, n_words)
@@ -293,7 +280,7 @@ def _block_errors(z: np.ndarray, nb: int, rng: np.random.Generator) -> np.ndarra
     count = _sorted_errors if _sorts(n_points, per) else _compared_errors
     errors = np.zeros((n_points, n_r), dtype=np.int64)
     if pairs:
-        step = max(1, _CHUNK_CELLS // (n_r * pairs))
+        step = max(1, _CHUNK_CELLS // (n_r * max(pairs, n_points)))
         for lo in range(0, n_words, step):
             draws = rng.standard_normal((min(step, n_words - lo), n_r, pairs))
             errors += count(draws, z[:, lo:lo + step])
@@ -335,15 +322,14 @@ def _count_errors(z: np.ndarray, cfg: SimConfig, threads: int = 1) -> list[BerEs
 def simulate(h: ChannelMatrix, cfg: SimConfig, h_hat=None) -> BerEstimate:
     """Run the symbol loop and count detection errors per photodetector.
 
-    The one-point case of ``sweep``'s block loop: blocks of ``cfg.block_size``
-    symbols give every word an equal share (see ``_block_errors``); block k
-    draws from ``SFC64(SeedSequence((seed, k)))``.  Exactly ``cfg.n_symbols``
-    symbols run.
+    The one-case, one-point ``sweep`` at ``cfg.snr_db`` (no point under
+    physical noise), run serially: blocks of ``cfg.block_size`` symbols give
+    every word an equal share (see ``_block_errors``); block k draws from
+    ``SFC64(SeedSequence((seed, k)))``.  Exactly ``cfg.n_symbols`` symbols
+    run.
     """
-    table = _table([(h, cfg, h_hat)])
-    z = _Thresholds([h.responsivity * h.power * table.margin[0]],
-                    [sigma_stack(h, cfg.noise, table.transmit[0], [cfg.snr_db])])
-    return _count_errors(z, cfg)[0]
+    points = [] if cfg.noise.mode == "physical" else [cfg.snr_db]
+    return sweep([(h, cfg, h_hat)], points, threads=1)[0].estimates[0]
 
 
 def _cpus() -> int:
@@ -355,11 +341,13 @@ def _cpus() -> int:
 
 def _points(cfg: SimConfig, snr_points_db) -> list[float]:
     """A case's sorted SNR points; physical noise is the one point nan."""
-    points = sorted(float(p) for p in snr_points_db)
     if cfg.noise.mode == "physical":
-        if points:
+        if len(snr_points_db):
             raise ValueError("physical noise has no SNR axis; pass no points")
         return [math.nan]
+    if None in snr_points_db:
+        raise ValueError("swept noise mode needs a finite snr_db")
+    points = sorted(float(p) for p in snr_points_db)
     if not points:
         raise ValueError("need at least one SNR point")
     return points
@@ -380,16 +368,17 @@ def _threads(threads: int | None) -> int:
 def _stacks(cases) -> list[list[list[int]]]:
     """Indices of ``(h, cfg, h_hat, points)`` cases: block loops of build groups, in run order.
 
-    Cases with the same word and detector counts, seed, symbol count and
-    block size share a loop.  Within it, cases with the same scheme,
-    renormalization, knowledge and noise mode share a build group, in case
-    order, while the group's cases x points x words x detectors fit
-    ``_CHUNK_CELLS``; a case larger than that is a group alone.
+    Cases with the same word and detector counts, seed, symbol count, block
+    size and noise mode share a loop, so a loop's cases have the same points
+    and deviation shape.  Within it, cases with the same scheme,
+    renormalization and knowledge share a build group, in case order, while
+    the group's cases x points x words x detectors fit ``_CHUNK_CELLS``; a
+    case larger than that is a group alone.
     """
     stacks, groups = {}, {}
     for i, (h, cfg, _, points) in enumerate(cases):
-        loop = (h.gains.shape, cfg.seed, cfg.n_symbols, cfg.block_size)
-        build = (loop, cfg.scheme, cfg.renormalize_oap, cfg.csi_mode, cfg.noise.mode)
+        loop = (h.gains.shape, cfg.seed, cfg.n_symbols, cfg.block_size, cfg.noise.mode)
+        build = (loop, cfg.scheme, cfg.renormalize_oap, cfg.csi_mode)
         n = h.gains.shape[1]
         group = groups.get(build)
         if group is None or (len(group) + 1) * len(points) * (n << n) > _CHUNK_CELLS:
@@ -402,12 +391,15 @@ def _stacks(cases) -> list[list[list[int]]]:
 def _group(cases) -> tuple:
     """A build group's stacked ``gp * margin``, deviations and closed form.
 
-    One ``word_table`` and one ``exact_ber`` or ``outdated_bound`` call
-    serve every ``(h, cfg, h_hat, points)`` case of the group; the stacked
+    One ``ci_precoder``, one ``word_table`` and one ``exact_ber`` or
+    ``outdated_bound`` call serve every ``(h, cfg, h_hat, points)`` case of
+    the group; each case's precoder comes from ``_estimate``.  The stacked
     table is dropped on return.
     """
-    table = _table(cases)
     hs, cfgs, _, points = zip(*cases)
+    estimates = np.array([_estimate(h, cfg, h_hat) for h, cfg, h_hat, _ in cases])
+    table = word_table(np.array([h.gains for h in hs]), ci_precoder(estimates),
+                       cfgs[0].scheme, renormalize=cfgs[0].renormalize_oap)
     gp = np.array([h.responsivity * h.power for h in hs])
     sig = np.array([sigma_stack(h, cfg.noise, transmit, p)
                     for h, cfg, transmit, p in zip(hs, cfgs, table.transmit, points)])
@@ -422,16 +414,17 @@ def sweep(cases, snr_points_db, threads: int | None = None) -> list[BerCurve]:
     One (seed, block) stream serves every SNR point of every case that has
     the same word and detector counts, seed, symbol count and block size
     (common random numbers): each block is drawn once and counted against
-    the thresholds of all their points, in one block loop however wide the
-    arrays, and every point counts every block.  Rows are therefore
-    correlated along SNR and across cases; each row equals ``simulate`` at
-    its SNR with its case's ``cfg``, its marginal distribution unchanged.  Up
-    to ``threads`` blocks run at once (None means the CPUs this process may
-    use, 1 forces serial, below 1 raises ``ValueError``); threads split
-    blocks, not points, and the counts do not depend on them.  One curve
+    the thresholds of all their points, in one block loop per noise mode
+    however wide the arrays, and every point counts every block.  Rows are
+    therefore correlated along SNR and across cases; each row equals the
+    case's one-case sweep at its SNR (``simulate``), its marginal
+    distribution unchanged.  Up to ``threads`` blocks run at once (None
+    means the CPUs this process may use, 1 forces serial, below 1 raises
+    ``ValueError``); threads split blocks, not points, and the counts do not
+    depend on them.  One curve
     per case, in case order, with points sorted by SNR.  Cases of one
-    scheme, renormalization, knowledge and noise mode are one build group
-    while its cases x points x words x detectors fit ``_CHUNK_CELLS`` (see
+    loop, scheme, renormalization and knowledge are one build group while
+    its cases x points x words x detectors fit ``_CHUNK_CELLS`` (see
     ``_stacks``), so a group takes one stacked ``ci_precoder`` and
     ``word_table`` call and one closed form over its stacked deviations:
     ``analytic.exact_ber`` with perfect knowledge, else
@@ -447,8 +440,8 @@ def sweep(cases, snr_points_db, threads: int | None = None) -> list[BerCurve]:
     curves = [None] * len(cases)
     for stack in _stacks(cases):
         gpm, sigs, rates = zip(*(_group([cases[i] for i in group]) for group in stack))
-        z = _Thresholds([m for g in gpm for m in g], [s for g in sigs for s in g])
-        del gpm         # the block loop holds only z's stacked copy
+        z = _Thresholds(np.concatenate(gpm), np.concatenate(sigs))
+        del gpm, sigs   # the block loop holds only z's stacked copies
         # a stack shares one draw key, so its first case's cfg serves them all
         counts = iter(_count_errors(z, cases[stack[0][0]][1], threads))
         for group, rate in zip(stack, rates):

@@ -104,8 +104,6 @@ def sigma_stack(h, params: NoiseConfig, transmit, snr_points) -> np.ndarray:
     if params.mode == "physical":
         return physical_sigma(h.gains, h.power * transmit, h.detector_area,
                               h.responsivity, params)[None]
-    if None in snr_points:
-        raise ValueError("swept noise mode needs a finite snr_db")
     sig = np.array([sigma_from_transmit_snr(p, h.responsivity, h.power) for p in snr_points])
     if not np.all(sig > 0.0):
         raise ValueError("noise standard deviations must be positive")

@@ -125,7 +125,6 @@ class WordTable:
 
     scheme: str
     words: np.ndarray       # (2^n, n) binary words
-    beta: np.ndarray        # (2^n,) transmit scaling
     transmit: np.ndarray    # (2^n, n) transmit vectors t = beta W_d x
     slicer: np.ndarray      # (2^n, n) slicer amplitude, twice the threshold
     margin: np.ndarray      # (2^n, n) signed slicer margin per unit gp
@@ -184,6 +183,5 @@ def word_table(gains, precoder: Precoder, scheme: str,
         own = beta * np.where(on, mx, (1.0 - x) @ m.mT)
         slicer = np.where(on, k, n - k) * own
     receive = scale * mx
-    return WordTable(scheme=scheme, words=words, beta=beta[..., 0],
-                     transmit=scale * wx, slicer=slicer,
+    return WordTable(scheme=scheme, words=words, transmit=scale * wx, slicer=slicer,
                      margin=np.where(words == 1, 1.0, -1.0) * (receive - 0.5 * slicer))

@@ -10,7 +10,6 @@ import numpy as np
 
 from vlcmimo import montecarlo
 from vlcmimo.channel import _los_gains
-from vlcmimo.noise import sigma_stack
 from vlcmimo.precoding import ci_precoder
 
 
@@ -44,9 +43,8 @@ def beta(h, x) -> float:
 
 def simulated_z(h, cfg, h_hat=None) -> np.ndarray:
     """The (words, detectors) thresholds ``simulate`` counts its draws against."""
-    table = montecarlo._table([(h, cfg, h_hat)])
-    sig = sigma_stack(h, cfg.noise, table.transmit[0], [cfg.snr_db])
-    return montecarlo._Thresholds([h.responsivity * h.power * table.margin[0]], [sig])[0, :]
+    gpm, sig, _ = montecarlo._group([(h, cfg, h_hat, [cfg.snr_db])])
+    return montecarlo._Thresholds(gpm, sig)[:, :][0]
 
 
 def los_gain(led, pd) -> float:

@@ -18,7 +18,7 @@ from vlcmimo.config import preset
 from vlcmimo.csi import MobilityEvent, error_bound, perturb_channel
 from vlcmimo.montecarlo import SimConfig, simulate
 from vlcmimo.noise import sigma_from_transmit_snr
-from vlcmimo.precoding import ci_precoder, combination_matrix, word_table
+from vlcmimo.precoding import ci_precoder, word_table
 from vlcmimo.runner import run_ber_sweep
 
 import oracle
@@ -82,9 +82,7 @@ def test_criterion_2_power_normalization():
     sizes = [2, 3, 4, 5, 6, 8] * 4
     for n in sizes[:20]:
         h = 1e-3 * (np.eye(n) + 0.3 * rng.uniform(0.0, 1.0, size=(n, n)))
-        pre = ci_precoder(h)
-        beta = word_table(h, pre, "ci").beta[1:, None]
-        norms = np.linalg.norm(beta * (combination_matrix(n)[1:] @ pre.w.T), axis=1)
+        norms = np.linalg.norm(word_table(h, ci_precoder(h), "ci").transmit[1:], axis=1)
         worst = max(worst, float(np.abs(norms - 1.0).max()))
     elapsed = time.monotonic() - start
     ok = worst < 1e-10 and elapsed < 5.0

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import math
 import threading
 import tracemalloc
 
@@ -663,45 +664,79 @@ class TestThresholdsFromMargins:
     CFG = SimConfig(n_symbols=4101 + 1000, seed=13, block_size=4101)
 
     @staticmethod
-    def cases(noise: str) -> list[tuple]:
-        """(gp * margin, deviations, dense z) per case: 20 swept points, one physical point."""
-        out = []
-        for scheme, mode in zip(("ci", "oap"), noise.split("+")):
-            h, params = physical_channel() if mode == "physical" else (channel(), None)
+    def loop(mode: str) -> tuple:
+        """A ci and an oap case's stacked gp * margin, deviations and dense z.
+
+        Swept noise has 20 points per case, physical noise one.
+        """
+        h, params = physical_channel() if mode == "physical" else (channel(), None)
+        gp = h.responsivity * h.power
+        gpm, sigs, dense = [], [], []
+        for scheme in ("ci", "oap"):
             table = word_table(h.gains, ci_precoder(h.gains), scheme)
-            gp = h.responsivity * h.power
             if mode == "swept":
                 sig = np.stack([sigma_table(sigma_from_transmit_snr(snr, h.responsivity,
                                                                     h.power), table)
                                 for snr in np.linspace(70.0, 98.5, 20)])[:, None, :]
             else:
                 sig = table_sigma(h, table, params)[None]
-            out.append((gp * table.margin, sig, oracle.thresholds(table, gp, sig)))
-        return out
+            gpm.append(gp * table.margin)
+            sigs.append(sig)
+            dense.append(oracle.thresholds(table, gp, sig))
+        return np.stack(gpm), np.stack(sigs), np.concatenate(dense)
 
-    @pytest.mark.parametrize("noise", ["swept+swept", "physical+physical", "swept+physical"],
-                             ids=["swept", "physical", "mixed"])
+    @pytest.mark.parametrize("noise", ["swept", "physical"])
     @pytest.mark.parametrize("threads", [1, 2])
     def test_counts_equal_dense_thresholds(self, monkeypatch, noise, threads):
-        gpm, sig, dense = zip(*self.cases(noise))
-        z = montecarlo._Thresholds(list(gpm), list(sig))
-        assert z.shape == (sum(map(len, dense)), 16, 4)
+        gpm, sig, dense = self.loop(noise)
+        z = montecarlo._Thresholds(gpm, sig)
+        assert z.shape == dense.shape == ((20 if noise == "swept" else 1) * 2, 16, 4)
         taken = spy_paths(monkeypatch)
         got = montecarlo._count_errors(z, self.CFG, threads)
-        want = montecarlo._count_errors(np.concatenate(dense), self.CFG, threads)
+        want = montecarlo._count_errors(dense, self.CFG, threads)
         assert [(e.per_pd_errors.tolist(), e.symbols_run) for e in got] == \
             [(e.per_pd_errors.tolist(), e.symbols_run) for e in want]
         assert sum(e.per_pd_errors.sum() for e in got) > 0
-        assert ("sorted" in taken) == (noise == "swept+swept")
+        assert ("sorted" in taken) == (noise == "swept")
 
     def test_chunks_equal_dense_thresholds(self):
-        gpm, sig, dense = zip(*self.cases("swept+physical"))
-        z, dense = montecarlo._Thresholds(list(gpm), list(sig)), np.concatenate(dense)
-        rows, widx = np.array([0, 7, 19, 20]), np.array([3, 3, 15, 0, 9])
-        assert np.array_equal(z[slice(None), 5:11], dense[:, 5:11])
-        assert np.array_equal(z[rows, 0:3], dense[rows, 0:3])
-        for p in (0, 19, 20):
-            assert np.array_equal(z[p, widx], dense[p, widx])
+        widx = np.array([3, 3, 15, 0, 9])
+        for noise in ("swept", "physical"):
+            gpm, sig, dense = self.loop(noise)
+            z = montecarlo._Thresholds(gpm, sig)
+            assert np.array_equal(z[:, 5:11], dense[:, 5:11])
+            assert np.array_equal(z[:, widx], dense[:, widx])
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_mixed_noise_modes_are_one_case_sweeps(monkeypatch, threads):
+    """A swept and a physical case run in two block loops, each row its one-case sweep.
+
+    ``sweep`` refuses the mix, as physical noise takes no points and swept
+    noise needs one; a ``_points`` that gives each case its own points
+    stands in for a caller that could mix them.
+    """
+    base = SimConfig(n_symbols=4101 + 1000, seed=13, block_size=4101)
+    h, params = physical_channel()
+    cases = [(channel(), base, None),
+             (h, dataclasses.replace(base, scheme="oap", noise=params), None)]
+    points = [70.0, 84.0, 98.0]
+    for given in (points, []):
+        with pytest.raises(ValueError, match="SNR"):
+            sweep(cases, given, threads=threads)
+    alone = [one_sweep(h, given, cfg, threads=threads)
+             for (h, cfg, _), given in zip(cases, (points, []))]
+    monkeypatch.setattr(montecarlo, "_points",
+                        lambda cfg, _: [math.nan] if cfg.noise.mode == "physical" else points)
+    loops = TestRecipeSharesOneBlockLoop.count_calls(monkeypatch, montecarlo, "_count_errors")
+    mixed = sweep(cases, points, threads=threads)
+    assert [z.shape[0] for z, *_ in loops] == [3, 1]
+    for got, want in zip(mixed, alone):
+        assert np.array_equal(got.snr_db, want.snr_db, equal_nan=True)
+        assert np.array_equal(got.analytic, want.analytic)
+        assert [(e.per_pd_errors.tolist(), e.symbols_run) for e in got.estimates] == \
+            [(e.per_pd_errors.tolist(), e.symbols_run) for e in want.estimates]
+    assert sum(e.per_pd_errors.sum() for c in mixed for e in c.estimates) > 0
 
 
 def test_sweep_memory_does_not_grow_with_its_points(tmp_path):
@@ -710,12 +745,14 @@ def test_sweep_memory_does_not_grow_with_its_points(tmp_path):
     A 12-link ber-sweep (two cases of 4096 words x 12 detectors): thresholds
     are formed a word chunk at a time and the closed forms sum over word
     chunks, so 20 more points add only their deviations and rows, against
-    7.9 MB of thresholds a stored stack would add.
+    7.9 MB of thresholds a stored stack would add.  A 10-link one at 10 000
+    symbols (4 pairs per word) divides its pairs' thresholds in chunks sized
+    by its points too, against 4.5 MB more when sized by its pairs alone.
     """
-    def peak_bytes(n_points: int) -> int:
+    def peak_bytes(n_links: int, n_symbols: int, n_points: int) -> int:
         cfg = config_from_dict({
-            "name": f"mem{n_points}", "seed": 3, "montecarlo": {"n_symbols": 3000},
-            "layout": {"n_links": 12, "spacing_m": 0.5, "detector": {"fov_deg": 60.0}},
+            "name": f"mem{n_points}", "seed": 3, "montecarlo": {"n_symbols": n_symbols},
+            "layout": {"n_links": n_links, "spacing_m": 0.5, "detector": {"fov_deg": 60.0}},
             "sweep": {"snr_start_db": 80.0, "snr_stop_db": 80.0 + 2.0 * (n_points - 1),
                       "snr_step_db": 2.0}})
         tracemalloc.start()
@@ -725,8 +762,9 @@ def test_sweep_memory_does_not_grow_with_its_points(tmp_path):
         finally:
             tracemalloc.stop()
 
-    few, many = peak_bytes(4), peak_bytes(24)
-    assert many - few <= 64 * 1024
+    for n_links, n_symbols in ((12, 3000), (10, 10_000)):
+        few, many = (peak_bytes(n_links, n_symbols, n) for n in (4, 24))
+        assert many - few <= 64 * 1024, (n_links, few, many)
 
 
 def test_sweep_drops_each_table_before_building_the_next(monkeypatch):
