@@ -19,16 +19,17 @@ from vlcmimo.noise import sigma_stack
 from vlcmimo.precoding import ci_precoder, word_table
 
 
-def error_rates(h, scheme, snrs) -> list[float]:
-    """Average exact error rate of ``scheme`` at each SNR, from one ``exact_ber`` call."""
-    table = word_table(h.gains, ci_precoder(h.gains), scheme)
+def error_rates(h, pre, scheme, snrs) -> list[float]:
+    """Average exact error rate of ``scheme`` with precoder ``pre`` at each SNR,
+    from one ``exact_ber`` call."""
+    table = word_table(h.gains, pre, scheme)
     sig = sigma_stack(h, NoiseConfig(), table.transmit, snrs)
     return [float(np.mean(r)) for r in exact_ber(table, h.responsivity * h.power, sig)]
 
 
-def crossing(h, scheme, level, snrs):
+def crossing(h, pre, scheme, level, snrs):
     prev = None
-    for snr, ber in zip(snrs, error_rates(h, scheme, snrs)):
+    for snr, ber in zip(snrs, error_rates(h, pre, scheme, snrs)):
         if prev is not None and prev[1] >= level >= ber > 0:
             x0, y0 = prev
             return x0 + (np.log10(level) - np.log10(y0)) \
@@ -58,10 +59,10 @@ def main() -> int:
             except GeometryError as err:
                 print(f"{n:>6} {sp:>8.2f} skipped: {err}")
                 continue
-            cond = ci_precoder(h.gains).condition_number
-            ci = crossing(h, "ci", args.level, snrs)
-            oap = crossing(h, "oap", args.level, snrs)
-            print(f"{n:>6} {sp:>8.2f} {cond:>11.3g} "
+            pre = ci_precoder(h.gains)
+            ci = crossing(h, pre, "ci", args.level, snrs)
+            oap = crossing(h, pre, "oap", args.level, snrs)
+            print(f"{n:>6} {sp:>8.2f} {pre.condition_number:>11.3g} "
                   f"{ci:>10.2f} {oap:>9.2f} {ci - oap:>7.2f}")
     return 0
 

@@ -15,7 +15,7 @@ from .channel import (ChannelMatrix, GainMap, GeometryError, Luminaire,
                       concentrator_gain, distance_gain_prefactor, gain_map,
                       lambertian_order, square_grid_layout)
 from .config import ConfigError, ExperimentConfig, load_config, preset
-from .csi import MobilityEvent, error_bound, perturb_channel
+from .csi import error_bound, perturb_channel
 from .montecarlo import BerCurve, BerEstimate, SimConfig, simulate, sweep
 from .noise import (physical_sigma, shot_variance, sigma_from_transmit_snr,
                     thermal_variance, total_sigma)

@@ -298,7 +298,8 @@ class ExperimentConfig:
         The variants' link counts are capped by the word enumeration,
         gain-map cells by ``MAX_RASTER_CELLS``, and the mobile user must be a
         link of every variant's array.  Swept noise must give a positive
-        finite noise deviation at both ends of the SNR grid, so at every point.
+        finite noise deviation at both ends of the SNR grid, so at every point;
+        physical noise a finite thermal variance.
         """
         sizes = sorted({n for n, _, _ in self.variants()})
         if max(sizes) > MAX_ENUMERATED_LINKS:
@@ -316,10 +317,11 @@ class ExperimentConfig:
         if self.csi.mobile_user >= min(sizes):
             raise ConfigError(f"csi.mobile_user {self.csi.mobile_user} is not a link of "
                               f"the smallest array in use ({min(sizes)} links)")
+        # Imported here, as noise imports this module.
+        from .noise import sigma_from_transmit_snr, thermal_variance
+        # The variants share the luminaire power and the detector.
+        lum, det = layouts[0].luminaires[0], layouts[0].detectors[0]
         if self.noise.mode == "swept":
-            from .noise import sigma_from_transmit_snr     # here, as noise imports this module
-            # The variants share the luminaire power and the responsivity.
-            lum, det = layouts[0].luminaires[0], layouts[0].detectors[0]
             points = self.sweep.points()
             for snr in (points[0], points[-1]):
                 try:
@@ -329,6 +331,15 @@ class ExperimentConfig:
                 if not 0.0 < sigma < math.inf:
                     raise ConfigError(f"sweep point {snr!r} dB gives the noise deviation "
                                       f"{sigma!r}; it must be positive and finite")
+        else:
+            try:
+                thermal = thermal_variance(det.area, self.noise)
+            except OverflowError:
+                thermal = math.inf
+            if not math.isfinite(thermal):
+                raise ConfigError(f"noise gives the thermal variance {thermal!r}; "
+                                  "noise.bandwidth_hz and the front-end values must keep "
+                                  "it finite")
         return self
 
     def resolved(self) -> dict:

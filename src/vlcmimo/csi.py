@@ -8,66 +8,29 @@ model; perturbation models realize estimates within that bound.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .channel import ChannelMatrix
 
 __all__ = [
-    "MobilityEvent",
     "error_bound",
     "perturb_channel",
 ]
 
 
-@dataclass(frozen=True)
-class MobilityEvent:
-    """Horizontal move of one user between consecutive channel updates.
+def error_bound(start_xy, end_xy, plane_separation: float, varpi: float, m: float) -> float:
+    """Worst-case gain error ``varpi * |d2^-(m+3) - d1^-(m+3)|`` of a horizontal move.
 
-    Coordinates are measured in the luminaire's frame: (x, y) is the
-    horizontal displacement from the luminaire axis, ``plane_separation`` the
-    fixed height between the luminaire and receiver planes.
+    ``start_xy`` and ``end_xy`` are the user's (x, y) offsets from the
+    luminaire axis before and after the move, and ``plane_separation`` the
+    fixed height between the luminaire and receiver planes; d1 and d2 are the
+    distances they give.  Depends only on those distances, so purely
+    tangential moves give 0.
     """
-
-    start_xy: tuple[float, float]
-    end_xy: tuple[float, float]
-    plane_separation: float
-    elapsed_time: float
-
-    def __post_init__(self):
-        if self.plane_separation <= 0.0:
-            raise ValueError("plane separation must be positive")
-        if self.elapsed_time <= 0.0:
-            raise ValueError("elapsed time must be positive")
-        object.__setattr__(self, "start_xy", tuple(float(c) for c in self.start_xy))
-        object.__setattr__(self, "end_xy", tuple(float(c) for c in self.end_xy))
-
-    @property
-    def start_distance(self) -> float:
-        x, y = self.start_xy
-        return math.sqrt(x * x + y * y + self.plane_separation**2)
-
-    @property
-    def end_distance(self) -> float:
-        x, y = self.end_xy
-        return math.sqrt(x * x + y * y + self.plane_separation**2)
-
-    @property
-    def max_velocity(self) -> float:
-        """Planar speed realizing the move within the elapsed time."""
-        dx = self.end_xy[0] - self.start_xy[0]
-        dy = self.end_xy[1] - self.start_xy[1]
-        return math.hypot(dx, dy) / self.elapsed_time
-
-
-def error_bound(event: MobilityEvent, varpi: float, m: float) -> float:
-    """Worst-case gain error ``varpi * |d2^-(m+3) - d1^-(m+3)|`` of the move.
-
-    Depends only on the radial distances, so purely tangential moves give 0.
-    """
-    d1 = event.start_distance
-    d2 = event.end_distance
+    if plane_separation <= 0.0:
+        raise ValueError("plane separation must be positive")
+    d1, d2 = (math.sqrt(x * x + y * y + plane_separation**2) for x, y in (start_xy, end_xy))
     return varpi * abs(d2 ** -(m + 3.0) - d1 ** -(m + 3.0))
 
 

@@ -135,13 +135,18 @@ class BerEstimate:
 
 @dataclass(frozen=True)
 class BerCurve:
-    """One scheme's sweep: Monte Carlo estimates and the closed form, a row per point."""
+    """One scheme's sweep: Monte Carlo estimates and the closed form, a row per point.
+
+    ``condition_number`` is that of the gains the case's precoder inverted:
+    the channel's, or the estimate's when knowledge is outdated.
+    """
 
     snr_db: tuple[float, ...]
     estimates: tuple[BerEstimate, ...]
     analytic: np.ndarray        # (points, detectors): exact_ber, or outdated_bound if stale
     scheme: str
     csi_mode: str
+    condition_number: float
 
 
 def _estimate(h: ChannelMatrix, cfg: SimConfig, h_hat) -> np.ndarray:
@@ -389,7 +394,7 @@ def _stacks(cases) -> list[list[list[int]]]:
 
 
 def _group(cases) -> tuple:
-    """A build group's stacked ``gp * margin``, deviations and closed form.
+    """A build group's stacked ``gp * margin``, deviations, closed form and condition numbers.
 
     One ``ci_precoder``, one ``word_table`` and one ``exact_ber`` or
     ``outdated_bound`` call serve every ``(h, cfg, h_hat, points)`` case of
@@ -397,15 +402,15 @@ def _group(cases) -> tuple:
     table is dropped on return.
     """
     hs, cfgs, _, points = zip(*cases)
-    estimates = np.array([_estimate(h, cfg, h_hat) for h, cfg, h_hat, _ in cases])
-    table = word_table(np.array([h.gains for h in hs]), ci_precoder(estimates),
+    pre = ci_precoder(np.array([_estimate(h, cfg, h_hat) for h, cfg, h_hat, _ in cases]))
+    table = word_table(np.array([h.gains for h in hs]), pre,
                        cfgs[0].scheme, renormalize=cfgs[0].renormalize_oap)
     gp = np.array([h.responsivity * h.power for h in hs])
     sig = np.array([sigma_stack(h, cfg.noise, transmit, p)
                     for h, cfg, transmit, p in zip(hs, cfgs, table.transmit, points)])
     rate = analytic.outdated_bound if cfgs[0].csi_mode == "outdated" else analytic.exact_ber
     closed = rate(table, gp, sig)     # first, so Q's arrays do not meet gp * margin
-    return gp[:, None, None] * table.margin, sig, closed
+    return gp[:, None, None] * table.margin, sig, closed, pre.condition_number
 
 
 def sweep(cases, snr_points_db, threads: int | None = None) -> list[BerCurve]:
@@ -439,15 +444,16 @@ def sweep(cases, snr_points_db, threads: int | None = None) -> list[BerCurve]:
     cases = [(h, cfg, h_hat, _points(cfg, snr_points_db)) for h, cfg, h_hat in cases]
     curves = [None] * len(cases)
     for stack in _stacks(cases):
-        gpm, sigs, rates = zip(*(_group([cases[i] for i in group]) for group in stack))
+        gpm, sigs, rates, conds = zip(*(_group([cases[i] for i in group]) for group in stack))
         z = _Thresholds(np.concatenate(gpm), np.concatenate(sigs))
         del gpm, sigs   # the block loop holds only z's stacked copies
         # a stack shares one draw key, so its first case's cfg serves them all
         counts = iter(_count_errors(z, cases[stack[0][0]][1], threads))
-        for group, rate in zip(stack, rates):
-            for i, closed in zip(group, rate):
+        for group, rate, cond in zip(stack, rates, conds):
+            for i, closed, kappa in zip(group, rate, cond.tolist()):
                 _, cfg, _, points = cases[i]
                 curves[i] = BerCurve(snr_db=tuple(points),
                                      estimates=tuple(itertools.islice(counts, len(points))),
-                                     analytic=closed, scheme=cfg.scheme, csi_mode=cfg.csi_mode)
+                                     analytic=closed, scheme=cfg.scheme, csi_mode=cfg.csi_mode,
+                                     condition_number=kappa)
     return curves

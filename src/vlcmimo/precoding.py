@@ -103,8 +103,11 @@ def ci_precoder(h) -> Precoder:
             f"{top.flat[i]:.3e}..{low.flat[i]:.3e} (tolerance {PINV_TOLERANCE:g}); "
             "luminaires are too closely spaced or a detector sees no light")
     w = (vt.mT / s[..., None, :]) @ u.mT
-    cond = (top / low) ** 2
-    return Precoder(w=w, condition_number=float(cond) if gains.ndim == 2 else cond)
+    # Squared one float at a time: an array's ``** 2`` multiplies, a float's
+    # calls ``pow``, and the two can differ in the last bit.
+    ratio = (top / low).tolist()
+    cond = ratio**2 if gains.ndim == 2 else np.array([r**2 for r in ratio])
+    return Precoder(w=w, condition_number=cond)
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,7 @@ from .analytic import throughput as analytic_throughput
 from .channel import (RoomLayout, build_channel_matrix, concentrator_gain,
                       distance_gain_prefactor, gain_map, lambertian_order)
 from .config import ConfigError, ExperimentConfig, _resolved_hash
-from .csi import MobilityEvent, error_bound, perturb_channel
+from .csi import error_bound, perturb_channel
 from .montecarlo import SimConfig, _threads, sweep
 from .noise import sigma_stack
 from .precoding import ci_precoder, word_table
@@ -111,8 +111,9 @@ def _report(curve):
               f"mc {est.average_ber:.3e}  analytic {np.mean(row):.3e}", file=sys.stderr)
 
 
-def _sweep_rows(cases, points, threads, progress) -> list[list]:
-    """Rows of every ``(heading, columns, (h, SimConfig, h_hat))`` case from one sweep.
+def _sweep_rows(cases, points, threads, progress) -> tuple[list[list], list]:
+    """Rows of every ``(heading, columns, (h, SimConfig, h_hat))`` case from one sweep,
+    and its curves.
 
     With ``progress``, each case's heading and point lines follow in case
     order once the sweep is done.
@@ -124,7 +125,7 @@ def _sweep_rows(cases, points, threads, progress) -> list[list]:
             print(heading, file=sys.stderr)
             _report(curve)
         rows += _curve_rows(curve, *columns)
-    return rows
+    return rows, curves
 
 
 def _one_layout(cfg: ExperimentConfig, command: str):
@@ -162,26 +163,33 @@ def run_channel_map(cfg: ExperimentConfig, out_dir, progress: bool = False) -> l
 
 
 def _mobility_bound(cfg: ExperimentConfig, layout: RoomLayout, h,
-                    elapsed_s: float) -> tuple[np.ndarray, float, float]:
-    """The mobile user's stale estimate of ``h`` (one draw, keyed by the seed), gain-error
-    bound and speed in ``layout`` after ``elapsed_s``."""
+                    elapsed_s: float) -> tuple[np.ndarray, float]:
+    """The mobile user's stale estimate of ``h`` (one draw, keyed by the seed) and
+    gain-error bound in ``layout`` after ``elapsed_s``.
+
+    An end point or a bound that is not finite raises ``ConfigError``.
+    """
     lum = layout.luminaires[cfg.csi.mobile_user]
     det = layout.detectors[cfg.csi.mobile_user]
     z = lum.position[2] - layout.receiver_plane_z
+    end_xy = cfg.mobility.end_xy(elapsed_s)
+    if not all(map(math.isfinite, end_xy)):
+        raise ConfigError(f"mobility.speed_mps {cfg.mobility.speed_mps!r} over "
+                          f"{elapsed_s!r} s moves the user to {end_xy}; it must stay finite")
     m = lambertian_order(lum.semi_angle_half_power)
     g = concentrator_gain(det.fov, det.refractive_index)
-    varpi = distance_gain_prefactor(det.area, det.filter_gain, g, m,
-                                    plane_separation=z)
-    event = MobilityEvent(
-        start_xy=cfg.mobility.start_xy_m,
-        end_xy=cfg.mobility.end_xy(elapsed_s),
-        plane_separation=z,
-        elapsed_time=elapsed_s,
-    )
-    bound = error_bound(event, varpi, m)
+    try:
+        varpi = distance_gain_prefactor(det.area, det.filter_gain, g, m,
+                                        plane_separation=z)
+        bound = error_bound(cfg.mobility.start_xy_m, end_xy, z, varpi, m)
+    except OverflowError:
+        bound = math.inf
+    if not math.isfinite(bound):
+        raise ConfigError(f"the gain-error bound after {elapsed_s!r} s is {bound!r}; "
+                          "layout.semi_angle_deg and layout.detector must keep it finite")
     h_hat = perturb_channel(h, bound, model=cfg.csi.model, seed=cfg.seed,
                             row=cfg.csi.mobile_user, worst_case_sign=cfg.csi.worst_case_sign)
-    return h_hat, bound, event.max_velocity
+    return h_hat, bound
 
 
 def run_ber_sweep(cfg: ExperimentConfig, out_dir, threads: int | None = None,
@@ -194,7 +202,10 @@ def run_ber_sweep(cfg: ExperimentConfig, out_dir, threads: int | None = None,
     estimate uses the gain-error bound of its own layout at the first
     ``mobility.elapsed_times_s`` entry only, recorded per variant as
     ``error_bounds`` and the entry as ``error_bound_elapsed_s`` in the
-    metadata; ``mobility`` sweeps every entry.  Every variant and scheme goes
+    metadata; ``mobility`` sweeps every entry.  ``channel_condition_numbers``
+    holds per variant the condition number of the gains its precoder
+    inverted, the estimate's under outdated knowledge, as the sweep's curves
+    carry it.  Every variant and scheme goes
     to one ``sweep`` call (see there), so rows share draws across schemes and
     variants as well as along SNR.  ``threads`` below 1 raises ``ValueError``
     before anything is written.
@@ -206,25 +217,26 @@ def run_ber_sweep(cfg: ExperimentConfig, out_dir, threads: int | None = None,
               "analytic_per_pd", "analytic_avg_ber", "is_bound",
               "mc_avg_ber", "mc_halfwidth_95", "symbols"]
     cases = []
-    conditions = {}
+    keys = []
     bounds = {}
     for n, sp, ang in cfg.variants():
         layout = cfg.build_layout(n_links=n, spacing=sp, semi_angle=ang)
         h = build_channel_matrix(layout)
         key = f"{n}x{n}@{sp}m/{ang}deg"
-        conditions[key] = ci_precoder(h.gains).condition_number
         h_hat = None
         if outdated:
-            h_hat, bounds[key], _ = _mobility_bound(cfg, layout, h,
-                                                    cfg.mobility.elapsed_times_s[0])
+            h_hat, bounds[key] = _mobility_bound(cfg, layout, h,
+                                                 cfg.mobility.elapsed_times_s[0])
+        keys += [key] * len(cfg.schemes)
         cases += [(f"[{cfg.name}] {n}x{n} spacing={sp} angle={ang} scheme={scheme}",
                    (n, sp, ang), (h, _sim_config(cfg, scheme, outdated), h_hat))
                   for scheme in cfg.schemes]
-    rows = _sweep_rows(cases, points, threads, progress)
+    rows, curves = _sweep_rows(cases, points, threads, progress)
     extras = {
         "noise_mode": cfg.noise.mode,
         "snr_points_db": list(points),
-        "channel_condition_numbers": conditions,
+        "channel_condition_numbers": {key: curve.condition_number
+                                      for key, curve in zip(keys, curves)},
         "threads_note": "results are independent of the worker count",
     }
     if outdated:
@@ -296,13 +308,13 @@ def run_mobility(cfg: ExperimentConfig, out_dir, threads: int | None = None,
     cases = []
     bounds = {}
     for elapsed in cfg.mobility.elapsed_times_s:
-        h_hat, bound, velocity = _mobility_bound(cfg, layout, h, elapsed)
+        h_hat, bound = _mobility_bound(cfg, layout, h, elapsed)
         bounds[repr(float(elapsed))] = bound
         cases += [(f"[{cfg.name}] mobility t={elapsed}s bound={bound:.3e} scheme={scheme}",
-                   (cfg.csi.model, elapsed, velocity, bound),
+                   (cfg.csi.model, elapsed, float(cfg.mobility.speed_mps), bound),
                    (h, _sim_config(cfg, scheme, True), h_hat))
                   for scheme in cfg.schemes]
-    rows = _sweep_rows(cases, points, threads, progress)
+    rows, _ = _sweep_rows(cases, points, threads, progress)
     return _write(cfg, out_dir, "mobility", "mobility", header, rows, {
         "snr_points_db": list(points),
         "error_bounds": bounds,

@@ -15,7 +15,7 @@ from vlcmimo.channel import (ChannelMatrix, build_channel_matrix,
                              concentrator_gain, distance_gain_prefactor,
                              lambertian_order, square_grid_layout)
 from vlcmimo.config import preset
-from vlcmimo.csi import MobilityEvent, error_bound, perturb_channel
+from vlcmimo.csi import error_bound, perturb_channel
 from vlcmimo.montecarlo import SimConfig, simulate
 from vlcmimo.noise import sigma_from_transmit_snr
 from vlcmimo.precoding import ci_precoder, word_table
@@ -176,9 +176,7 @@ def test_criterion_7_outdated_bound_validity():
     g = concentrator_gain(lay.detector.fov_deg, lay.detector.refractive_index)
     varpi = distance_gain_prefactor(lay.detector.area_m2, lay.detector.filter_gain,
                                     g, m, plane_separation=z)
-    event = MobilityEvent(start_xy=(0.0, 0.0), end_xy=(0.1, 0.0),
-                          plane_separation=z, elapsed_time=0.1)
-    bound_e = error_bound(event, varpi, m)
+    bound_e = error_bound((0.0, 0.0), (0.1, 0.0), z, varpi, m)
     h_hat = perturb_channel(h, bound_e, model="uniform", seed=77)
     snrs = [76.0 + 4.0 * i for i in range(6)]
     n_symbols = 500_000

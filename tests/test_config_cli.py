@@ -23,7 +23,7 @@ from vlcmimo.channel import (GainMap, build_channel_matrix, concentrator_gain,
 from vlcmimo.cli import main
 from vlcmimo.config import (MAX_SNR_POINTS, PRESET_NAMES, ConfigError, ExperimentConfig,
                             NoiseConfig, config_from_dict, load_config, preset)
-from vlcmimo.csi import MobilityEvent, error_bound
+from vlcmimo.csi import error_bound
 from vlcmimo.noise import physical_sigma
 from vlcmimo.precoding import ci_precoder, word_table
 
@@ -594,15 +594,14 @@ class TestCli:
         cfg = config_from_dict(cfgd)
         lay, det = cfg.layout, cfg.layout.detector
         z = lay.room_z_m - lay.receiver_plane_z_m
-        event = MobilityEvent(start_xy=(0.0, 0.0), end_xy=(0.1, 0.0), plane_separation=z,
-                              elapsed_time=0.1)
         for angle in (15.0, 45.0):
             m = lambertian_order(angle)
             varpi = distance_gain_prefactor(
                 det.area_m2, det.filter_gain,
                 concentrator_gain(det.fov_deg, det.refractive_index), m,
                 plane_separation=z)
-            assert meta["error_bounds"][f"2x2@0.5m/{angle}deg"] == error_bound(event, varpi, m)
+            assert meta["error_bounds"][f"2x2@0.5m/{angle}deg"] == error_bound(
+                (0.0, 0.0), (0.1, 0.0), z, varpi, m)
 
         alone = dict(cfgd, name="alone", semi_angles_deg=None,
                      layout=dict(SMALL["layout"], semi_angle_deg=45.0))
@@ -613,6 +612,89 @@ class TestCli:
                 if ",45.0," in line]
         want = (out_alone / "alone_ber.csv").read_text().splitlines()[4:]
         assert rows == want and len(rows) == 6
+
+    @pytest.mark.parametrize("command, changes, key", [
+        ("mobility", {"mobility": {"speed_mps": 1e300, "elapsed_times_s": [1e10]}},
+         "mobility.speed_mps"),
+        ("ber-sweep", {"csi": {"mode": "outdated"},
+                       "mobility": {"speed_mps": 1e300, "elapsed_times_s": [1e10]}},
+         "mobility.speed_mps"),
+        ("mobility", {"layout": {"detector": {"area_m2": 1e300}}}, "layout.detector"),
+        ("mobility", {"layout": {"semi_angle_deg": 1e-9}}, "layout.semi_angle_deg"),
+    ], ids=["mobility_end_point", "outdated_ber_sweep_end_point", "huge_area", "tiny_angle"])
+    def test_overflowing_mobility_bound_exits_2_before_writing(self, tmp_path, capsys,
+                                                               command, changes, key):
+        """An end point or gain-error bound that is not finite is refused, naming its key.
+
+        On the default 4-link layout: a move of 1e310 m ends at (inf, nan), a
+        huge detector makes the bound's prefactor inf, and a 1e-9 deg lobe a
+        Lambertian order whose power overflows.
+        """
+        path = write_yaml(tmp_path / "o.yaml",
+                          {"name": "o", "montecarlo": {"n_symbols": 2000}, **changes})
+        out = tmp_path / "results"
+        assert main([command, "--config", str(path), "--out", str(out), "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert "config error:" in err and key in err and "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["validate", "ber-sweep", "throughput-sweep", "mobility"])
+    def test_physical_noise_with_infinite_thermal_variance_exits_2(self, tmp_path, capsys,
+                                                                   command):
+        """A bandwidth whose square overflows is refused before anything is written."""
+        path = write_yaml(tmp_path / "n.yaml",
+                          dict(SMALL, noise={"mode": "physical", "bandwidth_hz": 1e300}))
+        out = tmp_path / "results"
+        assert main([command, "--config", str(path), "--out", str(out), "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert "config error:" in err and "noise.bandwidth_hz" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_diagonal_move_reports_configured_speed_and_bound(self, tmp_path):
+        """Off the luminaire axis and diagonal, each row's velocity is the configured speed.
+
+        Each interval's bound is ``error_bound`` of the configured start and
+        end points, bit for bit.
+        """
+        cfgd = dict(SMALL, name="diag", csi={"mode": "outdated"},
+                    mobility={"start_xy_m": [0.3, 0.1], "direction": [1, 1],
+                              "speed_mps": 1.0, "elapsed_times_s": [0.02, 0.3]})
+        out = tmp_path / "diag"
+        assert main(["mobility", "--config", str(write_yaml(tmp_path / "d.yaml", cfgd)),
+                     "--out", str(out), "--quiet"]) == 0
+        lines = (out / "diag_mobility.csv").read_text().splitlines()
+        column = lines[3].split(",").index("velocity_mps")
+        assert [line.split(",")[column] for line in lines[4:]] == ["1.0"] * 12
+        meta = json.loads((out / "diag_mobility_meta.json").read_text())
+        cfg = config_from_dict(cfgd)
+        lay, det = cfg.layout, cfg.layout.detector
+        z = lay.room_z_m - lay.receiver_plane_z_m
+        m = lambertian_order(lay.semi_angle_deg)
+        varpi = distance_gain_prefactor(det.area_m2, det.filter_gain,
+                                        concentrator_gain(det.fov_deg, det.refractive_index),
+                                        m, plane_separation=z)
+        assert meta["error_bounds"] == {
+            repr(t): error_bound(cfg.mobility.start_xy_m, cfg.mobility.end_xy(t), z, varpi, m)
+            for t in (0.02, 0.3)}
+
+    def test_condition_numbers_are_of_the_inverted_gains(self, tmp_path):
+        """Perfect knowledge records the channel's condition number, outdated the estimate's."""
+        cfgd = dict(SMALL, mobility={"speed_mps": 5.0, "elapsed_times_s": [0.3]})
+        conditions = {}
+        for mode in ("perfect", "outdated"):
+            out = tmp_path / mode
+            path = write_yaml(tmp_path / f"{mode}.yaml", dict(cfgd, name=mode, csi={"mode": mode}))
+            assert main(["ber-sweep", "--config", str(path), "--out", str(out), "--quiet"]) == 0
+            meta = json.loads((out / f"{mode}_ber_meta.json").read_text())
+            conditions[mode] = meta["channel_condition_numbers"]["2x2@0.5m/15.0deg"]
+        cfg = config_from_dict(dict(cfgd, csi={"mode": "outdated"}))
+        layout = cfg.build_layout()
+        h = build_channel_matrix(layout)
+        h_hat, _ = runner._mobility_bound(cfg, layout, h, 0.3)
+        assert conditions["perfect"] == ci_precoder(h.gains).condition_number
+        assert conditions["outdated"] == ci_precoder(h_hat).condition_number
+        assert conditions["outdated"] != conditions["perfect"]
 
     def test_physical_noise_mode_single_point(self, tmp_path):
         # device-level noise has no SNR axis: one row per scheme

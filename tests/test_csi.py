@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from vlcmimo.channel import (build_channel_matrix, concentrator_gain,
                              distance_gain_prefactor, lambertian_order,
                              square_grid_layout)
-from vlcmimo.csi import MobilityEvent, error_bound, perturb_channel
+from vlcmimo.csi import error_bound, perturb_channel
 from vlcmimo.precoding import ci_precoder, word_table
 
 import oracle
@@ -40,52 +40,36 @@ def residuals(h, h_hat, scheme="ci"):
 
 class TestErrorBound:
     def test_zero_displacement(self):
-        ev = MobilityEvent(start_xy=(0.3, 0.1), end_xy=(0.3, 0.1),
-                           plane_separation=Z, elapsed_time=0.1)
-        assert error_bound(ev, VARPI, M) == 0.0
-        assert ev.max_velocity == 0.0
+        assert error_bound((0.3, 0.1), (0.3, 0.1), Z, VARPI, M) == 0.0
 
     def test_tangential_move_is_free(self):
         r = 0.5
-        ev = MobilityEvent(start_xy=(r, 0.0), end_xy=(0.0, r),
-                           plane_separation=Z, elapsed_time=0.2)
-        assert error_bound(ev, VARPI, M) == pytest.approx(0.0, abs=1e-20)
-        assert ev.max_velocity > 0.0
+        assert error_bound((r, 0.0), (0.0, r), Z, VARPI, M) == pytest.approx(0.0, abs=1e-20)
 
     def test_radial_move_monotone(self):
-        bounds = []
-        for dx in (0.05, 0.1, 0.2, 0.4):
-            ev = MobilityEvent(start_xy=(0.0, 0.0), end_xy=(dx, 0.0),
-                               plane_separation=Z, elapsed_time=0.1)
-            bounds.append(error_bound(ev, VARPI, M))
+        bounds = [error_bound((0.0, 0.0), (dx, 0.0), Z, VARPI, M)
+                  for dx in (0.05, 0.1, 0.2, 0.4)]
         assert all(b > 0 for b in bounds)
         assert all(a < b for a, b in zip(bounds, bounds[1:]))
 
     def test_matches_direct_evaluation(self):
-        ev = MobilityEvent(start_xy=(0.1, 0.0), end_xy=(0.3, 0.1),
-                           plane_separation=Z, elapsed_time=0.1)
         d1 = math.sqrt(0.1**2 + Z**2)
         d2 = math.sqrt(0.3**2 + 0.1**2 + Z**2)
         expected = VARPI * abs(d2 ** -(M + 3) - d1 ** -(M + 3))
-        assert error_bound(ev, VARPI, M) == pytest.approx(expected, rel=1e-13)
+        assert error_bound((0.1, 0.0), (0.3, 0.1), Z, VARPI, M) == pytest.approx(
+            expected, rel=1e-13)
+
+    def test_plane_separation_must_be_positive(self):
+        with pytest.raises(ValueError, match="plane separation"):
+            error_bound((0.0, 0.0), (0.1, 0.0), 0.0, VARPI, M)
 
     @given(angle=st.floats(0.0, 2 * math.pi), r1=st.floats(0.05, 0.6),
            r2=st.floats(0.05, 0.6))
     @settings(max_examples=50, deadline=None)
     def test_rotation_invariance(self, angle, r1, r2):
-        ref = MobilityEvent(start_xy=(r1, 0.0), end_xy=(r2, 0.0),
-                            plane_separation=Z, elapsed_time=0.1)
-        rot = MobilityEvent(
-            start_xy=(r1 * math.cos(angle), r1 * math.sin(angle)),
-            end_xy=(r2 * math.cos(angle), r2 * math.sin(angle)),
-            plane_separation=Z, elapsed_time=0.1)
-        assert error_bound(rot, VARPI, M) == pytest.approx(
-            error_bound(ref, VARPI, M), rel=1e-9, abs=1e-18)
-
-    def test_velocity_definition(self):
-        ev = MobilityEvent(start_xy=(0.0, 0.0), end_xy=(0.3, 0.4),
-                           plane_separation=Z, elapsed_time=0.25)
-        assert ev.max_velocity == pytest.approx(0.5 / 0.25, rel=1e-12)
+        c, s = math.cos(angle), math.sin(angle)
+        assert error_bound((r1 * c, r1 * s), (r2 * c, r2 * s), Z, VARPI, M) == pytest.approx(
+            error_bound((r1, 0.0), (r2, 0.0), Z, VARPI, M), rel=1e-9, abs=1e-18)
 
 
 class TestPerturbChannel:

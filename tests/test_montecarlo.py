@@ -340,7 +340,7 @@ class TestAgainstClosedForm:
         cfg = preset("fig6")
         layout = cfg.build_layout()
         h = build_channel_matrix(layout)
-        h_hat, _, _ = runner._mobility_bound(cfg, layout, h, 0.3)
+        h_hat, _ = runner._mobility_bound(cfg, layout, h, 0.3)
         table = word_table(h.gains, ci_precoder(h_hat), scheme)
         sigma = sigma_from_transmit_snr(90.0, h.responsivity, h.power)
         exact = float(np.mean(exact_ber(table, h.responsivity * h.power,
@@ -1085,7 +1085,7 @@ class TestRecipeSharesOneBlockLoop:
             layout = cfg.build_layout()
             h = build_channel_matrix(layout)
             for elapsed in cfg.mobility.elapsed_times_s:
-                h_hat, bound, _ = runner._mobility_bound(cfg, layout, h, elapsed)
+                h_hat, bound = runner._mobility_bound(cfg, layout, h, elapsed)
                 for scheme in cfg.schemes:
                     want.append(f"[grp] mobility t={elapsed}s bound={bound:.3e} "
                                 f"scheme={scheme}")

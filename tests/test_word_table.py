@@ -19,7 +19,7 @@ import dataclasses
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from vlcmimo.analytic import (ber_ci_outdated, ber_ci_perfect, ber_oap_outdated,
@@ -199,6 +199,7 @@ def test_table_matches_per_word_pipeline(n, spacing, csi):
 @given(n=st.integers(1, 8),
        spacings=st.lists(st.sampled_from([0.05, 0.25, 0.5]), min_size=1, max_size=4),
        stale=st.booleans(), seed=st.integers(0, 1000))
+@example(n=5, spacings=[0.05, 0.5], stale=True, seed=361)   # condition numbers 1 ulp apart
 def test_stack_equals_its_elements(n, spacings, stale, seed):
     """A stacked build is the 2-D build of each element, bit for bit.
 
