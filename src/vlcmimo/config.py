@@ -21,7 +21,9 @@ from typing import Literal
 
 import numpy as np
 
-from .channel import GeometryError, RoomLayout, square_grid_layout
+from .channel import (GeometryError, RoomLayout, concentrator_gain, distance_gain_prefactor,
+                      lambertian_order, square_grid_layout)
+from .csi import error_bound
 from .precoding import MAX_ENUMERATED_LINKS
 
 __all__ = [
@@ -292,14 +294,42 @@ class ExperimentConfig:
         except GeometryError as exc:
             raise ConfigError(str(exc)) from exc
 
+    def gain_error_bound(self, layout: RoomLayout, elapsed_s: float) -> float:
+        """The mobile user's ``csi.error_bound`` in ``layout`` after ``elapsed_s``.
+
+        An end point or a bound that is not finite raises ``ConfigError``,
+        naming the ``mobility`` or ``layout`` key.
+        """
+        lum = layout.luminaires[self.csi.mobile_user]
+        det = layout.detectors[self.csi.mobile_user]
+        z = lum.position[2] - layout.receiver_plane_z
+        end_xy = self.mobility.end_xy(elapsed_s)
+        if not all(map(math.isfinite, end_xy)):
+            raise ConfigError(f"mobility.speed_mps {self.mobility.speed_mps!r} over "
+                              f"{elapsed_s!r} s moves the user to {end_xy}; it must stay finite")
+        m = lambertian_order(lum.semi_angle_half_power)
+        g = concentrator_gain(det.fov, det.refractive_index)
+        try:
+            varpi = distance_gain_prefactor(det.area, det.filter_gain, g, m,
+                                            plane_separation=z)
+            bound = error_bound(self.mobility.start_xy_m, end_xy, z, varpi, m)
+        except OverflowError:
+            bound = math.inf
+        if not math.isfinite(bound):
+            raise ConfigError(f"the gain-error bound after {elapsed_s!r} s is {bound!r}; "
+                              "layout.semi_angle_deg and layout.detector must keep it finite")
+        return bound
+
     def validate(self):
         """Construct every variant layout and check the cross-field limits.
 
         The variants' link counts are capped by the word enumeration,
         gain-map cells by ``MAX_RASTER_CELLS``, and the mobile user must be a
-        link of every variant's array.  Swept noise must give a positive
-        finite noise deviation at both ends of the SNR grid, so at every point;
-        physical noise a finite thermal variance.
+        link of every variant's array.  With outdated knowledge, every
+        variant's gain-error bound at every elapsed time must be finite
+        (``gain_error_bound``).  Swept noise must give a positive finite noise
+        deviation at both ends of the SNR grid, so at every point; physical
+        noise a finite thermal variance.
         """
         sizes = sorted({n for n, _, _ in self.variants()})
         if max(sizes) > MAX_ENUMERATED_LINKS:
@@ -317,6 +347,10 @@ class ExperimentConfig:
         if self.csi.mobile_user >= min(sizes):
             raise ConfigError(f"csi.mobile_user {self.csi.mobile_user} is not a link of "
                               f"the smallest array in use ({min(sizes)} links)")
+        if self.csi.mode == "outdated":
+            for layout in layouts:
+                for elapsed in self.mobility.elapsed_times_s:
+                    self.gain_error_bound(layout, elapsed)
         # Imported here, as noise imports this module.
         from .noise import sigma_from_transmit_snr, thermal_variance
         # The variants share the luminaire power and the detector.

@@ -11,13 +11,14 @@ are negatively correlated, so a pair is never noisier than two independent
 symbols and a block draws about half the normals.  The reported halfwidths stay
 the binomial ones, which over-state the spread of this estimator.
 
-Sweeps use common random numbers: sigma only scales the thresholds, and the
-draws depend only on the seed, the symbol and block counts and the word and
-detector counts.  One block loop therefore serves every SNR point of every
-case of a ``sweep`` call that has the same word and detector counts and
-noise mode (every scheme, array spacing or elapsed time of a recipe), so a
-loop's cases share their points.  Each row is exactly the case's one-case
-sweep at its SNR, which is ``simulate``, and keeps its marginal
+A ``sweep`` is one experiment: its cases (channel, scheme, estimate) share
+one seed, symbol budget, noise and renormalization.  It uses common random
+numbers: sigma only scales the thresholds, and the draws depend only on the
+seed, the symbol and block counts and the word and detector counts.  One
+block loop therefore serves every SNR point of every case of a ``sweep``
+call that has the same word and detector counts (every scheme, array
+spacing or elapsed time of a recipe).  Each row is exactly the case's
+one-case sweep at its SNR, which is ``simulate``, and keeps its marginal
 distribution.  Every point counts every block, so every row runs exactly
 its symbol count.  Threads split a block loop's blocks, not its points.
 
@@ -28,9 +29,9 @@ grows with its points.  A block with few points or short rows compares |d|
 with each point instead.  Both count exactly ``count(d > z) + count(-d > z)``,
 so the path taken never changes a result.
 
-A block loop's cases are built in groups: cases of one scheme,
-renormalization and knowledge take one stacked ``ci_precoder`` and
-``word_table`` call and one closed-form reduction, as long as the group's
+A block loop's cases are built in groups: cases of one scheme and
+knowledge take one stacked ``ci_precoder`` and ``word_table`` call and one
+closed-form reduction, as long as the group's
 cases x points x words x detectors fit ``_CHUNK_CELLS``; a wider case is
 built alone.  Each element equals its own build bit for bit.  The loop's
 z is one broadcast division of its stacked ``gp * margin`` by its stacked
@@ -89,14 +90,13 @@ _SORT_MIN_WORK = 6144
 
 @_config
 class SimConfig(MonteCarloConfig):
-    """Configuration of one Monte Carlo run (one scheme at one noise point).
+    """Configuration of one ``simulate`` run (one scheme at one noise point).
 
-    The symbol count and block size, and their checks, are those of
-    ``config.MonteCarloConfig``.  ``noise.mode`` picks the noise: "swept"
-    reads ``snr_db``, "physical" the device values of ``noise``.  The
-    transmitter's estimate is not part of it: with ``csi_mode`` "outdated",
-    ``simulate`` and ``sweep`` take it as ``h_hat``, and with "perfect" they
-    take none.
+    A ``config.MonteCarloConfig`` (symbol count, block size and their
+    checks), so it is the ``montecarlo`` of the one-case sweep ``simulate``
+    runs.  ``noise.mode`` picks the noise: "swept" reads ``snr_db``,
+    "physical" the device values of ``noise``.  With ``csi_mode``
+    "outdated", ``simulate`` takes the transmitter's estimate as ``h_hat``.
     """
 
     seed: int = 0
@@ -147,17 +147,6 @@ class BerCurve:
     scheme: str
     csi_mode: str
     condition_number: float
-
-
-def _estimate(h: ChannelMatrix, cfg: SimConfig, h_hat) -> np.ndarray:
-    """The gains a case's precoder comes from: ``h_hat`` when knowledge is outdated."""
-    if cfg.csi_mode == "outdated":
-        if h_hat is None:
-            raise ValueError("outdated channel knowledge needs the estimate h_hat")
-        return np.asarray(h_hat, dtype=float)
-    if h_hat is not None:
-        raise ValueError("perfect channel knowledge takes no estimate h_hat")
-    return h.gains
 
 
 class _Thresholds:
@@ -299,29 +288,30 @@ def _block_errors(z: np.ndarray, nb: int, rng: np.random.Generator) -> np.ndarra
     return errors
 
 
-def _count_errors(z: np.ndarray, cfg: SimConfig, threads: int = 1) -> list[BerEstimate]:
+def _count_errors(z: np.ndarray, seed: int, montecarlo: MonteCarloConfig,
+                  threads: int = 1) -> list[BerEstimate]:
     """The block loop: error counts at each point of ``z`` (points, words, detectors).
 
     Block k draws from ``SFC64(SeedSequence((seed, k)))``, and every point
-    counts every block, so every point runs exactly ``cfg.n_symbols``.  Up to
-    ``threads`` blocks run at once, on no more workers than blocks or CPUs
-    (``_cpus``); their counts are folded in block order, so each point counts
-    exactly what a one-point run would, whatever ``threads``.
+    counts every block, so every point runs exactly ``montecarlo.n_symbols``.
+    Up to ``threads`` blocks run at once, on no more workers than blocks or
+    CPUs (``_cpus``); their counts are folded in block order, so each point
+    counts exactly what a one-point run would, whatever ``threads``.
     """
-    n_blocks = -(-cfg.n_symbols // cfg.block_size)
+    n_blocks = -(-montecarlo.n_symbols // montecarlo.block_size)
     threads = max(1, min(threads, n_blocks, _cpus()))
 
     def block(k: int) -> np.ndarray:
-        nb = min(cfg.block_size, cfg.n_symbols - k * cfg.block_size)
+        nb = min(montecarlo.block_size, montecarlo.n_symbols - k * montecarlo.block_size)
         rng = np.random.Generator(np.random.SFC64(
-            np.random.SeedSequence(entropy=(cfg.seed, k))))
+            np.random.SeedSequence(entropy=(seed, k))))
         return _block_errors(z, nb, rng)
 
     # One thread runs in the caller, so its CPU time stays the caller's.
     with (ThreadPoolExecutor(threads) if threads > 1
           else contextlib.nullcontext()) as pool:
         errors = sum((pool.map if pool else map)(block, range(n_blocks)))
-    return [BerEstimate(per_pd_errors=e, symbols_run=cfg.n_symbols) for e in errors]
+    return [BerEstimate(per_pd_errors=e, symbols_run=montecarlo.n_symbols) for e in errors]
 
 
 def simulate(h: ChannelMatrix, cfg: SimConfig, h_hat=None) -> BerEstimate:
@@ -331,10 +321,17 @@ def simulate(h: ChannelMatrix, cfg: SimConfig, h_hat=None) -> BerEstimate:
     physical noise), run serially: blocks of ``cfg.block_size`` symbols give
     every word an equal share (see ``_block_errors``); block k draws from
     ``SFC64(SeedSequence((seed, k)))``.  Exactly ``cfg.n_symbols`` symbols
-    run.
+    run.  The estimate ``h_hat`` is needed with ``cfg.csi_mode`` "outdated"
+    and refused with "perfect"; a mismatch raises ``ValueError``.
     """
+    if cfg.csi_mode == "outdated" and h_hat is None:
+        raise ValueError("outdated channel knowledge needs the estimate h_hat")
+    if cfg.csi_mode == "perfect" and h_hat is not None:
+        raise ValueError("perfect channel knowledge takes no estimate h_hat")
     points = [] if cfg.noise.mode == "physical" else [cfg.snr_db]
-    return sweep([(h, cfg, h_hat)], points, threads=1)[0].estimates[0]
+    return sweep([(h, cfg.scheme, h_hat)], points, seed=cfg.seed, montecarlo=cfg,
+                 noise=cfg.noise, renormalize_oap=cfg.renormalize_oap,
+                 threads=1)[0].estimates[0]
 
 
 def _cpus() -> int:
@@ -344,9 +341,9 @@ def _cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _points(cfg: SimConfig, snr_points_db) -> list[float]:
-    """A case's sorted SNR points; physical noise is the one point nan."""
-    if cfg.noise.mode == "physical":
+def _points(noise: NoiseConfig, snr_points_db) -> list[float]:
+    """A sweep's sorted SNR points; physical noise is the one point nan."""
+    if noise.mode == "physical":
         if len(snr_points_db):
             raise ValueError("physical noise has no SNR axis; pass no points")
         return [math.nan]
@@ -370,66 +367,69 @@ def _threads(threads: int | None) -> int:
     return threads
 
 
-def _stacks(cases) -> list[list[list[int]]]:
-    """Indices of ``(h, cfg, h_hat, points)`` cases: block loops of build groups, in run order.
+def _stacks(cases, n_points: int) -> list[list[list[int]]]:
+    """Indices of ``(h, scheme, h_hat)`` cases: block loops of build groups, in run order.
 
-    Cases with the same word and detector counts, seed, symbol count, block
-    size and noise mode share a loop, so a loop's cases have the same points
-    and deviation shape.  Within it, cases with the same scheme,
-    renormalization and knowledge share a build group, in case order, while
-    the group's cases x points x words x detectors fit ``_CHUNK_CELLS``; a
-    case larger than that is a group alone.
+    Cases whose gains have the same shape (word and detector counts) share a
+    loop.  Within it, cases with the same scheme and knowledge share a build
+    group, in case order, while the group's cases x ``n_points`` x words x
+    detectors fit ``_CHUNK_CELLS``; a case larger than that is a group alone.
     """
     stacks, groups = {}, {}
-    for i, (h, cfg, _, points) in enumerate(cases):
-        loop = (h.gains.shape, cfg.seed, cfg.n_symbols, cfg.block_size, cfg.noise.mode)
-        build = (loop, cfg.scheme, cfg.renormalize_oap, cfg.csi_mode)
-        n = h.gains.shape[1]
+    for i, (h, scheme, h_hat) in enumerate(cases):
+        loop = h.gains.shape
+        build = (loop, scheme, h_hat is None)
+        n = loop[1]
         group = groups.get(build)
-        if group is None or (len(group) + 1) * len(points) * (n << n) > _CHUNK_CELLS:
+        if group is None or (len(group) + 1) * n_points * (n << n) > _CHUNK_CELLS:
             group = groups[build] = []
             stacks.setdefault(loop, []).append(group)
         group.append(i)
     return list(stacks.values())
 
 
-def _group(cases) -> tuple:
+def _group(cases, points, noise: NoiseConfig, renormalize_oap: bool) -> tuple:
     """A build group's stacked ``gp * margin``, deviations, closed form and condition numbers.
 
     One ``ci_precoder``, one ``word_table`` and one ``exact_ber`` or
-    ``outdated_bound`` call serve every ``(h, cfg, h_hat, points)`` case of
-    the group; each case's precoder comes from ``_estimate``.  The stacked
-    table is dropped on return.
+    ``outdated_bound`` call serve every ``(h, scheme, h_hat)`` case of the
+    group at the sweep's ``points`` and ``noise``; each case's precoder
+    inverts its estimate ``h_hat``, or its own gains under perfect knowledge.
+    The stacked table is dropped on return.
     """
-    hs, cfgs, _, points = zip(*cases)
-    pre = ci_precoder(np.array([_estimate(h, cfg, h_hat) for h, cfg, h_hat, _ in cases]))
-    table = word_table(np.array([h.gains for h in hs]), pre,
-                       cfgs[0].scheme, renormalize=cfgs[0].renormalize_oap)
+    hs, schemes, estimates = zip(*cases)
+    pre = ci_precoder(np.array([h.gains if e is None else e for h, e in zip(hs, estimates)]))
+    table = word_table(np.array([h.gains for h in hs]), pre, schemes[0],
+                       renormalize=renormalize_oap)
     gp = np.array([h.responsivity * h.power for h in hs])
-    sig = np.array([sigma_stack(h, cfg.noise, transmit, p)
-                    for h, cfg, transmit, p in zip(hs, cfgs, table.transmit, points)])
-    rate = analytic.outdated_bound if cfgs[0].csi_mode == "outdated" else analytic.exact_ber
+    sig = np.array([sigma_stack(h, noise, transmit, points)
+                    for h, transmit in zip(hs, table.transmit)])
+    rate = analytic.exact_ber if estimates[0] is None else analytic.outdated_bound
     closed = rate(table, gp, sig)     # first, so Q's arrays do not meet gp * margin
     return gp[:, None, None] * table.margin, sig, closed, pre.condition_number
 
 
-def sweep(cases, snr_points_db, threads: int | None = None) -> list[BerCurve]:
-    """Estimate and analyze each ``(h, cfg, h_hat)`` case over a transmit-SNR grid.
+def sweep(cases, snr_points_db, *, seed: int, montecarlo: MonteCarloConfig,
+          noise: NoiseConfig, renormalize_oap: bool = False,
+          threads: int | None = None) -> list[BerCurve]:
+    """Estimate and analyze a list of ``(h, scheme, h_hat)`` cases over a transmit-SNR grid.
 
-    One (seed, block) stream serves every SNR point of every case that has
-    the same word and detector counts, seed, symbol count and block size
-    (common random numbers): each block is drawn once and counted against
-    the thresholds of all their points, in one block loop per noise mode
-    however wide the arrays, and every point counts every block.  Rows are
-    therefore correlated along SNR and across cases; each row equals the
-    case's one-case sweep at its SNR (``simulate``), its marginal
-    distribution unchanged.  Up to ``threads`` blocks run at once (None
-    means the CPUs this process may use, 1 forces serial, below 1 raises
-    ``ValueError``); threads split blocks, not points, and the counts do not
-    depend on them.  One curve
-    per case, in case order, with points sorted by SNR.  Cases of one
-    loop, scheme, renormalization and knowledge are one build group while
-    its cases x points x words x detectors fit ``_CHUNK_CELLS`` (see
+    A sweep is one experiment: ``seed``, ``montecarlo`` (symbol and block
+    counts), ``noise`` and ``renormalize_oap`` serve every case.  A case's
+    knowledge is outdated exactly when its estimate ``h_hat`` is given; one
+    whose shape is not its channel's raises ``ValueError``.  One (seed,
+    block) stream serves every SNR point of every case with the same word
+    and detector counts (common random numbers): each block is drawn once and counted against
+    the thresholds of all their points, in one block loop however wide the
+    arrays, and every point counts every block.  Rows are therefore
+    correlated along SNR and across cases; each row equals the case's
+    one-case sweep at its SNR (``simulate``), its marginal distribution
+    unchanged.  Up to ``threads`` blocks run at once (None means the CPUs
+    this process may use, 1 forces serial, below 1 raises ``ValueError``);
+    threads split blocks, not points, and the counts do not depend on them.
+    One curve per case, in case order, with points sorted by SNR.  Cases of
+    one block loop, scheme and knowledge are one build group while its
+    cases x points x words x detectors fit ``_CHUNK_CELLS`` (see
     ``_stacks``), so a group takes one stacked ``ci_precoder`` and
     ``word_table`` call and one closed form over its stacked deviations:
     ``analytic.exact_ber`` with perfect knowledge, else
@@ -441,19 +441,24 @@ def sweep(cases, snr_points_db, threads: int | None = None) -> list[BerCurve]:
     31-point sweep of two 16-link cases at 20 000 symbols peaks at about 136 MB.
     """
     threads = _threads(threads)
-    cases = [(h, cfg, h_hat, _points(cfg, snr_points_db)) for h, cfg, h_hat in cases]
+    points = _points(noise, snr_points_db)
+    for h, _, h_hat in cases:
+        if h_hat is not None and np.shape(h_hat) != h.gains.shape:
+            raise ValueError(f"the estimate h_hat has shape {np.shape(h_hat)}, "
+                             f"its channel {h.gains.shape}")
     curves = [None] * len(cases)
-    for stack in _stacks(cases):
-        gpm, sigs, rates, conds = zip(*(_group([cases[i] for i in group]) for group in stack))
+    for stack in _stacks(cases, len(points)):
+        gpm, sigs, rates, conds = zip(*(_group([cases[i] for i in group], points, noise,
+                                               renormalize_oap) for group in stack))
         z = _Thresholds(np.concatenate(gpm), np.concatenate(sigs))
         del gpm, sigs   # the block loop holds only z's stacked copies
-        # a stack shares one draw key, so its first case's cfg serves them all
-        counts = iter(_count_errors(z, cases[stack[0][0]][1], threads))
+        counts = iter(_count_errors(z, seed, montecarlo, threads))
         for group, rate, cond in zip(stack, rates, conds):
             for i, closed, kappa in zip(group, rate, cond.tolist()):
-                _, cfg, _, points = cases[i]
+                _, scheme, h_hat = cases[i]
                 curves[i] = BerCurve(snr_db=tuple(points),
                                      estimates=tuple(itertools.islice(counts, len(points))),
-                                     analytic=closed, scheme=cfg.scheme, csi_mode=cfg.csi_mode,
+                                     analytic=closed, scheme=scheme,
+                                     csi_mode="perfect" if h_hat is None else "outdated",
                                      condition_number=kappa)
     return curves

@@ -32,7 +32,8 @@ PINV_TOLERANCE = 1e-12
 
 
 class SingularChannelError(RuntimeError):
-    """Channel matrix is rank deficient relative to ``PINV_TOLERANCE``."""
+    """Channel matrix is rank deficient relative to ``PINV_TOLERANCE``, or too
+    large for a finite transmit scaling."""
 
 
 def as_gains(h) -> np.ndarray:
@@ -159,7 +160,9 @@ def word_table(gains, precoder: Precoder, scheme: str,
     table: every field but ``words`` gains a leading axis of k, and each
     element equals the table of its own 2-D build bit for bit, as it runs
     the same arithmetic.  The table does not depend on the noise, so each
-    caller builds it once and evaluates every noise point on it.
+    caller builds it once and evaluates every noise point on it.  Gains so
+    large that ``||W x||`` underflows to 0 for a word with ones, which would
+    make its transmit vector infinite, raise ``SingularChannelError``.
     """
     h = as_gains(gains)
     n = h.shape[-1]
@@ -174,6 +177,9 @@ def word_table(gains, precoder: Precoder, scheme: str,
     mx = x @ m.mT
     wx = x @ precoder.w.mT
     norm = np.linalg.norm(wx, axis=-1, keepdims=True)
+    if not (norm[..., 1:, :] > 0.0).all():      # row 0 is the all-zero word
+        raise SingularChannelError("the transmit scaling 1/||W x|| is not finite: "
+                                   "the channel gains are too large")
     beta = 1.0 / np.where(k > 0, norm, 1.0)    # fixed at 1 for the all-zero word
     if scheme == "ci":
         scale = beta

@@ -19,11 +19,10 @@ import numpy as np
 
 from . import __version__
 from .analytic import throughput as analytic_throughput
-from .channel import (RoomLayout, build_channel_matrix, concentrator_gain,
-                      distance_gain_prefactor, gain_map, lambertian_order)
+from .channel import RoomLayout, build_channel_matrix, gain_map
 from .config import ConfigError, ExperimentConfig, _resolved_hash
-from .csi import error_bound, perturb_channel
-from .montecarlo import SimConfig, _threads, sweep
+from .csi import perturb_channel
+from .montecarlo import _threads, sweep
 from .noise import sigma_stack
 from .precoding import ci_precoder, word_table
 
@@ -82,12 +81,6 @@ def _write(cfg: ExperimentConfig, out_dir, kind: str, command: str, header: list
     return [csv_path, meta_path]
 
 
-def _sim_config(cfg: ExperimentConfig, scheme: str, outdated: bool) -> SimConfig:
-    return SimConfig(**vars(cfg.montecarlo), seed=cfg.seed, scheme=scheme,
-                     csi_mode="outdated" if outdated else "perfect", noise=cfg.noise,
-                     renormalize_oap=cfg.renormalize_oap)
-
-
 def _snr_points(cfg: ExperimentConfig) -> tuple[float, ...]:
     """The swept SNR grid; physical noise has no SNR axis."""
     return () if cfg.noise.mode == "physical" else cfg.sweep.points()
@@ -111,14 +104,16 @@ def _report(curve):
               f"mc {est.average_ber:.3e}  analytic {np.mean(row):.3e}", file=sys.stderr)
 
 
-def _sweep_rows(cases, points, threads, progress) -> tuple[list[list], list]:
-    """Rows of every ``(heading, columns, (h, SimConfig, h_hat))`` case from one sweep,
-    and its curves.
+def _sweep_rows(cfg: ExperimentConfig, cases, points, threads, progress) -> tuple[list, list]:
+    """Rows of every ``(heading, columns, (h, scheme, h_hat))`` case from one sweep of
+    ``cfg``, and its curves.
 
     With ``progress``, each case's heading and point lines follow in case
     order once the sweep is done.
     """
-    curves = sweep([case for _, _, case in cases], points, threads=threads)
+    curves = sweep([case for _, _, case in cases], points, seed=cfg.seed,
+                   montecarlo=cfg.montecarlo, noise=cfg.noise,
+                   renormalize_oap=cfg.renormalize_oap, threads=threads)
     rows = []
     for (heading, columns, _), curve in zip(cases, curves):
         if progress:
@@ -167,26 +162,10 @@ def _mobility_bound(cfg: ExperimentConfig, layout: RoomLayout, h,
     """The mobile user's stale estimate of ``h`` (one draw, keyed by the seed) and
     gain-error bound in ``layout`` after ``elapsed_s``.
 
-    An end point or a bound that is not finite raises ``ConfigError``.
+    An end point or a bound that is not finite raises ``ConfigError``
+    (``ExperimentConfig.gain_error_bound``).
     """
-    lum = layout.luminaires[cfg.csi.mobile_user]
-    det = layout.detectors[cfg.csi.mobile_user]
-    z = lum.position[2] - layout.receiver_plane_z
-    end_xy = cfg.mobility.end_xy(elapsed_s)
-    if not all(map(math.isfinite, end_xy)):
-        raise ConfigError(f"mobility.speed_mps {cfg.mobility.speed_mps!r} over "
-                          f"{elapsed_s!r} s moves the user to {end_xy}; it must stay finite")
-    m = lambertian_order(lum.semi_angle_half_power)
-    g = concentrator_gain(det.fov, det.refractive_index)
-    try:
-        varpi = distance_gain_prefactor(det.area, det.filter_gain, g, m,
-                                        plane_separation=z)
-        bound = error_bound(cfg.mobility.start_xy_m, end_xy, z, varpi, m)
-    except OverflowError:
-        bound = math.inf
-    if not math.isfinite(bound):
-        raise ConfigError(f"the gain-error bound after {elapsed_s!r} s is {bound!r}; "
-                          "layout.semi_angle_deg and layout.detector must keep it finite")
+    bound = cfg.gain_error_bound(layout, elapsed_s)
     h_hat = perturb_channel(h, bound, model=cfg.csi.model, seed=cfg.seed,
                             row=cfg.csi.mobile_user, worst_case_sign=cfg.csi.worst_case_sign)
     return h_hat, bound
@@ -229,9 +208,9 @@ def run_ber_sweep(cfg: ExperimentConfig, out_dir, threads: int | None = None,
                                                  cfg.mobility.elapsed_times_s[0])
         keys += [key] * len(cfg.schemes)
         cases += [(f"[{cfg.name}] {n}x{n} spacing={sp} angle={ang} scheme={scheme}",
-                   (n, sp, ang), (h, _sim_config(cfg, scheme, outdated), h_hat))
+                   (n, sp, ang), (h, scheme, h_hat))
                   for scheme in cfg.schemes]
-    rows, curves = _sweep_rows(cases, points, threads, progress)
+    rows, curves = _sweep_rows(cfg, cases, points, threads, progress)
     extras = {
         "noise_mode": cfg.noise.mode,
         "snr_points_db": list(points),
@@ -312,9 +291,9 @@ def run_mobility(cfg: ExperimentConfig, out_dir, threads: int | None = None,
         bounds[repr(float(elapsed))] = bound
         cases += [(f"[{cfg.name}] mobility t={elapsed}s bound={bound:.3e} scheme={scheme}",
                    (cfg.csi.model, elapsed, float(cfg.mobility.speed_mps), bound),
-                   (h, _sim_config(cfg, scheme, True), h_hat))
+                   (h, scheme, h_hat))
                   for scheme in cfg.schemes]
-    rows, _ = _sweep_rows(cases, points, threads, progress)
+    rows, _ = _sweep_rows(cfg, cases, points, threads, progress)
     return _write(cfg, out_dir, "mobility", "mobility", header, rows, {
         "snr_points_db": list(points),
         "error_bounds": bounds,

@@ -43,7 +43,8 @@ def beta(h, x) -> float:
 
 def simulated_z(h, cfg, h_hat=None) -> np.ndarray:
     """The (words, detectors) thresholds ``simulate`` counts its draws against."""
-    gpm, sig, _, _ = montecarlo._group([(h, cfg, h_hat, [cfg.snr_db])])
+    gpm, sig, _, _ = montecarlo._group([(h, cfg.scheme, h_hat)], [cfg.snr_db], cfg.noise,
+                                       cfg.renormalize_oap)
     return montecarlo._Thresholds(gpm, sig)[:, :][0]
 
 

@@ -638,6 +638,42 @@ class TestCli:
         assert "config error:" in err and key in err and "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["validate", "ber-sweep", "mobility"])
+    @pytest.mark.parametrize("changes, key", [
+        ({"mobility": {"speed_mps": 1e300, "elapsed_times_s": [1e10]}}, "mobility.speed_mps"),
+        ({"layout": {"semi_angle_deg": 1e-9}}, "layout.semi_angle_deg"),
+        ({"layout": {"detector": {"area_m2": 1e300}}}, "layout.detector"),
+    ], ids=["end_point", "tiny_angle", "huge_area"])
+    def test_outdated_config_with_overflowing_bound_exits_2(self, tmp_path, capsys, command,
+                                                            changes, key):
+        """``validate`` checks the gain-error bound the outdated-CSI recipes would compute.
+
+        JSON, as YAML reads ``1.0e300`` as a string.
+        """
+        path = tmp_path / "o.json"
+        path.write_text(json.dumps({"name": "o", "montecarlo": {"n_symbols": 2000},
+                                    "csi": {"mode": "outdated"}, **changes}))
+        out = tmp_path / "results"
+        assert main([command, "--config", str(path), "--out", str(out), "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert "config error:" in err and key in err and "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["ber-sweep", "throughput-sweep"])
+    def test_gains_too_large_for_the_scaling_exit_3(self, tmp_path, capsys, command):
+        """A detector of 1e300 m^2 makes the transmit scaling overflow: no nan or inf is written."""
+        path = tmp_path / "h.json"
+        path.write_text(json.dumps({"name": "h", "montecarlo": {"n_symbols": 2000},
+                                    "layout": {"detector": {"area_m2": 1e300}}}))
+        out = tmp_path / "results"
+        assert main(["validate", "--config", str(path)]) == 0
+        capsys.readouterr()
+        assert main([command, "--config", str(path), "--out", str(out), "--quiet"]) == 3
+        err = capsys.readouterr().err
+        assert "numerical error:" in err and "transmit scaling" in err
+        assert "Traceback" not in err and "Warning" not in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["validate", "ber-sweep", "throughput-sweep", "mobility"])
     def test_physical_noise_with_infinite_thermal_variance_exits_2(self, tmp_path, capsys,
                                                                    command):

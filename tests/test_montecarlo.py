@@ -2,7 +2,6 @@
 
 import dataclasses
 import json
-import math
 import threading
 import tracemalloc
 
@@ -14,7 +13,7 @@ from vlcmimo.analytic import (ber_ci_outdated, ber_ci_perfect, ber_oap_outdated,
                               ber_oap_perfect, exact_ber, outdated_bound, q_function,
                               sigma_table)
 from vlcmimo.channel import ChannelMatrix, build_channel_matrix, square_grid_layout
-from vlcmimo.config import NoiseConfig, config_from_dict, preset
+from vlcmimo.config import MonteCarloConfig, NoiseConfig, config_from_dict, preset
 from vlcmimo.csi import perturb_channel
 from vlcmimo.montecarlo import (SimConfig, _block_errors, _compared_errors, _sorted_errors,
                                 _sorts, simulate, sweep)
@@ -29,9 +28,15 @@ def channel(n=4, spacing=0.5, fov=60.0):
     return build_channel_matrix(square_grid_layout(n, spacing, fov=fov))
 
 
+def settings(cfg) -> dict:
+    """The run settings a ``SimConfig`` gives a whole sweep, as ``sweep`` keywords."""
+    return {"seed": cfg.seed, "montecarlo": cfg, "noise": cfg.noise,
+            "renormalize_oap": cfg.renormalize_oap}
+
+
 def one_sweep(h, points, cfg, h_hat=None, **kwargs):
-    """``sweep`` of the one case ``(h, cfg, h_hat)``."""
-    return sweep([(h, cfg, h_hat)], points, **kwargs)[0]
+    """``sweep`` of the one case ``(h, cfg.scheme, h_hat)`` with ``cfg``'s run settings."""
+    return sweep([(h, cfg.scheme, h_hat)], points, **settings(cfg), **kwargs)[0]
 
 
 class TestDeterminism:
@@ -567,7 +572,8 @@ class TestSortedCounting:
         # and 8 leftover, which compares
         cfgs = [SimConfig(n_symbols=67_000, seed=4, scheme=scheme) for scheme in ("ci", "oap")]
         taken = spy_paths(monkeypatch)
-        curves = sweep([(h, cfg, None) for cfg in cfgs], points, threads=threads)
+        curves = sweep([(h, cfg.scheme, None) for cfg in cfgs], points, **settings(cfgs[0]),
+                       threads=threads)
         assert "sorted" in taken and "compared" in taken
         for cfg, curve in zip(cfgs, curves):
             for snr, est in zip(curve.snr_db, curve.estimates):
@@ -646,7 +652,7 @@ class TestChunkedDraws:
         monkeypatch.setattr(montecarlo, "_CHUNK_CELLS", budget)
         taken = spy_paths(monkeypatch)
         z = self.z(32)
-        got = montecarlo._count_errors(z, cfg, threads)
+        got = montecarlo._count_errors(z, cfg.seed, cfg, threads)
         assert "sorted" in taken and "compared" in taken
         want = whole_block_loop(z, cfg)
         assert [(e.per_pd_errors.tolist(), e.symbols_run) for e in got] == want
@@ -692,8 +698,8 @@ class TestThresholdsFromMargins:
         z = montecarlo._Thresholds(gpm, sig)
         assert z.shape == dense.shape == ((20 if noise == "swept" else 1) * 2, 16, 4)
         taken = spy_paths(monkeypatch)
-        got = montecarlo._count_errors(z, self.CFG, threads)
-        want = montecarlo._count_errors(dense, self.CFG, threads)
+        got = montecarlo._count_errors(z, self.CFG.seed, self.CFG, threads)
+        want = montecarlo._count_errors(dense, self.CFG.seed, self.CFG, threads)
         assert [(e.per_pd_errors.tolist(), e.symbols_run) for e in got] == \
             [(e.per_pd_errors.tolist(), e.symbols_run) for e in want]
         assert sum(e.per_pd_errors.sum() for e in got) > 0
@@ -706,37 +712,6 @@ class TestThresholdsFromMargins:
             z = montecarlo._Thresholds(gpm, sig)
             assert np.array_equal(z[:, 5:11], dense[:, 5:11])
             assert np.array_equal(z[:, widx], dense[:, widx])
-
-
-@pytest.mark.parametrize("threads", [1, 2])
-def test_mixed_noise_modes_are_one_case_sweeps(monkeypatch, threads):
-    """A swept and a physical case run in two block loops, each row its one-case sweep.
-
-    ``sweep`` refuses the mix, as physical noise takes no points and swept
-    noise needs one; a ``_points`` that gives each case its own points
-    stands in for a caller that could mix them.
-    """
-    base = SimConfig(n_symbols=4101 + 1000, seed=13, block_size=4101)
-    h, params = physical_channel()
-    cases = [(channel(), base, None),
-             (h, dataclasses.replace(base, scheme="oap", noise=params), None)]
-    points = [70.0, 84.0, 98.0]
-    for given in (points, []):
-        with pytest.raises(ValueError, match="SNR"):
-            sweep(cases, given, threads=threads)
-    alone = [one_sweep(h, given, cfg, threads=threads)
-             for (h, cfg, _), given in zip(cases, (points, []))]
-    monkeypatch.setattr(montecarlo, "_points",
-                        lambda cfg, _: [math.nan] if cfg.noise.mode == "physical" else points)
-    loops = TestRecipeSharesOneBlockLoop.count_calls(monkeypatch, montecarlo, "_count_errors")
-    mixed = sweep(cases, points, threads=threads)
-    assert [z.shape[0] for z, *_ in loops] == [3, 1]
-    for got, want in zip(mixed, alone):
-        assert np.array_equal(got.snr_db, want.snr_db, equal_nan=True)
-        assert np.array_equal(got.analytic, want.analytic)
-        assert [(e.per_pd_errors.tolist(), e.symbols_run) for e in got.estimates] == \
-            [(e.per_pd_errors.tolist(), e.symbols_run) for e in want.estimates]
-    assert sum(e.per_pd_errors.sum() for c in mixed for e in c.estimates) > 0
 
 
 def test_sweep_memory_does_not_grow_with_its_points(tmp_path):
@@ -782,10 +757,11 @@ def test_sweep_drops_each_table_before_building_the_next(monkeypatch):
         return word_table(*args, **kwargs)
     monkeypatch.setattr(montecarlo, "word_table", traced)
     h = channel(n=12)
-    cases = [(h, SimConfig(n_symbols=3000, seed=3, scheme=s), None) for s in ("ci", "oap")]
+    cases = [(h, s, None) for s in ("ci", "oap")]
     tracemalloc.start()
     try:
-        sweep(cases, [80.0, 84.0, 88.0, 92.0], threads=1)
+        sweep(cases, [80.0, 84.0, 88.0, 92.0], **settings(SimConfig(n_symbols=3000, seed=3)),
+              threads=1)
     finally:
         tracemalloc.stop()
     assert len(starts) == 2
@@ -807,17 +783,18 @@ def test_cases_build_in_stacks_within_the_budget(monkeypatch):
         return word_table(gains, *args, **kwargs)
     monkeypatch.setattr(montecarlo, "word_table", traced)
     points = [70.0, 82.0, 94.0, 106.0, 118.0, 130.0]
-    cases = [(channel(spacing=sp), SimConfig(n_symbols=2000, scheme=s), None)
-             for sp in (0.25, 0.5, 1.0) for s in ("ci", "oap")]
-    stacked = sweep(cases, points, threads=1)
+    run = {"seed": 0, "montecarlo": MonteCarloConfig(n_symbols=2000), "noise": NoiseConfig(),
+           "threads": 1}
+    cases = [(channel(spacing=sp), s, None) for sp in (0.25, 0.5, 1.0) for s in ("ci", "oap")]
+    stacked = sweep(cases, points, **run)
     assert built == [3, 3]
-    wide = [(channel(n=12, spacing=sp), SimConfig(n_symbols=2000), None) for sp in (0.25, 0.5)]
+    wide = [(channel(n=12, spacing=sp), "ci", None) for sp in (0.25, 0.5)]
     built.clear()
-    sweep(wide, points[:4], threads=1)
+    sweep(wide, points[:4], **run)
     assert built == [1, 1]
     built.clear()
     monkeypatch.setattr(montecarlo, "_CHUNK_CELLS", len(points) * 16 * 4)
-    alone = sweep(cases, points, threads=1)
+    alone = sweep(cases, points, **run)
     assert built == [1] * 6
     for a, b in zip(stacked, alone):
         assert np.array_equal(a.analytic, b.analytic)
@@ -840,12 +817,13 @@ def test_block_loop_holds_one_copy_of_the_margins(monkeypatch):
             held.append(tracemalloc.get_traced_memory()[0])
         return block(*args, **kwargs)
     h = channel(n=12)
-    cases = [(h, SimConfig(n_symbols=3000, seed=3, scheme=s), None) for s in ("ci", "oap")]
-    sweep(cases, [80.0], threads=1)     # so the modules a sweep imports lazily are loaded
+    cases = [(h, s, None) for s in ("ci", "oap")]
+    run = {**settings(SimConfig(n_symbols=3000, seed=3)), "threads": 1}
+    sweep(cases, [80.0], **run)     # so the modules a sweep imports lazily are loaded
     monkeypatch.setattr(montecarlo, "_block_errors", traced)
     tracemalloc.start()
     try:
-        sweep(cases, [80.0, 84.0, 88.0, 92.0], threads=1)
+        sweep(cases, [80.0, 84.0, 88.0, 92.0], **run)
     finally:
         tracemalloc.stop()
     stacked = 2 * (1 << 12) * 12 * 8
@@ -968,8 +946,6 @@ class TestRunnerRowsAreOneSweep:
                         noise=params if physical else NoiseConfig())
         with pytest.raises(ValueError, match="h_hat"):
             simulate(h, cfg)
-        with pytest.raises(ValueError, match="h_hat"):
-            one_sweep(h, [] if physical else [90.0], cfg)
 
     @pytest.mark.parametrize("physical", [False, True])
     def test_perfect_with_estimate_raises(self, physical):
@@ -980,8 +956,17 @@ class TestRunnerRowsAreOneSweep:
         h_hat = perturb_channel(h, 2e-7, seed=1)
         with pytest.raises(ValueError, match="h_hat"):
             simulate(h, cfg, h_hat=h_hat)
+
+    @pytest.mark.parametrize("shape", [(3, 4), (4, 4, 1), (2, 4, 4)])
+    def test_estimate_of_another_shape_raises(self, shape):
+        """An estimate whose shape is not its channel's is refused before anything is built."""
+        h = channel()
+        cfg = SimConfig(n_symbols=100, csi_mode="outdated")
+        h_hat = np.full(shape, h.gains[0, 0])
         with pytest.raises(ValueError, match="h_hat"):
-            one_sweep(h, [] if physical else [90.0], cfg, h_hat=h_hat)
+            one_sweep(h, [90.0], cfg, h_hat=h_hat)
+        with pytest.raises(ValueError, match="h_hat"):
+            sweep([(h, "ci", None), (h, "oap", h_hat)], [90.0], **settings(cfg))
 
 
 class TestRecipeSharesOneBlockLoop:
@@ -1077,6 +1062,11 @@ class TestRecipeSharesOneBlockLoop:
     @pytest.mark.parametrize("name", ["spacings", "mobility"])
     def test_progress_lines_unchanged(self, capsys, tmp_path, name):
         """Each case's heading, then its point lines, as when it ran alone."""
+        def recipe_sweep(cfg, h, scheme, h_hat):
+            return sweep([(h, scheme, h_hat)], cfg.sweep.points(), seed=cfg.seed,
+                         montecarlo=cfg.montecarlo, noise=cfg.noise,
+                         renormalize_oap=cfg.renormalize_oap)[0]
+
         recipe, extra = self.RUNS[name]
         cfg = config_from_dict({**self.BASE, **extra,
                                 "montecarlo": {"n_symbols": 4096, "block_size": 2048}})
@@ -1089,8 +1079,7 @@ class TestRecipeSharesOneBlockLoop:
                 for scheme in cfg.schemes:
                     want.append(f"[grp] mobility t={elapsed}s bound={bound:.3e} "
                                 f"scheme={scheme}")
-                    runner._report(one_sweep(h, cfg.sweep.points(),
-                                             runner._sim_config(cfg, scheme, True), h_hat=h_hat))
+                    runner._report(recipe_sweep(cfg, h, scheme, h_hat))
                     want += capsys.readouterr().err.splitlines()
         else:
             for n, sp, ang in cfg.variants():
@@ -1098,8 +1087,7 @@ class TestRecipeSharesOneBlockLoop:
                                                           semi_angle=ang))
                 for scheme in cfg.schemes:
                     want.append(f"[grp] {n}x{n} spacing={sp} angle={ang} scheme={scheme}")
-                    runner._report(one_sweep(h, cfg.sweep.points(),
-                                             runner._sim_config(cfg, scheme, False)))
+                    runner._report(recipe_sweep(cfg, h, scheme, None))
                     want += capsys.readouterr().err.splitlines()
         csv_path, _ = recipe(cfg, tmp_path, threads=2, progress=True)
         want.append(f"wrote {csv_path}")

@@ -92,6 +92,15 @@ class TestScalingBeta:
     def test_all_zero_word_degenerates_to_one(self):
         assert betas(np.eye(4))[0] == 1.0
 
+    @pytest.mark.parametrize("scheme", ["ci", "oap"])
+    def test_gains_too_large_for_the_scaling_raise(self, scheme):
+        """Gains of 1e300 make ``||W x||`` underflow to 0: no table of infinite transmit vectors."""
+        for gains in (1e300 * np.eye(2), np.stack([np.eye(2), 1e300 * np.eye(2)])):
+            with pytest.raises(SingularChannelError, match="transmit scaling"):
+                word_table(gains, ci_precoder(gains), scheme)
+        table = word_table(1e150 * np.eye(2), ci_precoder(1e150 * np.eye(2)), scheme)
+        assert np.isfinite(table.transmit).all()
+
     def test_renormalized_masked_norm(self):
         rng = np.random.default_rng(9)
         h = random_channel(rng, 4)

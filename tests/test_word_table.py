@@ -42,8 +42,9 @@ VARIANTS = [("ci", False), ("oap", False), ("oap", True)]
 
 
 def one_sweep(h, points, cfg, h_hat=None, **kwargs):
-    """``sweep`` of the one case ``(h, cfg, h_hat)``."""
-    return sweep([(h, cfg, h_hat)], points, **kwargs)[0]
+    """``sweep`` of the one case ``(h, cfg.scheme, h_hat)`` with ``cfg``'s run settings."""
+    return sweep([(h, cfg.scheme, h_hat)], points, seed=cfg.seed, montecarlo=cfg,
+                 noise=cfg.noise, renormalize_oap=cfg.renormalize_oap, **kwargs)[0]
 
 
 def assert_close(got, want, tol):
