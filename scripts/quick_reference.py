@@ -2,9 +2,9 @@
 """Rewrite tests/quick_reference.json from the quick presets; print what moved.
 
 Usage: python3 scripts/quick_reference.py.  Runs every preset of
-run_all_figures.py at its --quick symbol count on one thread into a temporary
-directory, and every benchmark workload of perfbench/workloads.py at seed 1 on
-one thread into its own subdirectory, whose name prefixes its files' keys.
+run_all_figures.py at its --quick symbol count into a temporary directory, and
+every benchmark workload of perfbench/workloads.py at seed 1, one config at a
+time, into its own subdirectory, whose name prefixes its files' keys.
 Each output file is reduced to columns of cells (as diff_outputs.py reads
 them): CSV comment lines under "#", and each gain raster row by the sum,
 moment and cell count of perfbench/checks.py::seed_free_values.  Then it
@@ -33,7 +33,6 @@ from diff_outputs import columns, moved_cells  # noqa: E402
 from workloads import WORKLOADS  # noqa: E402
 
 from vlcmimo.config import preset  # noqa: E402
-from vlcmimo.runner import run_channel_map  # noqa: E402
 
 RECIPES = runpy.run_path(str(ROOT / "scripts" / "run_all_figures.py"))["RECIPES"]
 QUICK_SYMBOLS = 100_000
@@ -49,7 +48,7 @@ def generate(out_dir: Path) -> Path:
         cfg = preset(name)
         cfg = dataclasses.replace(cfg, montecarlo=dataclasses.replace(
             cfg.montecarlo, n_symbols=QUICK_SYMBOLS))
-        recipe(cfg, out_dir, **({} if recipe is run_channel_map else {"threads": 1}))
+        recipe(cfg, out_dir)
     for name, workload in WORKLOADS.items():
         workload.run(workload.configs(1), out_dir / name, threads=1)
     return out_dir

@@ -28,20 +28,11 @@ RECIPES = {
 }
 
 
-def _thread_count(text: str) -> int:
-    """An argparse type: a worker count of at least 1."""
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
-
-
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--out", default="out", help="output directory")
     parser.add_argument("--quick", action="store_true",
                         help="reduce Monte Carlo symbols to 100k per point")
-    parser.add_argument("--threads", type=_thread_count, default=None)
     parser.add_argument("--only", nargs="*", choices=PRESET_NAMES,
                         help="subset of presets to run")
     args = parser.parse_args()
@@ -52,12 +43,8 @@ def main() -> int:
         if args.quick:
             mc = dataclasses.replace(cfg.montecarlo, n_symbols=100_000)
             cfg = dataclasses.replace(cfg, montecarlo=mc)
-        recipe = RECIPES[name]
         start = time.monotonic()
-        if recipe is run_channel_map:
-            paths = recipe(cfg, args.out, progress=True)
-        else:
-            paths = recipe(cfg, args.out, threads=args.threads, progress=True)
+        paths = RECIPES[name](cfg, args.out, progress=True)
         peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024   # KiB on Linux
         print(f"{name}: {time.monotonic() - start:.1f}s, peak {peak_mb:.1f} MB -> "
               + ", ".join(str(p) for p in paths))

@@ -39,9 +39,6 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="named experiment setup")
         sp.add_argument("--out", default="out", help="output directory (default: out)")
         sp.add_argument("--seed", type=int, default=None, help="override the config seed")
-        sp.add_argument("--threads", type=int, default=None,
-                        help="worker cap for parallel sweeps, at most the CPUs this "
-                             "process may use (default: all of them; 1 runs serially)")
         sp.add_argument("--symbols", type=int, default=None,
                         help="override the Monte Carlo symbol count")
         sp.add_argument("--quiet", action="store_true", help="suppress progress output")
@@ -49,8 +46,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _load(args):
-    if args.threads is not None and args.threads < 1:
-        raise ConfigError(f"--threads must be >= 1, got {args.threads}")
     cfg = load_config(args.config) if args.config else preset(args.preset)
     if args.seed is not None:
         cfg = dataclasses.replace(cfg, seed=args.seed)
@@ -69,13 +64,7 @@ def main(argv=None) -> int:
                               "resolved_config": cfg.resolved()},
                              indent=2, sort_keys=True))
             return 0
-        runner = _COMMANDS[args.command]
-        if args.command in ("ber-sweep", "throughput-sweep", "mobility"):
-            paths = runner(cfg, args.out, threads=args.threads,
-                           progress=not args.quiet)
-        else:
-            paths = runner(cfg, args.out, progress=not args.quiet)
-        for p in paths:
+        for p in _COMMANDS[args.command](cfg, args.out, progress=not args.quiet):
             print(p)
         return 0
     except (ConfigError, GeometryError) as exc:

@@ -422,18 +422,47 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     return _from_dict(ExperimentConfig, data, "config").validate()
 
 
+def _json_object(pairs: list) -> dict:
+    """A JSON object as a dict; a repeated key raises ``ValueError`` naming it."""
+    data = {}
+    for key, value in pairs:
+        if key in data:
+            raise ValueError(f"repeated key {key!r}")
+        data[key] = value
+    return data
+
+
 def load_config(path) -> ExperimentConfig:
-    """Load a YAML or JSON experiment config from disk."""
+    """Load a YAML or JSON experiment config from disk.
+
+    A file that is not UTF-8, does not parse, or repeats a key within one
+    mapping raises ``ConfigError`` naming the file.  A YAML mapping's own
+    keys are checked before ``<<:`` merges, so a key may override a merged one.
+    """
     import yaml     # here, so that presets, JSON and library callers never load it
 
+    class UniqueKeyLoader(yaml.SafeLoader):
+        def construct_mapping(self, node, deep=False):
+            seen = set()
+            for key_node, _ in node.value:
+                if (isinstance(key_node, yaml.ScalarNode)
+                        and key_node.tag != "tag:yaml.org,2002:merge"):
+                    key = self.construct_object(key_node)
+                    if key in seen:
+                        raise yaml.constructor.ConstructorError(
+                            "while constructing a mapping", node.start_mark,
+                            f"found repeated key {key!r}", key_node.start_mark)
+                    seen.add(key)
+            return super().construct_mapping(node, deep)
+
     p = Path(path)
-    text = p.read_text(encoding="utf-8")
     try:
+        text = p.read_text(encoding="utf-8")
         if p.suffix.lower() == ".json":
-            data = json.loads(text)
+            data = json.loads(text, object_pairs_hook=_json_object)
         else:
-            data = yaml.safe_load(text)
-    except (yaml.YAMLError, json.JSONDecodeError) as exc:
+            data = yaml.load(text, Loader=UniqueKeyLoader)
+    except (yaml.YAMLError, ValueError) as exc:     # UnicodeDecodeError is a ValueError
         raise ConfigError(f"{p}: cannot parse: {exc}") from exc
     if data is None:
         data = {}

@@ -1,8 +1,8 @@
-"""Symbol-level Monte Carlo engine with deterministic parallel estimation.
+"""Symbol-level Monte Carlo engine with deterministic estimation.
 
-Symbols are processed in fixed-size blocks; each block draws from its own
-SFC64 generator keyed by (seed, block index), so error counts are
-bit-identical for a given seed regardless of worker count or scheduling.
+Symbols are processed in fixed-size blocks, one after another in the
+caller's thread; each block draws from its own SFC64 generator keyed by
+(seed, block index), so error counts are bit-identical for a given seed.
 Words are stratified: within a block every one of the 2^n words gets the same
 share of symbols, and only the remainder goes to words drawn at random.  A
 word's share is drawn as antithetic pairs (Hammersley and Morton, 1956): one
@@ -20,7 +20,7 @@ call that has the same word and detector counts (every scheme, array
 spacing or elapsed time of a recipe).  Each row is exactly the case's
 one-case sweep at its SNR, which is ``simulate``, and keeps its marginal
 distribution.  Every point counts every block, so every row runs exactly
-its symbol count.  Threads split a block loop's blocks, not its points.
+its symbol count.
 
 A pair's errors depend only on |d| (``_pair_keys``).  A block that serves
 many points counts them from sorted |d|: each (word, detector) row is sorted
@@ -47,11 +47,8 @@ cells, and the closed forms sum Q over chunks of words.
 
 from __future__ import annotations
 
-import contextlib
 import itertools
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Literal
 
@@ -225,7 +222,7 @@ def _sorted_errors(draws: np.ndarray, z: np.ndarray) -> np.ndarray:
 
     A point's count on a row is ``pairs - s`` for z >= 0 and ``pairs + s``
     for z < 0, where ``s`` counts the |d| at most its key (``_pair_keys``):
-    one bisection with ``side="right"``.  The sort releases the GIL.
+    one bisection with ``side="right"``.
     """
     n_words, n_r, pairs = draws.shape
     np.abs(draws, out=draws)
@@ -288,18 +285,16 @@ def _block_errors(z: np.ndarray, nb: int, rng: np.random.Generator) -> np.ndarra
     return errors
 
 
-def _count_errors(z: np.ndarray, seed: int, montecarlo: MonteCarloConfig,
-                  threads: int = 1) -> list[BerEstimate]:
+def _count_errors(z: np.ndarray, seed: int, montecarlo: MonteCarloConfig) -> list[BerEstimate]:
     """The block loop: error counts at each point of ``z`` (points, words, detectors).
 
     Block k draws from ``SFC64(SeedSequence((seed, k)))``, and every point
     counts every block, so every point runs exactly ``montecarlo.n_symbols``.
-    Up to ``threads`` blocks run at once, on no more workers than blocks or
-    CPUs (``_cpus``); their counts are folded in block order, so each point
-    counts exactly what a one-point run would, whatever ``threads``.
+    The blocks run in order in the caller's thread, and their counts are
+    summed in block order, so each point counts exactly what a one-point run
+    would.
     """
     n_blocks = -(-montecarlo.n_symbols // montecarlo.block_size)
-    threads = max(1, min(threads, n_blocks, _cpus()))
 
     def block(k: int) -> np.ndarray:
         nb = min(montecarlo.block_size, montecarlo.n_symbols - k * montecarlo.block_size)
@@ -307,10 +302,7 @@ def _count_errors(z: np.ndarray, seed: int, montecarlo: MonteCarloConfig,
             np.random.SeedSequence(entropy=(seed, k))))
         return _block_errors(z, nb, rng)
 
-    # One thread runs in the caller, so its CPU time stays the caller's.
-    with (ThreadPoolExecutor(threads) if threads > 1
-          else contextlib.nullcontext()) as pool:
-        errors = sum((pool.map if pool else map)(block, range(n_blocks)))
+    errors = sum(map(block, range(n_blocks)))
     return [BerEstimate(per_pd_errors=e, symbols_run=montecarlo.n_symbols) for e in errors]
 
 
@@ -318,8 +310,8 @@ def simulate(h: ChannelMatrix, cfg: SimConfig, h_hat=None) -> BerEstimate:
     """Run the symbol loop and count detection errors per photodetector.
 
     The one-case, one-point ``sweep`` at ``cfg.snr_db`` (no point under
-    physical noise), run serially: blocks of ``cfg.block_size`` symbols give
-    every word an equal share (see ``_block_errors``); block k draws from
+    physical noise): blocks of ``cfg.block_size`` symbols give every word an
+    equal share (see ``_block_errors``); block k draws from
     ``SFC64(SeedSequence((seed, k)))``.  Exactly ``cfg.n_symbols`` symbols
     run.  The estimate ``h_hat`` is needed with ``cfg.csi_mode`` "outdated"
     and refused with "perfect"; a mismatch raises ``ValueError``.
@@ -330,15 +322,7 @@ def simulate(h: ChannelMatrix, cfg: SimConfig, h_hat=None) -> BerEstimate:
         raise ValueError("perfect channel knowledge takes no estimate h_hat")
     points = [] if cfg.noise.mode == "physical" else [cfg.snr_db]
     return sweep([(h, cfg.scheme, h_hat)], points, seed=cfg.seed, montecarlo=cfg,
-                 noise=cfg.noise, renormalize_oap=cfg.renormalize_oap,
-                 threads=1)[0].estimates[0]
-
-
-def _cpus() -> int:
-    """CPUs this process may run on: its affinity mask where the system has one."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
+                 noise=cfg.noise, renormalize_oap=cfg.renormalize_oap)[0].estimates[0]
 
 
 def _points(noise: NoiseConfig, snr_points_db) -> list[float]:
@@ -353,18 +337,6 @@ def _points(noise: NoiseConfig, snr_points_db) -> list[float]:
     if not points:
         raise ValueError("need at least one SNR point")
     return points
-
-
-def _threads(threads: int | None) -> int:
-    """Blocks a sweep runs at once: None means the CPUs this process may use.
-
-    Below 1 raises ``ValueError``.
-    """
-    if threads is None:
-        return _cpus()
-    if threads < 1:
-        raise ValueError(f"threads must be >= 1, got {threads}")
-    return threads
 
 
 def _stacks(cases, n_points: int) -> list[list[list[int]]]:
@@ -410,8 +382,7 @@ def _group(cases, points, noise: NoiseConfig, renormalize_oap: bool) -> tuple:
 
 
 def sweep(cases, snr_points_db, *, seed: int, montecarlo: MonteCarloConfig,
-          noise: NoiseConfig, renormalize_oap: bool = False,
-          threads: int | None = None) -> list[BerCurve]:
+          noise: NoiseConfig, renormalize_oap: bool = False) -> list[BerCurve]:
     """Estimate and analyze a list of ``(h, scheme, h_hat)`` cases over a transmit-SNR grid.
 
     A sweep is one experiment: ``seed``, ``montecarlo`` (symbol and block
@@ -424,9 +395,7 @@ def sweep(cases, snr_points_db, *, seed: int, montecarlo: MonteCarloConfig,
     arrays, and every point counts every block.  Rows are therefore
     correlated along SNR and across cases; each row equals the case's
     one-case sweep at its SNR (``simulate``), its marginal distribution
-    unchanged.  Up to ``threads`` blocks run at once (None means the CPUs
-    this process may use, 1 forces serial, below 1 raises ``ValueError``);
-    threads split blocks, not points, and the counts do not depend on them.
+    unchanged.  The blocks run one after another in the caller's thread.
     One curve per case, in case order, with points sorted by SNR.  Cases of
     one block loop, scheme and knowledge are one build group while its
     cases x points x words x detectors fit ``_CHUNK_CELLS`` (see
@@ -440,7 +409,6 @@ def sweep(cases, snr_points_db, *, seed: int, montecarlo: MonteCarloConfig,
     The working set does not grow with the points (see the module notes): a
     31-point sweep of two 16-link cases at 20 000 symbols peaks at about 136 MB.
     """
-    threads = _threads(threads)
     points = _points(noise, snr_points_db)
     for h, _, h_hat in cases:
         if h_hat is not None and np.shape(h_hat) != h.gains.shape:
@@ -452,7 +420,7 @@ def sweep(cases, snr_points_db, *, seed: int, montecarlo: MonteCarloConfig,
                                                renormalize_oap) for group in stack))
         z = _Thresholds(np.concatenate(gpm), np.concatenate(sigs))
         del gpm, sigs   # the block loop holds only z's stacked copies
-        counts = iter(_count_errors(z, seed, montecarlo, threads))
+        counts = iter(_count_errors(z, seed, montecarlo))
         for group, rate, cond in zip(stack, rates, conds):
             for i, closed, kappa in zip(group, rate, cond.tolist()):
                 _, scheme, h_hat = cases[i]

@@ -1,9 +1,9 @@
 """Experiment recipes: build layouts, run sweeps, write CSV results + metadata.
 
 Output files are data-only and deterministic: a given (config, seed) pair
-reproduces byte-identical CSV bodies regardless of worker count.  Every CSV
-starts with '#' comment lines carrying the config hash and seed, then a
-header row; floats are written in shortest round-trip decimal.
+reproduces byte-identical CSV bodies.  Every CSV starts with '#' comment
+lines carrying the config hash and seed, then a header row; floats are
+written in shortest round-trip decimal.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from .analytic import throughput as analytic_throughput
 from .channel import RoomLayout, build_channel_matrix, gain_map
 from .config import ConfigError, ExperimentConfig, _resolved_hash
 from .csi import perturb_channel
-from .montecarlo import _threads, sweep
+from .montecarlo import sweep
 from .noise import sigma_stack
 from .precoding import ci_precoder, word_table
 
@@ -104,7 +104,7 @@ def _report(curve):
               f"mc {est.average_ber:.3e}  analytic {np.mean(row):.3e}", file=sys.stderr)
 
 
-def _sweep_rows(cfg: ExperimentConfig, cases, points, threads, progress) -> tuple[list, list]:
+def _sweep_rows(cfg: ExperimentConfig, cases, points, progress) -> tuple[list, list]:
     """Rows of every ``(heading, columns, (h, scheme, h_hat))`` case from one sweep of
     ``cfg``, and its curves.
 
@@ -113,7 +113,7 @@ def _sweep_rows(cfg: ExperimentConfig, cases, points, threads, progress) -> tupl
     """
     curves = sweep([case for _, _, case in cases], points, seed=cfg.seed,
                    montecarlo=cfg.montecarlo, noise=cfg.noise,
-                   renormalize_oap=cfg.renormalize_oap, threads=threads)
+                   renormalize_oap=cfg.renormalize_oap)
     rows = []
     for (heading, columns, _), curve in zip(cases, curves):
         if progress:
@@ -186,10 +186,10 @@ def run_ber_sweep(cfg: ExperimentConfig, out_dir, threads: int | None = None,
     inverted, the estimate's under outdated knowledge, as the sweep's curves
     carry it.  Every variant and scheme goes
     to one ``sweep`` call (see there), so rows share draws across schemes and
-    variants as well as along SNR.  ``threads`` below 1 raises ``ValueError``
-    before anything is written.
+    variants as well as along SNR.  ``threads`` has no effect: the sweep
+    runs in the calling thread.  It is accepted, unchecked, only because the
+    benchmark workloads still pass it.
     """
-    _threads(threads)
     points = _snr_points(cfg)
     outdated = cfg.csi.mode == "outdated"
     header = ["snr_db", "scheme", "csi_mode", "n_links", "spacing_m", "semi_angle_deg",
@@ -210,7 +210,7 @@ def run_ber_sweep(cfg: ExperimentConfig, out_dir, threads: int | None = None,
         cases += [(f"[{cfg.name}] {n}x{n} spacing={sp} angle={ang} scheme={scheme}",
                    (n, sp, ang), (h, scheme, h_hat))
                   for scheme in cfg.schemes]
-    rows, curves = _sweep_rows(cfg, cases, points, threads, progress)
+    rows, curves = _sweep_rows(cfg, cases, points, progress)
     extras = {
         "noise_mode": cfg.noise.mode,
         "snr_points_db": list(points),
@@ -232,13 +232,10 @@ def run_throughput_sweep(cfg: ExperimentConfig, out_dir, threads: int | None = N
     reduces it over the noise deviations of ``noise.sigma_stack``, as the
     error-rate closed forms do.  With ``noise.mode: physical`` there is no
     SNR axis: each variant/scheme is one row at the device noise level, its
-    snr_db nan, as in ``run_ber_sweep``.  ``threads`` is checked as the
-    other recipes check it, below 1 raising ``ValueError`` before anything is
-    written, and is otherwise unused: throughput is closed-form only and runs
-    in the calling thread.  The table is the perfect-CSI one, so ``csi.mode:
+    snr_db nan, as in ``run_ber_sweep``.  ``threads`` has no effect, as in
+    ``run_ber_sweep``.  The table is the perfect-CSI one, so ``csi.mode:
     outdated`` raises ``ConfigError`` before anything is written.
     """
-    _threads(threads)
     if cfg.csi.mode == "outdated":
         raise ConfigError("throughput-sweep computes perfect-CSI throughput; "
                           "it takes no csi.mode: outdated")
@@ -270,11 +267,10 @@ def run_mobility(cfg: ExperimentConfig, out_dir, threads: int | None = None,
     ``noise.mode: physical`` each interval/scheme is one row at the device
     noise level, as in ``run_ber_sweep``.  Every interval and scheme goes to
     one ``sweep`` call, so rows share draws across schemes and intervals as
-    well as along SNR.  ``threads`` below 1 raises ``ValueError``, and no
-    elapsed time or a variant axis ``ConfigError``, before anything is
-    written: the intervals are of ``cfg.layout`` alone.
+    well as along SNR.  No elapsed time or a variant axis raises
+    ``ConfigError`` before anything is written: the intervals are of
+    ``cfg.layout`` alone.  ``threads`` has no effect, as in ``run_ber_sweep``.
     """
-    _threads(threads)
     if not cfg.mobility.elapsed_times_s:
         raise ConfigError("mobility needs at least one mobility.elapsed_times_s")
     _one_layout(cfg, "mobility")
@@ -293,7 +289,7 @@ def run_mobility(cfg: ExperimentConfig, out_dir, threads: int | None = None,
                    (cfg.csi.model, elapsed, float(cfg.mobility.speed_mps), bound),
                    (h, scheme, h_hat))
                   for scheme in cfg.schemes]
-    rows, _ = _sweep_rows(cfg, cases, points, threads, progress)
+    rows, _ = _sweep_rows(cfg, cases, points, progress)
     return _write(cfg, out_dir, "mobility", "mobility", header, rows, {
         "snr_points_db": list(points),
         "error_bounds": bounds,

@@ -437,7 +437,7 @@ class TestThroughput:
         rows = {}
         for renormalize in (False, True):
             cfg = config_from_dict({**base, "renormalize_oap": renormalize})
-            csv_path, _ = run_throughput_sweep(cfg, tmp_path / str(renormalize), threads=1)
+            csv_path, _ = run_throughput_sweep(cfg, tmp_path / str(renormalize))
             lines = csv_path.read_text().splitlines()[4:]
             rows[renormalize] = [(float(snr), scheme, float(value)) for snr, scheme, *_, value
                                  in (line.split(",") for line in lines)]

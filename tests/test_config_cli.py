@@ -222,15 +222,6 @@ class TestCli:
         assert "config error" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("threads", ["0", "-1"])
-    def test_threads_below_one_rejected(self, tmp_path, capsys, threads):
-        path = write_yaml(tmp_path / "c.yaml", SMALL)
-        out = tmp_path / "results"
-        assert main(["ber-sweep", "--config", str(path), "--out", str(out), "--quiet",
-                     "--threads", threads]) == 2
-        assert "config error" in capsys.readouterr().err
-        assert not out.exists()
-
     @pytest.mark.parametrize("command", ["validate", "ber-sweep", "throughput-sweep", "mobility"])
     @pytest.mark.parametrize("grid", [(-7000.0, -6996.0, 2.0), (7000.0, 7004.0, 2.0),
                                       (80.0, 7000.0, 2.0), (6300.0, 6310.0, 2.0),
@@ -309,22 +300,11 @@ class TestCli:
         monkeypatch.setattr(sys, "argv", ["run_all_figures.py", *argv])
         return run_all()
 
-    @pytest.mark.parametrize("threads", ["0", "-3"])
-    def test_run_all_figures_rejects_threads_below_one(self, tmp_path, capsys, monkeypatch,
-                                                        threads):
-        out = tmp_path / "results"
-        with pytest.raises(SystemExit) as stop:
-            self.run_all_figures(monkeypatch, "--out", str(out), "--only", "fig4",
-                                 "--threads", threads)
-        assert stop.value.code == 2
-        assert "must be >= 1" in capsys.readouterr().err
-        assert not out.exists()
-
     def test_run_all_figures_summary_gives_time_and_peak_memory(self, tmp_path, capsys,
                                                                  monkeypatch):
         out = tmp_path / "results"
         assert self.run_all_figures(monkeypatch, "--out", str(out), "--quick",
-                                    "--only", "fig8", "--threads", "1") == 0
+                                    "--only", "fig8") == 0
         (line,) = capsys.readouterr().out.splitlines()
         summary = re.fullmatch(r"fig8: (\d+\.\d)s, peak (\d+\.\d) MB -> (.*)", line)
         assert summary is not None, line
@@ -368,6 +348,40 @@ class TestCli:
         assert main(["validate", "--config", str(path)]) == 2
         assert "cannot parse" in capsys.readouterr().err
 
+    UNREADABLE = {
+        "not-utf8": ("c.yaml", b"name: \xff\xfe\n", "codec can't decode"),
+        "yaml-top": ("c.yaml", b"seed: 1\nseed: 2\n", "repeated key 'seed'"),
+        "yaml-nested": ("c.yaml", b"layout:\n  n_links: 2\n  n_links: 3\n",
+                        "repeated key 'n_links'"),
+        "json-top": ("c.json", b'{"seed": 1, "seed": 2}', "repeated key 'seed'"),
+        "json-nested": ("c.json", b'{"layout": {"n_links": 2, "n_links": 3}}',
+                        "repeated key 'n_links'"),
+        "yaml-bad-date": ("c.yaml", b"seed: 2020-13-45\n", "month must be in 1..12"),
+    }
+
+    @pytest.mark.parametrize("command", ["validate", "ber-sweep"])
+    @pytest.mark.parametrize("case", list(UNREADABLE))
+    def test_unreadable_config_exits_2_and_writes_nothing(self, tmp_path, capsys, command,
+                                                          case):
+        """A file that is not UTF-8, repeats a key (at the top or nested) or holds an
+        impossible YAML date is a config error."""
+        name, data, why = self.UNREADABLE[case]
+        path = tmp_path / name
+        path.write_bytes(data)
+        out = tmp_path / "results"
+        assert main([command, "--config", str(path), "--out", str(out), "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {path}: cannot parse") and why in err
+        assert not out.exists()
+
+    def test_yaml_merge_key_may_be_overridden(self, tmp_path):
+        """A mapping's own key overrides one merged in by ``<<:``; it is not a repeat."""
+        path = tmp_path / "c.yaml"
+        path.write_text("layout:\n  <<: {n_links: 2, spacing_m: 0.25}\n  n_links: 3\n",
+                        encoding="utf-8")
+        layout = load_config(path).layout
+        assert (layout.n_links, layout.spacing_m) == (3, 0.25)
+
     @pytest.mark.parametrize("bad", bad_field_values())
     def test_every_field_rejects_bad_value(self, tmp_path, capsys, bad):
         path = write_yaml(tmp_path / "bad.yaml", bad)
@@ -405,19 +419,6 @@ class TestCli:
         meta = json.loads(meta_path.read_text())
         assert meta["seed"] == 7
         assert meta["resolved_config"]["montecarlo"]["n_symbols"] == 20_000
-
-    def test_reproducible_across_threads(self, tmp_path, monkeypatch):
-        from vlcmimo import montecarlo
-        monkeypatch.setattr(montecarlo, "_cpus", lambda: 4)    # four workers on any host
-        path = write_yaml(tmp_path / "c.yaml", SMALL)
-        out1, out2 = tmp_path / "r1", tmp_path / "r2"
-        assert main(["ber-sweep", "--config", str(path), "--out", str(out1),
-                     "--threads", "1", "--quiet"]) == 0
-        assert main(["ber-sweep", "--config", str(path), "--out", str(out2),
-                     "--threads", "4", "--quiet"]) == 0
-        a = (out1 / "small_ber.csv").read_bytes()
-        b = (out2 / "small_ber.csv").read_bytes()
-        assert a == b
 
     def test_symbol_and_seed_overrides(self, tmp_path):
         path = write_yaml(tmp_path / "c.yaml", SMALL)

@@ -2,7 +2,6 @@
 
 import dataclasses
 import json
-import threading
 import tracemalloc
 
 import numpy as np
@@ -34,9 +33,9 @@ def settings(cfg) -> dict:
             "renormalize_oap": cfg.renormalize_oap}
 
 
-def one_sweep(h, points, cfg, h_hat=None, **kwargs):
+def one_sweep(h, points, cfg, h_hat=None):
     """``sweep`` of the one case ``(h, cfg.scheme, h_hat)`` with ``cfg``'s run settings."""
-    return sweep([(h, cfg.scheme, h_hat)], points, **settings(cfg), **kwargs)[0]
+    return sweep([(h, cfg.scheme, h_hat)], points, **settings(cfg))[0]
 
 
 class TestDeterminism:
@@ -57,16 +56,6 @@ class TestDeterminism:
         first = simulate(h, cfg).per_pd_errors
         again = simulate(h, cfg).per_pd_errors
         assert np.array_equal(first, again)
-
-    def test_sweep_thread_count_invariance(self, monkeypatch):
-        monkeypatch.setattr(montecarlo, "_cpus", lambda: 4)    # four workers on any host
-        h = channel()
-        cfg = SimConfig(n_symbols=30_000, seed=7, scheme="ci", snr_db=0.0)
-        points = [80.0, 84.0, 88.0, 92.0]
-        serial = one_sweep(h, points, cfg, threads=1)
-        pooled = one_sweep(h, points, cfg, threads=4)
-        for a, b in zip(serial.estimates, pooled.estimates):
-            assert np.array_equal(a.per_pd_errors, b.per_pd_errors)
 
     def test_different_seeds_differ(self):
         h = channel()
@@ -201,17 +190,19 @@ class TestStratifiedBlocks:
         assert sum(counts) == nb
         assert min(counts) >= nb // n_words
 
-    def test_sweep_thread_invariance_with_leftover_words(self, monkeypatch):
-        monkeypatch.setattr(montecarlo, "_cpus", lambda: 4)    # four workers on any host
-        h = channel(n=9)
-        cfg = SimConfig(n_symbols=1_050, seed=8, scheme="ci", snr_db=0.0, block_size=100)
-        points = [70.0, 74.0, 78.0]
-        serial = one_sweep(h, points, cfg, threads=1)
-        pooled = one_sweep(h, points, cfg, threads=4)
-        assert sum(e.per_pd_errors.sum() for e in serial.estimates) > 0
-        for a, b in zip(serial.estimates, pooled.estimates):
-            assert np.array_equal(a.per_pd_errors, b.per_pd_errors)
-            assert a.symbols_run == b.symbols_run == cfg.n_symbols
+    @pytest.mark.parametrize("n, cfg, points", [
+        (9, SimConfig(n_symbols=1_050, seed=8, block_size=100), [70.0, 74.0, 78.0]),
+        (2, SimConfig(n_symbols=64, block_size=1), [60.0, 80.0]),
+    ], ids=["leftover-words", "one-symbol-blocks"])
+    def test_sweep_counts_every_symbol(self, n, cfg, points):
+        """Blocks below 2^n symbols and a last short block: every point runs every symbol."""
+        h = channel(n=n)
+        curve = one_sweep(h, points, cfg)
+        assert sum(e.per_pd_errors.sum() for e in curve.estimates) > 0
+        for snr, est in zip(points, curve.estimates):
+            alone = simulate(h, dataclasses.replace(cfg, snr_db=snr))
+            assert np.array_equal(est.per_pd_errors, alone.per_pd_errors)
+            assert est.symbols_run == cfg.n_symbols
 
 
 def physical_channel():
@@ -360,7 +351,7 @@ def test_fig6_monte_carlo_within_outdated_bound(tmp_path):
     cfg = preset("fig6")
     cfg = dataclasses.replace(cfg, montecarlo=dataclasses.replace(cfg.montecarlo,
                                                                   n_symbols=100_000))
-    csv_path, _ = run_mobility(cfg, tmp_path, threads=2)
+    csv_path, _ = run_mobility(cfg, tmp_path)
     header, *rows = [line.split(",") for line in csv_path.read_text().splitlines()
                      if not line.startswith("#")]
     col = {name: i for i, name in enumerate(header)}
@@ -400,7 +391,7 @@ def test_renormalized_outdated_sweep_uses_renormalized_bound():
     cfg = SimConfig(n_symbols=2_000, seed=12, scheme="oap", snr_db=0.0,
                     csi_mode="outdated", renormalize_oap=True)
     h_hat = perturb_channel(h, bound, model="uniform", seed=cfg.seed)
-    row = one_sweep(h, [100.0], cfg, h_hat=h_hat, threads=1).analytic[0]
+    row = one_sweep(h, [100.0], cfg, h_hat=h_hat).analytic[0]
     sigma = sigma_from_transmit_snr(100.0, h.responsivity, h.power)
     args = (h, h_hat, sigma, h.responsivity, h.power)
     renormalized = ber_oap_outdated(*args, renormalize=True)
@@ -428,23 +419,15 @@ class TestSweepSharesOneStream:
         h_hat = None
         if cfg.csi_mode == "outdated":
             h_hat = perturb_channel(h, 2e-7, seed=cfg.seed)
-        curve = one_sweep(h, self.POINTS, cfg, h_hat=h_hat, threads=2)
+        curve = one_sweep(h, self.POINTS, cfg, h_hat=h_hat)
         for snr, est in zip(curve.snr_db, curve.estimates):
             alone = simulate(h, dataclasses.replace(cfg, snr_db=snr), h_hat=h_hat)
             assert np.array_equal(est.per_pd_errors, alone.per_pd_errors)
             assert est.symbols_run == alone.symbols_run
 
-    def test_counts_identical_across_threads(self):
-        h = channel()
-        cfg = self.config()
-        curves = [one_sweep(h, self.POINTS, cfg, threads=t) for t in (1, 2, 4)]
-        for rows in zip(*(c.estimates for c in curves)):
-            assert all(np.array_equal(r.per_pd_errors, rows[0].per_pd_errors)
-                       and r.symbols_run == rows[0].symbols_run for r in rows)
-
     def test_progress_prints_one_line_per_point(self, capsys):
         cfg = dataclasses.replace(self.config(), n_symbols=5_000)
-        runner._report(one_sweep(channel(), self.POINTS, cfg, threads=2))
+        runner._report(one_sweep(channel(), self.POINTS, cfg))
         lines = capsys.readouterr().err.splitlines()
         assert [line.split()[1] for line in lines] == [f"{p:.2f}" for p in self.POINTS]
 
@@ -454,7 +437,7 @@ class TestSweepSharesOneStream:
         h = channel(spacing=0.25)
         points = np.arange(60.0, 141.0, 4.0)
         cfg = SimConfig(n_symbols=1, scheme=scheme, renormalize_oap=renormalize)
-        curve = one_sweep(h, points, cfg, threads=1)
+        curve = one_sweep(h, points, cfg)
         for snr, row in zip(curve.snr_db, curve.analytic):
             sigma = sigma_from_transmit_snr(snr, h.responsivity, h.power)
             if scheme == "oap":
@@ -471,20 +454,20 @@ def spy_paths(monkeypatch) -> list:
     """The count path of every block from now on: "sorted" or "compared".
 
     A block counts its chunks one at a time, so the paths its chunks took are
-    gathered per block (per thread, as blocks may run at once) and recorded
-    once; a block whose chunks took both would record "compared+sorted".
+    gathered per block and recorded once; a block whose chunks took both
+    would record "compared+sorted".
     """
-    taken, block = [], threading.local()
+    taken, paths = [], set()
     for name, fn in (("sorted", _sorted_errors), ("compared", _compared_errors)):
         def wrapped(draws, z, name=name, fn=fn):
-            block.paths.add(name)
+            paths.add(name)
             return fn(draws, z)
         monkeypatch.setattr(montecarlo, f"_{name}_errors", wrapped)
 
     def block_errors(*args, fn=montecarlo._block_errors):
-        block.paths = set()
+        paths.clear()
         errors = fn(*args)
-        taken.append("+".join(sorted(block.paths)))
+        taken.append("+".join(sorted(paths)))
         return errors
     monkeypatch.setattr(montecarlo, "_block_errors", block_errors)
     return taken
@@ -564,16 +547,14 @@ class TestSortedCounting:
         assert np.array_equal(chosen, montecarlo._block_errors(z, nb, rng()))
         assert taken[-1] == "compared"
 
-    @pytest.mark.parametrize("threads", [1, 2])
-    def test_dense_sweep_rows_equal_standalone_simulate(self, monkeypatch, threads):
+    def test_dense_sweep_rows_equal_standalone_simulate(self, monkeypatch):
         h = channel()
         points = np.arange(70.0, 131.0, 4.0)     # 16 points per scheme
         # a block of 4096 symbols per word, which sorts, then one of 91 per word
         # and 8 leftover, which compares
         cfgs = [SimConfig(n_symbols=67_000, seed=4, scheme=scheme) for scheme in ("ci", "oap")]
         taken = spy_paths(monkeypatch)
-        curves = sweep([(h, cfg.scheme, None) for cfg in cfgs], points, **settings(cfgs[0]),
-                       threads=threads)
+        curves = sweep([(h, cfg.scheme, None) for cfg in cfgs], points, **settings(cfgs[0]))
         assert "sorted" in taken and "compared" in taken
         for cfg, curve in zip(cfgs, curves):
             for snr, est in zip(curve.snr_db, curve.estimates):
@@ -644,15 +625,14 @@ class TestChunkedDraws:
         assert np.array_equal(got, whole_block_errors(z, nb, block_rng(6, 2)))
 
     @pytest.mark.parametrize("budget", list(BUDGETS.values()), ids=list(BUDGETS))
-    @pytest.mark.parametrize("threads", [1, 2])
-    def test_block_loop_equals_whole_draws(self, monkeypatch, budget, threads):
+    def test_block_loop_equals_whole_draws(self, monkeypatch, budget):
         # Three blocks of 300 per word and 7 leftover (sorted), then 131 per word
         # and 4 leftover (compared).
         cfg = SimConfig(n_symbols=3 * 4807 + 2100, seed=9, block_size=4807)
         monkeypatch.setattr(montecarlo, "_CHUNK_CELLS", budget)
         taken = spy_paths(monkeypatch)
         z = self.z(32)
-        got = montecarlo._count_errors(z, cfg.seed, cfg, threads)
+        got = montecarlo._count_errors(z, cfg.seed, cfg)
         assert "sorted" in taken and "compared" in taken
         want = whole_block_loop(z, cfg)
         assert [(e.per_pd_errors.tolist(), e.symbols_run) for e in got] == want
@@ -692,14 +672,13 @@ class TestThresholdsFromMargins:
         return np.stack(gpm), np.stack(sigs), np.concatenate(dense)
 
     @pytest.mark.parametrize("noise", ["swept", "physical"])
-    @pytest.mark.parametrize("threads", [1, 2])
-    def test_counts_equal_dense_thresholds(self, monkeypatch, noise, threads):
+    def test_counts_equal_dense_thresholds(self, monkeypatch, noise):
         gpm, sig, dense = self.loop(noise)
         z = montecarlo._Thresholds(gpm, sig)
         assert z.shape == dense.shape == ((20 if noise == "swept" else 1) * 2, 16, 4)
         taken = spy_paths(monkeypatch)
-        got = montecarlo._count_errors(z, self.CFG.seed, self.CFG, threads)
-        want = montecarlo._count_errors(dense, self.CFG.seed, self.CFG, threads)
+        got = montecarlo._count_errors(z, self.CFG.seed, self.CFG)
+        want = montecarlo._count_errors(dense, self.CFG.seed, self.CFG)
         assert [(e.per_pd_errors.tolist(), e.symbols_run) for e in got] == \
             [(e.per_pd_errors.tolist(), e.symbols_run) for e in want]
         assert sum(e.per_pd_errors.sum() for e in got) > 0
@@ -732,7 +711,7 @@ def test_sweep_memory_does_not_grow_with_its_points(tmp_path):
                       "snr_step_db": 2.0}})
         tracemalloc.start()
         try:
-            run_ber_sweep(cfg, tmp_path, threads=1)
+            run_ber_sweep(cfg, tmp_path)
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -760,8 +739,7 @@ def test_sweep_drops_each_table_before_building_the_next(monkeypatch):
     cases = [(h, s, None) for s in ("ci", "oap")]
     tracemalloc.start()
     try:
-        sweep(cases, [80.0, 84.0, 88.0, 92.0], **settings(SimConfig(n_symbols=3000, seed=3)),
-              threads=1)
+        sweep(cases, [80.0, 84.0, 88.0, 92.0], **settings(SimConfig(n_symbols=3000, seed=3)))
     finally:
         tracemalloc.stop()
     assert len(starts) == 2
@@ -783,8 +761,7 @@ def test_cases_build_in_stacks_within_the_budget(monkeypatch):
         return word_table(gains, *args, **kwargs)
     monkeypatch.setattr(montecarlo, "word_table", traced)
     points = [70.0, 82.0, 94.0, 106.0, 118.0, 130.0]
-    run = {"seed": 0, "montecarlo": MonteCarloConfig(n_symbols=2000), "noise": NoiseConfig(),
-           "threads": 1}
+    run = {"seed": 0, "montecarlo": MonteCarloConfig(n_symbols=2000), "noise": NoiseConfig()}
     cases = [(channel(spacing=sp), s, None) for sp in (0.25, 0.5, 1.0) for s in ("ci", "oap")]
     stacked = sweep(cases, points, **run)
     assert built == [3, 3]
@@ -818,7 +795,7 @@ def test_block_loop_holds_one_copy_of_the_margins(monkeypatch):
         return block(*args, **kwargs)
     h = channel(n=12)
     cases = [(h, s, None) for s in ("ci", "oap")]
-    run = {**settings(SimConfig(n_symbols=3000, seed=3)), "threads": 1}
+    run = settings(SimConfig(n_symbols=3000, seed=3))
     sweep(cases, [80.0], **run)     # so the modules a sweep imports lazily are loaded
     monkeypatch.setattr(montecarlo, "_block_errors", traced)
     tracemalloc.start()
@@ -895,7 +872,7 @@ class TestRunnerRowsAreOneSweep:
     ], ids=["physical-perfect", "physical-outdated", "worst-case-user-1"])
     def test_rows_equal_simulate_and_closed_form(self, tmp_path, extra):
         cfg = config_from_dict({**self.BASE, **extra})
-        csv_path, meta_path = run_ber_sweep(cfg, tmp_path, threads=2)
+        csv_path, meta_path = run_ber_sweep(cfg, tmp_path)
         lines = [line for line in csv_path.read_text().splitlines() if not line.startswith("#")]
         header, rows = lines[0].split(","), [line.split(",") for line in lines[1:]]
         meta = json.loads(meta_path.read_text())
@@ -995,10 +972,10 @@ class TestRecipeSharesOneBlockLoop:
     }
 
     @classmethod
-    def run(cls, name, tmp_path, threads=2, **extra):
+    def run(cls, name, tmp_path, **extra):
         recipe, run_extra = cls.RUNS[name]
         cfg = config_from_dict({**cls.BASE, **run_extra, **extra})
-        return [p.read_text() for p in recipe(cfg, tmp_path, threads=threads)]
+        return [p.read_text() for p in recipe(cfg, tmp_path)]
 
     @staticmethod
     def per_case(monkeypatch):
@@ -1020,11 +997,11 @@ class TestRecipeSharesOneBlockLoop:
 
     @pytest.mark.parametrize("name", list(RUNS))
     def test_rows_equal_one_sweep_per_case(self, monkeypatch, tmp_path, name):
-        grouped = [self.run(name, tmp_path / f"t{t}", threads=t) for t in (1, 2, 4)]
+        grouped = self.run(name, tmp_path / "grouped")
         with monkeypatch.context() as m:
             self.per_case(m)
             reference = self.run(name, tmp_path / "ref")
-        assert grouped == [reference] * 3
+        assert grouped == reference
         body = [line.split(",") for line in reference[0].splitlines()
                 if not line.startswith("#")]
         symbols = {int(row[body[0].index("symbols")]) for row in body[1:]}
@@ -1089,83 +1066,15 @@ class TestRecipeSharesOneBlockLoop:
                     want.append(f"[grp] {n}x{n} spacing={sp} angle={ang} scheme={scheme}")
                     runner._report(recipe_sweep(cfg, h, scheme, None))
                     want += capsys.readouterr().err.splitlines()
-        csv_path, _ = recipe(cfg, tmp_path, threads=2, progress=True)
+        csv_path, _ = recipe(cfg, tmp_path, progress=True)
         want.append(f"wrote {csv_path}")
         assert len(want) == 3 * len(cfg.schemes) * 6 + 1
         assert capsys.readouterr().err.splitlines() == want
 
-
-@pytest.mark.parametrize("threads", [0, -3])
-def test_sweep_rejects_threads_below_one(threads):
-    with pytest.raises(ValueError, match="threads must be >= 1"):
-        one_sweep(channel(), [80.0], SimConfig(n_symbols=100), threads=threads)
-
-
-@pytest.mark.parametrize("recipe", [run_ber_sweep, run_mobility, runner.run_throughput_sweep])
-@pytest.mark.parametrize("threads", [0, -3])
-def test_recipes_reject_threads_below_one_before_writing(tmp_path, recipe, threads):
-    out = tmp_path / "out"
-    with pytest.raises(ValueError, match="threads must be >= 1"):
-        recipe(preset("fig8"), out, threads=threads)
-    assert not out.exists()
-
-
-class TestDefaultThreads:
-    """With no ``threads``, a sweep runs as many blocks at once as it may use CPUs."""
-
-    @staticmethod
-    def pool_sizes(monkeypatch) -> list:
-        sizes = []
-
-        class Pool(montecarlo.ThreadPoolExecutor):
-            def __init__(self, workers):
-                sizes.append(workers)
-                super().__init__(workers)
-        monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", Pool)
-        one_sweep(channel(n=2), [80.0], SimConfig(n_symbols=64, block_size=1))
-        return sizes
-
-    def test_affinity_mask_sets_the_default(self, monkeypatch):
-        monkeypatch.setattr(montecarlo.os, "sched_getaffinity", lambda pid: {0, 1},
-                            raising=False)
-        monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 64)
-        assert self.pool_sizes(monkeypatch) == [2]
-
-    @pytest.mark.parametrize("cpus, pools", [(3, [3]), (None, [])])
-    def test_cpu_count_without_affinity(self, monkeypatch, cpus, pools):
-        monkeypatch.delattr(montecarlo.os, "sched_getaffinity", raising=False)
-        monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: cpus)
-        assert self.pool_sizes(monkeypatch) == pools
-
-
-def test_workers_capped_at_cpus(monkeypatch):
-    """Asked for a million threads, 64 one-symbol blocks run on the CPUs' two workers.
-
-    The pool is replaced by a recorder that maps in the calling thread, so no
-    thread starts; the counts equal a serial run's.
-    """
-    workers = []
-
-    class Recorder:
-        def __init__(self, n):
-            workers.append(n)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        map = staticmethod(map)
-
-    monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", Recorder)
-    monkeypatch.setattr(montecarlo, "_cpus", lambda: 2)
-    h, cfg = channel(n=2), SimConfig(n_symbols=64, block_size=1, snr_db=0.0)
-    wide = one_sweep(h, [60.0, 80.0], cfg, threads=10**6)
-    assert workers == [2]
-    serial = one_sweep(h, [60.0, 80.0], cfg, threads=1)
-    assert workers == [2]
-    assert sum(e.per_pd_errors.sum() for e in serial.estimates) > 0
-    for a, b in zip(wide.estimates, serial.estimates):
-        assert np.array_equal(a.per_pd_errors, b.per_pd_errors)
-        assert a.symbols_run == b.symbols_run == 64
+    @pytest.mark.parametrize("recipe", [run_ber_sweep, run_mobility, runner.run_throughput_sweep])
+    def test_threads_changes_no_byte(self, tmp_path, recipe):
+        """``threads``, still passed by the benchmark workloads, has no effect on the files."""
+        cfg = config_from_dict(self.BASE)
+        plain = [p.read_bytes() for p in recipe(cfg, tmp_path / "plain")]
+        given = [p.read_bytes() for p in recipe(cfg, tmp_path / "threads", threads=2)]
+        assert given == plain

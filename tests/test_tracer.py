@@ -42,9 +42,9 @@ def test_every_counter_runs_under_the_tracer(tmp_path):
     sigma = sigma_from_transmit_snr(80.0, h.responsivity, h.power)
     tracer = tracing.Tracer()
     with tracer.installed():
-        runner.run_ber_sweep(perfect, tmp_path, threads=1)
-        runner.run_throughput_sweep(perfect, tmp_path, threads=1)
-        runner.run_mobility(outdated, tmp_path, threads=1)
+        runner.run_ber_sweep(perfect, tmp_path)
+        runner.run_throughput_sweep(perfect, tmp_path)
+        runner.run_mobility(outdated, tmp_path)
         runner.run_channel_map(perfect, tmp_path)
         # Wrapped, but no recipe calls them any more.
         montecarlo.simulate(h, SimConfig(n_symbols=500, seed=1, snr_db=80.0))

@@ -41,10 +41,10 @@ SNRS_DB = (85.0, 105.0, 125.0)   # from rates near 1/2 down to deep tails
 VARIANTS = [("ci", False), ("oap", False), ("oap", True)]
 
 
-def one_sweep(h, points, cfg, h_hat=None, **kwargs):
+def one_sweep(h, points, cfg, h_hat=None):
     """``sweep`` of the one case ``(h, cfg.scheme, h_hat)`` with ``cfg``'s run settings."""
     return sweep([(h, cfg.scheme, h_hat)], points, seed=cfg.seed, montecarlo=cfg,
-                 noise=cfg.noise, renormalize_oap=cfg.renormalize_oap, **kwargs)[0]
+                 noise=cfg.noise, renormalize_oap=cfg.renormalize_oap)[0]
 
 
 def assert_close(got, want, tol):
@@ -335,7 +335,7 @@ def test_sweep_builds_one_table(monkeypatch, tmp_path, cfg):
     """
     h = build_channel_matrix(square_grid_layout(4, 0.5, fov=60.0))
     built = count_builds(monkeypatch)
-    one_sweep(h, SWEEP_SNRS, cfg, h_hat=sweep_estimate(h, cfg), threads=2)
+    one_sweep(h, SWEEP_SNRS, cfg, h_hat=sweep_estimate(h, cfg))
     assert built == [(h.gains.tobytes(), cfg.scheme, cfg.renormalize_oap)]
 
     draws = []
@@ -358,14 +358,14 @@ def test_sweep_builds_one_table(monkeypatch, tmp_path, cfg):
     one_each = sorted((v.gains.tobytes(), s, cfg.renormalize_oap)
                       for v in variants for s in ("ci", "oap"))
     assert len(set(one_each)) == 2 * 2
-    runner.run_ber_sweep(exp, tmp_path, threads=2)
+    runner.run_ber_sweep(exp, tmp_path)
     assert sorted(built) == one_each
     assert len(draws) == (len(variants) if cfg.csi_mode == "outdated" else 0)
 
     built.clear()
     # Throughput is of the perfect-CSI table; an outdated config is refused.
     perfect = dataclasses.replace(exp, csi=dataclasses.replace(exp.csi, mode="perfect"))
-    runner.run_throughput_sweep(perfect, tmp_path, threads=2)
+    runner.run_throughput_sweep(perfect, tmp_path)
     assert sorted(built) == one_each
 
 
