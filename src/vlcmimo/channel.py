@@ -184,12 +184,20 @@ def concentrator_gain(fov: float, refractive_index: float = 1.5) -> float:
     """Ideal non-imaging concentrator gain inside the field of view: n^2 / sin^2(fov).
 
     Light from beyond the field of view gets no gain; ``_los_gains`` applies that cutoff.
+    A gain that is not finite raises ``GeometryError``.
     """
     if refractive_index < 1.0:
         raise GeometryError("refractive index must be >= 1")
     if not 0.0 < fov <= 90.0:
         raise GeometryError(f"field of view must be in (0, 90] deg, got {fov}")
-    return refractive_index**2 / math.sin(math.radians(fov)) ** 2
+    try:
+        gain = refractive_index**2 / math.sin(math.radians(fov)) ** 2
+    except (OverflowError, ZeroDivisionError):
+        gain = math.inf
+    if not math.isfinite(gain):
+        raise GeometryError(f"field of view {fov} deg and refractive index {refractive_index} "
+                            "give a concentrator gain n^2/sin^2(fov) that is not finite")
+    return gain
 
 
 def _los_gains(x, y, z, detectors, luminaires) -> np.ndarray:

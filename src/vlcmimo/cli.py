@@ -52,7 +52,7 @@ def _load(args):
     if args.symbols is not None:
         mc = dataclasses.replace(cfg.montecarlo, n_symbols=args.symbols)
         cfg = dataclasses.replace(cfg, montecarlo=mc)
-    return cfg.validate()
+    return cfg
 
 
 def main(argv=None) -> int:

@@ -1,8 +1,8 @@
 """Declarative experiment configuration: strict loading, defaults, presets.
 
 Configs are YAML (or JSON) mappings mirroring the dataclasses below.  Unknown
-keys are rejected and every physical range is validated before any
-computation starts.  Named presets reproduce the standard experiment setups.
+keys are rejected, and every range is checked when a config is built,
+``dataclasses.replace`` included.  Named presets reproduce the standard setups.
 """
 
 from __future__ import annotations
@@ -228,6 +228,18 @@ class MonteCarloConfig:
 
 @_config
 class ExperimentConfig:
+    """A whole experiment, checked when built, ``dataclasses.replace`` included.
+
+    After the field checks, every variant layout is built: link counts are
+    capped by the word enumeration, gain-map cells by ``MAX_RASTER_CELLS``,
+    and the mobile user must be a link of every variant's array.  Every
+    variant's gain-error bound at every elapsed time must be finite
+    (``gain_error_bound``) whatever ``csi.mode`` says, as ``mobility`` runs
+    outdated knowledge.  Swept noise must give a positive finite deviation at
+    both ends of the SNR grid, so at every point; physical noise a finite
+    thermal variance.
+    """
+
     name: str = "experiment"
     seed: int = 20260810
     schemes: tuple[Literal["ci", "oap"], ...] = ("ci", "oap")
@@ -261,6 +273,48 @@ class ExperimentConfig:
             if len(set(values)) != len(values):
                 raise ConfigError(f"{axis} {list(values)} repeat an entry")
         object.__setattr__(self, "schemes", tuple(self.schemes))
+        sizes = sorted({n for n, _, _ in self.variants()})
+        if max(sizes) > MAX_ENUMERATED_LINKS:
+            raise ConfigError(f"link counts {sizes} exceed the limit of "
+                              f"{MAX_ENUMERATED_LINKS} enumerated links")
+        layouts = [self.build_layout(n_links=n, spacing=sp, semi_angle=ang)
+                   for n, sp, ang in self.variants()]
+        cells = math.prod(math.ceil(min(side / self.map_resolution_m, MAX_RASTER_CELLS + 1))
+                          for side in (self.layout.room_x_m, self.layout.room_y_m))
+        if cells > MAX_RASTER_CELLS:
+            raise ConfigError(f"map_resolution_m {self.map_resolution_m} makes more than "
+                              f"{MAX_RASTER_CELLS} gain-map cells")
+        if self.csi.mode == "outdated" and not self.mobility.elapsed_times_s:
+            raise ConfigError("csi.mode outdated needs at least one mobility.elapsed_times_s")
+        if self.csi.mobile_user >= min(sizes):
+            raise ConfigError(f"csi.mobile_user {self.csi.mobile_user} is not a link of "
+                              f"the smallest array in use ({min(sizes)} links)")
+        for layout in layouts:
+            for elapsed in self.mobility.elapsed_times_s:
+                self.gain_error_bound(layout, elapsed)
+        # Imported here, as noise imports this module.
+        from .noise import sigma_from_transmit_snr, thermal_variance
+        # The variants share the luminaire power and the detector.
+        lum, det = layouts[0].luminaires[0], layouts[0].detectors[0]
+        if self.noise.mode == "swept":
+            points = self.sweep.points()
+            for snr in (points[0], points[-1]):
+                try:
+                    sigma = sigma_from_transmit_snr(snr, det.responsivity, lum.total_power)
+                except OverflowError:
+                    sigma = math.inf
+                if not 0.0 < sigma < math.inf:
+                    raise ConfigError(f"sweep point {snr!r} dB gives the noise deviation "
+                                      f"{sigma!r}; it must be positive and finite")
+        else:
+            try:
+                thermal = thermal_variance(det.area, self.noise)
+            except OverflowError:
+                thermal = math.inf
+            if not math.isfinite(thermal):
+                raise ConfigError(f"noise gives the thermal variance {thermal!r}; "
+                                  "noise.bandwidth_hz and the front-end values must keep "
+                                  "it finite")
 
     def variants(self):
         """Cartesian product of the configured sweep axes (order, spacing, angle)."""
@@ -298,7 +352,7 @@ class ExperimentConfig:
         """The mobile user's ``csi.error_bound`` in ``layout`` after ``elapsed_s``.
 
         An end point or a bound that is not finite raises ``ConfigError``,
-        naming the ``mobility`` or ``layout`` key.
+        naming the ``mobility`` or ``layout`` key; a built config has none.
         """
         lum = layout.luminaires[self.csi.mobile_user]
         det = layout.detectors[self.csi.mobile_user]
@@ -308,11 +362,13 @@ class ExperimentConfig:
             raise ConfigError(f"mobility.speed_mps {self.mobility.speed_mps!r} over "
                               f"{elapsed_s!r} s moves the user to {end_xy}; it must stay finite")
         m = lambertian_order(lum.semi_angle_half_power)
-        g = concentrator_gain(det.fov, det.refractive_index)
         try:
+            g = concentrator_gain(det.fov, det.refractive_index)
             varpi = distance_gain_prefactor(det.area, det.filter_gain, g, m,
                                             plane_separation=z)
             bound = error_bound(self.mobility.start_xy_m, end_xy, z, varpi, m)
+        except GeometryError as exc:
+            raise ConfigError(f"layout.detector: {exc}") from exc
         except OverflowError:
             bound = math.inf
         if not math.isfinite(bound):
@@ -321,59 +377,7 @@ class ExperimentConfig:
         return bound
 
     def validate(self):
-        """Construct every variant layout and check the cross-field limits.
-
-        The variants' link counts are capped by the word enumeration,
-        gain-map cells by ``MAX_RASTER_CELLS``, and the mobile user must be a
-        link of every variant's array.  With outdated knowledge, every
-        variant's gain-error bound at every elapsed time must be finite
-        (``gain_error_bound``).  Swept noise must give a positive finite noise
-        deviation at both ends of the SNR grid, so at every point; physical
-        noise a finite thermal variance.
-        """
-        sizes = sorted({n for n, _, _ in self.variants()})
-        if max(sizes) > MAX_ENUMERATED_LINKS:
-            raise ConfigError(f"link counts {sizes} exceed the limit of "
-                              f"{MAX_ENUMERATED_LINKS} enumerated links")
-        layouts = [self.build_layout(n_links=n, spacing=sp, semi_angle=ang)
-                   for n, sp, ang in self.variants()]
-        cells = math.prod(math.ceil(min(side / self.map_resolution_m, MAX_RASTER_CELLS + 1))
-                          for side in (self.layout.room_x_m, self.layout.room_y_m))
-        if cells > MAX_RASTER_CELLS:
-            raise ConfigError(f"map_resolution_m {self.map_resolution_m} makes more than "
-                              f"{MAX_RASTER_CELLS} gain-map cells")
-        if self.csi.mode == "outdated" and not self.mobility.elapsed_times_s:
-            raise ConfigError("csi.mode outdated needs at least one mobility.elapsed_times_s")
-        if self.csi.mobile_user >= min(sizes):
-            raise ConfigError(f"csi.mobile_user {self.csi.mobile_user} is not a link of "
-                              f"the smallest array in use ({min(sizes)} links)")
-        if self.csi.mode == "outdated":
-            for layout in layouts:
-                for elapsed in self.mobility.elapsed_times_s:
-                    self.gain_error_bound(layout, elapsed)
-        # Imported here, as noise imports this module.
-        from .noise import sigma_from_transmit_snr, thermal_variance
-        # The variants share the luminaire power and the detector.
-        lum, det = layouts[0].luminaires[0], layouts[0].detectors[0]
-        if self.noise.mode == "swept":
-            points = self.sweep.points()
-            for snr in (points[0], points[-1]):
-                try:
-                    sigma = sigma_from_transmit_snr(snr, det.responsivity, lum.total_power)
-                except OverflowError:
-                    sigma = math.inf
-                if not 0.0 < sigma < math.inf:
-                    raise ConfigError(f"sweep point {snr!r} dB gives the noise deviation "
-                                      f"{sigma!r}; it must be positive and finite")
-        else:
-            try:
-                thermal = thermal_variance(det.area, self.noise)
-            except OverflowError:
-                thermal = math.inf
-            if not math.isfinite(thermal):
-                raise ConfigError(f"noise gives the thermal variance {thermal!r}; "
-                                  "noise.bandwidth_hz and the front-end values must keep "
-                                  "it finite")
+        """``self``, as a built config is checked; perfbench's ``Workload.configs`` calls it."""
         return self
 
     def resolved(self) -> dict:
@@ -419,7 +423,7 @@ def _from_dict(cls, data, path):
 
 
 def config_from_dict(data: dict) -> ExperimentConfig:
-    return _from_dict(ExperimentConfig, data, "config").validate()
+    return _from_dict(ExperimentConfig, data, "config")
 
 
 def _json_object(pairs: list) -> dict:
@@ -432,12 +436,11 @@ def _json_object(pairs: list) -> dict:
     return data
 
 
-def load_config(path) -> ExperimentConfig:
-    """Load a YAML or JSON experiment config from disk.
+def _yaml_data(text: str):
+    """Parse YAML ``text``; a parse error or a repeated key raises ``ValueError``.
 
-    A file that is not UTF-8, does not parse, or repeats a key within one
-    mapping raises ``ConfigError`` naming the file.  A YAML mapping's own
-    keys are checked before ``<<:`` merges, so a key may override a merged one.
+    A mapping's own keys are checked before ``<<:`` merges, so a key may
+    override a merged one.
     """
     import yaml     # here, so that presets, JSON and library callers never load it
 
@@ -455,14 +458,26 @@ def load_config(path) -> ExperimentConfig:
                     seen.add(key)
             return super().construct_mapping(node, deep)
 
+    try:
+        return yaml.load(text, Loader=UniqueKeyLoader)
+    except yaml.YAMLError as exc:
+        raise ValueError(str(exc)) from exc
+
+
+def load_config(path) -> ExperimentConfig:
+    """Load a YAML or JSON experiment config from disk.
+
+    A file that is not UTF-8, does not parse, or repeats a key within one
+    mapping raises ``ConfigError`` naming the file.
+    """
     p = Path(path)
     try:
         text = p.read_text(encoding="utf-8")
         if p.suffix.lower() == ".json":
             data = json.loads(text, object_pairs_hook=_json_object)
         else:
-            data = yaml.load(text, Loader=UniqueKeyLoader)
-    except (yaml.YAMLError, ValueError) as exc:     # UnicodeDecodeError is a ValueError
+            data = _yaml_data(text)
+    except ValueError as exc:     # UnicodeDecodeError is a ValueError
         raise ConfigError(f"{p}: cannot parse: {exc}") from exc
     if data is None:
         data = {}

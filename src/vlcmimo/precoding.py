@@ -32,8 +32,8 @@ PINV_TOLERANCE = 1e-12
 
 
 class SingularChannelError(RuntimeError):
-    """Channel matrix is rank deficient relative to ``PINV_TOLERANCE``, or too
-    large for a finite transmit scaling."""
+    """Channel matrix is rank deficient relative to ``PINV_TOLERANCE``, too
+    small for a finite precoder, or too large for a finite transmit scaling."""
 
 
 def as_gains(h) -> np.ndarray:
@@ -87,23 +87,33 @@ def ci_precoder(h) -> Precoder:
     silently amplifying noise.  A (k, n_r, n_t) stack of channels takes one
     SVD call and gives the stacked precoder; each element is checked, the
     first rank-deficient one is named, and each equals its own 2-D call bit
-    for bit.
+    for bit.  Gains so small that W is not finite raise
+    ``SingularChannelError`` too, naming the element, with no numpy warning.
     """
     gains = as_gains(h)
     if gains.ndim not in (2, 3):
         raise ValueError("channel gains must be a matrix or a stack of matrices")
     n_r, n_t = gains.shape[-2:]
+
+    def refuse(bad, why):
+        if bad.any():
+            i = bad.argmax()
+            which = f" {i} of the stack" if gains.ndim == 3 else ""
+            raise SingularChannelError(f"{n_r}x{n_t} channel{which} {why(i)}")
+
     u, s, vt = np.linalg.svd(gains, full_matrices=False)
     top, low = s[..., 0], s[..., -1]
-    bad = (top == 0.0) | (low <= PINV_TOLERANCE * top)
-    if bad.any():
-        i = bad.argmax()
-        which = f" {i} of the stack" if gains.ndim == 3 else ""
-        raise SingularChannelError(
-            f"{n_r}x{n_t} channel{which} is rank deficient: singular values span "
-            f"{top.flat[i]:.3e}..{low.flat[i]:.3e} (tolerance {PINV_TOLERANCE:g}); "
-            "luminaires are too closely spaced or a detector sees no light")
-    w = (vt.mT / s[..., None, :]) @ u.mT
+    refuse((top == 0.0) | (low <= PINV_TOLERANCE * top), lambda i: (
+        f"is rank deficient: singular values span {top.flat[i]:.3e}..{low.flat[i]:.3e} "
+        f"(tolerance {PINV_TOLERANCE:g}); luminaires are too closely spaced or a "
+        "detector sees no light"))
+    # Subnormal singular values pass the rank check, as the tolerance times
+    # the largest underflows to 0, and their reciprocals overflow.
+    with np.errstate(over="ignore", invalid="ignore"):
+        w = (vt.mT / s[..., None, :]) @ u.mT
+    refuse(~np.isfinite(w).all(axis=(-2, -1)), lambda i: (
+        f"has singular values down to {low.flat[i]:.3e}, so its precoder is not "
+        "finite: the channel gains are too small"))
     # Squared one float at a time: an array's ``** 2`` multiplies, a float's
     # calls ``pow``, and the two can differ in the last bit.
     ratio = (top / low).tolist()

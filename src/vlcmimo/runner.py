@@ -160,10 +160,7 @@ def run_channel_map(cfg: ExperimentConfig, out_dir, progress: bool = False) -> l
 def _mobility_bound(cfg: ExperimentConfig, layout: RoomLayout, h,
                     elapsed_s: float) -> tuple[np.ndarray, float]:
     """The mobile user's stale estimate of ``h`` (one draw, keyed by the seed) and
-    gain-error bound in ``layout`` after ``elapsed_s``.
-
-    An end point or a bound that is not finite raises ``ConfigError``
-    (``ExperimentConfig.gain_error_bound``).
+    gain-error bound in ``layout`` after ``elapsed_s``, which ``cfg`` checked when built.
     """
     bound = cfg.gain_error_bound(layout, elapsed_s)
     h_hat = perturb_channel(h, bound, model=cfg.csi.model, seed=cfg.seed,
@@ -179,7 +176,8 @@ def run_ber_sweep(cfg: ExperimentConfig, out_dir, threads: int | None = None,
     contributes a single row computed at the device noise level (snr_db
     column carries nan).  With ``csi.mode: outdated`` each variant's stale
     estimate uses the gain-error bound of its own layout at the first
-    ``mobility.elapsed_times_s`` entry only, recorded per variant as
+    ``mobility.elapsed_times_s`` entry only (finite, as ``cfg`` checked every
+    variant's bound at every entry when built), recorded per variant as
     ``error_bounds`` and the entry as ``error_bound_elapsed_s`` in the
     metadata; ``mobility`` sweeps every entry.  ``channel_condition_numbers``
     holds per variant the condition number of the gains its precoder
@@ -216,7 +214,6 @@ def run_ber_sweep(cfg: ExperimentConfig, out_dir, threads: int | None = None,
         "snr_points_db": list(points),
         "channel_condition_numbers": {key: curve.condition_number
                                       for key, curve in zip(keys, curves)},
-        "threads_note": "results are independent of the worker count",
     }
     if outdated:
         extras["error_bounds"] = bounds

@@ -5,6 +5,7 @@ evaluation of the defining formulas (see inline notes).
 """
 
 import math
+import re
 from dataclasses import replace
 
 import mpmath
@@ -67,6 +68,13 @@ class TestConcentratorGain:
 
     def test_hemispherical_unity(self):
         assert concentrator_gain(90.0, 1.0) == pytest.approx(1.0, rel=1e-15)
+
+    @pytest.mark.parametrize("fov, n", [(1e-300, 1.5), (60.0, 1e200), (1e-100, 1e154)],
+                             ids=["sin_underflows", "n_squared_overflows", "ratio_overflows"])
+    def test_gain_that_is_not_finite_raises(self, fov, n):
+        with pytest.raises(GeometryError, match=re.escape(
+                f"field of view {fov} deg and refractive index {n} give")):
+            concentrator_gain(fov, n)
 
 
 class TestChannelGain:

@@ -21,8 +21,9 @@ from vlcmimo import runner
 from vlcmimo.channel import (GainMap, build_channel_matrix, concentrator_gain,
                              distance_gain_prefactor, gain_map, lambertian_order)
 from vlcmimo.cli import main
-from vlcmimo.config import (MAX_SNR_POINTS, PRESET_NAMES, ConfigError, ExperimentConfig,
-                            NoiseConfig, config_from_dict, load_config, preset)
+from vlcmimo.config import (MAX_SNR_POINTS, PRESET_NAMES, ConfigError, CsiConfig,
+                            ExperimentConfig, MobilityConfig, NoiseConfig, config_from_dict,
+                            load_config, preset)
 from vlcmimo.csi import error_bound
 from vlcmimo.noise import physical_sigma
 from vlcmimo.precoding import ci_precoder, word_table
@@ -48,6 +49,90 @@ def with_layout(**changes):
 
 def with_detector(**changes):
     return with_layout(detector={**SMALL["layout"]["detector"], **changes})
+
+
+# Configs, each merged into SMALL, that every command refuses with exit 2.
+BAD_CONFIGS = {
+    "negative_links": {"layout": {"n_links": -1}},
+    "too_many_links": {"layout": {"n_links": 20}},
+    "too_many_orders": {"mimo_orders": [2, 20]},
+    "mobile_user": {"csi": {"mode": "outdated", "mobile_user": 2}},
+    "no_elapsed_time": {"csi": {"mode": "outdated"}, "mobility": {"elapsed_times_s": []}},
+    "negative_seed": {"seed": -1},
+    "fractional_seed": {"seed": 1.5},
+    "nan_step": {"sweep": {"snr_start_db": 80.0, "snr_stop_db": 84.0,
+                           "snr_step_db": float("nan")}},
+    "infinite_stop": {"sweep": {"snr_start_db": 80.0, "snr_stop_db": float("inf"),
+                                "snr_step_db": 2.0}},
+    "fractional_symbols": {"montecarlo": {"n_symbols": 1.5}},
+    "fractional_block": {"montecarlo": {"n_symbols": 20_000, "block_size": 100.5}},
+    "nan_map_resolution": {"map_resolution_m": float("nan")},
+    "infinite_map_resolution": {"map_resolution_m": float("inf")},
+    "nan_speed": {"csi": {"mode": "outdated"}, "mobility": {"speed_mps": float("nan")}},
+    "nan_elapsed_time": {"csi": {"mode": "outdated"},
+                         "mobility": {"elapsed_times_s": [float("nan")]}},
+    "short_start_xy": {"csi": {"mode": "outdated"}, "mobility": {"start_xy_m": [1.0]}},
+    "fractional_links": {"layout": {"n_links": 2.5, "spacing_m": 0.5,
+                                    "detector": {"fov_deg": 60.0}}},
+    "fractional_order": {"mimo_orders": [2.5]},
+    "fractional_mobile_user": {"csi": {"mode": "outdated", "mobile_user": 0.5}},
+    "nan_responsivity": with_detector(responsivity_a_per_w=float("nan")),
+    "infinite_responsivity": with_detector(responsivity_a_per_w=float("inf")),
+    "infinite_led_power": with_layout(power_per_led_w=float("inf")),
+    "infinite_bandwidth": {"noise": {"mode": "physical", "bandwidth_hz": float("inf")}},
+    "fractional_leds": with_layout(leds_per_luminaire=2.5),
+    "nan_area": with_detector(area_m2=float("nan")),
+    "infinite_area": with_detector(area_m2=float("inf")),
+    "nan_refractive_index": with_detector(refractive_index=float("nan")),
+    "infinite_refractive_index": with_detector(refractive_index=float("inf")),
+    "infinite_room": with_layout(room_x_m=float("inf")),
+    "nan_led_power": with_layout(power_per_led_w=float("nan")),
+    "parent_dir_name": {"name": "../escaped"},
+    "nested_name": {"name": "sub/x"},
+    "empty_name": {"name": ""},
+    "repeated_scheme": {"schemes": ["ci", "ci"]},
+    "huge_raster": {"map_resolution_m": 0.00001},
+    "raster_over_cap": {"map_resolution_m": 0.0019},
+    "repeated_spacing": {"spacings_m": [0.5, 0.5]},
+    "repeated_angle": {"semi_angles_deg": [15.0, 15.0]},
+    "repeated_order": {"mimo_orders": [2, 2]},
+    "repeated_elapsed_time": {"csi": {"mode": "outdated"},
+                              "mobility": {"elapsed_times_s": [0.1, 0.1]}},
+    "removed_early_stop": {"montecarlo": {"n_symbols": 20_000, "early_stop_errors": 1000}},
+}
+
+
+# SNR grids (start, stop, step) whose noise deviation leaves its range or that pass a cap.
+BAD_GRIDS = [(-7000.0, -6996.0, 2.0), (7000.0, 7004.0, 2.0), (80.0, 7000.0, 2.0),
+             (6300.0, 6310.0, 2.0), (80.0, 90.0, 1e-300), (80.0, 1080.0, 0.1)]
+
+# Every config that an exit-2 test below refuses, whole; no command takes any of them.
+CONFIG_REFUSALS = {
+    **{case: {**SMALL, **bad} for case, bad in BAD_CONFIGS.items()},
+    **{f"grid{i}": dict(SMALL, sweep=dict(zip(("snr_start_db", "snr_stop_db", "snr_step_db"),
+                                                grid)))
+       for i, grid in enumerate(BAD_GRIDS)},
+    "empty_variant_axes": dict(SMALL, spacings_m=[], mimo_orders=[]),
+    "no_links": {"layout": {"n_links": 0}},
+    "infinite_thermal_variance": dict(SMALL, noise={"mode": "physical", "bandwidth_hz": 1e300}),
+    "perfect_csi_end_point": dict(SMALL, mobility={"speed_mps": 1e300, "elapsed_times_s": [1e10]}),
+    "outdated_end_point": dict(SMALL, csi={"mode": "outdated"},
+                               mobility={"speed_mps": 1e300, "elapsed_times_s": [1e10]}),
+    "tiny_angle": with_layout(semi_angle_deg=1e-9),
+    "huge_area": with_detector(area_m2=1e300),
+    "tiny_field_of_view": with_detector(fov_deg=1e-300),
+    "huge_refractive_index": with_detector(refractive_index=1e200),
+}
+
+# Configs that ``validate`` accepts and the named commands refuse: checks of
+# what a command runs, not of the config.
+COMMAND_REFUSALS = {
+    "mobility_without_elapsed_time": (dict(SMALL, mobility={"elapsed_times_s": []}),
+                                      ["mobility"]),
+    "outdated_throughput": (dict(SMALL, csi={"mode": "outdated"}), ["throughput-sweep"]),
+    "variant_axis_of_one_layout": (dict(SMALL, spacings_m=[0.25, 0.5]),
+                                   ["mobility", "channel-map"]),
+}
 
 
 def leaf_fields(cls, path=()):
@@ -133,6 +218,18 @@ class TestConfigLoading:
         """Checks read the link counts that run: ``mimo_orders`` replaces ``layout.n_links``."""
         assert [n for n, _, _ in config_from_dict(data).variants()] == [4]
 
+    @pytest.mark.parametrize("changes", [
+        {"mimo_orders": (17,)},
+        {"csi": CsiConfig(mobile_user=4)},
+        {"map_resolution_m": 1e-4},
+        {"mobility": MobilityConfig(speed_mps=1e300, elapsed_times_s=(1e10,))},
+    ], ids=["too_many_links", "mobile_user_outside_the_array", "huge_raster",
+            "perfect_csi_end_point"])
+    def test_replace_checks_the_whole_config(self, changes):
+        """``dataclasses.replace`` builds the config anew, so every check runs."""
+        with pytest.raises(ConfigError):
+            dataclasses.replace(preset("fig4"), **changes)
+
     def test_raster_cap_admits_two_millimetre_map(self):
         # 2000 x 2000 cells of the 4 m room: exactly MAX_RASTER_CELLS
         assert config_from_dict({"map_resolution_m": 0.002}).map_resolution_m == 0.002
@@ -161,71 +258,47 @@ class TestCli:
         assert "config_hash" in out
         assert out["resolved_config"]["name"] == "fig4"
 
-    @pytest.mark.parametrize("bad", [
-        {"layout": {"n_links": -1}},
-        {"layout": {"n_links": 20}},
-        {"mimo_orders": [2, 20]},
-        {"csi": {"mode": "outdated", "mobile_user": 2}},
-        {"csi": {"mode": "outdated"}, "mobility": {"elapsed_times_s": []}},
-        {"seed": -1},
-        {"seed": 1.5},
-        {"sweep": {"snr_start_db": 80.0, "snr_stop_db": 84.0, "snr_step_db": float("nan")}},
-        {"sweep": {"snr_start_db": 80.0, "snr_stop_db": float("inf"), "snr_step_db": 2.0}},
-        {"montecarlo": {"n_symbols": 1.5}},
-        {"montecarlo": {"n_symbols": 20_000, "block_size": 100.5}},
-        {"map_resolution_m": float("nan")},
-        {"map_resolution_m": float("inf")},
-        {"csi": {"mode": "outdated"}, "mobility": {"speed_mps": float("nan")}},
-        {"csi": {"mode": "outdated"}, "mobility": {"elapsed_times_s": [float("nan")]}},
-        {"csi": {"mode": "outdated"}, "mobility": {"start_xy_m": [1.0]}},
-        {"layout": {"n_links": 2.5, "spacing_m": 0.5, "detector": {"fov_deg": 60.0}}},
-        {"mimo_orders": [2.5]},
-        {"csi": {"mode": "outdated", "mobile_user": 0.5}},
-        with_detector(responsivity_a_per_w=float("nan")),
-        with_detector(responsivity_a_per_w=float("inf")),
-        with_layout(power_per_led_w=float("inf")),
-        {"noise": {"mode": "physical", "bandwidth_hz": float("inf")}},
-        with_layout(leds_per_luminaire=2.5),
-        with_detector(area_m2=float("nan")),
-        with_detector(area_m2=float("inf")),
-        with_detector(refractive_index=float("nan")),
-        with_detector(refractive_index=float("inf")),
-        with_layout(room_x_m=float("inf")),
-        with_layout(power_per_led_w=float("nan")),
-        {"name": "../escaped"},
-        {"name": "sub/x"},
-        {"name": ""},
-        {"schemes": ["ci", "ci"]},
-        {"map_resolution_m": 0.00001},
-        {"map_resolution_m": 0.0019},
-        {"spacings_m": [0.5, 0.5]},
-        {"semi_angles_deg": [15.0, 15.0]},
-        {"mimo_orders": [2, 2]},
-        {"csi": {"mode": "outdated"}, "mobility": {"elapsed_times_s": [0.1, 0.1]}},
-        {"montecarlo": {"n_symbols": 20_000, "early_stop_errors": 1000}},
-    ], ids=["negative_links", "too_many_links", "too_many_orders", "mobile_user",
-            "no_elapsed_time", "negative_seed", "fractional_seed", "nan_step",
-            "infinite_stop", "fractional_symbols", "fractional_block",
-            "nan_map_resolution", "infinite_map_resolution", "nan_speed",
-            "nan_elapsed_time", "short_start_xy", "fractional_links",
-            "fractional_order", "fractional_mobile_user", "nan_responsivity",
-            "infinite_responsivity", "infinite_led_power", "infinite_bandwidth",
-            "fractional_leds", "nan_area", "infinite_area", "nan_refractive_index",
-            "infinite_refractive_index", "infinite_room", "nan_led_power",
-            "parent_dir_name", "nested_name", "empty_name", "repeated_scheme",
-            "huge_raster", "raster_over_cap", "repeated_spacing", "repeated_angle",
-            "repeated_order", "repeated_elapsed_time", "removed_early_stop"])
-    def test_bad_config_exit_code(self, tmp_path, capsys, bad):
-        path = write_yaml(tmp_path / "bad.yaml", {**SMALL, **bad})
+    @staticmethod
+    def assert_refused(tmp_path, capsys, command, case):
+        """``command`` on ``CONFIG_REFUSALS[case]`` exits 2 with no warning and writes nothing."""
+        path = write_yaml(tmp_path / "c.yaml", CONFIG_REFUSALS[case])
         out = tmp_path / "results"
-        assert main(["ber-sweep", "--config", str(path), "--out", str(out), "--quiet"]) == 2
-        assert "config error" in capsys.readouterr().err
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main([command, "--config", str(path), "--out", str(out), "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("case", list(CONFIG_REFUSALS))
+    def test_bad_config_exit_code(self, tmp_path, capsys, case):
+        self.assert_refused(tmp_path, capsys, "ber-sweep", case)
+
+    @pytest.mark.parametrize("command", ["validate", "throughput-sweep", "mobility",
+                                         "channel-map"])
+    @pytest.mark.parametrize("case", list(CONFIG_REFUSALS))
+    def test_config_refusal_exits_2_from_every_command(self, tmp_path, capsys, command, case):
+        """A config is checked when it is built, so every command refuses it as
+        ``ber-sweep`` does (``test_bad_config_exit_code``)."""
+        self.assert_refused(tmp_path, capsys, command, case)
+
+    @pytest.mark.parametrize("case, command", [
+        (case, command) for case, (_, commands) in COMMAND_REFUSALS.items()
+        for command in commands])
+    def test_command_refusal_exits_2_from_its_command_only(self, tmp_path, capsys, case,
+                                                          command):
+        """``validate`` accepts the config; the command that cannot run it exits 2."""
+        path = write_yaml(tmp_path / "c.yaml", COMMAND_REFUSALS[case][0])
+        out = tmp_path / "results"
+        assert main(["validate", "--config", str(path)]) == 0
+        capsys.readouterr()
+        assert main([command, "--config", str(path), "--out", str(out), "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and "Traceback" not in err
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["validate", "ber-sweep", "throughput-sweep", "mobility"])
-    @pytest.mark.parametrize("grid", [(-7000.0, -6996.0, 2.0), (7000.0, 7004.0, 2.0),
-                                      (80.0, 7000.0, 2.0), (6300.0, 6310.0, 2.0),
-                                      (80.0, 90.0, 1e-300), (80.0, 1080.0, 0.1)])
+    @pytest.mark.parametrize("grid", BAD_GRIDS)
     def test_snr_grid_outside_sigma_range_exits_2(self, tmp_path, capsys, command, grid):
         """A grid is refused, with no warning, when it leaves sigma's range or the caps.
 
@@ -357,6 +430,8 @@ class TestCli:
         "json-nested": ("c.json", b'{"layout": {"n_links": 2, "n_links": 3}}',
                         "repeated key 'n_links'"),
         "yaml-bad-date": ("c.yaml", b"seed: 2020-13-45\n", "month must be in 1..12"),
+        "yaml-syntax": ("c.yaml", b"a: [1,\n", "expected the node content"),
+        "json-syntax": ("c.json", b'{"seed": 1,', "Expecting property name"),
     }
 
     @pytest.mark.parametrize("command", ["validate", "ber-sweep"])
@@ -660,18 +735,45 @@ class TestCli:
         assert "config error:" in err and key in err and "Traceback" not in err
         assert not out.exists()
 
-    @pytest.mark.parametrize("command", ["ber-sweep", "throughput-sweep"])
+    @pytest.mark.parametrize("command", ["ber-sweep", "throughput-sweep", "mobility"])
     def test_gains_too_large_for_the_scaling_exit_3(self, tmp_path, capsys, command):
-        """A detector of 1e300 m^2 makes the transmit scaling overflow: no nan or inf is written."""
+        """A detector of 1e300 m^2 makes the transmit scaling overflow: no nan or inf is written.
+
+        At 60 deg (m = 1) its gain-error bound stays finite, so the config is valid.
+        """
         path = tmp_path / "h.json"
         path.write_text(json.dumps({"name": "h", "montecarlo": {"n_symbols": 2000},
-                                    "layout": {"detector": {"area_m2": 1e300}}}))
+                                    "layout": {"semi_angle_deg": 60.0,
+                                               "detector": {"area_m2": 1e300}}}))
         out = tmp_path / "results"
         assert main(["validate", "--config", str(path)]) == 0
         capsys.readouterr()
         assert main([command, "--config", str(path), "--out", str(out), "--quiet"]) == 3
         err = capsys.readouterr().err
         assert "numerical error:" in err and "transmit scaling" in err
+        assert "Traceback" not in err and "Warning" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["ber-sweep", "throughput-sweep", "mobility"])
+    def test_gains_too_small_for_the_precoder_exit_3(self, tmp_path, capsys, command):
+        """A detector of 1e-320 m^2 gives subnormal gains whose inverse is not finite.
+
+        The config is valid and its gain map is written; the runs that invert
+        the channel exit 3 with no warning and write nothing.
+        """
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps({"name": "s", "montecarlo": {"n_symbols": 2000},
+                                    "layout": {"detector": {"area_m2": 1e-320}}}))
+        out = tmp_path / "results"
+        assert main(["validate", "--config", str(path)]) == 0
+        assert main(["channel-map", "--config", str(path), "--out", str(tmp_path / "map"),
+                     "--quiet"]) == 0
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main([command, "--config", str(path), "--out", str(out), "--quiet"]) == 3
+        err = capsys.readouterr().err
+        assert "numerical error:" in err and "precoder is not finite" in err
         assert "Traceback" not in err and "Warning" not in err
         assert not out.exists()
 

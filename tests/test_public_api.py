@@ -76,10 +76,12 @@ def test_every_exported_name_has_a_caller_outside_the_tests(monkeypatch):
     assert not unused, unused
 
 
-def loaded_after_import(package: str) -> str:
-    """Modules of ``package`` loaded by importing vlcmimo's entry points afresh."""
+def loaded_after_import(package: str, then: str = "") -> str:
+    """Modules of ``package`` loaded by importing vlcmimo's entry points afresh,
+    then running the statement ``then``."""
     src = str(Path(vlcmimo.__file__).resolve().parents[1])
-    code = ("import sys, vlcmimo, vlcmimo.runner, vlcmimo.cli; "
+    code = ("import sys, vlcmimo, vlcmimo.runner, vlcmimo.cli\n"
+            f"{then}\n"
             f"print(sorted(m for m in sys.modules if m.split('.')[0] == {package!r}))")
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
@@ -100,3 +102,10 @@ def test_import_leaves_mpmath_unloaded():
 def test_import_leaves_yaml_unloaded():
     # only load_config reads YAML; presets, JSON configs and library callers never do
     assert loaded_after_import("yaml") == "[]"
+
+
+def test_json_config_leaves_yaml_unloaded(tmp_path):
+    # a JSON config is parsed by the json module alone
+    path = tmp_path / "ok.json"
+    path.write_text('{"name": "ok"}', encoding="utf-8")
+    assert loaded_after_import("yaml", f"vlcmimo.load_config({str(path)!r})") == "[]"

@@ -33,7 +33,7 @@ def tiny(csi_mode: str):
         "csi": {"mode": csi_mode},
         "mobility": {"elapsed_times_s": [0.02]},
         "sweep": {"snr_start_db": 80.0, "snr_stop_db": 90.0, "snr_step_db": 10.0},
-        "montecarlo": {"n_symbols": 2000}}).validate()
+        "montecarlo": {"n_symbols": 2000}})
 
 
 def test_every_counter_runs_under_the_tracer(tmp_path):
