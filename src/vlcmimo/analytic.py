@@ -207,7 +207,10 @@ def exact_ber(table: WordTable, gp, sig) -> np.ndarray:
     so the rate is exact there too.
     """
     gp, margin = _elements(gp, table.margin)
-    return _word_mean(lambda c, w, s: q_function(gp[c] * margin[c, :, w] / s), table, sig)
+    # gp * margin / sig overflows only far past |z| = 38.6, where Q is already
+    # 0 (or 1): the +-inf it rounds to gives the exact rate.
+    with np.errstate(over="ignore"):
+        return _word_mean(lambda c, w, s: q_function(gp[c] * margin[c, :, w] / s), table, sig)
 
 
 def outdated_bound(table: WordTable, gp, sig) -> np.ndarray:
@@ -224,7 +227,8 @@ def outdated_bound(table: WordTable, gp, sig) -> np.ndarray:
     def terms(c, w, s):
         m = margin[c, :, w]
         return q_function(gp[c] * np.minimum(m, slicer[c, :, w] - m) / s)
-    return _word_mean(terms, table, sig)
+    with np.errstate(over="ignore"):    # an overflow is exact, as in exact_ber
+        return _word_mean(terms, table, sig)
 
 
 def _one_point(scheme, h, h_hat, sigma, responsivity, power,

@@ -36,14 +36,13 @@ class GeometryError(ValueError):
 
 @dataclass(frozen=True)
 class Luminaire:
-    """A ceiling luminaire treated as a single point source facing straight down.
+    """The ceiling luminaire of a layout, a single point source facing straight down.
 
     The individual emitters are aggregated: total radiated power is
     ``leds_per_luminaire * power_per_led``.  The radiation lobe is Lambertian
     with order set by the half-power semi-angle.
     """
 
-    position: tuple[float, float, float]
     semi_angle_half_power: float = 15.0   # degrees
     leds_per_luminaire: int = 3600
     power_per_led: float = 0.010          # watts
@@ -56,7 +55,6 @@ class Luminaire:
             raise GeometryError("leds_per_luminaire must be >= 1")
         if self.power_per_led <= 0.0:
             raise GeometryError("power_per_led must be positive")
-        object.__setattr__(self, "position", tuple(float(c) for c in self.position))
 
     @property
     def total_power(self) -> float:
@@ -66,9 +64,9 @@ class Luminaire:
 
 @dataclass(frozen=True)
 class PhotoDetector:
-    """Upward-facing photodiode with an ideal optical concentrator and band filter."""
+    """The detector of a layout: an upward-facing photodiode with an ideal
+    optical concentrator and band filter."""
 
-    position: tuple[float, float, float]
     area: float = 1e-4                    # m^2
     fov: float = 60.0                     # degrees, incidence beyond it gives zero gain
     responsivity: float = 1.0             # A/W
@@ -86,40 +84,51 @@ class PhotoDetector:
             raise GeometryError("refractive index must be >= 1")
         if not 0.0 < self.filter_gain <= 1.0:
             raise GeometryError("filter gain must be in (0, 1]")
-        object.__setattr__(self, "position", tuple(float(c) for c in self.position))
 
 
 @dataclass(frozen=True)
 class RoomLayout:
-    """Rectangular room with luminaires above a horizontal receiver plane."""
+    """Rectangular room with identical luminaires above a horizontal receiver plane.
+
+    ``luminaire`` sits at each row of ``luminaire_positions`` and ``detector``
+    at each row of ``detector_positions``; each becomes a read-only (n, 3)
+    float array, n >= 1.
+    """
 
     room_x: float
     room_y: float
     room_z: float
     receiver_plane_z: float
-    luminaires: tuple[Luminaire, ...]
-    detectors: tuple[PhotoDetector, ...]
+    luminaire: Luminaire
+    detector: PhotoDetector
+    luminaire_positions: np.ndarray
+    detector_positions: np.ndarray
 
     def __post_init__(self):
         if min(self.room_x, self.room_y, self.room_z) <= 0.0:
             raise GeometryError("room dimensions must be positive")
+        bounds = (self.room_x, self.room_y, self.room_z)
+        for what in ("luminaire", "detector"):
+            pos = np.array(getattr(self, f"{what}_positions"), dtype=float)
+            if pos.ndim != 2 or pos.shape[1] != 3 or not len(pos):
+                raise GeometryError(f"{what} positions must form a nonempty (n, 3) array, "
+                                    f"got shape {pos.shape}")
+            _refuse_any(pos, ~np.all((pos >= 0.0) & (pos <= bounds), axis=1),
+                        f"{what} position {{}} outside room bounds {bounds}")
+            pos.setflags(write=False)
+            object.__setattr__(self, f"{what}_positions", pos)
+        _refuse_any(self.luminaire_positions,
+                    self.luminaire_positions[:, 2] <= self.receiver_plane_z,
+                    f"luminaire position {{}} is not above the receiver plane "
+                    f"z = {self.receiver_plane_z}")
         if not 0.0 <= self.receiver_plane_z < self.room_z:
             raise GeometryError("receiver plane must lie inside the room")
-        object.__setattr__(self, "luminaires", tuple(self.luminaires))
-        object.__setattr__(self, "detectors", tuple(self.detectors))
-        bounds = (self.room_x, self.room_y, self.room_z)
-        for lum in self.luminaires:
-            self._check_inside(lum.position, bounds, "luminaire")
-            if lum.position[2] <= self.receiver_plane_z:
-                raise GeometryError("luminaires must sit above the receiver plane")
-        for det in self.detectors:
-            self._check_inside(det.position, bounds, "detector")
 
-    @staticmethod
-    def _check_inside(pos, bounds, what):
-        for c, b in zip(pos, bounds):
-            if not 0.0 <= c <= b:
-                raise GeometryError(f"{what} position {pos} outside room bounds {bounds}")
+
+def _refuse_any(positions: np.ndarray, bad: np.ndarray, message: str):
+    """Raise ``GeometryError``, ``message`` naming the first position where ``bad``."""
+    if bad.any():
+        raise GeometryError(message.format(tuple(positions[bad.argmax()].tolist())))
 
 
 @dataclass(frozen=True)
@@ -200,49 +209,34 @@ def concentrator_gain(fov: float, refractive_index: float = 1.5) -> float:
     return gain
 
 
-def _los_gains(x, y, z, detectors, luminaires) -> np.ndarray:
-    """Line-of-sight gains [point, luminaire] at the receive points (x, y, z).
+def _los_gains(layout: RoomLayout, x, y, z) -> np.ndarray:
+    """Line-of-sight gains [point, luminaire] of ``layout`` at the receive points (x, y, z).
 
-    ``detectors``, one per point or one for all, give the optics.  Luminaires
-    face down and detectors up, so the emergence and incidence angles share
-    one cosine, the drop over the distance.
+    Luminaires face down and the detector up, so the emergence and incidence
+    angles share one cosine, the drop over the distance.
     """
-    lx, ly, lz, m = np.array([
-        (*lum.position, lambertian_order(lum.semi_angle_half_power))
-        for lum in luminaires]).reshape(-1, 4).T[:, None, :]
-    cos_fov, area, filter_gain, g = np.array([
-        (math.cos(math.radians(det.fov)), det.area, det.filter_gain,
-         concentrator_gain(det.fov, det.refractive_index)) for det in detectors]).T[..., None]
+    det = layout.detector
+    m = lambertian_order(layout.luminaire.semi_angle_half_power)
+    g = concentrator_gain(det.fov, det.refractive_index)
     vx, vy, vz = (np.asarray(c, dtype=float)[..., None] - lc
-                  for c, lc in zip((x, y, z), (lx, ly, lz)))
+                  for c, lc in zip((x, y, z), layout.luminaire_positions.T))
     d = np.sqrt(vx * vx + vy * vy + vz * vz)
     if np.any(d == 0.0):
         raise GeometryError("luminaire and detector positions coincide")
     cos = -vz / d
-    # No backward emission: clamp at the transmitter plane.
-    intensity = (m + 1.0) / (2.0 * math.pi) * np.maximum(cos, 0.0) ** m
-    gains = (area / d**2) * intensity * filter_gain * g * cos
-    return np.where((cos < cos_fov) | (cos <= 0.0), 0.0, gains)
+    # No backward emission: clamp at the transmitter plane.  np.power, not **,
+    # so that no exponent (m == 1 or 2) takes another path than the ufunc's.
+    intensity = (m + 1.0) / (2.0 * math.pi) * np.power(np.maximum(cos, 0.0), m)
+    gains = (det.area / d**2) * intensity * det.filter_gain * g * cos
+    return np.where((cos < math.cos(math.radians(det.fov))) | (cos <= 0.0), 0.0, gains)
 
 
 def build_channel_matrix(layout: RoomLayout) -> ChannelMatrix:
     """Assemble gains[i][j], the line-of-sight gain from luminaire j to detector i."""
-    if not layout.luminaires or not layout.detectors:
-        raise GeometryError("layout needs at least one luminaire and one detector")
-    powers = {lum.total_power for lum in layout.luminaires}
-    if len(powers) != 1:
-        raise GeometryError("mixed luminaire powers are not supported")
-    responsivities = {det.responsivity for det in layout.detectors}
-    areas = {det.area for det in layout.detectors}
-    if len(responsivities) != 1 or len(areas) != 1:
-        raise GeometryError("mixed detector parameters are not supported")
-    x, y, z = zip(*(det.position for det in layout.detectors))
-    return ChannelMatrix(
-        gains=_los_gains(x, y, z, layout.detectors, layout.luminaires),
-        power=powers.pop(),
-        responsivity=responsivities.pop(),
-        detector_area=areas.pop(),
-    )
+    return ChannelMatrix(gains=_los_gains(layout, *layout.detector_positions.T),
+                         power=layout.luminaire.total_power,
+                         responsivity=layout.detector.responsivity,
+                         detector_area=layout.detector.area)
 
 
 # Receive points per kernel call in ``gain_map``.
@@ -252,12 +246,11 @@ _MAP_BLOCK_CELLS = 2**16
 def gain_map(layout: RoomLayout, grid_resolution: float) -> GainMap:
     """Raster of total gain from all luminaires over the receiver plane.
 
-    The layout's first detector (a default one if it has none) is swept over
-    the cell centers of a ceil(room/resolution) grid.
+    The layout's detector is swept over the cell centers of a
+    ceil(room/resolution) grid.
     """
     if grid_resolution <= 0.0:
         raise GeometryError("grid resolution must be positive")
-    probe = layout.detectors[:1] or (PhotoDetector(position=(0.0, 0.0, 0.0)),)
     nx = math.ceil(layout.room_x / grid_resolution)
     ny = math.ceil(layout.room_y / grid_resolution)
     xs = (np.arange(nx) + 0.5) * grid_resolution
@@ -266,8 +259,7 @@ def gain_map(layout: RoomLayout, grid_resolution: float) -> GainMap:
     # Blocks of whole rows keep temporaries small; terms add up in layout order.
     rows = max(1, _MAP_BLOCK_CELLS // nx)
     for start in range(0, ny, rows):
-        g = _los_gains(xs, ys[start:start + rows, None], layout.receiver_plane_z, probe,
-                       layout.luminaires)
+        g = _los_gains(layout, xs, ys[start:start + rows, None], layout.receiver_plane_z)
         values[start:start + rows] = sum(np.moveaxis(g, -1, 0))
     return GainMap(x_centers=xs, y_centers=ys, values=values)
 
@@ -312,32 +304,18 @@ def square_grid_layout(n_links: int,
         rows -= 1
     cols = n_links // rows
     room_x, room_y, room_z = room
-    if luminaire_z is None:
-        luminaire_z = room_z
-    cx, cy = room_x / 2.0, room_y / 2.0
-    xs = [(c - (cols - 1) / 2.0) * spacing + cx for c in range(cols)]
-    ys = [(r - (rows - 1) / 2.0) * spacing + cy for r in range(rows)]
-    luminaires = []
-    detectors = []
-    for y in ys:
-        for x in xs:
-            luminaires.append(Luminaire(
-                position=(x, y, luminaire_z),
-                semi_angle_half_power=semi_angle_half_power,
-                leds_per_luminaire=leds_per_luminaire,
-                power_per_led=power_per_led,
-            ))
-            detectors.append(PhotoDetector(
-                position=(x, y, receiver_plane_z),
-                area=detector_area,
-                fov=fov,
-                responsivity=responsivity,
-                refractive_index=refractive_index,
-                filter_gain=filter_gain,
-            ))
+    xs = (np.arange(cols) - (cols - 1) / 2.0) * spacing + room_x / 2.0
+    ys = (np.arange(rows) - (rows - 1) / 2.0) * spacing + room_y / 2.0
+    xy = np.stack(np.meshgrid(xs, ys), axis=-1).reshape(-1, 2)   # row by row
     return RoomLayout(
         room_x=room_x, room_y=room_y, room_z=room_z,
         receiver_plane_z=receiver_plane_z,
-        luminaires=tuple(luminaires),
-        detectors=tuple(detectors),
+        luminaire=Luminaire(semi_angle_half_power=semi_angle_half_power,
+                            leds_per_luminaire=leds_per_luminaire,
+                            power_per_led=power_per_led),
+        detector=PhotoDetector(area=detector_area, fov=fov, responsivity=responsivity,
+                               refractive_index=refractive_index, filter_gain=filter_gain),
+        luminaire_positions=np.column_stack(
+            [xy, np.full(n_links, room_z if luminaire_z is None else luminaire_z)]),
+        detector_positions=np.column_stack([xy, np.full(n_links, receiver_plane_z)]),
     )

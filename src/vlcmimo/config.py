@@ -295,7 +295,7 @@ class ExperimentConfig:
         # Imported here, as noise imports this module.
         from .noise import sigma_from_transmit_snr, thermal_variance
         # The variants share the luminaire power and the detector.
-        lum, det = layouts[0].luminaires[0], layouts[0].detectors[0]
+        lum, det = layouts[0].luminaire, layouts[0].detector
         if self.noise.mode == "swept":
             points = self.sweep.points()
             for snr in (points[0], points[-1]):
@@ -354,14 +354,13 @@ class ExperimentConfig:
         An end point or a bound that is not finite raises ``ConfigError``,
         naming the ``mobility`` or ``layout`` key; a built config has none.
         """
-        lum = layout.luminaires[self.csi.mobile_user]
-        det = layout.detectors[self.csi.mobile_user]
-        z = lum.position[2] - layout.receiver_plane_z
+        det = layout.detector
+        z = float(layout.luminaire_positions[self.csi.mobile_user, 2]) - layout.receiver_plane_z
         end_xy = self.mobility.end_xy(elapsed_s)
         if not all(map(math.isfinite, end_xy)):
             raise ConfigError(f"mobility.speed_mps {self.mobility.speed_mps!r} over "
                               f"{elapsed_s!r} s moves the user to {end_xy}; it must stay finite")
-        m = lambertian_order(lum.semi_angle_half_power)
+        m = lambertian_order(layout.luminaire.semi_angle_half_power)
         try:
             g = concentrator_gain(det.fov, det.refractive_index)
             varpi = distance_gain_prefactor(det.area, det.filter_gain, g, m,

@@ -164,7 +164,10 @@ class _Thresholds:
     def __getitem__(self, key) -> np.ndarray:
         _, words = key          # every point
         sig = self.sig[:, :, words] if self.sig.shape[2] > 1 else self.sig
-        z = np.divide(self.gpm[:, None, words], sig)
+        # z overflows only far past any normal draw: the +-inf it rounds to
+        # counts exactly as z would.
+        with np.errstate(over="ignore"):
+            z = np.divide(self.gpm[:, None, words], sig)
         return z.reshape(-1, *z.shape[2:])
 
 

@@ -2,8 +2,9 @@
 
 Dense noise thresholds with the slicer's tie rule, the noiseless error count
 they imply, the per-word transmit scaling from its defining formula, and the
-line-of-sight gain of one luminaire-detector pair; and ``simulated_z``, which
-reads the thresholds ``simulate`` counts against so tests can compare them.
+line-of-sight gain of one luminaire-detector pair of a layout; and
+``simulated_z``, which reads the thresholds ``simulate`` counts against so
+tests can compare them.
 """
 
 import numpy as np
@@ -48,6 +49,6 @@ def simulated_z(h, cfg, h_hat=None) -> np.ndarray:
     return montecarlo._Thresholds(gpm, sig)[:, :][0]
 
 
-def los_gain(led, pd) -> float:
-    """Line-of-sight gain between one luminaire and one detector."""
-    return float(_los_gains(*pd.position, (pd,), (led,))[0, 0])
+def los_gain(layout, i=0, j=0) -> float:
+    """Line-of-sight gain from luminaire ``j`` to detector ``i`` of ``layout``."""
+    return float(_los_gains(layout, *layout.detector_positions[i])[j])

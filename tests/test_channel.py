@@ -6,7 +6,6 @@ evaluation of the defining formulas (see inline notes).
 
 import math
 import re
-from dataclasses import replace
 
 import mpmath
 import numpy as np
@@ -29,11 +28,13 @@ G15 = 33.588457268119895642
 H_ALIGNED = 0.0022168418175541076
 
 
-def aligned_pair(z=2.25, semi=15.0, fov=15.0, n=1.5, area=1e-4, ts=1.0):
-    led = Luminaire(position=(2.0, 2.0, 3.0), semi_angle_half_power=semi)
-    pd = PhotoDetector(position=(2.0, 2.0, 3.0 - z), area=area, fov=fov,
-                       refractive_index=n, filter_gain=ts)
-    return led, pd
+def room(luminaire_positions, detector_positions, luminaire=Luminaire(),
+         detector=PhotoDetector(), receiver_plane_z=0.75):
+    """``luminaire`` and ``detector`` at the given positions in the 4 x 4 x 3 m room."""
+    return RoomLayout(room_x=4.0, room_y=4.0, room_z=3.0, receiver_plane_z=receiver_plane_z,
+                      luminaire=luminaire, detector=detector,
+                      luminaire_positions=luminaire_positions,
+                      detector_positions=detector_positions)
 
 
 class TestLambertianOrder:
@@ -80,29 +81,26 @@ class TestConcentratorGain:
 class TestChannelGain:
     def test_aligned_pair_closed_form(self):
         # spreadsheet-style composition: (A/z^2) R_o(0) T_s g(0)
-        led, pd = aligned_pair()
+        layout = room([(2.0, 2.0, 3.0)], [(2.0, 2.0, 0.75)], detector=PhotoDetector(fov=15.0))
         m = lambertian_order(15.0)
         expected = (1e-4 / 2.25**2) * ((m + 1) / (2 * math.pi)) * G15
-        got = oracle.los_gain(led, pd)
+        got = oracle.los_gain(layout)
         assert got == pytest.approx(expected, rel=1e-12)
         assert got == pytest.approx(H_ALIGNED, rel=1e-12)
         assert got == pytest.approx(2.22e-3, rel=5e-3)
 
     def test_fov_cutoff_exactly_zero(self):
-        led = Luminaire(position=(2.0, 2.0, 3.0))
         # incidence angle atan(1/2.25) = 23.96 deg > 15 deg field of view
-        pd = PhotoDetector(position=(3.0, 2.0, 0.75), fov=15.0)
-        assert oracle.los_gain(led, pd) == 0.0
+        layout = room([(2.0, 2.0, 3.0)], [(3.0, 2.0, 0.75)], detector=PhotoDetector(fov=15.0))
+        assert oracle.los_gain(layout) == 0.0
 
     def test_coincident_positions_rejected(self):
-        led = Luminaire(position=(1.0, 1.0, 2.0))
-        pd = PhotoDetector(position=(1.0, 1.0, 2.0))
-        with pytest.raises(GeometryError):
-            oracle.los_gain(led, pd)
+        layout = room([(1.0, 1.0, 2.0)], [(1.0, 1.0, 2.0)])
+        with pytest.raises(GeometryError, match="coincide"):
+            oracle.los_gain(layout)
 
     def test_strictly_decreasing_along_boresight(self):
-        led = Luminaire(position=(2.0, 2.0, 3.0))
-        gains = [oracle.los_gain(led, PhotoDetector(position=(2.0, 2.0, 3.0 - z), fov=60.0))
+        gains = [oracle.los_gain(room([(2.0, 2.0, 3.0)], [(2.0, 2.0, 3.0 - z)]))
                  for z in (0.5, 1.0, 1.5, 2.0, 2.5)]
         assert all(a > b for a, b in zip(gains, gains[1:]))
 
@@ -110,9 +108,8 @@ class TestChannelGain:
            z=st.floats(1.0, 2.5), semi=st.floats(10.0, 80.0))
     @settings(max_examples=60, deadline=None)
     def test_nonnegative_finite(self, dx, dy, z, semi):
-        led = Luminaire(position=(2.0, 2.0, 3.0), semi_angle_half_power=semi)
-        pd = PhotoDetector(position=(2.0 + dx, 2.0 + dy, 3.0 - z), fov=45.0)
-        g = oracle.los_gain(led, pd)
+        g = oracle.los_gain(room([(2.0, 2.0, 3.0)], [(2.0 + dx, 2.0 + dy, 3.0 - z)],
+                                 Luminaire(semi_angle_half_power=semi), PhotoDetector(fov=45.0)))
         assert np.isfinite(g) and g >= 0.0
 
 
@@ -123,8 +120,9 @@ class TestSimplifiedGain:
     @settings(max_examples=60, deadline=None)
     def test_equals_full_gain_for_vertical_axes(self, dx, z):
         # cos(angle) = z/d holds exactly when both axes are vertical
-        led = Luminaire(position=(2.0, 2.0, 3.0), semi_angle_half_power=15.0)
-        pd = PhotoDetector(position=(2.0 + dx, 2.0, 3.0 - z), fov=45.0)
+        layout = room([(2.0, 2.0, 3.0)], [(2.0 + dx, 2.0, 3.0 - z)],
+                      detector=PhotoDetector(fov=45.0))
+        pd = layout.detector
         d = math.hypot(dx, z)
         if math.degrees(math.atan2(dx, z)) > pd.fov - 1e-6:
             return
@@ -132,7 +130,7 @@ class TestSimplifiedGain:
         g = concentrator_gain(pd.fov, pd.refractive_index)
         varpi = distance_gain_prefactor(pd.area, pd.filter_gain, g, m,
                                         plane_separation=z)
-        assert varpi / d ** (m + 3.0) == pytest.approx(oracle.los_gain(led, pd), rel=1e-12)
+        assert varpi / d ** (m + 3.0) == pytest.approx(oracle.los_gain(layout), rel=1e-12)
 
 
 class TestChannelMatrix:
@@ -160,9 +158,9 @@ class TestChannelMatrix:
     def test_matches_per_entry_gain(self):
         layout = square_grid_layout(4, 0.5, fov=60.0)
         h = build_channel_matrix(layout).gains
-        for i, det in enumerate(layout.detectors):
-            for j, lum in enumerate(layout.luminaires):
-                assert h[i, j] == oracle.los_gain(lum, det)
+        for i in range(4):
+            for j in range(4):
+                assert h[i, j] == oracle.los_gain(layout, i, j)
 
     def test_rejects_negative_gains(self):
         with pytest.raises(GeometryError):
@@ -176,10 +174,7 @@ class TestChannelMatrix:
 
 class TestGainMap:
     def test_peak_under_single_luminaire(self):
-        led = Luminaire(position=(1.0, 3.0, 3.0))
-        pd = PhotoDetector(position=(1.0, 3.0, 0.75), fov=30.0)
-        layout = RoomLayout(room_x=4.0, room_y=4.0, room_z=3.0,
-                            receiver_plane_z=0.75, luminaires=(led,), detectors=(pd,))
+        layout = room([(1.0, 3.0, 3.0)], [(1.0, 3.0, 0.75)], detector=PhotoDetector(fov=30.0))
         field = gain_map(layout, 0.1)
         iy, ix = np.unravel_index(np.argmax(field.values), field.values.shape)
         assert abs(field.x_centers[ix] - 1.0) <= 0.06
@@ -189,7 +184,7 @@ class TestGainMap:
         layout = square_grid_layout(4, 1.0, fov=15.0)
         field = gain_map(layout, 0.1)
         radius = 2.25 * math.tan(math.radians(15.0))
-        led_xy = [(l.position[0], l.position[1]) for l in layout.luminaires]
+        led_xy = layout.luminaire_positions[:, :2]
         for iy, y in enumerate(field.y_centers):
             for ix, x in enumerate(field.x_centers):
                 inside = any(math.hypot(x - lx, y - ly) <= radius for lx, ly in led_xy)
@@ -218,10 +213,9 @@ class TestGainMap:
         # every luminaire, footprint still connected through the bridges
         layout, mid = field_at(1.0)
         assert value_at(mid, 2.0, 2.0) == 0.0
-        for lum in layout.luminaires:
-            v = value_at(mid, lum.position[0], lum.position[1])
-            assert v > 0.8 * value_at(mid, layout.luminaires[0].position[0],
-                                      layout.luminaires[0].position[1])
+        for lx, ly, _ in layout.luminaire_positions:
+            v = value_at(mid, lx, ly)
+            assert v > 0.8 * value_at(mid, *layout.luminaire_positions[0, :2])
             assert v > 0.0
 
         # wide spacing: four fully disjoint footprints
@@ -244,38 +238,63 @@ class TestGainMap:
 
 class TestLayoutValidation:
     def test_plane_above_luminaire_rejected(self):
-        led = Luminaire(position=(2.0, 2.0, 1.0))
-        pd = PhotoDetector(position=(2.0, 2.0, 0.5))
-        with pytest.raises(GeometryError):
-            RoomLayout(room_x=4.0, room_y=4.0, room_z=3.0, receiver_plane_z=2.0,
-                       luminaires=(led,), detectors=(pd,))
+        with pytest.raises(GeometryError, match=re.escape(
+                "luminaire position (2.0, 2.0, 1.0) is not above the receiver plane z = 2.0")):
+            room([(1.0, 1.0, 3.0), (2.0, 2.0, 1.0)], [(2.0, 2.0, 0.5)], receiver_plane_z=2.0)
 
-    def test_out_of_bounds_position_rejected(self):
-        led = Luminaire(position=(5.0, 2.0, 3.0))
-        with pytest.raises(GeometryError):
-            RoomLayout(room_x=4.0, room_y=4.0, room_z=3.0, receiver_plane_z=0.75,
-                       luminaires=(led,), detectors=())
+    @pytest.mark.parametrize("what, luminaires, detectors, bad", [
+        ("luminaire", [(1.0, 1.0, 3.0), (5.0, 2.0, 3.0), (-1.0, 1.0, 3.0)], [(2.0, 2.0, 0.75)],
+         (5.0, 2.0, 3.0)),
+        ("detector", [(1.0, 1.0, 3.0)], [(2.0, 2.0, 0.75), (2.0, 2.0, -0.5)],
+         (2.0, 2.0, -0.5)),
+        ("detector", [(1.0, 1.0, 3.0)], [(2.0, float("nan"), 0.75)], (2.0, float("nan"), 0.75)),
+    ], ids=["luminaire", "detector", "nan"])
+    def test_first_position_outside_the_room_named(self, what, luminaires, detectors, bad):
+        with pytest.raises(GeometryError, match=re.escape(
+                f"{what} position {bad} outside room bounds (4.0, 4.0, 3.0)")):
+            room(luminaires, detectors)
+
+    @pytest.mark.parametrize("luminaires, detectors", [
+        ([], [(2.0, 2.0, 0.75)]), ([(1.0, 1.0, 3.0)], [(2.0, 2.0)]),
+        ([(1.0, 1.0, 3.0)], (2.0, 2.0, 0.75))], ids=["no_luminaire", "xy_only", "flat"])
+    def test_positions_must_be_a_nonempty_n_by_3_array(self, luminaires, detectors):
+        with pytest.raises(GeometryError, match=r"positions must form a nonempty \(n, 3\)"):
+            room(luminaires, detectors)
+
+    def test_positions_are_read_only_float_arrays(self):
+        source = [[1, 1, 3]]
+        layout = room(source, [(2.0, 2.0, 0.75)])
+        assert layout.luminaire_positions.dtype == float
+        source[0][0] = 2
+        assert layout.luminaire_positions[0, 0] == 1.0
+        with pytest.raises(ValueError):
+            layout.detector_positions[0, 0] = 0.0
 
     def test_grid_shapes(self):
-        assert len(square_grid_layout(2, 1.0).luminaires) == 2
-        assert len(square_grid_layout(8, 0.5).luminaires) == 8
+        assert square_grid_layout(2, 1.0).luminaire_positions.shape == (2, 3)
+        assert square_grid_layout(8, 0.5).detector_positions.shape == (8, 3)
         lay9 = square_grid_layout(9, 0.5)
-        xs = sorted({l.position[0] for l in lay9.luminaires})
-        assert len(xs) == 3  # 3x3 grid
+        assert len(np.unique(lay9.luminaire_positions[:, 0])) == 3  # 3x3 grid
+        # row by row, each detector under its luminaire on the receiver plane
+        assert lay9.luminaire_positions[:3, 1].tolist() == [1.5] * 3
+        assert np.array_equal(lay9.detector_positions[:, :2], lay9.luminaire_positions[:, :2])
+        assert set(lay9.detector_positions[:, 2]) == {0.75}
 
 
-def reference_gain(lum, det, position):
-    """Literal Lambertian line-of-sight gain in math and Python floats.
+def reference_gain(layout, j, position):
+    """Literal Lambertian line-of-sight gain from luminaire ``j`` of ``layout`` to
+    its detector at ``position``, in math and Python floats.
 
     The luminaire faces down and the detector up, so both angles have the
     cosine of the drop over the distance.
     """
-    v = [p - q for p, q in zip(position, lum.position)]
+    det = layout.detector
+    v = [p - q for p, q in zip(position, layout.luminaire_positions[j].tolist())]
     d = math.sqrt(v[0] * v[0] + v[1] * v[1] + v[2] * v[2])
     cos = -v[2] / d
     if cos < math.cos(math.radians(det.fov)) or cos <= 0.0:
         return 0.0
-    m = lambertian_order(lum.semi_angle_half_power)
+    m = lambertian_order(layout.luminaire.semi_angle_half_power)
     intensity = (m + 1.0) / (2.0 * math.pi) * cos**m
     g = det.refractive_index**2 / math.sin(math.radians(det.fov)) ** 2
     return (det.area / d**2) * intensity * det.filter_gain * g * cos
@@ -295,36 +314,25 @@ class TestGainKernel:
         cfg = preset(name)
         layout = cfg.build_layout()
         field = gain_map(layout, cfg.map_resolution_m)
-        probe, z = layout.detectors[0], layout.receiver_plane_z
-        ref = [[sum(reference_gain(lum, probe, (float(x), float(y), z))
-                    for lum in layout.luminaires)
+        z, n = layout.receiver_plane_z, len(layout.luminaire_positions)
+        ref = [[sum(reference_gain(layout, j, (float(x), float(y), z)) for j in range(n))
                 for x in field.x_centers] for y in field.y_centers]
         assert 0 < np.count_nonzero(field.values) < field.values.size
         assert_matches_reference(field.values, ref)
 
-    def test_channel_matrix_matches_reference_on_mixed_layout(self):
-        luminaires = (
-            Luminaire(position=(1.0, 1.0, 3.0), semi_angle_half_power=15.0),
-            Luminaire(position=(2.5, 1.5, 2.9), semi_angle_half_power=30.0),
-            Luminaire(position=(3.2, 3.0, 3.0), semi_angle_half_power=60.0),
-        )
-        detectors = (
-            PhotoDetector(position=(1.1, 0.9, 0.75), fov=60.0),
-            PhotoDetector(position=(2.7, 1.2, 0.8), fov=30.0, refractive_index=1.2,
-                          filter_gain=0.7),
-            PhotoDetector(position=(3.0, 3.3, 0.75), fov=90.0, refractive_index=1.0),
-            PhotoDetector(position=(1.9, 2.2, 0.7), fov=45.0, filter_gain=0.9),
-            # above the second luminaire, below the others
-            PhotoDetector(position=(2.6, 1.6, 2.95), fov=90.0, refractive_index=1.0),
-        )
-        layout = RoomLayout(room_x=4.0, room_y=4.0, room_z=3.0, receiver_plane_z=0.75,
-                            luminaires=luminaires, detectors=detectors)
+    def test_channel_matrix_matches_reference_on_mixed_positions(self):
+        luminaire_positions = [(1.0, 1.0, 3.0), (2.5, 1.5, 2.9), (3.2, 3.0, 3.0)]
+        detector_positions = [(1.1, 0.9, 0.75), (2.7, 1.2, 0.8), (3.0, 3.3, 0.75),
+                              (1.9, 2.2, 0.7),
+                              (2.6, 1.6, 2.95)]    # above the second luminaire, below the others
+        layout = room(luminaire_positions, detector_positions,
+                      Luminaire(semi_angle_half_power=30.0),
+                      PhotoDetector(fov=90.0, refractive_index=1.2, filter_gain=0.7))
         h = build_channel_matrix(layout).gains
-        ref = [[reference_gain(lum, det, det.position) for lum in luminaires]
-               for det in detectors]
+        ref = [[reference_gain(layout, j, det) for j in range(3)] for det in detector_positions]
         assert 0 < np.count_nonzero(h) < h.size
         assert_matches_reference(h, ref)
-        for i, det in enumerate(detectors):
-            for j, lum in enumerate(luminaires):
-                assert h[i, j] == oracle.los_gain(lum, det)
+        for i in range(5):
+            for j in range(3):
+                assert h[i, j] == oracle.los_gain(layout, i, j)
         assert h[4, 1] == 0.0 and h[4, 0] > 0.0 and h[4, 2] > 0.0

@@ -122,6 +122,23 @@ CONFIG_REFUSALS = {
     "huge_area": with_detector(area_m2=1e300),
     "tiny_field_of_view": with_detector(fov_deg=1e-300),
     "huge_refractive_index": with_detector(refractive_index=1e200),
+    **{case: {**SMALL, **with_layout(**changes)} for case, changes in {
+        "grid_wider_than_room": {"n_links": 4, "spacing_m": 5.0},
+        "receiver_plane_at_ceiling": {"receiver_plane_z_m": 3.0},
+        "luminaire_below_receiver_plane": {"luminaire_z_m": 0.5},
+        "luminaire_above_ceiling": {"luminaire_z_m": 3.5}}.items()},
+}
+
+# The layout refusals above and the first position each names.
+POSITION_REFUSALS = {
+    "grid_wider_than_room": "luminaire position (-0.5, -0.5, 3.0) outside room bounds "
+                            "(4.0, 4.0, 3.0)",
+    "receiver_plane_at_ceiling": "luminaire position (1.75, 2.0, 3.0) is not above the "
+                                 "receiver plane z = 3.0",
+    "luminaire_below_receiver_plane": "luminaire position (1.75, 2.0, 0.5) is not above the "
+                                      "receiver plane z = 0.75",
+    "luminaire_above_ceiling": "luminaire position (1.75, 2.0, 3.5) outside room bounds "
+                               "(4.0, 4.0, 3.0)",
 }
 
 # Configs that ``validate`` accepts and the named commands refuse: checks of
@@ -260,7 +277,8 @@ class TestCli:
 
     @staticmethod
     def assert_refused(tmp_path, capsys, command, case):
-        """``command`` on ``CONFIG_REFUSALS[case]`` exits 2 with no warning and writes nothing."""
+        """``command`` on ``CONFIG_REFUSALS[case]`` exits 2 with no warning and writes
+        nothing; gives what it printed to stderr."""
         path = write_yaml(tmp_path / "c.yaml", CONFIG_REFUSALS[case])
         out = tmp_path / "results"
         with warnings.catch_warnings():
@@ -269,10 +287,18 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and "Traceback" not in err
         assert not out.exists()
+        return err
 
     @pytest.mark.parametrize("case", list(CONFIG_REFUSALS))
     def test_bad_config_exit_code(self, tmp_path, capsys, case):
         self.assert_refused(tmp_path, capsys, "ber-sweep", case)
+
+    @pytest.mark.parametrize("command", ["validate", "ber-sweep", "throughput-sweep",
+                                         "mobility", "channel-map"])
+    @pytest.mark.parametrize("case", list(POSITION_REFUSALS))
+    def test_layout_refusal_names_the_position(self, tmp_path, capsys, command, case):
+        err = self.assert_refused(tmp_path, capsys, command, case)
+        assert err == f"config error: {POSITION_REFUSALS[case]}\n"
 
     @pytest.mark.parametrize("command", ["validate", "throughput-sweep", "mobility",
                                          "channel-map"])
@@ -331,6 +357,24 @@ class TestCli:
         cells = [float(row[i]) for row in rows for i, name in enumerate(header)
                  if name in ("analytic_avg_ber", "throughput_bits_per_hz")]
         assert len(cells) == 6 and np.all(np.isfinite(cells))
+
+    @pytest.mark.parametrize("command", ["ber-sweep", "mobility"])
+    def test_physical_noise_at_huge_power_reads_zero(self, tmp_path, command):
+        """At 1e300 W per LED each z = gp * margin / sigma overflows to its exact
+        limit, +-inf, with no warning: every rate reads 0."""
+        data = dict(SMALL, noise={"mode": "physical"}, **with_layout(power_per_led_w=1e300))
+        path = write_yaml(tmp_path / "c.yaml", data)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main([command, "--config", str(path), "--out", str(tmp_path),
+                         "--quiet"]) == 0
+        csv_path = next(tmp_path.glob("*.csv"))
+        header, *rows = [line.split(",") for line in csv_path.read_text().splitlines()
+                         if not line.startswith("#")]
+        cells = [float(c) for row in rows for name, cell in zip(header, row)
+                 if name.startswith(("analytic_", "mc_")) for c in cell.split("|")]
+        assert len(rows) == {"ber-sweep": 2, "mobility": 6}[command]
+        assert len(cells) == 5 * len(rows) and set(cells) == {0.0}
 
     def test_snr_point_cap_admits_its_own_count(self):
         sweep = config_from_dict({"sweep": {"snr_start_db": 80.0, "snr_stop_db": 1079.9,
