@@ -13,7 +13,8 @@ import sys
 import numpy as np
 
 from vlcmimo.analytic import exact_ber
-from vlcmimo.channel import GeometryError, build_channel_matrix, square_grid_layout
+from vlcmimo.channel import (GeometryError, PhotoDetector, build_channel_matrix,
+                             square_grid_layout)
 from vlcmimo.config import NoiseConfig
 from vlcmimo.noise import sigma_stack
 from vlcmimo.precoding import ci_precoder, word_table
@@ -55,7 +56,8 @@ def main() -> int:
     for n in args.orders:
         for sp in args.spacings:
             try:
-                h = build_channel_matrix(square_grid_layout(n, sp, fov=args.fov))
+                h = build_channel_matrix(
+                    square_grid_layout(n, sp, detector=PhotoDetector(fov=args.fov)))
             except GeometryError as err:
                 print(f"{n:>6} {sp:>8.2f} skipped: {err}")
                 continue

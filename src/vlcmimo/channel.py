@@ -279,18 +279,12 @@ def distance_gain_prefactor(area: float, filter_gain: float, concentrator: float
 
 def square_grid_layout(n_links: int,
                        spacing: float,
+                       luminaire: Luminaire = Luminaire(),
+                       detector: PhotoDetector = PhotoDetector(),
                        room: tuple[float, float, float] = (4.0, 4.0, 3.0),
                        receiver_plane_z: float = 0.75,
-                       luminaire_z: float | None = None,
-                       semi_angle_half_power: float = 15.0,
-                       leds_per_luminaire: int = 3600,
-                       power_per_led: float = 0.010,
-                       detector_area: float = 1e-4,
-                       fov: float = 60.0,
-                       responsivity: float = 1.0,
-                       refractive_index: float = 1.5,
-                       filter_gain: float = 1.0) -> RoomLayout:
-    """Square-ish grid of luminaires centered in the room, one detector under each.
+                       luminaire_z: float | None = None) -> RoomLayout:
+    """Square-ish grid of ``luminaire`` centered in the room, ``detector`` under each.
 
     The grid uses the largest row count not exceeding sqrt(n) that divides n,
     so 2 -> 1x2, 4 -> 2x2, 8 -> 2x4, 9 -> 3x3.
@@ -310,11 +304,7 @@ def square_grid_layout(n_links: int,
     return RoomLayout(
         room_x=room_x, room_y=room_y, room_z=room_z,
         receiver_plane_z=receiver_plane_z,
-        luminaire=Luminaire(semi_angle_half_power=semi_angle_half_power,
-                            leds_per_luminaire=leds_per_luminaire,
-                            power_per_led=power_per_led),
-        detector=PhotoDetector(area=detector_area, fov=fov, responsivity=responsivity,
-                               refractive_index=refractive_index, filter_gain=filter_gain),
+        luminaire=luminaire, detector=detector,
         luminaire_positions=np.column_stack(
             [xy, np.full(n_links, room_z if luminaire_z is None else luminaire_z)]),
         detector_positions=np.column_stack([xy, np.full(n_links, receiver_plane_z)]),

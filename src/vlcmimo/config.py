@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import copy
 import dataclasses
+import functools
 import hashlib
 import json
 import math
@@ -21,8 +22,8 @@ from typing import Literal
 
 import numpy as np
 
-from .channel import (GeometryError, RoomLayout, concentrator_gain, distance_gain_prefactor,
-                      lambertian_order, square_grid_layout)
+from .channel import (GeometryError, Luminaire, PhotoDetector, RoomLayout, concentrator_gain,
+                      distance_gain_prefactor, lambertian_order, square_grid_layout)
 from .csi import error_bound
 from .precoding import MAX_ENUMERATED_LINKS
 
@@ -230,14 +231,14 @@ class MonteCarloConfig:
 class ExperimentConfig:
     """A whole experiment, checked when built, ``dataclasses.replace`` included.
 
-    After the field checks, every variant layout is built: link counts are
-    capped by the word enumeration, gain-map cells by ``MAX_RASTER_CELLS``,
-    and the mobile user must be a link of every variant's array.  Every
-    variant's gain-error bound at every elapsed time must be finite
-    (``gain_error_bound``) whatever ``csi.mode`` says, as ``mobility`` runs
-    outdated knowledge.  Swept noise must give a positive finite deviation at
-    both ends of the SNR grid, so at every point; physical noise a finite
-    thermal variance.
+    After the field checks, the geometry is built once and kept for the
+    recipes: each variant's layout (``layouts``) and gain-error bounds
+    (``error_bounds``).  Link counts are capped by the word enumeration,
+    gain-map cells by ``MAX_RASTER_CELLS``, and the mobile user must be a
+    link of every variant's array.  Every bound must be finite whatever
+    ``csi.mode`` says, as ``mobility`` runs outdated knowledge, and so must
+    the transmit amplitude.  Swept noise must give a positive finite deviation
+    at both ends of the SNR grid; physical noise a finite thermal variance.
     """
 
     name: str = "experiment"
@@ -277,8 +278,7 @@ class ExperimentConfig:
         if max(sizes) > MAX_ENUMERATED_LINKS:
             raise ConfigError(f"link counts {sizes} exceed the limit of "
                               f"{MAX_ENUMERATED_LINKS} enumerated links")
-        layouts = [self.build_layout(n_links=n, spacing=sp, semi_angle=ang)
-                   for n, sp, ang in self.variants()]
+        layouts = list(self.layouts.values())     # built and kept here; the recipes read them
         cells = math.prod(math.ceil(min(side / self.map_resolution_m, MAX_RASTER_CELLS + 1))
                           for side in (self.layout.room_x_m, self.layout.room_y_m))
         if cells > MAX_RASTER_CELLS:
@@ -289,13 +289,19 @@ class ExperimentConfig:
         if self.csi.mobile_user >= min(sizes):
             raise ConfigError(f"csi.mobile_user {self.csi.mobile_user} is not a link of "
                               f"the smallest array in use ({min(sizes)} links)")
-        for layout in layouts:
-            for elapsed in self.mobility.elapsed_times_s:
-                self.gain_error_bound(layout, elapsed)
+        self.error_bounds           # likewise; each bound is checked as it is built
         # Imported here, as noise imports this module.
         from .noise import sigma_from_transmit_snr, thermal_variance
         # The variants share the luminaire power and the detector.
         lum, det = layouts[0].luminaire, layouts[0].detector
+        try:
+            amplitude = det.responsivity * lum.total_power
+        except OverflowError:       # an integer LED count past the float range
+            amplitude = math.inf
+        if not math.isfinite(amplitude):
+            raise ConfigError(f"layout.detector.responsivity_a_per_w x layout.leds_per_luminaire "
+                              f"x layout.power_per_led_w gives the transmit amplitude "
+                              f"{amplitude!r}; it must be finite")
         if self.noise.mode == "swept":
             points = self.sweep.points()
             for snr in (points[0], points[-1]):
@@ -326,33 +332,39 @@ class ExperimentConfig:
                 for ang in angles:
                     yield int(n), float(sp), float(ang)
 
-    def build_layout(self, n_links=None, spacing=None, semi_angle=None) -> RoomLayout:
-        lay = self.layout
-        det = lay.detector
+    @functools.cached_property
+    def layouts(self) -> types.MappingProxyType:
+        """Each variant's ``RoomLayout``, keyed by its ``variants()`` tuple, in that order.
+
+        One ``PhotoDetector`` serves every variant, and each has its own ``Luminaire``
+        (the semi-angle is a variant axis).  A refused geometry raises ``ConfigError``.
+        """
+        lay, det = self.layout, self.layout.detector
         try:
-            return square_grid_layout(
-                n_links=n_links if n_links is not None else lay.n_links,
-                spacing=spacing if spacing is not None else lay.spacing_m,
-                room=(lay.room_x_m, lay.room_y_m, lay.room_z_m),
-                receiver_plane_z=lay.receiver_plane_z_m,
-                luminaire_z=lay.luminaire_z_m,
-                semi_angle_half_power=semi_angle if semi_angle is not None else lay.semi_angle_deg,
-                leds_per_luminaire=lay.leds_per_luminaire,
-                power_per_led=lay.power_per_led_w,
-                detector_area=det.area_m2,
-                fov=det.fov_deg,
-                responsivity=det.responsivity_a_per_w,
-                refractive_index=det.refractive_index,
-                filter_gain=det.filter_gain,
-            )
+            detector = PhotoDetector(det.area_m2, det.fov_deg, det.responsivity_a_per_w,
+                                     det.refractive_index, det.filter_gain)
+            return types.MappingProxyType({
+                (n, sp, ang): square_grid_layout(
+                    n, sp, Luminaire(ang, lay.leds_per_luminaire, lay.power_per_led_w),
+                    detector, room=(lay.room_x_m, lay.room_y_m, lay.room_z_m),
+                    receiver_plane_z=lay.receiver_plane_z_m, luminaire_z=lay.luminaire_z_m)
+                for n, sp, ang in self.variants()})
         except GeometryError as exc:
             raise ConfigError(str(exc)) from exc
 
-    def gain_error_bound(self, layout: RoomLayout, elapsed_s: float) -> float:
+    @functools.cached_property
+    def error_bounds(self) -> types.MappingProxyType:
+        """Each variant's gain-error bound per ``mobility`` elapsed time, keyed as ``layouts``."""
+        return types.MappingProxyType({
+            key: tuple(self._bound_after(layout, elapsed)
+                       for elapsed in self.mobility.elapsed_times_s)
+            for key, layout in self.layouts.items()})
+
+    def _bound_after(self, layout: RoomLayout, elapsed_s: float) -> float:
         """The mobile user's ``csi.error_bound`` in ``layout`` after ``elapsed_s``.
 
         An end point or a bound that is not finite raises ``ConfigError``,
-        naming the ``mobility`` or ``layout`` key; a built config has none.
+        naming the ``mobility`` or ``layout`` key.
         """
         det = layout.detector
         z = float(layout.luminaire_positions[self.csi.mobile_user, 2]) - layout.receiver_plane_z
@@ -374,6 +386,10 @@ class ExperimentConfig:
             raise ConfigError(f"the gain-error bound after {elapsed_s!r} s is {bound!r}; "
                               "layout.semi_angle_deg and layout.detector must keep it finite")
         return bound
+
+    def __reduce__(self):
+        """Pickled and copied as its fields, so a copy is built and checked anew."""
+        return type(self), tuple(getattr(self, f.name) for f in dataclasses.fields(self))
 
     def validate(self):
         """``self``, as a built config is checked; perfbench's ``Workload.configs`` calls it."""

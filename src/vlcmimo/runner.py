@@ -1,4 +1,4 @@
-"""Experiment recipes: build layouts, run sweeps, write CSV results + metadata.
+"""Experiment recipes: run sweeps over the config's layouts, write CSV results + metadata.
 
 Output files are data-only and deterministic: a given (config, seed) pair
 reproduces byte-identical CSV bodies.  Every CSV starts with '#' comment
@@ -19,7 +19,7 @@ import numpy as np
 
 from . import __version__
 from .analytic import throughput as analytic_throughput
-from .channel import RoomLayout, build_channel_matrix, gain_map
+from .channel import build_channel_matrix, gain_map
 from .config import ConfigError, ExperimentConfig, _resolved_hash
 from .csi import perturb_channel
 from .montecarlo import sweep
@@ -144,7 +144,7 @@ def run_channel_map(cfg: ExperimentConfig, out_dir, progress: bool = False) -> l
     Variant axes raise ``ConfigError`` before anything is written.
     """
     _one_layout(cfg, "channel-map")
-    layout = cfg.build_layout()
+    (layout,) = cfg.layouts.values()
     field = gain_map(layout, cfg.map_resolution_m)
     header = ["y_m"] + [repr(float(x)) for x in field.x_centers]
     bits, inverse = np.unique(field.values.view(np.int64), return_inverse=True)
@@ -157,15 +157,10 @@ def run_channel_map(cfg: ExperimentConfig, out_dir, progress: bool = False) -> l
     }, progress)
 
 
-def _mobility_bound(cfg: ExperimentConfig, layout: RoomLayout, h,
-                    elapsed_s: float) -> tuple[np.ndarray, float]:
-    """The mobile user's stale estimate of ``h`` (one draw, keyed by the seed) and
-    gain-error bound in ``layout`` after ``elapsed_s``, which ``cfg`` checked when built.
-    """
-    bound = cfg.gain_error_bound(layout, elapsed_s)
-    h_hat = perturb_channel(h, bound, model=cfg.csi.model, seed=cfg.seed,
-                            row=cfg.csi.mobile_user, worst_case_sign=cfg.csi.worst_case_sign)
-    return h_hat, bound
+def _stale_estimate(cfg: ExperimentConfig, h, bound: float) -> np.ndarray:
+    """The mobile user's stale estimate of ``h`` within ``bound`` (one draw, keyed by the seed)."""
+    return perturb_channel(h, bound, model=cfg.csi.model, seed=cfg.seed,
+                           row=cfg.csi.mobile_user, worst_case_sign=cfg.csi.worst_case_sign)
 
 
 def run_ber_sweep(cfg: ExperimentConfig, out_dir, threads: int | None = None,
@@ -175,14 +170,13 @@ def run_ber_sweep(cfg: ExperimentConfig, out_dir, threads: int | None = None,
     With ``noise.mode: physical`` there is no SNR axis; each variant/scheme
     contributes a single row computed at the device noise level (snr_db
     column carries nan).  With ``csi.mode: outdated`` each variant's stale
-    estimate uses the gain-error bound of its own layout at the first
-    ``mobility.elapsed_times_s`` entry only (finite, as ``cfg`` checked every
-    variant's bound at every entry when built), recorded per variant as
-    ``error_bounds`` and the entry as ``error_bound_elapsed_s`` in the
-    metadata; ``mobility`` sweeps every entry.  ``channel_condition_numbers``
-    holds per variant the condition number of the gains its precoder
-    inverted, the estimate's under outdated knowledge, as the sweep's curves
-    carry it.  Every variant and scheme goes
+    estimate uses its first ``cfg.error_bounds`` entry, the bound of its own
+    layout at the first ``mobility.elapsed_times_s`` entry only, recorded
+    per variant as ``error_bounds`` and the entry as ``error_bound_elapsed_s``
+    in the metadata; ``mobility`` sweeps every entry.
+    ``channel_condition_numbers`` holds per variant the condition number of
+    the gains its precoder inverted, the estimate's under outdated
+    knowledge, as the sweep's curves carry it.  Every variant and scheme goes
     to one ``sweep`` call (see there), so rows share draws across schemes and
     variants as well as along SNR.  ``threads`` has no effect: the sweep
     runs in the calling thread.  It is accepted, unchecked, only because the
@@ -196,14 +190,13 @@ def run_ber_sweep(cfg: ExperimentConfig, out_dir, threads: int | None = None,
     cases = []
     keys = []
     bounds = {}
-    for n, sp, ang in cfg.variants():
-        layout = cfg.build_layout(n_links=n, spacing=sp, semi_angle=ang)
+    for (n, sp, ang), layout in cfg.layouts.items():
         h = build_channel_matrix(layout)
         key = f"{n}x{n}@{sp}m/{ang}deg"
         h_hat = None
         if outdated:
-            h_hat, bounds[key] = _mobility_bound(cfg, layout, h,
-                                                 cfg.mobility.elapsed_times_s[0])
+            bounds[key] = cfg.error_bounds[n, sp, ang][0]
+            h_hat = _stale_estimate(cfg, h, bounds[key])
         keys += [key] * len(cfg.schemes)
         cases += [(f"[{cfg.name}] {n}x{n} spacing={sp} angle={ang} scheme={scheme}",
                    (n, sp, ang), (h, scheme, h_hat))
@@ -240,8 +233,7 @@ def run_throughput_sweep(cfg: ExperimentConfig, out_dir, threads: int | None = N
     header = ["snr_db", "scheme", "n_links", "spacing_m", "semi_angle_deg",
               "throughput_bits_per_hz"]
     rows = []
-    for n, sp, ang in cfg.variants():
-        layout = cfg.build_layout(n_links=n, spacing=sp, semi_angle=ang)
+    for (n, sp, ang), layout in cfg.layouts.items():
         h = build_channel_matrix(layout)
         pre = ci_precoder(h.gains)
         for scheme in cfg.schemes:
@@ -272,15 +264,15 @@ def run_mobility(cfg: ExperimentConfig, out_dir, threads: int | None = None,
         raise ConfigError("mobility needs at least one mobility.elapsed_times_s")
     _one_layout(cfg, "mobility")
     points = _snr_points(cfg)
-    layout = cfg.build_layout()
+    ((variant, layout),) = cfg.layouts.items()
     h = build_channel_matrix(layout)
     header = ["snr_db", "scheme", "csi_mode", "csi_model", "elapsed_s", "velocity_mps",
               "error_bound", "analytic_per_pd", "analytic_avg_ber", "is_bound",
               "mc_avg_ber", "mc_halfwidth_95", "symbols"]
     cases = []
     bounds = {}
-    for elapsed in cfg.mobility.elapsed_times_s:
-        h_hat, bound = _mobility_bound(cfg, layout, h, elapsed)
+    for elapsed, bound in zip(cfg.mobility.elapsed_times_s, cfg.error_bounds[variant]):
+        h_hat = _stale_estimate(cfg, h, bound)
         bounds[repr(float(elapsed))] = bound
         cases += [(f"[{cfg.name}] mobility t={elapsed}s bound={bound:.3e} scheme={scheme}",
                    (cfg.csi.model, elapsed, float(cfg.mobility.speed_mps), bound),

@@ -11,7 +11,7 @@ import pytest
 
 from vlcmimo.analytic import (ber_ci_outdated, ber_ci_perfect, ber_oap_outdated,
                               ber_oap_perfect, q_function, throughput)
-from vlcmimo.channel import (ChannelMatrix, build_channel_matrix,
+from vlcmimo.channel import (ChannelMatrix, Luminaire, PhotoDetector, build_channel_matrix,
                              concentrator_gain, distance_gain_prefactor,
                              lambertian_order, square_grid_layout)
 from vlcmimo.config import preset
@@ -58,8 +58,8 @@ def test_criterion_1_zero_interference():
         layout = square_grid_layout(
             4,
             spacing=float(rng.uniform(0.4, 1.2)),
-            semi_angle_half_power=float(rng.uniform(15.0, 60.0)),
-            fov=float(rng.uniform(50.0, 90.0)),
+            luminaire=Luminaire(semi_angle_half_power=float(rng.uniform(15.0, 60.0))),
+            detector=PhotoDetector(fov=float(rng.uniform(50.0, 90.0))),
             receiver_plane_z=float(rng.uniform(0.5, 1.2)),
         )
         h = build_channel_matrix(layout)
@@ -93,7 +93,7 @@ def test_criterion_2_power_normalization():
 def test_criterion_3_analytic_monte_carlo_agreement():
     """2e6-symbol estimates sit within 3 binomial errors of the closed forms."""
     cfg = preset("fig4")
-    h = build_channel_matrix(cfg.build_layout(spacing=1.0))
+    h = build_channel_matrix(cfg.layouts[4, 1.0, 15.0])
     snrs = [74.0 + 2.0 * i for i in range(11)]   # covers rates down past 1e-4
     n_symbols = 2_000_000
     checked = 0
@@ -120,7 +120,7 @@ def test_criterion_3_analytic_monte_carlo_agreement():
 def test_criterion_4_adaptive_gain_at_1e3():
     """Inversion needs 8 +- 3 dB more SNR at BER 1e-3 (smallest spacing pair)."""
     cfg = preset("fig4")
-    h = build_channel_matrix(cfg.build_layout(spacing=0.25))
+    h = build_channel_matrix(cfg.layouts[4, 0.25, 15.0])
     snrs = np.arange(100.0, 130.0, 0.25)
     gap = crossing_db(snrs, analytic_curve(h, "ci", snrs)) \
         - crossing_db(snrs, analytic_curve(h, "oap", snrs))
@@ -138,7 +138,7 @@ def test_criterion_5_spacing_ordering():
     for scheme in ("ci", "oap"):
         vals = []
         for sp in (0.25, 0.5, 1.0):
-            h = build_channel_matrix(cfg.build_layout(spacing=sp))
+            h = build_channel_matrix(cfg.layouts[4, sp, 15.0])
             sigma = sigma_from_transmit_snr(snr, h.responsivity, h.power)
             fn = ber_oap_perfect if scheme == "oap" else ber_ci_perfect
             vals.append(fn(h, sigma, h.responsivity, h.power).mean())
@@ -157,7 +157,7 @@ def test_criterion_6_semi_angle_robustness():
     for scheme in ("ci", "oap"):
         cross = {}
         for angle in (15.0, 30.0):
-            h = build_channel_matrix(cfg.build_layout(semi_angle=angle))
+            h = build_channel_matrix(cfg.layouts[4, 1.0, angle])
             cross[angle] = crossing_db(snrs, analytic_curve(h, scheme, snrs))
         penalty[scheme] = cross[30.0] - cross[15.0]
     ok = penalty["ci"] > penalty["oap"]
@@ -169,7 +169,7 @@ def test_criterion_6_semi_angle_robustness():
 def test_criterion_7_outdated_bound_validity():
     """Estimates under a uniform stale error never exceed the bound + 3 SE."""
     cfg = preset("fig6")
-    h = build_channel_matrix(cfg.build_layout())
+    h = build_channel_matrix(*cfg.layouts.values())
     lay = cfg.layout
     z = lay.room_z_m - lay.receiver_plane_z_m
     m = lambertian_order(lay.semi_angle_deg)
@@ -205,7 +205,7 @@ def test_criterion_8_noiseless_exactness():
     start = time.monotonic()
     total = 0
     for n in (2, 4, 8):
-        h = build_channel_matrix(square_grid_layout(n, 0.5, fov=60.0))
+        h = build_channel_matrix(square_grid_layout(n, 0.5, detector=PhotoDetector(fov=60.0)))
         for scheme in ("ci", "oap"):
             total += oracle.noiseless_errors(word_table(h.gains, ci_precoder(h.gains), scheme))
     elapsed = time.monotonic() - start
@@ -232,7 +232,7 @@ def test_criterion_9_unit_oracles():
 def test_criterion_10_throughput_ordering():
     """Adaptive 8x8 throughput beats inversion at the top of the sweep."""
     cfg = preset("fig8")
-    h = build_channel_matrix(cfg.build_layout(n_links=8))
+    h = build_channel_matrix(cfg.layouts[8, 0.25, 15.0])
     pre = ci_precoder(h.gains)
     snr = cfg.sweep.points()[-1]
     sigma = sigma_from_transmit_snr(snr, h.responsivity, h.power)

@@ -18,7 +18,8 @@ from vlcmimo import analytic
 from vlcmimo.analytic import (ber_ci_outdated, ber_ci_perfect,
                               ber_oap_outdated, ber_oap_perfect, exact_ber,
                               outdated_bound, q_function, sigma_table, throughput)
-from vlcmimo.channel import ChannelMatrix, build_channel_matrix, square_grid_layout
+from vlcmimo.channel import (ChannelMatrix, PhotoDetector, build_channel_matrix,
+                             square_grid_layout)
 from vlcmimo.csi import perturb_channel
 from vlcmimo.config import NoiseConfig, config_from_dict
 from vlcmimo.noise import physical_sigma, sigma_from_transmit_snr, sigma_stack
@@ -27,7 +28,7 @@ from vlcmimo.runner import run_throughput_sweep
 
 
 def channel(n=4, spacing=0.5, fov=60.0):
-    return build_channel_matrix(square_grid_layout(n, spacing, fov=fov))
+    return build_channel_matrix(square_grid_layout(n, spacing, detector=PhotoDetector(fov=fov)))
 
 
 class TestQFunction:
@@ -441,7 +442,7 @@ class TestThroughput:
             lines = csv_path.read_text().splitlines()[4:]
             rows[renormalize] = [(float(snr), scheme, float(value)) for snr, scheme, *_, value
                                  in (line.split(",") for line in lines)]
-        h = build_channel_matrix(cfg.build_layout())
+        h = build_channel_matrix(*cfg.layouts.values())
         table = word_table(h.gains, ci_precoder(h.gains), "oap", renormalize=True)
         oap = [(snr, value) for snr, scheme, value in rows[True] if scheme == "oap"]
         assert [value for _, value in oap] == [

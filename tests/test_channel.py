@@ -135,14 +135,14 @@ class TestSimplifiedGain:
 
 class TestChannelMatrix:
     def test_wide_spacing_narrow_fov_is_diagonal(self):
-        layout = square_grid_layout(4, 1.0, fov=15.0)
+        layout = square_grid_layout(4, 1.0, detector=PhotoDetector(fov=15.0))
         h = build_channel_matrix(layout).gains
         off = h[~np.eye(4, dtype=bool)]
         assert np.all(off == 0.0)
         assert np.all(np.diag(h) > 0.0)
 
     def test_symmetric_layout_symmetry(self):
-        layout = square_grid_layout(4, 0.5, fov=60.0)
+        layout = square_grid_layout(4, 0.5, detector=PhotoDetector(fov=60.0))
         h = build_channel_matrix(layout).gains
         assert np.allclose(np.diag(h), h[0, 0], rtol=1e-12)
         # four corner links: nearest-neighbor couplings all equal
@@ -150,13 +150,13 @@ class TestChannelMatrix:
         assert np.allclose(near, near[0], rtol=1e-12)
 
     def test_diagonally_dominant_at_wide_spacing(self):
-        layout = square_grid_layout(4, 1.0, fov=60.0)
+        layout = square_grid_layout(4, 1.0, detector=PhotoDetector(fov=60.0))
         h = build_channel_matrix(layout).gains
         for i in range(4):
             assert h[i, i] > h[i].sum() - h[i, i]
 
     def test_matches_per_entry_gain(self):
-        layout = square_grid_layout(4, 0.5, fov=60.0)
+        layout = square_grid_layout(4, 0.5, detector=PhotoDetector(fov=60.0))
         h = build_channel_matrix(layout).gains
         for i in range(4):
             for j in range(4):
@@ -181,7 +181,7 @@ class TestGainMap:
         assert abs(field.y_centers[iy] - 3.0) <= 0.06
 
     def test_zero_outside_fov_footprints(self):
-        layout = square_grid_layout(4, 1.0, fov=15.0)
+        layout = square_grid_layout(4, 1.0, detector=PhotoDetector(fov=15.0))
         field = gain_map(layout, 0.1)
         radius = 2.25 * math.tan(math.radians(15.0))
         led_xy = layout.luminaire_positions[:, :2]
@@ -195,7 +195,7 @@ class TestGainMap:
         from scipy import ndimage
 
         def field_at(spacing):
-            layout = square_grid_layout(4, spacing, fov=15.0)
+            layout = square_grid_layout(4, spacing, detector=PhotoDetector(fov=15.0))
             return layout, gain_map(layout, 0.05)
 
         def value_at(field, x, y):
@@ -224,7 +224,7 @@ class TestGainMap:
         assert n_wide == 4
 
     def test_mirror_symmetry(self):
-        layout = square_grid_layout(4, 1.0, fov=60.0)
+        layout = square_grid_layout(4, 1.0, detector=PhotoDetector(fov=60.0))
         field = gain_map(layout, 0.25)
         vals = field.values
         assert np.allclose(vals, vals[::-1, :], rtol=1e-12, atol=1e-300)
@@ -312,7 +312,7 @@ class TestGainKernel:
     @pytest.mark.parametrize("name", ["fig3a", "fig3b", "fig3c"])
     def test_gain_map_matches_per_cell_reference(self, name):
         cfg = preset(name)
-        layout = cfg.build_layout()
+        (layout,) = cfg.layouts.values()
         field = gain_map(layout, cfg.map_resolution_m)
         z, n = layout.receiver_plane_z, len(layout.luminaire_positions)
         ref = [[sum(reference_gain(layout, j, (float(x), float(y), z)) for j in range(n))

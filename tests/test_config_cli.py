@@ -1,8 +1,10 @@
 """Config loading/validation and command-line interface tests."""
 
+import copy
 import dataclasses
 import json
 import os
+import pickle
 import re
 import resource
 import runpy
@@ -16,7 +18,7 @@ import numpy as np
 import pytest
 import yaml
 
-from vlcmimo import runner
+from vlcmimo import config, runner
 from vlcmimo.channel import (GainMap, build_channel_matrix, concentrator_gain,
                              distance_gain_prefactor, gain_map, lambertian_order)
 from vlcmimo.cli import main
@@ -105,6 +107,16 @@ BAD_CONFIGS = {
 BAD_GRIDS = [(-7000.0, -6996.0, 2.0), (7000.0, 7004.0, 2.0), (80.0, 7000.0, 2.0),
              (6300.0, 6310.0, 2.0), (80.0, 90.0, 1e-300), (80.0, 1080.0, 0.1)]
 
+# Configs whose transmit amplitude, responsivity x LEDs x power per LED, is not
+# finite, in both noise modes.
+AMPLITUDE_REFUSALS = {
+    f"{case}_{mode}": dict(SMALL, **changes, noise={"mode": mode})
+    for case, changes in {
+        "huge_led_power": with_layout(power_per_led_w=1e308),
+        "huge_led_count": with_layout(leds_per_luminaire=10**400),
+        "huge_responsivity": with_detector(responsivity_a_per_w=1e307)}.items()
+    for mode in ("swept", "physical")}
+
 # Every config that an exit-2 test below refuses, whole; no command takes any of them.
 CONFIG_REFUSALS = {
     **{case: {**SMALL, **bad} for case, bad in BAD_CONFIGS.items()},
@@ -126,6 +138,7 @@ CONFIG_REFUSALS = {
         "receiver_plane_at_ceiling": {"receiver_plane_z_m": 3.0},
         "luminaire_below_receiver_plane": {"luminaire_z_m": 0.5},
         "luminaire_above_ceiling": {"luminaire_z_m": 3.5}}.items()},
+    **AMPLITUDE_REFUSALS,
 }
 
 # The layout refusals above and the first position each names.
@@ -267,6 +280,77 @@ class TestConfigLoading:
         assert {sp for _, sp, _ in variants} == {0.25, 0.5, 1.0}
 
 
+class TestGeometryBuiltOnce:
+    """A config builds its layouts and bounds once, and the recipes read them."""
+
+    RECIPES = {
+        runner.run_ber_sweep: dict(SMALL, spacings_m=[0.5, 1.0], csi={"mode": "outdated"}),
+        runner.run_throughput_sweep: dict(SMALL, semi_angles_deg=[15.0, 30.0]),
+        runner.run_mobility: dict(SMALL, csi={"mode": "outdated"}),
+        runner.run_channel_map: dict(SMALL, map_resolution_m=0.5),
+    }
+
+    def test_recipes_build_no_geometry(self, tmp_path, monkeypatch):
+        calls = []
+
+        def spy(fn):
+            def counted(*args, **kwargs):
+                calls.append(fn.__name__)
+                return fn(*args, **kwargs)
+            return counted
+
+        monkeypatch.setattr(config, "square_grid_layout", spy(config.square_grid_layout))
+        monkeypatch.setattr(ExperimentConfig, "_bound_after",
+                            spy(ExperimentConfig._bound_after))
+        cfgs = {recipe: config_from_dict(data) for recipe, data in self.RECIPES.items()}
+        assert {"square_grid_layout", "_bound_after"} <= set(calls)     # the spies see builds
+        calls.clear()
+        for recipe, cfg in cfgs.items():
+            recipe(cfg, tmp_path / recipe.__name__)
+        assert calls == []
+
+    def test_replace_builds_its_own_geometry(self):
+        cfg = config_from_dict(dict(SMALL, csi={"mode": "outdated"}))
+        wide = dataclasses.replace(cfg, spacings_m=(1.0, 2.0))
+        assert list(cfg.layouts) == list(cfg.error_bounds) == [(2, 0.5, 15.0)]
+        assert list(wide.layouts) == list(wide.error_bounds) == [(2, 1.0, 15.0), (2, 2.0, 15.0)]
+        for (_, sp, _), layout in wide.layouts.items():
+            assert np.diff(layout.luminaire_positions[:, 0]).tolist() == [sp]
+        assert wide.error_bounds[2, 1.0, 15.0] == cfg.error_bounds[2, 0.5, 15.0]
+        assert wide.layouts[2, 1.0, 15.0].detector is wide.layouts[2, 2.0, 15.0].detector
+
+    def test_geometry_is_no_field(self):
+        cfg = config_from_dict(SMALL)
+        same = dataclasses.replace(cfg)
+        assert same == cfg and hash(same) == hash(cfg)
+        assert same.layouts is not cfg.layouts
+        assert {"layouts", "error_bounds"}.isdisjoint(cfg.resolved())
+        assert same.config_hash() == cfg.config_hash()
+
+    def test_copies_build_their_own_geometry(self):
+        cfg = preset("fig6")
+        for twin in (copy.copy(cfg), copy.deepcopy(cfg), pickle.loads(pickle.dumps(cfg))):
+            assert twin == cfg and twin.layouts is not cfg.layouts
+            assert twin.error_bounds == cfg.error_bounds
+
+    def test_geometry_is_read_only(self):
+        cfg = config_from_dict(SMALL)
+        key = next(cfg.variants())
+        for name in ("layouts", "error_bounds"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(cfg, name, {})
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                delattr(cfg, name)
+            with pytest.raises(TypeError):
+                getattr(cfg, name)[key] = None
+        with pytest.raises(TypeError):
+            cfg.error_bounds[key][0] = 0.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cfg.layouts[key].room_x = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            cfg.layouts[key].luminaire_positions[0, 0] = 0.0
+
+
 class TestCli:
     def test_validate_preset(self, capsys):
         assert main(["validate", "--preset", "fig4"]) == 0
@@ -296,6 +380,13 @@ class TestCli:
     def test_layout_refusal_names_the_position(self, tmp_path, capsys, command, case):
         err = self.assert_refused(tmp_path, capsys, command, case)
         assert err == f"config error: {POSITION_REFUSALS[case]}\n"
+
+    @pytest.mark.parametrize("command", ["validate", "ber-sweep", "mobility"])
+    @pytest.mark.parametrize("case", list(AMPLITUDE_REFUSALS))
+    def test_transmit_amplitude_refusal_names_its_keys(self, tmp_path, capsys, command, case):
+        err = self.assert_refused(tmp_path, capsys, command, case)
+        assert ("layout.detector.responsivity_a_per_w x layout.leds_per_luminaire x "
+                "layout.power_per_led_w gives the transmit amplitude inf") in err
 
     @pytest.mark.parametrize("command", ["validate", "throughput-sweep", "mobility",
                                          "channel-map"])
@@ -563,7 +654,7 @@ class TestCli:
     def test_channel_map_bytes_equal_per_cell_repr(self, tmp_path, name):
         cfg = preset(name)
         csv_path, _ = runner.run_channel_map(cfg, tmp_path)
-        field = gain_map(cfg.build_layout(), cfg.map_resolution_m)
+        field = gain_map(*cfg.layouts.values(), cfg.map_resolution_m)
         assert len(np.unique(field.values)) < field.values.size // 10   # texts are shared
         assert csv_path.read_text().splitlines()[3:] == self.per_cell_lines(field)
 
@@ -860,9 +951,9 @@ class TestCli:
             meta = json.loads((out / f"{mode}_ber_meta.json").read_text())
             conditions[mode] = meta["channel_condition_numbers"]["2x2@0.5m/15.0deg"]
         cfg = config_from_dict(dict(cfgd, csi={"mode": "outdated"}))
-        layout = cfg.build_layout()
-        h = build_channel_matrix(layout)
-        h_hat, _ = runner._mobility_bound(cfg, layout, h, 0.3)
+        h = build_channel_matrix(*cfg.layouts.values())
+        ((bound,),) = cfg.error_bounds.values()
+        h_hat = runner._stale_estimate(cfg, h, bound)
         assert conditions["perfect"] == ci_precoder(h.gains).condition_number
         assert conditions["outdated"] == ci_precoder(h_hat).condition_number
         assert conditions["outdated"] != conditions["perfect"]
@@ -898,7 +989,7 @@ class TestCli:
         assert meta["noise_mode"] == "physical" and meta["snr_points_db"] == []
         assert len(rows["physical"]) == 2       # one row per scheme
         cfg = config_from_dict(dict(SMALL, noise={"mode": "physical"}))
-        h = build_channel_matrix(cfg.build_layout())
+        h = build_channel_matrix(*cfg.layouts.values())
         gp = h.responsivity * h.power
         for snr, scheme, *_, value in rows["physical"]:
             assert snr == "nan"

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vlcmimo.channel import (build_channel_matrix, concentrator_gain,
+from vlcmimo.channel import (PhotoDetector, build_channel_matrix, concentrator_gain,
                              distance_gain_prefactor, lambertian_order,
                              square_grid_layout)
 from vlcmimo.csi import error_bound, perturb_channel
@@ -22,7 +22,7 @@ VARPI = distance_gain_prefactor(1e-4, 1.0, concentrator_gain(60.0, 1.5), M,
 
 
 def channel_4x4():
-    return build_channel_matrix(square_grid_layout(4, 1.0, fov=60.0))
+    return build_channel_matrix(square_grid_layout(4, 1.0, detector=PhotoDetector(fov=60.0)))
 
 
 def residuals(h, h_hat, scheme="ci"):

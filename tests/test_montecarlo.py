@@ -11,7 +11,8 @@ from vlcmimo import montecarlo, runner
 from vlcmimo.analytic import (ber_ci_outdated, ber_ci_perfect, ber_oap_outdated,
                               ber_oap_perfect, exact_ber, outdated_bound, q_function,
                               sigma_table)
-from vlcmimo.channel import ChannelMatrix, build_channel_matrix, square_grid_layout
+from vlcmimo.channel import (ChannelMatrix, PhotoDetector, build_channel_matrix,
+                             square_grid_layout)
 from vlcmimo.config import MonteCarloConfig, NoiseConfig, config_from_dict, preset
 from vlcmimo.csi import perturb_channel
 from vlcmimo.montecarlo import (SimConfig, _block_errors, _compared_errors, _sorted_errors,
@@ -24,7 +25,7 @@ import oracle
 
 
 def channel(n=4, spacing=0.5, fov=60.0):
-    return build_channel_matrix(square_grid_layout(n, spacing, fov=fov))
+    return build_channel_matrix(square_grid_layout(n, spacing, detector=PhotoDetector(fov=fov)))
 
 
 def settings(cfg) -> dict:
@@ -334,9 +335,10 @@ class TestAgainstClosedForm:
     def test_stale_fig6_point(self, scheme):
         """fig6's 0.3 s uniform estimate at 90 dB: the exact rate on the stale table."""
         cfg = preset("fig6")
-        layout = cfg.build_layout()
-        h = build_channel_matrix(layout)
-        h_hat, _ = runner._mobility_bound(cfg, layout, h, 0.3)
+        h = build_channel_matrix(*cfg.layouts.values())
+        (bounds,) = cfg.error_bounds.values()
+        bound = dict(zip(cfg.mobility.elapsed_times_s, bounds))[0.3]
+        h_hat = runner._stale_estimate(cfg, h, bound)
         table = word_table(h.gains, ci_precoder(h_hat), scheme)
         sigma = sigma_from_transmit_snr(90.0, h.responsivity, h.power)
         exact = float(np.mean(exact_ber(table, h.responsivity * h.power,
@@ -876,7 +878,7 @@ class TestRunnerRowsAreOneSweep:
         lines = [line for line in csv_path.read_text().splitlines() if not line.startswith("#")]
         header, rows = lines[0].split(","), [line.split(",") for line in lines[1:]]
         meta = json.loads(meta_path.read_text())
-        h = build_channel_matrix(cfg.build_layout())
+        h = build_channel_matrix(*cfg.layouts.values())
         outdated = cfg.csi.mode == "outdated"
         h_hat = None
         if outdated:
@@ -1049,19 +1051,18 @@ class TestRecipeSharesOneBlockLoop:
                                 "montecarlo": {"n_symbols": 4096, "block_size": 2048}})
         want = []
         if recipe is run_mobility:
-            layout = cfg.build_layout()
-            h = build_channel_matrix(layout)
-            for elapsed in cfg.mobility.elapsed_times_s:
-                h_hat, bound = runner._mobility_bound(cfg, layout, h, elapsed)
+            h = build_channel_matrix(*cfg.layouts.values())
+            (bounds,) = cfg.error_bounds.values()
+            for elapsed, bound in zip(cfg.mobility.elapsed_times_s, bounds):
+                h_hat = runner._stale_estimate(cfg, h, bound)
                 for scheme in cfg.schemes:
                     want.append(f"[grp] mobility t={elapsed}s bound={bound:.3e} "
                                 f"scheme={scheme}")
                     runner._report(recipe_sweep(cfg, h, scheme, h_hat))
                     want += capsys.readouterr().err.splitlines()
         else:
-            for n, sp, ang in cfg.variants():
-                h = build_channel_matrix(cfg.build_layout(n_links=n, spacing=sp,
-                                                          semi_angle=ang))
+            for (n, sp, ang), layout in cfg.layouts.items():
+                h = build_channel_matrix(layout)
                 for scheme in cfg.schemes:
                     want.append(f"[grp] {n}x{n} spacing={sp} angle={ang} scheme={scheme}")
                     runner._report(recipe_sweep(cfg, h, scheme, None))

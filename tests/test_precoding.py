@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vlcmimo.channel import build_channel_matrix, square_grid_layout
+from vlcmimo.channel import PhotoDetector, build_channel_matrix, square_grid_layout
 from vlcmimo.precoding import (PINV_TOLERANCE, SingularChannelError, ci_precoder,
                                combination_matrix, word_table)
 
@@ -135,7 +135,7 @@ class TestOapPrecoder:
 class TestAmplitudeDominance:
     @pytest.mark.parametrize("n", [2, 4, 8])
     def test_constructive_amplitude_at_least_inverted(self, n):
-        layout = square_grid_layout(n, 0.5, fov=60.0)
+        layout = square_grid_layout(n, 0.5, detector=PhotoDetector(fov=60.0))
         h = build_channel_matrix(layout).gains
         pre = ci_precoder(h)
         ci = word_table(h, pre, "ci")

@@ -38,7 +38,7 @@ def tiny(csi_mode: str):
 
 def test_every_counter_runs_under_the_tracer(tmp_path):
     perfect, outdated = tiny("perfect"), tiny("outdated")
-    h = build_channel_matrix(perfect.build_layout())
+    h = build_channel_matrix(*perfect.layouts.values())
     sigma = sigma_from_transmit_snr(80.0, h.responsivity, h.power)
     tracer = tracing.Tracer()
     with tracer.installed():

@@ -25,7 +25,7 @@ from hypothesis import strategies as st
 from vlcmimo.analytic import (ber_ci_outdated, ber_ci_perfect, ber_oap_outdated,
                               ber_oap_perfect, exact_ber, outdated_bound, q_function,
                               throughput)
-from vlcmimo.channel import build_channel_matrix, square_grid_layout
+from vlcmimo.channel import PhotoDetector, build_channel_matrix, square_grid_layout
 from vlcmimo.csi import perturb_channel
 from vlcmimo import analytic, montecarlo, runner
 from vlcmimo.config import NoiseConfig, config_from_dict
@@ -128,7 +128,7 @@ def reference_throughput(scheme, gains, sigma, gp):
 @pytest.mark.parametrize("spacing", [0.25, 0.5, 0.05])
 @pytest.mark.parametrize("n", [1, 2, 4, 8, 9])
 def test_table_matches_per_word_pipeline(n, spacing, csi):
-    h = build_channel_matrix(square_grid_layout(n, spacing, fov=60.0))
+    h = build_channel_matrix(square_grid_layout(n, spacing, detector=PhotoDetector(fov=60.0)))
     gains = h.gains
     h_hat = gains
     if csi == "stale":
@@ -209,7 +209,8 @@ def test_stack_equals_its_elements(n, spacings, stale, seed):
     points, then physical per-word noise) of ci, oap and renormalized oap,
     on fresh or stale estimates of arrays whose spacings may differ.
     """
-    hs = [build_channel_matrix(square_grid_layout(n, sp, fov=60.0)) for sp in spacings]
+    hs = [build_channel_matrix(square_grid_layout(n, sp, detector=PhotoDetector(fov=60.0)))
+          for sp in spacings]
     hats = [perturb_channel(h, 0.02 * h.gains[0, 0], seed=seed + i) if stale else h.gains
             for i, h in enumerate(hs)]
     stacked = ci_precoder(np.stack(hats))
@@ -244,7 +245,8 @@ def test_beta_matches_exact_quadratic_form(n, spacing):
     Forming H H^T squares kappa(H); a scaling read off the SVD precoder keeps
     the error within eps * kappa(H), also where kappa(H)^2 passes 1/eps.
     """
-    gains = build_channel_matrix(square_grid_layout(n, spacing, fov=60.0)).gains
+    gains = build_channel_matrix(
+        square_grid_layout(n, spacing, detector=PhotoDetector(fov=60.0))).gains
     rows = np.unique(np.r_[1, 2 ** n - 1, np.random.default_rng(n).integers(1, 2 ** n, 30)])
     words = combination_matrix(n)[rows]
     with mpmath.workdps(60):
@@ -333,7 +335,7 @@ def test_sweep_builds_one_table(monkeypatch, tmp_path, cfg):
     table per (variant, scheme) for its whole SNR grid, with the config's
     renormalization.
     """
-    h = build_channel_matrix(square_grid_layout(4, 0.5, fov=60.0))
+    h = build_channel_matrix(square_grid_layout(4, 0.5, detector=PhotoDetector(fov=60.0)))
     built = count_builds(monkeypatch)
     one_sweep(h, SWEEP_SNRS, cfg, h_hat=sweep_estimate(h, cfg))
     assert built == [(h.gains.tobytes(), cfg.scheme, cfg.renormalize_oap)]
@@ -353,8 +355,7 @@ def test_sweep_builds_one_table(monkeypatch, tmp_path, cfg):
         "spacings_m": [0.5, 1.0],
         "sweep": {"snr_start_db": 80.0, "snr_stop_db": 110.0, "snr_step_db": 10.0},
         "montecarlo": {"n_symbols": cfg.n_symbols}})
-    variants = [build_channel_matrix(exp.build_layout(n_links=n, spacing=sp, semi_angle=a))
-                for n, sp, a in exp.variants()]
+    variants = [build_channel_matrix(layout) for layout in exp.layouts.values()]
     one_each = sorted((v.gains.tobytes(), s, cfg.renormalize_oap)
                       for v in variants for s in ("ci", "oap"))
     assert len(set(one_each)) == 2 * 2
@@ -371,7 +372,8 @@ def test_sweep_builds_one_table(monkeypatch, tmp_path, cfg):
 
 def test_kept_table_is_read_only():
     """Every array a caller keeps from a table is read-only."""
-    gains = build_channel_matrix(square_grid_layout(2, 0.5, fov=60.0)).gains
+    gains = build_channel_matrix(
+        square_grid_layout(2, 0.5, detector=PhotoDetector(fov=60.0))).gains
     for scheme in ("ci", "oap"):
         table = word_table(gains, ci_precoder(gains), scheme)
         for field in dataclasses.fields(table):
