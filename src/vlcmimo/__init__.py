@@ -12,8 +12,7 @@ from .analytic import (ber_ci_outdated, ber_ci_perfect, ber_oap_outdated,
                        ber_oap_perfect, q_function, throughput)
 from .channel import (ChannelMatrix, GainMap, GeometryError, Luminaire,
                       PhotoDetector, RoomLayout, build_channel_matrix,
-                      concentrator_gain, distance_gain_prefactor, gain_map,
-                      lambertian_order, square_grid_layout)
+                      distance_gain_prefactor, gain_map, square_grid_layout)
 from .config import ConfigError, ExperimentConfig, load_config, preset
 from .csi import error_bound, perturb_channel
 from .montecarlo import BerCurve, BerEstimate, SimConfig, simulate, sweep

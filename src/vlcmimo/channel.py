@@ -8,7 +8,7 @@ applied by the signal model, not here.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from decimal import Decimal, localcontext
 from functools import lru_cache
 
@@ -21,8 +21,6 @@ __all__ = [
     "RoomLayout",
     "ChannelMatrix",
     "GainMap",
-    "lambertian_order",
-    "concentrator_gain",
     "build_channel_matrix",
     "gain_map",
     "distance_gain_prefactor",
@@ -39,13 +37,14 @@ class Luminaire:
     """The ceiling luminaire of a layout, a single point source facing straight down.
 
     The individual emitters are aggregated: total radiated power is
-    ``leds_per_luminaire * power_per_led``.  The radiation lobe is Lambertian
-    with order set by the half-power semi-angle.
+    ``leds_per_luminaire * power_per_led``.  The radiation lobe is Lambertian;
+    its order m = -ln 2 / ln cos(semi-angle) is computed when the spec is built.
     """
 
     semi_angle_half_power: float = 15.0   # degrees
     leds_per_luminaire: int = 3600
     power_per_led: float = 0.010          # watts
+    lambertian_order: float = field(init=False)
 
     def __post_init__(self):
         if not 0.0 < self.semi_angle_half_power < 90.0:
@@ -55,6 +54,7 @@ class Luminaire:
             raise GeometryError("leds_per_luminaire must be >= 1")
         if self.power_per_led <= 0.0:
             raise GeometryError("power_per_led must be positive")
+        object.__setattr__(self, "lambertian_order", _lambertian_order(self.semi_angle_half_power))
 
     @property
     def total_power(self) -> float:
@@ -64,14 +64,15 @@ class Luminaire:
 
 @dataclass(frozen=True)
 class PhotoDetector:
-    """The detector of a layout: an upward-facing photodiode with an ideal
-    optical concentrator and band filter."""
+    """The detector of a layout: an upward-facing photodiode with a band filter and an ideal
+    optical concentrator, whose gain n^2/sin^2(fov) is computed when the spec is built."""
 
     area: float = 1e-4                    # m^2
     fov: float = 60.0                     # degrees, incidence beyond it gives zero gain
     responsivity: float = 1.0             # A/W
     refractive_index: float = 1.5
     filter_gain: float = 1.0
+    concentrator_gain: float = field(init=False)
 
     def __post_init__(self):
         if self.area <= 0.0:
@@ -84,6 +85,15 @@ class PhotoDetector:
             raise GeometryError("refractive index must be >= 1")
         if not 0.0 < self.filter_gain <= 1.0:
             raise GeometryError("filter gain must be in (0, 1]")
+        try:
+            gain = self.refractive_index**2 / math.sin(math.radians(self.fov)) ** 2
+        except (OverflowError, ZeroDivisionError):
+            gain = math.inf
+        if not math.isfinite(gain):
+            raise GeometryError(f"field of view {self.fov} deg and refractive index "
+                                f"{self.refractive_index} give a concentrator gain "
+                                "n^2/sin^2(fov) that is not finite")
+        object.__setattr__(self, "concentrator_gain", gain)
 
 
 @dataclass(frozen=True)
@@ -123,6 +133,19 @@ class RoomLayout:
                     f"z = {self.receiver_plane_z}")
         if not 0.0 <= self.receiver_plane_z < self.room_z:
             raise GeometryError("receiver plane must lie inside the room")
+        # On-axis gain under the lowest luminaire in ``_los_gains``' order, once per luminaire:
+        # no gain the kernel forms on the receiver plane, nor the raster's sum, is larger.
+        det, m = self.detector, self.luminaire.lambertian_order
+        z = float(self.luminaire_positions[:, 2].min()) - self.receiver_plane_z
+        try:
+            peak = len(self.luminaire_positions) * ((det.area / (z * z)) * (
+                (m + 1.0) / (2.0 * math.pi)) * det.filter_gain * det.concentrator_gain)
+        except ZeroDivisionError:       # z * z underflows to 0
+            peak = math.inf
+        if not math.isfinite(peak):
+            raise GeometryError(f"detector area {det.area}, filter gain {det.filter_gain} and "
+                                f"concentrator gain {det.concentrator_gain} give a peak "
+                                f"line-of-sight gain {peak} that is not finite")
 
 
 def _refuse_any(positions: np.ndarray, bad: np.ndarray, message: str):
@@ -163,20 +186,17 @@ class GainMap:
     values: np.ndarray
 
 
-# pi to 50 decimal places, for the extended-precision cosine of lambertian_order.
+# pi to 50 decimal places, for the extended-precision cosine of _lambertian_order.
 _PI = Decimal("3.14159265358979323846264338327950288419716939937510")
 
 
 @lru_cache(maxsize=256)
-def lambertian_order(semi_angle_half_power: float) -> float:
-    """Lambertian lobe order m = -ln 2 / ln cos(half-power semi-angle).
+def _lambertian_order(semi_angle_half_power: float) -> float:
+    """Lambertian lobe order m = -ln 2 / ln cos(half-power semi-angle in (0, 90) deg).
 
-    Evaluated with 50-digit decimals (a Taylor cosine) and rounded once, so
-    exact half-power geometries stay exact (60 deg -> m == 1.0).
+    Evaluated with 50-digit decimals (a Taylor cosine) and rounded once, so exact half-power
+    geometries stay exact (60 deg -> m == 1.0); a cosine of 1 raises ``GeometryError``.
     """
-    if not 0.0 < semi_angle_half_power < 90.0:
-        raise GeometryError(
-            f"half-power semi-angle must be in (0, 90) deg, got {semi_angle_half_power}")
     with localcontext() as ctx:
         ctx.prec = 50
         x = Decimal(semi_angle_half_power) * _PI / 180
@@ -186,27 +206,10 @@ def lambertian_order(semi_angle_half_power: float) -> float:
             n += 2
             term *= -x * x / (n * (n - 1))
             cos += term
+        if cos == 1:
+            raise GeometryError(f"half-power semi-angle {semi_angle_half_power} deg has a "
+                                "cosine of 1 to 50 digits, so no finite Lambertian order")
         return float(-Decimal(2).ln() / cos.ln())
-
-
-def concentrator_gain(fov: float, refractive_index: float = 1.5) -> float:
-    """Ideal non-imaging concentrator gain inside the field of view: n^2 / sin^2(fov).
-
-    Light from beyond the field of view gets no gain; ``_los_gains`` applies that cutoff.
-    A gain that is not finite raises ``GeometryError``.
-    """
-    if refractive_index < 1.0:
-        raise GeometryError("refractive index must be >= 1")
-    if not 0.0 < fov <= 90.0:
-        raise GeometryError(f"field of view must be in (0, 90] deg, got {fov}")
-    try:
-        gain = refractive_index**2 / math.sin(math.radians(fov)) ** 2
-    except (OverflowError, ZeroDivisionError):
-        gain = math.inf
-    if not math.isfinite(gain):
-        raise GeometryError(f"field of view {fov} deg and refractive index {refractive_index} "
-                            "give a concentrator gain n^2/sin^2(fov) that is not finite")
-    return gain
 
 
 def _los_gains(layout: RoomLayout, x, y, z) -> np.ndarray:
@@ -215,9 +218,7 @@ def _los_gains(layout: RoomLayout, x, y, z) -> np.ndarray:
     Luminaires face down and the detector up, so the emergence and incidence
     angles share one cosine, the drop over the distance.
     """
-    det = layout.detector
-    m = lambertian_order(layout.luminaire.semi_angle_half_power)
-    g = concentrator_gain(det.fov, det.refractive_index)
+    det, m = layout.detector, layout.luminaire.lambertian_order
     vx, vy, vz = (np.asarray(c, dtype=float)[..., None] - lc
                   for c, lc in zip((x, y, z), layout.luminaire_positions.T))
     d = np.sqrt(vx * vx + vy * vy + vz * vz)
@@ -227,7 +228,7 @@ def _los_gains(layout: RoomLayout, x, y, z) -> np.ndarray:
     # No backward emission: clamp at the transmitter plane.  np.power, not **,
     # so that no exponent (m == 1 or 2) takes another path than the ufunc's.
     intensity = (m + 1.0) / (2.0 * math.pi) * np.power(np.maximum(cos, 0.0), m)
-    gains = (det.area / d**2) * intensity * det.filter_gain * g * cos
+    gains = (det.area / d**2) * intensity * det.filter_gain * det.concentrator_gain * cos
     return np.where((cos < math.cos(math.radians(det.fov))) | (cos <= 0.0), 0.0, gains)
 
 

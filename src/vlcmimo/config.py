@@ -22,8 +22,8 @@ from typing import Literal
 
 import numpy as np
 
-from .channel import (GeometryError, Luminaire, PhotoDetector, RoomLayout, concentrator_gain,
-                      distance_gain_prefactor, lambertian_order, square_grid_layout)
+from .channel import (GeometryError, Luminaire, PhotoDetector, RoomLayout,
+                      distance_gain_prefactor, square_grid_layout)
 from .csi import error_bound
 from .precoding import MAX_ENUMERATED_LINKS
 
@@ -372,14 +372,11 @@ class ExperimentConfig:
         if not all(map(math.isfinite, end_xy)):
             raise ConfigError(f"mobility.speed_mps {self.mobility.speed_mps!r} over "
                               f"{elapsed_s!r} s moves the user to {end_xy}; it must stay finite")
-        m = lambertian_order(layout.luminaire.semi_angle_half_power)
+        m = layout.luminaire.lambertian_order
         try:
-            g = concentrator_gain(det.fov, det.refractive_index)
-            varpi = distance_gain_prefactor(det.area, det.filter_gain, g, m,
+            varpi = distance_gain_prefactor(det.area, det.filter_gain, det.concentrator_gain, m,
                                             plane_separation=z)
             bound = error_bound(self.mobility.start_xy_m, end_xy, z, varpi, m)
-        except GeometryError as exc:
-            raise ConfigError(f"layout.detector: {exc}") from exc
         except OverflowError:
             bound = math.inf
         if not math.isfinite(bound):

@@ -12,8 +12,7 @@ import pytest
 from vlcmimo.analytic import (ber_ci_outdated, ber_ci_perfect, ber_oap_outdated,
                               ber_oap_perfect, q_function, throughput)
 from vlcmimo.channel import (ChannelMatrix, Luminaire, PhotoDetector, build_channel_matrix,
-                             concentrator_gain, distance_gain_prefactor,
-                             lambertian_order, square_grid_layout)
+                             distance_gain_prefactor, square_grid_layout)
 from vlcmimo.config import preset
 from vlcmimo.csi import error_bound, perturb_channel
 from vlcmimo.montecarlo import SimConfig, simulate
@@ -172,8 +171,9 @@ def test_criterion_7_outdated_bound_validity():
     h = build_channel_matrix(*cfg.layouts.values())
     lay = cfg.layout
     z = lay.room_z_m - lay.receiver_plane_z_m
-    m = lambertian_order(lay.semi_angle_deg)
-    g = concentrator_gain(lay.detector.fov_deg, lay.detector.refractive_index)
+    m = Luminaire(lay.semi_angle_deg).lambertian_order
+    g = PhotoDetector(fov=lay.detector.fov_deg,
+                      refractive_index=lay.detector.refractive_index).concentrator_gain
     varpi = distance_gain_prefactor(lay.detector.area_m2, lay.detector.filter_gain,
                                     g, m, plane_separation=z)
     bound_e = error_bound((0.0, 0.0), (0.1, 0.0), z, varpi, m)
@@ -217,8 +217,8 @@ def test_criterion_8_noiseless_exactness():
 
 def test_criterion_9_unit_oracles():
     """Closed-form corner values are exact."""
-    m60 = lambertian_order(60.0)
-    g = concentrator_gain(15.0, 1.5)
+    m60 = Luminaire(60.0).lambertian_order
+    g = PhotoDetector(fov=15.0, refractive_index=1.5).concentrator_gain
     g_expected = 2.25 / np.sin(np.radians(15.0)) ** 2
     q0 = float(q_function(0.0))
     ok = (m60 == 1.0

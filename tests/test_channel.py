@@ -4,8 +4,10 @@ Frozen expected values were computed with a 50-digit arbitrary-precision
 evaluation of the defining formulas (see inline notes).
 """
 
+import dataclasses
 import math
 import re
+import warnings
 
 import mpmath
 import numpy as np
@@ -15,11 +17,13 @@ from hypothesis import strategies as st
 
 from vlcmimo.channel import (ChannelMatrix, GeometryError, Luminaire,
                              PhotoDetector, RoomLayout, build_channel_matrix,
-                             concentrator_gain, distance_gain_prefactor, gain_map,
-                             lambertian_order, square_grid_layout)
+                             distance_gain_prefactor, gain_map, square_grid_layout)
 from vlcmimo.config import preset
 
 import oracle
+
+# Any positive finite float.
+POSITIVE = st.floats(0.0, exclude_min=True, allow_infinity=False)
 
 # 50-digit oracle values
 M15 = 19.993727358517100661
@@ -39,18 +43,18 @@ def room(luminaire_positions, detector_positions, luminaire=Luminaire(),
 
 class TestLambertianOrder:
     def test_60_degrees_is_exactly_one(self):
-        assert lambertian_order(60.0) == 1.0
+        assert Luminaire(60.0).lambertian_order == 1.0
 
     def test_15_degrees(self):
-        assert lambertian_order(15.0) == pytest.approx(M15, rel=1e-14)
+        assert Luminaire(15.0).lambertian_order == pytest.approx(M15, rel=1e-14)
 
     def test_45_degrees_is_two(self):
-        assert lambertian_order(45.0) == pytest.approx(M45, rel=1e-14)
+        assert Luminaire(45.0).lambertian_order == pytest.approx(M45, rel=1e-14)
 
     @pytest.mark.parametrize("bad", [0.0, 90.0, -5.0, 120.0])
     def test_out_of_range_rejected(self, bad):
         with pytest.raises(GeometryError):
-            lambertian_order(bad)
+            Luminaire(bad)
 
     def test_equals_40_digit_mpmath_on_a_grid(self):
         # the decimal evaluation rounds to the same double as mpmath at 40 digits
@@ -60,29 +64,114 @@ class TestLambertianOrder:
             with mpmath.workdps(40):
                 cos = mpmath.cos(mpmath.radians(angle))
                 want = float(-mpmath.log(2) / mpmath.log(cos))
-            assert lambertian_order.__wrapped__(angle) == want, angle
+            assert Luminaire(angle).lambertian_order == want, angle
+
+    @pytest.mark.parametrize("tiny", [1e-30, 1e-300, 5e-324])
+    def test_semi_angle_whose_cosine_rounds_to_one_rejected(self, tiny):
+        with pytest.raises(GeometryError, match=re.escape(
+                f"half-power semi-angle {tiny} deg has a cosine of 1 to 50 digits")):
+            Luminaire(tiny)
+
+    def test_narrowest_lobe_has_a_finite_order(self):
+        # 1e-20 deg: 1 - cos is about 1.5e-44, still inside the 50 digits
+        assert 4e43 < Luminaire(1e-20).lambertian_order < 5e43
 
 
 class TestConcentratorGain:
     def test_on_axis_narrow_field(self):
-        assert concentrator_gain(15.0, 1.5) == pytest.approx(G15, rel=1e-12)
+        assert PhotoDetector(fov=15.0, refractive_index=1.5).concentrator_gain == pytest.approx(
+            G15, rel=1e-12)
 
     def test_hemispherical_unity(self):
-        assert concentrator_gain(90.0, 1.0) == pytest.approx(1.0, rel=1e-15)
+        assert PhotoDetector(fov=90.0, refractive_index=1.0).concentrator_gain == pytest.approx(
+            1.0, rel=1e-15)
 
     @pytest.mark.parametrize("fov, n", [(1e-300, 1.5), (60.0, 1e200), (1e-100, 1e154)],
                              ids=["sin_underflows", "n_squared_overflows", "ratio_overflows"])
     def test_gain_that_is_not_finite_raises(self, fov, n):
         with pytest.raises(GeometryError, match=re.escape(
                 f"field of view {fov} deg and refractive index {n} give")):
-            concentrator_gain(fov, n)
+            PhotoDetector(fov=fov, refractive_index=n)
+
+
+class TestDeviceOptics:
+    """The specs compute their Lambertian order and concentrator gain once, when built."""
+
+    def test_replace_recomputes(self):
+        assert dataclasses.replace(Luminaire(), semi_angle_half_power=60.0).lambertian_order == 1.0
+        assert dataclasses.replace(PhotoDetector(), fov=15.0).concentrator_gain == pytest.approx(
+            G15, rel=1e-12)
+
+    def test_fields_are_read_only_and_not_arguments(self):
+        lum, det = Luminaire(), PhotoDetector()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            lum.lambertian_order = 1.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            det.concentrator_gain = 1.0
+        with pytest.raises(TypeError):
+            Luminaire(lambertian_order=1.0)
+        with pytest.raises(TypeError):
+            PhotoDetector(concentrator_gain=1.0)
+
+    @given(semi=st.floats(0.0, 90.0, exclude_min=True, exclude_max=True),
+           fov=st.one_of(st.floats(0.0, 90.0, exclude_min=True), POSITIVE),
+           n=st.one_of(st.floats(1.0, 1e160), POSITIVE),
+           area=POSITIVE,
+           filter_gain=st.one_of(st.floats(0.0, 1.0, exclude_min=True), POSITIVE))
+    @settings(max_examples=300, deadline=None)
+    def test_built_specs_give_finite_gains(self, semi, fov, n, area, filter_gain):
+        try:
+            lum = Luminaire(semi)
+            det = PhotoDetector(area=area, fov=fov, refractive_index=n, filter_gain=filter_gain)
+        except GeometryError:
+            return
+        m, g = lum.lambertian_order, det.concentrator_gain
+        assert 0.0 < m < math.inf and 1.0 <= g < math.inf
+        try:
+            layout = square_grid_layout(4, 0.5, luminaire=lum, detector=det)
+        except GeometryError as exc:
+            assert "peak line-of-sight gain inf" in str(exc)
+            return
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert np.all(np.isfinite(build_channel_matrix(layout).gains))
+            assert np.all(np.isfinite(gain_map(layout, 0.5).values))
+
+
+class TestPeakGain:
+    """A layout whose on-axis gain, summed over its luminaires, is not finite is refused."""
+
+    def test_names_the_detector_gains(self):
+        with pytest.raises(GeometryError, match=re.escape(
+                "detector area 1.7976931348623157e+308, filter gain 1.0 and concentrator gain "
+                "3.0000000000000004 give a peak line-of-sight gain inf that is not finite")):
+            square_grid_layout(4, 1.0, detector=PhotoDetector(area=1.7976931348623157e308))
+
+    def test_counts_every_luminaire(self):
+        # 5e307 m^2 under one luminaire peaks at 9.9e307; the raster sums two to inf
+        det = PhotoDetector(area=5e307)
+        one = square_grid_layout(1, 0.5, detector=det)
+        assert 9e307 < gain_map(one, 0.05).values.max() < np.finfo(float).max
+        with pytest.raises(GeometryError, match="peak line-of-sight gain inf"):
+            square_grid_layout(2, 0.5, detector=det)
+
+    def test_luminaire_just_above_the_plane_is_refused(self):
+        # z^2 underflows to 0, which the kernel would divide by
+        with pytest.raises(GeometryError, match="peak line-of-sight gain inf"):
+            room([(2.0, 2.0, 1e-200)], [(2.0, 2.0, 0.0)], receiver_plane_z=0.0)
+
+    def test_detector_above_the_plane_is_left_to_the_channel_check(self):
+        # the plane's peak, 2e303, is finite; 1 mm below the luminaire the gain overflows
+        layout = room([(2.0, 2.0, 3.0)], [(2.0, 2.0, 2.999)], detector=PhotoDetector(area=1e303))
+        with np.errstate(over="ignore"), pytest.raises(GeometryError, match="finite"):
+            build_channel_matrix(layout)
 
 
 class TestChannelGain:
     def test_aligned_pair_closed_form(self):
         # spreadsheet-style composition: (A/z^2) R_o(0) T_s g(0)
         layout = room([(2.0, 2.0, 3.0)], [(2.0, 2.0, 0.75)], detector=PhotoDetector(fov=15.0))
-        m = lambertian_order(15.0)
+        m = Luminaire(15.0).lambertian_order
         expected = (1e-4 / 2.25**2) * ((m + 1) / (2 * math.pi)) * G15
         got = oracle.los_gain(layout)
         assert got == pytest.approx(expected, rel=1e-12)
@@ -126,9 +215,8 @@ class TestSimplifiedGain:
         d = math.hypot(dx, z)
         if math.degrees(math.atan2(dx, z)) > pd.fov - 1e-6:
             return
-        m = lambertian_order(15.0)
-        g = concentrator_gain(pd.fov, pd.refractive_index)
-        varpi = distance_gain_prefactor(pd.area, pd.filter_gain, g, m,
+        m = Luminaire(15.0).lambertian_order
+        varpi = distance_gain_prefactor(pd.area, pd.filter_gain, pd.concentrator_gain, m,
                                         plane_separation=z)
         assert varpi / d ** (m + 3.0) == pytest.approx(oracle.los_gain(layout), rel=1e-12)
 
@@ -294,7 +382,7 @@ def reference_gain(layout, j, position):
     cos = -v[2] / d
     if cos < math.cos(math.radians(det.fov)) or cos <= 0.0:
         return 0.0
-    m = lambertian_order(layout.luminaire.semi_angle_half_power)
+    m = layout.luminaire.lambertian_order
     intensity = (m + 1.0) / (2.0 * math.pi) * cos**m
     g = det.refractive_index**2 / math.sin(math.radians(det.fov)) ** 2
     return (det.area / d**2) * intensity * det.filter_gain * g * cos

@@ -18,9 +18,9 @@ import numpy as np
 import pytest
 import yaml
 
-from vlcmimo import config, runner
-from vlcmimo.channel import (GainMap, build_channel_matrix, concentrator_gain,
-                             distance_gain_prefactor, gain_map, lambertian_order)
+from vlcmimo import channel, config, runner
+from vlcmimo.channel import (GainMap, Luminaire, PhotoDetector, build_channel_matrix,
+                             distance_gain_prefactor, gain_map)
 from vlcmimo.cli import main
 from vlcmimo.config import (MAX_SNR_POINTS, PRESET_NAMES, ConfigError, CsiConfig,
                             ExperimentConfig, MobilityConfig, NoiseConfig, config_from_dict,
@@ -133,6 +133,14 @@ CONFIG_REFUSALS = {
     "huge_area": with_detector(area_m2=1e300),
     "tiny_field_of_view": with_detector(fov_deg=1e-300),
     "huge_refractive_index": with_detector(refractive_index=1e200),
+    # Device refusals that every layout makes, with or without a gain-error bound.
+    **{f"vanishing_angle_{angle}": {**SMALL, **with_layout(semi_angle_deg=angle)}
+       for angle in (1e-30, 1e-300, 5e-324)},
+    **{f"{case}_without_elapsed_time": dict(SMALL, **changes, mobility={"elapsed_times_s": []})
+       for case, changes in {
+           "tiny_field_of_view": with_detector(fov_deg=1e-300),
+           "huge_refractive_index": with_detector(refractive_index=1e200),
+           "largest_area": with_detector(area_m2=1.7976931348623157e308)}.items()},
     **{case: {**SMALL, **with_layout(**changes)} for case, changes in {
         "grid_wider_than_room": {"n_links": 4, "spacing_m": 5.0},
         "receiver_plane_at_ceiling": {"receiver_plane_z_m": 3.0},
@@ -304,6 +312,22 @@ class TestGeometryBuiltOnce:
                             spy(ExperimentConfig._bound_after))
         cfgs = {recipe: config_from_dict(data) for recipe, data in self.RECIPES.items()}
         assert {"square_grid_layout", "_bound_after"} <= set(calls)     # the spies see builds
+        calls.clear()
+        for recipe, cfg in cfgs.items():
+            recipe(cfg, tmp_path / recipe.__name__)
+        assert calls == []
+
+    def test_recipes_compute_no_lambertian_order(self, tmp_path, monkeypatch):
+        calls, order = [], channel._lambertian_order
+
+        def counted(angle):
+            calls.append(angle)
+            return order(angle)
+
+        monkeypatch.setattr(channel, "_lambertian_order", counted)
+        recipes = (runner.run_ber_sweep, runner.run_channel_map)
+        cfgs = {recipe: config_from_dict(self.RECIPES[recipe]) for recipe in recipes}
+        assert calls            # the spy sees the configs' own builds
         calls.clear()
         for recipe, cfg in cfgs.items():
             recipe(cfg, tmp_path / recipe.__name__)
@@ -796,10 +820,11 @@ class TestCli:
         lay, det = cfg.layout, cfg.layout.detector
         z = lay.room_z_m - lay.receiver_plane_z_m
         for angle in (15.0, 45.0):
-            m = lambertian_order(angle)
+            m = Luminaire(angle).lambertian_order
             varpi = distance_gain_prefactor(
                 det.area_m2, det.filter_gain,
-                concentrator_gain(det.fov_deg, det.refractive_index), m,
+                PhotoDetector(fov=det.fov_deg,
+                              refractive_index=det.refractive_index).concentrator_gain, m,
                 plane_separation=z)
             assert meta["error_bounds"][f"2x2@0.5m/{angle}deg"] == error_bound(
                 (0.0, 0.0), (0.1, 0.0), z, varpi, m)
@@ -879,6 +904,23 @@ class TestCli:
         assert "Traceback" not in err and "Warning" not in err
         assert not out.exists()
 
+    def test_huge_finite_peak_gain_without_elapsed_time_is_valid(self, tmp_path, capsys):
+        """A detector of 1e300 m^2 peaks at about 8e300: with no bound to check, the
+        config is valid, its gain map is written, and the error-rate runs exit 3."""
+        path = tmp_path / "h.json"
+        path.write_text(json.dumps({"name": "h", "montecarlo": {"n_symbols": 2000},
+                                    "mobility": {"elapsed_times_s": []},
+                                    "layout": {"detector": {"area_m2": 1e300}}}))
+        assert main(["validate", "--config", str(path)]) == 0
+        assert main(["channel-map", "--config", str(path), "--out", str(tmp_path / "map"),
+                     "--quiet"]) == 0
+        body = (tmp_path / "map" / "h_gain_map.csv").read_text()
+        assert "inf" not in body and "nan" not in body
+        capsys.readouterr()
+        assert main(["ber-sweep", "--config", str(path), "--out", str(tmp_path / "ber"),
+                     "--quiet"]) == 3
+        assert "numerical error:" in capsys.readouterr().err
+
     @pytest.mark.parametrize("command", ["ber-sweep", "throughput-sweep", "mobility"])
     def test_gains_too_small_for_the_precoder_exit_3(self, tmp_path, capsys, command):
         """A detector of 1e-320 m^2 gives subnormal gains whose inverse is not finite.
@@ -932,10 +974,9 @@ class TestCli:
         cfg = config_from_dict(cfgd)
         lay, det = cfg.layout, cfg.layout.detector
         z = lay.room_z_m - lay.receiver_plane_z_m
-        m = lambertian_order(lay.semi_angle_deg)
-        varpi = distance_gain_prefactor(det.area_m2, det.filter_gain,
-                                        concentrator_gain(det.fov_deg, det.refractive_index),
-                                        m, plane_separation=z)
+        m = Luminaire(lay.semi_angle_deg).lambertian_order
+        g = PhotoDetector(fov=det.fov_deg, refractive_index=det.refractive_index).concentrator_gain
+        varpi = distance_gain_prefactor(det.area_m2, det.filter_gain, g, m, plane_separation=z)
         assert meta["error_bounds"] == {
             repr(t): error_bound(cfg.mobility.start_xy_m, cfg.mobility.end_xy(t), z, varpi, m)
             for t in (0.02, 0.3)}

@@ -7,17 +7,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vlcmimo.channel import (PhotoDetector, build_channel_matrix, concentrator_gain,
-                             distance_gain_prefactor, lambertian_order,
-                             square_grid_layout)
+from vlcmimo.channel import (Luminaire, PhotoDetector, build_channel_matrix,
+                             distance_gain_prefactor, square_grid_layout)
 from vlcmimo.csi import error_bound, perturb_channel
 from vlcmimo.precoding import ci_precoder, word_table
 
 import oracle
 
 Z = 2.25
-M = lambertian_order(15.0)
-VARPI = distance_gain_prefactor(1e-4, 1.0, concentrator_gain(60.0, 1.5), M,
+M = Luminaire(15.0).lambertian_order
+VARPI = distance_gain_prefactor(1e-4, 1.0, PhotoDetector(fov=60.0).concentrator_gain, M,
                                 plane_separation=Z)
 
 

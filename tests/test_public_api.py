@@ -29,6 +29,12 @@ def test_every_exported_name_resolves():
     assert reexported <= exported, sorted(reexported - exported)
 
 
+def test_device_optics_are_spec_fields_not_helpers():
+    # Luminaire and PhotoDetector compute their Lambertian order and concentrator gain
+    for name in ("lambertian_order", "concentrator_gain"):
+        assert not hasattr(vlcmimo, name) and not hasattr(vlcmimo.channel, name)
+
+
 def identifiers_used(path: Path) -> set[str]:
     """Names a module reads as a Name, an Attribute or an import.
 
@@ -95,7 +101,7 @@ def test_import_leaves_scipy_unloaded():
 
 
 def test_import_leaves_mpmath_unloaded():
-    # mpmath is a test oracle only; lambertian_order uses the standard decimal module
+    # mpmath is a test oracle only; the Lambertian order is computed with the decimal module
     assert loaded_after_import("mpmath") == "[]"
 
 
